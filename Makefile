@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: help ci vet verify-static build test smoke explore-smoke paper \
-	race-equivalence bench bench-full bench-baseline docs-verify docs \
+	race-equivalence bench bench-smoke docs-verify docs \
 	daemon-smoke crash-smoke
 
 # help lists every target with its one-line purpose (the `##` comment on
@@ -16,8 +16,9 @@ help:
 # the IR-level static verification of every workload, the engine
 # differential suite (cooperative vs reference, byte-identical, -race),
 # the race-mode parallel-sweep equivalence suite, the daemon lifecycle
-# smoke, the crash-recovery harness, and the generated-docs drift check.
-ci: vet build test smoke explore-smoke verify-static conflict-verify equivalence race-equivalence daemon-smoke crash-smoke docs-verify ## full CI gate (all of the below)
+# smoke, the crash-recovery harness, the generated-docs drift check, and
+# the perf ledger's smoke run with its own module's tests.
+ci: vet build test smoke explore-smoke verify-static conflict-verify equivalence race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
 
 # vet layers three static gates: formatting, the standard go vet, and
 # the repo's own staggervet analyzers (determinism, ntstore, siteattr,
@@ -98,7 +99,7 @@ equivalence: ## cooperative-vs-reference engine differential suite under -race
 
 race-equivalence: ## determinism-equivalence + service lifecycle under -race
 	$(GO) test -race ./internal/harness -count=1 \
-		-run 'TestDeterminism|TestTableOutputIdentical|TestChaosSweepIdentical|TestExploreIdentical|TestCacheShared|TestRunAllOrdering|TestRunCtxCancel|TestRunAllCancel|TestRunAllContained'
+		-run 'TestDeterminism|TestTableOutputIdentical|TestChaosSweepIdentical|TestExploreIdentical|TestSweepRunnerDoesNotMemoize|TestWarmPopulatesMemo|TestRunAllOrdering|TestRunCtxCancel|TestRunAllCancel|TestRunAllContained'
 	$(GO) test -race ./internal/service -count=1 \
 		-run 'TestDrain|TestCancel|TestCrashRestart|TestBoot|TestResumed|TestIdempotency|TestSubmitRejected|TestCleanShutdown|TestMetricsExposeJournal'
 	$(GO) test -race ./internal/journal ./internal/vfs ./internal/chaos ./internal/store -count=1
@@ -114,20 +115,18 @@ docs-verify: ## fail if generated docs sections drifted from the source
 docs: ## regenerate the generated docs sections in place
 	$(GO) run ./cmd/staggerreport -appendix -backends -repomap -write
 
-# bench is the performance regression gate: the quick matrix plus the
-# paper table set, compared against the committed baseline; any timed
-# metric more than 25% slower (or allocs/event more than 10% higher)
-# fails. bench-full runs the full matrix without a gate; bench-baseline
-# re-records the committed baseline (do this deliberately, on a quiet
-# machine, when the simulation itself changes).
-bench: ## perf regression gate vs bench_baseline.json (quick matrix)
-	$(GO) run ./cmd/staggerbench -quick -baseline bench_baseline.json
+# bench runs the performance ledger (bench/README.md): every workload
+# of BENCHMARK.json in a fresh process each, end-to-end metrics and
+# checks, non-zero exit on any failed operation or check. bench-smoke is
+# the same program at sizes ~20x smaller (its numbers mean nothing) plus
+# the bench module's own tests, which the root `go test ./...` does not
+# descend into.
+bench: ## perf ledger: all BENCHMARK.json workloads (bench/README.md)
+	bash bench/run.sh
 
-bench-full: ## full benchmark matrix, no gate
-	$(GO) run ./cmd/staggerbench
-
-bench-baseline: ## re-record the committed benchmark baseline
-	$(GO) run ./cmd/staggerbench -quick -out bench_baseline.json
+bench-smoke: ## perf ledger at smoke sizes + the bench module's tests
+	bash bench/run.sh -smoke
+	cd bench && $(GO) test -short ./...
 
 paper: ## regenerate every table and figure of the paper
 	$(GO) run ./cmd/paper

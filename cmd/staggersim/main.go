@@ -184,7 +184,7 @@ func defineFlags(fs *flag.FlagSet) *opts {
 	// name list before any simulation starts.
 	o.backendName = new(string)
 	fs.Func("backend", "concurrency-control backend: "+strings.Join(backend.Names(), " | ")+
-		" (empty: the pre-arena runtime under -mode)", func(s string) error {
+		" (empty: htm under -mode htm, else staggered)", func(s string) error {
 		if _, err := backend.Get(s); err != nil {
 			return err
 		}
@@ -258,7 +258,8 @@ func main() {
 	}
 
 	// Replaying a trace file reproduces its run: the header supplies the
-	// benchmark, mode, thread count, and seeds unless flags override them.
+	// benchmark, system (mode, backend, capacity), thread count, and seeds
+	// unless flags override them.
 	if spec, err := sched.Parse(*schedSpec); *schedSpec != "" && err == nil && spec.Kind == "replay" {
 		if tr, err := sched.ReadTraceFile(spec.File); err == nil {
 			set := map[string]bool{}
@@ -268,6 +269,12 @@ func main() {
 			}
 			if !set["mode"] {
 				*mode = tr.Mode
+			}
+			if !set["backend"] {
+				*o.backendName = tr.Backend
+			}
+			if !set["capacity"] {
+				*o.capacity = tr.Capacity
 			}
 			if !set["threads"] {
 				*threads = tr.Threads
@@ -375,24 +382,7 @@ func main() {
 		fmt.Printf("\ntrace (first %d events):\n%s", len(res.Trace), htm.FormatTrace(res.Trace))
 	}
 	if *record != "" {
-		spec, _ := sched.Parse(*schedSpec)
-		ss := *schedSeed
-		if ss == 0 {
-			ss = *seed
-		}
-		tr := &sched.Trace{
-			Version: sched.TraceVersion,
-			Spec:    *schedSpec,
-			Seed:    ss,
-			Bench:   *bench,
-			Mode:    m.String(),
-			Threads: *threads,
-			WlSeed:  *seed,
-			Ops:     *ops,
-			Window:  spec.Window,
-			Picks:   res.SchedPicks,
-		}
-		if err := tr.WriteFile(*record); err != nil {
+		if err := harness.SchedTrace(res.Config, res.SchedPicks).WriteFile(*record); err != nil {
 			fmt.Fprintln(os.Stderr, "staggersim:", err)
 			os.Exit(1)
 		}
@@ -491,7 +481,8 @@ func runExplore(benchList, mode, backendName string, capacity, threads int, seed
 // timeline shows exactly the schedule the minimizer reduced the failure
 // to — tagged with the seeds needed to regenerate it from scratch.
 func exportFailureTimeline(ec harness.ExploreConfig, f *harness.ExploreFailure, path string) error {
-	spec, err := sched.Parse(exploreSpecOf(ec))
+	rc := ec.RunConfig()
+	spec, err := sched.Parse(rc.Sched)
 	if err != nil {
 		return err
 	}
@@ -501,29 +492,16 @@ func exportFailureTimeline(ec harness.ExploreConfig, f *harness.ExploreFailure, 
 		picks = f.Minimized
 		tag = "minimized"
 	}
-	rc := harness.RunConfig{
-		Benchmark:          ec.Benchmark,
-		Mode:               ec.Mode,
-		Backend:            ec.Backend,
-		Capacity:           ec.Capacity,
-		Threads:            ec.Threads,
-		Seed:               ec.Seed,
-		TotalOps:           ec.TotalOps,
-		Stagger:            ec.Stagger,
-		Chaos:              ec.Chaos,
-		Sched:              exploreSpecOf(ec),
-		ReplayPicks:        picks,
-		UnsafeEarlyRelease: ec.UnsafeEarlyRelease,
-		TraceN:             -1,
-		ExtTrace:           true,
-	}
+	rc.ReplayPicks = picks
+	rc.TraceN = -1
+	rc.ExtTrace = true
 	res, err := harness.Run(rc)
 	if err != nil {
 		return err
 	}
 	meta := obs.TraceMeta{
 		Benchmark: ec.Benchmark, Mode: ec.Mode.String(), Threads: ec.Threads,
-		Seed: ec.Seed, Sched: exploreSpecOf(ec), SchedSeed: f.SchedSeed,
+		Seed: ec.Seed, Sched: rc.Sched, SchedSeed: f.SchedSeed,
 		Extra: map[string]string{
 			"failure":        f.Err.Error(),
 			"replay":         tag,
@@ -532,15 +510,6 @@ func exportFailureTimeline(ec harness.ExploreConfig, f *harness.ExploreFailure, 
 		},
 	}
 	return writeTraceFile(path, meta, res.Trace)
-}
-
-// exploreSpecOf mirrors the harness's default scheduler spec for
-// exploration campaigns.
-func exploreSpecOf(ec harness.ExploreConfig) string {
-	if ec.Spec == "" {
-		return "pct:3"
-	}
-	return ec.Spec
 }
 
 // writeTraceFile exports events as a Chrome trace-event file.
@@ -594,12 +563,8 @@ func runCampaign(bench, mode string, threads int, seed int64, ops int, watchdog 
 
 func printResult(r *harness.Result) {
 	s := &r.Stats
-	sys := r.Config.Mode.String()
-	if r.Config.Backend != "" {
-		sys = "backend " + r.Config.Backend + ", " + sys
-	}
-	fmt.Printf("benchmark   %s  (%s, %d threads, seed %d)\n",
-		r.Config.Benchmark, sys, r.Config.Threads, r.Config.Seed)
+	fmt.Printf("benchmark   %s  (backend %s, %s, %d threads, seed %d)\n",
+		r.Config.Benchmark, r.Config.Backend, r.Config.Mode, r.Config.Threads, r.Config.Seed)
 	fmt.Printf("makespan    %d cycles\n", s.Makespan)
 	fmt.Printf("commits     %d  (irrevocable %d = %.1f%%)\n",
 		s.Commits, s.IrrevocableCommits, 100*s.IrrevocableFraction())

@@ -96,28 +96,6 @@ func TestLimitedCapacityKnob(t *testing.T) {
 	}
 }
 
-// TestArenaLegacyPathUnchanged proves Backend "" and Backend "htm"
-// simulate the same machine: selecting the baseline through the arena
-// must be bit-identical to the historical direct path.
-func TestArenaLegacyPathUnchanged(t *testing.T) {
-	legacy, err := Run(RunConfig{
-		Benchmark: "ssca2", Mode: stagger.ModeHTM, Threads: 4, Seed: 5, TotalOps: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena, err := Run(RunConfig{
-		Benchmark: "ssca2", Backend: "htm", Threads: 4, Seed: 5, TotalOps: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Stats, arena.Stats) {
-		t.Fatalf("backend=htm diverged from the legacy path:\nlegacy %+v\narena  %+v",
-			legacy.Stats, arena.Stats)
-	}
-}
-
 // TestArenaEngineEquivalence extends the coop-vs-reference engine proof
 // to the new backends: the software OCC runtime and the limited HTM
 // variant must be bit-identical under both token-handoff engines, like
@@ -144,48 +122,68 @@ func TestArenaEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestArenaCacheSeparation pins backend and capacity into the memo key:
-// cells that differ only in backend (or only in capacity) must never
-// share a cached Result.
+// TestArenaCacheSeparation pins one simulation to one memo entry and
+// distinct simulations to distinct ones: every spelling of the plain-HTM
+// cell shares an entry, while cells that differ in backend (or, on the
+// limited backend, in capacity) never do.
 func TestArenaCacheSeparation(t *testing.T) {
 	ClearCache()
+	defer ClearCache()
 	base := RunConfig{Benchmark: "kmeans", Threads: 2, Seed: 5, TotalOps: 100}
-	legacy, err := RunCached(base)
-	if err != nil {
-		t.Fatal(err)
+	run := func(edit func(*RunConfig)) *Result {
+		t.Helper()
+		rc := base
+		edit(&rc)
+		res, err := RunCached(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	htmRC := base
-	htmRC.Backend = "htm"
-	viaArena, err := RunCached(htmRC)
-	if err != nil {
-		t.Fatal(err)
+	byMode := run(func(rc *RunConfig) { rc.Mode = stagger.ModeHTM })
+	for name, edit := range map[string]func(*RunConfig){
+		"backend=htm":                func(rc *RunConfig) { rc.Backend = "htm" },
+		"backend=htm mode=Staggered": func(rc *RunConfig) { rc.Backend, rc.Mode = "htm", stagger.ModeStaggeredHW },
+		"backend=htm capacity=8":     func(rc *RunConfig) { rc.Backend, rc.Capacity = "htm", 8 },
+	} {
+		if run(edit) != byMode {
+			t.Fatalf("%s did not share the plain-HTM cell's memo entry", name)
+		}
 	}
-	if viaArena == legacy {
-		t.Fatal("backend=htm shared a cache entry with the legacy path")
+	staggered := run(func(rc *RunConfig) { rc.Mode = stagger.ModeStaggeredHW })
+	if run(func(rc *RunConfig) { rc.Backend = "staggered" }) != staggered {
+		t.Fatal("backend=staggered did not share the Staggered mode's memo entry")
 	}
-	occRC := base
-	occRC.Backend = "occ"
-	occ, err := RunCached(occRC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if occ == viaArena || occ == legacy {
+	occ := run(func(rc *RunConfig) { rc.Backend = "occ" })
+	if occ == byMode || occ == staggered {
 		t.Fatal("backend=occ shared a cache entry")
 	}
-	limA := base
-	limA.Backend = "limited"
-	limA.Capacity = 8
-	limB := limA
-	limB.Capacity = 16
-	a, err := RunCached(limA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCached(limB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
+	a := run(func(rc *RunConfig) { rc.Backend, rc.Capacity = "limited", 8 })
+	b := run(func(rc *RunConfig) { rc.Backend, rc.Capacity = "limited", 16 })
+	if a == b || a == byMode {
 		t.Fatal("distinct capacities shared a cache entry")
+	}
+}
+
+// TestRunConfigFieldsKeyedOrUncacheable fails when a RunConfig field is
+// added without deciding what it means for memoization: every field must
+// be named in exactly one of keyed (part of the memo key) or uncacheable
+// (its non-zero value bypasses the memo). A field in neither would let
+// two different simulations share a result.
+func TestRunConfigFieldsKeyedOrUncacheable(t *testing.T) {
+	listed := map[string]int{}
+	for _, f := range append(append([]string{}, keyed...), uncacheable...) {
+		listed[f]++
+	}
+	typ := reflect.TypeOf(RunConfig{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if listed[name] != 1 {
+			t.Errorf("RunConfig.%s is named %d times across keyed and uncacheable, want exactly once", name, listed[name])
+		}
+		delete(listed, name)
+	}
+	for name := range listed {
+		t.Errorf("%q is listed but is not a RunConfig field", name)
 	}
 }

@@ -83,7 +83,7 @@ func (cs *ChaosSweep) defaults() {
 		cs.Threads = PaperThreads
 	}
 	if cs.Seed == 0 {
-		cs.Seed = 42
+		cs.Seed = DefaultSeed
 	}
 	if cs.Watchdog == 0 {
 		cs.Watchdog = 200_000_000
@@ -130,7 +130,7 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 	var cells []ChaosCell
 	var firstErr error
 	var base uint64
-	err := runAllOrdered(context.Background(), cfgs, Workers(), func(i int, o RunOutcome) error {
+	err := runAllOrdered(context.Background(), cfgs, Workers(), false, func(i int, o RunOutcome) error {
 		m := metas[i]
 		if o.Err != nil {
 			// Watchdog (or setup) failure: the campaign is already lost;

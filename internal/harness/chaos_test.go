@@ -226,11 +226,7 @@ func TestRunVerifiedRejectsInvariantFailure(t *testing.T) {
 	ClearCache()
 	defer ClearCache()
 	rc := RunConfig{Benchmark: "kmeans", Mode: stagger.ModeHTM, Threads: 2, Seed: 7, TotalOps: 100}
-	key := cacheKey{schema: CacheSchema, bench: rc.Benchmark, mode: int(rc.Mode), threads: rc.Threads,
-		seed: rc.Seed, totalOps: rc.TotalOps}
-	cacheMu.Lock()
-	cache[key] = &Result{Config: rc, VerifyErr: errors.New("poisoned invariant")}
-	cacheMu.Unlock()
+	memoize(memoKey(t, rc), &Result{Config: rc, VerifyErr: errors.New("poisoned invariant")})
 	_, err := runVerified(rc)
 	if err == nil || !strings.Contains(err.Error(), "verify failed") {
 		t.Fatalf("runVerified returned %v, want verify failure", err)

@@ -79,22 +79,32 @@ type ExploreFailure struct {
 
 // Trace packages the failure as a writable trace for `-sched=replay:`.
 func (f *ExploreFailure) Trace(ec ExploreConfig) *sched.Trace {
-	spec, _ := sched.Parse(exploreSpec(ec))
+	rc := ec.RunConfig()
+	rc.SchedSeed = f.SchedSeed
 	picks := f.Picks
 	if f.Minimized != nil {
 		picks = f.Minimized
 	}
+	return SchedTrace(rc, picks)
+}
+
+// SchedTrace packages a decision sequence recorded under rc with the cell
+// identity a replay needs: workload, system, threads, seeds and window.
+func SchedTrace(rc RunConfig, picks []uint32) *sched.Trace {
+	spec, _ := sched.Parse(rc.Sched)
 	return &sched.Trace{
-		Version: sched.TraceVersion,
-		Spec:    exploreSpec(ec),
-		Seed:    f.SchedSeed,
-		Bench:   ec.Benchmark,
-		Mode:    ec.Mode.String(),
-		Threads: ec.Threads,
-		WlSeed:  ec.Seed,
-		Ops:     ec.TotalOps,
-		Window:  spec.Window,
-		Picks:   picks,
+		Version:  sched.TraceVersion,
+		Spec:     rc.Sched,
+		Seed:     schedSeed(rc),
+		Bench:    rc.Benchmark,
+		Mode:     rc.Mode.String(),
+		Backend:  rc.Backend,
+		Capacity: rc.Capacity,
+		Threads:  rc.Threads,
+		WlSeed:   rc.Seed,
+		Ops:      rc.TotalOps,
+		Window:   spec.Window,
+		Picks:    picks,
 	}
 }
 
@@ -113,6 +123,31 @@ func exploreSpec(ec ExploreConfig) string {
 	return ec.Spec
 }
 
+// RunConfig is the cell every schedule of the campaign runs, oracle on.
+// Explore adds a scheduler seed and pick recording per run; replaying a
+// failure adds its picks.
+func (ec ExploreConfig) RunConfig() RunConfig {
+	wt := ec.WatchdogTrace
+	if wt == 0 {
+		wt = 256
+	}
+	return RunConfig{
+		Benchmark:          ec.Benchmark,
+		Mode:               ec.Mode,
+		Backend:            ec.Backend,
+		Capacity:           ec.Capacity,
+		Threads:            ec.Threads,
+		Seed:               ec.Seed,
+		TotalOps:           ec.TotalOps,
+		Stagger:            ec.Stagger,
+		Chaos:              ec.Chaos,
+		Sched:              exploreSpec(ec),
+		Oracle:             true,
+		UnsafeEarlyRelease: ec.UnsafeEarlyRelease,
+		WatchdogTrace:      wt,
+	}
+}
+
 // Explore runs a schedule-exploration campaign. Infrastructure errors
 // (unknown benchmark, watchdog timeout) abort the campaign; serializability
 // violations and workload verification failures are collected as findings.
@@ -128,11 +163,7 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 		ec.Runs = 100
 	}
 	if ec.Seed == 0 {
-		ec.Seed = 42
-	}
-	wt := ec.WatchdogTrace
-	if wt == 0 {
-		wt = 256
+		ec.Seed = DefaultSeed
 	}
 
 	// Every explored schedule is an independent cell (distinct scheduler
@@ -144,30 +175,16 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 	for i := range cfgs {
 		// Distinct, nonzero scheduler seeds; the workload seed stays fixed
 		// so every run explores the same program.
-		cfgs[i] = RunConfig{
-			Benchmark:          ec.Benchmark,
-			Mode:               ec.Mode,
-			Backend:            ec.Backend,
-			Capacity:           ec.Capacity,
-			Threads:            ec.Threads,
-			Seed:               ec.Seed,
-			TotalOps:           ec.TotalOps,
-			Stagger:            ec.Stagger,
-			Chaos:              ec.Chaos,
-			Sched:              exploreSpec(ec),
-			SchedSeed:          ec.Seed + int64(i)*1_000_003 + 1,
-			Record:             true,
-			Oracle:             true,
-			UnsafeEarlyRelease: ec.UnsafeEarlyRelease,
-			WatchdogTrace:      wt,
-		}
+		cfgs[i] = ec.RunConfig()
+		cfgs[i].SchedSeed = ec.Seed + int64(i)*1_000_003 + 1
+		cfgs[i].Record = true
 	}
 	ctx := ec.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	rep := &ExploreReport{Config: ec}
-	err = runAllOrdered(ctx, cfgs, Workers(), func(i int, o RunOutcome) error {
+	err = runAllOrdered(ctx, cfgs, Workers(), false, func(i int, o RunOutcome) error {
 		ss := cfgs[i].SchedSeed
 		if o.Err != nil {
 			return fmt.Errorf("harness: explore run %d (sched seed %d): %w", i, ss, o.Err)

@@ -75,7 +75,7 @@ func paperBytes(t *testing.T, seed int64) []byte {
 // TestFingerprints pins the simulated output of every way a cell can be
 // spelled — each Mode with no backend named, each registered backend —
 // on every workload, plus the paper's 16-thread matrix, the one-thread
-// cells the retired bench_baseline.json pinned event counts for, and the
+// cells whose event counts the retired host-timing gate pinned, and the
 // bytes of cmd/paper's whole sequence. A refactor of the run path, the
 // memo or the sweep runner must leave this file untouched; -update is
 // for changes to the simulation itself.
@@ -98,7 +98,7 @@ func TestFingerprints(t *testing.T) {
 				RunConfig{Benchmark: wl, Mode: m, Threads: PaperThreads, Seed: 42}))
 		}
 	}
-	// bench_baseline.json's quick matrix; its t4 cells are above.
+	// The retired timing gate's quick matrix; its t4 cells are above.
 	for _, wl := range []string{"list-hi", "kmeans"} {
 		for _, m := range []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW} {
 			lines = append(lines, fingerprint(t, fmt.Sprintf("%s mode=%s t1 ops400", wl, m),

@@ -11,9 +11,9 @@ import (
 
 // Inter-run parallelism. Every simulation is deterministic in its
 // RunConfig and shares no mutable state with any other run (each Run
-// builds a fresh workload module, machine, runtime, and oracle; the only
-// cross-run structure is the memoization cache, which is mutex-guarded
-// and value-stable). Independent cells of a sweep can therefore execute
+// builds a fresh workload module, machine, runtime, and oracle, and the
+// sweep runner is an ordered parallel map over RunCtx that touches no
+// cross-run structure). Independent cells of a sweep can therefore execute
 // on as many OS threads as the host offers without perturbing a single
 // simulated cycle — the intra-run virtual-time engine stays strictly
 // serial, parallelism exists only BETWEEN runs. Results are always
@@ -49,14 +49,14 @@ type RunOutcome struct {
 
 // RunAll executes every configuration with at most workers concurrent
 // runs (workers <= 0 uses the package default) and returns the outcomes
-// ordered by input index. Each cell goes through RunCached, so repeated
-// cells across sweeps are still memoized. Cancelling ctx skips cells
-// that have not started and abandons cells mid-simulation at their next
-// globally ordered event (both outcomes carry ctx's error), so a
+// ordered by input index. Every cell is simulated: the generators' memo
+// is neither read nor written (warm does that). Cancelling ctx skips
+// cells that have not started and abandons cells mid-simulation at their
+// next globally ordered event (both outcomes carry ctx's error), so a
 // cancelled sweep returns within roughly one simulated event, not after
 // draining the queue.
 func RunAll(ctx context.Context, cfgs []RunConfig, workers int) []RunOutcome {
-	return runAllCollect(ctx, cfgs, workers, false)
+	return collect(ctx, cfgs, workers, false)
 }
 
 // RunAllContained is RunAll with per-cell fault containment: a panic
@@ -66,12 +66,12 @@ func RunAll(ctx context.Context, cfgs []RunConfig, workers int) []RunOutcome {
 // CLI generators keep RunAll's fail-fast behaviour, where a panic is a
 // bug worth a stack trace.
 func RunAllContained(ctx context.Context, cfgs []RunConfig, workers int) []RunOutcome {
-	return runAllCollect(ctx, cfgs, workers, true)
+	return collect(ctx, cfgs, workers, true)
 }
 
-func runAllCollect(ctx context.Context, cfgs []RunConfig, workers int, contain bool) []RunOutcome {
+func collect(ctx context.Context, cfgs []RunConfig, workers int, contain bool) []RunOutcome {
 	out := make([]RunOutcome, len(cfgs))
-	runAllOrderedOpt(ctx, cfgs, workers, contain, func(i int, o RunOutcome) error {
+	runAllOrdered(ctx, cfgs, workers, contain, func(i int, o RunOutcome) error {
 		out[i] = o
 		return nil
 	})
@@ -97,21 +97,16 @@ func runOne(ctx context.Context, rc RunConfig, contain bool) (o RunOutcome) {
 			}
 		}()
 	}
-	o.Res, o.Err = RunCachedCtx(ctx, rc)
+	o.Res, o.Err = RunCtx(ctx, rc)
 	return o
 }
 
-// runAllOrdered is RunAll with streaming delivery: deliver is called once
-// per cell, in input order, from the calling goroutine's control flow. A
-// non-nil error from deliver cancels the cells that have not started and
-// returns after the in-flight ones drain. With workers == 1 the loop is
-// exactly the historical sequential sweep — same goroutine, same order,
-// no pool.
-func runAllOrdered(ctx context.Context, cfgs []RunConfig, workers int, deliver func(int, RunOutcome) error) error {
-	return runAllOrderedOpt(ctx, cfgs, workers, false, deliver)
-}
-
-func runAllOrderedOpt(ctx context.Context, cfgs []RunConfig, workers int, contain bool, deliver func(int, RunOutcome) error) error {
+// runAllOrdered is the sweep runner: deliver is called once per cell, in
+// input order, from the calling goroutine's control flow. A non-nil
+// error from deliver cancels the cells that have not started and returns
+// after the in-flight ones drain. With workers == 1 the loop is exactly
+// the historical sequential sweep — same goroutine, same order, no pool.
+func runAllOrdered(ctx context.Context, cfgs []RunConfig, workers int, contain bool, deliver func(int, RunOutcome) error) error {
 	n := len(cfgs)
 	if n == 0 {
 		return nil
@@ -189,37 +184,39 @@ func runAllOrderedOpt(ctx context.Context, cfgs []RunConfig, workers int, contai
 	return derr
 }
 
-// warm primes the memoization cache for the given cells in parallel.
-// Generators call it before their sequential assembly loop: with the
-// cache hot, assembly is pure formatting, so output bytes are identical
-// to a fully sequential run by construction. Cells the cache would
-// bypass, duplicates, and already-cached cells are skipped; errors are
-// ignored here because the assembly loop re-encounters them
-// deterministically (Run is a pure function of its config) and reports
-// them exactly as a sequential sweep would. With workers == 1 warm is a
-// no-op: execution stays on the historical fully-sequential path.
+// warm primes the memo for the given cells in parallel, the only place a
+// sweep's results enter it. Generators call it before their sequential
+// assembly loop: with the memo hot, assembly is pure formatting, so
+// output bytes are identical to a fully sequential run by construction.
+// Cells the memo would bypass, duplicates, and cells it already holds
+// are skipped; errors are ignored here because the assembly loop
+// re-encounters them deterministically (Run is a pure function of its
+// config) and reports them exactly as a sequential sweep would. With
+// workers == 1 warm is a no-op: execution stays fully sequential.
 func warm(cfgs []RunConfig) {
 	workers := Workers()
 	if workers <= 1 {
 		return
 	}
-	seen := make(map[cacheKey]bool, len(cfgs))
 	var todo []RunConfig
+	var keys []string
+	seen := make(map[string]bool, len(cfgs))
 	for _, rc := range cfgs {
-		key, ok := cacheableKey(rc)
-		if !ok || seen[key] {
+		c, err := normalize(rc)
+		if err != nil {
+			continue
+		}
+		key, ok := cacheableKey(c.rc)
+		if !ok || seen[key] || cached(key) != nil {
 			continue
 		}
 		seen[key] = true
-		cacheMu.Lock()
-		_, hit := cache[key]
-		cacheMu.Unlock()
-		if !hit {
-			todo = append(todo, rc)
+		todo = append(todo, c.rc)
+		keys = append(keys, key)
+	}
+	for i, o := range RunAll(context.Background(), todo, workers) {
+		if o.Err == nil {
+			memoize(keys[i], o.Res)
 		}
 	}
-	if len(todo) == 0 {
-		return
-	}
-	RunAll(context.Background(), todo, workers)
 }

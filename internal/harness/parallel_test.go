@@ -25,6 +25,28 @@ func withWorkers(t *testing.T, n int, f func()) {
 	f()
 }
 
+// memoKey is the memo key of a cacheable config, the way RunCached
+// derives it.
+func memoKey(t *testing.T, rc RunConfig) string {
+	t.Helper()
+	c, err := normalize(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := cacheableKey(c.rc)
+	if !ok {
+		t.Fatalf("%+v is not cacheable", rc)
+	}
+	return key
+}
+
+// memoSize is how many results the memo holds.
+func memoSize() int {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	return len(cache)
+}
+
 // statsFingerprint is a stable, complete rendering of a run's observable
 // results (every counter, per-core clocks, runtime metrics, and the final
 // verification verdict).
@@ -157,29 +179,77 @@ func TestExploreIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCacheSharedAcrossWorkerCounts proves the memoization key is worker-
-// independent: a cell simulated under a parallel sweep is a cache hit for
-// a later sequential sweep (and vice versa), returning the same *Result.
-func TestCacheSharedAcrossWorkerCounts(t *testing.T) {
+// TestSweepRunnerDoesNotMemoize pins the sweep runner as a pure map: it
+// neither reads the memo (a planted entry is not served) nor writes it
+// (cacheable cells leave it empty), through both exported entry points.
+func TestSweepRunnerDoesNotMemoize(t *testing.T) {
 	rc := RunConfig{Benchmark: "ssca2", Mode: stagger.ModeHTM, Threads: 2, Seed: 5, TotalOps: 100}
-	prev := SetWorkers(4)
-	ClearCache()
-	defer func() {
-		SetWorkers(prev)
-		ClearCache()
-	}()
-	par := RunAll(context.Background(), []RunConfig{rc, rc}, 2)
-	if par[0].Err != nil || par[1].Err != nil {
-		t.Fatal(par[0].Err, par[1].Err)
+	other := RunConfig{Benchmark: "kmeans", Mode: stagger.ModeStaggeredHW, Threads: 2, Seed: 5, TotalOps: 100}
+	for name, runAll := range map[string]func(context.Context, []RunConfig, int) []RunOutcome{
+		"RunAll": RunAll, "RunAllContained": RunAllContained,
+	} {
+		for _, workers := range []int{1, 2} {
+			ClearCache()
+			for i, o := range runAll(context.Background(), []RunConfig{rc, other, rc}, workers) {
+				if o.Err != nil {
+					t.Fatalf("%s workers=%d cell %d: %v", name, workers, i, o.Err)
+				}
+			}
+			if n := memoSize(); n != 0 {
+				t.Fatalf("%s workers=%d left %d results in the memo, want 0", name, workers, n)
+			}
+		}
 	}
-	SetWorkers(1)
-	seq, err := RunCached(rc)
-	if err != nil {
-		t.Fatal(err)
+	defer ClearCache()
+	planted := &Result{Config: rc}
+	memoize(memoKey(t, rc), planted)
+	if out := RunAll(context.Background(), []RunConfig{rc}, 1); out[0].Err != nil || out[0].Res == planted {
+		t.Fatalf("sweep runner served the memo's entry instead of simulating (err %v)", out[0].Err)
 	}
-	if seq != par[0].Res && seq != par[1].Res {
-		t.Fatal("sequential run missed the cache entry a parallel sweep populated")
-	}
+}
+
+// TestWarmPopulatesMemo: warm is where a parallel sweep's results enter
+// the memo, so that a table generator at workers > 1 leaves exactly that
+// table's distinct cells behind — each simulated once, in the pool —
+// and its sequential assembly is all hits.
+func TestWarmPopulatesMemo(t *testing.T) {
+	withWorkers(t, 2, func() {
+		rows, err := Scaling("ssca2", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Scaling lists the sequential baseline twice and runs 5 thread
+		// counts under 2 systems: 10 distinct cells.
+		if n := memoSize(); n != 10 {
+			t.Fatalf("memo holds %d cells after Scaling at workers=2, want its 10 distinct cells", n)
+		}
+		for _, th := range []int{1, 2, 4, 8, 16} {
+			for _, m := range []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW} {
+				if cached(memoKey(t, RunConfig{Benchmark: "ssca2", Mode: m, Threads: th, Seed: 5})) == nil {
+					t.Fatalf("cell %s t%d missing from the memo", m, th)
+				}
+			}
+		}
+		// The memo now answers: a second generation adds nothing and
+		// renders the same bytes.
+		again, err := Scaling("ssca2", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if memoSize() != 10 || FormatScaling("ssca2", again) != FormatScaling("ssca2", rows) {
+			t.Fatal("regenerating from a hot memo changed the memo or the output")
+		}
+	})
+	// At one worker warm is a no-op and RunCached fills the memo cell by
+	// cell: same contents.
+	withWorkers(t, 1, func() {
+		if _, err := Scaling("ssca2", 5); err != nil {
+			t.Fatal(err)
+		}
+		if n := memoSize(); n != 10 {
+			t.Fatalf("memo holds %d cells after Scaling at workers=1, want 10", n)
+		}
+	})
 }
 
 // recSink is a throwaway SiteRecorder: its presence must force a cache
@@ -191,9 +261,7 @@ func (recSink) RecordAccess(*prog.AtomicBlock, *prog.Site, bool) {}
 // TestCacheableKeyBypasses pins which configs may never be memoized.
 func TestCacheableKeyBypasses(t *testing.T) {
 	base := RunConfig{Benchmark: "ssca2", Mode: stagger.ModeHTM, Threads: 2, Seed: 5, TotalOps: 100}
-	if _, ok := cacheableKey(base); !ok {
-		t.Fatal("plain config must be cacheable")
-	}
+	memoKey(t, base) // a plain config must be cacheable
 	withRec := base
 	withRec.SiteRecorder = recSink{}
 	if _, ok := cacheableKey(withRec); ok {
@@ -209,9 +277,7 @@ func TestCacheableKeyBypasses(t *testing.T) {
 	zero, a := base, base
 	zero.Seed = 0
 	a.Seed = 42
-	kz, _ := cacheableKey(zero)
-	ka, _ := cacheableKey(a)
-	if kz != ka {
+	if memoKey(t, zero) != memoKey(t, a) {
 		t.Fatal("seed 0 must canonicalize to the default seed's key")
 	}
 }
@@ -248,7 +314,7 @@ func TestRunAllOrderingAndErrors(t *testing.T) {
 
 	// A deliver error must stop the sweep and propagate.
 	sentinel := errors.New("stop")
-	err := runAllOrdered(context.Background(), cfgs, 2, func(i int, o RunOutcome) error {
+	err := runAllOrdered(context.Background(), cfgs, 2, false, func(i int, o RunOutcome) error {
 		if i == 1 {
 			return sentinel
 		}

@@ -2,6 +2,12 @@
 // system configuration per Run call, and table/figure generators that
 // sweep benchmarks and systems to regenerate every result in Section 6
 // of the paper.
+//
+// Every cell takes one path: normalize gives a RunConfig its canonical
+// spelling and the named backend's constructor builds the runtime. The
+// sweep runner (RunAll, RunAllContained) is an ordered parallel map over
+// RunCtx and remembers nothing; memoization lives with the only callers
+// whose cells repeat, the table and figure generators (RunCached, warm).
 package harness
 
 import (
@@ -30,9 +36,8 @@ type RunConfig struct {
 	Mode stagger.Mode
 	// Backend selects the concurrency-control backend by registry name
 	// ("htm", "staggered", "limited", "occ"; see backend.Names). Empty
-	// keeps the historical path: the stagger runtime under Mode,
-	// bit-identical to runs before the arena existed. Non-empty resolves
-	// Mode through the backend (e.g. "htm" forces the uninstrumented
+	// means "htm" under ModeHTM and "staggered" under any other Mode. A
+	// named backend resolves Mode (e.g. "htm" forces the uninstrumented
 	// baseline) before the machine is configured.
 	Backend string
 	// Capacity is the speculative line-capacity knob for the "limited"
@@ -199,6 +204,66 @@ func (r *Result) AnchorsPerTxn() float64 {
 	return float64(r.Metrics.ALPVisits) / float64(r.Stats.Commits)
 }
 
+// DefaultSeed is the workload seed a zero Seed means.
+const DefaultSeed = 42
+
+// cell is a normalized RunConfig together with what normalizing it had
+// to look up, so a run pays for neither twice.
+type cell struct {
+	rc RunConfig
+	w  *workloads.Workload
+	bk backend.Info
+}
+
+// normalize resolves rc's defaults and alternative spellings to the one
+// canonical description of the simulation they select: seed 0 is
+// DefaultSeed, ops 0 is the workload's default, an empty Backend is
+// "htm" under ModeHTM and "staggered" otherwise, Mode is what the
+// backend actually runs, and Capacity survives only on "limited". The
+// run path, the memo key and the service's store key all start here.
+func normalize(rc RunConfig) (cell, error) {
+	w, err := workloads.Get(rc.Benchmark)
+	if err != nil {
+		return cell{}, err
+	}
+	if rc.Threads <= 0 {
+		return cell{}, fmt.Errorf("harness: Threads must be positive")
+	}
+	if rc.TotalOps == 0 {
+		rc.TotalOps = w.TotalOps
+	}
+	if rc.Seed == 0 {
+		rc.Seed = DefaultSeed
+	}
+	if rc.Backend == "" {
+		rc.Backend = "staggered"
+		if rc.Mode == stagger.ModeHTM {
+			rc.Backend = "htm"
+		}
+	}
+	bk, err := backend.Get(rc.Backend)
+	if err != nil {
+		return cell{}, err
+	}
+	// The effective mode decides the machine's conflicting-PC hardware.
+	if bk.Software {
+		rc.Mode = stagger.ModeHTM
+	} else {
+		rc.Mode = stagger.ResolveMode(rc.Backend, rc.Mode)
+	}
+	if rc.Backend != "limited" {
+		rc.Capacity = 0
+	}
+	return cell{rc, w, bk}, nil
+}
+
+// Normalize returns the canonical spelling of rc (see normalize), or the
+// error running it would fail with before simulating anything.
+func Normalize(rc RunConfig) (RunConfig, error) {
+	c, err := normalize(rc)
+	return c.rc, err
+}
+
 // Run executes one experiment cell.
 func Run(rc RunConfig) (*Result, error) { return RunCtx(context.Background(), rc) }
 
@@ -206,39 +271,18 @@ func Run(rc RunConfig) (*Result, error) { return RunCtx(context.Background(), rc
 // at the cores' next globally ordered events — within one event per
 // core, not after draining the workload — and returns an error wrapping
 // ctx's error; no partial Result escapes a cancelled run. A background
-// (never-cancelled) context takes the exact historical path: the
-// machine's cancellation hook stays unarmed and costs nothing.
+// (never-cancelled) context leaves the machine's cancellation hook
+// unarmed, at no cost.
 func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
-	w, err := workloads.Get(rc.Benchmark)
+	c, err := normalize(rc)
 	if err != nil {
 		return nil, err
 	}
-	if rc.Threads <= 0 {
-		return nil, fmt.Errorf("harness: Threads must be positive")
-	}
-	if rc.TotalOps == 0 {
-		rc.TotalOps = w.TotalOps
-	}
-	if rc.Seed == 0 {
-		rc.Seed = 42
-	}
+	return c.run(ctx)
+}
 
-	// Resolve the arena backend first: the effective mode decides the
-	// machine's conflicting-PC hardware, and the backend may adjust the
-	// machine config (the limited variant's capacity bound).
-	var bk backend.Info
-	useArena := rc.Backend != ""
-	if useArena {
-		bk, err = backend.Get(rc.Backend)
-		if err != nil {
-			return nil, err
-		}
-		if bk.Software {
-			rc.Mode = stagger.ModeHTM
-		} else {
-			rc.Mode = stagger.ResolveMode(rc.Backend, rc.Mode)
-		}
-	}
+func (c cell) run(ctx context.Context) (*Result, error) {
+	rc, w, bk := c.rc, c.w, c.bk
 
 	mcfg := htm.DefaultConfig()
 	if rc.Machine != nil {
@@ -256,7 +300,7 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 	if rc.WatchdogTrace != 0 {
 		mcfg.WatchdogTrace = rc.WatchdogTrace
 	}
-	if useArena && bk.PrepareMachine != nil {
+	if bk.PrepareMachine != nil {
 		bk.PrepareMachine(&mcfg, backend.Options{Capacity: rc.Capacity})
 	}
 
@@ -303,31 +347,19 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 		mach.SetFaultInjector(inj)
 		scfg.LockFaults = inj
 	}
-	// Build the runtime: through the arena registry when a backend is
-	// named, directly otherwise (the historical path). The concrete
-	// stagger runtime, when the backend has one, is recovered for the
-	// stagger-specific result fields below.
-	var brt backend.Runtime
+	// The concrete stagger runtime, when the backend has one, is recovered
+	// for the stagger-specific result fields below.
+	brt, err := bk.New(mach, comp, backend.Options{
+		Capacity:      rc.Capacity,
+		StaggerConfig: scfg,
+		SiteRecorder:  rc.SiteRecorder,
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rt *stagger.Runtime
-	if useArena {
-		opts := backend.Options{
-			Capacity:      rc.Capacity,
-			StaggerConfig: scfg,
-			SiteRecorder:  rc.SiteRecorder,
-		}
-		brt, err = bk.New(mach, comp, opts)
-		if err != nil {
-			return nil, err
-		}
-		if u, ok := brt.(interface{ Unwrap() *stagger.Runtime }); ok {
-			rt = u.Unwrap()
-		}
-	} else {
-		rt = stagger.New(mach, comp, scfg)
-		if rc.SiteRecorder != nil {
-			rt.SetSiteRecorder(rc.SiteRecorder)
-		}
-		brt = rt.Backend()
+	if u, ok := brt.(interface{ Unwrap() *stagger.Runtime }); ok {
+		rt = u.Unwrap()
 	}
 
 	if done := ctx.Done(); done != nil {
@@ -437,11 +469,15 @@ func buildScheduler(rc RunConfig, cores int) (htm.Scheduler, error) {
 	if !haveSpec {
 		return nil, nil
 	}
-	seed := rc.SchedSeed
-	if seed == 0 {
-		seed = rc.Seed
+	return spec.New(schedSeed(rc), cores)
+}
+
+// schedSeed is rc's scheduler seed: SchedSeed, or Seed when that is zero.
+func schedSeed(rc RunConfig) int64 {
+	if rc.SchedSeed == 0 {
+		return rc.Seed
 	}
-	return spec.New(seed, cores)
+	return rc.SchedSeed
 }
 
 func splitOps(total, threads, tid int) int {
@@ -452,22 +488,19 @@ func splitOps(total, threads, tid int) int {
 	return n
 }
 
-// Speedup runs the benchmark sequentially (1 thread, baseline HTM) and
-// in parallel under rc, returning parallel speedup over sequential.
+// Speedup runs the benchmark sequentially (1 thread, the unlimited
+// plain-HTM machine: one denominator for every backend) and in parallel
+// under rc, both through runVerified, returning parallel speedup over
+// sequential.
 func Speedup(rc RunConfig) (float64, *Result, error) {
 	seq := rc
-	seq.Mode = stagger.ModeHTM
+	seq.Backend = "htm"
 	seq.Threads = 1
-	if seq.Backend != "" {
-		// Every backend is measured against the same denominator: the
-		// unlimited plain-HTM machine run sequentially.
-		seq.Backend = "htm"
-	}
-	seqRes, err := Run(seq)
+	seqRes, err := runVerified(seq)
 	if err != nil {
 		return 0, nil, err
 	}
-	parRes, err := Run(rc)
+	parRes, err := runVerified(rc)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -55,7 +55,7 @@ func Table1(seed int64) ([]Table1Row, error) {
 	warm(cells)
 	var rows []Table1Row
 	for _, b := range table1Benches {
-		s, res, err := speedupCached(RunConfig{
+		s, res, err := Speedup(RunConfig{
 			Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed,
 		})
 		if err != nil {
@@ -198,7 +198,7 @@ func Table4(seed int64) ([]Table4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, res, err := speedupCached(RunConfig{
+		s, res, err := Speedup(RunConfig{
 			Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed,
 		})
 		if err != nil {
@@ -434,22 +434,6 @@ func FormatClaims(cs *ClaimsSummary) string {
 	fmt.Fprintf(&b, "ld/st instrumented:         13%%  -> %5.1f%%\n", cs.InstrumentedFraction*100)
 	fmt.Fprintf(&b, "min anchor accuracy:        95%%  -> %5.1f%%\n", cs.MinAccuracy*100)
 	return b.String()
-}
-
-// speedupCached is Speedup over runVerified.
-func speedupCached(rc RunConfig) (float64, *Result, error) {
-	seq := rc
-	seq.Mode = stagger.ModeHTM
-	seq.Threads = 1
-	seqRes, err := runVerified(seq)
-	if err != nil {
-		return 0, nil, err
-	}
-	parRes, err := runVerified(rc)
-	if err != nil {
-		return 0, nil, err
-	}
-	return float64(seqRes.Makespan()) / float64(parRes.Makespan()), parRes, nil
 }
 
 // runVerified is RunCached plus invariant enforcement: a run whose

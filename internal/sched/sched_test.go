@@ -153,15 +153,17 @@ func TestRecorderNormalizesAndReplays(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	tr := &Trace{
-		Version: TraceVersion,
-		Spec:    "pct:3",
-		Seed:    99,
-		Bench:   "list",
-		Mode:    "staggered",
-		Threads: 8,
-		WlSeed:  1,
-		Window:  DefaultWindow,
-		Picks:   []uint32{0, 1, 2, 3, 300, 0, 7, 1 << 20},
+		Version:  TraceVersion,
+		Spec:     "pct:3",
+		Seed:     99,
+		Bench:    "list",
+		Mode:     "staggered",
+		Backend:  "limited",
+		Capacity: 8,
+		Threads:  8,
+		WlSeed:   1,
+		Window:   DefaultWindow,
+		Picks:    []uint32{0, 1, 2, 3, 300, 0, 7, 1 << 20},
 	}
 	back, err := Decode(tr.Encode())
 	if err != nil {
@@ -169,6 +171,16 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr, back) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, tr)
+	}
+
+	// A header written before backends existed names no backend; it must
+	// still load, leaving the system to the mode.
+	old, err := Decode([]byte(`{"version":1,"spec":"pct:3","seed":99,"bench":"list","mode":"staggered","threads":8,"wl_seed":1,"window":64}` + "\nAAE=\n"))
+	if err != nil {
+		t.Fatalf("Decode of a pre-backend header: %v", err)
+	}
+	if old.Backend != "" || old.Capacity != 0 || old.Mode != "staggered" || len(old.Picks) != 2 {
+		t.Fatalf("pre-backend header decoded to %+v", old)
 	}
 
 	path := filepath.Join(t.TempDir(), "x.trace")

@@ -14,23 +14,27 @@ const TraceVersion = 1
 
 // Trace is a recorded schedule plus enough run metadata to reproduce the
 // run exactly on any machine: the workload identity and seed pin down
-// every per-core PRNG and data-structure layout, the window pins down the
-// candidate sets, and Picks pins down every scheduling decision.
+// every per-core PRNG and data-structure layout, mode, backend and
+// capacity pin down the concurrency control, the window pins down the
+// candidate sets, and Picks pins down every scheduling decision. Traces
+// written before backends existed name none; their mode selects one.
 //
 // On disk a trace is two lines: a JSON header (everything but Picks) and
 // a base64(varint) encoding of the decision sequence. The header stays
 // human-greppable; the picks stay compact (a 100k-decision trace of a
 // 16-core run is ~130 KB).
 type Trace struct {
-	Version int    `json:"version"`
-	Spec    string `json:"spec"` // scheduler spec that generated the run
-	Seed    int64  `json:"seed"` // scheduler seed (not the workload seed)
-	Bench   string `json:"bench"`
-	Mode    string `json:"mode"`
-	Threads int    `json:"threads"`
-	WlSeed  int64  `json:"wl_seed"`       // workload/machine seed
-	Ops     int    `json:"ops,omitempty"` // total operations (0 = workload default)
-	Window  uint64 `json:"window"`
+	Version  int    `json:"version"`
+	Spec     string `json:"spec"` // scheduler spec that generated the run
+	Seed     int64  `json:"seed"` // scheduler seed (not the workload seed)
+	Bench    string `json:"bench"`
+	Mode     string `json:"mode"`
+	Backend  string `json:"backend,omitempty"`  // registry name ("" = selected by Mode)
+	Capacity int    `json:"capacity,omitempty"` // "limited" backend's line capacity (0 = its default)
+	Threads  int    `json:"threads"`
+	WlSeed   int64  `json:"wl_seed"`       // workload/machine seed
+	Ops      int    `json:"ops,omitempty"` // total operations (0 = workload default)
+	Window   uint64 `json:"window"`
 
 	Picks []uint32 `json:"-"`
 }

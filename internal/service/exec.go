@@ -122,9 +122,6 @@ func (s *Server) executeExplore(ctx context.Context, j *Job) error {
 		Commits:  rep.Commits,
 		Failures: make([]ExploreFinding, 0, len(rep.Failures)),
 	}
-	if er.Sched == "" {
-		er.Sched = "pct:3"
-	}
 	for _, f := range rep.Failures {
 		er.Failures = append(er.Failures, ExploreFinding{
 			SchedSeed: f.SchedSeed,

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/stagger"
@@ -38,10 +37,10 @@ const chaosWatchdog = 200_000_000
 type CellSpec struct {
 	Bench     string  `json:"bench"`
 	Mode      string  `json:"mode,omitempty"`     // "" = "staggered" (see stagger.ParseMode)
-	Backend   string  `json:"backend,omitempty"`  // "" = the pre-arena runtime under Mode (see backend.Names)
+	Backend   string  `json:"backend,omitempty"`  // "" = "htm" under mode htm, else "staggered" (see backend.Names)
 	Capacity  int     `json:"capacity,omitempty"` // limited backend's line capacity; 0 = its default
 	Threads   int     `json:"threads,omitempty"`  // 0 = 4
-	Seed      int64   `json:"seed,omitempty"`     // 0 = 42 (the harness default)
+	Seed      int64   `json:"seed,omitempty"`     // 0 = harness.DefaultSeed
 	Ops       int     `json:"ops,omitempty"`      // 0 = the workload's default
 	Naive     bool    `json:"naive,omitempty"`
 	Lazy      bool    `json:"lazy,omitempty"`
@@ -54,46 +53,58 @@ type CellSpec struct {
 	Watchdog  uint64  `json:"watchdog,omitempty"` // 0 = none (chaos cells: 200M)
 }
 
-// normalized applies the service defaults and canonicalizes the mode
-// token, so that equivalent spellings of one cell produce one store key.
-func (c CellSpec) normalized() (CellSpec, stagger.Mode, error) {
-	if c.Bench == "" {
-		return c, 0, errors.New("cell: bench is required")
+// normalized validates the cell, applies the service defaults, and lets
+// harness.Normalize canonicalize what selects the simulation (mode,
+// backend, capacity, seed, ops), so that equivalent spellings of one cell
+// produce one store key. It also returns the RunConfig the cell lowers to.
+func (c CellSpec) normalized() (CellSpec, harness.RunConfig, error) {
+	fail := func(format string, args ...any) (CellSpec, harness.RunConfig, error) {
+		return c, harness.RunConfig{}, fmt.Errorf("cell: "+format, args...)
 	}
-	if _, err := workloads.Get(c.Bench); err != nil {
-		return c, 0, fmt.Errorf("cell: %w", err)
+	if c.Bench == "" {
+		return fail("bench is required")
 	}
 	if c.Mode == "" {
 		c.Mode = "staggered"
 	}
 	m, err := stagger.ParseMode(c.Mode)
 	if err != nil {
-		return c, 0, fmt.Errorf("cell: %w", err)
-	}
-	c.Mode = modeToken(m)
-	if c.Backend != "" {
-		if _, err := backend.Get(c.Backend); err != nil {
-			return c, 0, fmt.Errorf("cell: %w", err)
-		}
+		return fail("%w", err)
 	}
 	if c.Capacity < 0 {
-		return c, 0, fmt.Errorf("cell: capacity %d must be nonnegative", c.Capacity)
+		return fail("capacity %d must be nonnegative", c.Capacity)
 	}
 	if c.Capacity != 0 && c.Backend != "limited" {
-		return c, 0, fmt.Errorf("cell: capacity is a knob of the limited backend, not %q", c.Backend)
+		return fail("capacity is a knob of the limited backend, not %q", c.Backend)
 	}
 	if c.Threads == 0 {
 		c.Threads = 4
 	}
 	if c.Threads < 0 {
-		return c, 0, fmt.Errorf("cell: threads %d must be positive", c.Threads)
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
+		return fail("threads %d must be positive", c.Threads)
 	}
 	if c.ChaosRate < 0 || c.ChaosRate > 1 {
-		return c, 0, fmt.Errorf("cell: chaos_rate %g outside [0,1]", c.ChaosRate)
+		return fail("chaos_rate %g outside [0,1]", c.ChaosRate)
 	}
+	rc, err := harness.Normalize(harness.RunConfig{
+		Benchmark: c.Bench,
+		Mode:      m,
+		Backend:   c.Backend,
+		Capacity:  c.Capacity,
+		Threads:   c.Threads,
+		Seed:      c.Seed,
+		TotalOps:  c.Ops,
+		Naive:     c.Naive,
+		Lazy:      c.Lazy,
+		Sched:     c.Sched,
+		SchedSeed: c.SchedSeed,
+		Oracle:    c.Oracle,
+	})
+	if err != nil {
+		return fail("%w", err)
+	}
+	c.Mode, c.Backend, c.Capacity = modeToken(rc.Mode), rc.Backend, rc.Capacity
+	c.Seed, c.Ops = rc.Seed, rc.TotalOps
 	if c.ChaosRate > 0 {
 		if c.ChaosSeed == 0 {
 			c.ChaosSeed = c.Seed
@@ -101,10 +112,17 @@ func (c CellSpec) normalized() (CellSpec, stagger.Mode, error) {
 		if c.Watchdog == 0 {
 			c.Watchdog = chaosWatchdog
 		}
+		cc := chaos.Scaled(c.ChaosRate, c.ChaosSeed)
+		rc.Chaos = &cc
 	} else {
 		c.ChaosSeed = 0
 	}
-	return c, m, nil
+	rc.Watchdog = c.Watchdog
+	if c.Hardened {
+		sc := stagger.HardenedConfig(rc.Mode)
+		rc.Stagger = &sc
+	}
+	return c, rc, nil
 }
 
 // modeToken is the canonical wire spelling for each mode, the inverse of
@@ -131,34 +149,6 @@ func cellKey(c CellSpec) string {
 	return fmt.Sprintf("v%d|cell|%s", harness.CacheSchema, b)
 }
 
-// runConfig lowers a normalized cell to the harness.
-func runConfig(c CellSpec, m stagger.Mode) harness.RunConfig {
-	rc := harness.RunConfig{
-		Benchmark: c.Bench,
-		Mode:      m,
-		Backend:   c.Backend,
-		Capacity:  c.Capacity,
-		Threads:   c.Threads,
-		Seed:      c.Seed,
-		TotalOps:  c.Ops,
-		Naive:     c.Naive,
-		Lazy:      c.Lazy,
-		Sched:     c.Sched,
-		SchedSeed: c.SchedSeed,
-		Oracle:    c.Oracle,
-		Watchdog:  c.Watchdog,
-	}
-	if c.ChaosRate > 0 {
-		cc := chaos.Scaled(c.ChaosRate, c.ChaosSeed)
-		rc.Chaos = &cc
-	}
-	if c.Hardened {
-		sc := stagger.HardenedConfig(m)
-		rc.Stagger = &sc
-	}
-	return rc
-}
-
 // ExploreSpec is the wire form of a schedule-exploration campaign.
 type ExploreSpec struct {
 	Cell     CellSpec `json:"cell"`
@@ -167,10 +157,10 @@ type ExploreSpec struct {
 	Minimize bool     `json:"minimize,omitempty"`
 }
 
-func (e ExploreSpec) normalized() (ExploreSpec, stagger.Mode, error) {
-	cell, m, err := e.Cell.normalized()
+func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
+	cell, rc, err := e.Cell.normalized()
 	if err != nil {
-		return e, 0, err
+		return e, rc, err
 	}
 	e.Cell = cell
 	if e.Sched == "" {
@@ -179,7 +169,7 @@ func (e ExploreSpec) normalized() (ExploreSpec, stagger.Mode, error) {
 	if e.Runs <= 0 {
 		e.Runs = 100
 	}
-	return e, m, nil
+	return e, rc, nil
 }
 
 func exploreKey(e ExploreSpec) string {
@@ -198,9 +188,9 @@ type JobSpec struct {
 
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	Modes      []string `json:"modes,omitempty"`    // empty = ["staggered"]
-	Backends   []string `json:"backends,omitempty"` // empty = [""] (the pre-arena runtime)
+	Backends   []string `json:"backends,omitempty"` // empty = [""] (selected by each mode)
 	Threads    []int    `json:"threads,omitempty"`  // empty = [4]
-	Seeds      []int64  `json:"seeds,omitempty"`    // empty = [42]
+	Seeds      []int64  `json:"seeds,omitempty"`    // empty = [harness.DefaultSeed]
 	Ops        int      `json:"ops,omitempty"`
 
 	ChaosRates []float64 `json:"chaos_rates,omitempty"` // chaos kind; empty = [0.01]
@@ -253,29 +243,23 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 		if spec.Explore == nil {
 			return nil, errors.New("explore job needs an explore spec")
 		}
-		e, m, err := spec.Explore.normalized()
+		e, rc, err := spec.Explore.normalized()
 		if err != nil {
 			return nil, err
 		}
 		ec := harness.ExploreConfig{
-			Benchmark: e.Cell.Bench,
-			Mode:      m,
-			Backend:   e.Cell.Backend,
-			Capacity:  e.Cell.Capacity,
-			Threads:   e.Cell.Threads,
-			Seed:      e.Cell.Seed,
-			TotalOps:  e.Cell.Ops,
+			Benchmark: rc.Benchmark,
+			Mode:      rc.Mode,
+			Backend:   rc.Backend,
+			Capacity:  rc.Capacity,
+			Threads:   rc.Threads,
+			Seed:      rc.Seed,
+			TotalOps:  rc.TotalOps,
+			Stagger:   rc.Stagger,
+			Chaos:     rc.Chaos,
 			Spec:      e.Sched,
 			Runs:      e.Runs,
 			Minimize:  e.Minimize,
-		}
-		if e.Cell.Hardened {
-			sc := stagger.HardenedConfig(m)
-			ec.Stagger = &sc
-		}
-		if e.Cell.ChaosRate > 0 {
-			cc := chaos.Scaled(e.Cell.ChaosRate, e.Cell.ChaosSeed)
-			ec.Chaos = &cc
 		}
 		return &jobPlan{kind: kind, keys: []string{exploreKey(e)}, explore: ec}, nil
 	}
@@ -312,11 +296,11 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 
 	p := &jobPlan{kind: kind, cells: make([]harness.RunConfig, len(base)), keys: make([]string, len(base))}
 	for i, c := range base {
-		nc, m, err := c.normalized()
+		nc, rc, err := c.normalized()
 		if err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
-		p.cells[i] = runConfig(nc, m)
+		p.cells[i] = rc
 		p.keys[i] = cellKey(nc)
 	}
 	return p, nil
@@ -342,7 +326,7 @@ func (spec JobSpec) product() []CellSpec {
 	}
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
-		seeds = []int64{42}
+		seeds = []int64{harness.DefaultSeed}
 	}
 	var out []CellSpec
 	for _, b := range benches {

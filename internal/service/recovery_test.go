@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/journal"
@@ -350,7 +351,11 @@ func TestMetricsExposeJournalStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, j)
+	// Waiters are released before the done record is appended: poll for it.
 	m := s.Metrics()
+	for deadline := time.Now().Add(5 * time.Second); m.Journal != nil && m.Journal.Appends < 3 && time.Now().Before(deadline); m = s.Metrics() {
+		time.Sleep(time.Millisecond)
+	}
 	if m.Journal == nil || m.Journal.Appends < 3 {
 		t.Fatalf("journal stats = %+v, want >= 3 appends (accepted, running, done)", m.Journal)
 	}

@@ -4,6 +4,8 @@
 // built on harness.RunAllContained, and serves every result from a
 // durable content-addressed store (internal/store), so identical
 // (config, seed) cells are byte-identical across clients and restarts.
+// That store is the daemon's only result cache (the harness sweep runner
+// memoizes nothing): a server without a StoreDir recomputes resubmissions.
 //
 // The robustness contract, in order of the failure-mode table in
 // DESIGN.md:

@@ -115,6 +115,47 @@ func TestBackendSweepAxis(t *testing.T) {
 	}
 }
 
+// TestOneSimulationOneStoreKey: a sweep whose mode axis is overridden by
+// its backend (backend htm runs plain HTM whatever the mode says) names
+// one simulation twice. Both cells must plan to the same durable key —
+// so the second is a store hit for any later job — and serve equal
+// bytes; so must every other spelling of that cell.
+func TestOneSimulationOneStoreKey(t *testing.T) {
+	s := newT(t, Config{StoreDir: t.TempDir()})
+	j, err := s.Submit(JobSpec{
+		Benchmarks: []string{"list-hi"},
+		Modes:      []string{"htm", "staggered"},
+		Backends:   []string{"htm"},
+		Threads:    []int{2},
+		Ops:        200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.plan.keys) != 2 || j.plan.keys[0] != j.plan.keys[1] {
+		t.Fatalf("modes [htm staggered] x backend htm planned to keys %q, want two equal keys", j.plan.keys)
+	}
+	if st := waitJob(t, j); st.State != JobDone {
+		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
+	}
+	cells := j.payloads()
+	if !bytes.Equal(cells[0], cells[1]) {
+		t.Fatal("one simulation under two spellings served different bytes")
+	}
+	for _, c := range []CellSpec{
+		{Bench: "list-hi", Mode: "htm", Threads: 2, Ops: 200},
+		{Bench: "list-hi", Backend: "htm", Threads: 2, Ops: 200, Seed: harness.DefaultSeed},
+	} {
+		again, err := s.Submit(JobSpec{Cells: []CellSpec{c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, again); st.FromStore != 1 || !bytes.Equal(again.payloads()[0], cells[0]) {
+			t.Fatalf("%+v: from_store=%d, want the stored cell served byte for byte", c, st.FromStore)
+		}
+	}
+}
+
 func TestRunJobEndToEndOverHTTP(t *testing.T) {
 	s := newT(t, Config{StoreDir: t.TempDir()})
 	ts := httptest.NewServer(s.Handler())
@@ -308,15 +349,15 @@ func TestChaosWatchdogClassifiedTransient(t *testing.T) {
 	we := fmt.Errorf("harness: list-hi: %w", &htm.WatchdogError{Core: 1, Cycles: 9, Limit: 8})
 	chaosCell := tinySpec(1).Cells[0]
 	chaosCell.ChaosRate = 0.01
-	nc, m, err := chaosCell.normalized()
+	_, chaosRC, err := chaosCell.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.classify(we, runConfig(nc, m)); !errors.Is(got, ErrTransient) {
+	if got := s.classify(we, chaosRC); !errors.Is(got, ErrTransient) {
 		t.Fatalf("chaos watchdog trip classified %v, want transient", got)
 	}
-	clean, m2, _ := tinySpec(1).Cells[0].normalized()
-	if got := s.classify(we, runConfig(clean, m2)); errors.Is(got, ErrTransient) {
+	_, cleanRC, _ := tinySpec(1).Cells[0].normalized()
+	if got := s.classify(we, cleanRC); errors.Is(got, ErrTransient) {
 		t.Fatal("fault-free watchdog trip classified transient")
 	}
 }
@@ -325,11 +366,10 @@ func TestChaosWatchdogClassifiedTransient(t *testing.T) {
 // schedule and nothing else.
 func TestRetrySaltReseedsOnlyChaos(t *testing.T) {
 	cell := CellSpec{Bench: "list-hi", ChaosRate: 0.01, Seed: 5}
-	nc, m, err := cell.normalized()
+	_, rc, err := cell.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := runConfig(nc, m)
 	salted := saltRetry(rc, 2)
 	if salted.Chaos.Seed == rc.Chaos.Seed {
 		t.Fatal("retry did not reseed the fault schedule")

@@ -21,21 +21,13 @@ import (
 const DefaultLimitedCapacity = 16
 
 func init() {
-	backend.Register(backend.Info{
+	for _, info := range []backend.Info{{
 		Name:    "htm",
 		Summary: "plain best-effort HTM: retry loop + irrevocable fallback, no advisory locks",
-		New: func(m *htm.Machine, comp *anchor.Compiled, opts backend.Options) (backend.Runtime, error) {
-			return newArenaRuntime("htm", m, comp, opts)
-		},
-	})
-	backend.Register(backend.Info{
+	}, {
 		Name:    "staggered",
 		Summary: "staggered transactions: advisory locks armed at compiler-selected anchors",
-		New: func(m *htm.Machine, comp *anchor.Compiled, opts backend.Options) (backend.Runtime, error) {
-			return newArenaRuntime("staggered", m, comp, opts)
-		},
-	})
-	backend.Register(backend.Info{
+	}, {
 		Name:    "limited",
 		Summary: "capacity-limited HTM: speculative set bounded to -capacity lines (default 16)",
 		PrepareMachine: func(cfg *htm.Config, opts backend.Options) {
@@ -44,10 +36,13 @@ func init() {
 				cfg.MaxSpecLines = DefaultLimitedCapacity
 			}
 		},
-		New: func(m *htm.Machine, comp *anchor.Compiled, opts backend.Options) (backend.Runtime, error) {
-			return newArenaRuntime("limited", m, comp, opts)
-		},
-	})
+	}} {
+		name := info.Name
+		info.New = func(m *htm.Machine, comp *anchor.Compiled, opts backend.Options) (backend.Runtime, error) {
+			return newArenaRuntime(name, m, comp, opts)
+		}
+		backend.Register(info)
+	}
 }
 
 // ResolveMode maps a backend name and a requested runtime mode to the
@@ -56,8 +51,9 @@ func init() {
 // transactions but honors an explicit variant (AddrOnly, Staggered+SW);
 // "limited" runs whatever mode was requested on the capacity-limited
 // machine, so staggering can be evaluated as capacity shrinks. The
-// harness applies this before building the machine, because the
-// machine's conflicting-PC hardware depends on the resolved mode.
+// harness applies this when it normalizes a cell, before building the
+// machine, because the machine's conflicting-PC hardware depends on the
+// resolved mode.
 func ResolveMode(backendName string, m Mode) Mode {
 	switch backendName {
 	case "htm":
