@@ -77,14 +77,6 @@ explore-smoke: ## 25 adversarial schedules per cell through the oracle
 	$(GO) run ./cmd/staggersim -bench list-hi,kmeans -mode staggered -threads 4 \
 		-ops 160 -explore -explore-runs 25 -sched pct:3
 
-# race-equivalence runs the determinism-equivalence suite (same results
-# and bytes at workers=1 and workers=4) under the race detector, so the
-# parallel sweep runner is checked for data races on every CI run. The
-# service lifecycle and recovery tests (drain under a live chaos job,
-# cancellation, crash-restart durability, journal replay, resumed
-# sweeps) run here too, as do the journal, store, and fault-injection
-# filesystem packages: their goroutine-leak, shutdown, and concurrent
-# append/put assertions are exactly the kind -race strengthens.
 # equivalence is the engine differential gate: every workload × seed ×
 # {plain, staggered, hardened, chaos, PCT} cell runs on the cooperative
 # engine and the reference engine and must be byte-identical in traces,
@@ -97,12 +89,19 @@ explore-smoke: ## 25 adversarial schedules per cell through the oracle
 equivalence: ## cooperative-vs-reference engine differential suite under -race
 	$(GO) test -race ./internal/htm/equivalence -count=1
 
-race-equivalence: ## determinism-equivalence + service lifecycle under -race
-	$(GO) test -race ./internal/harness -count=1 \
-		-run 'TestDeterminism|TestTableOutputIdentical|TestChaosSweepIdentical|TestExploreIdentical|TestSweepRunnerDoesNotMemoize|TestWarmPopulatesMemo|TestRunAllOrdering|TestRunCtxCancel|TestRunAllCancel|TestRunAllContained'
-	$(GO) test -race ./internal/service -count=1 \
-		-run 'TestDrain|TestCancel|TestCrashRestart|TestBoot|TestResumed|TestIdempotency|TestSubmitRejected|TestCleanShutdown|TestMetricsExposeJournal'
-	$(GO) test -race ./internal/journal ./internal/vfs ./internal/chaos ./internal/store -count=1
+# race-equivalence runs the packages whose concurrency the race detector
+# strengthens, whole (-short skips only the multi-second regenerations):
+# internal/harness for the parallel sweep runner and the determinism-
+# equivalence suite (same results and bytes at workers=1 and workers=4),
+# internal/service for the lifecycle and recovery tests (drain under a
+# live chaos job, cancellation, crash-restart durability, journal replay,
+# resumed sweeps), and the journal, store, and fault-injection filesystem
+# packages for their goroutine-leak, shutdown, and concurrent append/put
+# assertions. No -run pattern: a regex naming a renamed test matches
+# nothing and passes.
+race-equivalence: ## harness, service, journal, vfs, chaos, store under -race -short
+	$(GO) test -race -short -count=1 ./internal/harness ./internal/service \
+		./internal/journal ./internal/vfs ./internal/chaos ./internal/store
 
 # docs-verify regenerates the generated documentation sections — the
 # EXPERIMENTS.md abort-attribution appendix, its cross-backend arena

@@ -5,7 +5,9 @@
 //
 //	go test -bench=Figure7 -benchmem
 //
-// regenerates (and times) the corresponding experiment. Results repeat
+// regenerates (and times) the corresponding experiment: the table and
+// figure benchmarks clear the harness memo every iteration, so each one
+// simulates its cells rather than timing memo hits. Results repeat
 // bit-identically across runs; see EXPERIMENTS.md for the reference
 // values and their comparison against the paper.
 package main
@@ -23,6 +25,7 @@ const benchSeed = 42
 // BenchmarkTable1 regenerates the contention characterization.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		harness.ClearCache()
 		rows, err := harness.Table1(benchSeed)
 		if err != nil {
 			b.Fatal(err)
@@ -39,6 +42,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable3 regenerates the instrumentation statistics.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		harness.ClearCache()
 		rows, err := harness.Table3(benchSeed)
 		if err != nil {
 			b.Fatal(err)
@@ -55,6 +59,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates the benchmark characteristics.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		harness.ClearCache()
 		rows, err := harness.Table4(benchSeed)
 		if err != nil {
 			b.Fatal(err)
@@ -74,6 +79,7 @@ func BenchmarkFigure7(b *testing.B) {
 	for _, bench := range workloads.Names() {
 		b.Run(bench, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				harness.ClearCache()
 				base, err := harness.RunCached(harness.RunConfig{
 					Benchmark: bench, Mode: stagger.ModeHTM,
 					Threads: harness.PaperThreads, Seed: benchSeed,
@@ -99,6 +105,7 @@ func BenchmarkFigure7(b *testing.B) {
 // BenchmarkFigure8 regenerates the abort and wasted-cycle comparison.
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		harness.ClearCache()
 		rows, err := harness.Figure8(benchSeed)
 		if err != nil {
 			b.Fatal(err)
@@ -276,6 +283,7 @@ func itoa(n int) string {
 // committer-wins conflict resolution.
 func BenchmarkLazyTM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		harness.ClearCache()
 		rows, err := harness.FigureLazy(benchSeed)
 		if err != nil {
 			b.Fatal(err)

@@ -2,37 +2,28 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
 	"repro/internal/anchor"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/stagger"
 	"repro/internal/staticcheck"
 	"repro/internal/workloads"
 )
 
-// table1Benchmarks are the cells of EXPERIMENTS.md Table 1: baseline
-// HTM at 16 threads, default operation counts, seed 42. The appendix
-// regenerates from exactly these runs so its attribution matches the
-// table it annotates.
-var table1Benchmarks = []string{"list-hi", "tsp", "memcached", "intruder", "kmeans", "vacation"}
-
-// generateAppendix simulates the Table 1 cells and renders the
-// abort-attribution appendix: a per-workload cycle-breakdown table and
-// the top-N conflicting anchors per workload.
+// generateAppendix renders the abort-attribution appendix from the runs
+// behind EXPERIMENTS.md Table 1 (baseline HTM at 16 threads, default
+// operation counts, seed 42 — harness owns the list, so the attribution
+// matches the table it annotates): a per-workload cycle-breakdown table
+// and the top-N conflicting anchors per workload.
 func generateAppendix(topN int) ([]byte, error) {
-	cfgs := make([]harness.RunConfig, len(table1Benchmarks))
-	for i, b := range table1Benchmarks {
-		cfgs[i] = harness.RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 16}
+	runs, err := harness.Table1Runs(harness.DefaultSeed)
+	if err != nil {
+		return nil, err
 	}
-	reps := make([]*obs.Report, len(cfgs))
-	for i, o := range harness.RunAll(context.Background(), cfgs, 0) {
-		if o.Err != nil {
-			return nil, fmt.Errorf("%s: %w", cfgs[i].Benchmark, o.Err)
-		}
-		reps[i] = obs.Snapshot(o.Res)
+	reps := make([]*obs.Report, len(runs))
+	for i, res := range runs {
+		reps[i] = obs.Snapshot(res)
 	}
 
 	var b bytes.Buffer
@@ -49,7 +40,7 @@ func generateAppendix(topN int) ([]byte, error) {
 	fmt.Fprintf(&b, "cells under `-mode staggered` to see it appear.\n\n")
 	fmt.Fprintf(&b, "| Benchmark | useful | wasted | lock-wait | backoff | global-wait | NT-ovh | W/U |\n")
 	fmt.Fprintf(&b, "|---|---:|---:|---:|---:|---:|---:|---:|\n")
-	for i, rep := range reps {
+	for _, rep := range reps {
 		var total uint64
 		for _, pc := range rep.PerCore {
 			total += pc.FinalClock
@@ -62,7 +53,7 @@ func generateAppendix(topN int) ([]byte, error) {
 		}
 		c := rep.Cycles
 		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %d | %.2f |\n",
-			table1Benchmarks[i], pct(c.Useful), pct(c.Wasted), pct(c.LockWait),
+			rep.Benchmark, pct(c.Useful), pct(c.Wasted), pct(c.LockWait),
 			pct(c.Backoff), pct(c.GlobalWait), c.NTOverhead, rep.WastedOverUseful)
 	}
 
@@ -76,17 +67,17 @@ func generateAppendix(topN int) ([]byte, error) {
 	fmt.Fprintf(&b, "means one of these dominates its workload's conflicts).\n\n")
 	fmt.Fprintf(&b, "| Benchmark | anchor | where | conflict aborts |\n")
 	fmt.Fprintf(&b, "|---|---|---|---:|\n")
-	for i, rep := range reps {
+	for _, rep := range reps {
 		pcs := rep.ConfPCs
 		if len(pcs) > topN {
 			pcs = pcs[:topN]
 		}
 		if len(pcs) == 0 {
-			fmt.Fprintf(&b, "| %s | — | no conflict aborts | 0 |\n", table1Benchmarks[i])
+			fmt.Fprintf(&b, "| %s | — | no conflict aborts | 0 |\n", rep.Benchmark)
 			continue
 		}
 		for j, p := range pcs {
-			name := table1Benchmarks[i]
+			name := rep.Benchmark
 			if j > 0 {
 				name = ""
 			}

@@ -94,14 +94,14 @@ func groupedUsage(fs *flag.FlagSet) {
 	}
 }
 
-func parseMode(s string) (stagger.Mode, error) { return stagger.ParseMode(s) }
-
 // opts holds every parsed flag. defineFlags registers all of them on
-// one FlagSet, so main (via flag.CommandLine) and the usage-coverage
-// test (via a scratch FlagSet) share a single definition of the
-// command's surface — a new flag that is not also placed in flagGroups
-// fails the test instead of silently missing from -h.
+// one FlagSet, so main (via flag.CommandLine) and the tests (via a
+// scratch FlagSet) share a single definition of the command's surface —
+// a new flag that is not also placed in flagGroups fails the test
+// instead of silently missing from -h.
 type opts struct {
+	fs *flag.FlagSet
+
 	bench, mode                                         *string
 	backendName                                         *string
 	capacity                                            *int
@@ -135,6 +135,7 @@ type opts struct {
 
 func defineFlags(fs *flag.FlagSet) *opts {
 	o := &opts{
+		fs:          fs,
 		bench:       fs.String("bench", "", "benchmark name (empty: list them)"),
 		mode:        fs.String("mode", "staggered", "system: htm | addronly | sw | staggered"),
 		capacity:    fs.Int("capacity", 0, "speculative line capacity for -backend limited (0 = backend default)"),
@@ -194,81 +195,25 @@ func defineFlags(fs *flag.FlagSet) *opts {
 	return o
 }
 
-func main() {
-	o := defineFlags(flag.CommandLine)
-	bench, mode, threads, seed, ops := o.bench, o.mode, o.threads, o.seed, o.ops
-	naive, lazy, trace, metricsOut, traceOut := o.naive, o.lazy, o.trace, o.metricsOut, o.traceOut
-	speedup, hardened, watchdog := o.speedup, o.hardened, o.watchdog
-	chaosRate, chaosAbort, chaosNT, chaosDrop, chaosJit := o.chaosRate, o.chaosAbort, o.chaosNT, o.chaosDrop, o.chaosJit
-	campaign, rates := o.campaign, o.rates
-	schedSpec, schedSeed, oracleOn, record := o.schedSpec, o.schedSeed, o.oracleOn, o.record
-	explore, exploreRuns, minimize, exploreOut := o.explore, o.exploreRuns, o.minimize, o.exploreOut
-	unsafeEarly, verifyStatic, injectDrift, workers := o.unsafeEarly, o.verifyStatic, o.injectDrift, o.workers
-	flag.Usage = func() { groupedUsage(flag.CommandLine) }
-	flag.Parse()
-	harness.SetWorkers(*workers)
-
-	workloads.DriftVacationKind = *injectDrift
-	if *verifyStatic {
-		m, err := parseMode(*mode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(2)
-		}
-		runVerifyStatic(*bench, m, *threads, *seed, *ops, *naive, *o.jsonOut)
-		return
-	}
-	if *o.verifyConflicts {
-		m, err := parseMode(*mode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(2)
-		}
-		runVerifyConflicts(*bench, m, *threads, *ops, *o.conflictSeeds,
-			*naive, *o.injectUnder, *o.injectOver, *o.jsonOut)
-		return
-	}
-
-	if *campaign {
-		runCampaign(*bench, *mode, *threads, *seed, *ops, *watchdog, *rates)
-		return
-	}
-	ccfg := chaos.Scaled(*chaosRate, *seed)
-	if *chaosAbort > 0 {
-		ccfg.AbortRate = *chaosAbort
-	}
-	if *chaosNT > 0 {
-		ccfg.NTDelayRate = *chaosNT
-	}
-	if *chaosDrop > 0 {
-		ccfg.LockDropRate = *chaosDrop
-	}
-	if *chaosJit > 0 {
-		ccfg.JitterRate = *chaosJit
-	}
-	var cp *chaos.Config
-	if ccfg.Enabled() {
-		cp = &ccfg
-	}
-
-	if *explore {
-		runExplore(*bench, *mode, *o.backendName, *o.capacity, *threads, *seed, *ops, *schedSpec,
-			*exploreRuns, *minimize, *exploreOut, *traceOut, *unsafeEarly, *hardened, cp)
-		return
-	}
-
+// cell lowers the parsed flags to the one experiment cell the command
+// line describes. Every sub-mode starts from it: the plain run and
+// -speedup execute it as is, -explore and -chaos-campaign vary its
+// schedule or fault rate, and the -verify modes run it per benchmark with
+// their own recorder. -bench may name several benchmarks for those; the
+// cell carries the flag verbatim and benches splits it.
+func (o *opts) cell() (harness.RunConfig, error) {
 	// Replaying a trace file reproduces its run: the header supplies the
 	// benchmark, system (mode, backend, capacity), thread count, and seeds
 	// unless flags override them.
-	if spec, err := sched.Parse(*schedSpec); *schedSpec != "" && err == nil && spec.Kind == "replay" {
+	if spec, err := sched.Parse(*o.schedSpec); *o.schedSpec != "" && err == nil && spec.Kind == "replay" {
 		if tr, err := sched.ReadTraceFile(spec.File); err == nil {
 			set := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+			o.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 			if !set["bench"] {
-				*bench = tr.Bench
+				*o.bench = tr.Bench
 			}
 			if !set["mode"] {
-				*mode = tr.Mode
+				*o.mode = tr.Mode
 			}
 			if !set["backend"] {
 				*o.backendName = tr.Backend
@@ -277,18 +222,108 @@ func main() {
 				*o.capacity = tr.Capacity
 			}
 			if !set["threads"] {
-				*threads = tr.Threads
+				*o.threads = tr.Threads
 			}
 			if !set["seed"] {
-				*seed = tr.WlSeed
+				*o.seed = tr.WlSeed
 			}
 			if !set["ops"] {
-				*ops = tr.Ops
+				*o.ops = tr.Ops
 			}
 		}
 	}
+	m, err := stagger.ParseMode(*o.mode)
+	if err != nil {
+		return harness.RunConfig{}, err
+	}
+	rc := harness.RunConfig{
+		Benchmark:          *o.bench,
+		Mode:               m,
+		Backend:            *o.backendName,
+		Capacity:           *o.capacity,
+		Threads:            *o.threads,
+		Seed:               *o.seed,
+		TotalOps:           *o.ops,
+		Naive:              *o.naive,
+		Lazy:               *o.lazy,
+		TraceN:             *o.trace,
+		Watchdog:           *o.watchdog,
+		Sched:              *o.schedSpec,
+		SchedSeed:          *o.schedSeed,
+		Record:             *o.record != "",
+		Oracle:             *o.oracleOn,
+		UnsafeEarlyRelease: *o.unsafeEarly,
+	}
+	ccfg := chaos.Scaled(*o.chaosRate, *o.seed)
+	if *o.chaosAbort > 0 {
+		ccfg.AbortRate = *o.chaosAbort
+	}
+	if *o.chaosNT > 0 {
+		ccfg.NTDelayRate = *o.chaosNT
+	}
+	if *o.chaosDrop > 0 {
+		ccfg.LockDropRate = *o.chaosDrop
+	}
+	if *o.chaosJit > 0 {
+		ccfg.JitterRate = *o.chaosJit
+	}
+	if ccfg.Enabled() {
+		rc.Chaos = &ccfg
+	}
+	if *o.hardened {
+		scfg := stagger.HardenedConfig(m)
+		rc.Stagger = &scfg
+	}
+	return rc, nil
+}
 
-	if *bench == "" {
+// benches splits a comma-separated -bench list; empty means all.
+func benches(list string) []string {
+	if list == "" {
+		return workloads.Names()
+	}
+	names := strings.Split(list, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	return names
+}
+
+// die prints err and exits with code.
+func die(code int, err error) {
+	fmt.Fprintln(os.Stderr, "staggersim:", err)
+	os.Exit(code)
+}
+
+func main() {
+	o := defineFlags(flag.CommandLine)
+	flag.Usage = func() { groupedUsage(flag.CommandLine) }
+	flag.Parse()
+	harness.SetWorkers(*o.workers)
+	workloads.DriftVacationKind = *o.injectDrift
+
+	rc, err := o.cell()
+	if err != nil {
+		die(2, err)
+	}
+	switch {
+	case *o.verifyStatic:
+		runVerifyStatic(rc, *o.jsonOut)
+	case *o.verifyConflicts:
+		runVerifyConflicts(rc, *o.conflictSeeds, *o.injectUnder, *o.injectOver, *o.jsonOut)
+	case *o.campaign:
+		runCampaign(rc, *o.rates)
+	case *o.explore:
+		runExplore(rc, *o.exploreRuns, *o.minimize, *o.exploreOut, *o.traceOut)
+	default:
+		runCell(rc, o)
+	}
+}
+
+// runCell executes the cell and prints its statistics, plus whatever
+// exports the flags ask for.
+func runCell(rc harness.RunConfig, o *opts) {
+	if rc.Benchmark == "" {
 		fmt.Println("available benchmarks:")
 		for _, n := range workloads.Names() {
 			w, _ := workloads.Get(n)
@@ -300,39 +335,10 @@ func main() {
 		}
 		return
 	}
-	m, err := parseMode(*mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(2)
+	if rc.Record && rc.Sched == "" {
+		die(2, fmt.Errorf("-record needs -sched (there is no schedule to record otherwise)"))
 	}
-	rc := harness.RunConfig{
-		Benchmark:          *bench,
-		Mode:               m,
-		Backend:            *o.backendName,
-		Capacity:           *o.capacity,
-		Threads:            *threads,
-		Seed:               *seed,
-		TotalOps:           *ops,
-		Naive:              *naive,
-		Lazy:               *lazy,
-		TraceN:             *trace,
-		Watchdog:           *watchdog,
-		Sched:              *schedSpec,
-		SchedSeed:          *schedSeed,
-		Record:             *record != "",
-		Oracle:             *oracleOn,
-		UnsafeEarlyRelease: *unsafeEarly,
-	}
-	if *record != "" && *schedSpec == "" {
-		fmt.Fprintln(os.Stderr, "staggersim: -record needs -sched (there is no schedule to record otherwise)")
-		os.Exit(2)
-	}
-	rc.Chaos = cp
-	if *hardened {
-		scfg := stagger.HardenedConfig(m)
-		rc.Stagger = &scfg
-	}
-	if *traceOut != "" {
+	if *o.traceOut != "" {
 		if rc.TraceN == 0 {
 			rc.TraceN = -1 // whole run
 		}
@@ -340,53 +346,44 @@ func main() {
 	}
 	res, err := harness.Run(rc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
-	if *metricsOut {
+	if *o.metricsOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(obs.Snapshot(res)); err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 	} else {
 		printResult(res)
 	}
-	if *traceOut != "" {
-		meta := obs.TraceMeta{
-			Benchmark: rc.Benchmark, Mode: m.String(), Threads: rc.Threads,
-			Seed: rc.Seed, Sched: rc.Sched, SchedSeed: rc.SchedSeed,
-			Extra: map[string]string{},
+	if *o.traceOut != "" {
+		meta := obs.TraceMetaOf(res.Config)
+		if cp := rc.Chaos; cp != nil {
+			meta.Extra = map[string]string{"chaos": fmt.Sprintf("abort=%g ntdelay=%g lockdrop=%g jitter=%g",
+				cp.AbortRate, cp.NTDelayRate, cp.LockDropRate, cp.JitterRate)}
 		}
-		if cp != nil {
-			meta.Extra["chaos"] = fmt.Sprintf("abort=%g ntdelay=%g lockdrop=%g jitter=%g",
-				cp.AbortRate, cp.NTDelayRate, cp.LockDropRate, cp.JitterRate)
-		}
-		if err := writeTraceFile(*traceOut, meta, res.Trace); err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+		if err := writeTraceFile(*o.traceOut, meta, res.Trace); err != nil {
+			die(1, err)
 		}
 		fmt.Fprintf(os.Stderr, "trace       %d events -> %s (load in Perfetto or chrome://tracing)\n",
-			len(res.Trace), *traceOut)
+			len(res.Trace), *o.traceOut)
 	}
-	if *speedup {
+	if *o.speedup {
 		s, _, err := harness.Speedup(rc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		fmt.Printf("\nspeedup over 1-thread sequential: %.2fx\n", s)
 	}
-	if *trace > 0 && len(res.Trace) > 0 {
+	if *o.trace > 0 && len(res.Trace) > 0 {
 		fmt.Printf("\ntrace (first %d events):\n%s", len(res.Trace), htm.FormatTrace(res.Trace))
 	}
-	if *record != "" {
-		if err := harness.SchedTrace(res.Config, res.SchedPicks).WriteFile(*record); err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+	if *o.record != "" {
+		if err := harness.SchedTrace(res.Config, res.SchedPicks).WriteFile(*o.record); err != nil {
+			die(1, err)
 		}
-		fmt.Printf("recorded    %d scheduler decisions -> %s\n", len(res.SchedPicks), *record)
+		fmt.Printf("recorded    %d scheduler decisions -> %s\n", len(res.SchedPicks), *o.record)
 	}
 	failed := false
 	if res.VerifyErr != nil {
@@ -405,46 +402,34 @@ func main() {
 // runExplore drives a schedule-exploration campaign over one or more
 // benchmarks (comma-separated), printing a per-benchmark summary and
 // exiting nonzero if any schedule produced a violation.
-func runExplore(benchList, mode, backendName string, capacity, threads int, seed int64, ops int,
-	spec string, runs int, minimize bool, outDir, traceOut string, unsafeEarly, hardened bool,
-	ccfg *chaos.Config) {
-	m, err := parseMode(mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(2)
-	}
-	if benchList == "" {
-		fmt.Fprintln(os.Stderr, "staggersim: -explore needs -bench (comma-separated list accepted)")
-		os.Exit(2)
+func runExplore(rc harness.RunConfig, runs int, minimize bool, outDir, traceOut string) {
+	if rc.Benchmark == "" {
+		die(2, fmt.Errorf("-explore needs -bench (comma-separated list accepted)"))
 	}
 	anyFail := false
-	for _, bench := range strings.Split(benchList, ",") {
-		bench = strings.TrimSpace(bench)
+	for _, bench := range benches(rc.Benchmark) {
+		// harness.ExploreConfig spells the cell's fields out itself.
 		ec := harness.ExploreConfig{
 			Benchmark:          bench,
-			Mode:               m,
-			Backend:            backendName,
-			Capacity:           capacity,
-			Threads:            threads,
-			Seed:               seed,
-			TotalOps:           ops,
-			Chaos:              ccfg,
-			Spec:               spec,
+			Mode:               rc.Mode,
+			Backend:            rc.Backend,
+			Capacity:           rc.Capacity,
+			Threads:            rc.Threads,
+			Seed:               rc.Seed,
+			TotalOps:           rc.TotalOps,
+			Stagger:            rc.Stagger,
+			Chaos:              rc.Chaos,
+			Spec:               rc.Sched,
 			Runs:               runs,
 			Minimize:           minimize,
-			UnsafeEarlyRelease: unsafeEarly,
-		}
-		if hardened {
-			scfg := stagger.HardenedConfig(m)
-			ec.Stagger = &scfg
+			UnsafeEarlyRelease: rc.UnsafeEarlyRelease,
 		}
 		rep, err := harness.Explore(ec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		fmt.Printf("%-10s %s %2d threads: %d schedules, %d commits validated, %d failures\n",
-			bench, m, threads, rep.Runs, rep.Commits, len(rep.Failures))
+			bench, rc.Mode, rc.Threads, rep.Runs, rep.Commits, len(rep.Failures))
 		for i, f := range rep.Failures {
 			anyFail = true
 			fmt.Printf("  failure %d (sched seed %d, %d decisions", i, f.SchedSeed, len(f.Picks))
@@ -499,15 +484,13 @@ func exportFailureTimeline(ec harness.ExploreConfig, f *harness.ExploreFailure, 
 	if err != nil {
 		return err
 	}
-	meta := obs.TraceMeta{
-		Benchmark: ec.Benchmark, Mode: ec.Mode.String(), Threads: ec.Threads,
-		Seed: ec.Seed, Sched: rc.Sched, SchedSeed: f.SchedSeed,
-		Extra: map[string]string{
-			"failure":        f.Err.Error(),
-			"replay":         tag,
-			"decision_count": fmt.Sprint(len(picks)),
-			"window":         fmt.Sprint(spec.Window),
-		},
+	meta := obs.TraceMetaOf(res.Config)
+	meta.SchedSeed = f.SchedSeed
+	meta.Extra = map[string]string{
+		"failure":        f.Err.Error(),
+		"replay":         tag,
+		"decision_count": fmt.Sprint(len(picks)),
+		"window":         fmt.Sprint(spec.Window),
 	}
 	return writeTraceFile(path, meta, res.Trace)
 }
@@ -525,39 +508,32 @@ func writeTraceFile(path string, meta obs.TraceMeta, events []htm.TraceEvent) er
 	return out.Close()
 }
 
-// runCampaign sweeps fault rates across benchmarks under the hardened
-// runtime and prints graceful-degradation curves.
-func runCampaign(bench, mode string, threads int, seed int64, ops int, watchdog uint64, rateList string) {
-	m, err := parseMode(mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(2)
-	}
-	cs := harness.ChaosSweep{
-		Mode:     m,
-		Threads:  threads,
-		Seed:     seed,
-		TotalOps: ops,
-		Watchdog: watchdog,
-	}
-	if bench != "" {
-		cs.Benchmarks = strings.Split(bench, ",")
-	}
+// campaign is the fault-rate sweep -chaos-campaign runs over the cell.
+func campaign(rc harness.RunConfig, rateList string) (harness.ChaosSweep, error) {
+	cs := harness.ChaosSweep{Benchmarks: benches(rc.Benchmark), Cell: rc}
 	if rateList != "" {
 		for _, f := range strings.Split(rateList, ",") {
 			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "staggersim: bad -chaos-rates entry %q: %v\n", f, err)
-				os.Exit(2)
+				return cs, fmt.Errorf("bad -chaos-rates entry %q: %v", f, err)
 			}
 			cs.Rates = append(cs.Rates, r)
 		}
 	}
+	return cs, nil
+}
+
+// runCampaign sweeps fault rates across benchmarks under the hardened
+// runtime and prints graceful-degradation curves.
+func runCampaign(rc harness.RunConfig, rateList string) {
+	cs, err := campaign(rc, rateList)
+	if err != nil {
+		die(2, err)
+	}
 	cells, err := harness.RunChaosSweep(cs)
 	fmt.Print(harness.FormatChaos(cells))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "staggersim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/harness"
+	"repro/internal/stagger"
 )
 
 // TestUsageCoversEveryFlag pins the -h text to the actual flag surface:
@@ -64,6 +66,38 @@ func TestBackendFlagValidatesAtParseTime(t *testing.T) {
 		if *o.backendName != name {
 			t.Fatalf("-backend %s parsed as %q", name, *o.backendName)
 		}
+	}
+}
+
+// TestSubModesStartFromTheCell: the system named on the command line
+// (-backend, -capacity) reaches the campaign's and the verify modes'
+// cells, not just the plain run's — they all derive from opts.cell.
+func TestSubModesStartFromTheCell(t *testing.T) {
+	fs := flag.NewFlagSet("staggersim", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse([]string{"-backend", "limited", "-capacity", "8", "-mode", "sw", "-bench", "kmeans, tsp"}); err != nil {
+		t.Fatal(err)
+	}
+	base, err := o.cell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := campaign(base, "0, 0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(cs.Benchmarks, "|"); got != "kmeans|tsp" || len(cs.Rates) != 2 {
+		t.Errorf("campaign sweeps benchmarks %q at rates %v", got, cs.Rates)
+	}
+	vc := verifyCell(base, "tsp", 200)
+	for name, rc := range map[string]harness.RunConfig{"-chaos-campaign": cs.Cell, "-verify-*": vc} {
+		if rc.Backend != "limited" || rc.Capacity != 8 || rc.Mode != stagger.ModeStaggeredSW {
+			t.Errorf("%s runs backend %q capacity %d mode %s, want the command line's limited/8/Staggered+SW",
+				name, rc.Backend, rc.Capacity, rc.Mode)
+		}
+	}
+	if vc.Benchmark != "tsp" || vc.TotalOps != 200 {
+		t.Errorf("verify cell is %s at %d ops, want tsp at the mode's 200", vc.Benchmark, vc.TotalOps)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/anchor"
 	"repro/internal/harness"
-	"repro/internal/stagger"
 	"repro/internal/staticcheck"
 	"repro/internal/workloads"
 )
@@ -96,23 +95,16 @@ func parseSeeds(list string) []int64 {
 // -conflict-seeds list must observe only conflicting site pairs the
 // matrix contains. The seeded -inject-underlock / -inject-overlock
 // mutations demonstrate that the first two checks fail loudly.
-func runVerifyConflicts(benchList string, m stagger.Mode, threads, ops int,
-	seedList string, naive, underlock, overlock, asJSON bool) {
-	names := workloads.Names()
-	if benchList != "" {
-		names = strings.Split(benchList, ",")
-	}
+func runVerifyConflicts(base harness.RunConfig, seedList string, underlock, overlock, asJSON bool) {
 	seeds := parseSeeds(seedList)
 	var all []finding
-	for _, name := range names {
-		name = strings.TrimSpace(name)
+	for _, name := range benches(base.Benchmark) {
 		w, err := workloads.Get(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(2)
+			die(2, err)
 		}
 		opts := anchor.DefaultOptions()
-		opts.Naive = naive
+		opts.Naive = base.Naive
 		comp := anchor.Compile(w.Mod, opts)
 		// An injection that finds no effective candidate would make the
 		// subsequent OK line meaningless, so it is an error: pick a
@@ -138,23 +130,17 @@ func runVerifyConflicts(benchList string, m stagger.Mode, threads, ops int,
 		mc, viols := staticcheck.VerifyConflicts(comp, workloads.ConflictWaivers(name))
 
 		// Dynamic cross-validation: aggregate the conflicting-pair
-		// histograms of one short run per seed and check containment once
+		// histograms of one short run per seed — enough operations to
+		// generate real contention in every block; the full benchmark
+		// default would only repeat pairs — and check containment once
 		// over the deduplicated union.
-		runOps := ops
-		if runOps == 0 {
-			// Enough operations to generate real contention in every
-			// block; the full benchmark default would only repeat pairs.
-			runOps = 400
-		}
 		pairSet := make(map[staticcheck.DynPair]bool)
+		rc := verifyCell(base, name, 400)
 		for _, seed := range seeds {
-			res, err := harness.Run(harness.RunConfig{
-				Benchmark: name, Mode: m, Threads: threads,
-				Seed: seed, TotalOps: runOps, Naive: naive,
-			})
+			rc.Seed = seed
+			res, err := harness.Run(rc)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "staggersim:", err)
-				os.Exit(1)
+				die(1, err)
 			}
 			for p := range res.ConfPairs {
 				pairSet[staticcheck.DynPair{VictimAB: p.VictimAB, VictimSite: p.VictimSite,

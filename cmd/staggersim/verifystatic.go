@@ -3,14 +3,23 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/anchor"
 	"repro/internal/harness"
-	"repro/internal/stagger"
 	"repro/internal/staticcheck"
 	"repro/internal/workloads"
 )
+
+// verifyCell is the short run a -verify mode executes for one benchmark:
+// the command line's cell — system included — at ops operations unless
+// -ops says otherwise.
+func verifyCell(base harness.RunConfig, name string, ops int) harness.RunConfig {
+	base.Benchmark = name
+	if base.TotalOps == 0 {
+		base.TotalOps = ops
+	}
+	return base
+}
 
 // runVerifyStatic is the -verify-static phase: for every selected
 // benchmark it proves the three IR-level invariants (anchor-scope
@@ -21,43 +30,26 @@ import (
 // declared access kind and DSA coverage. Any violation prints with
 // block/site identity (and a minimal counterexample path for scope
 // violations) and the process exits nonzero.
-func runVerifyStatic(benchList string, m stagger.Mode, threads int, seed int64, ops int, naive, asJSON bool) {
-	names := workloads.Names()
-	if benchList != "" {
-		names = strings.Split(benchList, ",")
-	}
+func runVerifyStatic(base harness.RunConfig, asJSON bool) {
 	var all []finding
-	for _, name := range names {
-		name = strings.TrimSpace(name)
+	for _, name := range benches(base.Benchmark) {
 		w, err := workloads.Get(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(2)
+			die(2, err)
 		}
 		opts := anchor.DefaultOptions()
-		opts.Naive = naive
+		opts.Naive = base.Naive
 		comp := anchor.Compile(w.Mod, opts)
 		static := staticcheck.Verify(comp)
 
+		// A slice of the benchmark is enough to exercise every atomic
+		// block; the full default would just repeat sites.
+		rc := verifyCell(base, name, 200)
 		rec := staticcheck.NewConformance()
-		runOps := ops
-		if runOps == 0 {
-			// A slice of the benchmark is enough to exercise every
-			// atomic block; the full default would just repeat sites.
-			runOps = 200
-		}
-		res, err := harness.Run(harness.RunConfig{
-			Benchmark:    name,
-			Mode:         m,
-			Threads:      threads,
-			Seed:         seed,
-			TotalOps:     runOps,
-			Naive:        naive,
-			SiteRecorder: rec,
-		})
+		rc.SiteRecorder = rec
+		res, err := harness.Run(rc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggersim:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		dynamic := rec.Check(res.Compiled)
 

@@ -11,8 +11,8 @@ import (
 // Table and figure generators share experiment cells (Table 4's baseline
 // runs are Figure 7's denominators, for example). Because every run is
 // deterministic in its RunConfig, results can be memoized safely. Only
-// RunCached and warm write to the memo — the sweep runner does not, so a
-// long-lived process that only sweeps (staggerd) retains no Result.
+// results writes to the memo — the sweep runner does not, so a long-lived
+// process that only sweeps (staggerd) retains no Result.
 
 // CacheSchema versions the meaning of a cached result: bump it whenever
 // the simulation's observable output for an unchanged RunConfig changes
@@ -79,27 +79,77 @@ func memoize(key string, r *Result) {
 	cacheMu.Unlock()
 }
 
-// RunCached is Run with memoization over the default machine and runtime
-// configurations. Configs with overrides bypass the cache, and a failed
-// run is never cached.
+// simulate is the sweep runner results hands its misses to; a variable
+// so that a test can count the cells that reach it.
+var simulate = RunAll
+
+// results returns one run per cell, in input order. It is the only way
+// runs enter or leave the memo: cells the memo holds are answered from
+// it, the distinct misses are simulated once each through simulate (at most
+// Workers() at a time) and stored, and a cell with an override or side
+// channel (see uncacheable) runs every time and is never stored. A cell
+// that cannot run, or whose workload Verify failed, is an error, never a
+// data point — a correctness bug cannot silently become a (meaningless)
+// performance number. Every cell runs whatever its siblings do, and the
+// first error in input order is the one returned, so the text is the
+// same at every worker count.
+func results(cells []RunConfig) ([]*Result, error) {
+	out := make([]*Result, len(cells))
+	errs := make([]error, len(cells))
+	src := make([]int, len(cells)) // cell i is answered by todo[src[i]]
+	var todo []RunConfig
+	var keys []string // keys[j] is todo[j]'s memo key, "" when uncacheable
+	pending := map[string]int{}
+	for i, rc := range cells {
+		c, err := normalize(rc)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		key, ok := cacheableKey(c.rc)
+		if ok {
+			if out[i] = cached(key); out[i] != nil {
+				continue
+			}
+			if j, dup := pending[key]; dup {
+				src[i] = j
+				continue
+			}
+			pending[key] = len(todo)
+		}
+		src[i] = len(todo)
+		todo = append(todo, c.rc)
+		keys = append(keys, key)
+	}
+	ran := simulate(context.Background(), todo, Workers())
+	for j, o := range ran {
+		if o.Err == nil && keys[j] != "" {
+			memoize(keys[j], o.Res)
+		}
+	}
+	for i, rc := range cells {
+		if out[i] == nil && errs[i] == nil {
+			out[i], errs[i] = ran[src[i]].Res, ran[src[i]].Err
+		}
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		if err := out[i].VerifyErr; err != nil {
+			return nil, fmt.Errorf("harness: %s (%s, %d threads): verify failed: %w",
+				rc.Benchmark, rc.Mode, rc.Threads, err)
+		}
+	}
+	return out, nil
+}
+
+// RunCached is results for one cell: Run through the memo, with a failed
+// Verify an error.
 func RunCached(rc RunConfig) (*Result, error) {
-	c, err := normalize(rc)
+	rs, err := results([]RunConfig{rc})
 	if err != nil {
 		return nil, err
 	}
-	key, ok := cacheableKey(c.rc)
-	if !ok {
-		return c.run(context.Background())
-	}
-	if r := cached(key); r != nil {
-		return r, nil
-	}
-	r, err := c.run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	memoize(key, r)
-	return r, nil
+	return rs[0], nil
 }
 
 // ClearCache drops all memoized results (tests use it for isolation).

@@ -27,21 +27,13 @@ type ChaosSweep struct {
 	// rate-0 cell (added automatically if absent) is the degradation
 	// denominator. Empty means {0, 0.002, 0.01, 0.05}.
 	Rates []float64
-	// Mode under test; campaigns default to full staggered transactions.
-	Mode stagger.Mode
-	// Threads per cell (default PaperThreads).
-	Threads int
-	// Seed drives both the workload and the fault schedule.
-	Seed int64
-	// TotalOps overrides each workload's default operation count (0 =
-	// default; campaigns usually shorten runs).
-	TotalOps int
-	// Watchdog bounds each cell's virtual time (default 200M cycles) so a
-	// livelocked cell fails loudly with its last trace events.
-	Watchdog uint64
-	// Stagger overrides the runtime config; nil uses HardenedConfig, the
+	// Cell is the cell every (benchmark, rate) point runs; the sweep sets
+	// its Benchmark and Chaos per point. Zero fields take the campaign's
+	// defaults: PaperThreads, DefaultSeed (which also seeds the fault
+	// schedule), a 200M-cycle Watchdog so a livelocked cell fails loudly
+	// with its last trace events, and for Stagger HardenedConfig, the
 	// self-healing configuration the campaign exists to exercise.
-	Stagger *stagger.Config
+	Cell RunConfig
 }
 
 // ChaosCell is one (benchmark, rate) result.
@@ -53,6 +45,7 @@ type ChaosCell struct {
 	Commits  uint64
 	Aborts   uint64
 	Spurious uint64 // injected-abort deliveries observed by the HTM
+	Overflow uint64 // speculative-capacity aborts (the "limited" backend)
 
 	LocksReclaimed  uint64
 	LockTimeouts    uint64
@@ -79,18 +72,19 @@ func (cs *ChaosSweep) defaults() {
 	if cs.Rates[0] != 0 {
 		cs.Rates = append([]float64{0}, cs.Rates...)
 	}
-	if cs.Threads == 0 {
-		cs.Threads = PaperThreads
+	c := &cs.Cell
+	if c.Threads == 0 {
+		c.Threads = PaperThreads
 	}
-	if cs.Seed == 0 {
-		cs.Seed = DefaultSeed
+	if c.Seed == 0 {
+		c.Seed = DefaultSeed
 	}
-	if cs.Watchdog == 0 {
-		cs.Watchdog = 200_000_000
+	if c.Watchdog == 0 {
+		c.Watchdog = 200_000_000
 	}
-	if cs.Stagger == nil {
-		scfg := stagger.HardenedConfig(cs.Mode)
-		cs.Stagger = &scfg
+	if c.Stagger == nil {
+		scfg := stagger.HardenedConfig(c.Mode)
+		c.Stagger = &scfg
 	}
 }
 
@@ -110,17 +104,10 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 	var metas []cellMeta
 	for _, b := range cs.Benchmarks {
 		for _, rate := range cs.Rates {
-			rc := RunConfig{
-				Benchmark: b,
-				Mode:      cs.Mode,
-				Threads:   cs.Threads,
-				Seed:      cs.Seed,
-				TotalOps:  cs.TotalOps,
-				Watchdog:  cs.Watchdog,
-				Stagger:   cs.Stagger,
-			}
+			rc := cs.Cell
+			rc.Benchmark, rc.Chaos = b, nil
 			if rate > 0 {
-				ccfg := chaos.Scaled(rate, cs.Seed)
+				ccfg := chaos.Scaled(rate, rc.Seed)
 				rc.Chaos = &ccfg
 			}
 			cfgs = append(cfgs, rc)
@@ -145,6 +132,7 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 			Commits:         res.Stats.Commits,
 			Aborts:          res.Stats.TotalAborts(),
 			Spurious:        res.Stats.Aborts[htm.AbortSpurious],
+			Overflow:        res.Stats.Aborts[htm.AbortOverflow],
 			LocksReclaimed:  res.Metrics.LocksReclaimed,
 			LockTimeouts:    res.Metrics.LockTimeouts,
 			LivelockEscapes: res.Metrics.LivelockEscapes,

@@ -193,8 +193,7 @@ func TestChaosSweepRuns(t *testing.T) {
 	cells, err := RunChaosSweep(ChaosSweep{
 		Benchmarks: []string{"list-hi", "kmeans"},
 		Rates:      []float64{0, 0.01},
-		Threads:    8,
-		TotalOps:   240,
+		Cell:       RunConfig{Threads: 8, TotalOps: 240},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,17 +218,17 @@ func TestChaosSweepRuns(t *testing.T) {
 	}
 }
 
-// TestRunVerifiedRejectsInvariantFailure: the table/figure generators
-// must refuse a result whose workload verification failed, instead of
+// TestResultsRejectsInvariantFailure: the table/figure generators must
+// refuse a result whose workload verification failed, instead of
 // silently folding a corrupted run into the paper's numbers.
-func TestRunVerifiedRejectsInvariantFailure(t *testing.T) {
+func TestResultsRejectsInvariantFailure(t *testing.T) {
 	ClearCache()
 	defer ClearCache()
 	rc := RunConfig{Benchmark: "kmeans", Mode: stagger.ModeHTM, Threads: 2, Seed: 7, TotalOps: 100}
 	memoize(memoKey(t, rc), &Result{Config: rc, VerifyErr: errors.New("poisoned invariant")})
-	_, err := runVerified(rc)
+	_, err := results([]RunConfig{rc})
 	if err == nil || !strings.Contains(err.Error(), "verify failed") {
-		t.Fatalf("runVerified returned %v, want verify failure", err)
+		t.Fatalf("results returned %v, want verify failure", err)
 	}
 }
 

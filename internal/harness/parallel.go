@@ -50,7 +50,7 @@ type RunOutcome struct {
 // RunAll executes every configuration with at most workers concurrent
 // runs (workers <= 0 uses the package default) and returns the outcomes
 // ordered by input index. Every cell is simulated: the generators' memo
-// is neither read nor written (warm does that). Cancelling ctx skips
+// is neither read nor written (results does that). Cancelling ctx skips
 // cells that have not started and abandons cells mid-simulation at their
 // next globally ordered event (both outcomes carry ctx's error), so a
 // cancelled sweep returns within roughly one simulated event, not after
@@ -182,41 +182,4 @@ func runAllOrdered(ctx context.Context, cfgs []RunConfig, workers int, contain b
 		}
 	}
 	return derr
-}
-
-// warm primes the memo for the given cells in parallel, the only place a
-// sweep's results enter it. Generators call it before their sequential
-// assembly loop: with the memo hot, assembly is pure formatting, so
-// output bytes are identical to a fully sequential run by construction.
-// Cells the memo would bypass, duplicates, and cells it already holds
-// are skipped; errors are ignored here because the assembly loop
-// re-encounters them deterministically (Run is a pure function of its
-// config) and reports them exactly as a sequential sweep would. With
-// workers == 1 warm is a no-op: execution stays fully sequential.
-func warm(cfgs []RunConfig) {
-	workers := Workers()
-	if workers <= 1 {
-		return
-	}
-	var todo []RunConfig
-	var keys []string
-	seen := make(map[string]bool, len(cfgs))
-	for _, rc := range cfgs {
-		c, err := normalize(rc)
-		if err != nil {
-			continue
-		}
-		key, ok := cacheableKey(c.rc)
-		if !ok || seen[key] || cached(key) != nil {
-			continue
-		}
-		seen[key] = true
-		todo = append(todo, c.rc)
-		keys = append(keys, key)
-	}
-	for i, o := range RunAll(context.Background(), todo, workers) {
-		if o.Err == nil {
-			memoize(keys[i], o.Res)
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/prog"
@@ -25,7 +26,7 @@ func withWorkers(t *testing.T, n int, f func()) {
 	f()
 }
 
-// memoKey is the memo key of a cacheable config, the way RunCached
+// memoKey is the memo key of a cacheable config, the way results
 // derives it.
 func memoKey(t *testing.T, rc RunConfig) string {
 	t.Helper()
@@ -89,10 +90,10 @@ func TestDeterminismEquivalenceEveryWorkload(t *testing.T) {
 	}
 }
 
-// TestTableOutputIdenticalAcrossWorkers regenerates a full table through
-// the warm-then-assemble path at both worker counts and compares the
-// rendered bytes, pinning the tentpole guarantee end to end: the text a
-// user sees is identical however many workers simulated it.
+// TestTableOutputIdenticalAcrossWorkers regenerates a full table at both
+// worker counts and compares the rendered bytes, pinning the guarantee
+// end to end: the text a user sees is identical however many workers
+// simulated it.
 func TestTableOutputIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 1 regeneration in -short mode")
@@ -116,30 +117,38 @@ func TestTableOutputIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestChaosSweepIdenticalAcrossWorkers pins the campaign runner: parallel
-// cells, identical report bytes.
+// cells, identical report bytes — and the base cell's system reaches
+// every point: on the limited backend at capacity 8 the same sweep aborts
+// on speculative overflow, which the default backend never does.
 func TestChaosSweepIdenticalAcrossWorkers(t *testing.T) {
-	sweep := ChaosSweep{
-		Benchmarks: []string{"list-hi", "tsp"},
-		Rates:      []float64{0, 0.01},
-		Mode:       stagger.ModeStaggeredHW,
-		Threads:    4,
-		TotalOps:   240,
-	}
-	render := func(workers int) string {
-		var s string
+	run := func(workers int, cell RunConfig) (cells []ChaosCell) {
+		cell.Mode, cell.Threads, cell.TotalOps = stagger.ModeStaggeredHW, 4, 240
 		withWorkers(t, workers, func() {
-			cells, err := RunChaosSweep(sweep)
+			var err error
+			cells, err = RunChaosSweep(ChaosSweep{
+				Benchmarks: []string{"list-hi", "tsp"},
+				Rates:      []float64{0, 0.01},
+				Cell:       cell,
+			})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			s = FormatChaos(cells)
 		})
-		return s
+		return cells
 	}
-	seq := render(1)
-	par := render(4)
-	if seq != par {
-		t.Fatalf("chaos report diverges across worker counts\nworkers=1:\n%s\nworkers=4:\n%s", seq, par)
+	for name, cell := range map[string]RunConfig{
+		"default": {},
+		"limited": {Backend: "limited", Capacity: 8},
+	} {
+		seq, par := run(1, cell), run(4, cell)
+		if s, p := FormatChaos(seq), FormatChaos(par); s != p {
+			t.Fatalf("%s: chaos report diverges across worker counts\nworkers=1:\n%s\nworkers=4:\n%s", name, s, p)
+		}
+		for _, c := range seq {
+			if (c.Overflow > 0) != (name == "limited") {
+				t.Fatalf("%s sweep: %s at rate %g reports %d overflow aborts", name, c.Bench, c.Rate, c.Overflow)
+			}
+		}
 	}
 }
 
@@ -208,48 +217,75 @@ func TestSweepRunnerDoesNotMemoize(t *testing.T) {
 	}
 }
 
-// TestWarmPopulatesMemo: warm is where a parallel sweep's results enter
-// the memo, so that a table generator at workers > 1 leaves exactly that
-// table's distinct cells behind — each simulated once, in the pool —
-// and its sequential assembly is all hits.
-func TestWarmPopulatesMemo(t *testing.T) {
-	withWorkers(t, 2, func() {
-		rows, err := Scaling("ssca2", 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Scaling lists the sequential baseline twice and runs 5 thread
-		// counts under 2 systems: 10 distinct cells.
-		if n := memoSize(); n != 10 {
-			t.Fatalf("memo holds %d cells after Scaling at workers=2, want its 10 distinct cells", n)
-		}
-		for _, th := range []int{1, 2, 4, 8, 16} {
-			for _, m := range []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW} {
-				if cached(memoKey(t, RunConfig{Benchmark: "ssca2", Mode: m, Threads: th, Seed: 5})) == nil {
-					t.Fatalf("cell %s t%d missing from the memo", m, th)
+// TestResultsPopulatesMemo: results is where runs enter the memo, so a
+// table generator leaves exactly that table's distinct cells behind —
+// each simulated once — at any worker count, and a second generation is
+// all hits.
+func TestResultsPopulatesMemo(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		withWorkers(t, workers, func() {
+			rows, err := Scaling("ssca2", 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Scaling lists the sequential baseline twice and runs 5 thread
+			// counts under 2 systems: 10 distinct cells.
+			if n := memoSize(); n != 10 {
+				t.Fatalf("workers=%d: memo holds %d cells after Scaling, want its 10 distinct cells", workers, n)
+			}
+			for _, th := range []int{1, 2, 4, 8, 16} {
+				for _, m := range []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW} {
+					if cached(memoKey(t, RunConfig{Benchmark: "ssca2", Mode: m, Threads: th, Seed: 5})) == nil {
+						t.Fatalf("workers=%d: cell %s t%d missing from the memo", workers, m, th)
+					}
 				}
 			}
-		}
-		// The memo now answers: a second generation adds nothing and
-		// renders the same bytes.
-		again, err := Scaling("ssca2", 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if memoSize() != 10 || FormatScaling("ssca2", again) != FormatScaling("ssca2", rows) {
-			t.Fatal("regenerating from a hot memo changed the memo or the output")
-		}
-	})
-	// At one worker warm is a no-op and RunCached fills the memo cell by
-	// cell: same contents.
-	withWorkers(t, 1, func() {
-		if _, err := Scaling("ssca2", 5); err != nil {
-			t.Fatal(err)
-		}
-		if n := memoSize(); n != 10 {
-			t.Fatalf("memo holds %d cells after Scaling at workers=1, want 10", n)
-		}
-	})
+			again, err := Scaling("ssca2", 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memoSize() != 10 || FormatScaling("ssca2", again) != FormatScaling("ssca2", rows) {
+				t.Fatalf("workers=%d: regenerating from a hot memo changed the memo or the output", workers)
+			}
+		})
+	}
+}
+
+// TestResultsErrorOnceAndIdentical: a cell that cannot finish is
+// simulated once however often it is listed, its siblings still run (and
+// are memoized), and the error is the first in input order with the same
+// text at every worker count.
+func TestResultsErrorOnceAndIdentical(t *testing.T) {
+	good := RunConfig{Benchmark: "ssca2", Mode: stagger.ModeHTM, Threads: 2, Seed: 5, TotalOps: 100}
+	// Threads beyond the machine's cores normalizes fine and is cacheable,
+	// but fails when the run builds its machine.
+	bad := RunConfig{Benchmark: "kmeans", Mode: stagger.ModeHTM, Threads: 99, Seed: 5, TotalOps: 100}
+	worse := RunConfig{Benchmark: "no-such-benchmark", Threads: 2}
+	var texts []string
+	for _, workers := range []int{1, 4} {
+		withWorkers(t, workers, func() {
+			runs := 0
+			simulate = func(ctx context.Context, cfgs []RunConfig, workers int) []RunOutcome {
+				runs += len(cfgs)
+				return RunAll(ctx, cfgs, workers)
+			}
+			defer func() { simulate = RunAll }()
+			_, err := results([]RunConfig{good, bad, worse, bad})
+			if err == nil {
+				t.Fatalf("workers=%d: no error from a sweep with failing cells", workers)
+			}
+			texts = append(texts, err.Error())
+			if runs != 2 {
+				t.Fatalf("workers=%d: %d simulations for one good and one (twice-listed) failing cell, want 2", workers, runs)
+			}
+			if memoSize() != 1 || cached(memoKey(t, good)) == nil {
+				t.Fatalf("workers=%d: memo holds %d cells, want only the good one", workers, memoSize())
+			}
+		})
+	}
+	if texts[0] != texts[1] || !strings.Contains(texts[0], "99 threads exceed") {
+		t.Fatalf("error text differs across worker counts or is not the first failing cell's:\nworkers=1: %s\nworkers=4: %s", texts[0], texts[1])
+	}
 }
 
 // recSink is a throwaway SiteRecorder: its presence must force a cache

@@ -6,8 +6,12 @@
 // Every cell takes one path: normalize gives a RunConfig its canonical
 // spelling and the named backend's constructor builds the runtime. The
 // sweep runner (RunAll, RunAllContained) is an ordered parallel map over
-// RunCtx and remembers nothing; memoization lives with the only callers
-// whose cells repeat, the table and figure generators (RunCached, warm).
+// RunCtx and remembers nothing. Memoization lives with the only callers
+// whose cells repeat, the table and figure generators: each lists its
+// cells once and gets them back, in order, from results — the memo's
+// only reader and writer, which simulates the distinct misses in
+// parallel and turns a failed Verify into an error. RunCached and
+// Speedup are its one- and two-cell cases.
 package harness
 
 import (
@@ -488,24 +492,27 @@ func splitOps(total, threads, tid int) int {
 	return n
 }
 
-// Speedup runs the benchmark sequentially (1 thread, the unlimited
-// plain-HTM machine: one denominator for every backend) and in parallel
-// under rc, both through runVerified, returning parallel speedup over
-// sequential.
+// sequential is the speedup denominator of rc: the same workload on one
+// thread of the unlimited plain-HTM machine, whatever rc's backend.
+func sequential(rc RunConfig) RunConfig {
+	rc.Backend = "htm"
+	rc.Threads = 1
+	return rc
+}
+
+// over is the speedup of b relative to a: a's makespan over b's.
+func over(a, b *Result) float64 { return float64(a.Makespan()) / float64(b.Makespan()) }
+
+// Speedup returns rc's speedup over its sequential run, and rc's result;
+// both runs come from results.
 func Speedup(rc RunConfig) (float64, *Result, error) {
-	seq := rc
-	seq.Backend = "htm"
-	seq.Threads = 1
-	seqRes, err := runVerified(seq)
+	rs, err := results([]RunConfig{sequential(rc), rc})
 	if err != nil {
 		return 0, nil, err
 	}
-	parRes, err := runVerified(rc)
-	if err != nil {
-		return 0, nil, err
+	seq, par := rs[0], rs[1]
+	if par.Makespan() == 0 {
+		return 0, par, fmt.Errorf("harness: zero makespan")
 	}
-	if parRes.Makespan() == 0 {
-		return 0, parRes, fmt.Errorf("harness: zero makespan")
-	}
-	return float64(seqRes.Makespan()) / float64(parRes.Makespan()), parRes, nil
+	return over(seq, par), par, nil
 }

@@ -12,6 +12,34 @@ import (
 // PaperThreads is the thread count of the paper's evaluation machine.
 const PaperThreads = 16
 
+// sweep is one generator's cell list and what to make of it. add names a
+// cell, once, and returns the index of its run in the slice the row
+// functions receive; run fetches every cell with one call to results and
+// then builds the rows, in the order their functions were given.
+type sweep[Row any] struct {
+	cells []RunConfig
+	rows  []func(r []*Result) Row
+}
+
+func (s *sweep[Row]) add(rc RunConfig) int {
+	s.cells = append(s.cells, rc)
+	return len(s.cells) - 1
+}
+
+func (s *sweep[Row]) row(f func(r []*Result) Row) { s.rows = append(s.rows, f) }
+
+func (s *sweep[Row]) run() ([]Row, error) {
+	r, err := results(s.cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(s.rows))
+	for i, f := range s.rows {
+		rows[i] = f(r)
+	}
+	return rows, nil
+}
+
 // yn renders a boolean as the paper's Y/N.
 func yn(b bool) string {
 	if b {
@@ -43,35 +71,41 @@ var table1Sources = map[string]string{
 // table1Benches is Table 1's row order.
 var table1Benches = []string{"list-hi", "tsp", "memcached", "intruder", "kmeans", "vacation"}
 
+// table1Cell is the run Table 1 characterizes for one benchmark.
+func table1Cell(b string, seed int64) RunConfig {
+	return RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed}
+}
+
+// Table1Runs returns Table 1's 16-thread baseline-HTM runs in row order,
+// for reports that annotate the table from the runs behind it.
+func Table1Runs(seed int64) ([]*Result, error) {
+	cells := make([]RunConfig, len(table1Benches))
+	for i, b := range table1Benches {
+		cells[i] = table1Cell(b, seed)
+	}
+	return results(cells)
+}
+
 // Table1 characterizes baseline-HTM contention for the paper's six
 // representative benchmarks.
 func Table1(seed int64) ([]Table1Row, error) {
-	var cells []RunConfig
+	var sw sweep[Table1Row]
 	for _, b := range table1Benches {
-		cells = append(cells,
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
-	}
-	warm(cells)
-	var rows []Table1Row
-	for _, b := range table1Benches {
-		s, res, err := Speedup(RunConfig{
-			Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table1Row{
-			Bench:  b,
-			S:      s,
-			PctI:   res.Stats.IrrevocableFraction(),
-			WU:     res.WastedOverUseful(),
-			Source: table1Sources[b],
-			LA:     res.LA,
-			LP:     res.LP,
+		cell := table1Cell(b, seed)
+		seq, par := sw.add(sequential(cell)), sw.add(cell)
+		sw.row(func(r []*Result) Table1Row {
+			return Table1Row{
+				Bench:  b,
+				S:      over(r[seq], r[par]),
+				PctI:   r[par].Stats.IrrevocableFraction(),
+				WU:     r[par].WastedOverUseful(),
+				Source: table1Sources[b],
+				LA:     r[par].LA,
+				LP:     r[par].LP,
+			}
 		})
 	}
-	return rows, nil
+	return sw.run()
 }
 
 // FormatTable1 renders Table 1 in the paper's layout.
@@ -119,40 +153,24 @@ var table3Benches = []string{"genome", "intruder", "kmeans", "labyrinth",
 
 // Table3 measures instrumentation overhead and accuracy.
 func Table3(seed int64) ([]Table3Row, error) {
-	var cells []RunConfig
+	var sw sweep[Table3Row]
 	for _, b := range table3Benches {
-		cells = append(cells,
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: 1, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
-	}
-	warm(cells)
-	var rows []Table3Row
-	for _, b := range table3Benches {
-		base1, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		inst1, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: 1, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		inst16, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		inc := float64(inst1.Makespan())/float64(base1.Makespan()) - 1
-		rows = append(rows, Table3Row{
-			Bench:         b,
-			LdSt:          inst1.StaticAccesses,
-			Anchors:       inst1.StaticAnchors,
-			UopsPerTxn:    inst1.UopsPerTxn(),
-			AnchorsPerTxn: inst1.AnchorsPerTxn(),
-			ExecTimeInc:   inc,
-			Accuracy:      inst16.Metrics.Accuracy(),
+		base1 := sw.add(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed})
+		inst1 := sw.add(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: 1, Seed: seed})
+		inst16 := sw.add(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
+		sw.row(func(r []*Result) Table3Row {
+			return Table3Row{
+				Bench:         b,
+				LdSt:          r[inst1].StaticAccesses,
+				Anchors:       r[inst1].StaticAnchors,
+				UopsPerTxn:    r[inst1].UopsPerTxn(),
+				AnchorsPerTxn: r[inst1].AnchorsPerTxn(),
+				ExecTimeInc:   over(r[inst1], r[base1]) - 1,
+				Accuracy:      r[inst16].Metrics.Accuracy(),
+			}
 		})
 	}
-	return rows, nil
+	return sw.run()
 }
 
 // FormatTable3 renders Table 3 in the paper's layout.
@@ -185,36 +203,27 @@ type Table4Row struct {
 
 // Table4 characterizes every benchmark on the baseline HTM.
 func Table4(seed int64) ([]Table4Row, error) {
-	var cells []RunConfig
-	for _, b := range workloads.Names() {
-		cells = append(cells,
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
-	}
-	warm(cells)
-	var rows []Table4Row
+	var sw sweep[Table4Row]
 	for _, b := range workloads.Names() {
 		w, err := workloads.Get(b)
 		if err != nil {
 			return nil, err
 		}
-		s, res, err := Speedup(RunConfig{
-			Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table4Row{
-			Bench:       b,
-			Description: w.Description,
-			ABs:         len(w.Mod.Atomics),
-			PctTM:       res.TMFraction(),
-			S:           s,
-			AbtsPerC:    res.AbortsPerCommit(),
-			Contention:  w.Contention,
+		cell := RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed}
+		seq, par := sw.add(sequential(cell)), sw.add(cell)
+		sw.row(func(r []*Result) Table4Row {
+			return Table4Row{
+				Bench:       b,
+				Description: w.Description,
+				ABs:         len(w.Mod.Atomics),
+				PctTM:       r[par].TMFraction(),
+				S:           over(r[seq], r[par]),
+				AbtsPerC:    r[par].AbortsPerCommit(),
+				Contention:  w.Contention,
+			}
 		})
 	}
-	return rows, nil
+	return sw.run()
 }
 
 // FormatTable4 renders Table 4 in the paper's layout.
@@ -242,38 +251,24 @@ type Figure7Row struct {
 
 // Figure7 regenerates the performance comparison.
 func Figure7(seed int64) ([]Figure7Row, error) {
-	var cells []RunConfig
+	var sw sweep[Figure7Row]
 	for _, b := range workloads.Names() {
-		for _, m := range []stagger.Mode{stagger.ModeHTM, stagger.ModeAddrOnly, stagger.ModeStaggeredSW, stagger.ModeStaggeredHW} {
-			cells = append(cells, RunConfig{Benchmark: b, Mode: m, Threads: PaperThreads, Seed: seed})
+		cell := func(m stagger.Mode) int {
+			return sw.add(RunConfig{Benchmark: b, Mode: m, Threads: PaperThreads, Seed: seed})
 		}
-	}
-	warm(cells)
-	var rows []Figure7Row
-	for _, b := range workloads.Names() {
-		base, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		row := Figure7Row{Bench: b, HTM: 1.0}
-		for _, m := range []stagger.Mode{stagger.ModeAddrOnly, stagger.ModeStaggeredSW, stagger.ModeStaggeredHW} {
-			res, err := runVerified(RunConfig{Benchmark: b, Mode: m, Threads: PaperThreads, Seed: seed})
-			if err != nil {
-				return nil, err
+		base, addr := cell(stagger.ModeHTM), cell(stagger.ModeAddrOnly)
+		stagSW, stagHW := cell(stagger.ModeStaggeredSW), cell(stagger.ModeStaggeredHW)
+		sw.row(func(r []*Result) Figure7Row {
+			return Figure7Row{
+				Bench:    b,
+				HTM:      1.0,
+				AddrOnly: over(r[base], r[addr]),
+				StagSW:   over(r[base], r[stagSW]),
+				StagHW:   over(r[base], r[stagHW]),
 			}
-			norm := float64(base.Makespan()) / float64(res.Makespan())
-			switch m {
-			case stagger.ModeAddrOnly:
-				row.AddrOnly = norm
-			case stagger.ModeStaggeredSW:
-				row.StagSW = norm
-			case stagger.ModeStaggeredHW:
-				row.StagHW = norm
-			}
-		}
-		rows = append(rows, row)
+		})
 	}
-	return rows, nil
+	return sw.run()
 }
 
 // FormatFigure7 renders the figure as a table plus ASCII bars.
@@ -316,32 +311,21 @@ type Figure8Row struct {
 
 // Figure8 regenerates the abort/wasted-cycle comparison.
 func Figure8(seed int64) ([]Figure8Row, error) {
-	var cells []RunConfig
+	var sw sweep[Figure8Row]
 	for _, b := range workloads.Names() {
-		cells = append(cells,
-			RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed},
-			RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
-	}
-	warm(cells)
-	var rows []Figure8Row
-	for _, b := range workloads.Names() {
-		base, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		stag, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Figure8Row{
-			Bench:                b,
-			HTMAbortsPerCommit:   base.AbortsPerCommit(),
-			StagAbortsPerCommit:  stag.AbortsPerCommit(),
-			HTMWastedOverUseful:  base.WastedOverUseful(),
-			StagWastedOverUseful: stag.WastedOverUseful(),
+		base := sw.add(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed})
+		stag := sw.add(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed})
+		sw.row(func(r []*Result) Figure8Row {
+			return Figure8Row{
+				Bench:                b,
+				HTMAbortsPerCommit:   r[base].AbortsPerCommit(),
+				StagAbortsPerCommit:  r[stag].AbortsPerCommit(),
+				HTMWastedOverUseful:  r[base].WastedOverUseful(),
+				StagWastedOverUseful: r[stag].WastedOverUseful(),
+			}
 		})
 	}
-	return rows, nil
+	return sw.run()
 }
 
 // FormatFigure8 renders the figure data.
@@ -436,22 +420,6 @@ func FormatClaims(cs *ClaimsSummary) string {
 	return b.String()
 }
 
-// runVerified is RunCached plus invariant enforcement: a run whose
-// workload Verify failed is an error, never a data point. Every table and
-// figure generator goes through it so a correctness bug cannot silently
-// become a (meaningless) performance number.
-func runVerified(rc RunConfig) (*Result, error) {
-	res, err := RunCached(rc)
-	if err != nil {
-		return nil, err
-	}
-	if res.VerifyErr != nil {
-		return nil, fmt.Errorf("harness: %s (%s, %d threads): verify failed: %w",
-			rc.Benchmark, rc.Mode, rc.Threads, res.VerifyErr)
-	}
-	return res, nil
-}
-
 // LazyRow compares eager and lazy conflict detection for one benchmark:
 // baseline speedups and the staggered improvement on each substrate. The
 // paper's conclusion proposes extending the simulations to lazy TM
@@ -469,44 +437,25 @@ type LazyRow struct {
 // benchmark subset (the high-contention winners plus a low-contention
 // guard).
 func FigureLazy(seed int64) ([]LazyRow, error) {
-	lazyBenches := []string{"intruder", "kmeans", "list-hi", "memcached", "tsp", "vacation"}
-	var cells []RunConfig
-	for _, b := range lazyBenches {
-		for _, lazy := range []bool{false, true} {
-			cells = append(cells,
-				RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed, Lazy: lazy},
-				RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed, Lazy: lazy},
-				RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed, Lazy: lazy})
+	var sw sweep[LazyRow]
+	for _, b := range []string{"intruder", "kmeans", "list-hi", "memcached", "tsp", "vacation"} {
+		cell := func(m stagger.Mode, threads int, lazy bool) int {
+			return sw.add(RunConfig{Benchmark: b, Mode: m, Threads: threads, Seed: seed, Lazy: lazy})
 		}
+		eSeq, lSeq := cell(stagger.ModeHTM, 1, false), cell(stagger.ModeHTM, 1, true)
+		eBase, lBase := cell(stagger.ModeHTM, PaperThreads, false), cell(stagger.ModeHTM, PaperThreads, true)
+		eStag, lStag := cell(stagger.ModeStaggeredHW, PaperThreads, false), cell(stagger.ModeStaggeredHW, PaperThreads, true)
+		sw.row(func(r []*Result) LazyRow {
+			return LazyRow{
+				Bench:      b,
+				EagerBase:  over(r[eSeq], r[eBase]),
+				LazyBase:   over(r[lSeq], r[lBase]),
+				EagerStagg: over(r[eBase], r[eStag]),
+				LazyStagg:  over(r[lBase], r[lStag]),
+			}
+		})
 	}
-	warm(cells)
-	var rows []LazyRow
-	for _, b := range lazyBenches {
-		row := LazyRow{Bench: b}
-		for _, lazy := range []bool{false, true} {
-			seq, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: 1, Seed: seed, Lazy: lazy})
-			if err != nil {
-				return nil, err
-			}
-			base, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeHTM, Threads: PaperThreads, Seed: seed, Lazy: lazy})
-			if err != nil {
-				return nil, err
-			}
-			stag, err := runVerified(RunConfig{Benchmark: b, Mode: stagger.ModeStaggeredHW, Threads: PaperThreads, Seed: seed, Lazy: lazy})
-			if err != nil {
-				return nil, err
-			}
-			s := float64(seq.Makespan()) / float64(base.Makespan())
-			n := float64(base.Makespan()) / float64(stag.Makespan())
-			if lazy {
-				row.LazyBase, row.LazyStagg = s, n
-			} else {
-				row.EagerBase, row.EagerStagg = s, n
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sw.run()
 }
 
 // FormatFigureLazy renders the lazy-TM extension results.
@@ -533,34 +482,22 @@ type ScalingRow struct {
 // staggered systems (the paper notes, e.g., that list-hi "stops scaling
 // after 4 threads" on plain HTM).
 func Scaling(bench string, seed int64) ([]ScalingRow, error) {
-	cells := []RunConfig{{Benchmark: bench, Mode: stagger.ModeHTM, Threads: 1, Seed: seed}}
-	for _, th := range []int{1, 2, 4, 8, 16} {
-		cells = append(cells,
-			RunConfig{Benchmark: bench, Mode: stagger.ModeHTM, Threads: th, Seed: seed},
-			RunConfig{Benchmark: bench, Mode: stagger.ModeStaggeredHW, Threads: th, Seed: seed})
+	var sw sweep[ScalingRow]
+	cell := func(m stagger.Mode, threads int) int {
+		return sw.add(RunConfig{Benchmark: bench, Mode: m, Threads: threads, Seed: seed})
 	}
-	warm(cells)
-	seq, err := runVerified(RunConfig{Benchmark: bench, Mode: stagger.ModeHTM, Threads: 1, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	var rows []ScalingRow
+	seq := cell(stagger.ModeHTM, 1)
 	for _, th := range []int{1, 2, 4, 8, 16} {
-		base, err := runVerified(RunConfig{Benchmark: bench, Mode: stagger.ModeHTM, Threads: th, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		stag, err := runVerified(RunConfig{Benchmark: bench, Mode: stagger.ModeStaggeredHW, Threads: th, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ScalingRow{
-			Threads: th,
-			HTM:     float64(seq.Makespan()) / float64(base.Makespan()),
-			Stag:    float64(seq.Makespan()) / float64(stag.Makespan()),
+		base, stag := cell(stagger.ModeHTM, th), cell(stagger.ModeStaggeredHW, th)
+		sw.row(func(r []*Result) ScalingRow {
+			return ScalingRow{
+				Threads: th,
+				HTM:     over(r[seq], r[base]),
+				Stag:    over(r[seq], r[stag]),
+			}
 		})
 	}
-	return rows, nil
+	return sw.run()
 }
 
 // FormatScaling renders a scaling curve.

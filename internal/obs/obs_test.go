@@ -41,11 +41,7 @@ func exportRun(t *testing.T, rc harness.RunConfig) (metrics, trace []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	meta := TraceMeta{
-		Benchmark: rc.Benchmark, Mode: rc.Mode.String(), Threads: rc.Threads,
-		Seed: rc.Seed, Sched: rc.Sched, SchedSeed: rc.SchedSeed,
-	}
-	if err := WriteTrace(&buf, meta, res.Trace); err != nil {
+	if err := WriteTrace(&buf, TraceMetaOf(res.Config), res.Trace); err != nil {
 		t.Fatal(err)
 	}
 	return metrics, buf.Bytes()
@@ -145,7 +141,7 @@ func TestTraceSchema(t *testing.T) {
 	if len(f.TraceEvents) == 0 {
 		t.Fatal("no trace events exported")
 	}
-	for _, k := range []string{"benchmark", "mode", "threads", "seed"} {
+	for _, k := range []string{"benchmark", "mode", "backend", "threads", "seed"} {
 		if f.OtherData[k] == "" {
 			t.Errorf("otherData missing %q", k)
 		}

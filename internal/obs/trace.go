@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/harness"
 	"repro/internal/htm"
 	"repro/internal/mem"
 )
@@ -42,6 +43,8 @@ import (
 type TraceMeta struct {
 	Benchmark string
 	Mode      string
+	Backend   string
+	Capacity  int // the "limited" backend's line capacity; 0 elsewhere
 	Threads   int
 	Seed      int64
 	Sched     string
@@ -50,6 +53,18 @@ type TraceMeta struct {
 	// run index, minimized-prefix length, ...). Keys are sorted by
 	// encoding/json on output.
 	Extra map[string]string
+}
+
+// TraceMetaOf tags a trace with the cell that produced it. Pass the
+// result's Config — the cell as normalized — so the backend is spelled
+// even when the caller left it to the mode.
+func TraceMetaOf(rc harness.RunConfig) TraceMeta {
+	return TraceMeta{
+		Benchmark: rc.Benchmark, Mode: rc.Mode.String(),
+		Backend: rc.Backend, Capacity: rc.Capacity,
+		Threads: rc.Threads, Seed: rc.Seed,
+		Sched: rc.Sched, SchedSeed: rc.SchedSeed,
+	}
 }
 
 // traceFile is the JSON Object Format top level.
@@ -226,6 +241,12 @@ func otherData(meta TraceMeta) map[string]string {
 		"mode":      meta.Mode,
 		"threads":   fmt.Sprint(meta.Threads),
 		"seed":      fmt.Sprint(meta.Seed),
+	}
+	if meta.Backend != "" {
+		od["backend"] = meta.Backend
+	}
+	if meta.Capacity != 0 {
+		od["capacity"] = fmt.Sprint(meta.Capacity)
 	}
 	if meta.Sched != "" {
 		od["sched"] = meta.Sched

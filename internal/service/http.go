@@ -204,18 +204,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "trace re-run: "+err.Error())
 		return
 	}
-	meta := obs.TraceMeta{
-		Benchmark: rc.Benchmark,
-		Mode:      rc.Mode.String(),
-		Threads:   rc.Threads,
-		Seed:      rc.Seed,
-		Sched:     rc.Sched,
-		SchedSeed: rc.SchedSeed,
-		Extra: map[string]string{
-			"job":    j.ID(),
-			"cell":   strconv.Itoa(n),
-			"source": "staggerd deterministic re-run",
-		},
+	meta := obs.TraceMetaOf(res.Config)
+	meta.Extra = map[string]string{
+		"job":    j.ID(),
+		"cell":   strconv.Itoa(n),
+		"source": "staggerd deterministic re-run",
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := obs.WriteTrace(w, meta, res.Trace); err != nil {
