@@ -36,6 +36,7 @@ func main() {
 	all := *table == 0 && *figure == 0 && !*claims && !*lazy && *scaling == "" && *csvDir == ""
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "paper:", err)
+		os.Stderr.Write(harness.PanicStack(err))
 		os.Exit(1)
 	}
 

@@ -133,18 +133,39 @@ func (d *daemon) submit(spec string) (int, string) {
 	return resp.StatusCode, st.ID
 }
 
-// jobState polls one job's state ("" if the job is unknown).
-func (d *daemon) jobState(id string) string {
+// jobStatus is the part of GET /jobs/{id} the harness reads.
+type jobStatus struct {
+	State     string `json:"state"`
+	Cells     int    `json:"cells"`
+	FromStore int    `json:"from_store"`
+	Computed  int    `json:"computed"`
+}
+
+// job fetches one job's status (zero if the job is unknown).
+func (d *daemon) job(id string) (st jobStatus) {
 	d.t.Helper()
-	code, b := d.get("/jobs/" + id)
-	if code != 200 {
-		return ""
+	if code, b := d.get("/jobs/" + id); code == 200 {
+		json.Unmarshal(b, &st)
 	}
-	var st struct {
-		State string `json:"state"`
+	return st
+}
+
+// jobState polls one job's state ("" if the job is unknown).
+func (d *daemon) jobState(id string) string { return d.job(id).State }
+
+// storePuts is /metrics' count of entries this daemon has persisted.
+func (d *daemon) storePuts() int {
+	d.t.Helper()
+	_, b := d.get("/metrics")
+	var m struct {
+		Store struct {
+			Puts int `json:"puts"`
+		} `json:"store"`
 	}
-	json.Unmarshal(b, &st)
-	return st.State
+	if err := json.Unmarshal(b, &m); err != nil {
+		d.t.Fatalf("metrics: %v: %s", err, b)
+	}
+	return m.Store.Puts
 }
 
 // waitDone polls until the job is done (fatal on failed/canceled).
@@ -189,20 +210,23 @@ func (d *daemon) recoveryMetrics() map[string]float64 {
 	return m.Recovery
 }
 
-// The sweep used across crash scenarios: big enough to be mid-flight
-// when the SIGKILL lands, and identical everywhere so results can be
+// The sweep used across crash scenarios: its last cell is much the
+// longest, so there is a wide window in which the first cells are done
+// and the job is not, and it is identical everywhere so results can be
 // compared byte-for-byte against an uninterrupted reference run.
 const crashSweep = `{"cells":[
-  {"bench":"list-hi","threads":2,"seed":1,"ops":25000},
-  {"bench":"list-hi","threads":2,"seed":2,"ops":25000},
-  {"bench":"list-hi","threads":2,"seed":3,"ops":25000}]}`
+  {"bench":"list-hi","threads":2,"seed":1,"ops":2000},
+  {"bench":"list-hi","threads":2,"seed":2,"ops":2000},
+  {"bench":"list-hi","threads":2,"seed":3,"ops":40000}]}`
 
 const tinyJob = `{"cells":[{"bench":"list-hi","threads":2,"seed":9,"ops":300}]}`
 
 // TestKillMidSweepRecoversByteIdentical is the harness's headline
 // invariant: SIGKILL the daemon while a sweep is executing, restart it
 // over the same store, and the job completes under its original ID with
-// results byte-identical to an uninterrupted run.
+// results byte-identical to an uninterrupted run — recomputing only the
+// cells the first life had not finished, because each finished cell was
+// made durable the moment it completed.
 func TestKillMidSweepRecoversByteIdentical(t *testing.T) {
 	// Reference: the same sweep, never interrupted, in a separate store.
 	ref := startDaemon(t, t.TempDir())
@@ -220,14 +244,16 @@ func TestKillMidSweepRecoversByteIdentical(t *testing.T) {
 	if code != 202 {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	// The crash lands while the sweep is running (any instant works —
-	// the store resumes whatever subset had been persisted).
-	deadline := time.Now().Add(30 * time.Second)
-	for d1.jobState(id) != "running" {
+	// The crash lands mid-sweep: at least one cell persisted, job running.
+	deadline := time.Now().Add(60 * time.Second)
+	for d1.storePuts() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s never started", id)
+			t.Fatalf("job %s persisted no cell", id)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if st := d1.jobState(id); st != "running" {
+		t.Fatalf("job %s is %s after its first store put, want running: the kill would not land mid-sweep", id, st)
 	}
 	d1.kill()
 
@@ -244,18 +270,17 @@ func TestKillMidSweepRecoversByteIdentical(t *testing.T) {
 		t.Errorf("recovered result differs from the uninterrupted reference run (%d vs %d bytes)",
 			len(got), len(want))
 	}
+	if st := d2.job(id); st.FromStore == 0 || st.Computed >= st.Cells {
+		t.Errorf("recovered job: from_store %d, computed %d of %d cells; want the first life's finished cells read back, not recomputed",
+			st.FromStore, st.Computed, st.Cells)
+	}
 	// Resubmitting the identical sweep is served wholly from the store.
 	code, id2 := d2.submit(crashSweep)
 	if code != 202 {
 		t.Fatalf("resubmit: HTTP %d", code)
 	}
 	d2.waitDone(id2)
-	_, b := d2.get("/jobs/" + id2)
-	var st struct {
-		FromStore int `json:"from_store"`
-	}
-	json.Unmarshal(b, &st)
-	if st.FromStore != 3 {
+	if st := d2.job(id2); st.FromStore != 3 {
 		t.Errorf("resubmission from_store = %d, want 3", st.FromStore)
 	}
 }
@@ -368,12 +393,7 @@ func TestStoreENOSPCDegradesNotCorrupts(t *testing.T) {
 	if got := d2.result(id2); !bytes.Equal(got, first) {
 		t.Errorf("recomputed result differs from the memory-served one")
 	}
-	_, b := d2.get("/jobs/" + id2)
-	var st struct {
-		FromStore int `json:"from_store"`
-	}
-	json.Unmarshal(b, &st)
-	if st.FromStore != 0 {
+	if st := d2.job(id2); st.FromStore != 0 {
 		t.Errorf("from_store = %d after a full-disk first life, want 0", st.FromStore)
 	}
 }

@@ -47,7 +47,6 @@ func main() {
 		retries    = flag.Int("retries", 2, "max retries of transiently failing jobs")
 		maxCells   = flag.Int("max-cells", 512, "largest allowed job expansion")
 		journalAt  = flag.String("journal", "", "write-ahead job journal path (empty = <store>/journal/jobs.wal when -store is set)")
-		storeGC    = flag.Bool("store-gc", true, "evict old-schema store entries at boot")
 		failpoints = flag.String("failpoints", "", "disk failpoint spec, e.g. 'sync:jobs.wal=crash@2' (crash-harness use only)")
 		fpSeed     = flag.Int64("failpoint-seed", 1, "seed for probabilistic failpoints")
 	)
@@ -75,18 +74,17 @@ func main() {
 		}}
 	}
 	srv, err := service.New(service.Config{
-		JobWorkers:     *jobWorkers,
-		QueueDepth:     *queueDepth,
-		RunWorkers:     *runWorkers,
-		JobTimeout:     *jobTimeout,
-		Grace:          *grace,
-		MaxRetries:     *retries,
-		MaxCells:       *maxCells,
-		StoreDir:       *storeDir,
-		JournalPath:    *journalAt,
-		DisableStoreGC: !*storeGC,
-		FS:             fsys,
-		Logf:           log.Printf,
+		JobWorkers:  *jobWorkers,
+		QueueDepth:  *queueDepth,
+		RunWorkers:  *runWorkers,
+		JobTimeout:  *jobTimeout,
+		Grace:       *grace,
+		MaxRetries:  *retries,
+		MaxCells:    *maxCells,
+		StoreDir:    *storeDir,
+		JournalPath: *journalAt,
+		FS:          fsys,
+		Logf:        log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -100,6 +100,7 @@ func renderMetrics(path string) error {
 func reportOutcome(what, path string, err error) bool {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "staggerreport: %s: %v\n", what, err)
+		os.Stderr.Write(harness.PanicStack(err))
 		return true
 	}
 	fmt.Printf("%-9s %s OK\n", what, path)

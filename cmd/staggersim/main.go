@@ -289,9 +289,11 @@ func benches(list string) []string {
 	return names
 }
 
-// die prints err and exits with code.
+// die prints err (and the stack, if a cell of a sweep panicked) and
+// exits with code.
 func die(code int, err error) {
 	fmt.Fprintln(os.Stderr, "staggersim:", err)
+	os.Stderr.Write(harness.PanicStack(err))
 	os.Exit(code)
 }
 

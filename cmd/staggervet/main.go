@@ -21,11 +21,9 @@
 // the first violation. A finding that is provably order- or
 // clock-insensitive can be waived in place with a
 // //staggervet:allow <analyzer> comment on or directly above the line;
-// waivers that go stale are themselves findings. -json emits the
-// findings as a stable-sorted machine-readable report; -baseline checks
-// findings against a committed baseline file (and -update-baseline
-// rewrites it), so intentionally accepted findings are pinned instead of
-// silently ignored.
+// waivers that go stale are themselves findings. The waiver is the only
+// way to accept a finding: there is no baseline file. -json emits the
+// findings as a stable-sorted machine-readable report.
 package main
 
 import (
@@ -44,26 +42,19 @@ var analyzers = []*Analyzer{
 
 func main() {
 	root := flag.String("root", "", "module root (default: nearest go.mod at or above the working directory)")
-	baseline := flag.String("baseline", "", "baseline file of accepted findings; unlisted findings and stale entries fail")
-	update := flag.Bool("update-baseline", false, "rewrite the -baseline file to the current findings and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a machine-readable JSON report")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: staggervet [-root dir] [-baseline file [-update-baseline]] [-json] [package-dir ...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: staggervet [-root dir] [-json] [package-dir ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	os.Exit(runOpts(*root, flag.Args(), os.Stdout, *baseline, *update, *asJSON))
+	os.Exit(run(*root, flag.Args(), os.Stdout, *asJSON))
 }
 
-// run is the plain-text entry point (kept for the tests' convenience).
-func run(root string, dirs []string, out io.Writer) int {
-	return runOpts(root, dirs, out, "", false, false)
-}
-
-// runOpts loads the requested packages (default: all of internal/ and
-// cmd/), applies every analyzer, filters through the baseline, and emits
-// text or JSON, returning the process exit code.
-func runOpts(root string, dirs []string, out io.Writer, baseline string, update, asJSON bool) int {
+// run loads the requested packages (default: all of internal/ and cmd/),
+// applies every analyzer, and emits text or JSON, returning the process
+// exit code.
+func run(root string, dirs []string, out io.Writer, asJSON bool) int {
 	var err error
 	if root == "" {
 		root, err = findRoot()
@@ -102,25 +93,6 @@ func runOpts(root string, dirs []string, out io.Writer, baseline string, update,
 			return 2
 		}
 		diags = append(diags, runAnalyzers(analyzers, p)...)
-	}
-	if update {
-		if baseline == "" {
-			fmt.Fprintln(os.Stderr, "staggervet: -update-baseline needs -baseline")
-			return 2
-		}
-		if err := writeBaseline(baseline, root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "staggervet:", err)
-			return 2
-		}
-		fmt.Fprintf(out, "staggervet: baseline %s updated (%d finding(s))\n", baseline, len(diags))
-		return 0
-	}
-	if baseline != "" {
-		diags, err = applyBaseline(baseline, root, diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "staggervet:", err)
-			return 2
-		}
 	}
 	if asJSON {
 		if err := emitDiagsJSON(out, root, diags); err != nil {

@@ -32,7 +32,7 @@ func vet(t *testing.T, files map[string]string) (int, string) {
 	t.Helper()
 	root := writeTree(t, files)
 	var sb strings.Builder
-	code := run(root, nil, &sb)
+	code := run(root, nil, &sb, false)
 	return code, sb.String()
 }
 
@@ -271,7 +271,7 @@ func TestRepoIsVetClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if code := run(root, nil, &sb); code != 0 {
+	if code := run(root, nil, &sb, false); code != 0 {
 		t.Fatalf("staggervet on the repo exited %d:\n%s", code, sb.String())
 	}
 }
@@ -494,52 +494,6 @@ func C() int {
 	}
 }
 
-// TestBaselineUpdateAndCheck drives the -baseline lifecycle: update
-// captures the current findings, check suppresses exactly those, and a
-// baseline entry whose finding was fixed fails as stale.
-func TestBaselineUpdateAndCheck(t *testing.T) {
-	tree := map[string]string{
-		"internal/htm/clock.go": `package htm
-
-import "time"
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`,
-	}
-	root := writeTree(t, tree)
-	baseline := filepath.Join(root, "baseline.txt")
-
-	var sb strings.Builder
-	if code := runOpts(root, nil, &sb, baseline, true, false); code != 0 {
-		t.Fatalf("-update-baseline exited %d:\n%s", code, sb.String())
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "internal/htm/clock.go [determinism]") {
-		t.Fatalf("baseline missing the captured finding:\n%s", data)
-	}
-
-	sb.Reset()
-	if code := runOpts(root, nil, &sb, baseline, false, false); code != 0 {
-		t.Fatalf("baselined finding still fails (exit %d):\n%s", code, sb.String())
-	}
-
-	// Fix the finding; the baseline entry is now stale and must fail.
-	if err := os.WriteFile(filepath.Join(root, "internal/htm/clock.go"),
-		[]byte("package htm\n\nfunc Stamp() int64 { return 0 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if code := runOpts(root, nil, &sb, baseline, false, false); code != 1 {
-		t.Fatalf("stale baseline entry accepted (exit %d):\n%s", code, sb.String())
-	}
-	if !strings.Contains(sb.String(), "stale baseline entry") {
-		t.Fatalf("missing stale-entry diagnostic:\n%s", sb.String())
-	}
-}
-
 // TestJSONReport checks the -json contract: stable fields, repo-relative
 // paths, ok mirroring the exit code.
 func TestJSONReport(t *testing.T) {
@@ -552,7 +506,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 `,
 	})
 	var sb strings.Builder
-	code := runOpts(root, nil, &sb, "", false, true)
+	code := run(root, nil, &sb, true)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; output:\n%s", code, sb.String())
 	}

@@ -87,17 +87,6 @@ func Compile(m *prog.Module, opts Options) *Compiled {
 	return c
 }
 
-// UnifiedFor returns the unified table of the atomic block with the given
-// ID (1-based), or nil.
-func (c *Compiled) UnifiedFor(abID int) *Unified {
-	for ab, u := range c.Unified {
-		if ab.ID == abID {
-			return u
-		}
-	}
-	return nil
-}
-
 // InstrumentedFraction returns the fraction of analyzed loads/stores that
 // carry an ALP (the "13% on average" statistic of Section 6.1).
 func (c *Compiled) InstrumentedFraction() float64 {

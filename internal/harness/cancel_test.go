@@ -100,9 +100,10 @@ func TestRunAllCancelPromptAndCacheConsistent(t *testing.T) {
 	}
 }
 
-// TestRunAllContainedIsolatesPanics: a panicking cell must become a
-// *PanicError outcome without disturbing its siblings.
-func TestRunAllContainedIsolatesPanics(t *testing.T) {
+// TestSweepIsolatesPanics: a panicking cell must become a *PanicError
+// outcome, stack attached, without disturbing its siblings — at every
+// worker count, the sequential loop included.
+func TestSweepIsolatesPanics(t *testing.T) {
 	ClearCache()
 	defer ClearCache()
 	good := RunConfig{Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW,
@@ -115,12 +116,14 @@ func TestRunAllContainedIsolatesPanics(t *testing.T) {
 	mc.HeapBase = 3
 	bad.Machine = &mc
 
-	out := RunAllContained(context.Background(), []RunConfig{good, bad, good}, 2)
-	if out[0].Err != nil || out[2].Err != nil {
-		t.Fatalf("healthy cells failed: %v / %v", out[0].Err, out[2].Err)
-	}
-	var pe *PanicError
-	if out[1].Err == nil || !errors.As(out[1].Err, &pe) {
-		t.Fatalf("poisoned cell outcome %v, want *PanicError", out[1].Err)
+	for _, workers := range []int{1, 2} {
+		out := RunAll(context.Background(), []RunConfig{good, bad, good}, workers)
+		if out[0].Err != nil || out[2].Err != nil {
+			t.Fatalf("workers=%d: healthy cells failed: %v / %v", workers, out[0].Err, out[2].Err)
+		}
+		var pe *PanicError
+		if !errors.As(out[1].Err, &pe) || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: poisoned cell outcome %v, want *PanicError with its stack", workers, out[1].Err)
+		}
 	}
 }

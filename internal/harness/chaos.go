@@ -117,7 +117,7 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 	var cells []ChaosCell
 	var firstErr error
 	var base uint64
-	err := runAllOrdered(context.Background(), cfgs, Workers(), false, func(i int, o RunOutcome) error {
+	err := Sweep(context.Background(), cfgs, Workers(), func(i int, o RunOutcome) error {
 		m := metas[i]
 		if o.Err != nil {
 			// Watchdog (or setup) failure: the campaign is already lost;

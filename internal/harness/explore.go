@@ -47,13 +47,6 @@ type ExploreConfig struct {
 	// UnsafeEarlyRelease plumbs the test-only broken irrevocable fallback
 	// through to the runtime, so tests can prove campaigns catch it.
 	UnsafeEarlyRelease bool
-	// WatchdogTrace sizes the watchdog event ring (0 = 256: exploration
-	// keeps a deeper tail than the htm default because adversarial
-	// schedules are exactly the runs whose ends are worth reading).
-	WatchdogTrace int
-
-	// Progress, if non-nil, is called after every run.
-	Progress func(run int, failed bool)
 
 	// Ctx, if non-nil, bounds the campaign: cancellation abandons in-flight
 	// runs at their next globally ordered events and aborts the campaign
@@ -127,10 +120,6 @@ func exploreSpec(ec ExploreConfig) string {
 // Explore adds a scheduler seed and pick recording per run; replaying a
 // failure adds its picks.
 func (ec ExploreConfig) RunConfig() RunConfig {
-	wt := ec.WatchdogTrace
-	if wt == 0 {
-		wt = 256
-	}
 	return RunConfig{
 		Benchmark:          ec.Benchmark,
 		Mode:               ec.Mode,
@@ -144,7 +133,10 @@ func (ec ExploreConfig) RunConfig() RunConfig {
 		Sched:              exploreSpec(ec),
 		Oracle:             true,
 		UnsafeEarlyRelease: ec.UnsafeEarlyRelease,
-		WatchdogTrace:      wt,
+		// Exploration keeps a deeper watchdog tail than the htm default:
+		// adversarial schedules are exactly the runs whose ends are worth
+		// reading.
+		WatchdogTrace: 256,
 	}
 }
 
@@ -169,8 +161,8 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 	// Every explored schedule is an independent cell (distinct scheduler
 	// seed, same workload), so the campaign fans out across the package
 	// worker default. Results fold into the report strictly in run order —
-	// counts, failure list, minimization, and Progress callbacks are
-	// indistinguishable from a sequential campaign.
+	// counts, failure list and minimization are indistinguishable from a
+	// sequential campaign.
 	cfgs := make([]RunConfig, ec.Runs)
 	for i := range cfgs {
 		// Distinct, nonzero scheduler seeds; the workload seed stays fixed
@@ -184,7 +176,7 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 		ctx = context.Background()
 	}
 	rep := &ExploreReport{Config: ec}
-	err = runAllOrdered(ctx, cfgs, Workers(), false, func(i int, o RunOutcome) error {
+	err = Sweep(ctx, cfgs, Workers(), func(i int, o RunOutcome) error {
 		ss := cfgs[i].SchedSeed
 		if o.Err != nil {
 			return fmt.Errorf("harness: explore run %d (sched seed %d): %w", i, ss, o.Err)
@@ -204,9 +196,6 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 				f.Minimized, f.Probes = minimizeFailure(cfgs[i], f.Picks, ec.MinimizeBudget)
 			}
 			rep.Failures = append(rep.Failures, f)
-		}
-		if ec.Progress != nil {
-			ec.Progress(i, ferr != nil)
 		}
 		return nil
 	})

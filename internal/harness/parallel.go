@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -47,38 +48,21 @@ type RunOutcome struct {
 	Err error
 }
 
-// RunAll executes every configuration with at most workers concurrent
-// runs (workers <= 0 uses the package default) and returns the outcomes
-// ordered by input index. Every cell is simulated: the generators' memo
-// is neither read nor written (results does that). Cancelling ctx skips
-// cells that have not started and abandons cells mid-simulation at their
-// next globally ordered event (both outcomes carry ctx's error), so a
-// cancelled sweep returns within roughly one simulated event, not after
-// draining the queue.
+// RunAll collects Sweep into a slice: every configuration's outcome,
+// ordered by input index, whatever its siblings did.
 func RunAll(ctx context.Context, cfgs []RunConfig, workers int) []RunOutcome {
-	return collect(ctx, cfgs, workers, false)
-}
-
-// RunAllContained is RunAll with per-cell fault containment: a panic
-// inside one cell's run (a poisoned config, a workload bug) becomes that
-// cell's *PanicError outcome instead of crashing the process. The
-// service layer runs client-supplied jobs through this entry point; the
-// CLI generators keep RunAll's fail-fast behaviour, where a panic is a
-// bug worth a stack trace.
-func RunAllContained(ctx context.Context, cfgs []RunConfig, workers int) []RunOutcome {
-	return collect(ctx, cfgs, workers, true)
-}
-
-func collect(ctx context.Context, cfgs []RunConfig, workers int, contain bool) []RunOutcome {
 	out := make([]RunOutcome, len(cfgs))
-	runAllOrdered(ctx, cfgs, workers, contain, func(i int, o RunOutcome) error {
+	// Sweep returns only what deliver returns, and this one cannot fail.
+	_ = Sweep(ctx, cfgs, workers, func(i int, o RunOutcome) error {
 		out[i] = o
 		return nil
 	})
 	return out
 }
 
-// PanicError is a panic captured from a contained run (RunAllContained).
+// PanicError is a panic captured from one cell of a sweep. Error is one
+// line; Stack is the panicking goroutine's trace, for whoever reports the
+// error (the CLIs print it to stderr before exiting, the daemon logs it).
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -86,27 +70,48 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("harness: run panicked: %v", e.Value) }
 
-// runOne executes one cell, optionally converting a panic into an error
-// outcome. The recover sits here — around exactly one cell — so one
-// poisoned cell cannot take its worker, its sweep, or the process down.
-func runOne(ctx context.Context, rc RunConfig, contain bool) (o RunOutcome) {
-	if contain {
-		defer func() {
-			if r := recover(); r != nil {
-				o = RunOutcome{Err: &PanicError{Value: r, Stack: debug.Stack()}}
-			}
-		}()
+// PanicStack returns the stack of the contained panic err wraps, nil if
+// err wraps none.
+func PanicStack(err error) []byte {
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		return pe.Stack
+	}
+	return nil
+}
+
+// runOne executes one cell. A panic inside it (a poisoned config, a
+// workload bug) becomes that cell's *PanicError outcome: the recover sits
+// around exactly one cell, so one poisoned cell cannot take its worker,
+// its sweep, or the process down.
+func runOne(ctx context.Context, rc RunConfig) (o RunOutcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			o = RunOutcome{Err: &PanicError{Value: r, Stack: debug.Stack()}}
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		return RunOutcome{Err: err}
 	}
 	o.Res, o.Err = RunCtx(ctx, rc)
 	return o
 }
 
-// runAllOrdered is the sweep runner: deliver is called once per cell, in
-// input order, from the calling goroutine's control flow. A non-nil
-// error from deliver cancels the cells that have not started and returns
-// after the in-flight ones drain. With workers == 1 the loop is exactly
-// the historical sequential sweep — same goroutine, same order, no pool.
-func runAllOrdered(ctx context.Context, cfgs []RunConfig, workers int, contain bool, deliver func(int, RunOutcome) error) error {
+// Sweep is the sweep primitive, the only function that starts sweep
+// workers: it simulates every cell with at most workers concurrent runs
+// (workers <= 0 uses the package default) and calls deliver once per
+// cell, in input order, on the calling goroutine, as soon as the next
+// index has landed — consumers stream without a barrier. Every cell is
+// simulated: the generators' memo is neither read nor written (results
+// does that). Cancelling ctx skips cells that have not started and
+// abandons cells mid-simulation at their next globally ordered event
+// (both outcomes carry ctx's error), so a cancelled sweep returns within
+// roughly one simulated event, not after draining the queue. A non-nil
+// error from deliver cancels the cells that have not started and is
+// returned after the in-flight ones drain. With workers == 1 the loop is
+// exactly the historical sequential sweep — same goroutine, same order,
+// no pool.
+func Sweep(ctx context.Context, cfgs []RunConfig, workers int, deliver func(i int, o RunOutcome) error) error {
 	n := len(cfgs)
 	if n == 0 {
 		return nil
@@ -119,13 +124,7 @@ func runAllOrdered(ctx context.Context, cfgs []RunConfig, workers int, contain b
 	}
 	if workers == 1 {
 		for i, rc := range cfgs {
-			var o RunOutcome
-			if err := ctx.Err(); err != nil {
-				o.Err = err
-			} else {
-				o = runOne(ctx, rc, contain)
-			}
-			if err := deliver(i, o); err != nil {
+			if err := deliver(i, runOne(ctx, rc)); err != nil {
 				return err
 			}
 		}
@@ -145,18 +144,8 @@ func runAllOrdered(ctx context.Context, cfgs []RunConfig, workers int, contain b
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				var o RunOutcome
-				if err := ctx.Err(); err != nil {
-					o.Err = err
-				} else {
-					o = runOne(ctx, cfgs[i], contain)
-				}
-				ch <- completion{i, o}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				ch <- completion{i, runOne(ctx, cfgs[i])}
 			}
 		}()
 	}

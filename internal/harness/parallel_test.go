@@ -154,16 +154,13 @@ func TestChaosSweepIdenticalAcrossWorkers(t *testing.T) {
 
 // TestExploreIdenticalAcrossWorkers pins the exploration campaign: run
 // counts, commit totals, and the failure list (seeds and picks) must not
-// depend on worker count, and Progress must fire in run order.
+// depend on worker count.
 func TestExploreIdenticalAcrossWorkers(t *testing.T) {
-	campaign := func(workers int) (string, []int) {
-		var fp string
-		var order []int
+	campaign := func(workers int) (fp string) {
 		withWorkers(t, workers, func() {
 			ec := ExploreConfig{
 				Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW,
 				Threads: 4, TotalOps: 120, Runs: 8,
-				Progress: func(run int, failed bool) { order = append(order, run) },
 			}
 			rep, err := Explore(ec)
 			if err != nil {
@@ -171,42 +168,28 @@ func TestExploreIdenticalAcrossWorkers(t *testing.T) {
 			}
 			fp = fmt.Sprintf("runs=%d commits=%d failures=%+v", rep.Runs, rep.Commits, rep.Failures)
 		})
-		return fp, order
+		return fp
 	}
-	seq, seqOrder := campaign(1)
-	par, parOrder := campaign(4)
-	if seq != par {
+	if seq, par := campaign(1), campaign(4); seq != par {
 		t.Fatalf("explore report diverges across worker counts\nworkers=1: %s\nworkers=4: %s", seq, par)
-	}
-	for i, r := range parOrder {
-		if r != i {
-			t.Fatalf("Progress fired out of order at workers=4: %v", parOrder)
-		}
-	}
-	if len(seqOrder) != len(parOrder) {
-		t.Fatalf("Progress call counts differ: %d vs %d", len(seqOrder), len(parOrder))
 	}
 }
 
 // TestSweepRunnerDoesNotMemoize pins the sweep runner as a pure map: it
 // neither reads the memo (a planted entry is not served) nor writes it
-// (cacheable cells leave it empty), through both exported entry points.
+// (cacheable cells leave it empty).
 func TestSweepRunnerDoesNotMemoize(t *testing.T) {
 	rc := RunConfig{Benchmark: "ssca2", Mode: stagger.ModeHTM, Threads: 2, Seed: 5, TotalOps: 100}
 	other := RunConfig{Benchmark: "kmeans", Mode: stagger.ModeStaggeredHW, Threads: 2, Seed: 5, TotalOps: 100}
-	for name, runAll := range map[string]func(context.Context, []RunConfig, int) []RunOutcome{
-		"RunAll": RunAll, "RunAllContained": RunAllContained,
-	} {
-		for _, workers := range []int{1, 2} {
-			ClearCache()
-			for i, o := range runAll(context.Background(), []RunConfig{rc, other, rc}, workers) {
-				if o.Err != nil {
-					t.Fatalf("%s workers=%d cell %d: %v", name, workers, i, o.Err)
-				}
+	for _, workers := range []int{1, 2} {
+		ClearCache()
+		for i, o := range RunAll(context.Background(), []RunConfig{rc, other, rc}, workers) {
+			if o.Err != nil {
+				t.Fatalf("workers=%d cell %d: %v", workers, i, o.Err)
 			}
-			if n := memoSize(); n != 0 {
-				t.Fatalf("%s workers=%d left %d results in the memo, want 0", name, workers, n)
-			}
+		}
+		if n := memoSize(); n != 0 {
+			t.Fatalf("workers=%d left %d results in the memo, want 0", workers, n)
 		}
 	}
 	defer ClearCache()
@@ -350,7 +333,7 @@ func TestRunAllOrderingAndErrors(t *testing.T) {
 
 	// A deliver error must stop the sweep and propagate.
 	sentinel := errors.New("stop")
-	err := runAllOrdered(context.Background(), cfgs, 2, false, func(i int, o RunOutcome) error {
+	err := Sweep(context.Background(), cfgs, 2, func(i int, o RunOutcome) error {
 		if i == 1 {
 			return sentinel
 		}

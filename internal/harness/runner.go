@@ -4,9 +4,12 @@
 // of the paper.
 //
 // Every cell takes one path: normalize gives a RunConfig its canonical
-// spelling and the named backend's constructor builds the runtime. The
-// sweep runner (RunAll, RunAllContained) is an ordered parallel map over
-// RunCtx and remembers nothing. Memoization lives with the only callers
+// spelling and the named backend's constructor builds the runtime. A
+// sweep has one shape, Sweep: an ordered parallel map over RunCtx that
+// hands each cell's outcome (a result, an error, or a contained panic)
+// to its caller in input order as soon as it is ready, and remembers
+// nothing. Explore, RunChaosSweep and the daemon fold on it; RunAll is
+// its collect-into-a-slice. Memoization lives with the only callers
 // whose cells repeat, the table and figure generators: each lists its
 // cells once and gets them back, in order, from results — the memo's
 // only reader and writer, which simulates the distinct misses in
@@ -114,7 +117,7 @@ type RunConfig struct {
 	// SiteRecorder observes every transactional site access (the
 	// static/dynamic conformance checker of -verify-static); nil disables
 	// recording.
-	SiteRecorder stagger.SiteRecorder
+	SiteRecorder backend.SiteRecorder
 }
 
 // Result is everything one run produces.

@@ -94,9 +94,6 @@ func (m *Machine) EnableTraceExt(limit int) {
 	m.extTrace = true
 }
 
-// ExtTraceOn reports whether extended trace events are being recorded.
-func (m *Machine) ExtTraceOn() bool { return m.extTrace }
-
 // Annotate records an extended trace event at the core's current virtual
 // time. It is the hook higher-level runtimes (advisory locks in
 // internal/stagger) use to land their own lifecycle events in the same

@@ -70,9 +70,6 @@ func (m *Memory) Store(a Addr, v uint64) {
 	m.page(a)[(a>>3)&(pageWords-1)] = v
 }
 
-// Footprint returns the number of simulated pages that have been touched.
-func (m *Memory) Footprint() int { return len(m.pages) }
-
 // Snapshot returns an independent deep copy of the memory's current
 // contents. Oracles snapshot the post-setup state and replay committed
 // effects against the copy.

@@ -178,9 +178,6 @@ func (k *Checker) report(v Violation) {
 // Commits returns how many atomic sections have committed.
 func (k *Checker) Commits() int { return k.commits }
 
-// Violations returns the retained findings (nil when the run validated).
-func (k *Checker) Violations() []Violation { return k.violations }
-
 // Err returns nil when the run validated, or the first violation.
 func (k *Checker) Err() error {
 	if len(k.violations) == 0 {

@@ -91,20 +91,6 @@ func (m *Module) checkAcyclic() error {
 	return nil
 }
 
-// Callees returns the functions directly called by f, deduplicated, in
-// first-call order.
-func (f *Func) Callees() []*Func {
-	var out []*Func
-	seen := make(map[*Func]bool)
-	for _, c := range f.Calls {
-		if !seen[c.Callee] {
-			seen[c.Callee] = true
-			out = append(out, c.Callee)
-		}
-	}
-	return out
-}
-
 // ReachableFuncs returns root plus every transitively called function in
 // deterministic preorder.
 func ReachableFuncs(root *Func) []*Func {

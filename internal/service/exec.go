@@ -52,68 +52,86 @@ type ExploreFinding struct {
 	Probes    int      `json:"probes,omitempty"`
 }
 
-// execute runs one attempt of a job: serve every cell the store already
-// has, compute the misses through the contained parallel runner, and
-// persist each fresh result before the job can report done. Cells that
-// completed before a failing sibling are already durable, so a retry (or
-// a resubmission after a crash) only recomputes what is actually missing.
+// execute runs one attempt of a job as one serve-or-compute stream over
+// its keys. The first attempt serves every key the store already has;
+// every attempt computes the keys still missing — a cell job's through
+// the sweep primitive, an explore job's one key through harness.Explore —
+// and each payload is encoded and persisted the moment its outcome is
+// delivered, while later cells are still simulating. A failed cell does
+// not stop its siblings: they are computed, persisted and kept, so a
+// retry — or the next life of a killed daemon — recomputes only what is
+// actually missing. The error returned is the first by input index.
 func (s *Server) execute(ctx context.Context, j *Job, attempt int) error {
+	keys := j.plan.keys
+	if attempt == 0 {
+		payloads := make([][]byte, len(keys))
+		fromStore := 0
+		for i, key := range keys {
+			if b, ok := s.storeGet(key); ok {
+				payloads[i] = b
+				fromStore++
+			}
+		}
+		if j.recovered {
+			// Resumption accounting: cells a crashed sweep had already made
+			// durable and this incarnation only had to read back.
+			s.resumedCells.Add(uint64(fromStore))
+		}
+		j.setResults(payloads, fromStore)
+	}
+	payloads := j.results // written by this goroutine only, read by others once done
+	var miss []int
+	for i, b := range payloads {
+		if b == nil {
+			miss = append(miss, i)
+		}
+	}
+	var first error
+	deliver := func(i int, b []byte, err error) {
+		var pe *harness.PanicError
+		if errors.As(err, &pe) {
+			s.panicCnt.Add(1)
+			s.cfg.Logf("staggerd: %s cell %d: contained panic: %v\n%s", j.id, i, pe.Value, pe.Stack)
+		}
+		if err != nil {
+			if first == nil {
+				first = fmt.Errorf("cell %d: %w", i, err)
+			}
+			return
+		}
+		s.storePut(keys[i], b)
+		payloads[i] = b
+	}
 	if j.plan.kind == KindExplore {
-		return s.executeExplore(ctx, j)
-	}
-	n := len(j.plan.keys)
-	payloads := make([][]byte, n)
-	var missIdx []int
-	for i, key := range j.plan.keys {
-		if b, ok := s.storeGet(key); ok {
-			payloads[i] = b
-			continue
+		// Campaign failures are deterministic in the spec: never transient.
+		for _, i := range miss {
+			b, err := explore(ctx, j.plan.explore, keys[i])
+			deliver(i, b, err)
 		}
-		missIdx = append(missIdx, i)
+		return first
 	}
-	fromStore := n - len(missIdx)
-	if j.recovered && attempt == 0 {
-		// Resumption accounting: cells a crashed sweep had already made
-		// durable and this incarnation only had to read back.
-		s.resumedCells.Add(uint64(fromStore))
+	cfgs := make([]harness.RunConfig, len(miss))
+	for k, i := range miss {
+		cfgs[k] = saltRetry(j.plan.cells[i], attempt)
 	}
-	if len(missIdx) > 0 {
-		cfgs := make([]harness.RunConfig, len(missIdx))
-		for k, i := range missIdx {
-			cfgs[k] = saltRetry(j.plan.cells[i], attempt)
+	// The stream's error is deliver's, and this deliver never stops it.
+	_ = s.cfg.sweep(ctx, cfgs, s.cfg.RunWorkers, func(k int, o harness.RunOutcome) error {
+		b, err := []byte(nil), classify(o.Err, cfgs[k])
+		if err == nil {
+			b, err = encodeCell(keys[miss[k]], attempt, cfgs[k], o.Res)
 		}
-		outs := s.cfg.runAll(ctx, cfgs, s.cfg.RunWorkers)
-		for k, o := range outs {
-			i := missIdx[k]
-			if o.Err != nil {
-				return fmt.Errorf("cell %d: %w", i, s.classify(o.Err, cfgs[k]))
-			}
-			b, err := encodeCell(j.plan.keys[i], attempt, cfgs[k], o.Res)
-			if err != nil {
-				return err
-			}
-			s.storePut(j.plan.keys[i], b)
-			payloads[i] = b
-		}
-	}
-	j.setResults(payloads, fromStore)
-	return nil
+		deliver(miss[k], b, err)
+		return nil
+	})
+	return first
 }
 
-// executeExplore runs (or serves) a schedule-exploration campaign.
-// Campaign failures are deterministic in the spec, so they are never
-// retried; only the durable store decides compute vs serve.
-func (s *Server) executeExplore(ctx context.Context, j *Job) error {
-	key := j.plan.keys[0]
-	if b, ok := s.storeGet(key); ok {
-		j.setResults([][]byte{b}, 1)
-		return nil
-	}
-	ec := j.plan.explore
+// explore computes the payload of an explore job's one key.
+func explore(ctx context.Context, ec harness.ExploreConfig, key string) ([]byte, error) {
 	ec.Ctx = ctx
 	rep, err := harness.Explore(ec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	er := ExploreResult{
 		Key:      key,
@@ -133,12 +151,9 @@ func (s *Server) executeExplore(ctx context.Context, j *Job) error {
 	}
 	b, err := json.MarshalIndent(&er, "", "  ")
 	if err != nil {
-		return fmt.Errorf("encode explore result: %w", err)
+		return nil, fmt.Errorf("encode explore result: %w", err)
 	}
-	b = append(b, '\n')
-	s.storePut(key, b)
-	j.setResults([][]byte{b}, 0)
-	return nil
+	return append(b, '\n'), nil
 }
 
 // classify wraps chaos-classified failures with ErrTransient: a virtual
@@ -146,13 +161,7 @@ func (s *Server) executeExplore(ctx context.Context, j *Job) error {
 // schedule, not the workload, so a reseeded retry is meaningful. Every
 // other failure — validation, verification, oracle, panic — is a
 // deterministic function of the config and is reported as permanent.
-// A contained panic is also counted here, whatever cell it came from.
-func (s *Server) classify(err error, rc harness.RunConfig) error {
-	var pe *harness.PanicError
-	if errors.As(err, &pe) {
-		s.panicCnt.Add(1)
-		return err
-	}
+func classify(err error, rc harness.RunConfig) error {
 	var we *htm.WatchdogError
 	if rc.Chaos != nil && errors.As(err, &we) {
 		return fmt.Errorf("%w: %w", ErrTransient, err)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
+	"repro/internal/journal"
 	"repro/internal/stagger"
 	"repro/internal/workloads"
 )
@@ -343,13 +344,14 @@ func (spec JobSpec) product() []CellSpec {
 	return out
 }
 
-// Job states.
+// Job states. Past queued they are the journal's record types, so a
+// transition is journaled under the state's own name.
 const (
 	JobQueued   = "queued"
-	JobRunning  = "running"
-	JobDone     = "done"
-	JobFailed   = "failed"
-	JobCanceled = "canceled"
+	JobRunning  = journal.RecRunning
+	JobDone     = journal.RecDone
+	JobFailed   = journal.RecFailed
+	JobCanceled = journal.RecCanceled
 )
 
 // Job is one admitted unit of work. All mutable state is guarded by mu;
@@ -472,31 +474,6 @@ func (j *Job) setResults(payloads [][]byte, fromStore int) {
 	j.results = payloads
 	j.fromStore = fromStore
 	j.mu.Unlock()
-}
-
-// finish moves a running job to a terminal state and releases waiters.
-func (j *Job) finish(state, errMsg string) {
-	j.mu.Lock()
-	j.state = state
-	j.err = errMsg
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// cancelQueued cancels a job that has not started; false means it is
-// running (or terminal) and the caller should cancel its context instead.
-func (j *Job) cancelQueued() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != JobQueued {
-		return false
-	}
-	j.state = JobCanceled
-	j.err = "canceled before start"
-	j.finished = time.Now()
-	close(j.done)
-	return true
 }
 
 // payloads returns the per-cell result payloads of a done job (nil

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/testutil"
 	"repro/internal/vfs"
@@ -120,9 +122,12 @@ func TestBootReplaySkipsTerminalAndDuplicates(t *testing.T) {
 	}
 }
 
-// The tentpole acceptance case: a sweep interrupted mid-flight resumes
-// from the content-addressed store, recomputing only the missing cells,
-// and the final payloads are byte-identical to an uninterrupted run.
+// A sweep interrupted mid-flight resumes from the content-addressed
+// store, recomputing only the missing cells, and the final payloads are
+// byte-identical to an uninterrupted run. The first life reaches its
+// partial state on the real path: cells 0 and 1 finish and are persisted
+// as they are delivered, cell 2 never returns, and the disk dies the
+// instant cell 1's entry has landed.
 func TestResumedSweepRecomputesOnlyMissingCells(t *testing.T) {
 	sweep := JobSpec{Cells: []CellSpec{
 		{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200},
@@ -141,37 +146,45 @@ func TestResumedSweepRecomputesOnlyMissingCells(t *testing.T) {
 	}
 	want := rj.payloads()
 
-	// First life: the same sweep completes (filling the store), then the
-	// journal is rewound to look as if the daemon died mid-job, and one
-	// cell's entry is deleted as if it never got persisted.
+	// First life: real simulations for cells 0-1, then cell 2 hangs. The
+	// second store rename is the crash point: the entry lands, then the
+	// filesystem is wedged, so nothing this life does afterwards (not even
+	// its shutdown) reaches the disk — what a SIGKILL there leaves behind.
 	dir := t.TempDir()
-	s1 := newT(t, Config{StoreDir: dir})
+	fp, err := chaos.ParseFailpoints("rename:objects=crash@2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := &vfs.FaultFS{Base: vfs.OS, FP: fp}
+	stuck := make(chan struct{})
+	s1 := newT(t, Config{StoreDir: dir, FS: disk, Grace: time.Millisecond,
+		sweep: seam(func(ctx context.Context, i int, rc harness.RunConfig) (o harness.RunOutcome) {
+			if i == 2 {
+				close(stuck)
+				<-ctx.Done()
+				return harness.RunOutcome{Err: ctx.Err()}
+			}
+			o.Res, o.Err = harness.RunCtx(ctx, rc)
+			return o
+		})})
 	j1, err := s1.Submit(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitJob(t, j1); st.State != JobDone {
-		t.Fatalf("first life: %+v", st)
+	<-stuck
+	if st := j1.Status(); st.State != JobRunning || !disk.Crashed() {
+		t.Fatalf("first life: job %s, disk crashed=%v; want a running job on a dead disk", st.State, disk.Crashed())
 	}
-	s1.Close()
-	nc, _, err := sweep.Cells[2].normalized()
-	if err != nil {
-		t.Fatal(err)
+	for i, durable := range []bool{true, true, false} {
+		_, err := os.Stat(entryFile(dir, j1.plan.keys[i]))
+		if (err == nil) != durable {
+			t.Fatalf("cell %d durable while the job is still running = %v, want %v", i, err == nil, durable)
+		}
 	}
-	if err := os.Remove(entryFile(dir, cellKey(nc))); err != nil {
-		t.Fatal(err)
-	}
-	// Clean shutdown compacted the journal; re-seed it with the crash
-	// shape (accepted + running, no terminal record).
-	seedJournal(t, dir,
-		journal.Record{Type: journal.RecAccepted, Job: "job-000009", Spec: mustJSON(t, sweep)},
-		journal.Record{Type: journal.RecRunning, Job: "job-000009"},
-	)
 
-	// Second life: the job resumes, serves cells 0-1 from the store, and
-	// recomputes only cell 2.
+	// Second life, booted on the directory while the first still hangs.
 	s2 := newT(t, Config{StoreDir: dir})
-	j2, ok := s2.Job("job-000009")
+	j2, ok := s2.Job(j1.ID())
 	if !ok {
 		t.Fatal("crashed sweep not rebuilt")
 	}

@@ -1,11 +1,13 @@
 // Package service is the crash-safe simulation service behind cmd/staggerd:
 // an HTTP+JSON control plane over the deterministic harness. It accepts
-// run/sweep/chaos/explore jobs, executes them on a bounded worker pool
-// built on harness.RunAllContained, and serves every result from a
-// durable content-addressed store (internal/store), so identical
-// (config, seed) cells are byte-identical across clients and restarts.
-// That store is the daemon's only result cache (the harness sweep runner
-// memoizes nothing): a server without a StoreDir recomputes resubmissions.
+// run/sweep/chaos/explore jobs, executes them on a bounded worker pool,
+// and serves every result from a durable content-addressed store
+// (internal/store), so identical (config, seed) cells are byte-identical
+// across clients and restarts. A job's cells run on harness.Sweep, the
+// one sweep primitive: each outcome is encoded and stored the moment the
+// stream delivers it, whatever its siblings do. That store is the
+// daemon's only result cache (the sweep memoizes nothing): a server
+// without a StoreDir recomputes resubmissions.
 //
 // The robustness contract, in order of the failure-mode table in
 // DESIGN.md:
@@ -13,9 +15,10 @@
 //   - overload: admission is a bounded queue; a full queue sheds the
 //     request with 429 + Retry-After instead of letting latency and
 //     memory grow without bound, and a draining server answers 503;
-//   - workload panics: contained per cell by harness.RunAllContained,
-//     so a poisoned job fails alone while its siblings and the daemon
-//     keep running;
+//   - workload panics: contained per cell by harness.Sweep and logged
+//     once with their stack, so a poisoned cell fails its job alone
+//     while its siblings are still persisted and the daemon keeps
+//     running;
 //   - runaway jobs: a per-job wall-clock deadline sits above the
 //     simulator's own virtual-time watchdog; either bound abandons the
 //     job promptly (the virtual one deterministically, the wall-clock
@@ -25,10 +28,14 @@
 //     fault schedule, not the workload) is retried with capped
 //     exponential backoff and a reseeded fault schedule; deterministic
 //     failures are never retried, they would only repeat;
-//   - crashes: completed cells are durable before the job reports done
-//     (write-temp-fsync-rename), so a restarted daemon re-serves them
-//     byte-identically and a half-written entry is quarantined, costing
-//     one recompute and never a wrong answer;
+//   - crashes: each cell is durable as soon as it completes
+//     (write-temp-fsync-rename), so a daemon killed mid-sweep re-serves
+//     the finished cells byte-identically and recomputes only the rest,
+//     and a half-written entry is quarantined, costing one recompute and
+//     never a wrong answer;
+//   - memory: the job table keeps the last retainTerminal finished jobs;
+//     older IDs answer 404 and their results stay in the store, where an
+//     identical resubmission finds them;
 //   - shutdown: SIGTERM flips readiness, stops admission, lets in-flight
 //     jobs finish within a grace period, then cancels them; the process
 //     exits cleanly either way.
@@ -46,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,9 +122,6 @@ type Config struct {
 	// a journal: accepted jobs die with the process, as their results
 	// would anyway).
 	JournalPath string
-	// DisableStoreGC skips the boot-time eviction of store entries
-	// written under an old harness.CacheSchema.
-	DisableStoreGC bool
 	// FS is the filesystem under the store and journal — the seam the
 	// deterministic disk-fault harness injects through. Nil means the
 	// real filesystem.
@@ -124,9 +129,9 @@ type Config struct {
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 
-	// runAll is the execution seam tests use to inject failures; nil
-	// means harness.RunAllContained.
-	runAll func(ctx context.Context, cfgs []harness.RunConfig, workers int) []harness.RunOutcome
+	// sweep is the execution seam tests use to inject failures; nil
+	// means harness.Sweep.
+	sweep func(ctx context.Context, cfgs []harness.RunConfig, workers int, deliver func(i int, o harness.RunOutcome) error) error
 }
 
 func (c *Config) defaults() {
@@ -159,8 +164,8 @@ func (c *Config) defaults() {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.runAll == nil {
-		c.runAll = harness.RunAllContained
+	if c.sweep == nil {
+		c.sweep = harness.Sweep
 	}
 }
 
@@ -182,11 +187,12 @@ type Server struct {
 	drained    chan struct{}
 	start      time.Time
 
-	jobsMu sync.Mutex
-	jobs   map[string]*Job
-	order  []string          // submission order, for listing
-	idem   map[string]string // idempotency key -> job id
-	nextID int
+	jobsMu  sync.Mutex
+	jobs    map[string]*Job
+	order   []string          // submission order, for listing
+	idem    map[string]string // idempotency key -> job id
+	retired []*Job            // terminal jobs still in the table, oldest first
+	nextID  int
 
 	running  atomic.Int64
 	accepted atomic.Uint64
@@ -220,13 +226,11 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !cfg.DisableStoreGC {
-			prefix := fmt.Sprintf("v%d|", harness.CacheSchema)
-			if removed, err := st.GC(func(key string) bool { return strings.HasPrefix(key, prefix) }); err != nil {
-				cfg.Logf("staggerd: store gc: %v", err)
-			} else if removed > 0 {
-				cfg.Logf("staggerd: store gc evicted %d old-schema entries", removed)
-			}
+		prefix := fmt.Sprintf("v%d|", harness.CacheSchema)
+		if removed, err := st.GC(func(key string) bool { return strings.HasPrefix(key, prefix) }); err != nil {
+			cfg.Logf("staggerd: store gc: %v", err)
+		} else if removed > 0 {
+			cfg.Logf("staggerd: store gc evicted %d old-schema entries", removed)
 		}
 	}
 	jpath := cfg.JournalPath
@@ -380,9 +384,7 @@ func (s *Server) CancelJob(id string) error {
 	if !ok {
 		return fmt.Errorf("service: no job %q", id)
 	}
-	if j.cancelQueued() {
-		s.cancCnt.Add(1)
-		s.journalState(journal.RecCanceled, id, "canceled before start")
+	if s.retire(j, JobQueued, JobCanceled, "canceled before start") {
 		return nil
 	}
 	j.mu.Lock()
@@ -537,9 +539,7 @@ func (s *Server) runJob(j *Job) {
 			// Results are durable in the store before the terminal record is
 			// written: a crash between the two re-runs the job, which then
 			// serves every cell from the store — same bytes, wasted instant.
-			j.finish(JobDone, "")
-			s.doneCnt.Add(1)
-			s.journalState(journal.RecDone, j.id, "")
+			s.retire(j, JobRunning, JobDone, "")
 			return
 		}
 		if ctx.Err() != nil || attempt >= s.cfg.MaxRetries || !errors.Is(err, ErrTransient) {
@@ -557,18 +557,58 @@ func (s *Server) runJob(j *Job) {
 		}
 	}
 	if j.cancelRequested.Load() {
-		j.finish(JobCanceled, err.Error())
-		s.cancCnt.Add(1)
-		s.journalState(journal.RecCanceled, j.id, err.Error())
+		s.retire(j, JobRunning, JobCanceled, err.Error())
 		return
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("deadline (%v) exceeded: %w", timeout, err)
 	}
-	j.finish(JobFailed, err.Error())
-	s.failCnt.Add(1)
-	s.journalState(journal.RecFailed, j.id, err.Error())
+	s.retire(j, JobRunning, JobFailed, err.Error())
 	s.cfg.Logf("staggerd: %s failed: %v", j.id, err)
+}
+
+// retainTerminal bounds the job table: this many finished jobs stay
+// addressable by ID, older ones are dropped. Their payloads are in the
+// store, so an identical resubmission is served from there.
+const retainTerminal = 256
+
+// retire moves j from state `from` to the terminal state `to`, releasing
+// its waiters; false means j was not in `from` and nothing happened. It
+// is the one place a terminal state is written, counted and journaled,
+// and so the one place the job table is bounded.
+func (s *Server) retire(j *Job, from, to, errMsg string) bool {
+	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		return false // a queued cancel that lost the race with a worker, say
+	}
+	j.state, j.err, j.finished = to, errMsg, time.Now()
+	close(j.done)
+	j.mu.Unlock()
+	switch to {
+	case JobDone:
+		s.doneCnt.Add(1)
+	case JobFailed:
+		s.failCnt.Add(1)
+	case JobCanceled:
+		s.cancCnt.Add(1)
+	}
+	s.journalState(to, j.id, errMsg)
+
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	s.retired = append(s.retired, j)
+	if len(s.retired) <= retainTerminal {
+		return true
+	}
+	old := s.retired[0]
+	s.retired = slices.Delete(s.retired, 0, 1) // shifts and zeroes: no dead job stays pinned
+	delete(s.jobs, old.id)
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == old.id })
+	if s.idem[old.idem] == old.id {
+		delete(s.idem, old.idem)
+	}
+	return true
 }
 
 // backoff is capped exponential: base<<attempt, clamped to cap. No

@@ -234,30 +234,42 @@ func TestByteIdenticalAcrossClients(t *testing.T) {
 	}
 }
 
-// blockingSeam builds a runAll seam that parks every call until release
-// is closed (or the ctx dies), so tests can hold workers busy.
-func blockingSeam(release <-chan struct{}) func(context.Context, []harness.RunConfig, int) []harness.RunOutcome {
-	return func(ctx context.Context, cfgs []harness.RunConfig, _ int) []harness.RunOutcome {
-		out := make([]harness.RunOutcome, len(cfgs))
+// sweepFn is the shape of the Config.sweep seam (harness.Sweep's).
+type sweepFn = func(context.Context, []harness.RunConfig, int, func(int, harness.RunOutcome) error) error
+
+// seam builds a sweep seam from a per-cell function: cells run one at a
+// time on the calling goroutine, each delivered as it returns.
+func seam(cell func(ctx context.Context, i int, rc harness.RunConfig) harness.RunOutcome) sweepFn {
+	return func(ctx context.Context, cfgs []harness.RunConfig, _ int, deliver func(int, harness.RunOutcome) error) error {
+		for i, rc := range cfgs {
+			if err := deliver(i, cell(ctx, i, rc)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// ok is the outcome of a cell that "ran" without simulating anything.
+func ok() harness.RunOutcome { return harness.RunOutcome{Res: &harness.Result{}} }
+
+// blockingSeam parks every cell until release is closed (or the ctx
+// dies), so tests can hold workers busy.
+func blockingSeam(release <-chan struct{}) sweepFn {
+	return seam(func(ctx context.Context, _ int, _ harness.RunConfig) harness.RunOutcome {
 		select {
 		case <-release:
+			return ok()
 		case <-ctx.Done():
-			for i := range out {
-				out[i].Err = ctx.Err()
-			}
-			return out
+			return harness.RunOutcome{Err: ctx.Err()}
 		}
-		for i := range out {
-			out[i].Res = &harness.Result{}
-		}
-		return out
-	}
+	})
 }
 
 func TestAdmissionShedsWhenFull(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s := newT(t, Config{JobWorkers: 1, QueueDepth: 2, Grace: 100 * time.Millisecond, runAll: blockingSeam(release)})
+	s := newT(t, Config{JobWorkers: 1, QueueDepth: 2, Grace: 100 * time.Millisecond, sweep: blockingSeam(release)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -294,28 +306,49 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 	}
 }
 
+// TestTransientFailureRetriedWithBackoff: cell 0 fails transiently on the
+// first attempt. Its siblings are persisted all the same, and the retry
+// hands the sweep only the cell that is actually missing.
 func TestTransientFailureRetriedWithBackoff(t *testing.T) {
-	calls := 0
-	seam := func(ctx context.Context, cfgs []harness.RunConfig, _ int) []harness.RunOutcome {
-		calls++
-		out := make([]harness.RunOutcome, len(cfgs))
-		if calls == 1 {
-			out[0].Err = fmt.Errorf("%w: injected", ErrTransient)
-			return out
+	spec := JobSpec{Cells: []CellSpec{
+		{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200},
+		{Bench: "list-hi", Threads: 2, Seed: 2, Ops: 200},
+		{Bench: "list-hi", Threads: 2, Seed: 3, Ops: 200},
+	}}
+	var s *Server
+	var handed [][]int64 // per attempt, the seeds of the cells the sweep was given
+	var putsAtRetry uint64
+	sweep := func(_ context.Context, cfgs []harness.RunConfig, _ int, deliver func(int, harness.RunOutcome) error) error {
+		attempt := len(handed)
+		if attempt == 1 {
+			putsAtRetry = s.Store().Stats().Puts
 		}
-		for i := range out {
-			out[i].Res = &harness.Result{}
+		var seeds []int64
+		for i, rc := range cfgs {
+			seeds = append(seeds, rc.Seed)
+			o := ok()
+			if attempt == 0 && i == 0 {
+				o = harness.RunOutcome{Err: fmt.Errorf("%w: injected", ErrTransient)}
+			}
+			deliver(i, o)
 		}
-		return out
+		handed = append(handed, seeds)
+		return nil
 	}
-	s := newT(t, Config{MaxRetries: 2, RetryBase: time.Millisecond, RetryCap: 4 * time.Millisecond, runAll: seam})
-	j, err := s.Submit(tinySpec(1))
+	s = newT(t, Config{StoreDir: t.TempDir(), MaxRetries: 2, RetryBase: time.Millisecond, RetryCap: 4 * time.Millisecond, sweep: sweep})
+	j, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := waitJob(t, j)
-	if st.State != JobDone || st.Retries != 1 || calls != 2 {
-		t.Fatalf("state %s retries %d calls %d, want done/1/2", st.State, st.Retries, calls)
+	if st.State != JobDone || st.Retries != 1 || st.FromStore != 0 || st.Computed != 3 {
+		t.Fatalf("job %+v, want done after 1 retry with all 3 cells computed", st)
+	}
+	if fmt.Sprint(handed) != "[[1 2 3] [1]]" {
+		t.Fatalf("attempts were handed seeds %v, want all three cells and then only the failed one", handed)
+	}
+	if putsAtRetry != 2 {
+		t.Fatalf("store held %d entries when the retry began, want the failed cell's 2 siblings", putsAtRetry)
 	}
 	if m := s.Metrics(); m.Retries != 1 {
 		t.Fatalf("metrics %+v, want Retries=1", m)
@@ -324,13 +357,11 @@ func TestTransientFailureRetriedWithBackoff(t *testing.T) {
 
 func TestPermanentFailureIsNotRetried(t *testing.T) {
 	calls := 0
-	seam := func(ctx context.Context, cfgs []harness.RunConfig, _ int) []harness.RunOutcome {
+	sweep := seam(func(context.Context, int, harness.RunConfig) harness.RunOutcome {
 		calls++
-		out := make([]harness.RunOutcome, len(cfgs))
-		out[0].Err = errors.New("deterministic failure")
-		return out
-	}
-	s := newT(t, Config{MaxRetries: 3, RetryBase: time.Millisecond, runAll: seam})
+		return harness.RunOutcome{Err: errors.New("deterministic failure")}
+	})
+	s := newT(t, Config{MaxRetries: 3, RetryBase: time.Millisecond, sweep: sweep})
 	j, err := s.Submit(tinySpec(1))
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +376,6 @@ func TestPermanentFailureIsNotRetried(t *testing.T) {
 // rule: the same watchdog trip is transient on a fault-injected cell and
 // permanent on a clean one.
 func TestChaosWatchdogClassifiedTransient(t *testing.T) {
-	s := newT(t, Config{})
 	we := fmt.Errorf("harness: list-hi: %w", &htm.WatchdogError{Core: 1, Cycles: 9, Limit: 8})
 	chaosCell := tinySpec(1).Cells[0]
 	chaosCell.ChaosRate = 0.01
@@ -353,11 +383,11 @@ func TestChaosWatchdogClassifiedTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.classify(we, chaosRC); !errors.Is(got, ErrTransient) {
+	if got := classify(we, chaosRC); !errors.Is(got, ErrTransient) {
 		t.Fatalf("chaos watchdog trip classified %v, want transient", got)
 	}
 	_, cleanRC, _ := tinySpec(1).Cells[0].normalized()
-	if got := s.classify(we, cleanRC); errors.Is(got, ErrTransient) {
+	if got := classify(we, cleanRC); errors.Is(got, ErrTransient) {
 		t.Fatal("fault-free watchdog trip classified transient")
 	}
 }
@@ -383,7 +413,7 @@ func TestRetrySaltReseedsOnlyChaos(t *testing.T) {
 }
 
 func TestJobDeadlineFailsJob(t *testing.T) {
-	s := newT(t, Config{runAll: blockingSeam(nil)}) // blocks until ctx dies
+	s := newT(t, Config{sweep: blockingSeam(nil)}) // blocks until ctx dies
 	spec := tinySpec(1)
 	spec.TimeoutMS = 50
 	j, err := s.Submit(spec)
@@ -397,7 +427,7 @@ func TestJobDeadlineFailsJob(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	s := newT(t, Config{runAll: blockingSeam(nil)})
+	s := newT(t, Config{sweep: blockingSeam(nil)})
 	j, err := s.Submit(tinySpec(1))
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +451,7 @@ func TestCancelRunningJob(t *testing.T) {
 func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s := newT(t, Config{JobWorkers: 1, QueueDepth: 4, runAll: blockingSeam(release)})
+	s := newT(t, Config{JobWorkers: 1, QueueDepth: 4, sweep: blockingSeam(release)})
 	if _, err := s.Submit(tinySpec(1)); err != nil { // occupies the worker
 		t.Fatal(err)
 	}
@@ -441,7 +471,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 func TestResultEndpointStates(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s := newT(t, Config{JobWorkers: 1, runAll: blockingSeam(release)})
+	s := newT(t, Config{JobWorkers: 1, sweep: blockingSeam(release)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -497,5 +527,58 @@ func TestExploreJobRunsAndIsDurable(t *testing.T) {
 	}
 	if !bytes.Equal(j.payloads()[0], j2.payloads()[0]) {
 		t.Fatal("explore payload differed across submissions")
+	}
+}
+
+// TestJobTableBounded: the table keeps the last retainTerminal finished
+// jobs and forgets older ones everywhere (jobs, order, idempotency
+// index). A forgotten ID answers 404, and resubmitting its spec — under
+// the same idempotency key or none — is a new job served wholly from the
+// store with the same bytes.
+func TestJobTableBounded(t *testing.T) {
+	s := newT(t, Config{StoreDir: t.TempDir(), sweep: seam(func(context.Context, int, harness.RunConfig) harness.RunOutcome { return ok() })})
+	keyed := tinySpec(1)
+	keyed.IdempotencyKey = "first"
+	first, err := s.Submit(keyed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, first); st.State != JobDone || st.Computed != 1 {
+		t.Fatalf("cold job: %+v", st)
+	}
+	want := first.payloads()[0]
+
+	warm := func(spec JobSpec) *Job {
+		t.Helper()
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, j); st.State != JobDone || st.FromStore != st.Cells || !bytes.Equal(j.payloads()[0], want) {
+			t.Fatalf("warm job %+v: want every cell from the store, byte for byte", st)
+		}
+		return j
+	}
+	for i := 0; i < retainTerminal+8; i++ {
+		warm(tinySpec(1))
+	}
+	// Waiters are released before the table is trimmed: wait for the worker.
+	for deadline := time.Now().Add(5 * time.Second); s.Metrics().Running > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	s.jobsMu.Lock()
+	jobs, order, idem, retired := len(s.jobs), len(s.order), len(s.idem), len(s.retired)
+	s.jobsMu.Unlock()
+	if jobs != retainTerminal || order != retainTerminal || retired != retainTerminal || idem != 0 {
+		t.Fatalf("table after %d jobs: %d jobs, %d ordered, %d retired, %d idempotency keys; want %d/%d/%d/0",
+			retainTerminal+9, jobs, order, retired, idem, retainTerminal, retainTerminal, retainTerminal)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/"+first.ID()+"/result", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("evicted job's result = %d, want 404", rec.Code)
+	}
+	if again := warm(keyed); again.ID() == first.ID() {
+		t.Fatalf("resubmission under the evicted job's idempotency key returned %s again", first.ID())
 	}
 }

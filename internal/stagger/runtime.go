@@ -47,7 +47,7 @@ type Runtime struct {
 
 	// recorder observes every transactional site access (conformance
 	// checking); nil costs one branch per access.
-	recorder SiteRecorder
+	recorder backend.SiteRecorder
 }
 
 // ConflictPair identifies one fully attributed conflict abort: the
@@ -63,15 +63,6 @@ type ConflictPair struct {
 	KillerAB   int
 	KillerSite uint32
 }
-
-// SiteRecorder observes dynamic site attribution: every TxCtx.Load or
-// TxCtx.Store reports the executing atomic block, the static site the
-// workload attributed the access to, and the dynamic access kind. The
-// static/dynamic conformance checker implements this to detect IR drift
-// (package staticcheck). The interface now lives in package backend so
-// every backend can honor the same recorder; the alias keeps this
-// package's historical name valid.
-type SiteRecorder = backend.SiteRecorder
 
 // ABMetrics summarizes one atomic block's behaviour across all threads.
 // The cycle fields attribute the core-level breakdown (useful, wasted,
@@ -188,7 +179,7 @@ func (rt *Runtime) Compiled() *anchor.Compiled { return rt.comp }
 
 // SetSiteRecorder installs a dynamic site-attribution observer. Must be
 // set before the run starts; nil disables recording.
-func (rt *Runtime) SetSiteRecorder(r SiteRecorder) { rt.recorder = r }
+func (rt *Runtime) SetSiteRecorder(r backend.SiteRecorder) { rt.recorder = r }
 
 // Backend adapts the runtime to the backend.Runtime interface without
 // giving up the concrete Thread API internal callers rely on. The

@@ -42,7 +42,7 @@ func NewConformance() *Conformance {
 	return &Conformance{seen: make(map[obsKey]*obs)}
 }
 
-// RecordAccess implements stagger.SiteRecorder.
+// RecordAccess implements backend.SiteRecorder.
 func (r *Conformance) RecordAccess(ab *prog.AtomicBlock, s *prog.Site, isStore bool) {
 	key := obsKey{siteID: siteID(s), isStore: isStore}
 	if ab != nil {
