@@ -162,7 +162,7 @@ func defineFlags(fs *flag.FlagSet) *opts {
 		oracleOn:    fs.Bool("oracle", false, "check every commit against the serializability oracle"),
 		record:      fs.String("record", "", "write the run's schedule trace to this file (needs -sched)"),
 		explore:     fs.Bool("explore", false, "run a schedule-exploration campaign (many seeds of -sched, oracle on)"),
-		exploreRuns: fs.Int("explore-runs", 100, "schedules per benchmark for -explore"),
+		exploreRuns: fs.Int("explore-runs", harness.DefaultExploreRuns, "schedules per benchmark for -explore"),
 		minimize:    fs.Bool("minimize", false, "delta-debug each failing schedule found by -explore"),
 		exploreOut:  fs.String("explore-out", "", "directory for failing-schedule trace files (empty: don't write)"),
 		unsafeEarly: fs.Bool("unsafe-early-release", false, "enable the test-only broken irrevocable fallback (demo: -explore catches it)"),
@@ -410,22 +410,8 @@ func runExplore(rc harness.RunConfig, runs int, minimize bool, outDir, traceOut 
 	}
 	anyFail := false
 	for _, bench := range benches(rc.Benchmark) {
-		// harness.ExploreConfig spells the cell's fields out itself.
-		ec := harness.ExploreConfig{
-			Benchmark:          bench,
-			Mode:               rc.Mode,
-			Backend:            rc.Backend,
-			Capacity:           rc.Capacity,
-			Threads:            rc.Threads,
-			Seed:               rc.Seed,
-			TotalOps:           rc.TotalOps,
-			Stagger:            rc.Stagger,
-			Chaos:              rc.Chaos,
-			Spec:               rc.Sched,
-			Runs:               runs,
-			Minimize:           minimize,
-			UnsafeEarlyRelease: rc.UnsafeEarlyRelease,
-		}
+		ec := harness.ExploreOf(rc)
+		ec.Benchmark, ec.Runs, ec.Minimize = bench, runs, minimize
 		rep, err := harness.Explore(ec)
 		if err != nil {
 			die(1, err)

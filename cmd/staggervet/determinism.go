@@ -16,8 +16,9 @@ import (
 //   - the global math/rand source (rand.Intn, rand.Seed, ...) anywhere —
 //     all randomness must flow from an engine-seeded *rand.Rand;
 //   - ranging over a map inside the deterministic core (internal/htm,
-//     internal/sched, internal/oracle, internal/dsa), where iteration
-//     order leaks into victim selection, node numbering, or report
+//     internal/mem, internal/backend/occ, internal/sched,
+//     internal/oracle, internal/dsa), where iteration order leaks into
+//     victim selection, validation order, node numbering, or report
 //     emission. Order-insensitive loops carry a //staggervet:allow
 //     determinism comment stating why.
 var determinismAnalyzer = &Analyzer{
@@ -27,12 +28,16 @@ var determinismAnalyzer = &Analyzer{
 }
 
 // mapRangeScope is the deterministic core: packages where map iteration
-// order can change simulation results or emitted reports.
+// order can change simulation results or emitted reports (internal/mem
+// hosts the commit path's word-set table; internal/backend/occ is bound
+// by package backend's "must not consult map iteration order" clause).
 var mapRangeScope = map[string]bool{
-	"internal/htm":    true,
-	"internal/sched":  true,
-	"internal/oracle": true,
-	"internal/dsa":    true,
+	"internal/htm":         true,
+	"internal/mem":         true,
+	"internal/backend/occ": true,
+	"internal/sched":       true,
+	"internal/oracle":      true,
+	"internal/dsa":         true,
 }
 
 // wallClockExempt is the service layer: the only packages permitted to

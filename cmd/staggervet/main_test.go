@@ -73,6 +73,26 @@ func Pick(m map[int]int) int {
 
 func Seeded(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 `,
+		"internal/backend/occ/validate.go": `package occ
+
+func Validate(reads map[uint64]uint64, load func(uint64) uint64) bool {
+	for a, v := range reads { // validation order reaches the simulated access stream: flagged
+		if load(a) != v {
+			return false
+		}
+	}
+	return true
+}
+`,
+		"internal/mem/words.go": `package mem
+
+func Words(set map[uint64]uint64) (out []uint64) {
+	for a := range set { // hands map order to every consumer: flagged
+		out = append(out, a)
+	}
+	return out
+}
+`,
 		"internal/harness/ok.go": `package harness
 
 // Map iteration outside the deterministic core is not flagged.
@@ -93,8 +113,11 @@ func Sum(m map[int]int) (s int) {
 	if strings.Contains(out, "ok.go") || strings.Contains(out, "rand.New") {
 		t.Fatalf("false positive on seeded rand or out-of-scope map range:\n%s", out)
 	}
-	if got := strings.Count(out, "[determinism]"); got != 2 {
-		t.Fatalf("want exactly 2 determinism findings, got %d:\n%s", got, out)
+	if !strings.Contains(out, "validate.go:4:") || !strings.Contains(out, "words.go:4:") {
+		t.Fatalf("map range in internal/backend/occ or internal/mem not flagged:\n%s", out)
+	}
+	if got := strings.Count(out, "[determinism]"); got != 4 {
+		t.Fatalf("want exactly 4 determinism findings, got %d:\n%s", got, out)
 	}
 }
 

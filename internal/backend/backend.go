@@ -13,7 +13,9 @@
 //     operation: the body's Load/Store effects become visible to other
 //     cores all at once, at a single serialization point, and the
 //     observer (htm.TxObserver) sees exactly one OnCommit per instance
-//     carrying the read and write sets at that point. This is what the
+//     carrying the read and write sets at that point, as []mem.Word in
+//     first-access order (a software backend keeps them in mem.WordSet,
+//     like the core, and passes Words() through). This is what the
 //     serializability oracle (internal/oracle) checks, so a backend
 //     that cheats here fails every workload's oracle verdict.
 //   - Re-execution. The body may run any number of times (speculative
@@ -27,7 +29,8 @@
 //     flow through htm.CoreStats (hardware transactions do this
 //     natively; software backends use the Core's software-transaction
 //     accounting calls), so internal/obs reports and the cross-backend
-//     comparison table read every backend through one schema.
+//     comparison table read every backend through one schema. The retry
+//     budget and backoff policy are htm.AtomicOpts for every backend.
 //
 // Backends register themselves in an init function under a short name
 // ("htm", "staggered", "limited", "occ"); harness, CLI flags, and
@@ -104,8 +107,8 @@ type Options struct {
 	// StaggerConfig is the advisory-lock runtime configuration the
 	// harness always builds (mode, retry budget, backoff, hardening).
 	// The HTM-family backends consume it wholesale; software backends
-	// borrow only the shared retry-loop fields (MaxRetries,
-	// BackoffBase/Exp/Cap).
+	// borrow only its RetryLoop() lowering to htm.AtomicOpts (budget and
+	// backoff policy).
 	StaggerConfig any
 	// SiteRecorder, when non-nil, observes every attributed access.
 	SiteRecorder SiteRecorder

@@ -11,7 +11,8 @@
 //     nontransactional loads; every first read of a word is logged with
 //     the value observed, every store is buffered in a software write
 //     set (reads check the write set first, so the attempt sees its own
-//     writes). Each tracked access charges one µ-op of bookkeeping —
+//     writes). Both sets are mem.WordSet, the type of the core's own
+//     write buffer. Each tracked access charges one µ-op of bookkeeping —
 //     the per-access instrumentation cost software TM cannot avoid.
 //   - Commit. The committer acquires the global commit lock with a
 //     nontransactional CAS, then re-reads every read-set word and
@@ -22,7 +23,8 @@
 //     success the write set is published as one atomic batch
 //     (htm.Core.NTStoreBatch) and the lock drops; on mismatch the lock
 //     drops, the attempt counts as an AbortConflict, and the body
-//     re-runs after polite backoff.
+//     re-runs after the shared retry policy's backoff
+//     (htm.AtomicOpts.BackoffMean, drawn on this runtime's own PRNG).
 //   - Locked fallback. After MaxRetries failed validations the
 //     instance runs once more while holding the commit lock from the
 //     start: no writer can race it, validation is unnecessary, and
@@ -41,8 +43,9 @@
 // All commits, aborts, and cycle attribution flow through the core's
 // software-transaction accounting (htm.Core.SWTxBegin/SWTxCommit/
 // SWTxAbort), and every serialization point is reported to the
-// machine's observer via htm.Core.ReportAtomic before publication, so
-// the serializability oracle and internal/obs reports treat OCC runs
+// machine's observer via htm.Core.ReportAtomic before publication — the
+// two sets' Words() as they stand, tagged through Core.SetOpTag — so the
+// serializability oracle and internal/obs reports treat OCC runs
 // exactly like hardware ones.
 package occ
 
@@ -67,24 +70,16 @@ func init() {
 	})
 }
 
-// retryConfig is the subset of the shared runtime configuration OCC
-// borrows from the stagger config the harness always builds: the retry
-// budget and the inter-retry backoff policy.
-type retryConfig struct {
-	maxRetries  int
-	backoffBase uint64
-	backoffExp  bool
-	backoffCap  uint64
-}
-
 // lockSpin is the pause between commit-lock acquisition polls, in
 // cycles (the same constant the HTM runtime uses for its global lock).
 const lockSpin = 50
 
 // Runtime is one OCC backend instance bound to one machine.
 type Runtime struct {
-	m        *htm.Machine
-	cfg      retryConfig
+	m *htm.Machine
+	// retry is the retry budget and inter-retry backoff policy, shared
+	// with the hardware retry loop (htm.Core.Atomic).
+	retry    htm.AtomicOpts
 	recorder backend.SiteRecorder
 
 	// lockAddr is the commit lock: one dedicated cache line holding
@@ -94,29 +89,21 @@ type Runtime struct {
 	threads []*Thread
 }
 
-// New builds the OCC runtime. The retry/backoff fields are taken from
-// the stagger.Config in opts.StaggerConfig when present (so CLI
-// -retries style overrides apply uniformly across backends); anything
-// else in that config is ignored.
+// New builds the OCC runtime. The retry options are the lowering of the
+// stagger.Config in opts.StaggerConfig when present (so CLI -retries
+// style overrides apply uniformly across backends); only the budget and
+// the backoff policy are used.
 func New(m *htm.Machine, opts backend.Options) *Runtime {
 	rt := &Runtime{
 		m:        m,
-		cfg:      retryConfig{maxRetries: 10, backoffBase: 64},
 		recorder: opts.SiteRecorder,
 		lockAddr: m.Alloc.AllocLines(1),
 		threads:  make([]*Thread, m.Config().Cores),
 	}
-	if sc, ok := opts.StaggerConfig.(interface {
-		RetryLoop() (int, uint64, bool, uint64)
-	}); ok {
-		rt.cfg.maxRetries, rt.cfg.backoffBase, rt.cfg.backoffExp, rt.cfg.backoffCap = sc.RetryLoop()
+	if sc, ok := opts.StaggerConfig.(interface{ RetryLoop() htm.AtomicOpts }); ok {
+		rt.retry = sc.RetryLoop()
 	}
-	if rt.cfg.maxRetries <= 0 {
-		rt.cfg.maxRetries = 10
-	}
-	if rt.cfg.backoffBase == 0 {
-		rt.cfg.backoffBase = 64
-	}
+	rt.retry = rt.retry.WithDefaults()
 	return rt
 }
 
@@ -146,29 +133,6 @@ func (th *Thread) rand() *rand.Rand {
 	return th.rng
 }
 
-// backoff stalls between failed validations, linear ("Polite") by
-// default or capped-exponential when the shared config hardened the
-// retry loop.
-func (th *Thread) backoff(c *htm.Core, attempt int) {
-	cfg := th.rt.cfg
-	mean := cfg.backoffBase * uint64(attempt+1)
-	if cfg.backoffExp {
-		cap := cfg.backoffCap
-		if cap == 0 {
-			cap = 64 * cfg.backoffBase
-		}
-		mean = cfg.backoffBase
-		if attempt < 63 {
-			mean = cfg.backoffBase << uint(attempt)
-		}
-		if mean > cap || mean == 0 {
-			mean = cap
-		}
-	}
-	jitter := uint64(th.rand().Int63n(int64(mean)))
-	c.SpinWait(mean/2+jitter, htm.WaitBackoff)
-}
-
 // Atomic executes body as one OCC transaction on core c: optimistic
 // attempts with commit-time validation, then the locked fallback.
 func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ctx)) {
@@ -176,11 +140,11 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 		panic("occ: thread used on wrong core")
 	}
 	tc := &th.ctx
-	tc.reset(th.rt, c, ab)
+	tc.rt, tc.c, tc.ab = th.rt, c, ab
 	c.SetABTag(ab.ID)
 	defer c.SetABTag(0)
-	for attempt := 0; attempt < th.rt.cfg.maxRetries; attempt++ {
-		tc.beginAttempt(false)
+	for attempt := 0; attempt < th.rt.retry.MaxRetries; attempt++ {
+		tc.beginAttempt()
 		c.SWTxBegin()
 		body(tc)
 		th.acquireCommitLock(c)
@@ -192,13 +156,13 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 		}
 		th.releaseCommitLock(c)
 		c.SWTxAbort(htm.AbortConflict)
-		th.backoff(c, attempt)
+		c.Backoff(th.rt.retry, attempt, th.rand())
 	}
 	// Locked fallback: run the body while holding the commit lock, so
 	// no concurrent commit can invalidate it — publication without
 	// validation, guaranteed progress, counted as irrevocable.
 	th.acquireCommitLock(c)
-	tc.beginAttempt(true)
+	tc.beginAttempt()
 	c.SWTxBegin()
 	body(tc)
 	tc.publish(c, true)
@@ -223,39 +187,17 @@ func (th *Thread) releaseCommitLock(c *htm.Core) {
 // first observed) and write buffer (word → pending value) of one
 // atomic-block instance. It implements backend.Ctx.
 type Ctx struct {
-	rt     *Runtime
-	c      *htm.Core
-	ab     *prog.AtomicBlock
-	locked bool // fallback mode: lock held, validation skipped
-	tag    any
+	rt *Runtime
+	c  *htm.Core
+	ab *prog.AtomicBlock
 
-	readAddrs  []mem.Addr
-	readVals   []uint64
-	readIdx    map[mem.Addr]int
-	writeAddrs []mem.Addr
-	writeVals  []uint64
-	writeIdx   map[mem.Addr]int
-}
-
-// reset binds the reusable context to a new atomic-block instance.
-func (t *Ctx) reset(rt *Runtime, c *htm.Core, ab *prog.AtomicBlock) {
-	t.rt, t.c, t.ab = rt, c, ab
-	t.tag = nil
-	if t.readIdx == nil {
-		t.readIdx = make(map[mem.Addr]int)
-		t.writeIdx = make(map[mem.Addr]int)
-	}
+	reads, writes mem.WordSet
 }
 
 // beginAttempt clears the read and write sets for a fresh attempt.
-func (t *Ctx) beginAttempt(locked bool) {
-	t.locked = locked
-	t.readAddrs = t.readAddrs[:0]
-	t.readVals = t.readVals[:0]
-	t.writeAddrs = t.writeAddrs[:0]
-	t.writeVals = t.writeVals[:0]
-	clear(t.readIdx)
-	clear(t.writeIdx)
+func (t *Ctx) beginAttempt() {
+	t.reads.Reset()
+	t.writes.Reset()
 }
 
 // Core returns the simulated core, for nontransactional side channels.
@@ -263,7 +205,7 @@ func (t *Ctx) Core() *htm.Core { return t.c }
 
 // Op attaches the operation descriptor reported to the oracle at this
 // instance's serialization point.
-func (t *Ctx) Op(tag any) { t.tag = tag }
+func (t *Ctx) Op(tag any) { t.c.SetOpTag(tag) }
 
 // Compute models n µ-ops of non-memory work inside the block.
 func (t *Ctx) Compute(uops int) { t.c.Compute(uops) }
@@ -278,16 +220,14 @@ func (t *Ctx) Load(s *prog.Site, a mem.Addr) uint64 {
 	}
 	t.c.Compute(1) // read-set bookkeeping
 	word := mem.WordOf(a)
-	if i, ok := t.writeIdx[word]; ok {
-		return t.writeVals[i]
+	if v, ok := t.writes.Get(word); ok {
+		return v
 	}
-	if i, ok := t.readIdx[word]; ok {
-		return t.readVals[i]
+	if v, ok := t.reads.Get(word); ok {
+		return v
 	}
 	v := t.c.NTLoad(a)
-	t.readIdx[word] = len(t.readAddrs)
-	t.readAddrs = append(t.readAddrs, word)
-	t.readVals = append(t.readVals, v)
+	t.reads.Put(word, v)
 	return v
 }
 
@@ -297,22 +237,15 @@ func (t *Ctx) Store(s *prog.Site, a mem.Addr, v uint64) {
 		r.RecordAccess(t.ab, s, true)
 	}
 	t.c.Compute(1) // write-buffer bookkeeping
-	word := mem.WordOf(a)
-	if i, ok := t.writeIdx[word]; ok {
-		t.writeVals[i] = v
-		return
-	}
-	t.writeIdx[word] = len(t.writeAddrs)
-	t.writeAddrs = append(t.writeAddrs, word)
-	t.writeVals = append(t.writeVals, v)
+	t.writes.Put(mem.WordOf(a), v)
 }
 
 // validate re-reads every read-set word under the commit lock and
 // compares values: equality proves the whole read set is simultaneously
 // valid now, making this the attempt's serialization point.
 func (t *Ctx) validate(c *htm.Core) bool {
-	for i, a := range t.readAddrs {
-		if c.NTLoad(a) != t.readVals[i] {
+	for _, r := range t.reads.Words() {
+		if c.NTLoad(r.Addr) != r.Val {
 			return false
 		}
 	}
@@ -323,24 +256,6 @@ func (t *Ctx) validate(c *htm.Core) bool {
 // still pre-publication, matching what validation checked) and then
 // publishes the write set as one atomic batch.
 func (t *Ctx) publish(c *htm.Core, irrevocable bool) {
-	if c.Observed() {
-		c.ReportAtomic(irrevocable, t.tag, t.readsMap(), t.writesMap())
-	}
-	c.NTStoreBatch(t.writeAddrs, t.writeVals)
-}
-
-func (t *Ctx) readsMap() map[mem.Addr]uint64 {
-	m := make(map[mem.Addr]uint64, len(t.readAddrs))
-	for i, a := range t.readAddrs {
-		m[a] = t.readVals[i]
-	}
-	return m
-}
-
-func (t *Ctx) writesMap() map[mem.Addr]uint64 {
-	m := make(map[mem.Addr]uint64, len(t.writeAddrs))
-	for i, a := range t.writeAddrs {
-		m[a] = t.writeVals[i]
-	}
-	return m
+	c.ReportAtomic(irrevocable, t.reads.Words(), t.writes.Words())
+	c.NTStoreBatch(t.writes.Words())
 }

@@ -25,7 +25,7 @@ func program() (ab *prog.AtomicBlock, ld, st *prog.Site) {
 // retries is the shared retry-loop configuration New borrows.
 type retries int
 
-func (r retries) RetryLoop() (int, uint64, bool, uint64) { return int(r), 64, false, 0 }
+func (r retries) RetryLoop() htm.AtomicOpts { return htm.AtomicOpts{MaxRetries: int(r)} }
 
 // sim builds a machine with the serializability oracle installed and an
 // OCC runtime on it, plus n words on n distinct cache lines.
@@ -83,6 +83,47 @@ func TestValidationFailureReexecutesAndCountsAbort(t *testing.T) {
 	}
 	if s.WastedTxCycles < 5000/4 {
 		t.Fatalf("wasted cycles %d, want the failed attempt's 5000 µ-ops (4 a cycle) accounted as wasted", s.WastedTxCycles)
+	}
+	verdict(t, mach, chk)
+}
+
+// One attempt sees one version of each word: a repeated read returns the
+// value logged at the first read even after a rival overwrites memory,
+// and a read after the attempt's own write returns the buffered value
+// without touching memory or joining the read set (which would make
+// validation compare memory against a value it never held).
+func TestAttemptReadsItsOwnLogAndBuffer(t *testing.T) {
+	ab, ld, st := program()
+	mach, rt, chk, w := sim(2, 10, 2)
+	x, y := w[0], w[1]
+	runs := 0
+	mach.Run([]func(*htm.Core){
+		func(c *htm.Core) {
+			rt.Thread(0).Atomic(c, ab, func(tc backend.Ctx) {
+				runs++
+				first := tc.Load(ld, x)
+				tc.Compute(5000) // the rival's store to x lands here on the first run
+				if again := tc.Load(ld, x); again != first {
+					t.Errorf("run %d: x read as %d, then as %d, inside one attempt", runs, first, again)
+				}
+				tc.Store(st, y, first+1)
+				ctx, loads := tc.(*Ctx), c.Stats().NTLoads
+				if got := tc.Load(ld, y); got != first+1 {
+					t.Errorf("run %d: read %d back from y after buffering %d", runs, got, first+1)
+				}
+				if r := ctx.reads.Words(); len(r) != 1 || r[0].Addr != x || c.Stats().NTLoads != loads {
+					t.Errorf("run %d: read set %v after reading a buffered word, want only x; memory loads %d -> %d",
+						runs, r, loads, c.Stats().NTLoads)
+				}
+			})
+		},
+		func(c *htm.Core) {
+			c.Compute(500)
+			c.NTStore(x, 41)
+		},
+	})
+	if runs != 2 || mach.Mem.Load(y) != 42 {
+		t.Fatalf("body ran %d times and left y = %d; want a failed validation, then a commit of 42", runs, mach.Mem.Load(y))
 	}
 	verdict(t, mach, chk)
 }

@@ -19,6 +19,12 @@ import (
 // makespan at each fault rate normalized to the fault-free run — which is
 // the robustness analogue of Figure 7.
 
+// ChaosWatchdog bounds, in cycles, a fault-injected cell that names no
+// watchdog of its own (here and in the service): an injected livelock
+// must fail loudly and deterministically inside the simulation, with its
+// last trace events, instead of eating wall-clock time.
+const ChaosWatchdog = 200_000_000
+
 // ChaosSweep configures one campaign.
 type ChaosSweep struct {
 	// Benchmarks to sweep; empty means all workloads.
@@ -30,8 +36,7 @@ type ChaosSweep struct {
 	// Cell is the cell every (benchmark, rate) point runs; the sweep sets
 	// its Benchmark and Chaos per point. Zero fields take the campaign's
 	// defaults: PaperThreads, DefaultSeed (which also seeds the fault
-	// schedule), a 200M-cycle Watchdog so a livelocked cell fails loudly
-	// with its last trace events, and for Stagger HardenedConfig, the
+	// schedule), ChaosWatchdog, and for Stagger HardenedConfig, the
 	// self-healing configuration the campaign exists to exercise.
 	Cell RunConfig
 }
@@ -80,7 +85,7 @@ func (cs *ChaosSweep) defaults() {
 		c.Seed = DefaultSeed
 	}
 	if c.Watchdog == 0 {
-		c.Watchdog = 200_000_000
+		c.Watchdog = ChaosWatchdog
 	}
 	if c.Stagger == nil {
 		scfg := stagger.HardenedConfig(c.Mode)

@@ -32,10 +32,10 @@ type ExploreConfig struct {
 	// config, so fault x schedule sweeps are one campaign.
 	Chaos *chaos.Config
 
-	// Spec is the scheduler specification ("" = "pct:3"); replay specs make
-	// no sense here and are rejected.
+	// Spec is the scheduler specification ("" = DefaultExploreSched);
+	// replay specs make no sense here and are rejected.
 	Spec string
-	// Runs is the number of schedules to explore (0 = 100).
+	// Runs is the number of schedules to explore (0 = DefaultExploreRuns).
 	Runs int
 
 	// Minimize shrinks each failing schedule to a short decision prefix by
@@ -109,11 +109,36 @@ type ExploreReport struct {
 	Failures []ExploreFailure
 }
 
+// What a campaign that does not say explores.
+const (
+	DefaultExploreSched = "pct:3"
+	DefaultExploreRuns  = 100
+)
+
 func exploreSpec(ec ExploreConfig) string {
 	if ec.Spec == "" {
-		return "pct:3"
+		return DefaultExploreSched
 	}
 	return ec.Spec
+}
+
+// ExploreOf lifts a cell into a campaign over it, the inverse of
+// ExploreConfig.RunConfig: rc's cell fields and rc.Sched as the scheduler
+// specification; Runs, Minimize and Ctx are the caller's to set.
+func ExploreOf(rc RunConfig) ExploreConfig {
+	return ExploreConfig{
+		Benchmark:          rc.Benchmark,
+		Mode:               rc.Mode,
+		Backend:            rc.Backend,
+		Capacity:           rc.Capacity,
+		Threads:            rc.Threads,
+		Seed:               rc.Seed,
+		TotalOps:           rc.TotalOps,
+		Stagger:            rc.Stagger,
+		Chaos:              rc.Chaos,
+		Spec:               rc.Sched,
+		UnsafeEarlyRelease: rc.UnsafeEarlyRelease,
+	}
 }
 
 // RunConfig is the cell every schedule of the campaign runs, oracle on.
@@ -152,7 +177,7 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 		return nil, fmt.Errorf("harness: explore needs a generative scheduler, not %q", ec.Spec)
 	}
 	if ec.Runs <= 0 {
-		ec.Runs = 100
+		ec.Runs = DefaultExploreRuns
 	}
 	if ec.Seed == 0 {
 		ec.Seed = DefaultSeed

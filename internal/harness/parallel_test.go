@@ -362,15 +362,15 @@ func TestSplitOps(t *testing.T) {
 	for _, tc := range cases {
 		sum := 0
 		for tid := 0; tid < tc.threads; tid++ {
-			got := splitOps(tc.total, tc.threads, tid)
+			got := workloads.Split(tc.total, tc.threads, tid)
 			if got != tc.want[tid] {
-				t.Errorf("splitOps(%d, %d, %d) = %d, want %d",
+				t.Errorf("workloads.Split(%d, %d, %d) = %d, want %d",
 					tc.total, tc.threads, tid, got, tc.want[tid])
 			}
 			sum += got
 		}
 		if sum != tc.total {
-			t.Errorf("splitOps(%d, %d, *) sums to %d", tc.total, tc.threads, sum)
+			t.Errorf("workloads.Split(%d, %d, *) sums to %d", tc.total, tc.threads, sum)
 		}
 	}
 	// Property sweep: shares sum to the total and differ by at most one.
@@ -378,7 +378,7 @@ func TestSplitOps(t *testing.T) {
 		for threads := 1; threads <= 9; threads++ {
 			sum, lo, hi := 0, int(^uint(0)>>1), 0
 			for tid := 0; tid < threads; tid++ {
-				n := splitOps(total, threads, tid)
+				n := workloads.Split(total, threads, tid)
 				sum += n
 				if n < lo {
 					lo = n
@@ -388,7 +388,7 @@ func TestSplitOps(t *testing.T) {
 				}
 			}
 			if sum != total || hi-lo > 1 {
-				t.Fatalf("splitOps(%d, %d): sum=%d spread=%d", total, threads, sum, hi-lo)
+				t.Fatalf("workloads.Split(%d, %d): sum=%d spread=%d", total, threads, sum, hi-lo)
 			}
 		}
 	}

@@ -394,7 +394,7 @@ func (c cell) run(ctx context.Context) (*Result, error) {
 
 	bodies := make([]func(*htm.Core), rc.Threads)
 	for tid := 0; tid < rc.Threads; tid++ {
-		n := splitOps(rc.TotalOps, rc.Threads, tid)
+		n := workloads.Split(rc.TotalOps, rc.Threads, tid)
 		bodies[tid] = w.Body(brt, tid, rc.Threads, n, rc.Seed)
 	}
 	if err := mach.RunChecked(bodies); err != nil {
@@ -485,14 +485,6 @@ func schedSeed(rc RunConfig) int64 {
 		return rc.Seed
 	}
 	return rc.SchedSeed
-}
-
-func splitOps(total, threads, tid int) int {
-	n := total / threads
-	if tid < total%threads {
-		n++
-	}
-	return n
 }
 
 // sequential is the speedup denominator of rc: the same workload on one

@@ -17,6 +17,13 @@
 // serialized by a virtual-time token engine, so simulations are fully
 // deterministic: the same program and seed produce the same interleaving,
 // the same aborts, and the same cycle counts on every run.
+//
+// A section's write buffer and, on an observed machine, the log of its
+// first reads are mem.WordSet tables, handed to the TxObserver as
+// borrowed []mem.Word slices at the commit point. Software runtimes ride
+// the same primitives: ReportAtomic and NTStoreBatch take the same
+// slices, and the retry policy (AtomicOpts, BackoffMean, Core.Backoff)
+// is spelled once for Core.Atomic and for them.
 package htm
 
 // Config describes the simulated machine. The zero value is not useful;

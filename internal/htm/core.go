@@ -36,7 +36,7 @@ type Core struct {
 	// index (first-access PC/site and written flag per line — the per-line
 	// tx bits and 12-bit PC tag the paper adds to the L1, Section 4). Both
 	// are flat open-addressed tables cleared per transaction.
-	wbuf         wordTable
+	wbuf         mem.WordSet
 	txs          txTable
 	attemptStart uint64
 	attemptWait  uint64
@@ -52,11 +52,14 @@ type Core struct {
 	// addrScratch is reused by lazyResolve's commit-time address sort.
 	addrScratch []mem.Addr
 
-	// Observer state (nil unless a TxObserver is installed and an atomic
-	// section is active): first-external-read and write logs per word,
-	// plus the workload's opaque operation tag for the current section.
-	obsReads  map[mem.Addr]uint64
-	obsWrites map[mem.Addr]uint64
+	// Observer state. obsOn is set while a TxObserver is installed and an
+	// atomic section is active; obsReads then logs the section's first
+	// external read of each word and obsWrites an irrevocable section's
+	// plain stores (a transaction's write set is wbuf itself), both reset
+	// per section. opTag is the workload's tag for the current section.
+	obsOn     bool
+	obsReads  mem.WordSet
+	obsWrites mem.WordSet
 	opTag     any
 }
 
@@ -66,7 +69,6 @@ func newCore(m *Machine, id int) *Core {
 		id: id,
 		l1: newL1(m.cfg.L1Lines, m.cfg.L1Ways),
 	}
-	c.wbuf.init()
 	c.txs.init()
 	return c
 }
@@ -200,20 +202,14 @@ func (c *Core) TxCommit() {
 	}
 	// Publish in insertion order; the buffered words are distinct, so the
 	// resulting memory state is order-independent.
-	for i := range c.wbuf.ents {
-		c.m.Mem.Store(c.wbuf.ents[i].addr, c.wbuf.ents[i].val)
+	for _, w := range c.wbuf.Words() {
+		c.m.Mem.Store(w.Addr, w.Val)
 	}
 	c.clock += c.m.cfg.TxCommitCost
 	c.stats.Commits++
 	c.stats.UsefulTxCycles += c.clock - c.attemptStart - c.attemptWait
 	c.recordCommit()
-	if c.m.observer != nil {
-		writes := make(map[mem.Addr]uint64, len(c.wbuf.ents))
-		for _, w := range c.wbuf.ents {
-			writes[w.addr] = w.val
-		}
-		c.obsEndSection(false, writes)
-	}
+	c.obsEndSection(false, c.wbuf.Words())
 	c.clearTx()
 }
 
@@ -238,7 +234,7 @@ func (c *Core) finishAbort(info AbortInfo) {
 	c.stats.Aborts[info.Reason]++
 	c.stats.WastedTxCycles += c.clock - c.attemptStart - c.attemptWait
 	c.recordAbort(info)
-	c.obsAbortSection()
+	c.obsOn = false // the op tag survives: the retry re-declares it
 	c.clearTx()
 }
 
@@ -252,7 +248,7 @@ func (c *Core) clearTx() {
 		}
 	}
 	c.txs.clear()
-	c.wbuf.clear()
+	c.wbuf.Reset()
 	c.inTx = false
 	c.inAttempt = false
 }
@@ -359,12 +355,12 @@ func (c *Core) Load(pc uint64, site uint32, a mem.Addr) uint64 {
 	c.clock += c.m.lookupLatency(c, line, e)
 	word := mem.WordOf(a)
 	if c.inTx {
-		if v, ok := c.wbuf.get(word); ok {
+		if v, ok := c.wbuf.Get(word); ok {
 			return v
 		}
 	}
 	v := c.m.Mem.Load(a)
-	if c.obsReads != nil {
+	if c.obsOn {
 		c.obsRead(word, v)
 	}
 	return v
@@ -393,7 +389,7 @@ func (c *Core) Store(pc uint64, site uint32, a mem.Addr, v uint64) {
 		e.readers |= 1 << uint(c.id)
 		e.writers |= 1 << uint(c.id)
 		c.record(line, pc, site, true)
-		c.wbuf.put(mem.WordOf(a), v)
+		c.wbuf.Put(mem.WordOf(a), v)
 		return
 	}
 	c.m.Mem.Store(a, v)
@@ -408,7 +404,7 @@ func (c *Core) obsStore(word mem.Addr, v uint64) {
 		return
 	}
 	if c.inIrrev {
-		c.obsWrites[word] = v
+		c.obsWrites.Put(word, v)
 		return
 	}
 	c.m.observer.OnStore(c.id, word, v)

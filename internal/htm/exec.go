@@ -1,5 +1,7 @@
 package htm
 
+import "math/rand"
+
 // This file implements the base HTM runtime loop used by every system in
 // the evaluation: try a hardware transaction up to MaxRetries times with
 // polite backoff between attempts, then fall back to irrevocable mode
@@ -9,10 +11,10 @@ package htm
 // AtomicOpts configures the software retry loop around a transaction.
 type AtomicOpts struct {
 	// MaxRetries is the number of hardware attempts before irrevocable
-	// fallback (paper: 10).
+	// fallback (0: the paper's 10).
 	MaxRetries int
-	// BackoffBase is the base backoff quantum in cycles; the mean backoff
-	// before retry k is proportional to k ("Polite" policy).
+	// BackoffBase is the base backoff quantum in cycles (0: 64); the mean
+	// backoff before retry k is proportional to k ("Polite" policy).
 	BackoffBase uint64
 	// BackoffExp switches the inter-retry wait from the paper's linear
 	// Polite policy to capped exponential backoff with randomized jitter:
@@ -38,7 +40,49 @@ type AtomicOpts struct {
 
 // DefaultAtomicOpts matches the paper's runtime parameters.
 func DefaultAtomicOpts() AtomicOpts {
-	return AtomicOpts{MaxRetries: 10, BackoffBase: 64, RuntimePC: 0xFFF0}
+	return AtomicOpts{RuntimePC: 0xFFF0}.WithDefaults()
+}
+
+// WithDefaults returns o with an unset retry budget and backoff quantum
+// replaced by the paper's (10 attempts, 64 cycles).
+func (o AtomicOpts) WithDefaults() AtomicOpts {
+	if o.MaxRetries <= 0 {
+		o.MaxRetries = 10
+	}
+	if o.BackoffBase == 0 {
+		o.BackoffBase = 64
+	}
+	return o
+}
+
+// BackoffMean is the retry policy: the mean wait, in cycles, after failed
+// attempt number attempt (from 0) — linear in the retry count (Scherer &
+// Scott's Polite, as in the paper's runtime), or with BackoffExp doubling
+// per retry up to BackoffCap. o must have its defaults applied.
+func (o AtomicOpts) BackoffMean(attempt int) uint64 {
+	if !o.BackoffExp {
+		return o.BackoffBase * uint64(attempt+1)
+	}
+	cap := o.BackoffCap
+	if cap == 0 {
+		cap = 64 * o.BackoffBase
+	}
+	mean := o.BackoffBase
+	if attempt < 63 {
+		mean = o.BackoffBase << uint(attempt)
+	}
+	if mean > cap || mean == 0 {
+		mean = cap
+	}
+	return mean
+}
+
+// Backoff stalls the core for BackoffMean(attempt)/2 plus a jitter drawn
+// uniformly from [0, mean) out of rng, the caller's seeded stream (the
+// core's own in Core.Atomic, a software backend's its own).
+func (c *Core) Backoff(o AtomicOpts, attempt int, rng *rand.Rand) {
+	mean := o.BackoffMean(attempt)
+	c.SpinWait(mean/2+uint64(rng.Int63n(int64(mean))), WaitBackoff)
 }
 
 // TxHooks let a higher-level runtime (e.g. the staggered-transactions
@@ -61,12 +105,7 @@ type TxHooks struct {
 // re-executed many times and must therefore be idempotent apart from its
 // transactional effects (the usual TM contract).
 func (c *Core) Atomic(opts AtomicOpts, hooks TxHooks, body func(*Core)) {
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 10
-	}
-	if opts.BackoffBase == 0 {
-		opts.BackoffBase = 64
-	}
+	opts = opts.WithDefaults()
 	for attempt := 0; attempt < opts.MaxRetries; attempt++ {
 		c.waitGlobalFree()
 		if hooks.OnBegin != nil {
@@ -82,11 +121,7 @@ func (c *Core) Atomic(opts AtomicOpts, hooks TxHooks, body func(*Core)) {
 		if hooks.OnAbort != nil {
 			hooks.OnAbort(info, attempt)
 		}
-		if opts.BackoffExp {
-			c.expBackoff(attempt, opts.BackoffBase, opts.BackoffCap)
-		} else {
-			c.politeBackoff(attempt, opts.BackoffBase)
-		}
+		c.Backoff(opts, attempt, c.rand())
 	}
 	// Irrevocable fallback: acquire the global lock nontransactionally
 	// and run the body in place. Hardware transactions racing with us
@@ -109,9 +144,7 @@ func (c *Core) Atomic(opts AtomicOpts, hooks TxHooks, body func(*Core)) {
 	c.stats.Commits++
 	c.stats.IrrevocableCommits++
 	c.stats.UsefulTxCycles += c.clock - start - c.attemptWait
-	if c.m.observer != nil {
-		c.obsEndSection(true, c.obsWrites)
-	}
+	c.obsEndSection(true, c.obsWrites.Words())
 	c.Annotate(TraceIrrevEnd, 0)
 	c.inIrrev = false
 	c.inAttempt = false
@@ -152,34 +185,6 @@ func (c *Core) tryTx(runtimePC uint64, body func(*Core)) (info AbortInfo, ok boo
 	}
 	c.TxCommit()
 	return AbortInfo{}, true
-}
-
-// politeBackoff stalls for a randomized interval whose mean grows
-// linearly with the retry count (Scherer & Scott's Polite policy, as used
-// in the paper's runtime).
-func (c *Core) politeBackoff(attempt int, base uint64) {
-	mean := base * uint64(attempt+1)
-	jitter := uint64(c.rand().Int63n(int64(mean))) // in [0, mean)
-	c.SpinWait(mean/2+jitter, WaitBackoff)
-}
-
-// expBackoff stalls for a randomized interval whose mean doubles with
-// each retry up to cap (truncated binary exponential backoff). The jitter
-// draw comes from the core's deterministic PRNG, so the schedule is
-// reproducible from the machine seed.
-func (c *Core) expBackoff(attempt int, base, cap uint64) {
-	if cap == 0 {
-		cap = 64 * base
-	}
-	mean := base
-	if attempt < 63 {
-		mean = base << uint(attempt)
-	}
-	if mean > cap || mean == 0 {
-		mean = cap
-	}
-	jitter := uint64(c.rand().Int63n(int64(mean))) // in [0, mean)
-	c.SpinWait(mean/2+jitter, WaitBackoff)
 }
 
 // waitGlobalFree spins (nontransactionally) until the global lock is free.

@@ -109,14 +109,15 @@ func TestIrrevocableHookFires(t *testing.T) {
 func TestBackoffGrowsWithRetries(t *testing.T) {
 	m := New(smallConfig(1))
 	c := m.Core(0)
+	polite := AtomicOpts{BackoffBase: 64}
 	m.Run([]func(*Core){func(c *Core) {
 		lowSum, highSum := uint64(0), uint64(0)
 		for i := 0; i < 50; i++ {
 			t0 := c.Now()
-			c.politeBackoff(0, 64)
+			c.Backoff(polite, 0, c.rand())
 			lowSum += c.Now() - t0
 			t0 = c.Now()
-			c.politeBackoff(7, 64)
+			c.Backoff(polite, 7, c.rand())
 			highSum += c.Now() - t0
 		}
 		if highSum <= lowSum*3 {

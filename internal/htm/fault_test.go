@@ -239,10 +239,11 @@ func TestRunCheckedRethrowsWorkloadPanics(t *testing.T) {
 // (1.5 × cap) per retry and still advance the clock.
 func TestExpBackoffBounded(t *testing.T) {
 	m := New(smallConfig(1))
+	exp := AtomicOpts{BackoffBase: 64, BackoffExp: true, BackoffCap: 1024}
 	m.Run([]func(*Core){func(c *Core) {
 		for attempt := 0; attempt < 40; attempt++ {
 			before := c.Now()
-			c.expBackoff(attempt, 64, 1024)
+			c.Backoff(exp, attempt, c.rand())
 			d := c.Now() - before
 			if d == 0 {
 				t.Fatalf("attempt %d: backoff waited 0 cycles", attempt)

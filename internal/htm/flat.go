@@ -2,13 +2,16 @@ package htm
 
 import "repro/internal/mem"
 
-// This file holds the flat, open-addressed hot-path tables that replace
-// the Go maps the simulator used per memory event. Every structure here
-// is engine-private, single-threaded under the token discipline, and
-// sized in powers of two so a lookup is a multiply, a shift, and a short
-// linear probe over one contiguous allocation — no hashing interface, no
-// per-entry boxing, no map iteration order anywhere near simulated
-// semantics.
+// This file holds the flat, open-addressed hot-path tables the simulator
+// consults per memory event: the per-line coherence directory and each
+// core's speculative-set index. (The third flat table, the write buffer,
+// is mem.WordSet: it lives in the leaf package because the same type
+// carries read and write sets through the software backends to the
+// observer.) Every structure here is engine-private, single-threaded
+// under the token discipline, and sized in powers of two so a lookup is a
+// multiply, a shift, and a short linear probe over one contiguous
+// allocation — no hashing interface, no per-entry boxing, no map
+// iteration order anywhere near simulated semantics.
 
 // lineHash spreads cache-line addresses over a power-of-two table
 // (Fibonacci hashing on the line number).
@@ -168,84 +171,6 @@ func (t *txTable) grow() {
 
 // clear resets the table for the next transaction.
 func (t *txTable) clear() {
-	t.ents = t.ents[:0]
-	clear(t.slots)
-}
-
-// wordEnt is one word in a core's transactional write buffer.
-type wordEnt struct {
-	addr mem.Addr
-	val  uint64
-}
-
-// wordTable is the core's write buffer: dense insertion-ordered entries
-// plus an open-addressed index, same layout as txTable. Commit publishes
-// the dense list in insertion order; the buffered words are distinct, so
-// the published memory state is order-independent.
-type wordTable struct {
-	ents  []wordEnt
-	slots []int32
-	mask  uint64
-}
-
-func (t *wordTable) init() {
-	t.ents = make([]wordEnt, 0, txTableMinSize/2)
-	t.slots = make([]int32, txTableMinSize)
-	t.mask = txTableMinSize - 1
-}
-
-func wordHash(a mem.Addr, mask uint64) uint64 {
-	return (uint64(a>>3) * 0x9E3779B97F4A7C15 >> 17) & mask
-}
-
-// get returns the buffered value for word a, if any.
-func (t *wordTable) get(a mem.Addr) (uint64, bool) {
-	for i := wordHash(a, t.mask); ; i = (i + 1) & t.mask {
-		k := t.slots[i]
-		if k == 0 {
-			return 0, false
-		}
-		if e := &t.ents[k-1]; e.addr == a {
-			return e.val, true
-		}
-	}
-}
-
-// put buffers v for word a, overwriting any earlier buffered value.
-func (t *wordTable) put(a mem.Addr, v uint64) {
-	for i := wordHash(a, t.mask); ; i = (i + 1) & t.mask {
-		k := t.slots[i]
-		if k == 0 {
-			if len(t.ents) >= len(t.slots)*3/4 {
-				t.grow()
-				t.put(a, v)
-				return
-			}
-			t.ents = append(t.ents, wordEnt{addr: a, val: v})
-			t.slots[i] = int32(len(t.ents))
-			return
-		}
-		if e := &t.ents[k-1]; e.addr == a {
-			e.val = v
-			return
-		}
-	}
-}
-
-func (t *wordTable) grow() {
-	t.slots = make([]int32, len(t.slots)*2)
-	t.mask = uint64(len(t.slots) - 1)
-	for k := range t.ents {
-		i := wordHash(t.ents[k].addr, t.mask)
-		for t.slots[i] != 0 {
-			i = (i + 1) & t.mask
-		}
-		t.slots[i] = int32(k + 1)
-	}
-}
-
-// clear resets the buffer for the next transaction.
-func (t *wordTable) clear() {
 	t.ents = t.ents[:0]
 	clear(t.slots)
 }

@@ -57,9 +57,11 @@ func keepTokenStorm(events int, ref bool) uint64 {
 }
 
 // txStorm runs contended transactional increments: the TxBegin / record /
-// conflict-abort / commit paths all stay hot.
-func txStorm(cores, txPerCore int) Stats {
+// conflict-abort / commit paths all stay hot. obs, if non-nil, is
+// installed as the machine's observer.
+func txStorm(cores, txPerCore int, obs TxObserver) Stats {
 	m := New(smallConfig(cores))
+	m.SetObserver(obs)
 	shared := m.Alloc.AllocLines(1)
 	bodies := make([]func(*Core), cores)
 	for i := range bodies {
@@ -111,7 +113,7 @@ func BenchmarkHotEngineKeepTokenRef(b *testing.B) {
 
 func BenchmarkHotTxContended(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := txStorm(4, 500)
+		s := txStorm(4, 500, nil)
 		if s.Commits != 2000 {
 			b.Fatalf("commits = %d", s.Commits)
 		}
@@ -163,7 +165,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 
 	measureTx := func(txPerCore int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			txStorm(2, txPerCore)
+			txStorm(2, txPerCore, nil)
 		})
 	}
 	shortTx, longTx := measureTx(200), measureTx(1600)
@@ -173,6 +175,30 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 	if longTx != shortTx {
 		t.Fatalf("steady-state allocations: %.0f extra over %d extra transactions (short=%.0f long=%.0f), want 0",
 			longTx-shortTx, 2*(1600-200), shortTx, longTx)
+	}
+}
+
+// nopObserver receives the commit stream and drops it.
+type nopObserver struct{}
+
+func (nopObserver) OnCommit(int, bool, any, []mem.Word, []mem.Word) {}
+func (nopObserver) OnStore(int, mem.Addr, uint64)                   {}
+
+// TestObservedCommitPathAllocs extends the zero-steady-state guarantee to
+// observed machines: logging a section's reads and handing its read and
+// write sets to the observer reuses the core's tables, so 2,800 more
+// observed transactions (aborted attempts and irrevocable fallbacks
+// included) allocate nothing.
+func TestObservedCommitPathAllocs(t *testing.T) {
+	measure := func(txPerCore int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			txStorm(2, txPerCore, nopObserver{})
+		})
+	}
+	short, long := measure(200), measure(1600)
+	if long != short {
+		t.Fatalf("observed steady-state allocations: %.0f extra over %d extra transactions (short=%.0f long=%.0f), want 0",
+			long-short, 2*(1600-200), short, long)
 	}
 }
 

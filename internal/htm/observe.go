@@ -11,11 +11,13 @@ import "repro/internal/mem"
 //
 //   - OnCommit fires once per atomic section, at its atomicity point — a
 //     hardware transaction's commit instruction, or the end of an
-//     irrevocable section's body. reads maps each word the section read
-//     before writing it to the value observed (first read wins; later
-//     reads cannot differ under eager conflict detection). writes maps
-//     each word written to its committed value. Both maps are owned by
-//     the observer after the call.
+//     irrevocable section's body. reads holds each word the section read
+//     before writing it with the value observed (first read wins; later
+//     reads cannot differ under eager conflict detection), in first-read
+//     order. writes holds each word written with its committed value, in
+//     first-write order. Words are distinct within each slice. Both
+//     slices are the committer's own tables, borrowed for the call: the
+//     observer must neither modify nor retain them.
 //   - OnStore fires for every other committed-memory mutation: a
 //     nontransactional store or CAS (including those issued from inside a
 //     transaction — they are immediate and survive aborts) and plain
@@ -27,7 +29,7 @@ import "repro/internal/mem"
 // OnCommit point will observe exactly the divergence a broken fallback
 // lock protocol creates, which is the point.
 type TxObserver interface {
-	OnCommit(core int, irrevocable bool, tag any, reads, writes map[mem.Addr]uint64)
+	OnCommit(core int, irrevocable bool, tag any, reads, writes []mem.Word)
 	OnStore(core int, addr mem.Addr, val uint64)
 }
 
@@ -39,11 +41,6 @@ func (m *Machine) SetObserver(o TxObserver) {
 	}
 	m.observer = o
 }
-
-// Observed reports whether a TxObserver is installed. Software
-// backends consult it to skip building per-commit report maps on
-// unobserved runs.
-func (c *Core) Observed() bool { return c.m.observer != nil }
 
 // SetOpTag attaches an opaque operation descriptor to the core's current
 // atomic section; it is handed to the observer's OnCommit and then
@@ -60,13 +57,13 @@ func (c *Core) SetOpTag(tag any) {
 // section (transactional or irrevocable). Words the section has already
 // written are internal reads and never logged.
 func (c *Core) obsRead(word mem.Addr, val uint64) {
-	if _, wrote := c.obsWrites[word]; wrote {
+	if _, wrote := c.obsWrites.Get(word); wrote {
 		return
 	}
-	if _, seen := c.obsReads[word]; seen {
+	if _, seen := c.obsReads.Get(word); seen {
 		return
 	}
-	c.obsReads[word] = val
+	c.obsReads.Put(word, val)
 }
 
 // obsBeginSection resets the read/write logs for a new atomic section.
@@ -74,24 +71,16 @@ func (c *Core) obsBeginSection() {
 	if c.m.observer == nil {
 		return
 	}
-	c.obsReads = make(map[mem.Addr]uint64)
-	c.obsWrites = make(map[mem.Addr]uint64)
+	c.obsOn = true
+	c.obsReads.Reset()
+	c.obsWrites.Reset()
 }
 
-// obsEndSection reports the section's atomicity point and clears the
-// logs. For hardware transactions the write set is the commit-published
-// write buffer; irrevocable sections accumulated obsWrites as their plain
+// obsEndSection stops logging and reports the section's atomicity point.
+// For hardware transactions the write set is the commit-published write
+// buffer; irrevocable sections accumulated obsWrites as their plain
 // stores executed.
-func (c *Core) obsEndSection(irrevocable bool, writes map[mem.Addr]uint64) {
-	reads := c.obsReads
-	tag := c.opTag
-	c.obsReads, c.obsWrites, c.opTag = nil, nil, nil
-	c.m.observer.OnCommit(c.id, irrevocable, tag, reads, writes)
-}
-
-// obsAbortSection discards the logs of an aborted attempt. The op tag
-// survives: the retry re-runs the same logical operation (and overwrites
-// the tag anyway when the body re-declares it).
-func (c *Core) obsAbortSection() {
-	c.obsReads, c.obsWrites = nil, nil
+func (c *Core) obsEndSection(irrevocable bool, writes []mem.Word) {
+	c.obsOn = false
+	c.ReportAtomic(irrevocable, c.obsReads.Words(), writes)
 }

@@ -63,16 +63,20 @@ func (c *Core) SWTxAbort(reason AbortReason) {
 }
 
 // ReportAtomic reports a software transaction's serialization point to
-// the installed observer: reads maps each word first-read by the
-// attempt to the value observed, writes maps each word written to its
-// committed value (both owned by the observer afterwards). Call it at
-// the attempt's atomicity point — after validation succeeds and before
-// the write set is published — so the observer's shadow state matches
-// what validation checked. A cheap no-op without an observer.
-func (c *Core) ReportAtomic(irrevocable bool, tag any, reads, writes map[mem.Addr]uint64) {
+// the installed observer: reads holds each word first-read by the
+// attempt with the value observed, writes each word written with its
+// committed value (see TxObserver), and the operation tag is the one
+// declared through SetOpTag, consumed here (the hardware commit paths
+// report through it too). Call it at the attempt's atomicity point —
+// after validation succeeds and before the write set is published — so
+// the observer's shadow state matches what validation checked. A cheap
+// no-op without an observer.
+func (c *Core) ReportAtomic(irrevocable bool, reads, writes []mem.Word) {
 	if c.m.observer == nil {
 		return
 	}
+	tag := c.opTag
+	c.opTag = nil
 	c.m.observer.OnCommit(c.id, irrevocable, tag, reads, writes)
 }
 
@@ -85,20 +89,17 @@ func (c *Core) ReportAtomic(irrevocable bool, tag any, reads, writes map[mem.Add
 // counts as a nontransactional store. The batch is NOT routed to the
 // observer: callers report it atomically via ReportAtomic instead, so
 // the commit appears exactly once in the observer stream.
-func (c *Core) NTStoreBatch(addrs []mem.Addr, vals []uint64) {
-	if len(addrs) != len(vals) {
-		panic("htm: NTStoreBatch length mismatch")
-	}
+func (c *Core) NTStoreBatch(words []mem.Word) {
 	c.event()
 	c.ntFaultDelay()
-	for i, a := range addrs {
+	for _, w := range words {
 		c.countUop()
 		c.stats.NTStores++
-		line := mem.LineOf(a)
+		line := mem.LineOf(w.Addr)
 		e := c.m.entry(line)
 		c.abortMask(e.writers|e.readers, line, 0)
 		c.m.invalidateOthers(e, line, c.id)
 		c.ntCharge(c.m.lookupLatency(c, line, e))
-		c.m.Mem.Store(a, vals[i])
+		c.m.Mem.Store(w.Addr, w.Val)
 	}
 }

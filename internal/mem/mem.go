@@ -1,11 +1,19 @@
 // Package mem provides the simulated word-addressable shared memory that
-// the HTM simulator and all workload data structures are built on.
+// the HTM simulator and all workload data structures are built on, and
+// the word-set table in which transactions carry it.
 //
 // Addresses are byte addresses, but all accesses are performed at 8-byte
 // word granularity (the low three bits of an access address are ignored).
 // The cache-line size is fixed at 64 bytes to match the simulated machine,
 // so a line holds eight words.
+//
+// WordSet is the one {word → value} table on the commit path: the core's
+// write buffer and observer logs and the software backends' read and
+// write sets, which reach the observer as []Word, untranslated. It lives
+// in this leaf package so that the oracle keeps importing nothing else.
 package mem
+
+import "slices"
 
 // Addr is a byte address in simulated memory.
 type Addr uint64
@@ -75,6 +83,7 @@ func (m *Memory) Store(a Addr, v uint64) {
 // effects against the copy.
 func (m *Memory) Snapshot() *Memory {
 	s := &Memory{pages: make(map[Addr][]uint64, len(m.pages))}
+	//staggervet:allow determinism page-by-page copy into a map; the result is order-independent
 	for key, p := range m.pages {
 		cp := make([]uint64, len(p))
 		copy(cp, p)
@@ -86,22 +95,18 @@ func (m *Memory) Snapshot() *Memory {
 // Diff returns up to max word addresses at which m and o hold different
 // values, in ascending order. Untouched pages compare as all-zero.
 func (m *Memory) Diff(o *Memory, max int) []Addr {
-	keys := make(map[Addr]bool, len(m.pages)+len(o.pages))
+	ordered := make([]Addr, 0, len(m.pages)+len(o.pages))
+	//staggervet:allow determinism key collection; sorted before use
 	for k := range m.pages {
-		keys[k] = true
-	}
-	for k := range o.pages {
-		keys[k] = true
-	}
-	ordered := make([]Addr, 0, len(keys))
-	for k := range keys {
 		ordered = append(ordered, k)
 	}
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j] < ordered[j-1]; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
+	//staggervet:allow determinism key collection; sorted before use
+	for k := range o.pages {
+		if m.pages[k] == nil {
+			ordered = append(ordered, k)
 		}
 	}
+	slices.Sort(ordered)
 	var zero [pageWords]uint64
 	var out []Addr
 	for _, k := range ordered {

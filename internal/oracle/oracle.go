@@ -33,7 +33,6 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 )
@@ -115,9 +114,6 @@ type Checker struct {
 	model      RefModel
 	commits    int
 	violations []Violation
-
-	// readScratch reuses the sorted-words buffer across commits.
-	readScratch []mem.Addr
 }
 
 // New returns a checker whose shadow starts from snapshot (which must be a
@@ -135,23 +131,18 @@ func (k *Checker) OnStore(core int, addr mem.Addr, val uint64) {
 }
 
 // OnCommit validates one committed atomic section against the shadow,
-// applies its writes, and steps the reference model.
-func (k *Checker) OnCommit(core int, irrevocable bool, tag any, reads, writes map[mem.Addr]uint64) {
+// applies its writes, and steps the reference model. reads and writes
+// are the committer's own tables in access order (see htm.TxObserver),
+// so divergent reads of one commit are reported in first-read order.
+func (k *Checker) OnCommit(core int, irrevocable bool, tag any, reads, writes []mem.Word) {
 	k.commits++
-	k.readScratch = k.readScratch[:0]
-	//staggervet:allow determinism key collection; sorted before validation
-	for w := range reads {
-		k.readScratch = append(k.readScratch, w)
-	}
-	sort.Slice(k.readScratch, func(i, j int) bool { return k.readScratch[i] < k.readScratch[j] })
-	for _, w := range k.readScratch {
-		if got, want := reads[w], k.shadow.Load(w); got != want {
-			k.report(Violation{Kind: ReadDivergence, Commit: k.commits, Core: core, Word: w, Got: got, Want: want})
+	for _, r := range reads {
+		if want := k.shadow.Load(r.Addr); r.Val != want {
+			k.report(Violation{Kind: ReadDivergence, Commit: k.commits, Core: core, Word: r.Addr, Got: r.Val, Want: want})
 		}
 	}
-	//staggervet:allow determinism distinct words; shadow state is order-independent
-	for w, v := range writes {
-		k.shadow.Store(w, v)
+	for _, w := range writes {
+		k.shadow.Store(w.Addr, w.Val)
 	}
 	if k.model != nil && tag != nil {
 		if err := k.model.Step(tag); err != nil {

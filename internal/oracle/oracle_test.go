@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,6 +82,44 @@ func TestEarlyReleaseCaught(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "read of word") {
 		t.Fatalf("unexpected message: %v", err)
+	}
+}
+
+// One commit whose two reads both diverge from the shadow reports both,
+// in the order the section first read them (here against address order),
+// and identically on every run. The shadow is made stale by stores the
+// observer never hears of.
+func TestDivergentReadsReportedInFirstReadOrder(t *testing.T) {
+	var lo, hi mem.Addr
+	run := func() []Violation {
+		cfg := htm.DefaultConfig()
+		cfg.Cores = 1
+		m := htm.New(cfg)
+		lo, hi = m.Alloc.AllocLines(1), m.Alloc.AllocLines(1)
+		chk := New(m.Mem.Snapshot(), nil)
+		m.Mem.Store(lo, 7)
+		m.Mem.Store(hi, 9)
+		m.SetObserver(chk)
+		m.Run([]func(*htm.Core){func(c *htm.Core) {
+			c.Atomic(htm.DefaultAtomicOpts(), htm.TxHooks{}, func(c *htm.Core) {
+				c.Load(0x400, 8, hi)
+				c.Load(0x404, 9, lo)
+			})
+		}})
+		return chk.violations
+	}
+	got := run()
+	want := []Violation{
+		{Kind: ReadDivergence, Commit: 1, Word: hi, Got: 9, Want: 0},
+		{Kind: ReadDivergence, Commit: 1, Word: lo, Got: 7, Want: 0},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations %+v, want %+v", got, want)
+	}
+	for i := 0; i < 20; i++ {
+		if again := run(); !reflect.DeepEqual(again, got) {
+			t.Fatalf("run %d reported %+v, first run %+v", i+2, again, got)
+		}
 	}
 }
 

@@ -73,11 +73,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes bounds a POST /jobs body. A 512-cell job spec is under
+// 100 KB, so the limit only ever refuses input no client of this service
+// produces.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("job spec exceeds the %d-byte limit", tooBig.Limit))
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}

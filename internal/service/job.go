@@ -25,12 +25,6 @@ const (
 	KindExplore = "explore"
 )
 
-// chaosWatchdog bounds each fault-injected cell's virtual clock (the
-// ChaosSweep default): an injected livelock must fail loudly inside the
-// simulation — where the failure is deterministic and chaos-classified as
-// transient — instead of silently eating the job's wall-clock deadline.
-const chaosWatchdog = 200_000_000
-
 // CellSpec selects one simulation cell: the wire-level mirror of
 // harness.RunConfig restricted to the serializable surface. Every field
 // is deterministic simulation input, so a normalized CellSpec plus
@@ -111,7 +105,7 @@ func (c CellSpec) normalized() (CellSpec, harness.RunConfig, error) {
 			c.ChaosSeed = c.Seed
 		}
 		if c.Watchdog == 0 {
-			c.Watchdog = chaosWatchdog
+			c.Watchdog = harness.ChaosWatchdog
 		}
 		cc := chaos.Scaled(c.ChaosRate, c.ChaosSeed)
 		rc.Chaos = &cc
@@ -165,10 +159,10 @@ func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
 	}
 	e.Cell = cell
 	if e.Sched == "" {
-		e.Sched = "pct:3"
+		e.Sched = harness.DefaultExploreSched
 	}
 	if e.Runs <= 0 {
-		e.Runs = 100
+		e.Runs = harness.DefaultExploreRuns
 	}
 	return e, rc, nil
 }
@@ -248,20 +242,8 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		ec := harness.ExploreConfig{
-			Benchmark: rc.Benchmark,
-			Mode:      rc.Mode,
-			Backend:   rc.Backend,
-			Capacity:  rc.Capacity,
-			Threads:   rc.Threads,
-			Seed:      rc.Seed,
-			TotalOps:  rc.TotalOps,
-			Stagger:   rc.Stagger,
-			Chaos:     rc.Chaos,
-			Spec:      e.Sched,
-			Runs:      e.Runs,
-			Minimize:  e.Minimize,
-		}
+		ec := harness.ExploreOf(rc)
+		ec.Spec, ec.Runs, ec.Minimize = e.Sched, e.Runs, e.Minimize
 		return &jobPlan{kind: kind, keys: []string{exploreKey(e)}, explore: ec}, nil
 	}
 

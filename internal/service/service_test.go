@@ -306,6 +306,28 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 	}
 }
 
+// TestOversizedSpecRefused: POST /jobs reads at most maxSpecBytes. The
+// spec is otherwise valid (only its idempotency key is padded), so
+// without the bound it would be admitted.
+func TestOversizedSpecRefused(t *testing.T) {
+	s := newT(t, Config{})
+	before := s.Metrics().Accepted
+	spec := tinySpec(1)
+	spec.IdempotencyKey = strings.Repeat("k", 2<<20)
+	body, _ := json.Marshal(spec)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB spec = %d %s, want 413", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), fmt.Sprint(maxSpecBytes)) {
+		t.Errorf("413 body %q does not name the %d-byte limit", rec.Body, maxSpecBytes)
+	}
+	if n, m := len(s.Jobs()), s.Metrics(); n != 0 || m.Accepted != before {
+		t.Fatalf("oversized spec admitted: %d jobs, accepted %d -> %d", n, before, m.Accepted)
+	}
+}
+
 // TestTransientFailureRetriedWithBackoff: cell 0 fails transiently on the
 // first attempt. Its siblings are persisted all the same, and the retry
 // hands the sweep only the cell that is actually missing.

@@ -8,6 +8,8 @@ package stagger
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/htm"
 )
 
 // Mode selects which system runs — the four bars of Figure 7.
@@ -153,13 +155,20 @@ type Config struct {
 	UnsafeEarlyGlobalRelease bool
 }
 
-// RetryLoop exposes the shared retry-loop parameters (budget and
-// backoff policy). Software backends in the arena borrow exactly these
-// fields from the config the harness hands them (see
-// backend.Options.StaggerConfig), so retry tuning applies uniformly
+// RetryLoop is the one Config → htm.AtomicOpts lowering (budget, backoff
+// policy, fallback protocol). Thread.Atomic runs on it, and software
+// backends in the arena borrow it from the config the harness hands them
+// (see backend.Options.StaggerConfig), so retry tuning applies uniformly
 // across backends without this package importing them.
-func (c Config) RetryLoop() (maxRetries int, backoffBase uint64, backoffExp bool, backoffCap uint64) {
-	return c.MaxRetries, c.BackoffBase, c.BackoffExp, c.BackoffCap
+func (c Config) RetryLoop() htm.AtomicOpts {
+	return htm.AtomicOpts{
+		MaxRetries:         c.MaxRetries,
+		BackoffBase:        c.BackoffBase,
+		BackoffExp:         c.BackoffExp,
+		BackoffCap:         c.BackoffCap,
+		RuntimePC:          0xFFFF0,
+		UnsafeEarlyRelease: c.UnsafeEarlyGlobalRelease,
+	}
 }
 
 // LockFaults is the advisory-lock fault hook: DropLockRelease reports

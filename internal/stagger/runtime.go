@@ -366,14 +366,7 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 	}
 	abc := th.ctx(ab)
 	tc := &TxCtx{th: th, c: c, abc: abc}
-	opts := htm.AtomicOpts{
-		MaxRetries:         th.rt.cfg.MaxRetries,
-		BackoffBase:        th.rt.cfg.BackoffBase,
-		BackoffExp:         th.rt.cfg.BackoffExp,
-		BackoffCap:         th.rt.cfg.BackoffCap,
-		RuntimePC:          0xFFFF0,
-		UnsafeEarlyRelease: th.rt.cfg.UnsafeEarlyGlobalRelease,
-	}
+	opts := th.rt.cfg.RetryLoop()
 	if abc.escapeLeft > 0 {
 		// Livelock escape: this block has been exhausting its retry
 		// budget (typically under injected faults); spend one speculative

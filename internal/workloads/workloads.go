@@ -101,8 +101,8 @@ func Names() []string {
 	return append(out, rest...)
 }
 
-// split gives thread tid its share of total operations.
-func split(total, threads, tid int) int {
+// Split gives thread tid its share of total operations.
+func Split(total, threads, tid int) int {
 	n := total / threads
 	if tid < total%threads {
 		n++
