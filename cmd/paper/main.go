@@ -9,6 +9,7 @@
 //	paper -claims          # headline claim summary
 //	paper -seed 7          # change the experiment seed
 //	paper -workers 1       # strictly sequential runs (same output bytes)
+//	paper -cpuprofile p    # also write a pprof CPU profile of the run to p
 package main
 
 import (
@@ -30,6 +31,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "experiment seed")
 	workers := flag.Int("workers", runtime.NumCPU(),
 		"max concurrent simulation runs (1 = sequential; output is identical either way)")
+	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	flag.Parse()
 	harness.SetWorkers(*workers)
 
@@ -39,6 +41,15 @@ func main() {
 		os.Stderr.Write(harness.PanicStack(err))
 		os.Exit(1)
 	}
+	stopProfile, err := harness.CPUProfile(*cpuprofile)
+	if err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fail(err)
+		}
+	}()
 
 	if all || *table == 1 {
 		rows, err := harness.Table1(*seed)

@@ -62,7 +62,7 @@ var flagGroups = []struct {
 	names []string
 }{
 	{"Run selection", []string{"bench", "mode", "backend", "capacity", "threads", "seed", "ops", "naive", "lazy", "speedup", "workers"}},
-	{"Observability", []string{"metrics", "trace", "trace-out"}},
+	{"Observability", []string{"metrics", "trace", "trace-out", "cpuprofile"}},
 	{"Fault injection and hardening", []string{"chaos", "chaos-abort", "chaos-ntdelay", "chaos-lockdrop",
 		"chaos-jitter", "hardened", "watchdog", "chaos-campaign", "chaos-rates"}},
 	{"Scheduling and exploration", []string{"sched", "sched-seed", "oracle", "record", "explore",
@@ -131,6 +131,7 @@ type opts struct {
 	jsonOut                                             *bool
 	injectUnder, injectOver                             *bool
 	workers                                             *int
+	cpuprofile                                          *string
 }
 
 func defineFlags(fs *flag.FlagSet) *opts {
@@ -180,6 +181,7 @@ func defineFlags(fs *flag.FlagSet) *opts {
 			"seed an over-lock mutation: add one spurious ALP on a read-only class (demo: -verify-conflicts precision catches it)"),
 		workers: fs.Int("workers", runtime.NumCPU(),
 			"max concurrent simulation runs in campaigns (1 = sequential; output is identical either way)"),
+		cpuprofile: fs.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file (complete on a zero exit)"),
 	}
 	// -backend validates at parse time: a typo fails with the registry's
 	// name list before any simulation starts.
@@ -308,6 +310,15 @@ func main() {
 	if err != nil {
 		die(2, err)
 	}
+	stopProfile, err := harness.CPUProfile(*o.cpuprofile)
+	if err != nil {
+		die(2, err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			die(1, err)
+		}
+	}()
 	switch {
 	case *o.verifyStatic:
 		runVerifyStatic(rc, *o.jsonOut)

@@ -113,6 +113,9 @@ func TestArenaEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Host-side scheduling counts are the cooperative engine's
+			// alone; everything simulated must agree.
+			res.Stats.Engine = htm.EngineStats{}
 			return res.Stats
 		}
 		coop, refStats := run(false), run(true)

@@ -214,11 +214,12 @@ func (r *Result) AnchorsPerTxn() float64 {
 // DefaultSeed is the workload seed a zero Seed means.
 const DefaultSeed = 42
 
-// cell is a normalized RunConfig together with what normalizing it had
-// to look up, so a run pays for neither twice.
+// cell is a normalized RunConfig together with the backend normalizing
+// it had to look up. It holds no workload: normalizing is what every
+// memo lookup and every admitted service cell does, and only a run needs
+// a built module.
 type cell struct {
 	rc RunConfig
-	w  *workloads.Workload
 	bk backend.Info
 }
 
@@ -229,7 +230,7 @@ type cell struct {
 // backend actually runs, and Capacity survives only on "limited". The
 // run path, the memo key and the service's store key all start here.
 func normalize(rc RunConfig) (cell, error) {
-	w, err := workloads.Get(rc.Benchmark)
+	defaultOps, err := workloads.DefaultOps(rc.Benchmark)
 	if err != nil {
 		return cell{}, err
 	}
@@ -237,7 +238,7 @@ func normalize(rc RunConfig) (cell, error) {
 		return cell{}, fmt.Errorf("harness: Threads must be positive")
 	}
 	if rc.TotalOps == 0 {
-		rc.TotalOps = w.TotalOps
+		rc.TotalOps = defaultOps
 	}
 	if rc.Seed == 0 {
 		rc.Seed = DefaultSeed
@@ -261,7 +262,7 @@ func normalize(rc RunConfig) (cell, error) {
 	if rc.Backend != "limited" {
 		rc.Capacity = 0
 	}
-	return cell{rc, w, bk}, nil
+	return cell{rc, bk}, nil
 }
 
 // Normalize returns the canonical spelling of rc (see normalize), or the
@@ -289,7 +290,11 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 }
 
 func (c cell) run(ctx context.Context) (*Result, error) {
-	rc, w, bk := c.rc, c.w, c.bk
+	rc, bk := c.rc, c.bk
+	w, err := workloads.Get(rc.Benchmark)
+	if err != nil {
+		return nil, err
+	}
 
 	mcfg := htm.DefaultConfig()
 	if rc.Machine != nil {

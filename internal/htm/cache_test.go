@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -96,8 +98,8 @@ func TestL1Reset(t *testing.T) {
 	}
 }
 
-// TestL1CapacityProperty: a set never exceeds its way count, whatever the
-// insertion sequence.
+// TestL1CapacityProperty: a set never exceeds its way count and never
+// holds a line twice, whatever the insertion sequence.
 func TestL1CapacityProperty(t *testing.T) {
 	f := func(seq []uint16) bool {
 		c := newL1(64, 8)
@@ -108,14 +110,15 @@ func TestL1CapacityProperty(t *testing.T) {
 				c.insert(l, nopin)
 			}
 		}
-		for _, s := range c.sets {
+		for idx := 0; idx < 8; idx++ {
+			s, _ := c.set(mem.Addr(idx * 64))
 			if len(s) > 8 {
 				return false
 			}
 			seen := map[mem.Addr]bool{}
 			for _, l := range s {
-				if seen[l] {
-					return false // duplicate entries
+				if seen[l] || int(l/64)%8 != idx {
+					return false // duplicate or misplaced entries
 				}
 				seen[l] = true
 			}
@@ -124,6 +127,115 @@ func TestL1CapacityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sliceL1 is the slice-of-slices cache the flat l1cache replaced, kept
+// here as its reference model: one MRU-first slice per set, grown by
+// append, shrunk by splicing.
+type sliceL1 struct {
+	sets    [][]mem.Addr
+	setMask mem.Addr
+	ways    int
+}
+
+func newSliceL1(lines, ways int) *sliceL1 {
+	nsets := lines / ways
+	return &sliceL1{sets: make([][]mem.Addr, nsets), setMask: mem.Addr(nsets - 1), ways: ways}
+}
+
+func (c *sliceL1) set(line mem.Addr) int { return int((line / mem.LineSize) & c.setMask) }
+
+func (c *sliceL1) hit(line mem.Addr) bool {
+	s := c.sets[c.set(line)]
+	for i, l := range s {
+		if l == line {
+			copy(s[1:i+1], s[:i])
+			s[0] = line
+			return true
+		}
+	}
+	return false
+}
+
+func (c *sliceL1) insert(line mem.Addr, pinned func(mem.Addr) bool) bool {
+	idx := c.set(line)
+	s := c.sets[idx]
+	if len(s) < c.ways {
+		s = append(s, 0)
+		copy(s[1:], s)
+		s[0] = line
+		c.sets[idx] = s
+		return true
+	}
+	for i := len(s) - 1; i >= 0; i-- {
+		if !pinned(s[i]) {
+			copy(s[1:i+1], s[:i])
+			s[0] = line
+			return true
+		}
+	}
+	return false
+}
+
+func (c *sliceL1) invalidate(line mem.Addr) {
+	idx := c.set(line)
+	s := c.sets[idx]
+	for i, l := range s {
+		if l == line {
+			c.sets[idx] = append(s[:i], s[i+1:]...)
+			return
+		}
+	}
+}
+
+// TestL1MatchesSliceModel drives the flat cache and the slice model with
+// the same random traces of probes, fills, invalidations and resets under
+// a random pinned set, and requires the same answer from every call and
+// the same MRU-first contents of the touched set afterwards — so the
+// same hits, the same eviction victim, and the same overflow refusals.
+func TestL1MatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		ways := 1 << rng.Intn(4)            // 1..8
+		nsets := 1 << rng.Intn(4)           // 1..8
+		universe := nsets * ways * 3        // enough lines to overflow sets
+		pinOneIn := []int{0, 2, 3}[trial%3] // 0 = nothing pinned
+		got, want := newL1(nsets*ways, ways), newSliceL1(nsets*ways, ways)
+		pins := map[mem.Addr]bool{}
+		pinned := func(l mem.Addr) bool { return pins[l] }
+		for step := 0; step < 400; step++ {
+			l := line(rng.Intn(universe))
+			if pinOneIn != 0 && rng.Intn(pinOneIn) == 0 {
+				pins[l] = !pins[l]
+			}
+			switch op := rng.Intn(10); {
+			case op < 7:
+				g, w := got.hit(l), want.hit(l)
+				if g != w {
+					t.Fatalf("trial %d step %d: hit(%#x) = %v, model %v", trial, step, l, g, w)
+				}
+				if !g {
+					if g, w := got.insert(l, pinned), want.insert(l, pinned); g != w {
+						t.Fatalf("trial %d step %d: insert(%#x) = %v, model %v", trial, step, l, g, w)
+					}
+				}
+			case op < 9:
+				got.invalidate(l)
+				want.invalidate(l)
+			default:
+				if rng.Intn(20) == 0 {
+					got.reset()
+					for i := range want.sets {
+						want.sets[i] = want.sets[i][:0]
+					}
+				}
+			}
+			if g, _ := got.set(l); !slices.Equal(g, want.sets[want.set(l)]) {
+				t.Fatalf("trial %d step %d: set of %#x holds %x, model %x",
+					trial, step, l, g, want.sets[want.set(l)])
+			}
+		}
 	}
 }
 

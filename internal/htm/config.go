@@ -101,7 +101,7 @@ type Config struct {
 	WatchdogTrace int
 
 	// RefEngine forces the engine's reference token handoff: every sync
-	// runs the full minimum scan instead of the O(1) per-tenure fast path.
+	// runs the full minimum scan instead of one comparison of packed keys.
 	// Results are bit-identical either way (FuzzEngineHandoff proves it);
 	// the flag exists only so differential tests can retain the
 	// pre-optimization engine as an oracle. Leave false outside tests.

@@ -15,7 +15,9 @@ package htm
 //     Each core is a resumable coroutine; one engine loop on the caller's
 //     goroutine resumes the token holder and regains control when the
 //     holder yields. No channels and no goroutine wakeups anywhere on the
-//     hot path — a handoff is a direct coroutine switch.
+//     hot path — a handoff is a direct coroutine switch — and the pick
+//     rule is an unsigned minimum over one packed clock<<5|id key per
+//     core, so the tie-break is part of the comparison.
 //   - refEngine (Config.RefEngine): the original goroutine-per-core
 //     channel lock-step engine with a full minimum scan at every sync,
 //     retained verbatim as the differential oracle. The equivalence suite

@@ -9,16 +9,25 @@ import "iter"
 // direct coroutine switch, and the common case (the holder keeps the
 // token) is a single comparison with no switch at all.
 //
+// Keys. Each core's scheduling state is one packed word, clock<<5 | id
+// (Config.validate caps a machine at 32 cores); a finished core holds
+// the all-ones doneKey. Comparing two keys compares clocks first and
+// core IDs second, so "smallest virtual time, ties to the smallest core
+// ID" is a plain unsigned minimum with the tie-break built into the low
+// bits, and a finished core never wins one. (Clocks are cycle counts far
+// below 2^59, so the shift loses nothing.)
+//
 // Hot path. While one core holds the token, every other core's clock is
 // frozen — other cores only advance their clocks while *they* hold the
-// token. The minimum clock among the other runnable cores is therefore a
-// constant for the duration of a tenure, so it is computed once per
-// handoff (grant) and every subsequent sync by the holder is a single
-// comparison: the holder keeps the token and its event batch continues,
-// without any coroutine switch or O(cores) scan, unless its new time
-// actually loses the virtual-time race. Events are thereby batched per
-// token tenure: a tenure's whole run of events costs one switch in and
-// one switch out, however long it is.
+// token. The minimum key among the other cores is therefore a constant
+// for the duration of a tenure, so it is computed once per handoff
+// (grant: one branch-free min pass over the keys) and every subsequent
+// sync by the holder is a single comparison of its new key against it:
+// the holder keeps the token and its event batch continues, without any
+// coroutine switch, unless its new time actually loses the virtual-time
+// race. Events are thereby batched per token tenure: a tenure's whole
+// run of events costs one switch in and one switch out, however long it
+// is.
 //
 // Determinism. The pick rule is identical to refEngine's: smallest
 // virtual time, ties to the smallest core ID, or the installed
@@ -26,18 +35,14 @@ import "iter"
 // order (start, every losing sync, every finish), so recorded schedules
 // replay bit-identically across both engines.
 type coopEngine struct {
-	time    []uint64
-	done    []bool
+	// key[i] is core i's packed scheduling key (see above).
+	key     []uint64
 	pending int
 
-	// Fast-path state (valid while sched == nil): holder is the core that
-	// currently owns the token; othersMin/othersID are the smallest clock
-	// among the other non-done cores and the smallest core ID achieving it
-	// (othersID == -1 when no other core is runnable). Recomputed once per
-	// grant, read on every sync.
-	holder    int
-	othersMin uint64
-	othersID  int
+	// othersKey is the smallest key among the cores other than the token
+	// holder, doneKey when no other core is runnable. Valid while
+	// sched == nil; recomputed once per grant, read on every sync.
+	othersKey uint64
 
 	// sched, when non-nil, replaces the smallest-virtual-time rule with an
 	// adversarial choice among the runnable cores inside the scheduler's
@@ -60,52 +65,84 @@ type coopEngine struct {
 	// suspended coroutines always form a single chain rooted at the run
 	// loop; dispatch uses chained to tell whether the granted core can be
 	// resumed directly (it is parked outside the chain) or control must
-	// unwind to it (it is an ancestor in the chain).
+	// unwind to it (it is an ancestor in the chain). depth is the chain's
+	// current length.
 	chained []bool
+	depth   uint64
+
+	// counts is what this run's scheduling cost the host (see
+	// EngineStats); Keeps is derived when Machine.Stats reads it.
+	counts EngineStats
 }
+
+const (
+	// keyIDBits is the width of the core ID in a scheduling key.
+	keyIDBits = 5
+	keyIDMask = 1<<keyIDBits - 1
+	// doneKey is the key of a finished core: larger than any live key.
+	doneKey = ^uint64(0)
+)
+
+// packKey builds core id's scheduling key at virtual time t; keyID and
+// keyTime take a live key apart again.
+func packKey(id int, t uint64) uint64 { return t<<keyIDBits | uint64(id) }
+func keyID(k uint64) int              { return int(k & keyIDMask) }
+func keyTime(k uint64) uint64         { return k >> keyIDBits }
 
 func newCoopEngine(n int, sched Scheduler) *coopEngine {
-	return &coopEngine{
-		time:     make([]uint64, n),
-		done:     make([]bool, n),
-		pending:  n,
-		holder:   -1,
-		othersID: -1,
-		sched:    sched,
+	e := &coopEngine{
+		key:       make([]uint64, n),
+		pending:   n,
+		othersKey: doneKey,
+		sched:     sched,
 	}
+	for i := range e.key {
+		e.key[i] = packKey(i, 0)
+	}
+	return e
 }
 
-// min returns the non-done core with the smallest virtual time, or -1.
-func (e *coopEngine) min() int {
-	best := -1
-	for i := range e.time {
-		if e.done[i] {
-			continue
-		}
-		if best == -1 || e.time[i] < e.time[best] {
-			best = i
-		}
+// minKey returns the smallest of keys, doneKey when every core has
+// finished. The loop body is a compare and a conditional move: nothing
+// for the branch predictor to miss, whichever core is ahead.
+func minKey(keys []uint64) uint64 {
+	m := doneKey
+	for _, k := range keys {
+		m = min(m, k)
 	}
-	return best
+	return m
 }
 
-// next returns the core to hand the token to: the minimum-time runnable
-// core by default, or the installed scheduler's choice among the cores
-// within its virtual-time window of the minimum.
+// minKeyExcept is minKey over every core but id.
+func minKeyExcept(keys []uint64, id int) uint64 {
+	own := keys[id]
+	keys[id] = doneKey
+	m := minKey(keys)
+	keys[id] = own
+	return m
+}
+
+// next returns the core to hand the token to, -1 when none is runnable:
+// the minimum-key core by default, or the installed scheduler's choice
+// among the cores within its virtual-time window of the minimum.
 func (e *coopEngine) next() int {
-	best := e.min()
-	if e.sched == nil || best == -1 {
-		return best
+	best := minKey(e.key)
+	if best == doneKey {
+		return -1
+	}
+	if e.sched == nil {
+		return keyID(best)
 	}
 	e.cand, e.candT = e.cand[:0], e.candT[:0]
 	window := e.sched.Window()
-	for i := range e.time {
-		if e.done[i] {
+	limit := keyTime(best) + window
+	for i, k := range e.key {
+		if k == doneKey {
 			continue
 		}
-		if window == 0 || e.time[i] <= e.time[best]+window {
+		if t := keyTime(k); window == 0 || t <= limit {
 			e.cand = append(e.cand, i)
-			e.candT = append(e.candT, e.time[i])
+			e.candT = append(e.candT, t)
 		}
 	}
 	if len(e.cand) == 1 {
@@ -118,46 +155,31 @@ func (e *coopEngine) next() int {
 	return e.cand[k]
 }
 
-// grant hands the token to core id: it becomes the holder, the frozen
-// minimum over the other runnable cores is recomputed for the fast path,
-// and the engine loop is told to resume it. Callers must have chosen id
-// via next() (or the fast path's recorded othersID, which is provably the
-// same choice).
+// grant hands the token to core id: the frozen minimum over the other
+// cores is recomputed for the fast path, and the engine loop is told to
+// resume it. Callers must have chosen id via next() (or the fast path's
+// recorded othersKey, which is provably the same choice).
 func (e *coopEngine) grant(id int) {
-	e.holder = id
-	e.othersID = -1
-	for i := range e.time {
-		if i == id || e.done[i] {
-			continue
-		}
-		if e.othersID == -1 || e.time[i] < e.othersMin {
-			e.othersMin, e.othersID = e.time[i], i
-		}
-	}
+	e.othersKey = minKeyExcept(e.key, id)
 	e.granted = id
 }
 
-// keepsToken reports whether the holder, now at time t, still wins the
-// virtual-time race against the frozen minimum of the other runnable
-// cores (ties go to the smallest core ID, matching min()'s ascending
-// scan). With no other runnable core the holder trivially keeps running.
-func (e *coopEngine) keepsToken(id int, t uint64) bool {
-	return e.othersID == -1 || t < e.othersMin || (t == e.othersMin && id < e.othersID)
-}
-
 // sync implements engine. The fast path is a single comparison against
-// the per-tenure constant; losing the race selects the winner and
-// transfers control toward it with as few coroutine switches as the
-// chain permits.
+// the per-tenure constant — with no other runnable core othersKey is
+// doneKey and the holder trivially keeps running; losing the race
+// selects the winner and transfers control toward it with as few
+// coroutine switches as the chain permits.
 func (e *coopEngine) sync(id int, t uint64) {
-	e.time[id] = t
+	e.counts.Syncs++
+	k := packKey(id, t)
+	e.key[id] = k
 	if e.sched == nil {
-		if e.keepsToken(id, t) {
+		if k < e.othersKey {
 			return
 		}
-		// Fast path lost the race: the winner is, by the tie-break,
-		// exactly the recorded other-minimum core.
-		e.grant(e.othersID)
+		// Fast path lost the race: the winner is, by the tie-break in
+		// the key's low bits, exactly the recorded other-minimum core.
+		e.grant(keyID(e.othersKey))
 	} else {
 		next := e.next()
 		if next == id {
@@ -165,6 +187,7 @@ func (e *coopEngine) sync(id int, t uint64) {
 		}
 		e.grant(next)
 	}
+	e.counts.Handoffs++
 	e.dispatch(id)
 }
 
@@ -185,13 +208,18 @@ func (e *coopEngine) dispatch(id int) {
 			// The winner is an ancestor: park until the token comes back.
 			// Cores are only ever resumed when they hold the grant, so on
 			// return granted == id.
+			e.counts.Parks++
 			e.park[id](struct{}{})
 			return
 		}
 		// The winner is parked (or not yet started): switch into it
 		// directly, becoming part of the chain until it returns control.
 		e.chained[id] = true
+		e.depth++
+		e.counts.MaxChain = max(e.counts.MaxChain, e.depth)
+		e.counts.Resumes++
 		_, alive := e.resume[w]()
+		e.depth--
 		e.chained[id] = false
 		if !alive {
 			e.coreDone(w)
@@ -204,7 +232,7 @@ func (e *coopEngine) dispatch(id int) {
 // coroutine has already unwound, so control is in the run loop, which
 // observes pending == 0 and completes the simulation.
 func (e *coopEngine) coreDone(w int) {
-	e.done[w] = true
+	e.key[w] = doneKey
 	e.pending--
 	if e.pending > 0 {
 		e.grant(e.next())
@@ -238,7 +266,6 @@ func (e *coopEngine) run(m *Machine, bodies []func(*Core), panics []any) {
 					}
 				}
 				c.stats.FinalClock = c.clock
-				e.time[c.id] = c.clock
 			}()
 			body(c)
 			if c.inTx {
@@ -260,6 +287,7 @@ func (e *coopEngine) run(m *Machine, bodies []func(*Core), panics []any) {
 		// among themselves via dispatch without bouncing through this
 		// loop — and a finished core necessarily still holds the grant.
 		w := e.granted
+		e.counts.Resumes++
 		if _, alive := e.resume[w](); !alive {
 			e.coreDone(w)
 		}

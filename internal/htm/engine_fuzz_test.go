@@ -57,7 +57,11 @@ func handoffRun(cores int, ops []byte, refEngine bool) (Stats, []TraceEvent, *me
 		}
 	}
 	m.Run(bodies)
-	return m.Stats(), m.Trace(), m.Mem
+	s := m.Stats()
+	// Engine counts describe the cooperative engine's own work; the
+	// reference engine has none, and they are not simulated output.
+	s.Engine = EngineStats{}
+	return s, m.Trace(), m.Mem
 }
 
 // FuzzEngineHandoff drives arbitrary NT/tx interleavings across 2-4 cores

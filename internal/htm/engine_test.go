@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -149,5 +151,98 @@ func TestRunEmptyBodies(t *testing.T) {
 	m.Run(nil)
 	if m.Stats().Makespan != 0 {
 		t.Fatal("empty run advanced time")
+	}
+}
+
+// scanMin is the selection rule the packed keys replaced, kept as their
+// reference: an ascending scan over clocks and done flags for the
+// smallest clock among the runnable cores other than skip (-1 = none
+// skipped), ties to the smallest core ID, -1 when there is none.
+func scanMin(time []uint64, done []bool, skip int) int {
+	best := -1
+	for i := range time {
+		if i == skip || done[i] {
+			continue
+		}
+		if best == -1 || time[i] < time[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestKeyMinimumMatchesScan: for random clocks, done sets and machine
+// sizes up to the 32-core cap, the minimum over packed keys names the
+// same core as the ascending scan — for the token's next holder (next)
+// and for the frozen other-minimum (grant) — with clocks drawn from a
+// handful of values so that ties, which must go to the smallest ID, are
+// the common case, and with "every other core finished" included.
+func TestKeyMinimumMatchesScan(t *testing.T) {
+	decode := func(k uint64) (uint64, int) {
+		if k == doneKey {
+			return 0, -1
+		}
+		return keyTime(k), keyID(k)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(32)
+		spread := []int{1, 3, 1000, 1 << 40}[rng.Intn(4)]
+		doneOneIn := 1 + rng.Intn(4) // 1 = every core finished
+		time, done, keys := make([]uint64, n), make([]bool, n), make([]uint64, n)
+		for i := range keys {
+			time[i] = uint64(rng.Intn(spread))
+			done[i] = rng.Intn(doneOneIn) == 0
+			keys[i] = packKey(i, time[i])
+			if done[i] {
+				keys[i] = doneKey
+			}
+		}
+		before := slices.Clone(keys)
+		for skip := -1; skip < n; skip++ {
+			var k uint64
+			if skip == -1 {
+				k = minKey(keys)
+			} else {
+				k = minKeyExcept(keys, skip)
+			}
+			gotT, got := decode(k)
+			want := scanMin(time, done, skip)
+			if got != want || (want != -1 && gotT != time[want]) {
+				t.Fatalf("n=%d skip=%d clocks=%v done=%v: keys pick core %d @%d, scan picks %d",
+					n, skip, time, done, got, gotT, want)
+			}
+		}
+		if !slices.Equal(keys, before) {
+			t.Fatalf("minKeyExcept left the keys changed: %v, were %v", keys, before)
+		}
+	}
+}
+
+// TestEngineStatsCountTheSchedule: the engine's counts are a function of
+// (config, program) like every simulated number, they add up, and the
+// reference engine and a single-core run report what they should —
+// nothing, and no handoffs.
+func TestEngineStatsCountTheSchedule(t *testing.T) {
+	storm := func(cores int, ref bool) EngineStats {
+		return handoffStorm(cores, 300, ref).Engine
+	}
+	a, b := storm(6, false), storm(6, false)
+	if a != b {
+		t.Fatalf("same run, different engine counts:\n%+v\n%+v", a, b)
+	}
+	if a.Syncs != 6*300 || a.Keeps+a.Handoffs != a.Syncs || a.Handoffs == 0 {
+		t.Fatalf("syncs/keeps/handoffs do not add up: %+v", a)
+	}
+	// Every switch into a core is answered by that core parking or
+	// finishing, and a handoff takes at least one switch.
+	if a.Resumes != a.Parks+6 || a.Resumes+a.Parks < a.Handoffs || a.MaxChain == 0 || a.MaxChain > 6 {
+		t.Fatalf("switch counts inconsistent: %+v", a)
+	}
+	if one := storm(1, false); one.Handoffs != 0 || one.Keeps != 300 || one.Resumes != 1 || one.Parks != 0 {
+		t.Fatalf("single core: %+v", one)
+	}
+	if ref := storm(6, true); ref != (EngineStats{}) {
+		t.Fatalf("reference engine reported engine counts: %+v", ref)
 	}
 }

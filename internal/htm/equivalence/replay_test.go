@@ -65,6 +65,9 @@ func TestReplayDeterminism(t *testing.T) {
 				if got := htm.FormatTrace(onRef.Trace); got != recTrace {
 					t.Fatalf("replay on reference engine diverges from cooperative recording")
 				}
+				// The reference engine keeps no scheduling counts of its
+				// own; the cooperative replay must repeat the recording's.
+				onRef.Stats.Engine = recorded.Stats.Engine
 				if !reflect.DeepEqual(onCoop.Stats, recorded.Stats) ||
 					!reflect.DeepEqual(onRef.Stats, recorded.Stats) {
 					t.Fatalf("replayed statistics diverge from the recording")

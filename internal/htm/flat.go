@@ -12,6 +12,13 @@ import "repro/internal/mem"
 // multiply, a shift, and a short linear probe over one contiguous
 // allocation — no hashing interface, no per-entry boxing, no map
 // iteration order anywhere near simulated semantics.
+//
+// The same rule — index, don't search — shapes the three structures an
+// event touches outside this file: each core's L1 is one nsets*ways line
+// array with a per-set count (cache.go), the engine picks the next core
+// by an unsigned minimum over one packed key per core (engine_coop.go),
+// and mem.Memory reaches a heap page through a directory indexed by page
+// number.
 
 // lineHash spreads cache-line addresses over a power-of-two table
 // (Fibonacci hashing on the line number).

@@ -10,6 +10,7 @@ package htm
 // turns "no per-event allocation" from a hope into a regression test.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -17,8 +18,9 @@ import (
 
 // handoffStorm runs a fixed contended simulation: cores alternate NT
 // loads on a shared line (every event loses the virtual-time race and
-// hands the token off) with short compute. Returns total memory events.
-func handoffStorm(cores, eventsPerCore int, ref bool) uint64 {
+// hands the token off) with short compute. Returns the run's statistics;
+// NTLoads is its total of memory events.
+func handoffStorm(cores, eventsPerCore int, ref bool) Stats {
 	cfg := smallConfig(cores)
 	cfg.RefEngine = ref
 	m := New(cfg)
@@ -32,8 +34,7 @@ func handoffStorm(cores, eventsPerCore int, ref bool) uint64 {
 		}
 	}
 	m.Run(bodies)
-	s := m.Stats()
-	return s.NTLoads
+	return m.Stats()
 }
 
 // keepTokenStorm runs events that almost always keep the token: one core
@@ -79,18 +80,33 @@ func txStorm(cores, txPerCore int, obs TxObserver) Stats {
 	return m.Stats()
 }
 
+// BenchmarkHotEngineHandoff prices a handoff at 4 cores and at the
+// paper's 16, from the engine's own counts: ns/handoff is the whole
+// storm's time over its handoffs (all but a few of its events are one),
+// and switches/handoff is what the schedule, not the code, decides.
 func BenchmarkHotEngineHandoff(b *testing.B) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		events += handoffStorm(4, 2000, false)
+	for _, cores := range []int{4, 16} {
+		b.Run(fmt.Sprintf("c%d", cores), func(b *testing.B) {
+			var events uint64
+			var eng EngineStats
+			for i := 0; i < b.N; i++ {
+				s := handoffStorm(cores, 8000/cores, false)
+				events += s.NTLoads
+				eng.Handoffs += s.Engine.Handoffs
+				eng.Resumes += s.Engine.Resumes
+				eng.Parks += s.Engine.Parks
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(eng.Handoffs), "ns/handoff")
+			b.ReportMetric(float64(eng.Resumes+eng.Parks)/float64(eng.Handoffs), "switches/handoff")
+		})
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 func BenchmarkHotEngineHandoffRef(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		events += handoffStorm(4, 2000, true)
+		events += handoffStorm(4, 2000, true).NTLoads
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
@@ -175,6 +191,17 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 	if longTx != shortTx {
 		t.Fatalf("steady-state allocations: %.0f extra over %d extra transactions (short=%.0f long=%.0f), want 0",
 			longTx-shortTx, 2*(1600-200), shortTx, longTx)
+	}
+
+	// L1 storage belongs to cores that run: a one-thread cell on the
+	// sixteen-core machine builds one cache's line array, not sixteen.
+	m := New(DefaultConfig())
+	a := m.Alloc.AllocLines(1)
+	m.Run([]func(*Core){func(c *Core) { c.NTLoad(a) }})
+	for i, c := range m.cores {
+		if got, want := c.l1.lines != nil, i == 0; got != want {
+			t.Fatalf("core %d of a 1-thread run: L1 storage allocated = %v, want %v", i, got, want)
+		}
 	}
 }
 

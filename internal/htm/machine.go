@@ -164,6 +164,10 @@ func (m *Machine) Stats() Stats {
 		s.PerCore[i] = c.stats
 		s.add(&c.stats)
 	}
+	if e, ok := m.eng.(*coopEngine); ok {
+		s.Engine = e.counts
+		s.Engine.Keeps = e.counts.Syncs - e.counts.Handoffs
+	}
 	return s
 }
 

@@ -90,6 +90,24 @@ func (s *CoreStats) TotalAborts() uint64 {
 	return t
 }
 
+// EngineStats counts what scheduling one run cost the host: how often
+// the cooperative engine was consulted and how often that moved the
+// token. The counts are a function of (config, seed) like everything
+// else, but they describe the engine, not the simulated machine — the
+// reference engine reports zeros — so they stay out of every encoded
+// result, digest and report.
+type EngineStats struct {
+	// Syncs is the number of globally visible events the engine ordered;
+	// Keeps of them left the token where it was and Handoffs moved it.
+	Syncs, Keeps, Handoffs uint64
+	// Resumes and Parks are the coroutine switches into and out of cores
+	// that the handoffs (and each core's start) took.
+	Resumes, Parks uint64
+	// MaxChain is the deepest the chain of cores suspended inside a
+	// resume call ever got.
+	MaxChain uint64
+}
+
 // Stats is the machine-wide aggregate of all core stats.
 type Stats struct {
 	CoreStats
@@ -97,6 +115,8 @@ type Stats struct {
 	// wall-clock duration of the run.
 	Makespan uint64
 	PerCore  []CoreStats
+	// Engine is host-side scheduling bookkeeping, not simulated output.
+	Engine EngineStats `json:"-"`
 }
 
 // add folds c into the aggregate.

@@ -5,7 +5,10 @@
 // Addresses are byte addresses, but all accesses are performed at 8-byte
 // word granularity (the low three bits of an access address are ignored).
 // The cache-line size is fixed at 64 bytes to match the simulated machine,
-// so a line holds eight words.
+// so a line holds eight words. Memory is sparse — 4 KB pages owned by a
+// map — with a directory indexed by page number in front of it for the
+// low range heaps are bump-allocated in, so an access to heap data never
+// hashes.
 //
 // WordSet is the one {word → value} table on the commit path: the core's
 // write buffer and observer logs and the software backends' read and
@@ -36,58 +39,94 @@ const pageBits = 12
 
 const pageWords = 1 << (pageBits - 3)
 
+type page [pageWords]uint64
+
+// dirLimit bounds the page directory: page numbers below it (the first
+// 512 MB of the address space, which holds any heap a bump Allocator is
+// given in practice) are indexed, the rest are found through the map.
+const dirLimit = 1 << 17
+
 // Memory is a sparse simulated physical memory. It is not safe for
 // concurrent use; the simulation engine serializes all accesses.
 type Memory struct {
-	pages map[Addr][]uint64
-	// lastKey/lastPage cache the most recently touched page: simulated
-	// accesses are strongly page-local, so most loads and stores skip the
-	// page-map lookup entirely. lastPage is nil until the first access.
-	lastKey  Addr
-	lastPage []uint64
+	// pages owns every page that has been stored to, keyed by page
+	// number: Snapshot and Diff walk it, and it is how a page outside the
+	// directory is found.
+	pages map[Addr]*page
+	// dir is the page directory: dir[k] == pages[k] for every page number
+	// k < len(dir), and no page numbered in [len(dir), dirLimit) exists —
+	// creating one grows the directory over it (by doubling, up to
+	// dirLimit entries). Heaps are bump-allocated upward from a low base,
+	// so the pages a run touches are a dense low range and a load or
+	// store reaches its page by one indexed read, however many cores
+	// interleave their accesses.
+	dir []*page
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{pages: make(map[Addr][]uint64)}
+	return &Memory{pages: make(map[Addr]*page)}
 }
 
-func (m *Memory) page(a Addr) []uint64 {
+// find returns the page holding a, nil if nothing was ever stored there.
+// It makes no call on the directory path, so Load inlines whole into the
+// simulator's access paths.
+func (m *Memory) find(a Addr) *page {
 	key := a >> pageBits
-	if m.lastPage != nil && key == m.lastKey {
-		return m.lastPage
+	if key < Addr(len(m.dir)) {
+		return m.dir[key]
 	}
-	p, ok := m.pages[key]
-	if !ok {
-		p = make([]uint64, pageWords)
-		m.pages[key] = p
+	return m.pages[key]
+}
+
+// newPage creates the page numbered key, growing the directory to cover
+// it when it is below dirLimit.
+func (m *Memory) newPage(key Addr) *page {
+	p := new(page)
+	m.pages[key] = p
+	if key < dirLimit {
+		if n := Addr(len(m.dir)); key >= n {
+			n = max(n, 256)
+			for n <= key {
+				n *= 2
+			}
+			m.dir = append(m.dir, make([]*page, n-Addr(len(m.dir)))...)
+		}
+		m.dir[key] = p
 	}
-	m.lastKey, m.lastPage = key, p
 	return p
 }
 
-// Load returns the word stored at a (word-aligned).
+// Load returns the word stored at a (word-aligned); memory never stored
+// to reads zero.
 func (m *Memory) Load(a Addr) uint64 {
-	a = WordOf(a)
-	return m.page(a)[(a>>3)&(pageWords-1)]
+	if p := m.find(a); p != nil {
+		return p[(a>>3)&(pageWords-1)]
+	}
+	return 0
 }
 
 // Store writes the word v at a (word-aligned).
 func (m *Memory) Store(a Addr, v uint64) {
-	a = WordOf(a)
-	m.page(a)[(a>>3)&(pageWords-1)] = v
+	p := m.find(a)
+	if p == nil {
+		p = m.newPage(a >> pageBits)
+	}
+	p[(a>>3)&(pageWords-1)] = v
 }
 
 // Snapshot returns an independent deep copy of the memory's current
 // contents. Oracles snapshot the post-setup state and replay committed
 // effects against the copy.
 func (m *Memory) Snapshot() *Memory {
-	s := &Memory{pages: make(map[Addr][]uint64, len(m.pages))}
+	s := &Memory{pages: make(map[Addr]*page, len(m.pages)), dir: make([]*page, len(m.dir))}
 	//staggervet:allow determinism page-by-page copy into a map; the result is order-independent
 	for key, p := range m.pages {
-		cp := make([]uint64, len(p))
-		copy(cp, p)
-		s.pages[key] = cp
+		cp := *p
+		s.pages[key] = &cp
+		if key < Addr(len(s.dir)) {
+			s.dir[key] = &cp
+		}
 	}
 	return s
 }
@@ -107,15 +146,15 @@ func (m *Memory) Diff(o *Memory, max int) []Addr {
 		}
 	}
 	slices.Sort(ordered)
-	var zero [pageWords]uint64
+	var zero page
 	var out []Addr
 	for _, k := range ordered {
 		a, b := m.pages[k], o.pages[k]
 		if a == nil {
-			a = zero[:]
+			a = &zero
 		}
 		if b == nil {
-			b = zero[:]
+			b = &zero
 		}
 		for w := 0; w < pageWords; w++ {
 			if a[w] != b[w] {

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -173,5 +176,101 @@ func TestNewAllocatorRejectsBadBase(t *testing.T) {
 			}()
 			NewAllocator(base, 1024)
 		}()
+	}
+}
+
+// modelDiff is Diff over two word maps: the ascending word addresses at
+// which they differ, absent words reading zero, capped at max.
+func modelDiff(a, b map[Addr]uint64, max int) []Addr {
+	var out []Addr
+	for k, v := range a {
+		if b[k] != v {
+			out = append(out, k)
+		}
+	}
+	for k, v := range b {
+		if _, seen := a[k]; !seen && v != 0 {
+			out = append(out, k)
+		}
+	}
+	slices.Sort(out)
+	if len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
+
+// TestMemoryMatchesMapModel drives a Memory and a plain word map with the
+// same random stores over the three address ranges a page lookup tells
+// apart — a dense heap-like range the directory indexes, the directory's
+// last pages, and far addresses only the page map can hold — and
+// requires the same loads, a Snapshot that is a deep copy (later stores
+// to either side do not show in the other), and the Diff the model
+// predicts, including for pages one side reached only through its
+// directory and the other never touched.
+func TestMemoryMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randAddr := func() Addr {
+		word := Addr(rng.Intn(3*pageWords)) * WordSize
+		switch rng.Intn(4) {
+		case 0:
+			return (dirLimit-2)<<pageBits + word // straddles the directory's end
+		case 1:
+			return Addr(0xDEAD)<<32 + word // far outside any heap
+		default:
+			return 1<<20 + word // where DefaultConfig's heap starts
+		}
+	}
+	m, model := New(), map[Addr]uint64{}
+	store := func(m *Memory, model map[Addr]uint64, n int) {
+		for i := 0; i < n; i++ {
+			a, v := randAddr(), rng.Uint64()
+			m.Store(a+Addr(rng.Intn(WordSize)), v) // low bits are ignored
+			model[a] = v
+		}
+	}
+	check := func(what string, m *Memory, model map[Addr]uint64) {
+		t.Helper()
+		for a, v := range model {
+			if got := m.Load(a); got != v {
+				t.Fatalf("%s: Load(%#x) = %d, model %d", what, a, got, v)
+			}
+		}
+		for i := 0; i < 500; i++ {
+			if a := randAddr(); m.Load(a) != model[a] {
+				t.Fatalf("%s: Load(%#x) = %d, model %d", what, a, m.Load(a), model[a])
+			}
+		}
+	}
+	store(m, model, 2000)
+	check("original", m, model)
+
+	snap, snapModel := m.Snapshot(), maps.Clone(model)
+	if d := m.Diff(snap, 10); len(d) != 0 {
+		t.Fatalf("fresh snapshot differs at %v", d)
+	}
+	store(m, model, 300)
+	store(snap, snapModel, 300)
+	check("original after diverging", m, model)
+	check("snapshot after diverging", snap, snapModel)
+	for _, max := range []int{1, 7, 1 << 20} {
+		if got, want := m.Diff(snap, max), modelDiff(model, snapModel, max); !slices.Equal(got, want) {
+			t.Fatalf("Diff(max=%d) = %#x\nmodel          %#x", max, got, want)
+		}
+		if got, want := snap.Diff(m, max), modelDiff(snapModel, model, max); !slices.Equal(got, want) {
+			t.Fatalf("reverse Diff(max=%d) = %#x\nmodel                  %#x", max, got, want)
+		}
+	}
+
+	// A page reached only by a heap store — through the directory from
+	// its first touch — is in the snapshot and in a Diff against a memory
+	// that never saw it.
+	one := New()
+	one.Store(1<<20+8, 5)
+	if got := one.Snapshot().Load(1<<20 + 8); got != 5 {
+		t.Fatalf("snapshot lost a directory page: Load = %d, want 5", got)
+	}
+	if got := New().Diff(one, 4); !slices.Equal(got, []Addr{1<<20 + 8}) {
+		t.Fatalf("Diff against an empty memory = %#x, want [0x100008]", got)
 	}
 }

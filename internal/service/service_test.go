@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/htm"
+	"repro/internal/workloads"
 )
 
 // tinySpec is a cell cheap enough for unit tests (a few ms of simulation).
@@ -303,6 +304,32 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 	}
 	if m := s.Metrics(); m.ShedFull == 0 {
 		t.Fatalf("metrics %+v did not count shed load", m)
+	}
+}
+
+// TestAdmissionBuildsNoWorkload: admitting a job normalizes and keys
+// every cell, and none of that needs a workload's module — only the
+// default operation count, which is a static lookup. With the sweep
+// seamed out, a 12-cell job reaches the running state having built none.
+func TestAdmissionBuildsNoWorkload(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	s := newT(t, Config{JobWorkers: 1, sweep: blockingSeam(release)})
+	before := workloads.Builds()
+	j, err := s.Submit(JobSpec{
+		Benchmarks: []string{"list-hi", "kmeans", "vacation"},
+		Modes:      []string{"htm", "staggered"},
+		Threads:    []int{2, 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, JobRunning)
+	if st := j.Status(); st.Cells != 12 {
+		t.Fatalf("planned %d cells, want 12", st.Cells)
+	}
+	if built := workloads.Builds() - before; built != 0 {
+		t.Fatalf("admitting a 12-cell job built %d workloads, want 0", built)
 	}
 }
 

@@ -24,7 +24,8 @@ const (
 	genChunk    = 4   // segments inserted per transaction (Figure 3 loop)
 )
 
-func init() { register("genome", buildGenome) }
+// One op inserts one chunk of segments.
+func init() { register("genome", genSegments/genChunk, buildGenome) }
 
 func buildGenome() *Workload {
 	mod := prog.NewModule("genome")
@@ -45,7 +46,6 @@ func buildGenome() *Workload {
 		Description: fmt.Sprintf("segment dedup: %d segments, %d buckets", genSegments, genBuckets),
 		Contention:  "low",
 		Mod:         mod,
-		TotalOps:    genSegments / genChunk, // one op = one chunk insert
 		Setup: func(m *htm.Machine, seed int64) {
 			table = simds.NewHashTable(m, genBuckets)
 		},

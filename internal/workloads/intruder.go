@@ -26,7 +26,8 @@ const (
 	intrBuckets  = 64
 )
 
-func init() { register("intruder", buildIntruder) }
+// One op processes one fragment.
+func init() { register("intruder", intrFlows*intrFragsPer, buildIntruder) }
 
 func buildIntruder() *Workload {
 	mod := prog.NewModule("intruder")
@@ -70,7 +71,6 @@ func buildIntruder() *Workload {
 		Description: "packet reassembly: shared task queue + fragment map",
 		Contention:  "high",
 		Mod:         mod,
-		TotalOps:    intrFlows * intrFragsPer, // one op = one fragment
 		Setup: func(m *htm.Machine, seed int64) {
 			packetQ = simds.NewQueue(m.Alloc)
 			resultQ = simds.NewQueue(m.Alloc)

@@ -25,7 +25,7 @@ const (
 	kmPoints   = 2048
 )
 
-func init() { register("kmeans", buildKmeans) }
+func init() { register("kmeans", kmPoints, buildKmeans) }
 
 func buildKmeans() *Workload {
 	mod := prog.NewModule("kmeans")
@@ -41,7 +41,6 @@ func buildKmeans() *Workload {
 		Description: fmt.Sprintf("n=%d d=%d c=%d accumulator updates", kmPoints, kmDims, kmClusters),
 		Contention:  "high",
 		Mod:         mod,
-		TotalOps:    kmPoints,
 		Setup: func(m *htm.Machine, seed int64) {
 			base = simds.NewCenters(m, cs)
 		},

@@ -23,7 +23,7 @@ const (
 	labRoutes        = 96
 )
 
-func init() { register("labyrinth", buildLabyrinth) }
+func init() { register("labyrinth", labRoutes, buildLabyrinth) }
 
 func buildLabyrinth() *Workload {
 	mod := prog.NewModule("labyrinth")
@@ -47,7 +47,6 @@ func buildLabyrinth() *Workload {
 		Description: fmt.Sprintf("maze routing on a %dx%dx%d grid", labX, labY, labZ),
 		Contention:  "high",
 		Mod:         mod,
-		TotalOps:    labRoutes,
 		Setup: func(m *htm.Machine, seed int64) {
 			base = simds.NewGrid(m, g)
 			cells = simds.Cells(m, base)

@@ -22,11 +22,11 @@ import (
 const listNodes = 128
 
 func init() {
-	register("list-lo", func() *Workload { return buildList("list-lo", 90, 5, 3200) })
-	register("list-hi", func() *Workload { return buildList("list-hi", 60, 20, 3200) })
+	register("list-lo", 3200, func() *Workload { return buildList("list-lo", 90, 5) })
+	register("list-hi", 3200, func() *Workload { return buildList("list-hi", 60, 20) })
 }
 
-func buildList(name string, lookupPct, insertPct, totalOps int) *Workload {
+func buildList(name string, lookupPct, insertPct int) *Workload {
 	mod := prog.NewModule(name)
 	l := simds.DeclareSortedList(mod)
 	// The shared list is a module global bound into every atomic block's
@@ -46,7 +46,6 @@ func buildList(name string, lookupPct, insertPct, totalOps int) *Workload {
 			listNodes, lookupPct, insertPct, 100-lookupPct-insertPct),
 		Contention: map[string]string{"list-lo": "med", "list-hi": "high"}[name],
 		Mod:        mod,
-		TotalOps:   totalOps,
 		Setup: func(m *htm.Machine, seed int64) {
 			list = simds.NewList(m.Alloc)
 			keys := make([]uint64, 0, listNodes)

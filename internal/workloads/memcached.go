@@ -30,7 +30,7 @@ const (
 	statMisses = 3
 )
 
-func init() { register("memcached", buildMemcached) }
+func init() { register("memcached", 3200, buildMemcached) }
 
 func buildMemcached() *Workload {
 	mod := prog.NewModule("memcached")
@@ -63,7 +63,6 @@ func buildMemcached() *Workload {
 		Description: "in-memory key-value storage, 90% GET / 10% SET",
 		Contention:  "high",
 		Mod:         mod,
-		TotalOps:    3200,
 		Setup: func(m *htm.Machine, seed int64) {
 			table = simds.NewHashTable(m, mcBuckets)
 			stats = simds.NewStats(m.Alloc)

@@ -24,7 +24,7 @@ const (
 	ssEdgeCap = 6 // per-node adjacency capacity (1 line per node)
 )
 
-func init() { register("ssca2", buildSSCA2) }
+func init() { register("ssca2", 4096, buildSSCA2) }
 
 func buildSSCA2() *Workload {
 	mod := prog.NewModule("ssca2")
@@ -44,7 +44,6 @@ func buildSSCA2() *Workload {
 		Description: fmt.Sprintf("graph construction: %d nodes, bounded adjacency", ssNodes),
 		Contention:  "low",
 		Mod:         mod,
-		TotalOps:    4096,
 		Setup: func(m *htm.Machine, seed int64) {
 			base = m.Alloc.AllocLines(ssNodes)
 		},

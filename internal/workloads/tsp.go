@@ -38,7 +38,7 @@ func tspTotalTasks() int {
 	return tspSeeds * per
 }
 
-func init() { register("tsp", buildTsp) }
+func init() { register("tsp", tspTotalTasks(), buildTsp) }
 
 func buildTsp() *Workload {
 	mod := prog.NewModule("tsp")
@@ -74,7 +74,6 @@ func buildTsp() *Workload {
 		Description: "branch-and-bound TSP over a B+ tree priority queue",
 		Contention:  "med",
 		Mod:         mod,
-		TotalOps:    tspTotalTasks(),
 		Setup: func(m *htm.Machine, seed int64) {
 			pq = simds.NewBPTree(m)
 			best = m.Alloc.AllocLines(1)

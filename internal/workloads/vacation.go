@@ -32,7 +32,7 @@ const (
 // (the extra read touches the table header the block reads anyway).
 var DriftVacationKind bool
 
-func init() { register("vacation", buildVacation) }
+func init() { register("vacation", 2400, buildVacation) }
 
 func buildVacation() *Workload {
 	mod := prog.NewModule("vacation")
@@ -69,7 +69,6 @@ func buildVacation() *Workload {
 		Description: fmt.Sprintf("reservations over %d-entry red-black trees", vacRelations),
 		Contention:  "med",
 		Mod:         mod,
-		TotalOps:    2400,
 		Setup: func(m *htm.Machine, seed int64) {
 			keys := make([]uint64, vacRelations)
 			for i := range keys {

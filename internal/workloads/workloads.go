@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/backend"
 	"repro/internal/htm"
@@ -35,7 +36,8 @@ type Workload struct {
 	// Mod is the finalized static program of the benchmark.
 	Mod *prog.Module
 
-	// TotalOps is the default total transactional operation count.
+	// TotalOps is the default total transactional operation count, as
+	// registered (see DefaultOps).
 	TotalOps int
 
 	// Setup seeds the shared data (untimed, direct memory writes).
@@ -59,24 +61,58 @@ type Workload struct {
 // Builder constructs a fresh workload instance (fresh module and state).
 type Builder func() *Workload
 
-var registry = map[string]Builder{}
+// entry is what is known about a benchmark without building it — its
+// default operation count — and how to build it.
+type entry struct {
+	ops   int
+	build Builder
+}
 
-// register adds a builder; called from each workload's init.
-func register(name string, b Builder) {
+var registry = map[string]entry{}
+
+// builds counts Get calls: each one constructs and finalizes a module.
+var builds atomic.Uint64
+
+// register adds a benchmark with its default total operation count;
+// called from each workload's init.
+func register(name string, ops int, b Builder) {
 	if _, dup := registry[name]; dup {
 		panic("workloads: duplicate " + name)
 	}
-	registry[name] = b
+	registry[name] = entry{ops, b}
+}
+
+func lookup(name string) (entry, error) {
+	e, ok := registry[name]
+	if !ok {
+		return entry{}, fmt.Errorf("workloads: unknown benchmark %q", name)
+	}
+	return e, nil
 }
 
 // Get builds a fresh instance of the named workload.
 func Get(name string) (*Workload, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
+	e, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return b(), nil
+	builds.Add(1)
+	w := e.build()
+	w.TotalOps = e.ops
+	return w, nil
 }
+
+// DefaultOps returns the named workload's default total operation count
+// without building the workload: resolving a cell's defaults and keying
+// it need nothing else of it.
+func DefaultOps(name string) (int, error) {
+	e, err := lookup(name)
+	return e.ops, err
+}
+
+// Builds reports how many workloads Get has built in this process, so a
+// test can hold a path to building none.
+func Builds() uint64 { return builds.Load() }
 
 // Names lists registered benchmarks in the paper's Table 4 order where
 // applicable, alphabetically otherwise.

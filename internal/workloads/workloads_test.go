@@ -127,6 +127,39 @@ func TestGetUnknown(t *testing.T) {
 	}
 }
 
+// TestDefaultOpsIsStatic: the default operation count of every benchmark
+// is answered without building it, agrees with what a built instance
+// carries, and an unknown name is an error there too.
+func TestDefaultOpsIsStatic(t *testing.T) {
+	before := workloads.Builds()
+	ops := map[string]int{}
+	for _, n := range workloads.Names() {
+		v, err := workloads.DefaultOps(n)
+		if err != nil || v <= 0 {
+			t.Fatalf("DefaultOps(%s) = %d, %v", n, v, err)
+		}
+		ops[n] = v
+	}
+	if _, err := workloads.DefaultOps("nope"); err == nil {
+		t.Fatal("expected error for unknown benchmark")
+	}
+	if built := workloads.Builds() - before; built != 0 {
+		t.Fatalf("DefaultOps built %d workloads", built)
+	}
+	for n, want := range ops {
+		w, err := workloads.Get(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.TotalOps != want {
+			t.Errorf("%s: built TotalOps %d, DefaultOps %d", n, w.TotalOps, want)
+		}
+	}
+	if built := workloads.Builds() - before; built != uint64(len(ops)) {
+		t.Fatalf("Builds counted %d for %d Gets", built, len(ops))
+	}
+}
+
 // TestThreadSweep: every benchmark verifies at 1, 2, 8, and 16 threads
 // under the staggered system — the invariants must hold at any width.
 func TestThreadSweep(t *testing.T) {
