@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help ci vet verify-static build test smoke explore-smoke paper \
+.PHONY: help ci vet verify-static build test explore-smoke paper \
 	race-equivalence bench bench-smoke docs-verify docs \
 	daemon-smoke crash-smoke
 
@@ -10,21 +10,22 @@ help:
 	@grep -E '^[a-z][a-z-]*:.*##' $(MAKEFILE_LIST) | \
 		awk -F':.*## ' '{printf "  %-16s %s\n", $$1, $$2}'
 
-# ci is the gate: static checks, full build, full test suite, the chaos
-# smoke (fault injection + verification on a representative cell), a
+# ci is the gate: static checks, full build, full test suite (which
+# includes the chaos smoke and the campaign on the paper's runtime), a
 # bounded schedule-exploration smoke (adversarial scheduler + oracle),
 # the IR-level static verification of every workload, the engine
 # differential suite (cooperative vs reference, byte-identical, -race),
 # the race-mode parallel-sweep equivalence suite, the daemon lifecycle
 # smoke, the crash-recovery harness, the generated-docs drift check, and
 # the perf ledger's smoke run with its own module's tests.
-ci: vet build test smoke explore-smoke verify-static conflict-verify equivalence race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
+ci: vet build test explore-smoke verify-static conflict-verify equivalence race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
 
 # vet layers three static gates: formatting, the standard go vet, and
 # the repo's own staggervet analyzers (determinism, ntstore, siteattr,
-# errshadow, fsyncpath, ctxdone), self-hosted over the whole tree. Any
-# finding exits nonzero and fails the build; an accepted one is waived
-# in place with //staggervet:allow, and a stale waiver is a finding too.
+# errshadow, fsyncpath, ctxdone, refengine), self-hosted over the whole
+# tree. Any finding exits nonzero and fails the build; an accepted one is
+# waived in place with //staggervet:allow, and a stale waiver is a
+# finding too.
 vet: ## gofmt + go vet + staggervet analyzers (any finding fails)
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
@@ -48,9 +49,6 @@ build: ## go build ./...
 
 test: ## go test ./...
 	$(GO) test ./...
-
-smoke: ## chaos smoke: fault injection + verification, one cell
-	$(GO) test ./internal/harness -run TestChaosSmoke -count=1
 
 # daemon-smoke boots the real staggerd on a kernel-assigned port with a
 # throwaway store, drives one paper-table job through the HTTP lifecycle
@@ -77,11 +75,11 @@ explore-smoke: ## 25 adversarial schedules per cell through the oracle
 		-ops 160 -explore -explore-runs 25 -sched pct:3
 
 # equivalence is the engine differential gate: every workload × seed ×
-# {plain, staggered, hardened, chaos, PCT} cell runs on the cooperative
-# engine and the reference engine and must be byte-identical in traces,
-# metrics JSON, statistics, oracle verdicts, and workload verification —
-# under -race, so the coroutine handoff protocol is checked at the same
-# time. Record/replay cross-engine determinism and the fuzz seed corpus
+# {plain, staggered, hardened (= the chaos campaign's cell on the paper's
+# runtime), chaos, PCT} cell runs on the cooperative engine and the
+# reference engine and must be byte-identical in traces, metrics JSON,
+# statistics, oracle verdicts, and workload verification — under -race,
+# so the coroutine handoff protocol is checked at the same time. Record/replay cross-engine determinism and the fuzz seed corpus
 # run in the same package. On a mismatch the suite writes both traces
 # and the first-divergence index under EQUIVALENCE_ARTIFACTS (default
 # ./equivalence-artifacts), which CI uploads.

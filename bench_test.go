@@ -1,15 +1,12 @@
-// Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (Section 6), plus ablations over the design choices
-// DESIGN.md calls out. Each benchmark drives full deterministic
+// Design ablations: one testing.B target per design choice DESIGN.md
+// calls out and EXPERIMENTS.md quotes. Each drives full deterministic
 // simulations and reports the headline numbers as custom metrics, so
 //
-//	go test -bench=Figure7 -benchmem
+//	go test -bench=Ablation -benchtime 1x .
 //
-// regenerates (and times) the corresponding experiment: the table and
-// figure benchmarks clear the harness memo every iteration, so each one
-// simulates its cells rather than timing memo hits. Results repeat
-// bit-identically across runs; see EXPERIMENTS.md for the reference
-// values and their comparison against the paper.
+// regenerates them; results repeat bit-identically across runs. Wall
+// time of the paper's tables and figures, and raw simulator speed, are
+// the perf ledger's business (bench/, `make bench`).
 package main
 
 import (
@@ -17,107 +14,9 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/stagger"
-	"repro/internal/workloads"
 )
 
 const benchSeed = 42
-
-// BenchmarkTable1 regenerates the contention characterization.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.ClearCache()
-		rows, err := harness.Table1(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.S, r.Bench+"_speedup")
-				b.ReportMetric(r.WU, r.Bench+"_W/U")
-			}
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates the instrumentation statistics.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.ClearCache()
-		rows, err := harness.Table3(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Accuracy*100, r.Bench+"_accuracy_%")
-				b.ReportMetric(r.ExecTimeInc*100, r.Bench+"_overhead_%")
-			}
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates the benchmark characteristics.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.ClearCache()
-		rows, err := harness.Table4(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.S, r.Bench+"_speedup")
-				b.ReportMetric(r.AbtsPerC, r.Bench+"_abts/commit")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates the four-system performance comparison;
-// each sub-benchmark reports one application's bars.
-func BenchmarkFigure7(b *testing.B) {
-	for _, bench := range workloads.Names() {
-		b.Run(bench, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				harness.ClearCache()
-				base, err := harness.RunCached(harness.RunConfig{
-					Benchmark: bench, Mode: stagger.ModeHTM,
-					Threads: harness.PaperThreads, Seed: benchSeed,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				stag, err := harness.RunCached(harness.RunConfig{
-					Benchmark: bench, Mode: stagger.ModeStaggeredHW,
-					Threads: harness.PaperThreads, Seed: benchSeed,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(base.Makespan())/float64(stag.Makespan()), "norm_speedup")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFigure8 regenerates the abort and wasted-cycle comparison.
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.ClearCache()
-		rows, err := harness.Figure8(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.HTMAbortsPerCommit, r.Bench+"_htm_abts")
-				b.ReportMetric(r.StagAbortsPerCommit, r.Bench+"_stag_abts")
-			}
-		}
-	}
-}
 
 // BenchmarkAblationInstrumentation compares DSA-guided anchor selection
 // against naive every-load/store instrumentation (Section 6.1): the
@@ -247,23 +146,6 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulator speed: simulated
-// cycles per wall-clock second on a 16-core contended run.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Run(harness.RunConfig{
-			Benchmark: "memcached", Mode: stagger.ModeStaggeredHW,
-			Threads: harness.PaperThreads, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Makespan()
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -276,50 +158,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkLazyTM runs the lazy-TM extension experiment (the paper's
-// proposed future work): staggered transactions on commit-time
-// committer-wins conflict resolution.
-func BenchmarkLazyTM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		harness.ClearCache()
-		rows, err := harness.FigureLazy(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.LazyStagg, r.Bench+"_stag_on_lazy")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationMultiLock sweeps the per-transaction advisory lock
-// budget (the paper uses exactly one) on genome, whose chunked inserts
-// touch several hash chains per transaction.
-func BenchmarkAblationMultiLock(b *testing.B) {
-	for _, max := range []int{1, 2, 4} {
-		b.Run("locks_"+itoa(max), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := stagger.DefaultConfig(stagger.ModeStaggeredHW)
-				cfg.MaxLocksPerTx = max
-				res, err := harness.Run(harness.RunConfig{
-					Benchmark: "genome", Mode: stagger.ModeStaggeredHW,
-					Threads: harness.PaperThreads, Seed: benchSeed, Stagger: &cfg,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.VerifyErr != nil {
-					b.Fatal(res.VerifyErr)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(res.Makespan()), "makespan_cycles")
-					b.ReportMetric(res.AbortsPerCommit(), "abts/commit")
-				}
-			}
-		})
-	}
 }

@@ -17,7 +17,7 @@
 //
 // Fault injection (all deterministic in -seed):
 //
-//	staggersim -bench list-hi -chaos 0.01 -hardened
+//	staggersim -bench list-hi -chaos 0.01 -watchdog 500000000
 //	staggersim -chaos-campaign -chaos-rates 0,0.002,0.01,0.05 -ops 240
 //
 // Schedule exploration (adversarial scheduling + serializability oracle):
@@ -63,8 +63,8 @@ var flagGroups = []struct {
 }{
 	{"Run selection", []string{"bench", "mode", "backend", "capacity", "threads", "seed", "ops", "naive", "lazy", "speedup", "workers"}},
 	{"Observability", []string{"metrics", "trace", "trace-out", "cpuprofile"}},
-	{"Fault injection and hardening", []string{"chaos", "chaos-abort", "chaos-ntdelay", "chaos-lockdrop",
-		"chaos-jitter", "hardened", "watchdog", "chaos-campaign", "chaos-rates"}},
+	{"Fault injection", []string{"chaos", "chaos-abort", "chaos-ntdelay", "chaos-lockdrop",
+		"chaos-jitter", "watchdog", "chaos-campaign", "chaos-rates"}},
 	{"Scheduling and exploration", []string{"sched", "sched-seed", "oracle", "record", "explore",
 		"explore-runs", "minimize", "explore-out", "unsafe-early-release"}},
 	{"Static verification", []string{"verify-static", "verify-conflicts", "conflict-seeds", "json",
@@ -114,7 +114,6 @@ type opts struct {
 	traceOut                                            *string
 	speedup                                             *bool
 	chaosRate, chaosAbort, chaosNT, chaosDrop, chaosJit *float64
-	hardened                                            *bool
 	watchdog                                            *uint64
 	campaign                                            *bool
 	rates, schedSpec                                    *string
@@ -154,7 +153,6 @@ func defineFlags(fs *flag.FlagSet) *opts {
 		chaosNT:     fs.Float64("chaos-ntdelay", 0, "NT-store delay rate (overrides -chaos)"),
 		chaosDrop:   fs.Float64("chaos-lockdrop", 0, "lost-lock-release rate (overrides -chaos)"),
 		chaosJit:    fs.Float64("chaos-jitter", 0, "per-core stall-jitter rate (overrides -chaos)"),
-		hardened:    fs.Bool("hardened", false, "run the self-healing runtime config (leases, jitter, exp backoff, livelock escape)"),
 		watchdog:    fs.Uint64("watchdog", 0, "fail loudly past this many virtual cycles (0 = none)"),
 		campaign:    fs.Bool("chaos-campaign", false, "sweep fault rates across benchmarks and print degradation curves"),
 		rates:       fs.String("chaos-rates", "", "comma-separated fault rates for -chaos-campaign"),
@@ -271,10 +269,6 @@ func (o *opts) cell() (harness.RunConfig, error) {
 	}
 	if ccfg.Enabled() {
 		rc.Chaos = &ccfg
-	}
-	if *o.hardened {
-		scfg := stagger.HardenedConfig(m)
-		rc.Stagger = &scfg
 	}
 	return rc, nil
 }
@@ -522,8 +516,8 @@ func campaign(rc harness.RunConfig, rateList string) (harness.ChaosSweep, error)
 	return cs, nil
 }
 
-// runCampaign sweeps fault rates across benchmarks under the hardened
-// runtime and prints graceful-degradation curves.
+// runCampaign sweeps fault rates across benchmarks and prints
+// graceful-degradation curves.
 func runCampaign(rc harness.RunConfig, rateList string) {
 	cs, err := campaign(rc, rateList)
 	if err != nil {
@@ -556,8 +550,6 @@ func printResult(r *harness.Result) {
 	if r.Faults.Total() > 0 {
 		fmt.Printf("chaos       injected: aborts %d, nt-delays %d, lock-drops %d, jitters %d\n",
 			r.Faults.Aborts, r.Faults.NTDelays, r.Faults.LockDrops, r.Faults.Jitters)
-		fmt.Printf("recovery    locks reclaimed %d, lock timeouts %d, livelock escapes %d\n",
-			r.Metrics.LocksReclaimed, r.Metrics.LockTimeouts, r.Metrics.LivelockEscapes)
 	}
 	fmt.Printf("tm fraction %.1f%% of cycles, %.0f tx-uops per txn\n",
 		100*r.TMFraction(), r.UopsPerTxn())

@@ -1,12 +1,7 @@
-// Quickstart: run hardware transactions on the simulated machine.
-//
-// Four simulated threads transfer money between two accounts atomically.
-// The example uses the raw HTM layer only — no compiler pass, no advisory
-// locks — and shows the simulator's determinism: run it twice and every
-// cycle count matches.
-//
-//	go run ./examples/quickstart
-package main
+// Package examples_test holds the runnable walkthroughs as testable
+// examples: `go test ./examples` runs them and compares their output,
+// so a walkthrough cannot drift from the code it demonstrates.
+package examples_test
 
 import (
 	"fmt"
@@ -14,7 +9,13 @@ import (
 	"repro/internal/htm"
 )
 
-func main() {
+// Quickstart: run hardware transactions on the simulated machine.
+//
+// Four simulated threads transfer money between two accounts atomically.
+// The example uses the raw HTM layer only — no compiler pass, no advisory
+// locks — and shows the simulator's determinism: every run prints the
+// same cycle counts, which is what lets them be the expected output.
+func Example_quickstart() {
 	cfg := htm.DefaultConfig()
 	cfg.Cores = 4
 	m := htm.New(cfg)
@@ -63,4 +64,8 @@ func main() {
 	if total != 2000 {
 		panic("atomicity violated")
 	}
+	// Output:
+	// alice=1000 bob=1000 (total 2000, must be 2000)
+	// commits=200 aborts=188 (0.94 per commit) irrevocable=7
+	// makespan=23195 cycles, wasted/useful = 0.84
 }

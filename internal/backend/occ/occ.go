@@ -24,7 +24,7 @@
 //     (htm.Core.NTStoreBatch) and the lock drops; on mismatch the lock
 //     drops, the attempt counts as an AbortConflict, and the body
 //     re-runs after the shared retry policy's backoff
-//     (htm.AtomicOpts.BackoffMean, drawn on this runtime's own PRNG).
+//     (htm.Core.Backoff, drawn on this runtime's own PRNG).
 //   - Locked fallback. After MaxRetries failed validations the
 //     instance runs once more while holding the commit lock from the
 //     start: no writer can race it, validation is unnecessary, and

@@ -35,7 +35,7 @@ type Config struct {
 	NTDelayCycles uint64
 	// LockDropRate is the probability that an advisory-lock release is
 	// lost — the holder "dies" without releasing, leaving a stale owner
-	// (and lease stamp) in the lock word.
+	// in the lock word.
 	LockDropRate float64
 	// JitterRate is the probability, per memory event, of a per-core
 	// stall of JitterCycles (scheduling noise).

@@ -29,8 +29,10 @@ import (
 // Capacity join the key, and backend resolution can rewrite the
 // effective mode); 4 keys the normalized cell (Backend and ops always
 // explicit, Mode as resolved, Capacity only on "limited"), so the
-// spellings of one simulation that 3 stored apart share one entry.
-const CacheSchema = 4
+// spellings of one simulation that 3 stored apart share one entry; 5
+// dropped the service's `hardened` cell field and the report's
+// locks.reclaimed counter with the runtime mechanisms behind them.
+const CacheSchema = 5
 
 // Every RunConfig field is named in exactly one of these lists
 // (TestRunConfigFieldsKeyedOrUncacheable): keyed fields are simulation

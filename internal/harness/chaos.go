@@ -7,12 +7,11 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/htm"
-	"repro/internal/stagger"
 	"repro/internal/workloads"
 )
 
 // A chaos campaign sweeps fault-injection rates across benchmarks and
-// checks that the hardened runtime degrades gracefully: every cell must
+// checks that the paper's runtime degrades gracefully: every cell must
 // finish under the watchdog and pass its workload's Verify invariants,
 // whatever mix of spurious aborts, delayed NT stores, lost lock releases,
 // and stall jitter is thrown at it. The output is a degradation curve —
@@ -36,8 +35,7 @@ type ChaosSweep struct {
 	// Cell is the cell every (benchmark, rate) point runs; the sweep sets
 	// its Benchmark and Chaos per point. Zero fields take the campaign's
 	// defaults: PaperThreads, DefaultSeed (which also seeds the fault
-	// schedule), ChaosWatchdog, and for Stagger HardenedConfig, the
-	// self-healing configuration the campaign exists to exercise.
+	// schedule) and ChaosWatchdog.
 	Cell RunConfig
 }
 
@@ -52,9 +50,9 @@ type ChaosCell struct {
 	Spurious uint64 // injected-abort deliveries observed by the HTM
 	Overflow uint64 // speculative-capacity aborts (the "limited" backend)
 
-	LocksReclaimed  uint64
-	LockTimeouts    uint64
-	LivelockEscapes uint64
+	// LockTimeouts counts advisory-lock waits abandoned at LockTimeout:
+	// the runtime's whole cost for a lost release.
+	LockTimeouts uint64
 
 	// Faults counts what the injector actually fired, by class.
 	Faults chaos.Counts
@@ -86,10 +84,6 @@ func (cs *ChaosSweep) defaults() {
 	}
 	if c.Watchdog == 0 {
 		c.Watchdog = ChaosWatchdog
-	}
-	if c.Stagger == nil {
-		scfg := stagger.HardenedConfig(c.Mode)
-		c.Stagger = &scfg
 	}
 }
 
@@ -131,18 +125,16 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 		}
 		res := o.Res
 		cell := ChaosCell{
-			Bench:           m.bench,
-			Rate:            m.rate,
-			Makespan:        res.Makespan(),
-			Commits:         res.Stats.Commits,
-			Aborts:          res.Stats.TotalAborts(),
-			Spurious:        res.Stats.Aborts[htm.AbortSpurious],
-			Overflow:        res.Stats.Aborts[htm.AbortOverflow],
-			LocksReclaimed:  res.Metrics.LocksReclaimed,
-			LockTimeouts:    res.Metrics.LockTimeouts,
-			LivelockEscapes: res.Metrics.LivelockEscapes,
-			Faults:          res.Faults,
-			VerifyErr:       res.VerifyErr,
+			Bench:        m.bench,
+			Rate:         m.rate,
+			Makespan:     res.Makespan(),
+			Commits:      res.Stats.Commits,
+			Aborts:       res.Stats.TotalAborts(),
+			Spurious:     res.Stats.Aborts[htm.AbortSpurious],
+			Overflow:     res.Stats.Aborts[htm.AbortOverflow],
+			LockTimeouts: res.Metrics.LockTimeouts,
+			Faults:       res.Faults,
+			VerifyErr:    res.VerifyErr,
 		}
 		if m.rate == 0 {
 			base = cell.Makespan
@@ -167,18 +159,17 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 func FormatChaos(cells []ChaosCell) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Chaos campaign: graceful degradation under injected faults\n")
-	fmt.Fprintf(&b, "%-10s %7s %6s %9s %8s %8s %6s %6s %6s %6s  %s\n",
+	fmt.Fprintf(&b, "%-10s %7s %6s %9s %8s %8s %6s %6s  %s\n",
 		"Benchmark", "rate", "ok", "makespan", "commits", "aborts",
-		"spur", "recl", "tmo", "esc", "degradation")
+		"spur", "tmo", "degradation")
 	for _, c := range cells {
 		ok := "Y"
 		if c.VerifyErr != nil {
 			ok = "FAIL"
 		}
-		fmt.Fprintf(&b, "%-10s %7.3g %6s %9d %8d %8d %6d %6d %6d %6d  %s\n",
+		fmt.Fprintf(&b, "%-10s %7.3g %6s %9d %8d %8d %6d %6d  %s\n",
 			c.Bench, c.Rate, ok, c.Makespan, c.Commits, c.Aborts,
-			c.Spurious, c.LocksReclaimed, c.LockTimeouts, c.LivelockEscapes,
-			degradeBar(c.Degradation))
+			c.Spurious, c.LockTimeouts, degradeBar(c.Degradation))
 	}
 	return b.String()
 }

@@ -25,15 +25,13 @@ func smallOps(name string) int {
 	}
 }
 
-func hardenedRC(bench string, threads int, c *chaos.Config) RunConfig {
-	scfg := stagger.HardenedConfig(stagger.ModeStaggeredHW)
+func chaosRC(bench string, threads int, c *chaos.Config) RunConfig {
 	return RunConfig{
 		Benchmark: bench,
 		Mode:      stagger.ModeStaggeredHW,
 		Threads:   threads,
 		Seed:      42,
 		TotalOps:  smallOps(bench),
-		Stagger:   &scfg,
 		Chaos:     c,
 		Watchdog:  500_000_000,
 	}
@@ -43,7 +41,7 @@ func hardenedRC(bench string, threads int, c *chaos.Config) RunConfig {
 // under the watchdog, inject faults, and pass verification.
 func TestChaosSmoke(t *testing.T) {
 	ccfg := chaos.Scaled(0.01, 42)
-	res, err := Run(hardenedRC("list-hi", 8, &ccfg))
+	res, err := Run(chaosRC("list-hi", 8, &ccfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func TestChaosSmoke(t *testing.T) {
 func TestChaosDeterminism(t *testing.T) {
 	for _, bench := range []string{"list-hi", "kmeans"} {
 		ccfg := chaos.Scaled(0.02, 7)
-		rc := hardenedRC(bench, 8, &ccfg)
+		rc := chaosRC(bench, 8, &ccfg)
 		rc.Seed = 7
 		rc.TraceN = 4096
 		a, err := Run(rc)
@@ -96,7 +94,7 @@ func TestChaosDeterminism(t *testing.T) {
 func TestChaosSeedChangesSchedule(t *testing.T) {
 	mk := func(seed int64) chaos.Counts {
 		ccfg := chaos.Scaled(0.02, seed)
-		res, err := Run(hardenedRC("list-hi", 8, &ccfg))
+		res, err := Run(chaosRC("list-hi", 8, &ccfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +119,7 @@ func TestChaosAllWorkloadsVerify(t *testing.T) {
 		for _, bench := range workloads.Names() {
 			ccfg := ccfg
 			t.Run(cls+"/"+bench, func(t *testing.T) {
-				res, err := Run(hardenedRC(bench, 16, &ccfg))
+				res, err := Run(chaosRC(bench, 16, &ccfg))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -215,6 +213,41 @@ func TestChaosSweepRuns(t *testing.T) {
 	out := FormatChaos(cells)
 	if !strings.Contains(out, "list-hi") || !strings.Contains(out, "degradation") {
 		t.Fatalf("FormatChaos output malformed:\n%s", out)
+	}
+}
+
+// TestChaosCampaignOnPaperRuntime is what deleting the self-healing
+// runtime configuration relies on (EXPERIMENTS.md "Chaos campaign on the
+// paper's runtime"): with nothing but the paper's LockTimeout and
+// irrevocable fallback, every workload on every system survives the
+// campaign from its mildest rate to one fault in three events — each
+// cell finishes under ChaosWatchdog, injects faults, and verifies.
+func TestChaosCampaignOnPaperRuntime(t *testing.T) {
+	benches := workloads.Names()
+	if testing.Short() {
+		benches = []string{"memcached", "intruder"}
+	}
+	for _, mode := range []stagger.Mode{stagger.ModeHTM, stagger.ModeAddrOnly,
+		stagger.ModeStaggeredSW, stagger.ModeStaggeredHW} {
+		cells, err := RunChaosSweep(ChaosSweep{
+			Benchmarks: benches,
+			Rates:      []float64{0.002, 0.05, 0.3},
+			Cell:       RunConfig{Mode: mode},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if want := len(benches) * 4; len(cells) != want { // the sweep adds rate 0
+			t.Fatalf("%s: %d cells, want %d", mode, len(cells), want)
+		}
+		for _, c := range cells {
+			if c.Rate > 0 && c.Faults.Total() == 0 {
+				t.Errorf("%s %s@%g: no faults injected", mode, c.Bench, c.Rate)
+			}
+			if c.Commits == 0 {
+				t.Errorf("%s %s@%g: no transactions committed", mode, c.Bench, c.Rate)
+			}
+		}
 	}
 }
 

@@ -39,10 +39,9 @@ type ExploreConfig struct {
 	Runs int
 
 	// Minimize shrinks each failing schedule to a short decision prefix by
-	// delta debugging (re-running the cell per probe).
+	// delta debugging (re-running the cell per probe, at most
+	// minimizeBudget times per failure).
 	Minimize bool
-	// MinimizeBudget caps replay probes per failure (0 = 512).
-	MinimizeBudget int
 
 	// UnsafeEarlyRelease plumbs the test-only broken irrevocable fallback
 	// through to the runtime, so tests can prove campaigns catch it.
@@ -218,7 +217,7 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 			if ec.Minimize {
 				// Minimization probes run here, on the delivering goroutine,
 				// so they serialize in run order like the sequential loop.
-				f.Minimized, f.Probes = minimizeFailure(cfgs[i], f.Picks, ec.MinimizeBudget)
+				f.Minimized, f.Probes = minimizeFailure(cfgs[i], f.Picks)
 			}
 			rep.Failures = append(rep.Failures, f)
 		}
@@ -230,13 +229,13 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 	return rep, nil
 }
 
+// minimizeBudget caps the replay probes minimization spends per failure.
+const minimizeBudget = 512
+
 // minimizeFailure delta-debugs a failing decision sequence: a candidate
 // subsequence "fails" if replaying it (falling back to the deterministic
 // rule once exhausted) still produces an oracle or verification failure.
-func minimizeFailure(rc RunConfig, picks []uint32, budget int) ([]uint32, int) {
-	if budget <= 0 {
-		budget = 512
-	}
+func minimizeFailure(rc RunConfig, picks []uint32) ([]uint32, int) {
 	probe := rc
 	probe.Record = false
 	probes := 0
@@ -257,5 +256,5 @@ func minimizeFailure(rc RunConfig, picks []uint32, budget int) ([]uint32, int) {
 	if !fail(picks) {
 		return nil, probes
 	}
-	return sched.Minimize(picks, fail, budget), probes
+	return sched.Minimize(picks, fail, minimizeBudget), probes
 }

@@ -134,10 +134,9 @@ func TestExploreCleanCampaign(t *testing.T) {
 }
 
 // TestExploreComposesWithChaos: fault x schedule sweeps are one campaign —
-// adversarial schedules with fault injection on the hardened runtime must
-// still find zero violations on a correct protocol.
+// adversarial schedules with fault injection must still find zero
+// violations on a correct protocol.
 func TestExploreComposesWithChaos(t *testing.T) {
-	scfg := stagger.HardenedConfig(stagger.ModeStaggeredHW)
 	ccfg := chaos.Scaled(0.01, 42)
 	rep, err := Explore(ExploreConfig{
 		Benchmark: "list-hi",
@@ -145,7 +144,6 @@ func TestExploreComposesWithChaos(t *testing.T) {
 		Threads:   4,
 		Seed:      19,
 		TotalOps:  160,
-		Stagger:   &scfg,
 		Chaos:     &ccfg,
 		Spec:      "pct:3",
 		Runs:      4,
@@ -183,7 +181,6 @@ func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 		Spec:               "pct:3",
 		Runs:               12,
 		Minimize:           true,
-		MinimizeBudget:     200,
 		UnsafeEarlyRelease: true,
 	})
 	if err != nil {

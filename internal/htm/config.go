@@ -22,8 +22,8 @@
 // first reads are mem.WordSet tables, handed to the TxObserver as
 // borrowed []mem.Word slices at the commit point. Software runtimes ride
 // the same primitives: ReportAtomic and NTStoreBatch take the same
-// slices, and the retry policy (AtomicOpts, BackoffMean, Core.Backoff)
-// is spelled once for Core.Atomic and for them.
+// slices, and the retry policy (AtomicOpts, Core.Backoff) is spelled
+// once for Core.Atomic and for them.
 package htm
 
 // Config describes the simulated machine. The zero value is not useful;

@@ -16,16 +16,6 @@ type AtomicOpts struct {
 	// BackoffBase is the base backoff quantum in cycles (0: 64); the mean
 	// backoff before retry k is proportional to k ("Polite" policy).
 	BackoffBase uint64
-	// BackoffExp switches the inter-retry wait from the paper's linear
-	// Polite policy to capped exponential backoff with randomized jitter:
-	// the mean doubles per retry up to BackoffCap. Under injected spurious
-	// aborts the linear policy lets deep retry chains synchronize and
-	// livelock; the exponential cap bounds both the livelock window and
-	// the worst-case idle time.
-	BackoffExp bool
-	// BackoffCap bounds the exponential mean, in cycles (0 with
-	// BackoffExp: 64 * BackoffBase).
-	BackoffCap uint64
 	// RuntimePC is the synthetic PC attributed to the runtime's own
 	// transactional accesses (the global-lock subscription).
 	RuntimePC uint64
@@ -55,33 +45,14 @@ func (o AtomicOpts) WithDefaults() AtomicOpts {
 	return o
 }
 
-// BackoffMean is the retry policy: the mean wait, in cycles, after failed
-// attempt number attempt (from 0) — linear in the retry count (Scherer &
-// Scott's Polite, as in the paper's runtime), or with BackoffExp doubling
-// per retry up to BackoffCap. o must have its defaults applied.
-func (o AtomicOpts) BackoffMean(attempt int) uint64 {
-	if !o.BackoffExp {
-		return o.BackoffBase * uint64(attempt+1)
-	}
-	cap := o.BackoffCap
-	if cap == 0 {
-		cap = 64 * o.BackoffBase
-	}
-	mean := o.BackoffBase
-	if attempt < 63 {
-		mean = o.BackoffBase << uint(attempt)
-	}
-	if mean > cap || mean == 0 {
-		mean = cap
-	}
-	return mean
-}
-
-// Backoff stalls the core for BackoffMean(attempt)/2 plus a jitter drawn
-// uniformly from [0, mean) out of rng, the caller's seeded stream (the
-// core's own in Core.Atomic, a software backend's its own).
+// Backoff is the retry policy: after failed attempt number attempt (from
+// 0) the core stalls for mean/2 plus a jitter drawn uniformly from
+// [0, mean), where mean is linear in the retry count (Scherer & Scott's
+// Polite, as in the paper's runtime). rng is the caller's seeded stream
+// (the core's own in Core.Atomic, a software backend's its own); o must
+// have its defaults applied.
 func (c *Core) Backoff(o AtomicOpts, attempt int, rng *rand.Rand) {
-	mean := o.BackoffMean(attempt)
+	mean := o.BackoffBase * uint64(attempt+1)
 	c.SpinWait(mean/2+uint64(rng.Int63n(int64(mean))), WaitBackoff)
 }
 

@@ -234,23 +234,3 @@ func TestRunCheckedRethrowsWorkloadPanics(t *testing.T) {
 		panic("workload bug")
 	}})
 }
-
-// TestExpBackoffBounded: exponential backoff waits must stay under
-// (1.5 × cap) per retry and still advance the clock.
-func TestExpBackoffBounded(t *testing.T) {
-	m := New(smallConfig(1))
-	exp := AtomicOpts{BackoffBase: 64, BackoffExp: true, BackoffCap: 1024}
-	m.Run([]func(*Core){func(c *Core) {
-		for attempt := 0; attempt < 40; attempt++ {
-			before := c.Now()
-			c.Backoff(exp, attempt, c.rand())
-			d := c.Now() - before
-			if d == 0 {
-				t.Fatalf("attempt %d: backoff waited 0 cycles", attempt)
-			}
-			if d > 1024+1024/2+1024 { // mean/2 + jitter < 1.5*cap, plus slack
-				t.Fatalf("attempt %d: backoff waited %d cycles, cap 1024", attempt, d)
-			}
-		}
-	}})
-}

@@ -23,7 +23,7 @@
 // spin, backoff, global-lock wait, NT lock-manipulation overhead), what
 // aborted whom (per-cause counts, per-line and per-anchor conflict
 // histograms — Tables 1 and 4), and how the advisory locks behaved
-// (acquisitions, hold times, contended commits, timeouts, reclaims).
+// (acquisitions, hold times, contended commits, timeouts).
 package obs
 
 import (
@@ -147,7 +147,6 @@ type PairCount struct {
 type LockMetrics struct {
 	Acquired         uint64 `json:"acquired"`
 	Timeouts         uint64 `json:"timeouts"`
-	Reclaimed        uint64 `json:"reclaimed"`
 	HoldCycles       uint64 `json:"hold_cycles"`
 	WaitCycles       uint64 `json:"wait_cycles"`
 	ContendedCommits uint64 `json:"contended_commits"`
@@ -184,7 +183,6 @@ func Snapshot(r *harness.Result) *Report {
 		Locks: LockMetrics{
 			Acquired:         r.Metrics.LocksAcquired,
 			Timeouts:         r.Metrics.LockTimeouts,
-			Reclaimed:        r.Metrics.LocksReclaimed,
 			HoldCycles:       r.Metrics.LockHoldCycles,
 			WaitCycles:       s.WaitCycles[htm.WaitLock],
 			ContendedCommits: r.Metrics.ContendedCommits,

@@ -44,8 +44,7 @@ type CellSpec struct {
 	Oracle    bool    `json:"oracle,omitempty"`
 	ChaosRate float64 `json:"chaos_rate,omitempty"`
 	ChaosSeed int64   `json:"chaos_seed,omitempty"` // 0 = Seed
-	Hardened  bool    `json:"hardened,omitempty"`
-	Watchdog  uint64  `json:"watchdog,omitempty"` // 0 = none (chaos cells: 200M)
+	Watchdog  uint64  `json:"watchdog,omitempty"`   // 0 = none (chaos cells: 200M)
 }
 
 // normalized validates the cell, applies the service defaults, and lets
@@ -113,10 +112,6 @@ func (c CellSpec) normalized() (CellSpec, harness.RunConfig, error) {
 		c.ChaosSeed = 0
 	}
 	rc.Watchdog = c.Watchdog
-	if c.Hardened {
-		sc := stagger.HardenedConfig(rc.Mode)
-		rc.Stagger = &sc
-	}
 	return c, rc, nil
 }
 
@@ -176,7 +171,7 @@ func exploreKey(e ExploreSpec) string {
 // or expanded as the cross product of Benchmarks x Modes x Threads x
 // Seeds (empty Benchmarks sweeps every workload, matching the chaos
 // campaign CLI); the chaos kind further crosses the base cells with
-// ChaosRates under the hardened runtime.
+// ChaosRates.
 type JobSpec struct {
 	Kind  string     `json:"kind,omitempty"`
 	Cells []CellSpec `json:"cells,omitempty"`
@@ -261,7 +256,6 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 			for _, r := range rates {
 				cc := c
 				cc.ChaosRate = r
-				cc.Hardened = true
 				crossed = append(crossed, cc)
 			}
 		}

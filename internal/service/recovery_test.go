@@ -88,6 +88,25 @@ func TestBootReplayReenqueuesUnfinishedJob(t *testing.T) {
 	testutil.WaitNoGoroutineLeaks(t, baseline)
 }
 
+// A spec journaled by a daemon from before CacheSchema 5 may carry the
+// `hardened` cell field. Submit refuses it today (TestSubmitValidation),
+// but an already acknowledged job must still reach a terminal state:
+// replay reads specs leniently, the dead field falls away, and the cells
+// run on the paper's runtime.
+func TestBootReplayAcceptsPreUpgradeSpec(t *testing.T) {
+	dir := t.TempDir()
+	seedJournal(t, dir, journal.Record{Type: journal.RecAccepted, Job: "job-000007", Spec: json.RawMessage(
+		`{"kind":"chaos","cells":[{"bench":"list-hi","threads":2,"seed":31,"ops":200,"hardened":true}],"chaos_rates":[0.01]}`)})
+	s := newT(t, Config{StoreDir: dir})
+	j, ok := s.Job("job-000007")
+	if !ok {
+		t.Fatal("pre-upgrade job dropped at boot")
+	}
+	if st := waitJob(t, j); st.State != JobDone {
+		t.Fatalf("pre-upgrade job ended %+v", st)
+	}
+}
+
 // Jobs the journal shows terminal must NOT come back, and replay must
 // fold duplicate records (a crash mid-compaction can leave them) into
 // one job, never two.

@@ -77,6 +77,23 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("Submit(%+v) accepted, want error", bad)
 		}
 	}
+	// The wire form is closed: a field this binary does not know is a 400
+	// at submit, never a silently different simulation. `hardened` is the
+	// cell switch daemons before CacheSchema 5 accepted.
+	for _, body := range []string{
+		`{"cells":[{"bench":"list-hi","hardened":true}]}`,
+		`{"kind":"chaos","cells":[{"bench":"list-hi","chaos_rate":0.01,"hardened":true}]}`,
+		`{"cells":[{"bench":"list-hi"}],"priority":9}`,
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s = %d %s, want 400", body, rec.Code, rec.Body)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted from rejected specs", n)
+	}
 }
 
 // TestBackendSweepAxis submits one sweep over the Backends axis and

@@ -92,13 +92,6 @@ type Config struct {
 	// NumLocks sizes the static advisory-lock table; locks are chosen by
 	// hashing the conflicting data address.
 	NumLocks int
-	// MaxLocksPerTx bounds how many advisory locks one transaction may
-	// hold. The paper acquires exactly one ("we acquire only one per
-	// transaction in this paper"); higher values let a coarse-grain ALP
-	// serialize several distinct objects per transaction. Lock waits are
-	// bounded by LockTimeout, so multi-lock acquisition cannot deadlock —
-	// at worst a waiter times out and proceeds speculatively.
-	MaxLocksPerTx int
 	// LockTimeout bounds, in cycles, how long an ALP waits for an
 	// advisory lock before proceeding without it (Section 2).
 	LockTimeout uint64
@@ -113,37 +106,6 @@ type Config struct {
 	MaxRetries  int
 	BackoffBase uint64
 
-	// The fields below are the self-healing extensions. All default to
-	// off, in which case the runtime's memory traffic is bit-identical to
-	// the paper-faithful baseline; HardenedConfig turns them all on.
-
-	// LockLease, when nonzero, lease-stamps advisory lock words: the
-	// acquiring CAS packs (expiry, owner) into the word, release checks
-	// ownership, and a waiter that finds the lease expired reclaims the
-	// lock instead of serializing behind a dead holder until LockTimeout
-	// on every transaction. 0 disables (plain owner words, as in the
-	// paper).
-	LockLease uint64
-	// LockPollJitter adds deterministic capped-exponential jitter to the
-	// advisory-lock poll interval, breaking the monopolization pattern of
-	// the unfair flat spinlock (DESIGN.md "advisory lock fairness"). The
-	// default false keeps the paper's unfair polling.
-	LockPollJitter bool
-	// BackoffExp and BackoffCap select capped exponential retry backoff
-	// in the HTM retry loop instead of the paper's linear Polite policy
-	// (see htm.AtomicOpts).
-	BackoffExp bool
-	BackoffCap uint64
-	// EscapeThreshold enables the per-atomic-block livelock escape: after
-	// this many irrevocable fallbacks inside one rate window, the block's
-	// next EscapeCooldown instances run with a single speculative attempt
-	// before promoting to irrevocable mode, guaranteeing progress when
-	// injected faults (or pathological contention) exhaust retry budgets.
-	// 0 disables.
-	EscapeThreshold int
-	// EscapeCooldown is the number of fast-promoted instances per escape
-	// (default 32 when EscapeThreshold > 0).
-	EscapeCooldown int
 	// LockFaults optionally injects advisory-lock faults (lost releases);
 	// the chaos package's Injector implements it. Nil injects nothing.
 	LockFaults LockFaults
@@ -164,8 +126,6 @@ func (c Config) RetryLoop() htm.AtomicOpts {
 	return htm.AtomicOpts{
 		MaxRetries:         c.MaxRetries,
 		BackoffBase:        c.BackoffBase,
-		BackoffExp:         c.BackoffExp,
-		BackoffCap:         c.BackoffCap,
 		RuntimePC:          0xFFFF0,
 		UnsafeEarlyRelease: c.UnsafeEarlyGlobalRelease,
 	}
@@ -181,41 +141,22 @@ type LockFaults interface {
 // DefaultConfig returns the paper's runtime parameters.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:          mode,
-		HistLen:       8,
-		PCThr:         2,
-		AddrThr:       2,
-		PromThr:       4,
-		RateWindow:    64,
-		NumLocks:      64,
-		MaxLocksPerTx: 1,
-		LockTimeout:   20000,
-		LockSpin:      12,
-		SWMapWords:    1024,
-		MaxRetries:    10,
-		BackoffBase:   64,
+		Mode:        mode,
+		HistLen:     8,
+		PCThr:       2,
+		AddrThr:     2,
+		PromThr:     4,
+		RateWindow:  64,
+		NumLocks:    64,
+		LockTimeout: 20000,
+		LockSpin:    12,
+		SWMapWords:  1024,
+		MaxRetries:  10,
+		BackoffBase: 64,
 	}
 }
 
-// HardenedConfig is DefaultConfig with every self-healing feature on:
-// lease-stamped advisory locks reclaimed after LockTimeout, jittered lock
-// polling, capped exponential retry backoff, and the per-atomic-block
-// livelock escape. This is the configuration the chaos campaigns run.
-func HardenedConfig(mode Mode) Config {
-	c := DefaultConfig(mode)
-	c.LockLease = c.LockTimeout
-	c.LockPollJitter = true
-	c.BackoffExp = true
-	c.BackoffCap = 4096
-	c.EscapeThreshold = 8
-	c.EscapeCooldown = 32
-	return c
-}
-
-func (c *Config) validate() {
-	if c.EscapeThreshold > 0 && c.EscapeCooldown <= 0 {
-		c.EscapeCooldown = 32
-	}
+func (c Config) validate() {
 	switch {
 	case c.HistLen <= 0:
 		panic("stagger: HistLen must be positive")
@@ -223,8 +164,6 @@ func (c *Config) validate() {
 		panic("stagger: RateWindow must be positive")
 	case c.NumLocks <= 0 || c.NumLocks&(c.NumLocks-1) != 0:
 		panic("stagger: NumLocks must be a positive power of two")
-	case c.MaxLocksPerTx <= 0:
-		panic("stagger: MaxLocksPerTx must be positive")
 	case c.SWMapWords <= 0 || c.SWMapWords&(c.SWMapWords-1) != 0:
 		panic("stagger: SWMapWords must be a positive power of two")
 	case c.MaxRetries <= 0:

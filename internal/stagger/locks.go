@@ -9,32 +9,11 @@ import (
 // touched with nontransactional loads and stores, so acquiring, spinning
 // on, or releasing one never joins any transaction's speculative set —
 // the isolation escape the paper requires from the hardware. Each lock
-// record occupies its own cache line: word 0 is the owner word, word 1 is
-// a contention flag set by waiters.
-//
-// Two owner-word layouts exist. The paper-faithful default stores owner+1
-// (or 0 when free). With Config.LockLease set, the word instead packs a
-// lease: (expiry << lockOwnerBits) | owner+1, written by the acquiring
-// CAS in one shot so a waiter never observes an owner without its lease.
-// A waiter that finds the lease expired may reclaim the lock by CAS,
-// so a lock word orphaned by a dead holder costs each waiter at most one
-// lease period once — instead of serializing every later transaction
-// behind a full LockTimeout spin. Because the locks are advisory, a
-// reclamation that races a slow-but-alive holder is still correct: the
-// old holder's release CAS fails harmlessly and both transactions fall
-// back on the HTM's own conflict detection.
-
-// lockOwnerBits is the width of the owner field in a leased lock word.
-// Cores are capped at 32, so owner+1 fits with room to spare.
-const lockOwnerBits = 6
-
-// packLock builds a leased owner word.
-func packLock(tid int, expiry uint64) uint64 {
-	return expiry<<lockOwnerBits | uint64(tid) + 1
-}
-
-// lockExpiry extracts the lease expiry from a leased owner word.
-func lockExpiry(w uint64) uint64 { return w >> lockOwnerBits }
+// record occupies its own cache line: word 0 is the owner word (owner+1,
+// or 0 when free), word 1 is a contention flag set by waiters. A word
+// orphaned by a holder that never released costs each waiter a
+// LockTimeout and nothing else: the locks are advisory, and a waiter that
+// gives up proceeds on the HTM's own conflict detection (Section 2).
 
 // lockFor maps a data address to its advisory lock word (a static set of
 // pre-allocated locks selected by address hash, as in AcquireLockFor).
@@ -56,39 +35,15 @@ func (t *TxCtx) acquireLockFor(addr mem.Addr) {
 	// minimum-virtual-time order can never produce.
 	t.c.SchedPoint()
 	lock := rt.lockFor(addr)
-	for _, held := range t.locks {
-		if held == lock {
-			return // hashing aliased onto a lock we already hold
-		}
-	}
 	deadline := t.c.Now() + rt.cfg.LockTimeout
 	announced := false
-	polls := 0
 	for {
-		w := t.c.NTLoad(lock)
-		switch {
-		case w == 0:
-			var stamp uint64
-			if rt.cfg.LockLease != 0 {
-				stamp = packLock(t.th.tid, t.c.Now()+rt.cfg.LockLease)
-			} else {
-				stamp = uint64(t.th.tid) + 1
-			}
-			if t.c.NTCas(lock, 0, stamp) {
-				t.noteAcquired(lock, stamp)
-				return
-			}
-		case rt.cfg.LockLease != 0 && t.c.Now() >= lockExpiry(w):
-			// The holder's lease expired without a release: it is dead or
-			// stalled past any useful holding period. Reclaim by CAS on
-			// the exact stale word so concurrent reclaimers cannot both
-			// win.
-			stamp := packLock(t.th.tid, t.c.Now()+rt.cfg.LockLease)
-			if t.c.NTCas(lock, w, stamp) {
-				rt.Metrics.LocksReclaimed++
-				t.noteAcquired(lock, stamp)
-				return
-			}
+		if t.c.NTLoad(lock) == 0 && t.c.NTCas(lock, 0, uint64(t.th.tid)+1) {
+			t.lock, t.lockAt = lock, t.c.Now()
+			rt.Metrics.LocksAcquired++
+			rt.abMetrics(t.abc.ab).Locks++
+			t.c.Annotate(htm.TraceLockAcquire, lock)
+			return
 		}
 		if !announced {
 			// Tell the holder someone waited, so its commit knows the
@@ -100,86 +55,35 @@ func (t *TxCtx) acquireLockFor(addr mem.Addr) {
 			rt.Metrics.LockTimeouts++
 			return // proceed without the lock (purely advisory)
 		}
-		t.c.SpinWait(t.pollWait(lock, polls), htm.WaitLock)
-		polls++
+		t.c.SpinWait(rt.cfg.LockSpin, htm.WaitLock)
 	}
 }
 
-// noteAcquired records a held lock and the exact word it was stamped
-// with, so release can check ownership under the lease scheme.
-func (t *TxCtx) noteAcquired(lock mem.Addr, stamp uint64) {
-	t.locks = append(t.locks, lock)
-	t.lockVals = append(t.lockVals, stamp)
-	t.lockAt = append(t.lockAt, t.c.Now())
-	t.th.rt.Metrics.LocksAcquired++
-	t.th.rt.abMetrics(t.abc.ab).Locks++
-	t.c.Annotate(htm.TraceLockAcquire, lock)
-}
-
-// pollWait returns the next poll interval: the fixed LockSpin of the
-// paper's unfair flat spinlock by default, or LockSpin plus deterministic
-// capped-exponential jitter when LockPollJitter is set, so a releasing
-// thread cannot re-acquire ahead of every waiter's identical poll cadence
-// indefinitely (the monopolization noted in DESIGN.md).
-func (t *TxCtx) pollWait(lock mem.Addr, polls int) uint64 {
-	spin := t.th.rt.cfg.LockSpin
-	if !t.th.rt.cfg.LockPollJitter {
-		return spin
-	}
-	window := spin << uint(min(polls, 4))
-	j := hash64(uint64(lock) ^ uint64(t.th.tid)<<40 ^ uint64(polls)<<20)
-	return spin + j%window
-}
-
-// lockContended reports whether any thread waited on a held lock.
+// lockContended reports whether any thread waited on the held lock.
 func (t *TxCtx) lockContended() bool {
-	for _, lock := range t.locks {
-		if t.c.NTLoad(lock+mem.WordSize) != 0 {
-			return true
-		}
-	}
-	return false
+	return t.lock != 0 && t.c.NTLoad(t.lock+mem.WordSize) != 0
 }
 
-// releaseLock frees all held advisory locks, clearing the contention
-// flags for the next holding periods. Under an installed LockFaults hook
-// a release may be lost ("the holder died"), leaving the stale word for
-// lease reclamation — or, without leases, for every waiter to time out
-// against.
+// releaseLock frees the held advisory lock, if any, clearing the
+// contention flag for the next holding period. Under an installed
+// LockFaults hook the release may be lost ("the holder died"), leaving
+// the stale word for every waiter to time out against.
 func (t *TxCtx) releaseLock() {
+	if t.lock == 0 {
+		return
+	}
 	rt := t.th.rt
-	if len(t.locks) != 0 {
-		// Release ordering is a decision point too: who runs between a
-		// release and the next acquisition decides which waiter wins.
-		t.c.SchedPoint()
+	// Release ordering is a decision point too: who runs between a
+	// release and the next acquisition decides which waiter wins.
+	t.c.SchedPoint()
+	rt.Metrics.LockHoldCycles += t.c.Now() - t.lockAt
+	// The annotation marks the end of this core's holding period even
+	// when the release itself is dropped by a fault — the exporter needs
+	// every hold interval closed.
+	t.c.Annotate(htm.TraceLockRelease, t.lock)
+	if rt.cfg.LockFaults == nil || !rt.cfg.LockFaults.DropLockRelease(t.th.tid) {
+		t.c.NTStore(t.lock+mem.WordSize, 0)
+		t.c.NTStore(t.lock, 0)
 	}
-	// Hold-time accounting uses the holding period's end as one instant
-	// (the clock does advance between the release stores of multiple
-	// locks, but attributing that drift would make the metric depend on
-	// release order for no insight).
-	now := t.c.Now()
-	for i, lock := range t.locks {
-		rt.Metrics.LockHoldCycles += now - t.lockAt[i]
-		// The annotation marks the end of this core's holding period even
-		// when the release itself is dropped by a fault or lost to lease
-		// reclamation — the exporter needs every hold interval closed.
-		t.c.Annotate(htm.TraceLockRelease, lock)
-		if rt.cfg.LockFaults != nil && rt.cfg.LockFaults.DropLockRelease(t.th.tid) {
-			continue
-		}
-		if rt.cfg.LockLease != 0 {
-			// Ownership-checked release: free the word only if it still
-			// carries our stamp. A failed CAS means a waiter reclaimed an
-			// expired lease from us; the lock is theirs now.
-			if t.c.NTCas(lock, t.lockVals[i], 0) {
-				t.c.NTStore(lock+mem.WordSize, 0)
-			}
-			continue
-		}
-		t.c.NTStore(lock+mem.WordSize, 0)
-		t.c.NTStore(lock, 0)
-	}
-	t.locks = t.locks[:0]
-	t.lockVals = t.lockVals[:0]
-	t.lockAt = t.lockAt[:0]
+	t.lock = 0
 }

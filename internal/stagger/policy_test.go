@@ -239,9 +239,11 @@ func TestSWMapSlotting(t *testing.T) {
 	}
 }
 
-// TestMultiLockBudget: with MaxLocksPerTx > 1, a coarse ALP may take
-// several distinct locks in one transaction, and all are released.
-func TestMultiLockBudget(t *testing.T) {
+// TestOneLockPerTransaction: the paper acquires exactly one advisory
+// lock per transaction. A coarse ALP that meets several distinct
+// addresses locks the first and is then disarmed for the attempt, and
+// the lock is free again after commit.
+func TestOneLockPerTransaction(t *testing.T) {
 	m := prog.NewModule("multi")
 	f := m.NewFunc("op", "p")
 	sA := f.Entry().Load(f.Param(0), "a")
@@ -252,9 +254,7 @@ func TestMultiLockBudget(t *testing.T) {
 	mcfg.Cores = 1
 	mach := htm.New(mcfg)
 	comp := anchor.Compile(m, anchor.DefaultOptions())
-	cfg := DefaultConfig(ModeStaggeredHW)
-	cfg.MaxLocksPerTx = 3
-	rt := New(mach, comp, cfg)
+	rt := New(mach, comp, DefaultConfig(ModeStaggeredHW))
 	th := rt.Thread(0)
 	abc := th.ctx(ab)
 	abc.activeAnchor = sA.ID
@@ -268,13 +268,13 @@ func TestMultiLockBudget(t *testing.T) {
 			for _, a := range addrs {
 				tc.Load(sA, a)
 			}
-			if held := len(tc.(*TxCtx).locks); held != 3 {
-				t.Errorf("held %d locks inside tx, want budget 3", held)
+			if held, want := tc.(*TxCtx).lock, rt.lockFor(addrs[0]); held != want {
+				t.Errorf("holding lock %#x inside tx, want the first address's %#x", held, want)
 			}
 		})
 	}})
-	if got := rt.Metrics.LocksAcquired; got != 3 {
-		t.Fatalf("locks acquired = %d, want 3", got)
+	if got := rt.Metrics.LocksAcquired; got != 1 {
+		t.Fatalf("locks acquired = %d, want 1", got)
 	}
 	// All advisory locks must be free again after commit.
 	for i := 0; i < rt.cfg.NumLocks; i++ {

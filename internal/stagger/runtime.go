@@ -110,12 +110,6 @@ type Metrics struct {
 	LocksAcquired uint64
 	// LockTimeouts counts acquisitions abandoned after LockTimeout.
 	LockTimeouts uint64
-	// LocksReclaimed counts stale advisory locks taken over after their
-	// holder's lease expired without a release (LockLease mode).
-	LocksReclaimed uint64
-	// LivelockEscapes counts per-atomic-block escapes to fast irrevocable
-	// promotion after repeated retry-budget exhaustion.
-	LivelockEscapes uint64
 	// Activations counts policy decisions by Figure 6 case.
 	ActPrecise, ActCoarse, ActPromote, ActTraining uint64
 	// AccHits/AccTotal measure anchor identification accuracy: how often
@@ -123,8 +117,7 @@ type Metrics struct {
 	// access to the conflicting line (Table 3 "Accuracy").
 	AccHits, AccTotal uint64
 	// LockHoldCycles sums virtual cycles advisory locks were held, from
-	// the acquiring CAS to the release (or to the end of the instance for
-	// a lock lost to lease reclamation); LocksAcquired is the divisor for
+	// the acquiring CAS to the release; LocksAcquired is the divisor for
 	// the mean hold time.
 	LockHoldCycles uint64
 	// ContendedCommits counts commits whose advisory lock had at least one
@@ -291,13 +284,6 @@ type ABContext struct {
 	// contention aborts", Section 2). Both halve when commitsW reaches
 	// the window size.
 	commitsW, confAbortsW int
-
-	// irrevW counts irrevocable fallbacks in the current window; when it
-	// crosses Config.EscapeThreshold the block enters livelock escape.
-	irrevW int
-	// escapeLeft is the remaining instances to run in escape mode (a
-	// single speculative attempt, then irrevocable promotion).
-	escapeLeft int
 }
 
 // noteCommit updates the contention-rate window.
@@ -307,7 +293,6 @@ func (c *ABContext) noteCommit(window int) {
 		c.commitsW /= 2
 		c.confAbortsW /= 2
 		c.deepW /= 2
-		c.irrevW /= 2
 	}
 }
 
@@ -366,24 +351,12 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 	}
 	abc := th.ctx(ab)
 	tc := &TxCtx{th: th, c: c, abc: abc}
-	opts := th.rt.cfg.RetryLoop()
-	if abc.escapeLeft > 0 {
-		// Livelock escape: this block has been exhausting its retry
-		// budget (typically under injected faults); spend one speculative
-		// attempt, then promote straight to irrevocable mode, whose
-		// global-lock serialization guarantees progress.
-		opts.MaxRetries = 1
-		abc.escapeLeft--
-	}
 	hooks := htm.TxHooks{
 		OnBegin: func(attempt int) {
 			// Restore the armed anchor for this instance (the paper
 			// clears activeAnchor inside the transaction after locking
 			// and restores it at the next begin).
 			tc.armedAnchor = abc.activeAnchor
-			tc.locks = tc.locks[:0]
-			tc.lockVals = tc.lockVals[:0]
-			tc.lockAt = tc.lockAt[:0]
 			if th.rt.cfg.Mode == ModeAddrOnly && abc.blockAddr != 0 {
 				// AddrOnly: one fixed ALP at the start of the block,
 				// precise mode only.
@@ -399,11 +372,11 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 		OnCommit: func(irrevocable bool) {
 			th.rt.abMetrics(ab).Commits++
 			abc.noteCommit(th.rt.cfg.RateWindow)
-			contended := len(tc.locks) != 0 && tc.lockContended()
+			contended := tc.lockContended()
 			if contended {
 				th.rt.Metrics.ContendedCommits++
 			}
-			noContention := len(tc.locks) != 0 && !contended
+			noContention := tc.lock != 0 && !contended
 			tc.releaseLock()
 			if noContention {
 				// Shift an empty record into the history to decay stale
@@ -432,13 +405,6 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 			// Irrevocable mode is already globally serialized; drop any
 			// advisory lock state for this instance.
 			tc.armedAnchor = 0
-			abc.irrevW++
-			if thr := th.rt.cfg.EscapeThreshold; thr > 0 &&
-				abc.escapeLeft == 0 && abc.irrevW >= thr {
-				abc.escapeLeft = th.rt.cfg.EscapeCooldown
-				abc.irrevW = 0
-				th.rt.Metrics.LivelockEscapes++
-			}
 		},
 	}
 	// Snapshot the core's cycle counters around the instance: the deltas
@@ -455,7 +421,7 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 	// conflicts it inflicts on others are attributed to the right block
 	// (pure bookkeeping; no simulated events).
 	c.SetABTag(ab.ID)
-	c.Atomic(opts, hooks, func(core *htm.Core) {
+	c.Atomic(th.rt.cfg.RetryLoop(), hooks, func(core *htm.Core) {
 		body(tc)
 	})
 	c.SetABTag(0)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/anchor"
 	"repro/internal/backend"
+	"repro/internal/chaos"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/prog"
@@ -243,17 +244,17 @@ func TestAdvisoryLockDoesNotAbortHolder(t *testing.T) {
 	}
 }
 
-// TestLockTimeout: a very small timeout must let waiters proceed without
-// the lock rather than blocking forever.
-func TestLockTimeout(t *testing.T) {
+// runArmedCounter runs the two-thread counter under cfg with both
+// threads' ALPs pre-armed in precise mode on the counter's line, so
+// every transaction goes for the same advisory lock from its first
+// attempt. uops is the compute between the load and the store.
+func runArmedCounter(t *testing.T, cfg Config, incs, uops int) (*htm.Machine, *Runtime, mem.Addr) {
+	t.Helper()
 	m, ab, sLoad, sStore := counterProgram(t)
 	cfgM := htm.DefaultConfig()
 	cfgM.Cores = 2
 	mach := htm.New(cfgM)
-	comp := anchor.Compile(m, anchor.DefaultOptions())
-	cfg := DefaultConfig(ModeStaggeredHW)
-	cfg.LockTimeout = 100 // tiny
-	rt := New(mach, comp, cfg)
+	rt := New(mach, anchor.Compile(m, anchor.DefaultOptions()), cfg)
 	addr := mach.Alloc.AllocLines(1)
 	for tid := 0; tid < 2; tid++ {
 		abc := rt.Thread(tid).ctx(ab)
@@ -264,21 +265,103 @@ func TestLockTimeout(t *testing.T) {
 	for i := range bodies {
 		bodies[i] = func(c *htm.Core) {
 			th := rt.Thread(c.ID())
-			for k := 0; k < 10; k++ {
+			for k := 0; k < incs; k++ {
 				th.Atomic(c, ab, func(tc backend.Ctx) {
 					v := tc.Load(sLoad, addr)
-					tc.Compute(5000)
+					tc.Compute(uops)
 					tc.Store(sStore, addr, v+1)
 				})
 			}
 		}
 	}
 	mach.Run(bodies)
-	if got := mach.Mem.Load(addr); got != 20 {
-		t.Fatalf("counter = %d, want 20 (timeout broke atomicity?)", got)
+	if got := mach.Mem.Load(addr); got != uint64(2*incs) {
+		t.Fatalf("counter = %d, want %d (a lock not held broke atomicity?)", got, 2*incs)
 	}
+	return mach, rt, addr
+}
+
+// TestLockTimeout: a very small timeout must let waiters proceed without
+// the lock rather than blocking forever.
+func TestLockTimeout(t *testing.T) {
+	cfg := DefaultConfig(ModeStaggeredHW)
+	cfg.LockTimeout = 100 // tiny
+	_, rt, _ := runArmedCounter(t, cfg, 10, 5000)
 	if rt.Metrics.LockTimeouts == 0 {
 		t.Fatal("expected lock timeouts with a 100-cycle deadline")
+	}
+}
+
+// dropFirst loses exactly one lock release (the first by core 0),
+// simulating a holder that died while holding an advisory lock.
+type dropFirst struct{ dropped bool }
+
+func (d *dropFirst) DropLockRelease(core int) bool {
+	if !d.dropped && core == 0 {
+		d.dropped = true
+		return true
+	}
+	return false
+}
+
+// TestLostReleaseCostsTimeouts is the paper's safety argument (Section
+// 2) on its own runtime: an advisory lock orphaned by a dead holder is
+// never reclaimed, so every later transaction armed on it waits out
+// LockTimeout and proceeds without it — slower, but every increment
+// lands and the run finishes.
+func TestLostReleaseCostsTimeouts(t *testing.T) {
+	cfg := DefaultConfig(ModeStaggeredHW)
+	cfg.LockTimeout = 3000
+	cfg.LockFaults = &dropFirst{}
+	mach, rt, addr := runArmedCounter(t, cfg, 25, 200)
+	if rt.Metrics.LockTimeouts == 0 {
+		t.Fatal("nobody timed out behind the dead holder")
+	}
+	if owner := mach.Mem.Load(rt.lockFor(addr)); owner != 1 {
+		t.Fatalf("orphaned lock word = %d, want core 0's stamp 1 (nothing reclaims it)", owner)
+	}
+}
+
+// TestLivelockEscape: the runtime's escape from livelock is the
+// irrevocable fallback. Under total speculative poisoning (every
+// transactional event spuriously aborts) each instance burns exactly its
+// retry budget, commits under the global lock, and the run still
+// completes every operation.
+func TestLivelockEscape(t *testing.T) {
+	m, ab, sLoad, sStore := counterProgram(t)
+	cfgM := htm.DefaultConfig()
+	cfgM.Cores = 2
+	mach := htm.New(cfgM)
+	mach.SetFaultInjector(chaos.NewInjector(chaos.Config{AbortRate: 1, Seed: 1}, cfgM.Cores))
+	comp := anchor.Compile(m, anchor.DefaultOptions())
+	cfg := DefaultConfig(ModeStaggeredHW)
+	cfg.MaxRetries = 3
+	rt := New(mach, comp, cfg)
+	addr := mach.Alloc.AllocLines(1)
+	const incs = 15
+	bodies := make([]func(*htm.Core), 2)
+	for i := range bodies {
+		bodies[i] = func(c *htm.Core) {
+			th := rt.Thread(c.ID())
+			for k := 0; k < incs; k++ {
+				th.Atomic(c, ab, func(tc backend.Ctx) {
+					v := tc.Load(sLoad, addr)
+					tc.Store(sStore, addr, v+1)
+				})
+			}
+		}
+	}
+	mach.Run(bodies)
+	if got := mach.Mem.Load(addr); got != 2*incs {
+		t.Fatalf("counter = %d, want %d", got, 2*incs)
+	}
+	s := mach.Stats()
+	if s.IrrevocableCommits != s.Commits {
+		t.Fatalf("%d of %d commits irrevocable; expected all under total poisoning",
+			s.IrrevocableCommits, s.Commits)
+	}
+	if want := uint64(2 * incs * cfg.MaxRetries); s.TotalAborts() != want {
+		t.Fatalf("aborts = %d, want the full retry budget of every instance, %d", s.TotalAborts(), want)
 	}
 }
 

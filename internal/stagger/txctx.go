@@ -16,15 +16,13 @@ type TxCtx struct {
 	abc *ABContext
 
 	// armedAnchor is this instance's pending ALP (site ID); cleared once
-	// the transaction's lock budget (MaxLocksPerTx) is spent.
+	// the transaction holds its advisory lock.
 	armedAnchor uint32
-	// locks are the advisory lock words currently held; lockVals holds
-	// the exact stamp each was acquired with (for ownership-checked
-	// release under the lease scheme); lockAt holds each acquisition's
+	// lock is the advisory lock word currently held (0 = none: the paper
+	// acquires at most one per transaction) and lockAt its acquisition's
 	// virtual time, for the hold-time metrics.
-	locks    []mem.Addr
-	lockVals []uint64
-	lockAt   []uint64
+	lock   mem.Addr
+	lockAt uint64
 }
 
 // Core returns the simulated core, for nontransactional side channels
@@ -82,8 +80,8 @@ func (t *TxCtx) alpoint(s *prog.Site, a mem.Addr) {
 		return // precise mode: address mismatch
 	}
 	t.acquireLockFor(a)
-	if len(t.locks) >= rt.cfg.MaxLocksPerTx {
-		t.armedAnchor = 0 // lock budget spent for this transaction
+	if t.lock != 0 {
+		t.armedAnchor = 0 // one advisory lock per transaction (Section 2)
 	}
 }
 
