@@ -167,7 +167,12 @@ func (ec ExploreConfig) RunConfig() RunConfig {
 // Explore runs a schedule-exploration campaign. Infrastructure errors
 // (unknown benchmark, watchdog timeout) abort the campaign; serializability
 // violations and workload verification failures are collected as findings.
-func Explore(ec ExploreConfig) (*ExploreReport, error) {
+func Explore(ec ExploreConfig) (*ExploreReport, error) { return explore(ec, nil) }
+
+// explore is Explore with a tap for tests: observe, when non-nil, sees
+// every schedule's whole Result in run order, before it is folded into
+// the report's counts.
+func explore(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport, error) {
 	spec, err := sched.Parse(exploreSpec(ec))
 	if err != nil {
 		return nil, err
@@ -206,6 +211,9 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) {
 			return fmt.Errorf("harness: explore run %d (sched seed %d): %w", i, ss, o.Err)
 		}
 		res := o.Res
+		if observe != nil {
+			observe(i, res)
+		}
 		rep.Runs++
 		rep.Commits += res.OracleCommits
 		ferr := res.OracleErr

@@ -39,6 +39,25 @@ func fingerprint(t *testing.T, name string, rc RunConfig) string {
 		strings.Join(aborts, " "), res.Metrics.ALPVisits)
 }
 
+// exploreFingerprint is one campaign's outcome: the report's counts and
+// a sha256 over every schedule's recorded picks and per-core statistics,
+// in run order (explore's tap; the report itself carries neither).
+func exploreFingerprint(t *testing.T, bench, bk, spec string) string {
+	t.Helper()
+	const threads, ops, runs = 4, 160, 8
+	name := fmt.Sprintf("explore %s backend=%s t%d ops%d %s x%d", bench, bk, threads, ops, spec, runs)
+	h := sha256.New()
+	rep, err := explore(ExploreConfig{Benchmark: bench, Backend: bk, Threads: threads, Seed: 42,
+		TotalOps: ops, Spec: spec, Runs: runs}, func(i int, res *Result) {
+		fmt.Fprintf(h, "%d picks=%v stats=%+v\n", i, res.SchedPicks, res.Stats.PerCore)
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return fmt.Sprintf("%s: runs=%d commits=%d failures=%d sha256=%x",
+		name, rep.Runs, rep.Commits, len(rep.Failures), h.Sum(nil))
+}
+
 // paperBytes is cmd/paper's whole default sequence, rendered in-process
 // the way cmd/paper prints it.
 func paperBytes(t *testing.T, seed int64) []byte {
@@ -76,9 +95,12 @@ func paperBytes(t *testing.T, seed int64) []byte {
 // spelled — each Mode with no backend named, each registered backend —
 // on every workload, plus the paper's 16-thread matrix, the one-thread
 // cells whose event counts the retired host-timing gate pinned, and the
-// bytes of cmd/paper's whole sequence. A refactor of the run path, the
-// memo or the sweep runner must leave this file untouched; -update is
-// for changes to the simulation itself.
+// bytes of cmd/paper's whole sequence, and after that the scheduler-
+// driven rows: an oracle-checked PCT campaign per workload on the
+// staggered and occ backends (random too on list-hi and memcached). A
+// refactor of the run path, the memo, the sweep runner or what a campaign
+// keeps between its schedules must leave this file untouched; -update
+// is for changes to the simulation itself.
 func TestFingerprints(t *testing.T) {
 	modes := []stagger.Mode{stagger.ModeHTM, stagger.ModeAddrOnly, stagger.ModeStaggeredSW, stagger.ModeStaggeredHW}
 	var lines []string
@@ -123,6 +145,16 @@ func TestFingerprints(t *testing.T) {
 		ClearCache()
 		defer ClearCache()
 		lines = append(lines, fmt.Sprintf("%s%x", paperPrefix, sha256.Sum256(paperBytes(t, 42))))
+	}
+	for _, wl := range workloads.Names() {
+		for _, bk := range []string{"staggered", "occ"} {
+			lines = append(lines, exploreFingerprint(t, wl, bk, "pct:3"))
+		}
+	}
+	for _, wl := range []string{"list-hi", "memcached"} {
+		for _, bk := range []string{"staggered", "occ"} {
+			lines = append(lines, exploreFingerprint(t, wl, bk, "random"))
+		}
 	}
 	got := strings.Join(lines, "\n") + "\n"
 
