@@ -70,9 +70,15 @@ crash-smoke: ## crash harness: SIGKILL + failpoint recovery, byte-identical resu
 
 # explore-smoke runs 25 PCT(d=3) schedules per workload through the
 # serializability oracle on two representative cells; any violation fails.
-explore-smoke: ## 25 adversarial schedules per cell through the oracle
-	$(GO) run ./cmd/staggersim -bench list-hi,kmeans -mode staggered -threads 4 \
-		-ops 160 -explore -explore-runs 25 -sched pct:3
+# It runs twice, at -workers 1 and -workers 2 — one and two prepared
+# cells under the campaign, the only gate outside `go test` that
+# exercises them — and the two outputs must be the same bytes.
+EXPLORE_SMOKE = $(GO) run ./cmd/staggersim -bench list-hi,kmeans -mode staggered \
+	-threads 4 -ops 160 -explore -explore-runs 25 -sched pct:3
+explore-smoke: ## 25 adversarial schedules per cell through the oracle, same bytes at -workers 1 and 2
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	{ $(EXPLORE_SMOKE) -workers 1 > "$$d/w1"; s=$$?; cat "$$d/w1"; [ $$s -eq 0 ]; } && \
+	$(EXPLORE_SMOKE) -workers 2 > "$$d/w2" && cmp "$$d/w1" "$$d/w2"
 
 # equivalence is the engine differential gate: every workload × seed ×
 # {plain, staggered, hardened (= the chaos campaign's cell on the paper's

@@ -75,7 +75,8 @@ type Counts struct {
 func (c Counts) Total() uint64 { return c.Aborts + c.NTDelays + c.LockDrops + c.Jitters }
 
 // Injector is a deterministic fault source for one simulation run. It is
-// single-use, like the machine it is installed on. The engine's token
+// single-use: a reset machine (htm.Machine.Reset) drops it, and the next
+// run installs a new one. The engine's token
 // discipline serializes all calls, and each core draws from its own
 // stream, so no locking is needed.
 type Injector struct {

@@ -204,8 +204,17 @@ func explore(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The cells differ only in their scheduler seed, so each worker runs
+	// its share on one prepared cell; minimization, on the delivering
+	// goroutine, has its own.
+	workers := Workers()
+	cells := make([]prepared, workers)
+	var probes prepared
+	run := func(ctx context.Context, worker int, rc RunConfig) RunOutcome {
+		return runOne(ctx, rc, &cells[worker])
+	}
 	rep := &ExploreReport{Config: ec}
-	err = Sweep(ctx, cfgs, Workers(), func(i int, o RunOutcome) error {
+	err = sweepWith(ctx, cfgs, workers, run, func(i int, o RunOutcome) error {
 		ss := cfgs[i].SchedSeed
 		if o.Err != nil {
 			return fmt.Errorf("harness: explore run %d (sched seed %d): %w", i, ss, o.Err)
@@ -225,7 +234,7 @@ func explore(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport
 			if ec.Minimize {
 				// Minimization probes run here, on the delivering goroutine,
 				// so they serialize in run order like the sequential loop.
-				f.Minimized, f.Probes = minimizeFailure(cfgs[i], f.Picks)
+				f.Minimized, f.Probes = minimizeFailure(&probes, cfgs[i], f.Picks)
 			}
 			rep.Failures = append(rep.Failures, f)
 		}
@@ -243,7 +252,8 @@ const minimizeBudget = 512
 // minimizeFailure delta-debugs a failing decision sequence: a candidate
 // subsequence "fails" if replaying it (falling back to the deterministic
 // rule once exhausted) still produces an oracle or verification failure.
-func minimizeFailure(rc RunConfig, picks []uint32) ([]uint32, int) {
+// The probes, up to minimizeBudget replays of one cell, run on pc.
+func minimizeFailure(pc *prepared, rc RunConfig, picks []uint32) ([]uint32, int) {
 	probe := rc
 	probe.Record = false
 	probes := 0
@@ -253,7 +263,7 @@ func minimizeFailure(rc RunConfig, picks []uint32) ([]uint32, int) {
 			p = []uint32{}
 		}
 		probe.ReplayPicks = p
-		res, err := Run(probe)
+		res, err := pc.run(context.Background(), probe)
 		if err != nil {
 			return false // infra error: treat the candidate as passing
 		}

@@ -1,12 +1,19 @@
 package harness
 
 import (
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/htm"
 	"repro/internal/sched"
 	"repro/internal/stagger"
 )
@@ -163,7 +170,11 @@ func TestExploreComposesWithChaos(t *testing.T) {
 // with the test-only broken irrevocable fallback (global lock released
 // before the body), an exploration campaign must catch the atomicity
 // violation, and minimization must shrink the failing schedule to at most
-// 25% of its original decision count.
+// 25% of its original decision count. The campaign's schedules and its
+// minimization probes share pick buffers and machines, so every failure
+// is also replayed from what the report stored — Picks, then Minimized —
+// once the campaign is over: each must still fail. Workers 1 and 2 (one
+// and two prepared cells) must report the same failures.
 func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 	// A tiny retry budget makes irrevocable fallbacks (the broken path)
 	// frequent under contention. intruder's decoder transaction is the
@@ -172,7 +183,7 @@ func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 	// wrongly released, concurrent decoders commit half views of it.
 	scfg := stagger.DefaultConfig(stagger.ModeHTM)
 	scfg.MaxRetries = 1
-	rep, err := Explore(ExploreConfig{
+	ec := ExploreConfig{
 		Benchmark:          "intruder",
 		Mode:               stagger.ModeHTM,
 		Threads:            4,
@@ -182,27 +193,69 @@ func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 		Runs:               12,
 		Minimize:           true,
 		UnsafeEarlyRelease: true,
-	})
-	if err != nil {
-		t.Fatalf("explore: %v", err)
 	}
-	if len(rep.Failures) == 0 {
-		t.Fatalf("campaign missed the broken irrevocable fallback (%d runs, %d commits)",
-			rep.Runs, rep.Commits)
-	}
-	minimizedOne := false
-	for _, f := range rep.Failures {
-		if f.Minimized == nil {
-			continue
+	var reports []string
+	for _, workers := range []int{1, 2} {
+		var rep *ExploreReport
+		withWorkers(t, workers, func() {
+			var err error
+			if rep, err = Explore(ec); err != nil {
+				t.Fatalf("workers=%d: explore: %v", workers, err)
+			}
+		})
+		if len(rep.Failures) < 2 {
+			t.Fatalf("workers=%d: campaign caught %d failing schedules of the broken irrevocable fallback, want >= 2 (%d runs, %d commits)",
+				workers, len(rep.Failures), rep.Runs, rep.Commits)
 		}
-		minimizedOne = true
-		if lim := len(f.Picks) / 4; len(f.Minimized) > lim {
-			t.Errorf("minimized schedule has %d decisions, want <= %d (of %d)",
-				len(f.Minimized), lim, len(f.Picks))
+		fails := func(f ExploreFailure, picks []uint32) bool {
+			rc := ec.RunConfig()
+			rc.SchedSeed = f.SchedSeed
+			rc.ReplayPicks = picks
+			res, err := Run(rc)
+			if err != nil {
+				t.Fatalf("workers=%d: replay of sched seed %d: %v", workers, f.SchedSeed, err)
+			}
+			return res.OracleErr != nil || res.VerifyErr != nil
 		}
+		minimizedOne := false
+		for _, f := range rep.Failures {
+			// Picks must be the schedule its seed generates, decision for
+			// decision: the bytes are the failure's own, not a view of a
+			// buffer later schedules recorded over.
+			rc := ec.RunConfig()
+			rc.SchedSeed, rc.Record = f.SchedSeed, true
+			if res, err := Run(rc); err != nil {
+				t.Fatalf("workers=%d: re-recording sched seed %d: %v", workers, f.SchedSeed, err)
+			} else if !slices.Equal(f.Picks, res.SchedPicks) {
+				t.Errorf("workers=%d: sched seed %d: the stored Picks (%d) are not the picks that seed records (%d)",
+					workers, f.SchedSeed, len(f.Picks), len(res.SchedPicks))
+			}
+			if f.Minimized == nil {
+				continue
+			}
+			minimizedOne = true
+			if lim := len(f.Picks) / 4; len(f.Minimized) > lim {
+				t.Errorf("workers=%d: minimized schedule has %d decisions, want <= %d (of %d)",
+					workers, len(f.Minimized), lim, len(f.Picks))
+			}
+			// A failure minimization reproduced must reproduce again, from
+			// both stored sequences, after later schedules and probes have
+			// been through the buffers it was recorded in.
+			if !fails(f, f.Picks) {
+				t.Errorf("workers=%d: sched seed %d: the stored Picks no longer fail", workers, f.SchedSeed)
+			}
+			if !fails(f, f.Minimized) {
+				t.Errorf("workers=%d: sched seed %d: the stored Minimized picks no longer fail", workers, f.SchedSeed)
+			}
+		}
+		if !minimizedOne {
+			t.Fatalf("workers=%d: no failure reproduced under replay; minimization never ran", workers)
+		}
+		reports = append(reports, fmt.Sprintf("runs=%d commits=%d failures=%d sha256=%x", rep.Runs, rep.Commits,
+			len(rep.Failures), sha256.Sum256([]byte(fmt.Sprintf("%+v", rep.Failures)))))
 	}
-	if !minimizedOne {
-		t.Fatalf("no failure reproduced under replay; minimization never ran")
+	if reports[0] != reports[1] {
+		t.Fatalf("explore report diverges across worker counts\nworkers=1: %s\nworkers=2: %s", reports[0], reports[1])
 	}
 }
 
@@ -295,5 +348,136 @@ func TestOracleCleanAcrossWorkloadsAndModes(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWatchdogTripPoisonsPreparedCell: a probe that ends in an error must
+// leave nothing behind for the next one. One of minimizeFailure's probes
+// trips a watchdog set between the makespans of two replays of one cell,
+// inside a transaction; the prepared cell must then hold nothing — not
+// the machine the trip abandoned — and the next probe on it must equal a
+// fresh Run of the same configuration, trace byte for trace byte.
+func TestWatchdogTripPoisonsPreparedCell(t *testing.T) {
+	rc := RunConfig{
+		Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW, Threads: 4, Seed: 42, TotalOps: 160,
+		Sched: "pct:3", SchedSeed: 7, Oracle: true, TraceN: -1, ExtTrace: true, WatchdogTrace: 256,
+	}
+	mustRun := func(rc RunConfig) *Result {
+		t.Helper()
+		res, err := Run(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	rec := rc
+	rec.Record = true
+	// Two schedules of the cell: the recorded adversarial one and the
+	// deterministic fallback an empty replay gives.
+	long, short := rc, rc
+	long.ReplayPicks, short.ReplayPicks = mustRun(rec).SchedPicks, []uint32{}
+	ml, ms := mustRun(long).Makespan(), mustRun(short).Makespan()
+	if ml < ms {
+		long, short, ml, ms = short, long, ms, ml
+	}
+	if ml-ms < 2 {
+		t.Fatalf("both schedules take %d cycles: no watchdog limit separates them", ml)
+	}
+	// A limit between the two makespans at which the long schedule's
+	// first core to cross it is inside a transaction.
+	inTx := func(err error) bool {
+		var wd *htm.WatchdogError
+		if !errors.As(err, &wd) {
+			t.Fatalf("err = %v, want a watchdog trip", err)
+		}
+		last := htm.TraceCommit
+		for _, e := range wd.Trace {
+			if e.Core == wd.Core && e.Kind <= htm.TraceAbort {
+				last = e.Kind
+			}
+		}
+		return last == htm.TraceBegin
+	}
+	for k := uint64(1); k < 32 && long.Watchdog == 0; k++ {
+		probe := long
+		probe.Watchdog = ms + k*(ml-ms)/32
+		if _, err := Run(probe); inTx(err) {
+			long.Watchdog, short.Watchdog = probe.Watchdog, probe.Watchdog
+		}
+	}
+	if long.Watchdog == 0 {
+		t.Fatalf("no limit in (%d, %d) stops the long schedule inside a transaction: pick another cell", ms, ml)
+	}
+	want := mustRun(short)
+
+	pc := new(prepared)
+	if _, err := pc.run(context.Background(), short); err != nil {
+		t.Fatal(err)
+	}
+	abandoned := pc.mach
+	if abandoned == nil {
+		t.Fatal("a clean run left no machine on the prepared cell")
+	}
+
+	// The real path: minimization's first probe replays the long schedule
+	// and trips; with nothing reproduced there is nothing to minimize.
+	if min, probes := minimizeFailure(pc, long, long.ReplayPicks); min != nil || probes != 1 {
+		t.Fatalf("minimizeFailure = %v after %d probes, want nil after the 1 that trips", min, probes)
+	}
+	if *pc != (prepared{}) {
+		t.Fatalf("the prepared cell still holds %+v after a watchdog trip", *pc)
+	}
+
+	got, err := pc.run(context.Background(), short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.mach == nil || pc.mach == abandoned {
+		t.Fatal("the probe after the trip ran on the abandoned machine")
+	}
+	if g, w := htm.FormatTrace(got.Trace), htm.FormatTrace(want.Trace); g != w || len(w) == 0 {
+		t.Fatalf("the probe after the trip differs from a fresh run (%d vs %d trace bytes)", len(g), len(w))
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Fatalf("the probe after the trip differs from a fresh run in its statistics")
+	}
+}
+
+// TestExploreScheduleAllocations is the allocation gate on a campaign's
+// steady state: once the first schedule has built the prepared cell,
+// schedules 2..9 of the perf ledger's three explore-pct campaigns may
+// average at most 700 mallocs and 160 KB each (about half of what a
+// fresh cell per schedule costs: 1478 mallocs and 439 KB). What remains
+// is per schedule by nature: the runtime and its per-thread state, the
+// scheduler and the PRNGs, thread bodies and coroutines, the Result and
+// its copy of the picks.
+func TestExploreScheduleAllocations(t *testing.T) {
+	const maxMallocs, maxBytes = 700, 160 << 10
+	var mallocs, bytes uint64
+	const first, last = 2, 9
+	for _, bench := range []string{"list-hi", "kmeans", "memcached"} {
+		ec := ExploreConfig{Benchmark: bench, Backend: "staggered", Threads: 4, Seed: 42, TotalOps: 160, Spec: "pct:3"}
+		pc := new(prepared)
+		var before, after runtime.MemStats
+		for i := 1; i <= last; i++ {
+			if i == first {
+				runtime.ReadMemStats(&before)
+			}
+			rc := ec.RunConfig()
+			rc.SchedSeed, rc.Record = ec.Seed+int64(i), true
+			res, err := pc.run(context.Background(), rc)
+			if err != nil || res.OracleErr != nil || res.VerifyErr != nil {
+				t.Fatalf("%s schedule %d: %v / %v / %v", bench, i, err, res.OracleErr, res.VerifyErr)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	n := uint64(3 * (last - first + 1))
+	t.Logf("per schedule: %d mallocs, %d KB", mallocs/n, bytes/n>>10)
+	if mallocs/n > maxMallocs || bytes/n > maxBytes {
+		t.Fatalf("schedules %d..%d average %d mallocs and %d KB each, want <= %d and <= %d KB",
+			first, last, mallocs/n, bytes/n>>10, maxMallocs, maxBytes>>10)
 	}
 }

@@ -11,16 +11,18 @@ import (
 )
 
 // Inter-run parallelism. Every simulation is deterministic in its
-// RunConfig and shares no mutable state with any other run (each Run
-// builds a fresh workload module, machine, runtime, and oracle, and the
-// sweep runner is an ordered parallel map over RunCtx that touches no
-// cross-run structure). Independent cells of a sweep can therefore execute
-// on as many OS threads as the host offers without perturbing a single
-// simulated cycle — the intra-run virtual-time engine stays strictly
-// serial, parallelism exists only BETWEEN runs. Results are always
-// delivered in input order, never completion order, so every consumer
-// (table assembly, campaign reports, CSV writers) emits bytes identical
-// to a sequential sweep.
+// RunConfig and shares no mutable state with any concurrent run: each Run
+// builds a fresh workload module, machine, runtime, and oracle (the
+// schedules of an Explore campaign reuse the first two and the oracle's
+// shadow memory, but only one after another on one worker's prepared
+// cell), and the sweep runner is an ordered parallel map over RunCtx that
+// touches no cross-run structure. Independent cells of a sweep can
+// therefore execute on as many OS threads as the host offers without
+// perturbing a single simulated cycle — the intra-run virtual-time engine
+// stays strictly serial, parallelism exists only BETWEEN runs. Results are
+// always delivered in input order, never completion order, so every
+// consumer (table assembly, campaign reports, CSV writers) emits bytes
+// identical to a sequential sweep.
 
 // defaultWorkers is the package-wide worker bound used by the table and
 // figure generators and the campaign runners; cmd/paper and
@@ -80,11 +82,11 @@ func PanicStack(err error) []byte {
 	return nil
 }
 
-// runOne executes one cell. A panic inside it (a poisoned config, a
+// runOne executes one cell on p. A panic inside it (a poisoned config, a
 // workload bug) becomes that cell's *PanicError outcome: the recover sits
 // around exactly one cell, so one poisoned cell cannot take its worker,
 // its sweep, or the process down.
-func runOne(ctx context.Context, rc RunConfig) (o RunOutcome) {
+func runOne(ctx context.Context, rc RunConfig, p *prepared) (o RunOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			o = RunOutcome{Err: &PanicError{Value: r, Stack: debug.Stack()}}
@@ -93,12 +95,13 @@ func runOne(ctx context.Context, rc RunConfig) (o RunOutcome) {
 	if err := ctx.Err(); err != nil {
 		return RunOutcome{Err: err}
 	}
-	o.Res, o.Err = RunCtx(ctx, rc)
+	o.Res, o.Err = p.run(ctx, rc)
 	return o
 }
 
 // Sweep is the sweep primitive, the only function that starts sweep
-// workers: it simulates every cell with at most workers concurrent runs
+// workers (in sweepWith, the form of it that Explore calls directly): it
+// simulates every cell with at most workers concurrent runs
 // (workers <= 0 uses the package default) and calls deliver once per
 // cell, in input order, on the calling goroutine, as soon as the next
 // index has landed — consumers stream without a barrier. Every cell is
@@ -112,6 +115,18 @@ func runOne(ctx context.Context, rc RunConfig) (o RunOutcome) {
 // exactly the historical sequential sweep — same goroutine, same order,
 // no pool.
 func Sweep(ctx context.Context, cfgs []RunConfig, workers int, deliver func(i int, o RunOutcome) error) error {
+	return sweepWith(ctx, cfgs, workers, func(ctx context.Context, _ int, rc RunConfig) RunOutcome {
+		return runOne(ctx, rc, new(prepared))
+	}, deliver)
+}
+
+// sweepWith is Sweep with the cell runner as a parameter, told which
+// worker is calling it: worker is in [0, workers) after the defaulting
+// below, and one worker's calls are sequential, so run may keep state per
+// worker (Explore keeps a prepared cell) without synchronising it.
+func sweepWith(ctx context.Context, cfgs []RunConfig, workers int,
+	run func(ctx context.Context, worker int, rc RunConfig) RunOutcome,
+	deliver func(i int, o RunOutcome) error) error {
 	n := len(cfgs)
 	if n == 0 {
 		return nil
@@ -124,7 +139,7 @@ func Sweep(ctx context.Context, cfgs []RunConfig, workers int, deliver func(i in
 	}
 	if workers == 1 {
 		for i, rc := range cfgs {
-			if err := deliver(i, runOne(ctx, rc)); err != nil {
+			if err := deliver(i, run(ctx, 0, rc)); err != nil {
 				return err
 			}
 		}
@@ -145,7 +160,7 @@ func Sweep(ctx context.Context, cfgs []RunConfig, workers int, deliver func(i in
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				ch <- completion{i, runOne(ctx, cfgs[i])}
+				ch <- completion{i, run(ctx, w, cfgs[i])}
 			}
 		}()
 	}

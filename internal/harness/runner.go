@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/anchor"
 	"repro/internal/backend"
@@ -282,19 +283,56 @@ func Run(rc RunConfig) (*Result, error) { return RunCtx(context.Background(), rc
 // (never-cancelled) context leaves the machine's cancellation hook
 // unarmed, at no cost.
 func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
+	return new(prepared).run(ctx, rc)
+}
+
+// prepared is what the runs of one cell can share when only the schedule
+// varies between them: the built workload, its compiled anchors, one
+// machine, the recorder's pick buffer and the oracle's shadow memory.
+// The zero value is a cell nothing has been built for yet, and a single
+// run is a run on one of those: cell.run builds whatever part is missing
+// and otherwise resets the part it finds, so there is one run path. All
+// runs on a prepared cell must be of configurations that differ only in
+// SchedSeed, Record and ReplayPicks — what Explore and minimizeFailure
+// vary — and each sweep worker has its own.
+type prepared struct {
+	w      *workloads.Workload
+	comp   *anchor.Compiled
+	mach   *htm.Machine
+	rec    *sched.Recorder
+	shadow *mem.Memory
+}
+
+// run is RunCtx on p. A run that ends in an error or a panic (watchdog
+// trip, cancellation, workload bug) drops everything p holds: Reset is
+// total, but the next schedule should not have to depend on that after
+// an abnormal exit.
+func (p *prepared) run(ctx context.Context, rc RunConfig) (res *Result, err error) {
+	clean := false
+	defer func() {
+		if !clean {
+			*p = prepared{}
+		}
+	}()
 	c, err := normalize(rc)
 	if err != nil {
 		return nil, err
 	}
-	return c.run(ctx)
+	res, err = c.run(ctx, p)
+	clean = err == nil
+	return res, err
 }
 
-func (c cell) run(ctx context.Context) (*Result, error) {
+func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 	rc, bk := c.rc, c.bk
-	w, err := workloads.Get(rc.Benchmark)
-	if err != nil {
-		return nil, err
+	if p.w == nil {
+		w, err := workloads.Get(rc.Benchmark)
+		if err != nil {
+			return nil, err
+		}
+		p.w = w
 	}
+	w := p.w
 
 	mcfg := htm.DefaultConfig()
 	if rc.Machine != nil {
@@ -319,9 +357,17 @@ func (c cell) run(ctx context.Context) (*Result, error) {
 	aopts := anchor.DefaultOptions()
 	aopts.PCBits = mcfg.PCTagBits
 	aopts.Naive = rc.Naive
-	comp := anchor.Compile(w.Mod, aopts)
+	if p.comp == nil {
+		p.comp = anchor.Compile(w.Mod, aopts)
+	}
+	comp := p.comp
 
-	mach := htm.New(mcfg)
+	if p.mach == nil {
+		p.mach = htm.New(mcfg)
+	} else {
+		p.mach.Reset()
+	}
+	mach := p.mach
 	if rc.TraceN != 0 {
 		limit := rc.TraceN
 		if limit < 0 {
@@ -341,7 +387,12 @@ func (c cell) run(ctx context.Context) (*Result, error) {
 	}
 	if scheduler != nil {
 		if rc.Record {
-			recorder = sched.NewRecorder(scheduler)
+			if p.rec == nil {
+				p.rec = sched.NewRecorder(scheduler)
+			} else {
+				p.rec.Reset(scheduler)
+			}
+			recorder = p.rec
 			scheduler = recorder
 		}
 		mach.SetScheduler(scheduler)
@@ -393,7 +444,12 @@ func (c cell) run(ctx context.Context) (*Result, error) {
 		if w.RefModel != nil {
 			model = w.RefModel(mach, rc.Seed)
 		}
-		chk = oracle.New(mach.Mem.Snapshot(), model)
+		if p.shadow == nil {
+			p.shadow = mach.Mem.Snapshot()
+		} else {
+			mach.Mem.CopyInto(p.shadow)
+		}
+		chk = oracle.New(p.shadow, model)
 		mach.SetObserver(chk)
 	}
 
@@ -443,7 +499,8 @@ func (c cell) run(ctx context.Context) (*Result, error) {
 		res.Faults = inj.Counts()
 	}
 	if recorder != nil {
-		res.SchedPicks = recorder.Picks()
+		// The recorder's buffer is the next schedule's too.
+		res.SchedPicks = slices.Clone(recorder.Picks())
 	}
 	if chk != nil {
 		chk.FinalCheck(mach.Mem)

@@ -103,7 +103,8 @@ func (c *l1cache) invalidate(line mem.Addr) {
 	}
 }
 
-// reset discards all cached lines (used between simulation phases).
+// reset discards all cached lines, keeping the array: stale entries
+// beyond a set's count are never read.
 func (c *l1cache) reset() {
 	clear(c.count)
 }

@@ -63,14 +63,29 @@ type Core struct {
 	opTag     any
 }
 
-func newCore(m *Machine, id int) *Core {
-	c := &Core{
-		m:  m,
-		id: id,
-		l1: newL1(m.cfg.L1Lines, m.cfg.L1Ways),
+// reset zeroes the core but for what identifies it and the storage it
+// has grown: the L1 array (emptied, not cleared) and the capacity of its
+// tables. The backoff PRNG goes too, so the next run seeds its own.
+func (c *Core) reset() {
+	c.l1.reset()
+	c.txs.reset()
+	*c = Core{
+		m: c.m, id: c.id, l1: c.l1, txs: c.txs,
+		wbuf:        emptied(c.wbuf),
+		obsReads:    emptied(c.obsReads),
+		obsWrites:   emptied(c.obsWrites),
+		addrScratch: c.addrScratch[:0],
 	}
-	c.txs.init()
-	return c
+}
+
+// emptied returns s holding no words, on the storage it has. A set that
+// has none yet stays without: WordSet.Reset would allocate its minimum
+// table, and a new machine's idle cores hold none.
+func emptied(s mem.WordSet) mem.WordSet {
+	if len(s.Words()) != 0 {
+		s.Reset()
+	}
+	return s
 }
 
 // rand returns the core's backoff PRNG, seeding it deterministically from

@@ -53,9 +53,15 @@ type lineTable struct {
 
 const lineTableMinSize = 1024
 
-func (t *lineTable) init() {
-	t.slots = make([]lineEntry, lineTableMinSize)
-	t.mask = lineTableMinSize - 1
+// reset empties the table at the size it has grown to, giving one that
+// has no storage yet its minimum.
+func (t *lineTable) reset() {
+	if t.slots == nil {
+		t.slots = make([]lineEntry, lineTableMinSize)
+		t.mask = lineTableMinSize - 1
+	} else {
+		clear(t.slots)
+	}
 	t.n = 0
 }
 
@@ -131,10 +137,16 @@ type txTable struct {
 
 const txTableMinSize = 64
 
-func (t *txTable) init() {
-	t.ents = make([]txEnt, 0, txTableMinSize/2)
-	t.slots = make([]int32, txTableMinSize)
-	t.mask = txTableMinSize - 1
+// reset empties the table, giving one that has no storage yet its
+// minimum.
+func (t *txTable) reset() {
+	if t.slots == nil {
+		t.ents = make([]txEnt, 0, txTableMinSize/2)
+		t.slots = make([]int32, txTableMinSize)
+		t.mask = txTableMinSize - 1
+	} else {
+		t.clear()
+	}
 }
 
 // lookup returns the entry for line, or nil. The pointer is invalidated

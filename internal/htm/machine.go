@@ -10,8 +10,10 @@ import (
 // Machine is a simulated multicore with best-effort HTM.
 //
 // Construct one with New, allocate and initialize simulated data through
-// Mem and Alloc, then call Run with one body per thread. Machines are
-// single-use: after Run returns, read the statistics and discard.
+// Mem and Alloc, then call Run with one body per thread. A machine runs
+// once: after Run returns, read the statistics and discard it. The one
+// exception is Reset, through which the harness reuses a machine's
+// storage across the schedules of an exploration campaign.
 type Machine struct {
 	cfg   Config
 	Mem   *mem.Memory
@@ -54,15 +56,18 @@ type Machine struct {
 	cancelState
 }
 
-// New builds a machine from cfg.
+// New builds a machine from cfg: it allocates what a machine keeps for
+// its whole life and then resets it, so Reset is the only code that
+// gives a machine its initial state.
 func New(cfg Config) *Machine {
 	cfg.validate()
 	m := &Machine{
-		cfg: cfg,
-		Mem: mem.New(),
+		cfg:     cfg,
+		Mem:     mem.New(),
+		Alloc:   mem.NewAllocator(mem.Addr(cfg.HeapBase), cfg.HeapSize),
+		memBusy: make([]uint64, cfg.MemChannels),
+		cores:   make([]*Core, cfg.Cores),
 	}
-	m.lines.init()
-	m.Alloc = mem.NewAllocator(mem.Addr(cfg.HeapBase), cfg.HeapSize)
 	if cfg.WatchdogCycles != 0 {
 		n := cfg.WatchdogTrace
 		if n <= 0 {
@@ -70,15 +75,43 @@ func New(cfg Config) *Machine {
 		}
 		m.lastEvents = newTraceRing(n)
 	}
-	m.memBusy = make([]uint64, cfg.MemChannels)
+	for i := range m.cores {
+		m.cores[i] = &Core{m: m, id: i, l1: newL1(cfg.L1Lines, cfg.L1Ways)}
+	}
+	m.Reset()
+	return m
+}
+
+// Reset returns a machine that has run, or whose run was abandoned part
+// way, to the state New(m.Config()) builds, keeping its storage: memory
+// pages are zeroed in place, the allocator is rewound (GlobalLock gets
+// its address again), the coherence table is emptied at the size it grew
+// to, and every installed hook (trace, fault injector, scheduler,
+// observer, cancellation) is removed; each core keeps only its L1 array
+// and the capacity of its tables. A run on a reset machine is
+// indistinguishable from one on a new machine (TestResetEqualsNew). What
+// Trace and Stats returned before the reset stays valid, since none of
+// it is reused; addresses the allocator handed out do not. Reset exists
+// for the harness's exploration campaigns (harness.Explore), which run
+// one cell under hundreds of schedules; nothing else should need it.
+func (m *Machine) Reset() {
+	m.Mem.Zero()
+	m.Alloc.Reset()
 	// The global lock lives on its own line so subscribing to it never
 	// falsely conflicts with application data.
 	m.GlobalLock = m.Alloc.AllocLines(1)
-	m.cores = make([]*Core, cfg.Cores)
-	for i := range m.cores {
-		m.cores[i] = newCore(m, i)
+	m.eng = nil
+	m.lines.reset()
+	clear(m.memBusy)
+	m.trace, m.extTrace = nil, false
+	m.lastEvents.reset()
+	m.chaos, m.sched, m.observer = nil, nil, nil
+	m.ran = false
+	m.cancelArmed = false
+	m.cancelled.Store(false)
+	for _, c := range m.cores {
+		c.reset()
 	}
-	return m
 }
 
 // Config returns the machine's configuration.

@@ -151,6 +151,14 @@ type traceRing struct {
 
 func newTraceRing(n int) *traceRing { return &traceRing{buf: make([]TraceEvent, n)} }
 
+// reset forgets every event, keeping the ring: events reads no slot
+// beyond the n added since.
+func (r *traceRing) reset() {
+	if r != nil {
+		r.n, r.next = 0, 0
+	}
+}
+
 func (r *traceRing) add(e TraceEvent) {
 	if r == nil {
 		return

@@ -131,6 +131,30 @@ func (m *Memory) Snapshot() *Memory {
 	return s
 }
 
+// Zero clears every word in place: the memory reads as a new one does
+// and keeps its pages and directory, so storing to the same addresses
+// again allocates nothing.
+func (m *Memory) Zero() {
+	//staggervet:allow determinism every page is cleared; the result is order-independent
+	for _, p := range m.pages {
+		*p = page{}
+	}
+}
+
+// CopyInto makes dst's contents equal to m's, as Snapshot's result is,
+// in the pages dst already owns; only a page dst lacks is allocated.
+func (m *Memory) CopyInto(dst *Memory) {
+	dst.Zero()
+	//staggervet:allow determinism page-by-page copy into a map; the result is order-independent
+	for key, p := range m.pages {
+		dp := dst.pages[key]
+		if dp == nil {
+			dp = dst.newPage(key)
+		}
+		*dp = *p
+	}
+}
+
 // Diff returns up to max word addresses at which m and o hold different
 // values, in ascending order. Untouched pages compare as all-zero.
 func (m *Memory) Diff(o *Memory, max int) []Addr {
@@ -223,6 +247,10 @@ func (al *Allocator) AllocObject(nWords int) Addr {
 	}
 	return al.Alloc(size, WordSize)
 }
+
+// Reset rewinds the allocator to its base: the next allocations repeat
+// the addresses of the first ones.
+func (al *Allocator) Reset() { al.next = al.base }
 
 // Used reports the number of bytes handed out so far.
 func (al *Allocator) Used() uint64 { return uint64(al.next - al.base) }

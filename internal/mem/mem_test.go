@@ -274,3 +274,62 @@ func TestMemoryMatchesMapModel(t *testing.T) {
 		t.Fatalf("Diff against an empty memory = %#x, want [0x100008]", got)
 	}
 }
+
+// TestZeroAndCopyIntoReuseStorage: Zero leaves a memory that reads as a
+// new one, CopyInto a destination that reads as a Snapshot — whatever the
+// destination held, in pages the source has, lacks, or reaches only
+// through the map — and neither allocates once the pages exist.
+func TestZeroAndCopyIntoReuseStorage(t *testing.T) {
+	const heap, far = Addr(1 << 20), Addr(0xDEAD) << 32
+	src, dst := New(), New()
+	src.Store(heap, 1)
+	src.Store(far, 2)
+	dst.Store(heap+8, 7)            // a word src leaves zero, in a page both have
+	dst.Store(5*heap, 8)            // a directory page src does not have
+	dst.Store(Addr(0xBEEF)<<32, 9)  // a far page src does not have
+	src.Store(heap+2<<pageBits, 10) // a page dst does not have yet
+
+	src.CopyInto(dst)
+	if d := src.Diff(dst, 8); len(d) != 0 {
+		t.Fatalf("after CopyInto the memories differ at %#x", d)
+	}
+	if got := dst.Load(heap + 2<<pageBits); got != 10 {
+		t.Fatalf("CopyInto lost a page the destination lacked: Load = %d, want 10", got)
+	}
+	dst.Store(heap, 3)
+	if src.Load(heap) != 1 {
+		t.Fatal("CopyInto shares a page between source and destination")
+	}
+	if n := testing.AllocsPerRun(10, func() { src.CopyInto(dst) }); n != 0 {
+		t.Fatalf("CopyInto into a destination that has the pages allocates %v times", n)
+	}
+
+	src.Zero()
+	if d := src.Diff(New(), 8); len(d) != 0 {
+		t.Fatalf("after Zero the memory still holds words at %#x", d)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		src.Store(heap, 1)
+		src.Store(far, 2)
+		src.Zero()
+	}); n != 0 {
+		t.Fatalf("storing again where a zeroed memory has pages allocates %v times", n)
+	}
+	if src.Load(heap) != 0 || src.Load(far) != 0 {
+		t.Fatal("Zero left a word")
+	}
+}
+
+// TestAllocatorReset: after Reset the allocator repeats its addresses.
+func TestAllocatorReset(t *testing.T) {
+	al := NewAllocator(1<<20, 1<<16)
+	seq := func() [3]Addr { return [3]Addr{al.AllocLines(1), al.AllocWords(3), al.AllocObject(5)} }
+	first := seq()
+	al.Reset()
+	if al.Used() != 0 {
+		t.Fatalf("Used() = %d after Reset", al.Used())
+	}
+	if again := seq(); again != first {
+		t.Fatalf("allocations after Reset %#x, first time %#x", again, first)
+	}
+}

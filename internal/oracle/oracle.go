@@ -116,9 +116,11 @@ type Checker struct {
 	violations []Violation
 }
 
-// New returns a checker whose shadow starts from snapshot (which must be a
-// private copy — use mem.Memory.Snapshot after workload setup). model may
-// be nil to skip reference-model validation.
+// New returns a checker whose shadow starts from snapshot, which must be a
+// private copy of post-setup memory: mem.Memory.Snapshot's, or a memory
+// of an earlier checker refilled by mem.Memory.CopyInto (the checker
+// keeps nothing else between runs, so the shadow is the only part worth
+// reusing). model may be nil to skip reference-model validation.
 func New(snapshot *mem.Memory, model RefModel) *Checker {
 	return &Checker{shadow: snapshot, model: model}
 }

@@ -30,6 +30,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -176,11 +177,9 @@ func NewPCT(seed int64, cores, d int, window uint64) *PCT {
 		p.prio[i] = d + v
 	}
 	// d-1 distinct change points in [1, PCTHorizon].
-	seen := make(map[uint64]bool, d-1)
+	p.change = make([]uint64, 0, max(d-1, 0))
 	for len(p.change) < d-1 {
-		k := uint64(rng.Int63n(PCTHorizon)) + 1
-		if !seen[k] {
-			seen[k] = true
+		if k := uint64(rng.Int63n(PCTHorizon)) + 1; !slices.Contains(p.change, k) {
 			p.change = append(p.change, k)
 		}
 	}
@@ -259,6 +258,13 @@ type Recorder struct {
 // NewRecorder wraps inner with decision recording.
 func NewRecorder(inner htm.Scheduler) *Recorder {
 	return &Recorder{inner: inner}
+}
+
+// Reset starts recording a new schedule, inner's, over the buffer the
+// last one was recorded in: what Picks returned before is overwritten.
+func (r *Recorder) Reset(inner htm.Scheduler) {
+	r.inner = inner
+	r.picks = r.picks[:0]
 }
 
 func (r *Recorder) Pick(runnable []int, times []uint64) int {

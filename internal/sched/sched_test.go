@@ -3,6 +3,7 @@ package sched
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -148,6 +149,32 @@ func TestRecorderNormalizesAndReplays(t *testing.T) {
 		if got := rep.Pick(live, times[:len(live)]); got != want {
 			t.Fatalf("replayed pick %d = %d, want %d", i, got, want)
 		}
+	}
+}
+
+// TestRecorderResetStartsANewSchedule: a recorder reused through Reset
+// records the second schedule as a new recorder would, in the buffer of
+// the first.
+func TestRecorderResetStartsANewSchedule(t *testing.T) {
+	runnable, times := []int{0, 1, 2, 3}, make([]uint64, 4)
+	record := func(rec *Recorder, n int) []uint32 {
+		for i := 0; i < n; i++ {
+			rec.Pick(runnable, times)
+		}
+		return rec.Picks()
+	}
+	rec := NewRecorder(NewRandom(1, DefaultWindow))
+	first := record(rec, 40)
+	rec.Reset(NewRandom(2, DefaultWindow))
+	if len(rec.Picks()) != 0 {
+		t.Fatalf("%d picks left after Reset", len(rec.Picks()))
+	}
+	second := record(rec, 30)
+	if want := record(NewRecorder(NewRandom(2, DefaultWindow)), 30); !slices.Equal(second, want) {
+		t.Fatalf("picks after Reset %v, a new recorder's %v", second, want)
+	}
+	if &first[0] != &second[0] {
+		t.Fatal("Reset did not keep the buffer")
 	}
 }
 

@@ -23,9 +23,15 @@ import (
 	"repro/internal/prog"
 )
 
-// Workload is one runnable benchmark. Build-returned instances are
-// single-use: Setup allocates state inside one machine, Body closures
-// reference it, Verify checks it after the run.
+// Workload is one runnable benchmark. Setup allocates state inside one
+// machine, Body closures reference it, Verify checks it after the run.
+// An instance is not tied to one run: the harness runs the schedules of
+// an exploration campaign on one instance, calling Setup on a reset
+// machine before each. Setup must therefore re-initialise everything the
+// instance keeps outside simulated memory (addresses, host-side counters
+// that Verify reads), never extend it; Mod is read-only once built.
+// harness's TestPreparedCellMatchesFreshRun holds every workload to that.
+// One instance serves one run at a time.
 type Workload struct {
 	// Name is the benchmark's identifier (e.g. "list-hi").
 	Name string
