@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: help ci vet verify-static build test explore-smoke paper \
-	race-equivalence bench bench-smoke docs-verify docs \
+.PHONY: help ci vet verify-static conflict-verify build test explore-smoke \
+	paper equivalence race-equivalence bench bench-smoke docs-verify docs \
 	daemon-smoke crash-smoke
 
 # help lists every target with its one-line purpose (the `##` comment on

@@ -44,7 +44,6 @@ func main() {
 		runWorkers = flag.Int("run-workers", 0, "per-job sweep parallelism (0 = all cores)")
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "per-job wall-clock deadline")
 		grace      = flag.Duration("grace", 10*time.Second, "drain grace before in-flight jobs are cancelled")
-		retries    = flag.Int("retries", 2, "max retries of transiently failing jobs")
 		maxCells   = flag.Int("max-cells", 512, "largest allowed job expansion")
 		journalAt  = flag.String("journal", "", "write-ahead job journal path (empty = <store>/journal/jobs.wal when -store is set)")
 		failpoints = flag.String("failpoints", "", "disk failpoint spec, e.g. 'sync:jobs.wal=crash@2' (crash-harness use only)")
@@ -79,7 +78,6 @@ func main() {
 		RunWorkers:  *runWorkers,
 		JobTimeout:  *jobTimeout,
 		Grace:       *grace,
-		MaxRetries:  *retries,
 		MaxCells:    *maxCells,
 		StoreDir:    *storeDir,
 		JournalPath: *journalAt,

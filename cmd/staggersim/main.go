@@ -237,22 +237,27 @@ func (o *opts) cell() (harness.RunConfig, error) {
 		return harness.RunConfig{}, err
 	}
 	rc := harness.RunConfig{
-		Benchmark:          *o.bench,
-		Mode:               m,
-		Backend:            *o.backendName,
-		Capacity:           *o.capacity,
-		Threads:            *o.threads,
-		Seed:               *o.seed,
-		TotalOps:           *o.ops,
-		Naive:              *o.naive,
-		Lazy:               *o.lazy,
-		TraceN:             *o.trace,
-		Watchdog:           *o.watchdog,
-		Sched:              *o.schedSpec,
-		SchedSeed:          *o.schedSeed,
-		Record:             *o.record != "",
-		Oracle:             *o.oracleOn,
-		UnsafeEarlyRelease: *o.unsafeEarly,
+		Benchmark: *o.bench,
+		Mode:      m,
+		Backend:   *o.backendName,
+		Capacity:  *o.capacity,
+		Threads:   *o.threads,
+		Seed:      *o.seed,
+		TotalOps:  *o.ops,
+		Naive:     *o.naive,
+		Lazy:      *o.lazy,
+		TraceN:    *o.trace,
+		Watchdog:  *o.watchdog,
+		Sched:     *o.schedSpec,
+		SchedSeed: *o.schedSeed,
+		Record:    *o.record != "",
+		Oracle:    *o.oracleOn,
+	}
+	if *o.unsafeEarly {
+		// Only when asked: a Stagger override makes the cell uncacheable.
+		scfg := stagger.DefaultConfig(m)
+		scfg.UnsafeEarlyGlobalRelease = true
+		rc.Stagger = &scfg
 	}
 	ccfg := chaos.Scaled(*o.chaosRate, *o.seed)
 	if *o.chaosAbort > 0 {

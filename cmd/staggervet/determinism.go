@@ -41,12 +41,12 @@ var mapRangeScope = map[string]bool{
 }
 
 // wallClockExempt is the service layer: the only packages permitted to
-// read the wall clock. Deadlines, retry backoff, drain grace, and client
-// polling are operational concerns of the daemon and its tools, and they
-// time the host, not the simulation. Everything below this boundary —
-// including the harness the daemon calls into — measures time only on
-// the simulator's virtual clock, so the waiver is deliberately a scoped
-// allow-list, not a per-call escape hatch.
+// read the wall clock. Deadlines, drain grace, and client polling and
+// reconnect backoff are operational concerns of the daemon and its
+// tools, and they time the host, not the simulation. Everything below
+// this boundary — including the harness the daemon calls into —
+// measures time only on the simulator's virtual clock, so the waiver is
+// deliberately a scoped allow-list, not a per-call escape hatch.
 var wallClockExempt = map[string]bool{
 	"internal/service": true,
 	"cmd/staggerd":     true,

@@ -44,7 +44,7 @@ var (
 	keyed = []string{"Benchmark", "Mode", "Backend", "Capacity", "Threads", "Seed",
 		"TotalOps", "Naive", "Lazy", "Sched", "SchedSeed", "Oracle"}
 	uncacheable = []string{"TraceN", "ExtTrace", "Machine", "Stagger", "Chaos", "Watchdog",
-		"WatchdogTrace", "Record", "ReplayPicks", "UnsafeEarlyRelease", "SiteRecorder"}
+		"WatchdogTrace", "Record", "ReplayPicks", "SiteRecorder"}
 )
 
 var (

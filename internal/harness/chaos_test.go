@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/chaos"
 	"repro/internal/htm"
 	"repro/internal/stagger"
@@ -221,31 +222,42 @@ func TestChaosSweepRuns(t *testing.T) {
 // paper's runtime"): with nothing but the paper's LockTimeout and
 // irrevocable fallback, every workload on every system survives the
 // campaign from its mildest rate to one fault in three events — each
-// cell finishes under ChaosWatchdog, injects faults, and verifies.
+// cell finishes under ChaosWatchdog, injects faults, and verifies. It is
+// also the standing census behind the service's one-pass jobs: no chaos
+// cell a spec can name without its own watchdog trips the default one.
+// The systems are the two modes no backend spells plus every registered
+// backend (mode htm is backend htm, mode staggered is backend staggered).
 func TestChaosCampaignOnPaperRuntime(t *testing.T) {
 	benches := workloads.Names()
 	if testing.Short() {
 		benches = []string{"memcached", "intruder"}
 	}
-	for _, mode := range []stagger.Mode{stagger.ModeHTM, stagger.ModeAddrOnly,
-		stagger.ModeStaggeredSW, stagger.ModeStaggeredHW} {
+	systems := []RunConfig{{Mode: stagger.ModeAddrOnly}, {Mode: stagger.ModeStaggeredSW}}
+	for _, name := range backend.Names() {
+		systems = append(systems, RunConfig{Backend: name})
+	}
+	for _, sys := range systems {
+		label := sys.Backend
+		if label == "" {
+			label = sys.Mode.String()
+		}
 		cells, err := RunChaosSweep(ChaosSweep{
 			Benchmarks: benches,
 			Rates:      []float64{0.002, 0.05, 0.3},
-			Cell:       RunConfig{Mode: mode},
+			Cell:       sys,
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		if want := len(benches) * 4; len(cells) != want { // the sweep adds rate 0
-			t.Fatalf("%s: %d cells, want %d", mode, len(cells), want)
+			t.Fatalf("%s: %d cells, want %d", label, len(cells), want)
 		}
 		for _, c := range cells {
 			if c.Rate > 0 && c.Faults.Total() == 0 {
-				t.Errorf("%s %s@%g: no faults injected", mode, c.Bench, c.Rate)
+				t.Errorf("%s %s@%g: no faults injected", label, c.Bench, c.Rate)
 			}
 			if c.Commits == 0 {
-				t.Errorf("%s %s@%g: no transactions committed", mode, c.Bench, c.Rate)
+				t.Errorf("%s %s@%g: no transactions committed", label, c.Bench, c.Rate)
 			}
 		}
 	}

@@ -43,10 +43,6 @@ type ExploreConfig struct {
 	// minimizeBudget times per failure).
 	Minimize bool
 
-	// UnsafeEarlyRelease plumbs the test-only broken irrevocable fallback
-	// through to the runtime, so tests can prove campaigns catch it.
-	UnsafeEarlyRelease bool
-
 	// Ctx, if non-nil, bounds the campaign: cancellation abandons in-flight
 	// runs at their next globally ordered events and aborts the campaign
 	// with an error wrapping ctx's error (the service layer's job deadlines
@@ -126,17 +122,16 @@ func exploreSpec(ec ExploreConfig) string {
 // specification; Runs, Minimize and Ctx are the caller's to set.
 func ExploreOf(rc RunConfig) ExploreConfig {
 	return ExploreConfig{
-		Benchmark:          rc.Benchmark,
-		Mode:               rc.Mode,
-		Backend:            rc.Backend,
-		Capacity:           rc.Capacity,
-		Threads:            rc.Threads,
-		Seed:               rc.Seed,
-		TotalOps:           rc.TotalOps,
-		Stagger:            rc.Stagger,
-		Chaos:              rc.Chaos,
-		Spec:               rc.Sched,
-		UnsafeEarlyRelease: rc.UnsafeEarlyRelease,
+		Benchmark: rc.Benchmark,
+		Mode:      rc.Mode,
+		Backend:   rc.Backend,
+		Capacity:  rc.Capacity,
+		Threads:   rc.Threads,
+		Seed:      rc.Seed,
+		TotalOps:  rc.TotalOps,
+		Stagger:   rc.Stagger,
+		Chaos:     rc.Chaos,
+		Spec:      rc.Sched,
 	}
 }
 
@@ -145,18 +140,17 @@ func ExploreOf(rc RunConfig) ExploreConfig {
 // failure adds its picks.
 func (ec ExploreConfig) RunConfig() RunConfig {
 	return RunConfig{
-		Benchmark:          ec.Benchmark,
-		Mode:               ec.Mode,
-		Backend:            ec.Backend,
-		Capacity:           ec.Capacity,
-		Threads:            ec.Threads,
-		Seed:               ec.Seed,
-		TotalOps:           ec.TotalOps,
-		Stagger:            ec.Stagger,
-		Chaos:              ec.Chaos,
-		Sched:              exploreSpec(ec),
-		Oracle:             true,
-		UnsafeEarlyRelease: ec.UnsafeEarlyRelease,
+		Benchmark: ec.Benchmark,
+		Mode:      ec.Mode,
+		Backend:   ec.Backend,
+		Capacity:  ec.Capacity,
+		Threads:   ec.Threads,
+		Seed:      ec.Seed,
+		TotalOps:  ec.TotalOps,
+		Stagger:   ec.Stagger,
+		Chaos:     ec.Chaos,
+		Sched:     exploreSpec(ec),
+		Oracle:    true,
 		// Exploration keeps a deeper watchdog tail than the htm default:
 		// adversarial schedules are exactly the runs whose ends are worth
 		// reading.

@@ -183,16 +183,16 @@ func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 	// wrongly released, concurrent decoders commit half views of it.
 	scfg := stagger.DefaultConfig(stagger.ModeHTM)
 	scfg.MaxRetries = 1
+	scfg.UnsafeEarlyGlobalRelease = true
 	ec := ExploreConfig{
-		Benchmark:          "intruder",
-		Mode:               stagger.ModeHTM,
-		Threads:            4,
-		Seed:               23,
-		Stagger:            &scfg,
-		Spec:               "pct:3",
-		Runs:               12,
-		Minimize:           true,
-		UnsafeEarlyRelease: true,
+		Benchmark: "intruder",
+		Mode:      stagger.ModeHTM,
+		Threads:   4,
+		Seed:      23,
+		Stagger:   &scfg,
+		Spec:      "pct:3",
+		Runs:      12,
+		Minimize:  true,
 	}
 	var reports []string
 	for _, workers := range []int{1, 2} {

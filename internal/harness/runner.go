@@ -110,10 +110,6 @@ type RunConfig struct {
 	// re-executed on the workload's sequential reference model, and final
 	// memory must match the shadow. Results land in Result.OracleErr.
 	Oracle bool
-	// UnsafeEarlyRelease enables the test-only broken irrevocable fallback
-	// (global lock released before the body); it exists so tests can prove
-	// the oracle catches a real atomicity violation end to end.
-	UnsafeEarlyRelease bool
 
 	// SiteRecorder observes every transactional site access (the
 	// static/dynamic conformance checker of -verify-static); nil disables
@@ -403,7 +399,6 @@ func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 		scfg = *rc.Stagger
 		scfg.Mode = rc.Mode
 	}
-	scfg.UnsafeEarlyGlobalRelease = scfg.UnsafeEarlyGlobalRelease || rc.UnsafeEarlyRelease
 	var inj *chaos.Injector
 	if rc.Chaos != nil && rc.Chaos.Enabled() {
 		inj = chaos.NewInjector(*rc.Chaos, mcfg.Cores)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
-	"repro/internal/htm"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -20,11 +19,8 @@ import (
 // struct field order, and obs.Report is map-free and stable-sorted.
 type CellResult struct {
 	Key string `json:"key"`
-	// Attempt and ChaosSeed record a transient-retry reseed: when a
-	// chaos-classified failure forced a retry, the payload was computed
-	// under this fault-schedule seed rather than the spec's (the workload
-	// seed never changes). Zero on the common first-attempt path.
-	Attempt   int           `json:"attempt,omitempty"`
+	// ChaosSeed is the fault-schedule seed a chaos cell ran under (zero
+	// on fault-free cells).
 	ChaosSeed int64         `json:"chaos_seed,omitempty"`
 	Report    *obs.Report   `json:"report"`
 	Faults    *chaos.Counts `json:"faults,omitempty"`
@@ -52,34 +48,34 @@ type ExploreFinding struct {
 	Probes    int      `json:"probes,omitempty"`
 }
 
-// execute runs one attempt of a job as one serve-or-compute stream over
-// its keys. The first attempt serves every key the store already has;
-// every attempt computes the keys still missing — a cell job's through
-// the sweep primitive, an explore job's one key through harness.Explore —
-// and each payload is encoded and persisted the moment its outcome is
-// delivered, while later cells are still simulating. A failed cell does
-// not stop its siblings: they are computed, persisted and kept, so a
-// retry — or the next life of a killed daemon — recomputes only what is
-// actually missing. The error returned is the first by input index.
-func (s *Server) execute(ctx context.Context, j *Job, attempt int) error {
+// execute runs a job as one serve-or-compute stream over its keys. It
+// serves every key the store already has and computes the rest — a cell
+// job's through the sweep primitive, an explore job's one key through
+// harness.Explore — and each payload is encoded and persisted the moment
+// its outcome is delivered, while later cells are still simulating. A
+// failed cell does not stop its siblings: they are computed, persisted
+// and kept, so a resubmission — or the next life of a killed daemon —
+// recomputes only what is actually missing. The error returned is the
+// first by input index. Every payload is a function of its key's cell
+// alone, so a failure (a chaos watchdog trip included) repeats exactly.
+func (s *Server) execute(ctx context.Context, j *Job) error {
 	keys := j.plan.keys
-	if attempt == 0 {
-		payloads := make([][]byte, len(keys))
-		fromStore := 0
-		for i, key := range keys {
-			if b, ok := s.storeGet(key); ok {
-				payloads[i] = b
-				fromStore++
-			}
+	payloads := make([][]byte, len(keys))
+	fromStore := 0
+	for i, key := range keys {
+		if b, ok := s.storeGet(key); ok {
+			payloads[i] = b
+			fromStore++
 		}
-		if j.recovered {
-			// Resumption accounting: cells a crashed sweep had already made
-			// durable and this incarnation only had to read back.
-			s.resumedCells.Add(uint64(fromStore))
-		}
-		j.setResults(payloads, fromStore)
 	}
-	payloads := j.results // written by this goroutine only, read by others once done
+	if j.recovered {
+		// Resumption accounting: cells a crashed sweep had already made
+		// durable and this incarnation only had to read back.
+		s.resumedCells.Add(uint64(fromStore))
+	}
+	// Shared with the job: filled in below by this goroutine only, read by
+	// others once the job is done.
+	j.setResults(payloads, fromStore)
 	var miss []int
 	for i, b := range payloads {
 		if b == nil {
@@ -103,7 +99,6 @@ func (s *Server) execute(ctx context.Context, j *Job, attempt int) error {
 		payloads[i] = b
 	}
 	if j.plan.kind == KindExplore {
-		// Campaign failures are deterministic in the spec: never transient.
 		for _, i := range miss {
 			b, err := explore(ctx, j.plan.explore, keys[i])
 			deliver(i, b, err)
@@ -112,13 +107,13 @@ func (s *Server) execute(ctx context.Context, j *Job, attempt int) error {
 	}
 	cfgs := make([]harness.RunConfig, len(miss))
 	for k, i := range miss {
-		cfgs[k] = saltRetry(j.plan.cells[i], attempt)
+		cfgs[k] = j.plan.cells[i]
 	}
 	// The stream's error is deliver's, and this deliver never stops it.
 	_ = s.cfg.sweep(ctx, cfgs, s.cfg.RunWorkers, func(k int, o harness.RunOutcome) error {
-		b, err := []byte(nil), classify(o.Err, cfgs[k])
+		b, err := []byte(nil), o.Err
 		if err == nil {
-			b, err = encodeCell(keys[miss[k]], attempt, cfgs[k], o.Res)
+			b, err = encodeCell(keys[miss[k]], cfgs[k], o.Res)
 		}
 		deliver(miss[k], b, err)
 		return nil
@@ -156,44 +151,13 @@ func explore(ctx context.Context, ec harness.ExploreConfig, key string) ([]byte,
 	return append(b, '\n'), nil
 }
 
-// classify wraps chaos-classified failures with ErrTransient: a virtual
-// watchdog trip on a fault-injected cell implicates the injected fault
-// schedule, not the workload, so a reseeded retry is meaningful. Every
-// other failure — validation, verification, oracle, panic — is a
-// deterministic function of the config and is reported as permanent.
-func classify(err error, rc harness.RunConfig) error {
-	var we *htm.WatchdogError
-	if rc.Chaos != nil && errors.As(err, &we) {
-		return fmt.Errorf("%w: %w", ErrTransient, err)
-	}
-	return err
-}
-
-// saltRetry reseeds the fault schedule of a chaos cell on retry attempts
-// (the workload seed is untouched, so the experiment stays the same
-// program under a fresh fault environment). Fault-free cells are
-// returned unchanged: their failures are deterministic and the retry
-// loop never reaches them anyway.
-func saltRetry(rc harness.RunConfig, attempt int) harness.RunConfig {
-	if attempt == 0 || rc.Chaos == nil {
-		return rc
-	}
-	cc := *rc.Chaos
-	cc.Seed += int64(attempt) * 1_000_003
-	rc.Chaos = &cc
-	return rc
-}
-
 // encodeCell renders the durable payload for one freshly computed cell.
-func encodeCell(key string, attempt int, rc harness.RunConfig, res *harness.Result) ([]byte, error) {
+func encodeCell(key string, rc harness.RunConfig, res *harness.Result) ([]byte, error) {
 	cr := CellResult{Key: key, Report: obs.Snapshot(res)}
 	if rc.Chaos != nil {
 		cr.ChaosSeed = rc.Chaos.Seed
 		f := res.Faults
 		cr.Faults = &f
-		if attempt > 0 {
-			cr.Attempt = attempt
-		}
 	}
 	if res.VerifyErr != nil {
 		cr.VerifyErr = res.VerifyErr.Error()

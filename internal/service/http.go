@@ -182,10 +182,9 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves a Perfetto (Chrome trace-event) timeline for one
 // cell of a done job by deterministically re-running it with extended
 // tracing enabled. Traces are large and rarely wanted, so they are
-// computed on demand and not stored; determinism makes the re-run
-// faithful to the recorded result (chaos cells that needed a reseeded
-// retry are the documented exception — the trace shows the spec's own
-// fault schedule).
+// computed on demand and not stored; every stored payload is a function
+// of its cell's spec alone, so the re-run is faithful to the recorded
+// result, chaos cells included.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobForRead(w, r.PathValue("id"))
 	if !ok {

@@ -342,7 +342,6 @@ type Job struct {
 	mu              sync.Mutex
 	state           string
 	err             string
-	attempts        int // retries consumed (0 = first attempt sufficed)
 	fromStore       int // cells served from the durable store
 	results         [][]byte
 	created         time.Time
@@ -384,7 +383,6 @@ type JobStatus struct {
 	Computed  int    `json:"computed"` // cells actually simulated this run
 	Recovered bool   `json:"recovered,omitempty"`
 	Idem      string `json:"idem,omitempty"`
-	Retries   int    `json:"retries"`
 	Error     string `json:"error,omitempty"`
 	CreatedMS int64  `json:"created_ms,omitempty"`
 	WaitMS    int64  `json:"wait_ms,omitempty"`    // queued -> started
@@ -404,7 +402,6 @@ func (j *Job) Status() JobStatus {
 		FromStore: j.fromStore,
 		Recovered: j.recovered,
 		Idem:      j.idem,
-		Retries:   j.attempts,
 		Error:     j.err,
 		CreatedMS: j.created.UnixMilli(),
 	}
@@ -436,12 +433,6 @@ func (j *Job) markRunning() bool {
 func (j *Job) setCancel(c context.CancelFunc) {
 	j.mu.Lock()
 	j.cancel = c
-	j.mu.Unlock()
-}
-
-func (j *Job) bumpRetries() {
-	j.mu.Lock()
-	j.attempts++
 	j.mu.Unlock()
 }
 

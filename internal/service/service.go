@@ -23,11 +23,6 @@
 //     simulator's own virtual-time watchdog; either bound abandons the
 //     job promptly (the virtual one deterministically, the wall-clock
 //     one via context cancellation through harness.RunCtx);
-//   - transient faults: a job failing on a chaos-classified error (a
-//     watchdog trip on a fault-injected cell implicates the injected
-//     fault schedule, not the workload) is retried with capped
-//     exponential backoff and a reseeded fault schedule; deterministic
-//     failures are never retried, they would only repeat;
 //   - crashes: each cell is durable as soon as it completes
 //     (write-temp-fsync-rename), so a daemon killed mid-sweep re-serves
 //     the finished cells byte-identically and recomputes only the rest,
@@ -41,7 +36,7 @@
 //     exits cleanly either way.
 //
 // Wall-clock time is deliberately confined to this layer (and the
-// binaries above it): deadlines, backoff, and drain grace are service
+// binaries above it): deadlines and drain grace are service
 // concerns. The simulation below remains purely virtual-time and
 // deterministic — staggervet enforces the boundary.
 package service
@@ -64,12 +59,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/vfs"
 )
-
-// ErrTransient classifies an execution failure as environmental rather
-// than deterministic: retrying with a reseeded fault schedule is
-// meaningful. The execution path wraps chaos-classified errors with it;
-// test seams can return it directly.
-var ErrTransient = errors.New("service: transient failure")
 
 // ErrDraining is returned by Submit once drain has begun (HTTP 503).
 var ErrDraining = errors.New("service: draining, not accepting jobs")
@@ -105,12 +94,6 @@ type Config struct {
 	// Grace is how long BeginDrain waits for in-flight jobs before
 	// cancelling them (default 10s).
 	Grace time.Duration
-	// MaxRetries bounds transient-failure retries per job (default 2).
-	MaxRetries int
-	// RetryBase and RetryCap shape the capped exponential backoff between
-	// retries (defaults 50ms and 2s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// MaxCells bounds one job's expansion (default 512).
 	MaxCells int
 	// StoreDir roots the durable result store; "" keeps results in
@@ -146,17 +129,6 @@ func (c *Config) defaults() {
 	}
 	if c.Grace <= 0 {
 		c.Grace = 10 * time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 2 * time.Second
 	}
 	if c.MaxCells <= 0 {
 		c.MaxCells = 512
@@ -201,7 +173,6 @@ type Server struct {
 	doneCnt  atomic.Uint64
 	failCnt  atomic.Uint64
 	cancCnt  atomic.Uint64
-	retryCnt atomic.Uint64
 	panicCnt atomic.Uint64
 
 	replayed        atomic.Uint64 // journal records replayed at boot
@@ -462,7 +433,6 @@ type Metrics struct {
 	Done         uint64         `json:"done"`
 	Failed       uint64         `json:"failed"`
 	Canceled     uint64         `json:"canceled"`
-	Retries      uint64         `json:"retries"`
 	Panics       uint64         `json:"panics_contained"`
 	Queued       int            `json:"queued"`
 	Running      int            `json:"running"`
@@ -482,7 +452,6 @@ func (s *Server) Metrics() Metrics {
 		Done:         s.doneCnt.Load(),
 		Failed:       s.failCnt.Load(),
 		Canceled:     s.cancCnt.Load(),
-		Retries:      s.retryCnt.Load(),
 		Panics:       s.panicCnt.Load(),
 		Queued:       len(s.queue),
 		Running:      int(s.running.Load()),
@@ -515,7 +484,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob drives one job through its deadline, retry, and terminal state.
+// runJob drives one job through its deadline and one execution pass to
+// its terminal state.
 func (s *Server) runJob(j *Job) {
 	if !j.markRunning() {
 		return // canceled while queued
@@ -532,29 +502,13 @@ func (s *Server) runJob(j *Job) {
 	defer cancel()
 	j.setCancel(cancel)
 
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = s.execute(ctx, j, attempt)
-		if err == nil {
-			// Results are durable in the store before the terminal record is
-			// written: a crash between the two re-runs the job, which then
-			// serves every cell from the store — same bytes, wasted instant.
-			s.retire(j, JobRunning, JobDone, "")
-			return
-		}
-		if ctx.Err() != nil || attempt >= s.cfg.MaxRetries || !errors.Is(err, ErrTransient) {
-			break
-		}
-		j.bumpRetries()
-		s.retryCnt.Add(1)
-		d := backoff(s.cfg.RetryBase, s.cfg.RetryCap, attempt)
-		s.cfg.Logf("staggerd: %s attempt %d failed transiently (%v), retrying in %v", j.id, attempt, err, d)
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-		case <-t.C:
-		}
+	err := s.execute(ctx, j)
+	if err == nil {
+		// Results are durable in the store before the terminal record is
+		// written: a crash between the two re-runs the job, which then
+		// serves every cell from the store — same bytes, wasted instant.
+		s.retire(j, JobRunning, JobDone, "")
+		return
 	}
 	if j.cancelRequested.Load() {
 		s.retire(j, JobRunning, JobCanceled, err.Error())
@@ -609,18 +563,4 @@ func (s *Server) retire(j *Job, from, to, errMsg string) bool {
 		delete(s.idem, old.idem)
 	}
 	return true
-}
-
-// backoff is capped exponential: base<<attempt, clamped to cap. No
-// jitter on purpose — the daemon stays free of global randomness, and
-// with a bounded worker pool there is no thundering herd to break up.
-func backoff(base, limit time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < limit; i++ {
-		d *= 2
-	}
-	if d > limit {
-		d = limit
-	}
-	return d
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/htm"
 	"repro/internal/workloads"
 )
 
@@ -372,109 +371,43 @@ func TestOversizedSpecRefused(t *testing.T) {
 	}
 }
 
-// TestTransientFailureRetriedWithBackoff: cell 0 fails transiently on the
-// first attempt. Its siblings are persisted all the same, and the retry
-// hands the sweep only the cell that is actually missing.
-func TestTransientFailureRetriedWithBackoff(t *testing.T) {
+// TestChaosWatchdogTripFailsJobDeterministically drives a chaos cell
+// whose own watchdog is far too small through the real sweep. A job is
+// one pass: the trip fails it, its two siblings are persisted all the
+// same, and resubmitting the spec serves them from the store, recomputes
+// only the failed cell, and fails with the identical error — the result
+// is a function of the spec, never of how often it was tried.
+func TestChaosWatchdogTripFailsJobDeterministically(t *testing.T) {
 	spec := JobSpec{Cells: []CellSpec{
 		{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200},
-		{Bench: "list-hi", Threads: 2, Seed: 2, Ops: 200},
+		{Bench: "list-hi", Threads: 2, Seed: 2, Ops: 200, ChaosRate: 0.01, Watchdog: 10_000},
 		{Bench: "list-hi", Threads: 2, Seed: 3, Ops: 200},
 	}}
-	var s *Server
-	var handed [][]int64 // per attempt, the seeds of the cells the sweep was given
-	var putsAtRetry uint64
-	sweep := func(_ context.Context, cfgs []harness.RunConfig, _ int, deliver func(int, harness.RunOutcome) error) error {
-		attempt := len(handed)
-		if attempt == 1 {
-			putsAtRetry = s.Store().Stats().Puts
+	s := newT(t, Config{StoreDir: t.TempDir()})
+	run := func() JobStatus {
+		t.Helper()
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var seeds []int64
-		for i, rc := range cfgs {
-			seeds = append(seeds, rc.Seed)
-			o := ok()
-			if attempt == 0 && i == 0 {
-				o = harness.RunOutcome{Err: fmt.Errorf("%w: injected", ErrTransient)}
-			}
-			deliver(i, o)
-		}
-		handed = append(handed, seeds)
-		return nil
+		return waitJob(t, j)
 	}
-	s = newT(t, Config{StoreDir: t.TempDir(), MaxRetries: 2, RetryBase: time.Millisecond, RetryCap: 4 * time.Millisecond, sweep: sweep})
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	first := run()
+	if first.State != JobFailed || !strings.HasPrefix(first.Error, "cell 1: ") || !strings.Contains(first.Error, "watchdog") {
+		t.Fatalf("job %+v, want failed on cell 1's watchdog", first)
 	}
-	st := waitJob(t, j)
-	if st.State != JobDone || st.Retries != 1 || st.FromStore != 0 || st.Computed != 3 {
-		t.Fatalf("job %+v, want done after 1 retry with all 3 cells computed", st)
+	if st := s.Store().Stats(); st.Puts != 2 {
+		t.Fatalf("store took %d puts, want the failed cell's 2 siblings", st.Puts)
 	}
-	if fmt.Sprint(handed) != "[[1 2 3] [1]]" {
-		t.Fatalf("attempts were handed seeds %v, want all three cells and then only the failed one", handed)
+	again := run()
+	if again.State != JobFailed || again.FromStore != 2 || again.Error != first.Error {
+		t.Fatalf("resubmission %+v, want 2 cells from the store and the same failure %q", again, first.Error)
 	}
-	if putsAtRetry != 2 {
-		t.Fatalf("store held %d entries when the retry began, want the failed cell's 2 siblings", putsAtRetry)
+	if st := s.Store().Stats(); st.Puts != 2 || st.Misses != 4 {
+		t.Fatalf("store stats %+v after resubmission, want 2 puts and 3+1 misses (only the failed cell recomputed)", st)
 	}
-	if m := s.Metrics(); m.Retries != 1 {
-		t.Fatalf("metrics %+v, want Retries=1", m)
-	}
-}
-
-func TestPermanentFailureIsNotRetried(t *testing.T) {
-	calls := 0
-	sweep := seam(func(context.Context, int, harness.RunConfig) harness.RunOutcome {
-		calls++
-		return harness.RunOutcome{Err: errors.New("deterministic failure")}
-	})
-	s := newT(t, Config{MaxRetries: 3, RetryBase: time.Millisecond, sweep: sweep})
-	j, err := s.Submit(tinySpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, j)
-	if st.State != JobFailed || calls != 1 {
-		t.Fatalf("state %s after %d calls, want failed after exactly 1", st.State, calls)
-	}
-}
-
-// TestChaosWatchdogClassifiedTransient pins the chaos classification
-// rule: the same watchdog trip is transient on a fault-injected cell and
-// permanent on a clean one.
-func TestChaosWatchdogClassifiedTransient(t *testing.T) {
-	we := fmt.Errorf("harness: list-hi: %w", &htm.WatchdogError{Core: 1, Cycles: 9, Limit: 8})
-	chaosCell := tinySpec(1).Cells[0]
-	chaosCell.ChaosRate = 0.01
-	_, chaosRC, err := chaosCell.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := classify(we, chaosRC); !errors.Is(got, ErrTransient) {
-		t.Fatalf("chaos watchdog trip classified %v, want transient", got)
-	}
-	_, cleanRC, _ := tinySpec(1).Cells[0].normalized()
-	if got := classify(we, cleanRC); errors.Is(got, ErrTransient) {
-		t.Fatal("fault-free watchdog trip classified transient")
-	}
-}
-
-// TestRetrySaltReseedsOnlyChaos: the retry salt must change the fault
-// schedule and nothing else.
-func TestRetrySaltReseedsOnlyChaos(t *testing.T) {
-	cell := CellSpec{Bench: "list-hi", ChaosRate: 0.01, Seed: 5}
-	_, rc, err := cell.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	salted := saltRetry(rc, 2)
-	if salted.Chaos.Seed == rc.Chaos.Seed {
-		t.Fatal("retry did not reseed the fault schedule")
-	}
-	if salted.Seed != rc.Seed || salted.Benchmark != rc.Benchmark {
-		t.Fatal("retry changed the workload, not just the faults")
-	}
-	if clean := saltRetry(harness.RunConfig{Benchmark: "x"}, 3); clean.Chaos != nil {
-		t.Fatal("salt invented a chaos config")
+	if m := s.Metrics(); m.Failed != 2 {
+		t.Fatalf("metrics %+v, want 2 failed jobs", m)
 	}
 }
 
