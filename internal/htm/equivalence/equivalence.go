@@ -8,9 +8,11 @@
 // in everything except the engine, and compares serialized observables
 // byte for byte: the full transaction event trace, the obs metrics
 // report JSON, the complete statistics block, the serializability-oracle
-// verdict, and the workload's own invariant check. The suite sweeps all
-// workloads × seeds × {plain, staggered, hardened, chaos, PCT} (Variants
-// says what each name runs); the fuzz target (FuzzEngineEquivalence)
+// verdict, the workload's own invariant check, and final memory. The suite
+// sweeps all workloads × seeds × {plain, staggered, hardened, chaos, PCT}
+// (Variants says what each name runs) and pins each cell's observables,
+// hashed, in testdata/observables.golden; the fuzz target
+// (FuzzEngineEquivalence)
 // explores the same cell space from a corpus seeded with the paper table
 // generators' configurations.
 //
@@ -21,14 +23,18 @@ package equivalence
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/htm"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/stagger"
 )
@@ -96,10 +102,19 @@ func Cell(bench string, seed int64, threads, ops int, v Variant) harness.RunConf
 	return rc
 }
 
+// Run executes rc and serializes its observables.
+func Run(rc harness.RunConfig) (*Observables, error) {
+	res, m, err := harness.RunWithMemory(rc)
+	if err != nil {
+		return nil, err
+	}
+	return Observe(res, m)
+}
+
 // RunPair executes rc on the cooperative engine and again on the
-// reference engine (all else identical) and returns both results.
-func RunPair(rc harness.RunConfig) (coop, ref *harness.Result, err error) {
-	coop, err = harness.Run(rc)
+// reference engine (all else identical) and returns both observable sets.
+func RunPair(rc harness.RunConfig) (coop, ref *Observables, err error) {
+	coop, err = Run(rc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cooperative engine: %w", err)
 	}
@@ -110,7 +125,7 @@ func RunPair(rc harness.RunConfig) (coop, ref *harness.Result, err error) {
 	}
 	mc.RefEngine = true
 	refCfg.Machine = &mc
-	ref, err = harness.Run(refCfg)
+	ref, err = Run(refCfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("reference engine: %w", err)
 	}
@@ -125,19 +140,25 @@ type Observables struct {
 	Events []htm.TraceEvent
 	// Metrics is the obs metrics report JSON.
 	Metrics []byte
-	// Stats is the full statistics block (every per-core counter) as JSON.
+	// Stats is the full statistics block (every per-core counter) as JSON;
+	// the host-side Engine counts are not part of it.
 	Stats []byte
+	// Memory is the sha256 of final memory: every nonzero word's address
+	// and value, in address order.
+	Memory [32]byte
 	// Oracle is the serializability verdict ("ok <n> commits" or the
 	// violation text); Verify is the workload invariant verdict.
 	Oracle string
 	Verify string
 }
 
-// Observe serializes a run's compared observables.
-func Observe(r *harness.Result) (*Observables, error) {
+// Observe serializes a run's compared observables; m is the run's final
+// memory.
+func Observe(r *harness.Result, m *mem.Memory) (*Observables, error) {
 	o := &Observables{
 		Trace:  []byte(htm.FormatTrace(r.Trace)),
 		Events: r.Trace,
+		Memory: memoryDigest(m),
 		Oracle: fmt.Sprintf("ok %d commits", r.OracleCommits),
 		Verify: "ok",
 	}
@@ -157,11 +178,32 @@ func Observe(r *harness.Result) (*Observables, error) {
 	return o, nil
 }
 
+// memoryDigest hashes every nonzero word of m, in address order: Diff
+// against an empty memory lists exactly those addresses, ascending.
+func memoryDigest(m *mem.Memory) [32]byte {
+	h := sha256.New()
+	var buf [16]byte
+	for _, a := range m.Diff(mem.New(), math.MaxInt) {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(a))
+		binary.LittleEndian.PutUint64(buf[8:], m.Load(a))
+		h.Write(buf[:])
+	}
+	return [32]byte(h.Sum(nil))
+}
+
+// Line is the cell's corpus line: its name, the sha256 of each serialized
+// observable, and the two verdicts.
+func (o *Observables) Line(name string) string {
+	return fmt.Sprintf("%s trace=%x metrics=%x stats=%x memory=%x oracle=%q verify=%q",
+		name, sha256.Sum256(o.Trace), sha256.Sum256(o.Metrics), sha256.Sum256(o.Stats),
+		o.Memory, o.Oracle, o.Verify)
+}
+
 // Mismatch describes the first observed divergence between the two
 // engines' observables for one cell.
 type Mismatch struct {
 	// Field names the diverging observable ("trace", "metrics", "stats",
-	// "oracle", "verify").
+	// "memory", "oracle", "verify").
 	Field string
 	// EventIndex is the first diverging trace event's index (trace
 	// mismatches only; -1 otherwise).
@@ -192,6 +234,10 @@ func Diff(coop, ref *Observables) *Mismatch {
 	}
 	if !bytes.Equal(coop.Stats, ref.Stats) {
 		return &Mismatch{Field: "stats", EventIndex: -1, Coop: coop.Stats, Ref: ref.Stats}
+	}
+	if coop.Memory != ref.Memory {
+		return &Mismatch{Field: "memory", EventIndex: -1,
+			Coop: []byte(fmt.Sprintf("%x", coop.Memory)), Ref: []byte(fmt.Sprintf("%x", ref.Memory))}
 	}
 	if coop.Oracle != ref.Oracle {
 		return &Mismatch{Field: "oracle", EventIndex: -1, Coop: []byte(coop.Oracle), Ref: []byte(ref.Oracle)}
@@ -239,29 +285,22 @@ func WriteArtifacts(cell string, m *Mismatch) (string, error) {
 
 // Check runs one cell on both engines, compares every observable, and
 // on divergence writes the artifact pair and returns a descriptive
-// error. A nil return certifies the cell byte-identical.
-func Check(cellName string, rc harness.RunConfig) error {
-	coop, ref, err := RunPair(rc)
+// error. A nil error certifies the cell byte-identical, and line is its
+// corpus line.
+func Check(cellName string, rc harness.RunConfig) (line string, err error) {
+	co, ro, err := RunPair(rc)
 	if err != nil {
-		return err
-	}
-	co, err := Observe(coop)
-	if err != nil {
-		return err
-	}
-	ro, err := Observe(ref)
-	if err != nil {
-		return err
+		return "", err
 	}
 	m := Diff(co, ro)
 	if m == nil {
-		return nil
+		return co.Line(cellName), nil
 	}
 	dir, werr := WriteArtifacts(cellName, m)
 	if werr != nil {
-		return fmt.Errorf("%s: engines diverge in %s (first event index %d); artifact dump failed: %v",
+		return "", fmt.Errorf("%s: engines diverge in %s (first event index %d); artifact dump failed: %v",
 			cellName, m.Field, m.EventIndex, werr)
 	}
-	return fmt.Errorf("%s: engines diverge in %s (first event index %d); artifacts in %s",
+	return "", fmt.Errorf("%s: engines diverge in %s (first event index %d); artifacts in %s",
 		cellName, m.Field, m.EventIndex, dir)
 }

@@ -45,7 +45,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			ops = 64 // fuzz iterations stay fast; the suite covers depth
 		}
 		name := fmt.Sprintf("fuzz-%s-seed%d-%s-t%d", bench, seed, v.Name, threads)
-		if err := Check(name, Cell(bench, seed, threads, ops, v)); err != nil {
+		if _, err := Check(name, Cell(bench, seed, threads, ops, v)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,11 +1,18 @@
 package equivalence
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/workloads"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/observables.golden (a deliberate act: the simulation changed)")
+
+const goldenFile = "testdata/observables.golden"
 
 // suiteSeeds are the three workload seeds every cell is swept over.
 var suiteSeeds = []int64{1, 42, 1337}
@@ -29,27 +36,62 @@ func suiteOps(bench string) int {
 
 const suiteThreads = 4
 
+// golden returns the committed corpus lines keyed by cell name.
+func golden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		if *update {
+			return nil
+		}
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	for _, l := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, _, _ := strings.Cut(l, " ")
+		want[name] = l
+	}
+	return want
+}
+
 // TestEngineEquivalenceSuite is the differential suite of ISSUE 9: every
 // workload × seed × variant must produce byte-identical traces, metrics
-// report JSON, statistics, oracle verdicts, and workload verification on
-// the cooperative engine and the reference engine. In -short mode one
-// seed is swept; the full matrix runs in CI via `make equivalence`.
+// report JSON, statistics, final memory, oracle verdicts, and workload
+// verification on the cooperative engine and the reference engine, and
+// those observables must hash to the cell's line in observables.golden.
+// In -short mode one seed is swept; the full matrix runs in CI via
+// `make equivalence`.
 func TestEngineEquivalenceSuite(t *testing.T) {
 	seeds := suiteSeeds
 	if testing.Short() {
+		if *update {
+			t.Fatal("-update needs the full run (no -short)")
+		}
 		seeds = suiteSeeds[:1]
 	}
+	want := golden(t)
+	var lines []string
 	for _, bench := range workloads.Names() {
 		for _, seed := range seeds {
 			for _, v := range Variants() {
 				name := fmt.Sprintf("%s/seed%d/%s", bench, seed, v.Name)
 				t.Run(name, func(t *testing.T) {
 					rc := Cell(bench, seed, suiteThreads, suiteOps(bench), v)
-					if err := Check(name, rc); err != nil {
+					line, err := Check(name, rc)
+					if err != nil {
 						t.Fatal(err)
+					}
+					lines = append(lines, line)
+					if !*update && line != want[name] {
+						t.Fatalf("observables differ from %s\n got: %s\nwant: %s", goldenFile, line, want[name])
 					}
 				})
 			}
+		}
+	}
+	if *update {
+		if err := os.WriteFile(goldenFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
