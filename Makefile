@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: help ci vet verify-static conflict-verify build test explore-smoke \
-	paper equivalence race-equivalence bench bench-smoke docs-verify docs \
+	paper race-equivalence bench bench-smoke docs-verify docs \
 	daemon-smoke crash-smoke
 
 # help lists every target with its one-line purpose (the `##` comment on
@@ -13,16 +13,15 @@ help:
 # ci is the gate: static checks, full build, full test suite (which
 # includes the chaos smoke and the campaign on the paper's runtime), a
 # bounded schedule-exploration smoke (adversarial scheduler + oracle),
-# the IR-level static verification of every workload, the engine
-# differential suite (cooperative vs reference, byte-identical, -race),
-# the race-mode parallel-sweep equivalence suite, the daemon lifecycle
+# the IR-level static verification of every workload, the race-mode
+# parallel-sweep equivalence suite, the daemon lifecycle
 # smoke, the crash-recovery harness, the generated-docs drift check, and
 # the perf ledger's smoke run with its own module's tests.
-ci: vet build test explore-smoke verify-static conflict-verify equivalence race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
+ci: vet build test explore-smoke verify-static conflict-verify race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
 
 # vet layers three static gates: formatting, the standard go vet, and
 # the repo's own staggervet analyzers (determinism, ntstore, siteattr,
-# errshadow, fsyncpath, ctxdone, refengine), self-hosted over the whole
+# errshadow, fsyncpath, ctxdone), self-hosted over the whole
 # tree. Any finding exits nonzero and fails the build; an accepted one is
 # waived in place with //staggervet:allow, and a stale waiver is a
 # finding too.
@@ -79,18 +78,6 @@ explore-smoke: ## 25 adversarial schedules per cell through the oracle, same byt
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	{ $(EXPLORE_SMOKE) -workers 1 > "$$d/w1"; s=$$?; cat "$$d/w1"; [ $$s -eq 0 ]; } && \
 	$(EXPLORE_SMOKE) -workers 2 > "$$d/w2" && cmp "$$d/w1" "$$d/w2"
-
-# equivalence is the engine differential gate: every workload × seed ×
-# {plain, staggered, hardened (= the chaos campaign's cell on the paper's
-# runtime), chaos, PCT} cell runs on the cooperative engine and the
-# reference engine and must be byte-identical in traces, metrics JSON,
-# statistics, oracle verdicts, and workload verification — under -race,
-# so the coroutine handoff protocol is checked at the same time. Record/replay cross-engine determinism and the fuzz seed corpus
-# run in the same package. On a mismatch the suite writes both traces
-# and the first-divergence index under EQUIVALENCE_ARTIFACTS (default
-# ./equivalence-artifacts), which CI uploads.
-equivalence: ## cooperative-vs-reference engine differential suite under -race
-	$(GO) test -race ./internal/htm/equivalence -count=1
 
 # race-equivalence runs the packages whose concurrency the race detector
 # strengthens, whole (-short skips only the multi-second regenerations):

@@ -13,8 +13,6 @@
 //	              publishing bytes that were never fsynced
 //	ctxdone     — looping goroutines in service/harness code that never
 //	              observe cancellation
-//	refengine   — htm engine construction that bypasses the newEngine
-//	              factory (and its Config.RefEngine oracle switch)
 //
 // Diagnostics print as file:line:col: [analyzer] message, and any
 // finding makes the process exit nonzero, so `make vet` and CI fail on
@@ -37,7 +35,6 @@ import (
 var analyzers = []*Analyzer{
 	determinismAnalyzer, ntstoreAnalyzer, siteattrAnalyzer,
 	errshadowAnalyzer, fsyncpathAnalyzer, ctxdoneAnalyzer,
-	refengineAnalyzer,
 }
 
 func main() {

@@ -555,71 +555,3 @@ func Stamp() int64 { return time.Now().UnixNano() }
 		t.Fatalf("unexpected finding: %+v", f)
 	}
 }
-
-// TestRefEngineForcesFactory pins the oracle-bypass guard: building a
-// coopEngine outside its constructor, calling a constructor outside
-// newEngine, or calling newEngine with a hard-coded bool are each a
-// finding, while the sanctioned constructor→factory→Config.RefEngine
-// chain is clean.
-func TestRefEngineForcesFactory(t *testing.T) {
-	sanctioned := `package htm
-
-type Scheduler interface{}
-
-type Config struct{ RefEngine bool }
-
-type engine interface{ run() }
-
-type coopEngine struct{ n int }
-
-func (e *coopEngine) run() {}
-
-type refEngine struct{ n int }
-
-func (e *refEngine) run() {}
-
-func newCoopEngine(n int, sched Scheduler) *coopEngine { return &coopEngine{n: n} }
-
-func newRefEngine(n int, sched Scheduler) *refEngine { return &refEngine{n: n} }
-
-func newEngine(n int, sched Scheduler, ref bool) engine {
-	if ref {
-		return newRefEngine(n, sched)
-	}
-	return newCoopEngine(n, sched)
-}
-
-type Machine struct{ cfg Config }
-
-func (m *Machine) start(n int) engine { return newEngine(n, nil, m.cfg.RefEngine) }
-`
-	code, out := vet(t, map[string]string{"internal/htm/engine.go": sanctioned})
-	if code != 0 {
-		t.Fatalf("sanctioned factory chain flagged:\n%s", out)
-	}
-
-	code, out = vet(t, map[string]string{
-		"internal/htm/engine.go": sanctioned,
-		"internal/htm/bypass.go": `package htm
-
-func sneakCoop(n int) engine { return &coopEngine{n: n} }
-
-func sneakCtor(n int) engine { return newCoopEngine(n, nil) }
-
-func sneakBool(n int) engine { return newEngine(n, nil, false) }
-`,
-	})
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; output:\n%s", code, out)
-	}
-	for _, want := range []string{
-		"bypass.go:3:", "coopEngine constructed outside newCoopEngine",
-		"bypass.go:5:", "newCoopEngine called outside the newEngine factory",
-		"bypass.go:7:", "RefEngine config field",
-		"[refengine]",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in refengine diagnostics:\n%s", want, out)
-		}
-	}
-}

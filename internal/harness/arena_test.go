@@ -96,32 +96,31 @@ func TestLimitedCapacityKnob(t *testing.T) {
 	}
 }
 
-// TestArenaEngineEquivalence extends the coop-vs-reference engine proof
-// to the new backends: the software OCC runtime and the limited HTM
-// variant must be bit-identical under both token-handoff engines, like
-// every other client of the simulator.
+// TestArenaEngineEquivalence extends the engine's schedule checks to the
+// arena backends. The software OCC runtime must be bit-identical when its
+// default order is spelled through the scheduler (an empty replay decides
+// every event by the candidate scan instead of the keep test), and the
+// limited HTM variant must repeat itself exactly on a second run.
 func TestArenaEngineEquivalence(t *testing.T) {
-	for _, bk := range []string{"occ", "limited"} {
-		run := func(ref bool) htm.Stats {
-			t.Helper()
-			mcfg := htm.DefaultConfig()
-			mcfg.RefEngine = ref
-			res, err := Run(RunConfig{
-				Benchmark: "intruder", Backend: bk, Threads: 4,
-				Seed: 11, TotalOps: 150, Machine: &mcfg,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Host-side scheduling counts are the cooperative engine's
-			// alone; everything simulated must agree.
-			res.Stats.Engine = htm.EngineStats{}
-			return res.Stats
+	run := func(bk string, replay []uint32) htm.Stats {
+		t.Helper()
+		res, err := Run(RunConfig{
+			Benchmark: "intruder", Backend: bk, Threads: 4,
+			Seed: 11, TotalOps: 150, ReplayPicks: replay,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		coop, refStats := run(false), run(true)
-		if !reflect.DeepEqual(coop, refStats) {
-			t.Fatalf("%s: engines diverged:\ncoop %+v\nref  %+v", bk, coop, refStats)
-		}
+		// Host-side scheduling counts differ between the two spellings;
+		// everything simulated must agree.
+		res.Stats.Engine = htm.EngineStats{}
+		return res.Stats
+	}
+	if keep, scan := run("occ", nil), run("occ", []uint32{}); !reflect.DeepEqual(keep, scan) {
+		t.Fatalf("occ: keep and scan diverged:\nkeep %+v\nscan %+v", keep, scan)
+	}
+	if a, b := run("limited", nil), run("limited", nil); !reflect.DeepEqual(a, b) {
+		t.Fatalf("limited: two runs diverged:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -13,7 +13,7 @@
 //     first transactional access to the line, reported on conflict
 //     aborts ("conflicting PC").
 //
-// Simulated cores are goroutines, but all globally visible events are
+// Simulated cores are coroutines, and all globally visible events are
 // serialized by a virtual-time token engine, so simulations are fully
 // deterministic: the same program and seed produce the same interleaving,
 // the same aborts, and the same cycle counts on every run.
@@ -99,13 +99,6 @@ type Config struct {
 	// failure reports (0 = the built-in default of 32). Exploration
 	// campaigns raise it so minimized repros carry enough context.
 	WatchdogTrace int
-
-	// RefEngine forces the engine's reference token handoff: every sync
-	// runs the full minimum scan instead of one comparison of packed keys.
-	// Results are bit-identical either way (FuzzEngineHandoff proves it);
-	// the flag exists only so differential tests can retain the
-	// pre-optimization engine as an oracle. Leave false outside tests.
-	RefEngine bool
 
 	// Seed feeds the per-core PRNGs used for backoff jitter.
 	Seed int64

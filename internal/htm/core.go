@@ -120,31 +120,52 @@ func (c *Core) InTx() bool { return c.inTx }
 func (c *Core) Stats() *CoreStats { return &c.stats }
 
 // event serializes a globally visible action at the core's current clock
-// and delivers any pending remote abort before the action executes. With
-// a fault injector installed it is also where injected stall jitter and
-// spurious aborts land, so every fault occupies a definite slot in the
-// global virtual-time order and the schedule replays exactly.
+// and delivers any pending remote abort before the action executes. On a
+// fault-free machine that is the engine's keep test, inlined here, a
+// pending check and the watchdog check; a machine with a fault injector
+// takes chaosEvent instead.
 func (c *Core) event() {
 	if c.m.chaos != nil {
-		if j := c.m.chaos.StallJitter(c.id, c.clock); j != 0 {
-			c.stats.WaitCycles[WaitFault] += j
-			if c.inAttempt {
-				c.attemptWait += j
-			}
-			c.clock += j
-		}
+		c.chaosEvent()
+		return
 	}
-	c.m.eng.sync(c.id, c.clock)
+	if e := c.m.eng; !e.keep(c.id, c.clock) {
+		e.handoff(c.id)
+	}
 	if c.hasPending {
-		info := c.pendingAbort
-		c.hasPending = false
-		if c.inTx {
-			c.finishAbort(info)
-			c.abortBox.info = info
-			panic(&c.abortBox)
-		}
+		c.deliverPending()
 	}
-	if c.inTx && c.m.chaos != nil {
+	c.checkWatchdog()
+}
+
+// deliverPending consumes a remote abort recorded by abortRemote; it
+// unwinds the transaction if the core is still in it.
+func (c *Core) deliverPending() {
+	c.hasPending = false
+	if c.inTx {
+		c.abortSelf(c.pendingAbort)
+	}
+}
+
+// chaosEvent is event on a machine with a fault injector: injected stall
+// jitter lands before the sync and spurious aborts after the pending
+// abort, so every fault occupies a definite slot in the global
+// virtual-time order and the schedule replays exactly.
+func (c *Core) chaosEvent() {
+	if j := c.m.chaos.StallJitter(c.id, c.clock); j != 0 {
+		c.stats.WaitCycles[WaitFault] += j
+		if c.inAttempt {
+			c.attemptWait += j
+		}
+		c.clock += j
+	}
+	if e := c.m.eng; !e.keep(c.id, c.clock) {
+		e.handoff(c.id)
+	}
+	if c.hasPending {
+		c.deliverPending()
+	}
+	if c.inTx {
 		if reason, ok := c.m.chaos.SpuriousAbort(c.id, c.clock); ok {
 			c.abortSelf(AbortInfo{Reason: reason, ByCore: -1})
 		}

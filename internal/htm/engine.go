@@ -1,5 +1,7 @@
 package htm
 
+import "iter"
+
 // The engine serializes all globally visible events of the simulated
 // cores by virtual time. Exactly one core runs at any moment: a single
 // logical token is handed from core to core, always to the runnable core
@@ -8,49 +10,320 @@ package htm
 // scheduler's virtual-time window. Compute-only work advances a core's
 // local clock without involving the engine, so the handoff cost is paid
 // only on memory events.
-//
-// Two implementations exist behind the newEngine factory:
-//
-//   - coopEngine (the default): a single-goroutine cooperative scheduler.
-//     Each core is a resumable coroutine; one engine loop on the caller's
-//     goroutine resumes the token holder and regains control when the
-//     holder yields. No channels and no goroutine wakeups anywhere on the
-//     hot path — a handoff is a direct coroutine switch — and the pick
-//     rule is an unsigned minimum over one packed clock<<5|id key per
-//     core, so the tie-break is part of the comparison.
-//   - refEngine (Config.RefEngine): the original goroutine-per-core
-//     channel lock-step engine with a full minimum scan at every sync,
-//     retained verbatim as the differential oracle. The equivalence suite
-//     (internal/htm/equivalence, FuzzEngineHandoff) proves the two agree
-//     cycle-for-cycle on traces, statistics, and final memory.
-//
-// The token discipline means engine state needs no mutex in either
-// implementation: every field is only touched by the token holder (or the
-// engine loop between holders), and the resume/park points provide the
-// happens-before edges between consecutive holders.
 
-// engine is the token-handoff contract shared by both implementations.
-type engine interface {
-	// run executes one body per core to completion. panics[i] receives the
-	// panic value raised by body i, if any; run itself only panics on
-	// engine bugs. On return every core has finished and its FinalClock is
-	// recorded.
-	run(m *Machine, bodies []func(*Core), panics []any)
-	// sync is called by core id (the token holder) when its clock has
-	// reached t and it is about to perform a globally visible event. It
-	// returns when the core is again the chosen runnable core, possibly
-	// after handing the token around; on return the caller may perform its
-	// event atomically.
-	sync(id int, t uint64)
+// coopEngine is the engine: a single-goroutine cooperative scheduler.
+// Every simulated core is a resumable coroutine (iter.Pull), and one run
+// loop on the caller's goroutine resumes whichever core holds the token. The Go scheduler is never involved between events — a token
+// handoff is a direct coroutine switch, and the common case (the holder
+// keeps the token) is a single comparison with no switch at all. No
+// channel or mutex guards engine state: every field is only touched by
+// the token holder (or the run loop between holders), and the coroutine
+// switches order consecutive holders.
+//
+// Keys. Each core's scheduling state is one packed word, clock<<5 | id
+// (Config.validate caps a machine at 32 cores); a finished core holds
+// the all-ones doneKey. Comparing two keys compares clocks first and
+// core IDs second, so "smallest virtual time, ties to the smallest core
+// ID" is a plain unsigned minimum with the tie-break built into the low
+// bits, and a finished core never wins one. (Clocks are cycle counts far
+// below 2^59, so the shift loses nothing.)
+//
+// Hot path. While one core holds the token, every other core's clock is
+// frozen — other cores only advance their clocks while *they* hold the
+// token. The minimum key among the other cores is therefore a constant
+// for the duration of a tenure, so it is computed once per handoff
+// (grant: one branch-free min pass over the keys) and every subsequent
+// event by the holder is keep, a single comparison of its new key
+// against it, inlined into Core.event: the holder keeps the token and
+// its event batch continues, without any call or coroutine switch,
+// unless its new time actually loses the virtual-time race. Only then
+// does handoff run, out of line. Events are thereby batched per token
+// tenure: a tenure's whole run of events costs one switch in and one
+// switch out, however long it is. With a Scheduler installed the
+// comparison is against zero, which nothing passes, so every event asks
+// handoff, and handoff asks the scheduler.
+//
+// Determinism. Decision points occur in a fixed order (start, every
+// event while a scheduler is installed, every finish), so a recorded
+// schedule replays bit-identically. A scheduler that always picks the
+// smallest clock (as an exhausted replay does) spells the default rule
+// through next's candidate scan instead of keep; the two agree on every
+// program that makes no SchedPoint calls (internal/htm/equivalence and
+// FuzzEngineHandoff check it).
+type coopEngine struct {
+	// key[i] is core i's packed scheduling key (see above).
+	key     []uint64
+	pending int
+
+	// othersKey is the smallest key among the cores other than the token
+	// holder, doneKey when no other core is runnable: recomputed once per
+	// grant, read by keep at every event. With a scheduler installed it
+	// stays 0, so keep never passes.
+	othersKey uint64
+
+	// sched, when non-nil, replaces the smallest-virtual-time rule with an
+	// adversarial choice among the runnable cores inside the scheduler's
+	// virtual-time window (see sched.go); window is its Window(), read
+	// once. cand/candT are reused scratch.
+	sched  Scheduler
+	window uint64
+	cand   []int
+	candT  []uint64
+
+	// granted is the core that must run next; grant sets it before
+	// control is transferred toward it (see dispatch).
+	granted int
+	// resume[i] switches into core i's coroutine until it yields or its
+	// body returns; stop[i] releases the coroutine. park[i] is core i's
+	// yield function, switching back to its resumer.
+	resume []func() (struct{}, bool)
+	stop   []func()
+	park   []func(struct{}) bool
+	// chained[i] marks core i as blocked inside a resume call (it handed
+	// the token to a parked core by switching into it directly). The
+	// suspended coroutines always form a single chain rooted at the run
+	// loop; dispatch uses chained to tell whether the granted core can be
+	// resumed directly (it is parked outside the chain) or control must
+	// unwind to it (it is an ancestor in the chain). depth is the chain's
+	// current length.
+	chained []bool
+	depth   uint64
+
+	// counts is what this run's scheduling cost the host (see
+	// EngineStats); Keeps is derived when Machine.Stats reads it.
+	counts EngineStats
 }
 
-// newEngine is the single factory for token engines. All engine
-// construction MUST go through it so the Config.RefEngine differential
-// oracle can never be silently bypassed; staggervet's refengine analyzer
-// enforces this statically.
-func newEngine(n int, sched Scheduler, ref bool) engine {
-	if ref {
-		return newRefEngine(n, sched)
+const (
+	// keyIDBits is the width of the core ID in a scheduling key.
+	keyIDBits = 5
+	keyIDMask = 1<<keyIDBits - 1
+	// doneKey is the key of a finished core: larger than any live key.
+	doneKey = ^uint64(0)
+)
+
+// packKey builds core id's scheduling key at virtual time t; keyID and
+// keyTime take a live key apart again.
+func packKey(id int, t uint64) uint64 { return t<<keyIDBits | uint64(id) }
+func keyID(k uint64) int              { return int(k & keyIDMask) }
+func keyTime(k uint64) uint64         { return k >> keyIDBits }
+
+func newCoopEngine(n int, sched Scheduler) *coopEngine {
+	e := &coopEngine{
+		key:       make([]uint64, n),
+		pending:   n,
+		othersKey: doneKey,
+		sched:     sched,
 	}
-	return newCoopEngine(n, sched)
+	if sched != nil {
+		e.othersKey, e.window = 0, sched.Window()
+	}
+	for i := range e.key {
+		e.key[i] = packKey(i, 0)
+	}
+	return e
+}
+
+// minKey returns the smallest of keys, doneKey when every core has
+// finished. The loop body is a compare and a conditional move: nothing
+// for the branch predictor to miss, whichever core is ahead.
+func minKey(keys []uint64) uint64 {
+	m := doneKey
+	for _, k := range keys {
+		m = min(m, k)
+	}
+	return m
+}
+
+// minKeyExcept is minKey over every core but id.
+func minKeyExcept(keys []uint64, id int) uint64 {
+	own := keys[id]
+	keys[id] = doneKey
+	m := minKey(keys)
+	keys[id] = own
+	return m
+}
+
+// next returns the core to hand the token to, -1 when none is runnable:
+// the minimum-key core by default, or the installed scheduler's choice
+// among the cores within its virtual-time window of the minimum.
+func (e *coopEngine) next() int {
+	best := minKey(e.key)
+	if best == doneKey {
+		return -1
+	}
+	if e.sched == nil {
+		return keyID(best)
+	}
+	e.cand, e.candT = e.cand[:0], e.candT[:0]
+	limit := keyTime(best) + e.window
+	for i, k := range e.key {
+		if k == doneKey {
+			continue
+		}
+		if t := keyTime(k); e.window == 0 || t <= limit {
+			e.cand = append(e.cand, i)
+			e.candT = append(e.candT, t)
+		}
+	}
+	if len(e.cand) == 1 {
+		return e.cand[0]
+	}
+	k := e.sched.Pick(e.cand, e.candT)
+	if k < 0 || k >= len(e.cand) {
+		k = ((k % len(e.cand)) + len(e.cand)) % len(e.cand)
+	}
+	return e.cand[k]
+}
+
+// grant hands the token to core id: the frozen minimum over the other
+// cores is recomputed for keep (unless a scheduler decides every event),
+// and the engine loop is told to resume it. Callers must have chosen id
+// via next() (or keep's recorded othersKey, which is provably the same
+// choice).
+func (e *coopEngine) grant(id int) {
+	if e.sched == nil {
+		e.othersKey = minKeyExcept(e.key, id)
+	}
+	e.granted = id
+}
+
+// keep is the first half of the engine's check at a globally visible
+// event by core id (the token holder) at virtual time t: it records the
+// core's new key and reports whether the core keeps the token, which it
+// does while its key is below every other runnable core's (with none,
+// othersKey is doneKey and it trivially does). It is small enough to be
+// inlined into Core.event, so an uncontended event makes no call.
+func (e *coopEngine) keep(id int, t uint64) bool {
+	e.counts.Syncs++
+	k := packKey(id, t)
+	e.key[id] = k
+	return k < e.othersKey
+}
+
+// handoff is the second half, for an event keep did not pass: it picks
+// the next holder, transfers control toward it with as few coroutine
+// switches as the chain permits, and returns when id holds the token
+// again. With a scheduler installed the scheduler may pick id itself,
+// and then nothing moves.
+func (e *coopEngine) handoff(id int) {
+	if e.sched == nil {
+		// The winner is, by the tie-break in the key's low bits, exactly
+		// the recorded other-minimum core.
+		e.grant(keyID(e.othersKey))
+	} else {
+		next := e.next()
+		if next == id {
+			return
+		}
+		e.grant(next)
+	}
+	e.counts.Handoffs++
+	e.dispatch(id)
+}
+
+// dispatch transfers control from core id toward the granted core and
+// returns when id is granted again. A parked winner is resumed by a
+// single direct coroutine switch — the common ping-pong handoff costs
+// one switch, not a bounce through a central loop. A winner that is an
+// ancestor in the chain (blocked in the resume call that eventually led
+// here) is reached by yielding, which unwinds one chain level; each
+// unwound frame re-enters its own dispatch loop and repeats the choice.
+func (e *coopEngine) dispatch(id int) {
+	for {
+		w := e.granted
+		if w == id {
+			return
+		}
+		if e.chained[w] {
+			// The winner is an ancestor: park until the token comes back.
+			// Cores are only ever resumed when they hold the grant, so on
+			// return granted == id.
+			e.counts.Parks++
+			e.park[id](struct{}{})
+			return
+		}
+		// The winner is parked (or not yet started): switch into it
+		// directly, becoming part of the chain until it returns control.
+		e.chained[id] = true
+		e.depth++
+		e.counts.MaxChain = max(e.counts.MaxChain, e.depth)
+		e.counts.Resumes++
+		_, alive := e.resume[w]()
+		e.depth--
+		e.chained[id] = false
+		if !alive {
+			e.coreDone(w)
+		}
+	}
+}
+
+// coreDone marks core w's body as returned and hands the token onward.
+// When the last body returns there is no next holder: every other
+// coroutine has already unwound, so control is in the run loop, which
+// observes pending == 0 and completes the simulation.
+func (e *coopEngine) coreDone(w int) {
+	e.key[w] = doneKey
+	e.pending--
+	if e.pending > 0 {
+		e.grant(e.next())
+	}
+}
+
+// run executes one body per core to completion: it builds one coroutine
+// per core and drives the whole simulation from this goroutine. A
+// coroutine is resumed only when its core holds the token, so all
+// simulation state keeps the exclusive-holder discipline without locks,
+// channels, or extra goroutines. panics[i] receives the panic value
+// raised by body i, if any; run itself only panics on engine bugs. On
+// return every core has finished and its FinalClock is recorded.
+func (e *coopEngine) run(m *Machine, bodies []func(*Core), panics []any) {
+	n := len(bodies)
+	e.resume = make([]func() (struct{}, bool), n)
+	e.stop = make([]func(), n)
+	e.park = make([]func(struct{}) bool, n)
+	e.chained = make([]bool, n)
+	for i, body := range bodies {
+		c, body := m.cores[i], body
+		next, stop := iter.Pull(func(yield func(struct{}) bool) {
+			// The coroutine body runs lazily: the first resume — which is
+			// the engine's first grant to this core — starts it, so no
+			// initial park is needed.
+			e.park[c.id] = yield
+			// A panicking body must still hand back the token; the panic
+			// value is re-raised in the caller's goroutine by RunChecked.
+			defer func() {
+				if r := recover(); r != nil {
+					panics[c.id] = r
+					if c.inTx {
+						c.clearTx()
+					}
+				}
+				c.stats.FinalClock = c.clock
+			}()
+			body(c)
+			if c.inTx {
+				panic("htm: thread body returned inside a transaction")
+			}
+		})
+		e.resume[i] = next
+		e.stop[i] = stop
+	}
+	defer func() {
+		for _, stop := range e.stop {
+			stop()
+		}
+	}()
+	e.grant(e.next()) // start: hand the token to the first chosen core
+	for e.pending > 0 {
+		// Resume the granted core. Control comes back here only when the
+		// directly resumed core's body returns — cores hand the token
+		// among themselves via dispatch without bouncing through this
+		// loop — and a finished core necessarily still holds the grant.
+		w := e.granted
+		e.counts.Resumes++
+		if _, alive := e.resume[w](); !alive {
+			e.coreDone(w)
+		}
+	}
 }

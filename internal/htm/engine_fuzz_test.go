@@ -7,17 +7,34 @@ import (
 	"repro/internal/mem"
 )
 
+// minTimeSched is the engine's default rule spelled as a Scheduler: the
+// candidate with the smallest clock, ties to the first (the smallest core
+// ID), over an unbounded window. Installed, it sends every event through
+// next's candidate scan instead of keep's one comparison.
+type minTimeSched struct{}
+
+func (minTimeSched) Pick(runnable []int, times []uint64) int {
+	best := 0
+	for i, t := range times {
+		if t < times[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+func (minTimeSched) Window() uint64 { return 0 }
+
 // handoffRun executes a synthetic program decoded from ops on a fresh
-// machine: cores (2..4) interleave nontransactional loads/stores, compute
-// bursts, spin waits, and full retrying hardware transactions over two
-// shared lines. Every byte drives one step of one core (round-robin), so
-// the fuzzer controls the exact mix and phase of memory events without
-// being able to make a run diverge between engines. The full transaction
-// event trace is recorded for cycle-for-cycle comparison.
-func handoffRun(cores int, ops []byte, refEngine bool) (Stats, []TraceEvent, *mem.Memory) {
-	cfg := smallConfig(cores)
-	cfg.RefEngine = refEngine
-	m := New(cfg)
+// machine, under sched (nil = the default order): cores (2..4) interleave
+// nontransactional loads/stores, compute bursts, spin waits, and full
+// retrying hardware transactions over two shared lines. Every byte drives
+// one step of one core (round-robin), so the fuzzer controls the exact
+// mix and phase of memory events. The full transaction event trace is
+// recorded for cycle-for-cycle comparison.
+func handoffRun(cores int, ops []byte, sched Scheduler) (Stats, []TraceEvent, *mem.Memory) {
+	m := New(smallConfig(cores))
+	m.SetScheduler(sched)
 	m.EnableTrace(0)
 	sharedA := m.Alloc.AllocLines(1)
 	sharedB := m.Alloc.AllocLines(1)
@@ -58,18 +75,17 @@ func handoffRun(cores int, ops []byte, refEngine bool) (Stats, []TraceEvent, *me
 	}
 	m.Run(bodies)
 	s := m.Stats()
-	// Engine counts describe the cooperative engine's own work; the
-	// reference engine has none, and they are not simulated output.
+	// Engine counts describe the engine's own work, not simulated output.
 	s.Engine = EngineStats{}
 	return s, m.Trace(), m.Mem
 }
 
 // FuzzEngineHandoff drives arbitrary NT/tx interleavings across 2-4 cores
-// through both the optimized engine (per-tenure fast-path handoff) and the
-// retained reference engine (full minimum scan at every sync) and requires
-// them to agree cycle-for-cycle: identical statistics (every clock, abort,
-// and cache counter), an identical transaction event trace, and identical
-// final memory.
+// through the engine's keep path (one comparison per event, a handoff only
+// on losing) and through minTimeSched (the candidate scan at every event)
+// and requires them to agree cycle-for-cycle: identical statistics (every
+// clock, abort, and cache counter), an identical transaction event trace,
+// and identical final memory.
 func FuzzEngineHandoff(f *testing.F) {
 	f.Add(uint8(2), []byte{3, 3, 3, 3, 0, 1, 4, 4})
 	f.Add(uint8(3), []byte{3, 4, 3, 4, 3, 4, 2, 5, 0, 0, 1, 3, 4, 3})
@@ -80,24 +96,24 @@ func FuzzEngineHandoff(f *testing.F) {
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
-		fastStats, fastTrace, fastMem := handoffRun(cores, ops, false)
-		refStats, refTrace, refMem := handoffRun(cores, ops, true)
-		if !reflect.DeepEqual(fastStats, refStats) {
-			t.Fatalf("stats diverge between engines:\nfast: %+v\nref:  %+v", fastStats, refStats)
+		keepStats, keepTrace, keepMem := handoffRun(cores, ops, nil)
+		scanStats, scanTrace, scanMem := handoffRun(cores, ops, minTimeSched{})
+		if !reflect.DeepEqual(keepStats, scanStats) {
+			t.Fatalf("stats diverge between keep and scan:\nkeep: %+v\nscan: %+v", keepStats, scanStats)
 		}
-		if !reflect.DeepEqual(fastTrace, refTrace) {
-			t.Fatalf("event traces diverge (fast %d events, ref %d):\nfast:\n%s\nref:\n%s",
-				len(fastTrace), len(refTrace), FormatTrace(fastTrace), FormatTrace(refTrace))
+		if !reflect.DeepEqual(keepTrace, scanTrace) {
+			t.Fatalf("event traces diverge (keep %d events, scan %d):\nkeep:\n%s\nscan:\n%s",
+				len(keepTrace), len(scanTrace), FormatTrace(keepTrace), FormatTrace(scanTrace))
 		}
-		if d := fastMem.Diff(refMem, 4); len(d) != 0 {
+		if d := keepMem.Diff(scanMem, 4); len(d) != 0 {
 			t.Fatalf("final memory diverges at %v", d)
 		}
 	})
 }
 
-// TestEngineHandoffEquivalenceSweep runs the differential check over a
-// deterministic family of op mixes so the equivalence holds in plain
-// `go test` runs too, not only under the fuzzer.
+// TestEngineHandoffEquivalenceSweep runs FuzzEngineHandoff's differential
+// check over a deterministic family of op mixes so the equivalence holds
+// in plain `go test` runs too, not only under the fuzzer.
 func TestEngineHandoffEquivalenceSweep(t *testing.T) {
 	for cores := 2; cores <= 4; cores++ {
 		for variant := 0; variant < 8; variant++ {
@@ -105,12 +121,12 @@ func TestEngineHandoffEquivalenceSweep(t *testing.T) {
 			for i := range ops {
 				ops[i] = byte((i*7 + variant*13 + i*i*variant) % 256)
 			}
-			fastStats, fastTrace, _ := handoffRun(cores, ops, false)
-			refStats, refTrace, _ := handoffRun(cores, ops, true)
-			if !reflect.DeepEqual(fastStats, refStats) {
+			keepStats, keepTrace, _ := handoffRun(cores, ops, nil)
+			scanStats, scanTrace, _ := handoffRun(cores, ops, minTimeSched{})
+			if !reflect.DeepEqual(keepStats, scanStats) {
 				t.Fatalf("cores=%d variant=%d: stats diverge", cores, variant)
 			}
-			if !reflect.DeepEqual(fastTrace, refTrace) {
+			if !reflect.DeepEqual(keepTrace, scanTrace) {
 				t.Fatalf("cores=%d variant=%d: traces diverge", cores, variant)
 			}
 		}

@@ -220,14 +220,13 @@ func TestKeyMinimumMatchesScan(t *testing.T) {
 }
 
 // TestEngineStatsCountTheSchedule: the engine's counts are a function of
-// (config, program) like every simulated number, they add up, and the
-// reference engine and a single-core run report what they should —
-// nothing, and no handoffs.
+// (config, program) like every simulated number, they add up, and a
+// single-core run reports no handoffs.
 func TestEngineStatsCountTheSchedule(t *testing.T) {
-	storm := func(cores int, ref bool) EngineStats {
-		return handoffStorm(cores, 300, ref).Engine
+	storm := func(cores int) EngineStats {
+		return handoffStorm(cores, 300).Engine
 	}
-	a, b := storm(6, false), storm(6, false)
+	a, b := storm(6), storm(6)
 	if a != b {
 		t.Fatalf("same run, different engine counts:\n%+v\n%+v", a, b)
 	}
@@ -239,10 +238,7 @@ func TestEngineStatsCountTheSchedule(t *testing.T) {
 	if a.Resumes != a.Parks+6 || a.Resumes+a.Parks < a.Handoffs || a.MaxChain == 0 || a.MaxChain > 6 {
 		t.Fatalf("switch counts inconsistent: %+v", a)
 	}
-	if one := storm(1, false); one.Handoffs != 0 || one.Keeps != 300 || one.Resumes != 1 || one.Parks != 0 {
+	if one := storm(1); one.Handoffs != 0 || one.Keeps != 300 || one.Resumes != 1 || one.Parks != 0 {
 		t.Fatalf("single core: %+v", one)
-	}
-	if ref := storm(6, true); ref != (EngineStats{}) {
-		t.Fatalf("reference engine reported engine counts: %+v", ref)
 	}
 }

@@ -1,35 +1,32 @@
-// Package equivalence is the differential test harness proving the
-// cooperative single-goroutine engine bit-identical to the reference
-// engine. The oracle is the original goroutine-per-core channel
-// lock-step engine with a full minimum scan at every sync, retained
-// behind htm.Config.RefEngine.
+// Package equivalence pins the simulator's observable behaviour to a
+// certified corpus. testdata/observables.golden holds one line per cell
+// of workloads × seeds × {plain, staggered, hardened, chaos, pct}
+// (Variants says what each name runs): the sha256 of the formatted
+// transaction trace, of the obs metrics report JSON, of the statistics
+// JSON and of final memory, and the serializability-oracle and
+// workload-verification verdicts. The cooperative engine wrote the corpus
+// and, in the same change, the goroutine-per-core reference engine it
+// replaced (a full minimum scan at every event) produced it byte for byte.
 //
-// Every check in this package runs one experiment cell twice, identical
-// in everything except the engine, and compares serialized observables
-// byte for byte: the full transaction event trace, the obs metrics
-// report JSON, the complete statistics block, the serializability-oracle
-// verdict, the workload's own invariant check, and final memory. The suite
-// sweeps all workloads × seeds × {plain, staggered, hardened, chaos, PCT}
-// (Variants says what each name runs) and pins each cell's observables,
-// hashed, in testdata/observables.golden; the fuzz target
-// (FuzzEngineEquivalence)
-// explores the same cell space from a corpus seeded with the paper table
-// generators' configurations.
-//
-// On a mismatch the suite writes an artifact directory with both traces
-// and the first-divergence event index (see WriteArtifacts), which CI
-// uploads so a failing pair can be diffed without reproducing locally.
+// Beside the corpus the suite spells the default schedule a second way.
+// An HTM-mode cell run with an empty replay (ReplayPicks: []uint32{})
+// decides every event through the engine's candidate scan and an
+// exhausted replay's smallest-clock pick instead of the inlined keep
+// test, and must produce the same line; a PCT cell must produce it again
+// when its recorded decisions are replayed. Staggered-family cells have
+// no second spelling — with a scheduler installed, the runtime's
+// SchedPoint calls become decision points that can deliver a pending
+// abort one event earlier — so the corpus alone pins them. The fuzz
+// target checks the oracle, verification and record → replay identity
+// over the same cell space.
 package equivalence
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
@@ -111,33 +108,30 @@ func Run(rc harness.RunConfig) (*Observables, error) {
 	return Observe(res, m)
 }
 
-// RunPair executes rc on the cooperative engine and again on the
-// reference engine (all else identical) and returns both observable sets.
-func RunPair(rc harness.RunConfig) (coop, ref *Observables, err error) {
-	coop, err = Run(rc)
+// RecordReplay runs rc recording its scheduler's decisions, then again
+// replaying them, and returns both observable sets. A cell without a
+// scheduler has nothing to record, and its second run repeats the first.
+func RecordReplay(rc harness.RunConfig) (rec, replay *Observables, err error) {
+	rc.Record = true
+	res, m, err := harness.RunWithMemory(rc)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cooperative engine: %w", err)
+		return nil, nil, err
 	}
-	refCfg := rc
-	mc := htm.DefaultConfig()
-	if rc.Machine != nil {
-		mc = *rc.Machine
+	if rec, err = Observe(res, m); err != nil {
+		return nil, nil, err
 	}
-	mc.RefEngine = true
-	refCfg.Machine = &mc
-	ref, err = Run(refCfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reference engine: %w", err)
+	rc.Record = false
+	rc.ReplayPicks = res.SchedPicks
+	if replay, err = Run(rc); err != nil {
+		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
-	return coop, ref, nil
+	return rec, replay, nil
 }
 
-// Observables is everything the suite compares byte for byte.
+// Observables is everything a corpus line pins.
 type Observables struct {
 	// Trace is the formatted transaction event trace (htm.FormatTrace).
 	Trace []byte
-	// Events is the raw recorded event sequence behind Trace.
-	Events []htm.TraceEvent
 	// Metrics is the obs metrics report JSON.
 	Metrics []byte
 	// Stats is the full statistics block (every per-core counter) as JSON;
@@ -157,7 +151,6 @@ type Observables struct {
 func Observe(r *harness.Result, m *mem.Memory) (*Observables, error) {
 	o := &Observables{
 		Trace:  []byte(htm.FormatTrace(r.Trace)),
-		Events: r.Trace,
 		Memory: memoryDigest(m),
 		Oracle: fmt.Sprintf("ok %d commits", r.OracleCommits),
 		Verify: "ok",
@@ -197,110 +190,4 @@ func (o *Observables) Line(name string) string {
 	return fmt.Sprintf("%s trace=%x metrics=%x stats=%x memory=%x oracle=%q verify=%q",
 		name, sha256.Sum256(o.Trace), sha256.Sum256(o.Metrics), sha256.Sum256(o.Stats),
 		o.Memory, o.Oracle, o.Verify)
-}
-
-// Mismatch describes the first observed divergence between the two
-// engines' observables for one cell.
-type Mismatch struct {
-	// Field names the diverging observable ("trace", "metrics", "stats",
-	// "memory", "oracle", "verify").
-	Field string
-	// EventIndex is the first diverging trace event's index (trace
-	// mismatches only; -1 otherwise).
-	EventIndex int
-	// Coop and Ref are the two serialized observables.
-	Coop, Ref []byte
-}
-
-// Diff compares two observable sets and returns the first mismatch, or
-// nil when they are byte-identical. Trace divergence is located at event
-// granularity so the artifact names the exact first diverging event.
-func Diff(coop, ref *Observables) *Mismatch {
-	if !bytes.Equal(coop.Trace, ref.Trace) {
-		idx := len(coop.Events)
-		if len(ref.Events) < idx {
-			idx = len(ref.Events)
-		}
-		for i := 0; i < idx; i++ {
-			if coop.Events[i] != ref.Events[i] {
-				idx = i
-				break
-			}
-		}
-		return &Mismatch{Field: "trace", EventIndex: idx, Coop: coop.Trace, Ref: ref.Trace}
-	}
-	if !bytes.Equal(coop.Metrics, ref.Metrics) {
-		return &Mismatch{Field: "metrics", EventIndex: -1, Coop: coop.Metrics, Ref: ref.Metrics}
-	}
-	if !bytes.Equal(coop.Stats, ref.Stats) {
-		return &Mismatch{Field: "stats", EventIndex: -1, Coop: coop.Stats, Ref: ref.Stats}
-	}
-	if coop.Memory != ref.Memory {
-		return &Mismatch{Field: "memory", EventIndex: -1,
-			Coop: []byte(fmt.Sprintf("%x", coop.Memory)), Ref: []byte(fmt.Sprintf("%x", ref.Memory))}
-	}
-	if coop.Oracle != ref.Oracle {
-		return &Mismatch{Field: "oracle", EventIndex: -1, Coop: []byte(coop.Oracle), Ref: []byte(ref.Oracle)}
-	}
-	if coop.Verify != ref.Verify {
-		return &Mismatch{Field: "verify", EventIndex: -1, Coop: []byte(coop.Verify), Ref: []byte(ref.Verify)}
-	}
-	return nil
-}
-
-// ArtifactDirEnv names the environment variable CI sets to collect
-// mismatch artifacts for upload; unset, artifacts go under the default
-// relative directory.
-const ArtifactDirEnv = "EQUIVALENCE_ARTIFACTS"
-
-// WriteArtifacts dumps a mismatching pair for one named cell: the
-// cooperative and reference serializations side by side plus a DIVERGE
-// file with the field and first-divergence event index. It returns the
-// cell's artifact directory.
-func WriteArtifacts(cell string, m *Mismatch) (string, error) {
-	root := os.Getenv(ArtifactDirEnv)
-	if root == "" {
-		root = "equivalence-artifacts"
-	}
-	dir := filepath.Join(root, cell)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	summary := fmt.Sprintf("field: %s\nfirst-divergence-event-index: %d\n", m.Field, m.EventIndex)
-	files := []struct {
-		name string
-		data []byte
-	}{
-		{"DIVERGE", []byte(summary)},
-		{"coop." + m.Field, m.Coop},
-		{"ref." + m.Field, m.Ref},
-	}
-	for _, f := range files {
-		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
-			return "", err
-		}
-	}
-	return dir, nil
-}
-
-// Check runs one cell on both engines, compares every observable, and
-// on divergence writes the artifact pair and returns a descriptive
-// error. A nil error certifies the cell byte-identical, and line is its
-// corpus line.
-func Check(cellName string, rc harness.RunConfig) (line string, err error) {
-	co, ro, err := RunPair(rc)
-	if err != nil {
-		return "", err
-	}
-	m := Diff(co, ro)
-	if m == nil {
-		return co.Line(cellName), nil
-	}
-	dir, werr := WriteArtifacts(cellName, m)
-	if werr != nil {
-		return "", fmt.Errorf("%s: engines diverge in %s (first event index %d); artifact dump failed: %v",
-			cellName, m.Field, m.EventIndex, werr)
-	}
-	return "", fmt.Errorf("%s: engines diverge in %s (first event index %d); artifacts in %s",
-		cellName, m.Field, m.EventIndex, dir)
 }

@@ -2,18 +2,21 @@ package equivalence
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/workloads"
 )
 
-// FuzzEngineEquivalence is FuzzEngineHandoff lifted from synthetic op
-// strings to whole experiment cells: the fuzzer picks a workload, seed,
-// variant, and thread count, and the cell must be byte-identical across
-// the two engines. The seed corpus enumerates the configurations the
-// paper table generators sweep (Table 1's benchmarks at one and many
-// threads, each suite variant), so minimized counterexamples land in
-// the same cell space the experiments use.
+// FuzzEngineEquivalence explores whole experiment cells: the fuzzer
+// picks a workload, seed, variant, and thread count, and the cell must
+// pass the serializability oracle and the workload's own verification,
+// and replaying its recorded schedule (or, without a scheduler, running
+// it again) must reproduce its observables byte for byte. The seed corpus
+// enumerates the configurations the paper table generators sweep (Table
+// 1's benchmarks at one and many threads, each suite variant), so
+// minimized counterexamples land in the same cell space the experiments
+// use.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Table 1's row order (the paper's six representative benchmarks),
 	// at sequential and contended thread counts — the exact cells the
@@ -45,8 +48,15 @@ func FuzzEngineEquivalence(f *testing.F) {
 			ops = 64 // fuzz iterations stay fast; the suite covers depth
 		}
 		name := fmt.Sprintf("fuzz-%s-seed%d-%s-t%d", bench, seed, v.Name, threads)
-		if _, err := Check(name, Cell(bench, seed, threads, ops, v)); err != nil {
-			t.Fatal(err)
+		rec, replay, err := RecordReplay(Cell(bench, seed, threads, ops, v))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.HasPrefix(rec.Oracle, "ok ") || rec.Verify != "ok" {
+			t.Fatalf("%s: oracle %q, verify %q", name, rec.Oracle, rec.Verify)
+		}
+		if got, want := replay.Line(name), rec.Line(name); got != want {
+			t.Fatalf("replay diverges from the recording\n got: %s\nwant: %s", got, want)
 		}
 	})
 }

@@ -1,24 +1,21 @@
 package equivalence
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/htm"
 )
 
-// TestReplayDeterminism is the record/replay regression of ISSUE 9: an
-// adversarial schedule is recorded on the cooperative engine, replayed
-// on the cooperative engine, and replayed again on the reference engine.
-// All three runs must agree byte for byte. The cooperative engine's
-// decision points (start, every losing sync, every finish) must line up
-// exactly with the reference engine's for this to hold, so any drift in
-// the step order — the kind that would silently break `staggersim
-// -verify-conflicts` sweeps or archived schedule files — fails here, in
-// CI, instead of in a campaign.
+// TestReplayDeterminism is the record/replay regression: an adversarial
+// schedule is recorded, recorded again, and replayed from the first
+// recording's decisions, and all three runs must agree byte for byte in
+// trace and statistics. Any drift in the engine's decision points — the
+// kind that would silently break `staggersim -verify-conflicts` sweeps or
+// archived schedule files — fails here instead of in a campaign.
 func TestReplayDeterminism(t *testing.T) {
 	for _, strategy := range []string{"random", "pct:3"} {
 		for _, bench := range []string{"list-hi", "kmeans", "intruder"} {
@@ -40,40 +37,30 @@ func TestReplayDeterminism(t *testing.T) {
 				if len(recorded.SchedPicks) == 0 {
 					t.Fatalf("recorded run produced no scheduler decisions")
 				}
-
-				replay := rec
-				replay.Record = false
-				replay.ReplayPicks = recorded.SchedPicks
-				onCoop, err := harness.Run(replay)
+				again, err := harness.Run(rec)
 				if err != nil {
 					t.Fatal(err)
 				}
 
-				refReplay := replay
-				mc := htm.DefaultConfig()
-				mc.RefEngine = true
-				refReplay.Machine = &mc
-				onRef, err := harness.Run(refReplay)
+				replay := rec
+				replay.Record = false
+				replay.ReplayPicks = recorded.SchedPicks
+				replayed, err := harness.Run(replay)
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				recTrace := htm.FormatTrace(recorded.Trace)
-				if got := htm.FormatTrace(onCoop.Trace); got != recTrace {
-					t.Fatalf("replay on cooperative engine diverges from its own recording")
-				}
-				if got := htm.FormatTrace(onRef.Trace); got != recTrace {
-					t.Fatalf("replay on reference engine diverges from cooperative recording")
-				}
-				// The reference engine keeps no scheduling counts of its
-				// own; the cooperative replay must repeat the recording's.
-				onRef.Stats.Engine = recorded.Stats.Engine
-				if !reflect.DeepEqual(onCoop.Stats, recorded.Stats) ||
-					!reflect.DeepEqual(onRef.Stats, recorded.Stats) {
-					t.Fatalf("replayed statistics diverge from the recording")
-				}
-				if d := onRef.Stats.Makespan; d != recorded.Stats.Makespan {
-					t.Fatalf("makespan drift: recorded %d, ref replay %d", recorded.Stats.Makespan, d)
+				for _, run := range []struct {
+					name string
+					res  *harness.Result
+				}{{"second recording", again}, {"replay", replayed}} {
+					if htm.FormatTrace(run.res.Trace) != recTrace {
+						t.Fatalf("%s diverges from the recording's trace", run.name)
+					}
+					if !reflect.DeepEqual(run.res.Stats, recorded.Stats) {
+						t.Fatalf("%s statistics diverge from the recording's", run.name)
+					}
 				}
 			})
 		}
@@ -81,9 +68,10 @@ func TestReplayDeterminism(t *testing.T) {
 }
 
 // TestRecordedPicksEngineIndependent pins the recorded decision sequence
-// itself: recording the same adversarial run on both engines must yield
-// the same pick sequence, event for event — the strongest form of "the
-// two engines consult the scheduler at identical decision points".
+// itself: a second recording of the same run, and a recording taken while
+// replaying the first, must yield the same pick sequence, decision for
+// decision — whichever scheduler drives the run, the engine consults it at
+// identical decision points.
 func TestRecordedPicksEngineIndependent(t *testing.T) {
 	rec := harness.RunConfig{
 		Benchmark: "list-hi",
@@ -94,28 +82,25 @@ func TestRecordedPicksEngineIndependent(t *testing.T) {
 		SchedSeed: 11,
 		Record:    true,
 	}
-	onCoop, err := harness.Run(rec)
+	first, err := harness.Run(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRec := rec
-	mc := htm.DefaultConfig()
-	mc.RefEngine = true
-	refRec.Machine = &mc
-	onRef, err := harness.Run(refRec)
+	second, err := harness.Run(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(picksBytes(onCoop.SchedPicks), picksBytes(onRef.SchedPicks)) {
-		t.Fatalf("recorded pick sequences diverge: coop %d picks, ref %d picks",
-			len(onCoop.SchedPicks), len(onRef.SchedPicks))
+	replay := rec
+	replay.ReplayPicks = first.SchedPicks
+	rerecorded, err := harness.Run(replay)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func picksBytes(picks []uint32) []byte {
-	out := make([]byte, 0, len(picks)*4)
-	for _, p := range picks {
-		out = append(out, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+	if len(first.SchedPicks) == 0 {
+		t.Fatal("recorded run produced no scheduler decisions")
 	}
-	return out
+	if !slices.Equal(second.SchedPicks, first.SchedPicks) || !slices.Equal(rerecorded.SchedPicks, first.SchedPicks) {
+		t.Fatalf("pick sequences diverge: recording %d picks, second recording %d, replay %d",
+			len(first.SchedPicks), len(second.SchedPicks), len(rerecorded.SchedPicks))
+	}
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
+	"repro/internal/stagger"
 	"repro/internal/workloads"
 )
 
@@ -17,10 +19,9 @@ const goldenFile = "testdata/observables.golden"
 // suiteSeeds are the three workload seeds every cell is swept over.
 var suiteSeeds = []int64{1, 42, 1337}
 
-// suiteOps keeps each differential cell small enough that the full
-// 10 workloads × 3 seeds × 5 variants × 2 engines sweep stays in test
-// budget; contention still happens because the thread count does not
-// shrink with the op count.
+// suiteOps keeps each cell small enough that the full 10 workloads × 3
+// seeds × 5 variants sweep stays in test budget; contention still happens
+// because the thread count does not shrink with the op count.
 func suiteOps(bench string) int {
 	switch bench {
 	case "memcached":
@@ -54,13 +55,13 @@ func golden(t *testing.T) map[string]string {
 	return want
 }
 
-// TestEngineEquivalenceSuite is the differential suite of ISSUE 9: every
-// workload × seed × variant must produce byte-identical traces, metrics
-// report JSON, statistics, final memory, oracle verdicts, and workload
-// verification on the cooperative engine and the reference engine, and
-// those observables must hash to the cell's line in observables.golden.
-// In -short mode one seed is swept; the full matrix runs in CI via
-// `make equivalence`.
+// TestEngineEquivalenceSuite pins every workload × seed × variant cell
+// to its line in observables.golden: the hashes of its trace, metrics
+// report JSON, statistics and final memory, and its oracle and
+// verification verdicts. An HTM-mode cell must also produce its line
+// under the second spelling of its schedule (see the package doc): an
+// empty replay for the default order, a replay of its recorded decisions
+// for PCT. In -short mode one seed is swept.
 func TestEngineEquivalenceSuite(t *testing.T) {
 	seeds := suiteSeeds
 	if testing.Short() {
@@ -77,13 +78,17 @@ func TestEngineEquivalenceSuite(t *testing.T) {
 				name := fmt.Sprintf("%s/seed%d/%s", bench, seed, v.Name)
 				t.Run(name, func(t *testing.T) {
 					rc := Cell(bench, seed, suiteThreads, suiteOps(bench), v)
-					line, err := Check(name, rc)
+					o, second, err := spellTwice(rc)
 					if err != nil {
 						t.Fatal(err)
 					}
+					line := o.Line(name)
 					lines = append(lines, line)
 					if !*update && line != want[name] {
 						t.Fatalf("observables differ from %s\n got: %s\nwant: %s", goldenFile, line, want[name])
+					}
+					if second != nil && second.Line(name) != line {
+						t.Fatalf("second spelling of the schedule differs\n got: %s\nwant: %s", second.Line(name), line)
 					}
 				})
 			}
@@ -94,4 +99,24 @@ func TestEngineEquivalenceSuite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// spellTwice runs rc and, for an HTM-mode cell, its schedule's second
+// spelling: a recorded scheduled run and its replay, or the default order
+// and the same cell under an empty replay. second is nil for the
+// staggered family.
+func spellTwice(rc harness.RunConfig) (o, second *Observables, err error) {
+	switch {
+	case rc.Mode != stagger.ModeHTM:
+		o, err = Run(rc)
+		return o, nil, err
+	case rc.Sched != "":
+		return RecordReplay(rc)
+	}
+	if o, err = Run(rc); err != nil {
+		return nil, nil, err
+	}
+	rc.ReplayPicks = []uint32{}
+	second, err = Run(rc)
+	return o, second, err
 }

@@ -7,7 +7,9 @@ import (
 
 // FaultInjector is the hook surface for deterministic fault injection
 // (implemented by internal/chaos). A machine with no injector takes none
-// of these calls, so the hooks are zero-impact when chaos is disabled.
+// of these calls, so the hooks are zero-impact when chaos is disabled:
+// Core.event tests for an injector once and takes chaosEvent's path only
+// when one is installed.
 //
 // All methods are consulted at globally ordered simulation points (memory
 // events, nontransactional stores), under the engine's token discipline:
@@ -71,19 +73,27 @@ func (e *WatchdogError) Error() string {
 }
 
 // checkWatchdog trips the progress watchdog once the core's clock passes
-// the configured bound. It runs at every memory event and after compute
-// bursts, so even a core that never performs another memory access cannot
-// spin forever.
+// the configured bound, and abandons a cancelled run. It runs at every
+// memory event and after compute bursts, so even a core that never
+// performs another memory access cannot spin forever. On a machine with
+// neither armed it is a bool test and one compare.
 func (c *Core) checkWatchdog() {
+	if c.m.cancelArmed || c.clock > c.m.wdLimit {
+		c.tripWatchdog()
+	}
+}
+
+// tripWatchdog is checkWatchdog's slow path: cancellation first, then the
+// cycle bound.
+func (c *Core) tripWatchdog() {
 	c.checkCancel()
-	wd := c.m.cfg.WatchdogCycles
-	if wd == 0 || c.clock <= wd {
+	if c.clock <= c.m.wdLimit {
 		return
 	}
 	panic(&WatchdogError{
 		Core:   c.id,
 		Cycles: c.clock,
-		Limit:  wd,
+		Limit:  c.m.cfg.WatchdogCycles,
 		Trace:  c.m.lastEvents.events(),
 	})
 }

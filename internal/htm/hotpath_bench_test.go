@@ -1,8 +1,8 @@
 package htm
 
 // Benchmarks and allocation assertions for the simulator's hot paths:
-// the engine token handoff (fast path vs the retained reference), the
-// transactional access/commit path, the L1 model, and stats folding.
+// the engine token handoff and keep test, the transactional access/commit
+// path, the L1 model, and stats folding.
 //
 //	go test ./internal/htm -bench Hot -benchmem
 //
@@ -20,10 +20,8 @@ import (
 // loads on a shared line (every event loses the virtual-time race and
 // hands the token off) with short compute. Returns the run's statistics;
 // NTLoads is its total of memory events.
-func handoffStorm(cores, eventsPerCore int, ref bool) Stats {
-	cfg := smallConfig(cores)
-	cfg.RefEngine = ref
-	m := New(cfg)
+func handoffStorm(cores, eventsPerCore int) Stats {
+	m := New(smallConfig(cores))
 	shared := m.Alloc.AllocLines(1)
 	bodies := make([]func(*Core), cores)
 	for i := range bodies {
@@ -40,10 +38,8 @@ func handoffStorm(cores, eventsPerCore int, ref bool) Stats {
 // keepTokenStorm runs events that almost always keep the token: one core
 // issues every memory event while a peer has long since finished, so the
 // engine's O(1) keep-token comparison is the entire handoff cost.
-func keepTokenStorm(events int, ref bool) uint64 {
-	cfg := smallConfig(2)
-	cfg.RefEngine = ref
-	m := New(cfg)
+func keepTokenStorm(events int) uint64 {
+	m := New(smallConfig(2))
 	a := m.Alloc.AllocLines(1)
 	b := m.Alloc.AllocLines(1)
 	m.Run([]func(*Core){
@@ -90,7 +86,7 @@ func BenchmarkHotEngineHandoff(b *testing.B) {
 			var events uint64
 			var eng EngineStats
 			for i := 0; i < b.N; i++ {
-				s := handoffStorm(cores, 8000/cores, false)
+				s := handoffStorm(cores, 8000/cores)
 				events += s.NTLoads
 				eng.Handoffs += s.Engine.Handoffs
 				eng.Resumes += s.Engine.Resumes
@@ -103,26 +99,10 @@ func BenchmarkHotEngineHandoff(b *testing.B) {
 	}
 }
 
-func BenchmarkHotEngineHandoffRef(b *testing.B) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		events += handoffStorm(4, 2000, true).NTLoads
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-}
-
 func BenchmarkHotEngineKeepToken(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		events += keepTokenStorm(8000, false)
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkHotEngineKeepTokenRef(b *testing.B) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		events += keepTokenStorm(8000, true)
+		events += keepTokenStorm(8000)
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
@@ -167,7 +147,7 @@ func BenchmarkHotStatsAdd(b *testing.B) {
 func TestHotPathSteadyStateAllocs(t *testing.T) {
 	measure := func(eventsPerCore int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			handoffStorm(4, eventsPerCore, false)
+			handoffStorm(4, eventsPerCore)
 		})
 	}
 	short, long := measure(500), measure(4000)

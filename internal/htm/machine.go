@@ -19,7 +19,7 @@ type Machine struct {
 	Mem   *mem.Memory
 	Alloc *mem.Allocator
 
-	eng   engine
+	eng   *coopEngine
 	cores []*Core
 
 	// lines is the unified per-line coherence table: the transactional
@@ -43,6 +43,9 @@ type Machine struct {
 	// lastEvents retains the trailing transaction events for the watchdog
 	// failure report; nil unless WatchdogCycles is configured.
 	lastEvents *traceRing
+	// wdLimit is the clock past which the watchdog trips: WatchdogCycles,
+	// or the largest clock when that is 0, so the check is one compare.
+	wdLimit uint64
 	// chaos is the installed fault injector (nil = fault-free).
 	chaos FaultInjector
 	// sched is the installed adversarial scheduler (nil = baseline
@@ -105,6 +108,10 @@ func (m *Machine) Reset() {
 	clear(m.memBusy)
 	m.trace, m.extTrace = nil, false
 	m.lastEvents.reset()
+	m.wdLimit = m.cfg.WatchdogCycles
+	if m.wdLimit == 0 {
+		m.wdLimit = ^uint64(0)
+	}
 	m.chaos, m.sched, m.observer = nil, nil, nil
 	m.ran = false
 	m.cancelArmed = false
@@ -151,7 +158,7 @@ func (m *Machine) RunChecked(bodies []func(c *Core)) error {
 	if len(bodies) > len(m.cores) {
 		panic(fmt.Sprintf("htm: %d thread bodies for %d cores", len(bodies), len(m.cores)))
 	}
-	m.eng = newEngine(len(bodies), m.sched, m.cfg.RefEngine)
+	m.eng = newCoopEngine(len(bodies), m.sched)
 	traceOn := m.trace != nil || m.lastEvents != nil
 	panics := make([]any, len(bodies))
 	for i := range bodies {
@@ -197,7 +204,7 @@ func (m *Machine) Stats() Stats {
 		s.PerCore[i] = c.stats
 		s.add(&c.stats)
 	}
-	if e, ok := m.eng.(*coopEngine); ok {
+	if e := m.eng; e != nil {
 		s.Engine = e.counts
 		s.Engine.Keeps = e.counts.Syncs - e.counts.Handoffs
 	}

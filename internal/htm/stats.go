@@ -91,11 +91,11 @@ func (s *CoreStats) TotalAborts() uint64 {
 }
 
 // EngineStats counts what scheduling one run cost the host: how often
-// the cooperative engine was consulted and how often that moved the
-// token. The counts are a function of (config, seed) like everything
-// else, but they describe the engine, not the simulated machine — the
-// reference engine reports zeros — so they stay out of every encoded
-// result, digest and report.
+// the engine was consulted and how often that moved the token. The
+// counts are a function of (config, seed) like everything else, but they
+// describe the engine, not the simulated machine — the same schedule
+// decided through a Scheduler counts differently — so they stay out of
+// every encoded result, digest and report.
 type EngineStats struct {
 	// Syncs is the number of globally visible events the engine ordered;
 	// Keeps of them left the token where it was and Handoffs moved it.

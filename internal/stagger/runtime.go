@@ -350,7 +350,10 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 		panic("stagger: thread used on wrong core")
 	}
 	abc := th.ctx(ab)
-	tc := &TxCtx{th: th, c: c, abc: abc}
+	tc := &TxCtx{th: th, c: c, abc: abc, recorder: th.rt.recorder}
+	if th.rt.cfg.Mode.Instrumented() {
+		tc.isALP = th.rt.comp.IsALP
+	}
 	hooks := htm.TxHooks{
 		OnBegin: func(attempt int) {
 			// Restore the armed anchor for this instance (the paper

@@ -1,6 +1,7 @@
 package stagger
 
 import (
+	"repro/internal/backend"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/prog"
@@ -14,6 +15,12 @@ type TxCtx struct {
 	th  *Thread
 	c   *htm.Core
 	abc *ABContext
+
+	// isALP is the compiler's ALP table indexed by site ID, nil when the
+	// mode is not instrumented; recorder is the runtime's site recorder.
+	// Load and Store test each with one field read.
+	isALP    []bool
+	recorder backend.SiteRecorder
 
 	// armedAnchor is this instance's pending ALP (site ID); cleared once
 	// the transaction holds its advisory lock.
@@ -40,10 +47,10 @@ func (t *TxCtx) Compute(uops int) { t.c.Compute(uops) }
 // Load performs the transactional load of site s at address a, running
 // the site's ALPoint first when the compiler instrumented it.
 func (t *TxCtx) Load(s *prog.Site, a mem.Addr) uint64 {
-	if r := t.th.rt.recorder; r != nil {
-		r.RecordAccess(t.abc.ab, s, false)
+	if t.recorder != nil {
+		t.recorder.RecordAccess(t.abc.ab, s, false)
 	}
-	if t.th.rt.cfg.Mode.Instrumented() && t.th.rt.comp.IsALP[s.ID] {
+	if t.isALP != nil && t.isALP[s.ID] {
 		t.alpoint(s, a)
 	}
 	return t.c.Load(s.PC, s.ID, a)
@@ -51,10 +58,10 @@ func (t *TxCtx) Load(s *prog.Site, a mem.Addr) uint64 {
 
 // Store performs the transactional store of site s.
 func (t *TxCtx) Store(s *prog.Site, a mem.Addr, v uint64) {
-	if r := t.th.rt.recorder; r != nil {
-		r.RecordAccess(t.abc.ab, s, true)
+	if t.recorder != nil {
+		t.recorder.RecordAccess(t.abc.ab, s, true)
 	}
-	if t.th.rt.cfg.Mode.Instrumented() && t.th.rt.comp.IsALP[s.ID] {
+	if t.isALP != nil && t.isALP[s.ID] {
 		t.alpoint(s, a)
 	}
 	t.c.Store(s.PC, s.ID, a, v)
