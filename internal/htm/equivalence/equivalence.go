@@ -42,7 +42,7 @@ type Variant struct {
 	Apply func(*harness.RunConfig)
 }
 
-// Variants returns the configuration axis of the differential suite:
+// Variants returns the configuration axis of the corpus suite:
 // baseline HTM, the full staggered system, the chaos campaign's cell,
 // light deterministic fault injection, and an adversarial PCT schedule.
 // Record/replay and the random scheduler are covered separately by the
