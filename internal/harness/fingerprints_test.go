@@ -97,7 +97,8 @@ func paperBytes(t *testing.T, seed int64) []byte {
 // cells whose event counts the retired host-timing gate pinned, and the
 // bytes of cmd/paper's whole sequence, and after that the scheduler-
 // driven rows: an oracle-checked PCT campaign per workload on the
-// staggered and occ backends (random too on list-hi and memcached). A
+// staggered and occ backends (random too on list-hi and memcached), and
+// last the lazy-detection cells. A
 // refactor of the run path, the memo, the sweep runner or what a campaign
 // keeps between its schedules must leave this file untouched; -update
 // is for changes to the simulation itself.
@@ -154,6 +155,17 @@ func TestFingerprints(t *testing.T) {
 	for _, wl := range []string{"list-hi", "memcached"} {
 		for _, bk := range []string{"staggered", "occ"} {
 			lines = append(lines, exploreFingerprint(t, wl, bk, "random"))
+		}
+	}
+	// Lazy (committer-wins) conflict detection, which the spellings above
+	// never select: a list and a STAMP workload at both thread counts.
+	for _, wl := range []string{"list-hi", "genome"} {
+		for _, m := range []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW} {
+			lines = append(lines,
+				fingerprint(t, fmt.Sprintf("%s mode=%s lazy t4 ops400", wl, m),
+					RunConfig{Benchmark: wl, Mode: m, Threads: 4, Seed: 42, TotalOps: 400, Lazy: true}),
+				fingerprint(t, fmt.Sprintf("%s mode=%s lazy t16", wl, m),
+					RunConfig{Benchmark: wl, Mode: m, Threads: PaperThreads, Seed: 42, Lazy: true}))
 		}
 	}
 	got := strings.Join(lines, "\n") + "\n"
