@@ -81,6 +81,8 @@ explore-smoke: ## 25 adversarial schedules per cell through the oracle, same byt
 
 # race-equivalence runs the packages whose concurrency the race detector
 # strengthens, whole (-short skips only the multi-second regenerations):
+# internal/htm for the engine, whose cores wake each other by calling a
+# coroutine's resume or yield from a goroutine other than its body's,
 # internal/harness for the parallel sweep runner and the determinism-
 # equivalence suite (same results and bytes at workers=1 and workers=4),
 # internal/service for the lifecycle and recovery tests (drain under a
@@ -89,8 +91,8 @@ explore-smoke: ## 25 adversarial schedules per cell through the oracle, same byt
 # packages for their goroutine-leak, shutdown, and concurrent append/put
 # assertions. No -run pattern: a regex naming a renamed test matches
 # nothing and passes.
-race-equivalence: ## harness, service, journal, vfs, chaos, store under -race -short
-	$(GO) test -race -short -count=1 ./internal/harness ./internal/service \
+race-equivalence: ## htm, harness, service, journal, vfs, chaos, store under -race -short
+	$(GO) test -race -short -count=1 ./internal/htm ./internal/harness ./internal/service \
 		./internal/journal ./internal/vfs ./internal/chaos ./internal/store
 
 # docs-verify regenerates the generated documentation sections — the

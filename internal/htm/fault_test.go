@@ -135,16 +135,19 @@ func TestNTDelayCharged(t *testing.T) {
 }
 
 // TestWatchdogTripsOnComputeLoop: a core that only computes (no memory
-// events) must still trip the watchdog instead of hanging.
+// events) must still trip the watchdog instead of hanging — alone, and as
+// one of the exit shape's sixteen cores, where the tripped body's exit
+// wakes whichever participant waits in its coroutine.
 func TestWatchdogTripsOnComputeLoop(t *testing.T) {
-	cfg := smallConfig(1)
-	cfg.WatchdogCycles = 50_000
-	m := New(cfg)
-	err := m.RunChecked([]func(*Core){func(c *Core) {
+	computeLoop := func(c *Core) {
 		for {
 			c.Compute(1000)
 		}
-	}})
+	}
+	cfg := smallConfig(1)
+	cfg.WatchdogCycles = 50_000
+	m := New(cfg)
+	err := m.RunChecked([]func(*Core){computeLoop})
 	var we *WatchdogError
 	if !errors.As(err, &we) {
 		t.Fatalf("err = %v, want *WatchdogError", err)
@@ -154,6 +157,24 @@ func TestWatchdogTripsOnComputeLoop(t *testing.T) {
 	}
 	if !strings.Contains(we.Error(), "watchdog") {
 		t.Fatalf("error text %q lacks 'watchdog'", we.Error())
+	}
+
+	cfg = smallConfig(exitCores)
+	cfg.WatchdogCycles = 10_000 // far past every other core's total
+	bodies := exitBodies()
+	rounds := bodies[9]
+	bodies[9] = func(c *Core) {
+		rounds(c)
+		computeLoop(c)
+	}
+	m = New(cfg)
+	if err := m.RunChecked(bodies); !errors.As(err, &we) || we.Core != 9 {
+		t.Fatalf("%d cores: err = %v, want core 9's *WatchdogError", exitCores, err)
+	}
+	for i, cs := range m.Stats().PerCore {
+		if i != 9 && cs.FinalClock != exitClock(cfg, i) {
+			t.Fatalf("core %d finished at %d, want %d", i, cs.FinalClock, exitClock(cfg, i))
+		}
 	}
 }
 
@@ -222,15 +243,26 @@ func TestWatchdogQuietWhenUnderLimit(t *testing.T) {
 }
 
 // TestRunCheckedRethrowsWorkloadPanics: only watchdog trips become
-// errors; genuine workload bugs must still surface as panics.
+// errors; genuine workload bugs must still surface as panics — from a
+// lone core, and from one of the exit shape's sixteen, whose recovered
+// panic ends its body like a return.
 func TestRunCheckedRethrowsWorkloadPanics(t *testing.T) {
-	m := New(smallConfig(1))
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("workload panic swallowed by RunChecked")
-		}
-	}()
-	m.RunChecked([]func(*Core){func(c *Core) {
-		panic("workload bug")
-	}})
+	rethrown := func(m *Machine, bodies []func(*Core)) (r any) {
+		defer func() { r = recover() }()
+		m.RunChecked(bodies)
+		return nil
+	}
+	bug := func(*Core) { panic("workload bug") }
+	if r := rethrown(New(smallConfig(1)), []func(*Core){bug}); r != "workload bug" {
+		t.Fatalf("one core: recovered %v, want the workload panic", r)
+	}
+	bodies := exitBodies()
+	rounds := bodies[7]
+	bodies[7] = func(c *Core) {
+		rounds(c)
+		bug(c)
+	}
+	if r := rethrown(New(smallConfig(exitCores)), bodies); r != "workload bug" {
+		t.Fatalf("%d cores: recovered %v, want the workload panic", exitCores, r)
+	}
 }

@@ -16,7 +16,7 @@ import "repro/internal/mem"
 // The same rule — index, don't search — shapes the three structures an
 // event touches outside this file: each core's L1 is one nsets*ways line
 // array with a per-set count (cache.go), the engine picks the next core
-// by an unsigned minimum over one packed key per core (engine_coop.go),
+// by an unsigned minimum over one packed key per core (engine.go),
 // and mem.Memory reaches a heap page through a directory indexed by page
 // number.
 

@@ -100,12 +100,10 @@ type EngineStats struct {
 	// Syncs is the number of globally visible events the engine ordered;
 	// Keeps of them left the token where it was and Handoffs moved it.
 	Syncs, Keeps, Handoffs uint64
-	// Resumes and Parks are the coroutine switches into and out of cores
-	// that the handoffs (and each core's start) took.
-	Resumes, Parks uint64
-	// MaxChain is the deepest the chain of cores suspended inside a
-	// resume call ever got.
-	MaxChain uint64
+	// Switches is every coroutine switch the run took: one per handoff,
+	// the run loop's first grant, one per body exit, and one per exit
+	// whose woken participant had to pass the token on to the grantee.
+	Switches uint64
 }
 
 // Stats is the machine-wide aggregate of all core stats.
