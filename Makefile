@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: help ci vet verify-static conflict-verify build test explore-smoke \
 	paper race-equivalence bench bench-smoke docs-verify docs \
-	daemon-smoke crash-smoke
+	daemon-smoke crash-smoke mutants
 
 # help lists every target with its one-line purpose (the `##` comment on
 # the target line). Run `make help` when lost.
@@ -118,6 +118,16 @@ bench: ## perf ledger: all BENCHMARK.json workloads (bench/README.md)
 bench-smoke: ## perf ledger at smoke sizes + the bench module's tests
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test -short ./...
+
+# mutants is the mutation catalogue (DESIGN.md, "Mutation catalogue"):
+# each mutants/*.patch is applied to a throwaway git worktree of HEAD and
+# every Gate: line of its preamble must fail there, having passed on the
+# clean tree. A patch that no longer applies or builds, or a -run pattern
+# that lists no test, fails the run as rot. Not part of ci: it rebuilds
+# and re-runs gates once per mutant. `bash scripts/mutants.sh -o DIR
+# mutants/017-*.patch` runs one mutant and keeps its logs in DIR.
+mutants: ## apply every mutants/*.patch and require each of its gates to fail
+	GO=$(GO) bash scripts/mutants.sh
 
 paper: ## regenerate every table and figure of the paper
 	$(GO) run ./cmd/paper

@@ -31,7 +31,11 @@
 //	staggersim -verify-static
 //	staggersim -verify-static -bench vacation,tsp -naive
 //	staggersim -verify-conflicts -json
-//	staggersim -verify-conflicts -bench list-hi -inject-underlock
+//	staggersim -verify-conflicts -bench list-hi
+//
+// The defects these modes exist to catch live in mutants/, one patch
+// each; `make mutants` applies every patch to a throwaway worktree and
+// requires its gates to fail.
 package main
 
 import (
@@ -66,9 +70,8 @@ var flagGroups = []struct {
 	{"Fault injection", []string{"chaos", "chaos-abort", "chaos-ntdelay", "chaos-lockdrop",
 		"chaos-jitter", "watchdog", "chaos-campaign", "chaos-rates"}},
 	{"Scheduling and exploration", []string{"sched", "sched-seed", "oracle", "record", "explore",
-		"explore-runs", "minimize", "explore-out", "unsafe-early-release"}},
-	{"Static verification", []string{"verify-static", "verify-conflicts", "conflict-seeds", "json",
-		"inject-drift", "inject-underlock", "inject-overlock"}},
+		"explore-runs", "minimize", "explore-out"}},
+	{"Static verification", []string{"verify-static", "verify-conflicts", "conflict-seeds", "json"}},
 }
 
 // groupedUsage prints the grouped flag reference.
@@ -124,11 +127,9 @@ type opts struct {
 	exploreRuns                                         *int
 	minimize                                            *bool
 	exploreOut                                          *string
-	unsafeEarly, verifyStatic, injectDrift              *bool
-	verifyConflicts                                     *bool
+	verifyStatic, verifyConflicts                       *bool
 	conflictSeeds                                       *string
 	jsonOut                                             *bool
-	injectUnder, injectOver                             *bool
 	workers                                             *int
 	cpuprofile                                          *string
 }
@@ -164,19 +165,13 @@ func defineFlags(fs *flag.FlagSet) *opts {
 		exploreRuns: fs.Int("explore-runs", harness.DefaultExploreRuns, "schedules per benchmark for -explore"),
 		minimize:    fs.Bool("minimize", false, "delta-debug each failing schedule found by -explore"),
 		exploreOut:  fs.String("explore-out", "", "directory for failing-schedule trace files (empty: don't write)"),
-		unsafeEarly: fs.Bool("unsafe-early-release", false, "enable the test-only broken irrevocable fallback (demo: -explore catches it)"),
 		verifyStatic: fs.Bool("verify-static", false,
 			"verify anchor-scope, lock-order, coverage, and static/dynamic conformance (all benchmarks unless -bench)"),
-		injectDrift: fs.Bool("inject-drift", false, "enable the test-only vacation IR-drift mutation (demo: -verify-static catches it)"),
 		verifyConflicts: fs.Bool("verify-conflicts", false,
 			"verify lock sufficiency, lock precision, and dynamic conflict-pair containment over the static may-conflict matrix (all benchmarks unless -bench)"),
 		conflictSeeds: fs.String("conflict-seeds", "42,43,44",
 			"comma-separated workload seeds for the dynamic containment runs of -verify-conflicts"),
 		jsonOut: fs.Bool("json", false, "print verify-mode findings as stable-sorted JSON (for -verify-static / -verify-conflicts)"),
-		injectUnder: fs.Bool("inject-underlock", false,
-			"seed an under-lock mutation: clear one effective ALP (demo: -verify-conflicts sufficiency catches it)"),
-		injectOver: fs.Bool("inject-overlock", false,
-			"seed an over-lock mutation: add one spurious ALP on a read-only class (demo: -verify-conflicts precision catches it)"),
 		workers: fs.Int("workers", runtime.NumCPU(),
 			"max concurrent simulation runs in campaigns (1 = sequential; output is identical either way)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file (complete on a zero exit)"),
@@ -253,12 +248,6 @@ func (o *opts) cell() (harness.RunConfig, error) {
 		Record:    *o.record != "",
 		Oracle:    *o.oracleOn,
 	}
-	if *o.unsafeEarly {
-		// Only when asked: a Stagger override makes the cell uncacheable.
-		scfg := stagger.DefaultConfig(m)
-		scfg.UnsafeEarlyGlobalRelease = true
-		rc.Stagger = &scfg
-	}
 	ccfg := chaos.Scaled(*o.chaosRate, *o.seed)
 	if *o.chaosAbort > 0 {
 		ccfg.AbortRate = *o.chaosAbort
@@ -303,7 +292,6 @@ func main() {
 	flag.Usage = func() { groupedUsage(flag.CommandLine) }
 	flag.Parse()
 	harness.SetWorkers(*o.workers)
-	workloads.DriftVacationKind = *o.injectDrift
 
 	rc, err := o.cell()
 	if err != nil {
@@ -322,7 +310,7 @@ func main() {
 	case *o.verifyStatic:
 		runVerifyStatic(rc, *o.jsonOut)
 	case *o.verifyConflicts:
-		runVerifyConflicts(rc, *o.conflictSeeds, *o.injectUnder, *o.injectOver, *o.jsonOut)
+		runVerifyConflicts(rc, *o.conflictSeeds, *o.jsonOut)
 	case *o.campaign:
 		runCampaign(rc, *o.rates)
 	case *o.explore:

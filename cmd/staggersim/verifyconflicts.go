@@ -93,9 +93,8 @@ func parseSeeds(list string) []int64 {
 // read-only class, modulo the workload's waiver table), then
 // cross-validates the matrix dynamically — instrumented runs across the
 // -conflict-seeds list must observe only conflicting site pairs the
-// matrix contains. The seeded -inject-underlock / -inject-overlock
-// mutations demonstrate that the first two checks fail loudly.
-func runVerifyConflicts(base harness.RunConfig, seedList string, underlock, overlock, asJSON bool) {
+// matrix contains.
+func runVerifyConflicts(base harness.RunConfig, seedList string, asJSON bool) {
 	seeds := parseSeeds(seedList)
 	var all []finding
 	for _, name := range benches(base.Benchmark) {
@@ -106,27 +105,6 @@ func runVerifyConflicts(base harness.RunConfig, seedList string, underlock, over
 		opts := anchor.DefaultOptions()
 		opts.Naive = base.Naive
 		comp := anchor.Compile(w.Mod, opts)
-		// An injection that finds no effective candidate would make the
-		// subsequent OK line meaningless, so it is an error: pick a
-		// benchmark whose matrix has the class shape the mutation needs
-		// (any written class for -inject-underlock, a read-only class
-		// with uninstrumented sites for -inject-overlock).
-		if underlock {
-			site, ok := staticcheck.InjectUnderLock(comp)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "staggersim: inject-underlock %s: no ALP whose removal uncovers a conflict\n", name)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "inject-underlock %s: cleared ALP at site %d\n", name, site)
-		}
-		if overlock {
-			site, ok := staticcheck.InjectOverLock(comp)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "staggersim: inject-overlock %s: no read-only class with an uninstrumented site\n", name)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "inject-overlock %s: spurious ALP at site %d\n", name, site)
-		}
 		mc, viols := staticcheck.VerifyConflicts(comp, workloads.ConflictWaivers(name))
 
 		// Dynamic cross-validation: aggregate the conflicting-pair

@@ -19,13 +19,6 @@ type AtomicOpts struct {
 	// RuntimePC is the synthetic PC attributed to the runtime's own
 	// transactional accesses (the global-lock subscription).
 	RuntimePC uint64
-	// UnsafeEarlyRelease, test-only, releases the irrevocable global lock
-	// BEFORE the body runs instead of after. This deliberately breaks the
-	// fallback protocol — racing hardware transactions can commit having
-	// observed half of the irrevocable section's writes — and exists so
-	// tests can prove the serializability oracle catches real atomicity
-	// violations. Never set it outside a test.
-	UnsafeEarlyRelease bool
 }
 
 // DefaultAtomicOpts matches the paper's runtime parameters.
@@ -102,9 +95,6 @@ func (c *Core) Atomic(opts AtomicOpts, hooks TxHooks, body func(*Core)) {
 	if hooks.OnIrrevocable != nil {
 		hooks.OnIrrevocable()
 	}
-	if opts.UnsafeEarlyRelease {
-		c.releaseGlobal()
-	}
 	c.inAttempt = true
 	c.inIrrev = true
 	c.obsBeginSection()
@@ -119,9 +109,7 @@ func (c *Core) Atomic(opts AtomicOpts, hooks TxHooks, body func(*Core)) {
 	c.Annotate(TraceIrrevEnd, 0)
 	c.inIrrev = false
 	c.inAttempt = false
-	if !opts.UnsafeEarlyRelease {
-		c.releaseGlobal()
-	}
+	c.releaseGlobal()
 	if hooks.OnCommit != nil {
 		hooks.OnCommit(true)
 	}

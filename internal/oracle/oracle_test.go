@@ -14,8 +14,9 @@ import (
 // section irrevocably (forced by an explicit first-attempt abort) writing
 // two far-apart words, while core 1 commits many small transactions that
 // read both words. With earlyRelease the irrevocable fallback releases the
-// global lock before its body runs — the bug class the oracle exists to
-// catch: core 1 can commit a half view (new first word, old second word).
+// global lock before its body runs, from its OnIrrevocable hook — the bug
+// class the oracle exists to catch: core 1 can commit a half view (new
+// first word, old second word).
 func brokenRig(t *testing.T, earlyRelease bool) *Checker {
 	t.Helper()
 	cfg := htm.DefaultConfig()
@@ -31,8 +32,11 @@ func brokenRig(t *testing.T, earlyRelease bool) *Checker {
 	writer := func(c *htm.Core) {
 		opts := htm.DefaultAtomicOpts()
 		opts.MaxRetries = 1
-		opts.UnsafeEarlyRelease = earlyRelease
-		c.Atomic(opts, htm.TxHooks{}, func(c *htm.Core) {
+		var hooks htm.TxHooks
+		if earlyRelease {
+			hooks.OnIrrevocable = func() { c.NTStore(m.GlobalLock, 0) }
+		}
+		c.Atomic(opts, hooks, func(c *htm.Core) {
 			if c.InTx() {
 				c.TxAbortExplicit() // force the irrevocable fallback
 			}

@@ -110,24 +110,24 @@ type Config struct {
 	// the chaos package's Injector implements it. Nil injects nothing.
 	LockFaults LockFaults
 
-	// UnsafeEarlyGlobalRelease, test-only, releases the irrevocable global
-	// lock before the fallback body runs (see htm.AtomicOpts). It breaks
-	// atomicity on purpose so the serializability oracle's detection can be
-	// tested end to end. Never set outside a test.
+	// UnsafeEarlyGlobalRelease, test-only, makes the irrevocable fallback
+	// release the global lock as soon as it holds it, before the body
+	// runs. It breaks atomicity on purpose so an exploration campaign has a
+	// failing cell to catch and minimize (DESIGN.md, "Schedule exploration
+	// and oracles"). Never set outside a test.
 	UnsafeEarlyGlobalRelease bool
 }
 
 // RetryLoop is the one Config → htm.AtomicOpts lowering (budget, backoff
-// policy, fallback protocol). Thread.Atomic runs on it, and software
-// backends in the arena borrow it from the config the harness hands them
-// (see backend.Options.StaggerConfig), so retry tuning applies uniformly
+// policy). Thread.Atomic runs on it, and software backends in the arena
+// borrow it from the config the harness hands them (see
+// backend.Options.StaggerConfig), so retry tuning applies uniformly
 // across backends without this package importing them.
 func (c Config) RetryLoop() htm.AtomicOpts {
 	return htm.AtomicOpts{
-		MaxRetries:         c.MaxRetries,
-		BackoffBase:        c.BackoffBase,
-		RuntimePC:          0xFFFF0,
-		UnsafeEarlyRelease: c.UnsafeEarlyGlobalRelease,
+		MaxRetries:  c.MaxRetries,
+		BackoffBase: c.BackoffBase,
+		RuntimePC:   0xFFFF0,
 	}
 }
 

@@ -408,6 +408,9 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 			// Irrevocable mode is already globally serialized; drop any
 			// advisory lock state for this instance.
 			tc.armedAnchor = 0
+			if th.rt.cfg.UnsafeEarlyGlobalRelease {
+				c.NTStore(c.Machine().GlobalLock, 0)
+			}
 		},
 	}
 	// Snapshot the core's cycle counters around the instance: the deltas

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/anchor"
+	"repro/internal/backend"
 	"repro/internal/harness"
+	"repro/internal/prog"
 	"repro/internal/stagger"
 	"repro/internal/staticcheck"
 	"repro/internal/workloads"
@@ -21,6 +23,12 @@ func compileFor(t *testing.T, w *workloads.Workload) *anchor.Compiled {
 func run(t *testing.T, bench string, ops int) (*staticcheck.Conformance, *harness.Result) {
 	t.Helper()
 	rec := staticcheck.NewConformance()
+	return rec, runRecorded(t, bench, ops, rec)
+}
+
+// runRecorded is run with the caller's recorder.
+func runRecorded(t *testing.T, bench string, ops int, rec backend.SiteRecorder) *harness.Result {
+	t.Helper()
 	res, err := harness.Run(harness.RunConfig{
 		Benchmark:    bench,
 		Mode:         stagger.ModeStaggeredHW,
@@ -35,7 +43,7 @@ func run(t *testing.T, bench string, ops int) (*staticcheck.Conformance, *harnes
 	if res.VerifyErr != nil {
 		t.Fatalf("%s: workload verify: %v", bench, res.VerifyErr)
 	}
-	return rec, res
+	return res
 }
 
 // TestConformanceCleanOnAllWorkloads is the dynamic half of check (d):
@@ -56,15 +64,26 @@ func TestConformanceCleanOnAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestConformanceCatchesDriftMutation flips the seeded IR-drift switch:
-// vacation misattributes one load to a store site of the tree-update
-// function, and the checker must report exactly that kind mismatch with
+// driftRecorder forwards every access to the conformance recorder and,
+// after each store at the tree-update store site inside make_reservation,
+// also records a load there: the input the checker would see if
+// vacation's reservation body loaded through a site the IR declares a
+// store.
+type driftRecorder struct{ *staticcheck.Conformance }
+
+func (d driftRecorder) RecordAccess(ab *prog.AtomicBlock, s *prog.Site, isStore bool) {
+	d.Conformance.RecordAccess(ab, s, isStore)
+	if isStore && ab != nil && ab.Name == "make_reservation" && s != nil && s.Fn.Name == "rb_update" {
+		d.Conformance.RecordAccess(ab, s, false)
+	}
+}
+
+// TestConformanceCatchesDriftMutation runs real vacation with the drift
+// recorder: the checker must report exactly that kind mismatch with
 // block- and site-level identity.
 func TestConformanceCatchesDriftMutation(t *testing.T) {
-	workloads.DriftVacationKind = true
-	defer func() { workloads.DriftVacationKind = false }()
-
-	rec, res := run(t, "vacation", 120)
+	rec := staticcheck.NewConformance()
+	res := runRecorded(t, "vacation", 120, driftRecorder{rec})
 	vs := rec.Check(res.Compiled)
 	if len(vs) == 0 {
 		t.Fatal("conformance checker missed the seeded IR-drift mutation")

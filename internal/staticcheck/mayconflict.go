@@ -422,12 +422,6 @@ func (mc *MayConflict) SiteClasses(abID int, site uint32) []string {
 	return append([]string{primary}, mc.siteExtra[abID][site]...)
 }
 
-// Sites returns the sorted site IDs through which an atomic block
-// accesses a class (empty when it does not touch the class).
-func (mc *MayConflict) Sites(root string, abID int) []uint32 {
-	return mc.classSites[root][abID]
-}
-
 // Writes reports whether the atomic block has a store site on the class.
 func (mc *MayConflict) Writes(root string, abID int) bool {
 	return mc.classWrites[root][abID]

@@ -220,9 +220,9 @@ func TestMatrixShapeHint(t *testing.T) {
 }
 
 // TestVerifyConflictsCleanAndUnderLock: the aliased-global module passes
-// sufficiency and precision untouched; clearing one advisory lock via
-// InjectUnderLock must produce a sufficiency violation that carries a
-// counterexample path.
+// sufficiency and precision untouched; clearing the ALP of the list-head
+// load, the anchor that serializes the list, must produce a sufficiency
+// violation that carries a counterexample path.
 func TestVerifyConflictsCleanAndUnderLock(t *testing.T) {
 	m := prog.NewModule("underlock")
 	g := m.Global("list")
@@ -235,13 +235,19 @@ func TestVerifyConflictsCleanAndUnderLock(t *testing.T) {
 	if _, vs := staticcheck.VerifyConflicts(c, nil); len(vs) != 0 {
 		t.Fatalf("clean module reports violations: %v", vs)
 	}
-	site, ok := staticcheck.InjectUnderLock(c)
-	if !ok {
-		t.Fatal("InjectUnderLock found no effective mutation")
+	var head *prog.Site
+	for _, s := range fd.Sites() {
+		if s.Field == "head" {
+			head = s
+		}
 	}
+	if head == nil || !c.IsALP[head.ID] {
+		t.Fatalf("fixture assumption broken: the list-head load (%v) is not an ALP", head)
+	}
+	c.IsALP[head.ID] = false
 	_, vs := staticcheck.VerifyConflicts(c, nil)
 	if len(vs) == 0 {
-		t.Fatalf("cleared ALP at site %d but sufficiency still passes", site)
+		t.Fatalf("cleared ALP at site %d but sufficiency still passes", head.ID)
 	}
 	for _, v := range vs {
 		if v.Check != staticcheck.CheckSufficiency {
@@ -277,41 +283,6 @@ func TestVerifyConflictsPrecisionAndWaivers(t *testing.T) {
 	_, vs = staticcheck.VerifyConflicts(c, map[uint32]string{sCfg.ID: "ok", 99: "bogus"})
 	if len(vs) != 1 || vs[0].Check != staticcheck.CheckPrecision || !strings.Contains(vs[0].Msg, "stale") {
 		t.Errorf("stale waiver not reported: %v", vs)
-	}
-}
-
-// TestInjectOverLock: the read-only-class module has an uninstrumented
-// site for the mutation to promote; the all-written list module has
-// none.
-func TestInjectOverLock(t *testing.T) {
-	m := prog.NewModule("overlock2")
-	g := m.Global("config")
-	fr := m.NewFunc("reader", "p")
-	fr.Entry().Load(fr.Param(0), "dim")
-	sNon := fr.Entry().Load(fr.Param(0), "scale") // covered by the dim pioneer: not an ALP
-	r1 := m.NewFunc("r1")
-	r1.Entry().Call(fr, g)
-	m.Atomic("ab1", r1)
-	c := compileM(t, m)
-	if c.IsALP[sNon.ID] {
-		t.Fatal("fixture assumption broken: second header load is already an ALP")
-	}
-	site, ok := staticcheck.InjectOverLock(c)
-	if !ok || site != sNon.ID {
-		t.Fatalf("InjectOverLock = (%d, %v), want (%d, true)", site, ok, sNon.ID)
-	}
-	if _, vs := staticcheck.VerifyConflicts(c, nil); len(vs) == 0 {
-		t.Error("injected spurious lock not flagged by precision")
-	}
-
-	m2 := prog.NewModule("allwritten")
-	g2 := m2.Global("list")
-	fd, _, _ := listLike(m2, "list_insert")
-	r2 := m2.NewFunc("r2", "n")
-	r2.Entry().Call(fd, g2, r2.Param(0))
-	m2.Atomic("ab1", r2)
-	if site, ok := staticcheck.InjectOverLock(compileM(t, m2)); ok {
-		t.Errorf("InjectOverLock found a candidate (site %d) in a module with no read-only class", site)
 	}
 }
 

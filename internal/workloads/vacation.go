@@ -24,14 +24,6 @@ const (
 	vacTables    = 3   // cars, rooms, flights
 )
 
-// DriftVacationKind is a test-only switch (like stagger's
-// UnsafeEarlyGlobalRelease) that seeds a deliberate IR-drift mutation:
-// vacation's reservation body performs one dynamic LOAD attributed to a
-// STORE site of the tree-update function. The static/dynamic conformance
-// checker must catch exactly this kind mismatch; nothing else changes
-// (the extra read touches the table header the block reads anyway).
-var DriftVacationKind bool
-
 func init() { register("vacation", 2400, buildVacation) }
 
 func buildVacation() *Workload {
@@ -52,15 +44,6 @@ func buildVacation() *Workload {
 	qryRoot.Entry().Call(rb.FnLookup, qryRoot.Param(0))
 	abQuery := mod.Atomic("query_tables", qryRoot)
 	mod.MustFinalize()
-
-	// The store site DriftVacationKind misattributes a load to.
-	var driftSite *prog.Site
-	for _, s := range rb.FnUpdate.Sites() {
-		if s.IsStore {
-			driftSite = s
-			break
-		}
-	}
 
 	var tables [vacTables]mem.Addr
 	var customers mem.Addr
@@ -101,9 +84,6 @@ func buildVacation() *Workload {
 					rb.Lookup(tc, tb, k2)
 					tc.Compute(120)
 					rb.Update(tc, tb, k1, ^uint64(0)) // -1 seat/room
-					if DriftVacationKind {
-						tc.Load(driftSite, tb)
-					}
 					tc.Op(vacRes{table: ti, key: k1, before: v1})
 				}
 				customerBody := func(tc simds.Ctx) {
