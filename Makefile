@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help ci vet verify-static conflict-verify build test explore-smoke \
+.PHONY: help ci vet build test explore-smoke \
 	paper race-equivalence bench bench-smoke docs-verify docs \
 	daemon-smoke crash-smoke mutants
 
@@ -13,11 +13,10 @@ help:
 # ci is the gate: static checks, full build, full test suite (which
 # includes the chaos smoke and the campaign on the paper's runtime), a
 # bounded schedule-exploration smoke (adversarial scheduler + oracle),
-# the IR-level static verification of every workload, the race-mode
-# parallel-sweep equivalence suite, the daemon lifecycle
+# the race-mode parallel-sweep equivalence suite, the daemon lifecycle
 # smoke, the crash-recovery harness, the generated-docs drift check, and
 # the perf ledger's smoke run with its own module's tests.
-ci: vet build test explore-smoke verify-static conflict-verify race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
+ci: vet build test explore-smoke race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
 
 # vet layers three static gates: formatting, the standard go vet, and
 # the repo's own staggervet analyzers (determinism, ntstore, siteattr,
@@ -30,18 +29,6 @@ vet: ## gofmt + go vet + staggervet analyzers (any finding fails)
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/staggervet
-
-# verify-static proves the four IR invariants (anchor scope, lock
-# order, coverage, static/dynamic conformance) on all ten workloads.
-verify-static: ## IR invariants: anchor scope, lock order, coverage, conformance
-	$(GO) run ./cmd/staggersim -verify-static
-
-# conflict-verify is the static conflict-prediction gate: for every
-# workload it builds the may-conflict matrix, proves advisory-lock
-# sufficiency and precision, and cross-validates the matrix against the
-# conflicting site pairs observed dynamically across three seeds.
-conflict-verify: ## may-conflict matrix: sufficiency, precision, dynamic containment
-	$(GO) run ./cmd/staggersim -verify-conflicts
 
 build: ## go build ./...
 	$(GO) build ./...

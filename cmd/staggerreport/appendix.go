@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/internal/anchor"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/staticcheck"
-	"repro/internal/workloads"
 )
 
 // generateAppendix renders the abort-attribution appendix from the runs
@@ -57,10 +54,6 @@ func generateAppendix(topN int) ([]byte, error) {
 			pct(c.Backoff), pct(c.GlobalWait), c.NTOverhead, rep.WastedOverUseful)
 	}
 
-	if err := conflictMatrixSection(&b); err != nil {
-		return nil, err
-	}
-
 	fmt.Fprintf(&b, "\n### Top-%d conflicting anchors per workload\n\n", topN)
 	fmt.Fprintf(&b, "The static sites whose cache lines killed the most transactions — the\n")
 	fmt.Fprintf(&b, "`conflicting_anchors` histogram behind Table 1's LP column (an LP of Y\n")
@@ -85,55 +78,4 @@ func generateAppendix(topN int) ([]byte, error) {
 		}
 	}
 	return b.Bytes(), nil
-}
-
-// conflictMatrixSection renders the static conflict-prediction summary
-// for every workload: conflict classes, may-conflict atomic-block pairs,
-// and the advisory-lock sufficiency/precision verdicts that
-// `staggersim -verify-conflicts` (the conflict-verify CI gate) proves,
-// including its dynamic containment cross-validation.
-func conflictMatrixSection(b *bytes.Buffer) error {
-	fmt.Fprintf(b, "\n### Static conflict prediction per workload\n\n")
-	fmt.Fprintf(b, "The may-conflict matrix built by `internal/staticcheck` over each\n")
-	fmt.Fprintf(b, "workload's IR: DSA conflict classes unified across atomic blocks, the\n")
-	fmt.Fprintf(b, "block pairs that can conflict at all, and the advisory-lock checks —\n")
-	fmt.Fprintf(b, "sufficiency (every may-conflicting pair has an armable lock on all\n")
-	fmt.Fprintf(b, "paths) and precision (no lock serializes a provably read-only class,\n")
-	fmt.Fprintf(b, "modulo the waivers listed). `staggersim -verify-conflicts` additionally\n")
-	fmt.Fprintf(b, "proves containment: every conflicting site pair observed dynamically\n")
-	fmt.Fprintf(b, "falls inside this matrix.\n\n")
-	fmt.Fprintf(b, "| Benchmark | atomic blocks | conflict classes | written | may-conflict pairs | waived sites |\n")
-	fmt.Fprintf(b, "|---|---:|---:|---:|---:|---:|\n")
-	for _, name := range workloads.Names() {
-		w, err := workloads.Get(name)
-		if err != nil {
-			return err
-		}
-		comp := anchor.Compile(w.Mod, anchor.DefaultOptions())
-		mc, viols := staticcheck.VerifyConflicts(comp, workloads.ConflictWaivers(name))
-		if len(viols) > 0 {
-			return fmt.Errorf("%s: %d conflict-prediction violation(s); run `staggersim -verify-conflicts -bench %s`", name, len(viols), name)
-		}
-		written := 0
-		for _, root := range mc.Classes() {
-			if mc.WrittenByAny(root) {
-				written++
-			}
-		}
-		pairs := 0
-		ids := make([]int, 0, len(w.Mod.Atomics))
-		for _, ab := range w.Mod.Atomics {
-			ids = append(ids, ab.ID)
-		}
-		for i, a := range ids {
-			for _, bb := range ids[i:] {
-				if mc.MayConflictPair(a, bb) {
-					pairs++
-				}
-			}
-		}
-		fmt.Fprintf(b, "| %s | %d | %d | %d | %d | %d |\n",
-			name, len(w.Mod.Atomics), len(mc.Classes()), written, pairs, len(workloads.ConflictWaivers(name)))
-	}
-	return nil
 }

@@ -26,13 +26,6 @@
 //	staggersim -bench list-hi -sched random -sched-seed 7 -oracle -record fail.trace
 //	staggersim -sched replay:fail.trace -oracle
 //
-// Static verification (IR-level invariants + static/dynamic conformance):
-//
-//	staggersim -verify-static
-//	staggersim -verify-static -bench vacation,tsp -naive
-//	staggersim -verify-conflicts -json
-//	staggersim -verify-conflicts -bench list-hi
-//
 // The defects these modes exist to catch live in mutants/, one patch
 // each; `make mutants` applies every patch to a throwaway worktree and
 // requires its gates to fail.
@@ -71,7 +64,6 @@ var flagGroups = []struct {
 		"chaos-jitter", "watchdog", "chaos-campaign", "chaos-rates"}},
 	{"Scheduling and exploration", []string{"sched", "sched-seed", "oracle", "record", "explore",
 		"explore-runs", "minimize", "explore-out"}},
-	{"Static verification", []string{"verify-static", "verify-conflicts", "conflict-seeds", "json"}},
 }
 
 // groupedUsage prints the grouped flag reference.
@@ -79,8 +71,8 @@ func groupedUsage(fs *flag.FlagSet) {
 	o := fs.Output()
 	fmt.Fprintf(o, "Usage: staggersim [flags]\n")
 	fmt.Fprintf(o, "Runs one benchmark under one system configuration and prints detailed\n")
-	fmt.Fprintf(o, "statistics; campaign flags switch to fault sweeps, schedule exploration,\n")
-	fmt.Fprintf(o, "or static verification. Run without -bench to list benchmarks.\n")
+	fmt.Fprintf(o, "statistics; campaign flags switch to fault sweeps or schedule exploration.\n")
+	fmt.Fprintf(o, "Run without -bench to list benchmarks.\n")
 	for _, g := range flagGroups {
 		fmt.Fprintf(o, "\n%s:\n", g.title)
 		for _, name := range g.names {
@@ -127,9 +119,6 @@ type opts struct {
 	exploreRuns                                         *int
 	minimize                                            *bool
 	exploreOut                                          *string
-	verifyStatic, verifyConflicts                       *bool
-	conflictSeeds                                       *string
-	jsonOut                                             *bool
 	workers                                             *int
 	cpuprofile                                          *string
 }
@@ -165,13 +154,6 @@ func defineFlags(fs *flag.FlagSet) *opts {
 		exploreRuns: fs.Int("explore-runs", harness.DefaultExploreRuns, "schedules per benchmark for -explore"),
 		minimize:    fs.Bool("minimize", false, "delta-debug each failing schedule found by -explore"),
 		exploreOut:  fs.String("explore-out", "", "directory for failing-schedule trace files (empty: don't write)"),
-		verifyStatic: fs.Bool("verify-static", false,
-			"verify anchor-scope, lock-order, coverage, and static/dynamic conformance (all benchmarks unless -bench)"),
-		verifyConflicts: fs.Bool("verify-conflicts", false,
-			"verify lock sufficiency, lock precision, and dynamic conflict-pair containment over the static may-conflict matrix (all benchmarks unless -bench)"),
-		conflictSeeds: fs.String("conflict-seeds", "42,43,44",
-			"comma-separated workload seeds for the dynamic containment runs of -verify-conflicts"),
-		jsonOut: fs.Bool("json", false, "print verify-mode findings as stable-sorted JSON (for -verify-static / -verify-conflicts)"),
 		workers: fs.Int("workers", runtime.NumCPU(),
 			"max concurrent simulation runs in campaigns (1 = sequential; output is identical either way)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file (complete on a zero exit)"),
@@ -193,9 +175,8 @@ func defineFlags(fs *flag.FlagSet) *opts {
 // cell lowers the parsed flags to the one experiment cell the command
 // line describes. Every sub-mode starts from it: the plain run and
 // -speedup execute it as is, -explore and -chaos-campaign vary its
-// schedule or fault rate, and the -verify modes run it per benchmark with
-// their own recorder. -bench may name several benchmarks for those; the
-// cell carries the flag verbatim and benches splits it.
+// schedule or fault rate. -bench may name several benchmarks for those;
+// the cell carries the flag verbatim and benches splits it.
 func (o *opts) cell() (harness.RunConfig, error) {
 	// Replaying a trace file reproduces its run: the header supplies the
 	// benchmark, system (mode, backend, capacity), thread count, and seeds
@@ -307,10 +288,6 @@ func main() {
 		}
 	}()
 	switch {
-	case *o.verifyStatic:
-		runVerifyStatic(rc, *o.jsonOut)
-	case *o.verifyConflicts:
-		runVerifyConflicts(rc, *o.conflictSeeds, *o.jsonOut)
 	case *o.campaign:
 		runCampaign(rc, *o.rates)
 	case *o.explore:

@@ -70,7 +70,7 @@ func TestBackendFlagValidatesAtParseTime(t *testing.T) {
 }
 
 // TestSubModesStartFromTheCell: the system named on the command line
-// (-backend, -capacity) reaches the campaign's and the verify modes'
+// (-backend, -capacity) reaches the campaign's and the exploration's
 // cells, not just the plain run's — they all derive from opts.cell.
 func TestSubModesStartFromTheCell(t *testing.T) {
 	fs := flag.NewFlagSet("staggersim", flag.ContinueOnError)
@@ -89,15 +89,12 @@ func TestSubModesStartFromTheCell(t *testing.T) {
 	if got := strings.Join(cs.Benchmarks, "|"); got != "kmeans|tsp" || len(cs.Rates) != 2 {
 		t.Errorf("campaign sweeps benchmarks %q at rates %v", got, cs.Rates)
 	}
-	vc := verifyCell(base, "tsp", 200)
-	for name, rc := range map[string]harness.RunConfig{"-chaos-campaign": cs.Cell, "-verify-*": vc} {
+	ec := harness.ExploreOf(base).RunConfig()
+	for name, rc := range map[string]harness.RunConfig{"-chaos-campaign": cs.Cell, "-explore": ec} {
 		if rc.Backend != "limited" || rc.Capacity != 8 || rc.Mode != stagger.ModeStaggeredSW {
 			t.Errorf("%s runs backend %q capacity %d mode %s, want the command line's limited/8/Staggered+SW",
 				name, rc.Backend, rc.Capacity, rc.Mode)
 		}
-	}
-	if vc.Benchmark != "tsp" || vc.TotalOps != 200 {
-		t.Errorf("verify cell is %s at %d ops, want tsp at the mode's 200", vc.Benchmark, vc.TotalOps)
 	}
 }
 

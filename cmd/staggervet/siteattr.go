@@ -7,8 +7,7 @@ import (
 
 // siteattr enforces site attribution on simulated memory accesses: every
 // transactional load and store must name the static site it implements,
-// or the anchor tables, the conflicting-PC mechanism, and the
-// static/dynamic conformance checker all go blind.
+// or the anchor tables and the conflicting-PC mechanism go blind.
 //
 //   - (*stagger.TxCtx).Load/Store with a nil site panics at runtime in
 //     the best case and silently skips ALPoints in the worst; it is

@@ -87,15 +87,6 @@ type Runtime interface {
 	Thread(tid int) Thread
 }
 
-// SiteRecorder observes dynamic site attribution: every Ctx.Load or
-// Ctx.Store reports the executing atomic block, the static site the
-// workload attributed the access to, and the dynamic access kind. The
-// static/dynamic conformance checker implements this to detect IR
-// drift.
-type SiteRecorder interface {
-	RecordAccess(ab *prog.AtomicBlock, s *prog.Site, isStore bool)
-}
-
 // Options carries the backend-neutral construction parameters the
 // harness resolves from its run configuration. Backends read what they
 // understand and ignore the rest.
@@ -110,8 +101,6 @@ type Options struct {
 	// borrow only its RetryLoop() lowering to htm.AtomicOpts (budget and
 	// backoff policy).
 	StaggerConfig any
-	// SiteRecorder, when non-nil, observes every attributed access.
-	SiteRecorder SiteRecorder
 }
 
 // Info describes one registered backend.

@@ -79,8 +79,7 @@ type Runtime struct {
 	m *htm.Machine
 	// retry is the retry budget and inter-retry backoff policy, shared
 	// with the hardware retry loop (htm.Core.Atomic).
-	retry    htm.AtomicOpts
-	recorder backend.SiteRecorder
+	retry htm.AtomicOpts
 
 	// lockAddr is the commit lock: one dedicated cache line holding
 	// owner+1, acquired with a nontransactional CAS.
@@ -96,7 +95,6 @@ type Runtime struct {
 func New(m *htm.Machine, opts backend.Options) *Runtime {
 	rt := &Runtime{
 		m:        m,
-		recorder: opts.SiteRecorder,
 		lockAddr: m.Alloc.AllocLines(1),
 		threads:  make([]*Thread, m.Config().Cores),
 	}
@@ -140,7 +138,7 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 		panic("occ: thread used on wrong core")
 	}
 	tc := &th.ctx
-	tc.rt, tc.c, tc.ab = th.rt, c, ab
+	tc.rt, tc.c = th.rt, c
 	c.SetABTag(ab.ID)
 	defer c.SetABTag(0)
 	for attempt := 0; attempt < th.rt.retry.MaxRetries; attempt++ {
@@ -189,7 +187,6 @@ func (th *Thread) releaseCommitLock(c *htm.Core) {
 type Ctx struct {
 	rt *Runtime
 	c  *htm.Core
-	ab *prog.AtomicBlock
 
 	reads, writes mem.WordSet
 }
@@ -215,9 +212,6 @@ func (t *Ctx) Compute(uops int) { t.c.Compute(uops) }
 // each word. Repeated reads of a tracked word return the logged value,
 // so one attempt never observes two versions of the same word.
 func (t *Ctx) Load(s *prog.Site, a mem.Addr) uint64 {
-	if r := t.rt.recorder; r != nil {
-		r.RecordAccess(t.ab, s, false)
-	}
 	t.c.Compute(1) // read-set bookkeeping
 	word := mem.WordOf(a)
 	if v, ok := t.writes.Get(word); ok {
@@ -233,9 +227,6 @@ func (t *Ctx) Load(s *prog.Site, a mem.Addr) uint64 {
 
 // Store buffers the OCC store of site s in the write set.
 func (t *Ctx) Store(s *prog.Site, a mem.Addr, v uint64) {
-	if r := t.rt.recorder; r != nil {
-		r.RecordAccess(t.ab, s, true)
-	}
 	t.c.Compute(1) // write-buffer bookkeeping
 	t.writes.Put(mem.WordOf(a), v)
 }

@@ -38,13 +38,13 @@ const CacheSchema = 5
 // (TestRunConfigFieldsKeyedOrUncacheable): keyed fields are simulation
 // input and make up the memo key; a non-zero uncacheable field is a
 // machine/runtime override or a run-scoped side channel (trace capture,
-// fault injection, watchdogs, pick recording/replay, site recording), so
-// the run executes for real every time.
+// fault injection, watchdogs, pick recording/replay), so the run
+// executes for real every time.
 var (
 	keyed = []string{"Benchmark", "Mode", "Backend", "Capacity", "Threads", "Seed",
 		"TotalOps", "Naive", "Lazy", "Sched", "SchedSeed", "Oracle"}
 	uncacheable = []string{"TraceN", "ExtTrace", "Machine", "Stagger", "Chaos", "Watchdog",
-		"WatchdogTrace", "Record", "ReplayPicks", "SiteRecorder"}
+		"WatchdogTrace", "Record", "ReplayPicks"}
 )
 
 var (

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/prog"
 	"repro/internal/stagger"
 	"repro/internal/workloads"
 )
@@ -271,21 +270,10 @@ func TestResultsErrorOnceAndIdentical(t *testing.T) {
 	}
 }
 
-// recSink is a throwaway SiteRecorder: its presence must force a cache
-// bypass (the recorder is a run-scoped side channel).
-type recSink struct{}
-
-func (recSink) RecordAccess(*prog.AtomicBlock, *prog.Site, bool) {}
-
 // TestCacheableKeyBypasses pins which configs may never be memoized.
 func TestCacheableKeyBypasses(t *testing.T) {
 	base := RunConfig{Benchmark: "ssca2", Mode: stagger.ModeHTM, Threads: 2, Seed: 5, TotalOps: 100}
 	memoKey(t, base) // a plain config must be cacheable
-	withRec := base
-	withRec.SiteRecorder = recSink{}
-	if _, ok := cacheableKey(withRec); ok {
-		t.Fatal("SiteRecorder config must bypass the cache")
-	}
 	withWatchdog := base
 	withWatchdog.Watchdog = 1 << 20
 	if _, ok := cacheableKey(withWatchdog); ok {

@@ -110,11 +110,6 @@ type RunConfig struct {
 	// re-executed on the workload's sequential reference model, and final
 	// memory must match the shadow. Results land in Result.OracleErr.
 	Oracle bool
-
-	// SiteRecorder observes every transactional site access (the
-	// static/dynamic conformance checker of -verify-static); nil disables
-	// recording.
-	SiteRecorder backend.SiteRecorder
 }
 
 // Result is everything one run produces.
@@ -143,9 +138,8 @@ type Result struct {
 	ConfPCs   map[uint32]int
 
 	// ConfPairs is the fully attributed conflict-pair histogram: which
-	// (atomic block, site) aborted which. It is the dynamic evidence the
-	// static may-conflict matrix is checked against (`staggersim
-	// -verify-conflicts`); pairs with an unattributed side are excluded.
+	// (atomic block, site) aborted which; pairs with an unattributed side
+	// are excluded.
 	ConfPairs map[stagger.ConflictPair]int
 
 	// Trace holds recorded transaction events when TraceN > 0.
@@ -166,7 +160,7 @@ type Result struct {
 	OracleErr error
 
 	// Compiled is the compiler-pass output the run executed under, for
-	// post-run static/dynamic conformance checking.
+	// resolving site IDs after the run.
 	Compiled *anchor.Compiled
 }
 
@@ -422,7 +416,6 @@ func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 	brt, err := bk.New(mach, comp, backend.Options{
 		Capacity:      rc.Capacity,
 		StaggerConfig: scfg,
-		SiteRecorder:  rc.SiteRecorder,
 	})
 	if err != nil {
 		return nil, err

@@ -88,8 +88,7 @@ type AbortInfo struct {
 	// access to the line) and the killer core's atomic-block tag
 	// (SetABTag; 0 = outside any tagged block, e.g. runtime NT stores).
 	// Like TrueSite they are not architecturally visible; they feed the
-	// conflicting-pair histogram the static/dynamic containment check
-	// of `staggersim -verify-conflicts` consumes.
+	// conflicting-pair histogram of the metrics report.
 	KillerSite uint32
 	KillerAB   int
 }

@@ -14,8 +14,8 @@ import (
 // schedule is recorded, recorded again, and replayed from the first
 // recording's decisions, and all three runs must agree byte for byte in
 // trace and statistics. Any drift in the engine's decision points — the
-// kind that would silently break `staggersim -verify-conflicts` sweeps or
-// archived schedule files — fails here instead of in a campaign.
+// kind that would silently break archived schedule files — fails here
+// instead of in a campaign.
 func TestReplayDeterminism(t *testing.T) {
 	for _, strategy := range []string{"random", "pct:3"} {
 		for _, bench := range []string{"list-hi", "kmeans", "intruder"} {

@@ -130,9 +130,7 @@ type AddrCount struct {
 
 // PairCount is one fully attributed conflicting pair's tally: the
 // victim atomic block with its first access to the conflicting line,
-// and the killer block with the access that aborted it. These are the
-// pairs `staggersim -verify-conflicts` proves are contained in the
-// static may-conflict matrix.
+// and the killer block with the access that aborted it.
 type PairCount struct {
 	VictimAB    int    `json:"victim_ab"`
 	VictimSite  uint32 `json:"victim_site"`

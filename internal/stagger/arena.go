@@ -78,9 +78,5 @@ func newArenaRuntime(name string, m *htm.Machine, comp *anchor.Compiled, opts ba
 			name, opts.StaggerConfig)
 	}
 	cfg.Mode = ResolveMode(name, cfg.Mode)
-	rt := New(m, comp, cfg)
-	if opts.SiteRecorder != nil {
-		rt.SetSiteRecorder(opts.SiteRecorder)
-	}
-	return rt.Backend(), nil
+	return New(m, comp, cfg).Backend(), nil
 }

@@ -38,25 +38,18 @@ type Runtime struct {
 
 	// confPairs histograms fully attributed conflicts: which (block,
 	// site) aborted which (block, site). Pairs with an unattributed side
-	// (runtime lock words, NT stores) are not recorded; the static
-	// containment check of -verify-conflicts consumes this histogram.
+	// (runtime lock words, NT stores) are not recorded; the metrics
+	// report's conflicting_pairs section renders this histogram.
 	confPairs map[ConflictPair]int
 
 	// perAB aggregates policy behaviour per atomic block (diagnostics).
 	perAB map[int]*ABMetrics
-
-	// recorder observes every transactional site access (conformance
-	// checking); nil costs one branch per access.
-	recorder backend.SiteRecorder
 }
 
 // ConflictPair identifies one fully attributed conflict abort: the
 // victim atomic block with its first access to the conflicting line
 // (the machine's TrueSite ground truth), and the killer atomic block
-// with the access that performed the kill. It is the dynamic half of
-// the static may-conflict matrix (staticcheck.BuildMayConflict): every
-// observed pair must fall inside the matrix, which `staggersim
-// -verify-conflicts` asserts per workload and seed.
+// with the access that performed the kill.
 type ConflictPair struct {
 	VictimAB   int
 	VictimSite uint32
@@ -169,10 +162,6 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Compiled returns the compiler output backing this runtime (may be nil).
 func (rt *Runtime) Compiled() *anchor.Compiled { return rt.comp }
-
-// SetSiteRecorder installs a dynamic site-attribution observer. Must be
-// set before the run starts; nil disables recording.
-func (rt *Runtime) SetSiteRecorder(r backend.SiteRecorder) { rt.recorder = r }
 
 // Backend adapts the runtime to the backend.Runtime interface without
 // giving up the concrete Thread API internal callers rely on. The
@@ -350,7 +339,7 @@ func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ct
 		panic("stagger: thread used on wrong core")
 	}
 	abc := th.ctx(ab)
-	tc := &TxCtx{th: th, c: c, abc: abc, recorder: th.rt.recorder}
+	tc := &TxCtx{th: th, c: c, abc: abc}
 	if th.rt.cfg.Mode.Instrumented() {
 		tc.isALP = th.rt.comp.IsALP
 	}

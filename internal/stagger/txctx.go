@@ -1,7 +1,6 @@
 package stagger
 
 import (
-	"repro/internal/backend"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/prog"
@@ -17,10 +16,9 @@ type TxCtx struct {
 	abc *ABContext
 
 	// isALP is the compiler's ALP table indexed by site ID, nil when the
-	// mode is not instrumented; recorder is the runtime's site recorder.
-	// Load and Store test each with one field read.
-	isALP    []bool
-	recorder backend.SiteRecorder
+	// mode is not instrumented. Load and Store test it with one field
+	// read.
+	isALP []bool
 
 	// armedAnchor is this instance's pending ALP (site ID); cleared once
 	// the transaction holds its advisory lock.
@@ -47,9 +45,6 @@ func (t *TxCtx) Compute(uops int) { t.c.Compute(uops) }
 // Load performs the transactional load of site s at address a, running
 // the site's ALPoint first when the compiler instrumented it.
 func (t *TxCtx) Load(s *prog.Site, a mem.Addr) uint64 {
-	if t.recorder != nil {
-		t.recorder.RecordAccess(t.abc.ab, s, false)
-	}
 	if t.isALP != nil && t.isALP[s.ID] {
 		t.alpoint(s, a)
 	}
@@ -58,9 +53,6 @@ func (t *TxCtx) Load(s *prog.Site, a mem.Addr) uint64 {
 
 // Store performs the transactional store of site s.
 func (t *TxCtx) Store(s *prog.Site, a mem.Addr, v uint64) {
-	if t.recorder != nil {
-		t.recorder.RecordAccess(t.abc.ab, s, true)
-	}
 	if t.isALP != nil && t.isALP[s.ID] {
 		t.alpoint(s, a)
 	}

@@ -109,7 +109,7 @@ func TestNestedCallCloningVerifies(t *testing.T) {
 
 // TestNestedCallCloningNaive: the same shapes under naive
 // instrumentation (every access an ALP) must also verify — this is the
-// configuration where the lock-order check has the most occurrences to
+// configuration where the scope check has the most ALP rows to
 // get wrong.
 func TestNestedCallCloningNaive(t *testing.T) {
 	for _, build := range []func(*testing.T) *anchor.Compiled{loopPhiFixture, nestedCallFixture} {

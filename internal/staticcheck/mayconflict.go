@@ -9,9 +9,9 @@ import (
 	"repro/internal/prog"
 )
 
-// This file is the static conflict-prediction layer: checks (e) and (f).
+// This file is the static conflict-prediction layer: checks (c) and (d).
 //
-//	(e) lock-sufficiency — every pair of atomic blocks that MAY conflict
+//	(c) lock-sufficiency — every pair of atomic blocks that MAY conflict
 //	    (both reach the same global conflict class, at least one through
 //	    a store) must be coverable by a shared advisory lock: on every
 //	    path of each block that reaches a conflicting site, an
@@ -19,7 +19,7 @@ import (
 //	    means the staggering mechanism has no locking point to arm for
 //	    that conflict — its aborts are unpreventable — and is reported
 //	    with a minimal counterexample path like the anchor-scope check.
-//	(f) lock-precision — an ALP whose conflict class is never stored to
+//	(d) lock-precision — an ALP whose conflict class is never stored to
 //	    by any atomic block can only serialize provably conflict-free
 //	    (read-only) accesses: the advisory lock costs concurrency and
 //	    prevents nothing. Flagged unless waived (intentional coarsening).
@@ -27,8 +27,7 @@ import (
 // Both checks consume the may-conflict matrix (BuildMayConflict). The
 // matrix is also the static half of the conflict-containment check:
 // every dynamically observed conflicting site pair must fall inside it
-// (CheckConflictPairs), which is what `staggersim -verify-conflicts`
-// proves over all workloads and seeds.
+// (CheckConflictPairs).
 //
 // Soundness caveats, also documented in DESIGN.md:
 //
@@ -45,7 +44,7 @@ import (
 //     cross-validation tests empirically.
 
 // Check names for the conflict-prediction layer (see staticcheck.go for
-// checks (a)-(d)).
+// checks (a) and (b)).
 const (
 	CheckSufficiency = "lock-sufficiency"
 	CheckPrecision   = "lock-precision"
@@ -90,7 +89,7 @@ func classKey(ab int, n *dsa.Node) string {
 //
 // Classes start as (atomic block, DSNode) pairs and are unified four
 // ways: two blocks reaching the same static site lock the same structure
-// there (shared sites, as the lock-order check already does); each
+// there (shared sites); each
 // module global is one object in every block's universe (shared roots);
 // shape hints (prog.Module.Shapes) contribute linkage facts from outside
 // the atomic blocks; and a fixpoint closure merges the same-named field
@@ -127,7 +126,7 @@ func BuildMayConflict(c *anchor.Compiled) *MayConflict {
 	}
 
 	// Seed 1: per-block site nodes, unified across blocks via shared
-	// sites (same rule as the lock-order classes).
+	// sites.
 	siteKey := make(map[uint32]string)
 	for _, ab := range c.Mod.Atomics {
 		u := c.Unified[ab]
@@ -502,7 +501,7 @@ func (mc *MayConflict) Contains(ab1 int, s1 uint32, ab2 int, s2 uint32) (bool, s
 		mc.ClassLabel(cs1[0]))
 }
 
-// checkSufficiency is check (e). For every atomic block and every class
+// checkSufficiency is check (c). For every atomic block and every class
 // it touches that some block (possibly itself) stores to, every
 // occurrence of every site on that class must execute an
 // ALP-instrumented anchor of the same class first — the site itself, or
@@ -581,9 +580,15 @@ func conflictWitness(mc *MayConflict, root string, abID int) int {
 	return 0
 }
 
+// occurrence is one inlined appearance of a site in an atomic block's
+// call tree: the chain of call instructions leading to its function.
+type occurrence struct {
+	chain []*prog.Instr
+	site  *prog.Site
+}
+
 // accessOccurrences enumerates every inlined occurrence of every access
-// site in the atomic block's call tree (the ALP-only variant is
-// alpOccurrences in order.go).
+// site in the atomic block's call tree.
 func accessOccurrences(ab *prog.AtomicBlock) []occurrence {
 	var out []occurrence
 	var walk func(f *prog.Func, chain []*prog.Instr)
@@ -601,6 +606,85 @@ func accessOccurrences(ab *prog.AtomicBlock) []occurrence {
 	}
 	walk(ab.Root, nil)
 	return out
+}
+
+// mustPrecede reports whether occurrence o1 executes before o2 on EVERY
+// path that reaches o2. At the first differing call-chain frame, o1's
+// instruction must dominate o2's (both frames belong to the same
+// function because the shared prefix pins the same inlined context);
+// deeper frames of o1's chain must be unavoidable within their callee,
+// else entering the call does not imply reaching o1.
+func mustPrecede(o1, o2 occurrence) bool {
+	s1 := append(append([]*prog.Instr(nil), o1.chain...), o1.site.Instr)
+	s2 := append(append([]*prog.Instr(nil), o2.chain...), o2.site.Instr)
+	i := 0
+	for i < len(s1) && i < len(s2) && s1[i] == s2[i] {
+		i++
+	}
+	if i >= len(s1) || i >= len(s2) {
+		return false
+	}
+	x, y := s1[i], s2[i]
+	if x.Block.Fn != y.Block.Fn {
+		return false
+	}
+	if !prog.InstrDominates(x, y) {
+		return false
+	}
+	for k := i + 1; k < len(s1); k++ {
+		if !alwaysExecutes(s1[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// alwaysExecutes reports whether in runs on every invocation of its
+// function: its block dominates every sink (no-successor) block, so all
+// terminating paths pass through it.
+func alwaysExecutes(in *prog.Instr) bool {
+	f := in.Block.Fn
+	sinks := 0
+	for _, b := range f.Blocks {
+		if len(b.Succs) != 0 {
+			continue
+		}
+		sinks++
+		if !in.Block.Dominates(b) {
+			return false
+		}
+	}
+	// A function with no sink block never returns; only its entry block
+	// is certain to run.
+	return sinks > 0 || in.Block == f.Entry()
+}
+
+// unionFind over string keys.
+type unionFind struct{ parent map[string]string }
+
+func newUnionFind() *unionFind { return &unionFind{parent: make(map[string]string)} }
+
+func (u *unionFind) find(k string) string {
+	p, ok := u.parent[k]
+	if !ok || p == k {
+		return k
+	}
+	root := u.find(p)
+	u.parent[k] = root
+	return root
+}
+
+// union merges two classes; the lexicographically smaller root wins so
+// class identity is deterministic.
+func (u *unionFind) union(a, b string) {
+	ra, rb := u.find(a), u.find(b)
+	if ra == rb {
+		return
+	}
+	if rb < ra {
+		ra, rb = rb, ra
+	}
+	u.parent[rb] = ra
 }
 
 // coverCounterexample builds the minimal counterexample path for a
@@ -652,7 +736,7 @@ func shortestPathTo(f *prog.Func, target *prog.Block) []string {
 	return nil
 }
 
-// checkPrecision is check (f): every ALP anchor whose class is never
+// checkPrecision is check (d): every ALP anchor whose class is never
 // stored to by any atomic block is flagged — its advisory lock can only
 // serialize read-only accesses, which HTM runs conflict-free anyway.
 // Waivers (site ID -> reason) absorb intentional coarsening; a waiver
@@ -694,7 +778,7 @@ func checkPrecision(c *anchor.Compiled, mc *MayConflict, waivers map[uint32]stri
 	return out
 }
 
-// VerifyConflicts runs the conflict-prediction checks (e) and (f) over
+// VerifyConflicts runs the conflict-prediction checks (c) and (d) over
 // one compiled module: lock sufficiency for every may-conflicting pair,
 // and lock precision against the waiver set (site ID -> reason).
 // Violations come back in deterministic order; the matrix is returned
@@ -718,10 +802,9 @@ type DynPair struct {
 	KillerSite uint32
 }
 
-// CheckConflictPairs is the static/dynamic containment check behind
-// `staggersim -verify-conflicts`: every dynamically observed
-// conflicting site pair must fall inside the static may-conflict
-// matrix. A violation means the matrix is unsound for this module —
+// CheckConflictPairs is the static/dynamic containment check: every
+// dynamically observed conflicting site pair must fall inside the
+// static may-conflict matrix. A violation means the matrix is unsound for this module —
 // the class unification or write-set inference missed something the
 // hardware then observed for real.
 func CheckConflictPairs(mc *MayConflict, pairs []DynPair) []Violation {

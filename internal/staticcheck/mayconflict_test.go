@@ -9,8 +9,8 @@ import (
 	"repro/internal/staticcheck"
 )
 
-// compileM finalizes the module and runs the anchor pass, the way
-// staggersim -verify-conflicts does before building the matrix.
+// compileM finalizes the module and runs the anchor pass the matrix is
+// built over.
 func compileM(t *testing.T, m *prog.Module) *anchor.Compiled {
 	t.Helper()
 	m.MustFinalize()

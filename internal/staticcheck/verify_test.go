@@ -154,65 +154,6 @@ func TestSelfParentRejected(t *testing.T) {
 	}
 }
 
-// TestLockOrderCycleRejected builds two atomic blocks that acquire two
-// advisory locks in opposite orders through shared callees — the classic
-// deadlock shape check (b) exists for.
-func TestLockOrderCycleRejected(t *testing.T) {
-	m := prog.NewModule("cycle")
-	fa := m.NewFunc("touch_a", "p")
-	fa.Entry().Load(fa.Param(0), "x")
-	fb := m.NewFunc("touch_b", "q")
-	fb.Entry().Load(fb.Param(0), "y")
-
-	r1 := m.NewFunc("ab1_root", "a", "b")
-	r1.Entry().Call(fa, r1.Param(0))
-	r1.Entry().Call(fb, r1.Param(1))
-	r2 := m.NewFunc("ab2_root", "a", "b")
-	r2.Entry().Call(fb, r2.Param(1))
-	r2.Entry().Call(fa, r2.Param(0))
-	m.Atomic("ab1", r1)
-	m.Atomic("ab2", r2)
-	m.MustFinalize()
-
-	c := anchor.Compile(m, anchor.DefaultOptions())
-	vs := staticcheck.Verify(c)
-	var cyc *staticcheck.Violation
-	for i := range vs {
-		if vs[i].Check == staticcheck.CheckLockOrder {
-			cyc = &vs[i]
-		}
-	}
-	if cyc == nil {
-		t.Fatalf("opposite acquisition orders not rejected: %v", vs)
-	}
-	if len(cyc.Path) != 2 {
-		t.Fatalf("want a 2-edge cycle counterexample, got %v", cyc.Path)
-	}
-}
-
-// TestLockOrderConsistentAccepted is the positive twin: both blocks
-// acquire in the same order, so a topological order exists.
-func TestLockOrderConsistentAccepted(t *testing.T) {
-	m := prog.NewModule("consistent")
-	fa := m.NewFunc("touch_a", "p")
-	fa.Entry().Load(fa.Param(0), "x")
-	fb := m.NewFunc("touch_b", "q")
-	fb.Entry().Load(fb.Param(0), "y")
-	r1 := m.NewFunc("ab1_root", "a", "b")
-	r1.Entry().Call(fa, r1.Param(0))
-	r1.Entry().Call(fb, r1.Param(1))
-	r2 := m.NewFunc("ab2_root", "a", "b")
-	r2.Entry().Call(fa, r2.Param(0))
-	r2.Entry().Call(fb, r2.Param(1))
-	m.Atomic("ab1", r1)
-	m.Atomic("ab2", r2)
-	m.MustFinalize()
-	c := anchor.Compile(m, anchor.DefaultOptions())
-	if vs := staticcheck.Verify(c); len(vs) != 0 {
-		t.Fatalf("consistent order wrongly rejected: %v", vs)
-	}
-}
-
 func TestViolationString(t *testing.T) {
 	v := staticcheck.Violation{Check: staticcheck.CheckScope, AB: 2, Site: 7,
 		Msg: "boom", Path: []string{"entry", "left"}}
