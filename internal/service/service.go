@@ -537,8 +537,8 @@ func (s *Server) retire(j *Job, from, to, errMsg string) bool {
 		return false // a queued cancel that lost the race with a worker, say
 	}
 	j.state, j.err, j.finished = to, errMsg, time.Now()
-	close(j.done)
-	j.mu.Unlock()
+	// Count before releasing the waiters: one that wakes and reads
+	// Metrics must already see this job.
 	switch to {
 	case JobDone:
 		s.doneCnt.Add(1)
@@ -547,6 +547,8 @@ func (s *Server) retire(j *Job, from, to, errMsg string) bool {
 	case JobCanceled:
 		s.cancCnt.Add(1)
 	}
+	close(j.done)
+	j.mu.Unlock()
 	s.journalState(to, j.id, errMsg)
 
 	s.jobsMu.Lock()
