@@ -203,9 +203,6 @@ func (g *Graph) Covers(s *prog.Site) bool {
 	return ok
 }
 
-// ValueNode returns the target node of a pointer value.
-func (g *Graph) ValueNode(v *prog.Value) *Node { return g.a.nodeOf(v) }
-
 // Nodes returns the canonical nodes of all analyzed sites, deduplicated,
 // in deterministic order.
 func (g *Graph) Nodes() []*Node {

@@ -92,13 +92,6 @@ func (n *Node) FieldTarget(field string) *Node {
 	return t
 }
 
-// Fields returns the node's outgoing field-edge names in sorted order,
-// so cross-universe analyses (the global conflict-class closure of
-// package staticcheck) can walk matching field paths deterministically.
-func (n *Node) Fields() []string {
-	return sortedFields(n.find().fields)
-}
-
 // Edges returns the canonical outgoing targets of n, deduplicated, in
 // deterministic (id) order.
 func (n *Node) Edges() []*Node {

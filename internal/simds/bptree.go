@@ -90,8 +90,7 @@ func DeclareBPTree(m *prog.Module) *BPTree {
 		t.sInStoreNext = exit.Store(lv, "next")
 		// Split propagation writes internal nodes through their own
 		// sites: reusing the leaf-store sites for writeInternal would
-		// attribute inner-node stores to the leaf DSNode — the
-		// conflict-containment check caught exactly that mismatch.
+		// attribute inner-node stores to the leaf DSNode.
 		t.sInStoreIntKey = exit.Store(cur, "key")
 		t.sInStoreChild = exit.Store(cur, "child")
 		t.sInStoreIntN = exit.Store(cur, "n")
@@ -123,36 +122,6 @@ func DeclareBPTree(m *prog.Module) *BPTree {
 		t.sPpStoreN = exit.Store(lv, "n")
 	}
 	return t
-}
-
-// DeclareShape registers the tree's steady-state linkage invariants as a
-// shape hint for the may-conflict matrix. tree is the module global
-// holding the tree. The atomic-block IR above deliberately keeps inner
-// nodes and leaves as distinct DSNodes (the leaf anchor depends on it),
-// but the runtime links one leaf population into BOTH the inner nodes'
-// leafchild slots and the headleaf/next chain — facts induced by
-// NewBPTree and the split re-linking, which live outside the blocks.
-// Whole-program DSA would recover them from the constructor's stores;
-// the hint states them directly:
-//
-//	tree.root      -> inner   (steady state: the tree is seeded before
-//	                           threads run, so height >= 1 whenever a
-//	                           transaction executes)
-//	inner.child    -> inner
-//	inner.leafchild-> leaf
-//	tree.headleaf  -> leaf    (the chain head is one of those leaves)
-//	leaf.next      -> leaf
-func (t *BPTree) DeclareShape(m *prog.Module, tree *prog.Value) {
-	f := m.NewFunc("bpt_shape")
-	b := f.Entry()
-	inner := b.Alloc("inner")
-	leaf := b.Alloc("leaf")
-	b.StorePtr(tree, "root", inner)
-	b.StorePtr(inner, "child", inner)
-	b.StorePtr(inner, "leafchild", leaf)
-	b.StorePtr(tree, "headleaf", leaf)
-	b.StorePtr(leaf, "next", leaf)
-	m.MarkShape(f)
 }
 
 // NewBPTree allocates an empty tree: header plus one empty root leaf.

@@ -37,8 +37,7 @@ const (
 // Violation is one verification failure, locatable by atomic block and
 // site ID, with an optional minimal counterexample path.
 type Violation struct {
-	// Check is the failed check (CheckScope, CheckCoverage, or one of
-	// the conflict-prediction checks).
+	// Check is the failed check (CheckScope or CheckCoverage).
 	Check string
 	// AB is the atomic block ID (1-based; 0 = module-level).
 	AB int
