@@ -433,7 +433,13 @@ func (j *Job) markRunning() bool {
 func (j *Job) setCancel(c context.CancelFunc) {
 	j.mu.Lock()
 	j.cancel = c
+	// A CancelJob that saw JobRunning before c existed had nothing to
+	// call; it is honoured here.
+	canceled := j.cancelRequested.Load()
 	j.mu.Unlock()
+	if canceled {
+		c()
+	}
 }
 
 func (j *Job) setResults(payloads [][]byte, fromStore int) {
