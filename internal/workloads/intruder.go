@@ -35,9 +35,8 @@ func buildIntruder() *Workload {
 	ht := simds.DeclareHashTable(mod)
 
 	// The three shared structures are module globals bound into the
-	// blocks' root calls: the producer's queue-push classes and the
-	// consumer's queue-pop classes unify through gResultQ exactly as the
-	// runtime aliases them through resultQ.
+	// blocks' root calls, as producer and consumer share resultQ at run
+	// time.
 	gPacketQ := mod.Global("packetQ")
 	gResultQ := mod.Global("resultQ")
 	gFragMap := mod.Global("fragMap")

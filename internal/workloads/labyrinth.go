@@ -28,9 +28,8 @@ func init() { register("labyrinth", labRoutes, buildLabyrinth) }
 func buildLabyrinth() *Workload {
 	mod := prog.NewModule("labyrinth")
 	g := simds.DeclareGrid(mod, labX, labY, labZ)
-	// The grid is a module global bound into both blocks' root calls, so
-	// claim's and release's cell classes unify statically the way the
-	// runtime aliases them through the one shared grid.
+	// The grid is a module global bound into both blocks' root calls, as
+	// claim and release share the one grid at run time.
 	gGrid := mod.Global("grid")
 	root := mod.NewFunc("route_path", "gridPtr")
 	root.Entry().Call(g.FnClaim, gGrid)

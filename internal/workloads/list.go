@@ -30,8 +30,7 @@ func buildList(name string, lookupPct, insertPct int) *Workload {
 	mod := prog.NewModule(name)
 	l := simds.DeclareSortedList(mod)
 	// The shared list is a module global bound into every atomic block's
-	// root call: the static conflict classes of the four blocks unify
-	// through it exactly as the runtime aliases them through `list`.
+	// root call, as the four blocks share `list` at run time.
 	gList := mod.Global("list")
 	abLookup := atomicWrap(mod, "lookup", l.FnLookup, gList)
 	abInsert := atomicWrap(mod, "insert", l.FnInsert, gList)

@@ -38,8 +38,7 @@ func buildMemcached() *Workload {
 	sb := simds.DeclareStats(mod)
 
 	// The item table and stats block are module globals bound into both
-	// roots: GET's and SET's chain classes unify statically the way the
-	// runtime aliases them through the one shared table.
+	// roots, as GET and SET share them at run time.
 	gHT := mod.Global("itemTable")
 	gStats := mod.Global("stats")
 
