@@ -33,8 +33,11 @@ vet: ## gofmt + go vet + staggervet analyzers (any finding fails)
 build: ## go build ./...
 	$(GO) build ./...
 
-test: ## go test ./...
+# test also runs every BenchmarkHot* kernel once, so a kernel whose
+# self-check fails (or that no longer builds) fails the suite.
+test: ## go test ./... plus one pass of the htm hot-path kernels
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench BenchmarkHot -benchtime 1x ./internal/htm
 
 # daemon-smoke boots the real staggerd on a kernel-assigned port with a
 # throwaway store, drives one paper-table job through the HTTP lifecycle

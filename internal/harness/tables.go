@@ -126,7 +126,7 @@ func Table2() string {
 	c := htm.DefaultConfig()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 2: Configuration of the HTM simulator\n")
-	fmt.Fprintf(&b, "CPU cores     %d cores, %d-wide issue, virtual-time lock-step\n", c.Cores, c.IssueWidth)
+	fmt.Fprintf(&b, "CPU cores     %d cores, %d-wide issue, virtual-time lock-step\n", c.Cores, htm.IssueWidth)
 	fmt.Fprintf(&b, "L1 cache      %d lines x 64B, %d-way, %d-cycle\n", c.L1Lines, c.L1Ways, c.L1Lat)
 	fmt.Fprintf(&b, "L2 cache      private presence model, %d-cycle\n", c.L2Lat)
 	fmt.Fprintf(&b, "L3 cache      shared presence model, %d-cycle\n", c.L3Lat)

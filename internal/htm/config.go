@@ -26,6 +26,11 @@
 // once for Core.Atomic and for them.
 package htm
 
+// IssueWidth is the compute µ-ops a core retires per cycle (paper:
+// 4-wide). It is a constant, not a Config field, so Core.Compute's
+// rounding divide compiles to a shift.
+const IssueWidth = 4
+
 // Config describes the simulated machine. The zero value is not useful;
 // start from DefaultConfig.
 type Config struct {
@@ -55,9 +60,6 @@ type Config struct {
 	// speculate and commit instructions.
 	TxBeginCost  uint64
 	TxCommitCost uint64
-
-	// IssueWidth converts compute µ-ops to cycles (paper: 4-wide).
-	IssueWidth int
 
 	// PCTagBits is the width of the per-line conflicting-PC tag
 	// (paper: 12). Truncation can alias distinct instructions, which is
@@ -122,7 +124,6 @@ func DefaultConfig() Config {
 		MemOccupancy: 24,
 		TxBeginCost:  8,
 		TxCommitCost: 16,
-		IssueWidth:   4,
 		PCTagBits:    12,
 		HardwareCPC:  true,
 		Seed:         1,
@@ -137,8 +138,6 @@ func (c *Config) validate() {
 		panic("htm: Cores must be in 1..32")
 	case c.L1Lines <= 0 || c.L1Ways <= 0 || c.L1Lines%c.L1Ways != 0:
 		panic("htm: L1Lines must be a positive multiple of L1Ways")
-	case c.IssueWidth <= 0:
-		panic("htm: IssueWidth must be positive")
 	case c.PCTagBits <= 0 || c.PCTagBits > 16:
 		panic("htm: PCTagBits must be in 1..16")
 	case c.MemChannels <= 0:

@@ -254,6 +254,41 @@ func TestEngineStatsCountTheSchedule(t *testing.T) {
 	}
 }
 
+// TestEngineStatsCountShortcuts pins Shortcuts on a fixed one-core
+// sequence: a Load's memo serves the next Load and NTLoad of its line,
+// an NTLoad's only the next NTLoad, and a Store or TxBegin drops it. The
+// simulated counters do not see the difference: every shortcut is an
+// L1 hit.
+func TestEngineStatsCountShortcuts(t *testing.T) {
+	m := New(smallConfig(1))
+	a := m.Alloc.AllocLines(1)
+	b := m.Alloc.AllocLines(1)
+	m.Run([]func(*Core){func(c *Core) {
+		c.Load(0x10, 1, a)
+		c.Load(0x10, 1, a) // 1
+		c.NTLoad(a)        // 2
+		c.Load(0x10, 1, a) // 3: the NTLoad left the Load's memo standing
+		c.NTLoad(b)
+		c.Load(0x20, 2, b) // an NTLoad's memo does not serve a Load
+		c.Load(0x20, 2, b) // 4
+		c.Store(0x30, 3, b, 1)
+		c.Load(0x20, 2, b)
+		c.NTLoad(b) // 5
+		c.TxBegin()
+		c.Load(0x40, 4, b)
+		c.Load(0x40, 4, b) // 6
+		c.TxCommit()
+		c.Load(0x20, 2, b) // 7: the transaction's memo outlives its commit
+	}})
+	s := m.Stats()
+	if s.Engine.Shortcuts != 7 {
+		t.Fatalf("shortcuts = %d, want 7 (engine %+v)", s.Engine.Shortcuts, s.Engine)
+	}
+	if s.L1Hits != 11 || s.Loads+s.NTLoads+s.Stores != 13 {
+		t.Fatalf("L1 hits %d of %d accesses, want 11 of 13", s.L1Hits, s.Loads+s.NTLoads+s.Stores)
+	}
+}
+
 // exitCores is the width of the exit-path shape: core i alternates a
 // compute burst of its own length with a pure synchronisation point for
 // its own number of rounds, so the bodies return one by one at scattered
@@ -265,9 +300,8 @@ const exitCores = 16
 func exitRounds(i int) int { return 6 + 5*i }
 func exitBurst(i int) int  { return 4 * (1 + i*7%5) }
 
-func exitClock(cfg Config, i int) uint64 {
-	w := uint64(cfg.IssueWidth)
-	return uint64(exitRounds(i)) * ((uint64(exitBurst(i)) + w - 1) / w)
+func exitClock(i int) uint64 {
+	return uint64(exitRounds(i)) * ((uint64(exitBurst(i)) + IssueWidth - 1) / IssueWidth)
 }
 
 func exitBodies() []func(*Core) {
@@ -313,7 +347,7 @@ func TestEngineExitWakesNonGrantee(t *testing.T) {
 				sched, r, s.Engine, exitCores-1)
 		}
 		for i, cs := range s.PerCore {
-			if want := exitClock(cfg, i); cs.FinalClock != want {
+			if want := exitClock(i); cs.FinalClock != want {
 				t.Fatalf("sched %T: core %d finished at %d, want %d", sched, i, cs.FinalClock, want)
 			}
 		}

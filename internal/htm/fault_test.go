@@ -172,8 +172,8 @@ func TestWatchdogTripsOnComputeLoop(t *testing.T) {
 		t.Fatalf("%d cores: err = %v, want core 9's *WatchdogError", exitCores, err)
 	}
 	for i, cs := range m.Stats().PerCore {
-		if i != 9 && cs.FinalClock != exitClock(cfg, i) {
-			t.Fatalf("core %d finished at %d, want %d", i, cs.FinalClock, exitClock(cfg, i))
+		if i != 9 && cs.FinalClock != exitClock(i) {
+			t.Fatalf("core %d finished at %d, want %d", i, cs.FinalClock, exitClock(i))
 		}
 	}
 }

@@ -543,7 +543,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Cores = 0 },
 		func(c *Config) { c.Cores = 64 },
 		func(c *Config) { c.L1Lines = 10; c.L1Ways = 4 },
-		func(c *Config) { c.IssueWidth = 0 },
 		func(c *Config) { c.PCTagBits = 0 },
 		func(c *Config) { c.HeapBase = 3 },
 	}

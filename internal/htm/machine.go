@@ -207,6 +207,9 @@ func (m *Machine) Stats() Stats {
 	if e := m.eng; e != nil {
 		s.Engine = e.counts
 		s.Engine.Keeps = e.counts.Syncs - e.counts.Handoffs
+		for _, c := range m.cores {
+			s.Engine.Shortcuts += c.memoHits
+		}
 	}
 	return s
 }

@@ -91,7 +91,8 @@ func (s *CoreStats) TotalAborts() uint64 {
 }
 
 // EngineStats counts what scheduling one run cost the host: how often
-// the engine was consulted and how often that moved the token. The
+// the engine was consulted, how often that moved the token, and how many
+// accesses the token's staying put let skip the memory model. The
 // counts are a function of (config, seed) like everything else, but they
 // describe the engine, not the simulated machine — the same schedule
 // decided through a Scheduler counts differently — so they stay out of
@@ -104,6 +105,9 @@ type EngineStats struct {
 	// the run loop's first grant, one per body exit, and one per exit
 	// whose woken participant had to pass the token on to the grantee.
 	Switches uint64
+	// Shortcuts is the Loads and NTLoads a core's last-line memo served
+	// without probing the directory, its speculative set or its L1.
+	Shortcuts uint64
 }
 
 // Stats is the machine-wide aggregate of all core stats.

@@ -90,6 +90,7 @@ func (c *Core) ReportAtomic(irrevocable bool, reads, writes []mem.Word) {
 // observer: callers report it atomically via ReportAtomic instead, so
 // the commit appears exactly once in the observer stream.
 func (c *Core) NTStoreBatch(words []mem.Word) {
+	c.memo = 0
 	c.event()
 	c.ntFaultDelay()
 	for _, w := range words {
