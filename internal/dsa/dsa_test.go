@@ -213,14 +213,16 @@ func TestUnifyHandlesCyclicFields(t *testing.T) {
 	}
 }
 
+// TestNodeLabelsDeterministic compares many analyses, not two: a label
+// built in map order matches another by chance often enough that one
+// comparison lets the defect through.
 func TestNodeLabelsDeterministic(t *testing.T) {
 	m, s35, _ := buildListTraversal(t)
-	g1 := AnalyzeFunc(m.FuncByName("TMlist_find"))
-	l1 := g1.NodeOf(s35).Label()
-	g2 := AnalyzeFunc(m.FuncByName("TMlist_find"))
-	l2 := g2.NodeOf(s35).Label()
-	if l1 != l2 {
-		t.Fatalf("labels differ across runs: %q vs %q", l1, l2)
+	l1 := AnalyzeFunc(m.FuncByName("TMlist_find")).NodeOf(s35).Label()
+	for i := 0; i < 20; i++ {
+		if l2 := AnalyzeFunc(m.FuncByName("TMlist_find")).NodeOf(s35).Label(); l1 != l2 {
+			t.Fatalf("labels differ across runs: %q vs %q", l1, l2)
+		}
 	}
 }
 
