@@ -21,44 +21,61 @@ import (
 // TestReplayFidelity: a recorded adversarial run must replay
 // bit-identically — same aggregate and per-core statistics (including
 // per-cause abort counts) and the same transaction event trace (commit
-// order), for both scheduler strategies across several workloads.
+// order), for both scheduler strategies across several workloads, in HTM
+// and staggered mode. Recording again, and recording while replaying,
+// must yield the recording's pick sequence decision for decision: the
+// engine consults the scheduler at identical decision points. Any drift
+// there, the kind that silently breaks archived schedule files, fails here
+// instead of in a campaign.
 func TestReplayFidelity(t *testing.T) {
 	benches := []string{"list-hi", "kmeans", "intruder", "memcached"}
 	for _, spec := range []string{"random", "pct:3"} {
 		for _, bench := range benches {
 			t.Run(spec+"/"+bench, func(t *testing.T) {
-				rc := RunConfig{
-					Benchmark: bench,
-					Mode:      stagger.ModeStaggeredHW,
-					Threads:   4,
-					Seed:      11,
-					TotalOps:  240,
-					TraceN:    2048,
-					Sched:     spec,
-					SchedSeed: 1234,
-					Record:    true,
-				}
-				rec, err := Run(rc)
-				if err != nil {
-					t.Fatalf("record run: %v", err)
-				}
-				if len(rec.SchedPicks) == 0 {
-					t.Fatalf("scheduler made no decisions; exploration is a no-op")
-				}
-
-				rp := rc
-				rp.Record = false
-				rp.ReplayPicks = rec.SchedPicks
-				rep, err := Run(rp)
-				if err != nil {
-					t.Fatalf("replay run: %v", err)
-				}
-				if !reflect.DeepEqual(rec.Stats, rep.Stats) {
-					t.Errorf("replay stats diverge:\nrecorded: %+v\nreplayed: %+v", rec.Stats, rep.Stats)
-				}
-				if !reflect.DeepEqual(rec.Trace, rep.Trace) {
-					t.Errorf("replay event trace diverges (%d vs %d events)",
-						len(rec.Trace), len(rep.Trace))
+				for _, mode := range []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW} {
+					t.Run(mode.String(), func(t *testing.T) {
+						rc := RunConfig{
+							Benchmark: bench,
+							Mode:      mode,
+							Threads:   4,
+							Seed:      11,
+							TotalOps:  240,
+							TraceN:    -1,
+							Sched:     spec,
+							SchedSeed: 1234,
+							Record:    true,
+						}
+						rec, err := Run(rc)
+						if err != nil {
+							t.Fatalf("record run: %v", err)
+						}
+						if len(rec.SchedPicks) == 0 {
+							t.Fatalf("scheduler made no decisions; exploration is a no-op")
+						}
+						replay := rc
+						replay.Record = false
+						replay.ReplayPicks = rec.SchedPicks
+						rerecord := replay
+						rerecord.Record = true
+						for _, run := range []struct {
+							name string
+							rc   RunConfig
+						}{{"second recording", rc}, {"replay", replay}, {"recording of the replay", rerecord}} {
+							res, err := Run(run.rc)
+							if err != nil {
+								t.Fatalf("%s: %v", run.name, err)
+							}
+							if !reflect.DeepEqual(res.Stats, rec.Stats) {
+								t.Errorf("%s stats diverge:\nrecorded: %+v\n     got: %+v", run.name, rec.Stats, res.Stats)
+							}
+							if !reflect.DeepEqual(res.Trace, rec.Trace) {
+								t.Errorf("%s event trace diverges (%d vs %d events)", run.name, len(rec.Trace), len(res.Trace))
+							}
+							if run.rc.Record && !slices.Equal(res.SchedPicks, rec.SchedPicks) {
+								t.Errorf("%s picks diverge: %d picks, recording %d", run.name, len(res.SchedPicks), len(rec.SchedPicks))
+							}
+						}
+					})
 				}
 			})
 		}

@@ -62,7 +62,7 @@ func TestPreparedCellMatchesFreshRun(t *testing.T) {
 				// The replayed sequences are the ones the PCT schedules record.
 				var recorded [schedules][]uint32
 				for _, kind := range []string{"pct:3", "random", "replay"} {
-					onPrepared := harness.NewPreparedRunner()
+					onPrepared, _ := harness.NewPreparedRunner()
 					for i := 0; i < schedules; i++ {
 						rc := base
 						if kind == "replay" {

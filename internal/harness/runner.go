@@ -276,18 +276,6 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 	return new(prepared).run(ctx, rc)
 }
 
-// RunWithMemory is Run that also returns the machine's memory as the run
-// left it. It is a hook for the corpus tests of internal/htm/equivalence,
-// which pin every word a cell writes; nothing else should need it.
-func RunWithMemory(rc RunConfig) (*Result, *mem.Memory, error) {
-	p := new(prepared)
-	res, err := p.run(context.Background(), rc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, p.mach.Mem, nil
-}
-
 // prepared is what the runs of one cell can share when only the schedule
 // varies between them: the built workload, its compiled anchors, one
 // machine, the recorder's pick buffer and the oracle's shadow memory.

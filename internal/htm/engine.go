@@ -65,8 +65,8 @@ import (
 // schedule replays bit-identically. A scheduler that always picks the
 // smallest clock (as an exhausted replay does) spells the default rule
 // through next's candidate scan instead of keep; the two agree on every
-// program that makes no SchedPoint calls (internal/htm/equivalence and
-// FuzzEngineHandoff check it).
+// program that makes no SchedPoint calls (the corpus rows of
+// internal/harness's TestFingerprints and FuzzEngineHandoff check it).
 type coopEngine struct {
 	// key[i] is core i's packed scheduling key (see above).
 	key     []uint64
