@@ -31,7 +31,17 @@ func newT(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	// Close with a bounded wait: a clean drain takes milliseconds, and a
+	// drain step that never returns must fail the test, not hang it until
+	// go test's timeout.
+	t.Cleanup(func() {
+		s.BeginDrain()
+		select {
+		case <-s.Drained():
+		case <-time.After(20 * time.Second):
+			t.Error("server did not drain within 20s of Close: a drain step never returns")
+		}
+	})
 	return s
 }
 
