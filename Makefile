@@ -19,11 +19,8 @@ help:
 ci: vet build test explore-smoke race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
 
 # vet layers three static gates: formatting, the standard go vet, and
-# the repo's own staggervet analyzers (determinism, ntstore, siteattr,
-# errshadow, fsyncpath, ctxdone), self-hosted over the whole
-# tree. Any finding exits nonzero and fails the build; an accepted one is
-# waived in place with //staggervet:allow, and a stale waiver is a
-# finding too.
+# the repo's own staggervet analyzers (errshadow, fsyncpath), run over
+# the whole tree. Any finding exits nonzero and fails the build.
 vet: ## gofmt + go vet + staggervet analyzers (any finding fails)
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi

@@ -11,12 +11,11 @@ import (
 
 // The staggervet mini-framework. golang.org/x/tools is not vendored, so
 // this is a stdlib-only reimplementation of the slice of analysis.Pass
-// the three analyzers need: typed ASTs in, position-tagged diagnostics
-// out, with //staggervet:allow suppression comments honored.
+// the analyzers need: typed ASTs in, position-tagged diagnostics out.
 
 // Analyzer is one named check over a type-checked package.
 type Analyzer struct {
-	Name string // suppression key and diagnostic tag
+	Name string // diagnostic tag
 	Doc  string
 	Run  func(*Pass)
 }
@@ -27,7 +26,6 @@ type Pass struct {
 	Fset     *token.FileSet
 	Files    []*ast.File
 	PkgPath  string
-	Pkg      *types.Package
 	Info     *types.Info
 
 	diags *[]Diagnostic
@@ -53,79 +51,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Msg)
 }
 
-// allowDirective is one parsed //staggervet:allow comment. A directive
-// names exactly one analyzer and suppresses that analyzer's diagnostics
-// on its own line and the line directly below (so it can sit above the
-// flagged statement). A directive that suppresses nothing is itself a
-// finding — waivers must not outlive the code they excuse.
-type allowDirective struct {
-	pos  token.Position
-	name string // analyzer the waiver anchors to
-	bad  string // non-empty: malformed/unknown, with the reason
-	used bool
-}
-
-const allowMarker = "staggervet:allow"
-
-// collectAllows parses a file's //staggervet:allow directives. The
-// marker must be followed by whitespace and a known analyzer name:
-// run-on forms like //staggervet:allowdeterminism and bare or unknown
-// names are reported instead of silently (mis)matching.
-func collectAllows(fset *token.FileSet, f *ast.File, known map[string]bool, into []*allowDirective) []*allowDirective {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if !strings.HasPrefix(text, allowMarker) {
-				continue
-			}
-			d := &allowDirective{pos: fset.Position(c.Pos())}
-			rest := text[len(allowMarker):]
-			switch fields := strings.Fields(rest); {
-			case rest != "" && rest[0] != ' ' && rest[0] != '\t':
-				d.bad = fmt.Sprintf("malformed directive %q: the analyzer name must be separated from %s by a space", "//"+text, allowMarker)
-			case len(fields) == 0:
-				d.bad = fmt.Sprintf("%s needs an analyzer name: blanket waivers are not allowed", allowMarker)
-			case !known[fields[0]]:
-				d.bad = fmt.Sprintf("%s names unknown analyzer %q", allowMarker, fields[0])
-			default:
-				d.name = fields[0]
-			}
-			into = append(into, d)
-		}
-	}
-	return into
-}
-
-// suppressedBy marks and returns the directive covering d, if any.
-func suppressedBy(allows []*allowDirective, d Diagnostic) *allowDirective {
-	for _, a := range allows {
-		if a.bad != "" || a.name != d.Analyzer || a.pos.Filename != d.Pos.Filename {
-			continue
-		}
-		if d.Pos.Line == a.pos.Line || d.Pos.Line == a.pos.Line+1 {
-			a.used = true
-			return a
-		}
-	}
-	return nil
-}
-
-// waiverAnalyzerName tags diagnostics about the waivers themselves:
-// malformed directives and waivers that no longer suppress anything.
-const waiverAnalyzerName = "waiver"
-
 // runAnalyzers applies every analyzer to one loaded package and returns
-// the unsuppressed diagnostics, plus a diagnostic for every waiver that
-// is malformed or matched nothing.
+// its diagnostics sorted by position.
 func runAnalyzers(analyzers []*Analyzer, p *pkgInfo) []Diagnostic {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	var allows []*allowDirective
-	for _, f := range p.files {
-		allows = collectAllows(p.fset, f, known, allows)
-	}
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -133,29 +61,13 @@ func runAnalyzers(analyzers []*Analyzer, p *pkgInfo) []Diagnostic {
 			Fset:     p.fset,
 			Files:    p.files,
 			PkgPath:  p.path,
-			Pkg:      p.pkg,
 			Info:     p.info,
 			diags:    &diags,
 		}
 		a.Run(pass)
 	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if suppressedBy(allows, d) == nil {
-			kept = append(kept, d)
-		}
-	}
-	for _, a := range allows {
-		switch {
-		case a.bad != "":
-			kept = append(kept, Diagnostic{Pos: a.pos, Analyzer: waiverAnalyzerName, Msg: a.bad})
-		case !a.used:
-			kept = append(kept, Diagnostic{Pos: a.pos, Analyzer: waiverAnalyzerName,
-				Msg: fmt.Sprintf("unused %s %s waiver: no %s finding on this or the next line — remove it", allowMarker, a.name, a.name)})
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i], kept[j]
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -164,5 +76,41 @@ func runAnalyzers(analyzers []*Analyzer, p *pkgInfo) []Diagnostic {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return kept
+	return diags
+}
+
+// pkgRel strips the module prefix from an import path so scope tables
+// can name packages module-independently ("internal/store").
+func pkgRel(path string) string {
+	for _, marker := range []string{"internal/", "cmd/"} {
+		if strings.HasPrefix(path, marker) {
+			return path
+		}
+		if i := strings.Index(path, "/"+marker); i >= 0 {
+			return path[i+1:]
+		}
+	}
+	return path
+}
+
+// methodOn resolves sel as a method of the named type pkgRel.typeName
+// (value or pointer receiver) and returns the method object, else nil.
+func methodOn(pass *Pass, sel *ast.SelectorExpr, pkg, typeName string) types.Object {
+	s, ok := pass.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal && s.Kind() != types.MethodExpr {
+		return nil
+	}
+	obj := s.Obj()
+	if obj.Pkg() == nil || pkgRel(obj.Pkg().Path()) != pkg {
+		return nil
+	}
+	recv := s.Recv()
+	if p, isPtr := recv.(*types.Pointer); isPtr {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Name() != typeName {
+		return nil
+	}
+	return obj
 }

@@ -1,27 +1,17 @@
-// Command staggervet runs the repo's Go-source analyzers: the static
-// companions to the IR-level checks in internal/staticcheck. It
-// type-checks every package under internal/ and cmd/ using only the
+// Command staggervet runs the repo's Go-source analyzers: two checks on
+// error and durability discipline whose defects no test makes visible.
+// It type-checks every package under internal/ and cmd/ using only the
 // standard library (no external analysis framework) and reports
 //
-//	determinism — wall-clock reads, the global math/rand source, and
-//	              map iteration in the deterministic core
-//	ntstore     — nontransactional stores outside the htm simulator
-//	              and the stagger lock-word API
-//	siteattr    — simulated accesses without a static site attribution
-//	errshadow   — error values overwritten before they are checked
-//	fsyncpath   — durable-layer I/O outside the vfs seam, or renames
-//	              publishing bytes that were never fsynced
-//	ctxdone     — looping goroutines in service/harness code that never
-//	              observe cancellation
+//	errshadow — error values overwritten before they are checked
+//	fsyncpath — durable-layer I/O outside the vfs seam, or renames
+//	            publishing bytes that were never fsynced
 //
 // Diagnostics print as file:line:col: [analyzer] message, and any
 // finding makes the process exit nonzero, so `make vet` and CI fail on
-// the first violation. A finding that is provably order- or
-// clock-insensitive can be waived in place with a
-// //staggervet:allow <analyzer> comment on or directly above the line;
-// waivers that go stale are themselves findings. The waiver is the only
-// way to accept a finding: there is no baseline file. -json emits the
-// findings as a stable-sorted machine-readable report.
+// the first violation. There is no waiver: a finding is fixed, never
+// excused. -json emits the findings as a stable-sorted
+// machine-readable report.
 package main
 
 import (
@@ -32,10 +22,7 @@ import (
 	"path/filepath"
 )
 
-var analyzers = []*Analyzer{
-	determinismAnalyzer, ntstoreAnalyzer, siteattrAnalyzer,
-	errshadowAnalyzer, fsyncpathAnalyzer, ctxdoneAnalyzer,
-}
+var analyzers = []*Analyzer{errshadowAnalyzer, fsyncpathAnalyzer}
 
 func main() {
 	root := flag.String("root", "", "module root (default: nearest go.mod at or above the working directory)")

@@ -156,15 +156,14 @@ func (a *analysis) analyzeBottomUp(f *prog.Func) {
 			if c, ok := clones[n]; ok {
 				return c
 			}
-			// Globals are shared, not cloned.
-			//staggervet:allow determinism membership test; every match returns the same n
+			// Globals are shared, not cloned. Every match returns the same n,
+			// so the map's order cannot matter.
 			for _, gn := range a.globals {
 				if gn.find() == n {
 					return n
 				}
 			}
 			c := a.u.newNode("")
-			//staggervet:allow determinism set copy; insertion order cannot matter
 			for l := range n.labels {
 				c.labels[l] = struct{}{}
 			}
@@ -208,7 +207,6 @@ func (g *Graph) Covers(s *prog.Site) bool {
 func (g *Graph) Nodes() []*Node {
 	seen := make(map[*Node]bool)
 	var out []*Node
-	//staggervet:allow determinism dedup collection; sorted by id before use
 	for _, n := range g.a.sites {
 		n = n.find()
 		if !seen[n] {

@@ -54,7 +54,6 @@ func (n *Node) ID() int { return n.find().id }
 func (n *Node) Label() string {
 	n = n.find()
 	names := make([]string, 0, len(n.labels))
-	//staggervet:allow determinism key collection; sorted before use
 	for s := range n.labels {
 		names = append(names, s)
 	}
@@ -98,7 +97,6 @@ func (n *Node) Edges() []*Node {
 	n = n.find()
 	seen := make(map[*Node]bool)
 	var out []*Node
-	//staggervet:allow determinism dedup collection; sorted by id before use
 	for _, t := range n.fields {
 		t = t.find()
 		if !seen[t] {
@@ -148,7 +146,6 @@ func (u *universe) unify(a, b *Node) *Node {
 		a, b = b, a
 	}
 	b.parent = a
-	//staggervet:allow determinism set union; insertion order cannot matter
 	for l := range b.labels {
 		a.labels[l] = struct{}{}
 	}
@@ -177,7 +174,6 @@ func (u *universe) unify(a, b *Node) *Node {
 // can visit entries deterministically.
 func sortedFields(m map[string]*Node) []string {
 	names := make([]string, 0, len(m))
-	//staggervet:allow determinism key collection; sorted before use
 	for f := range m {
 		names = append(names, f)
 	}

@@ -120,7 +120,6 @@ func (m *Memory) Store(a Addr, v uint64) {
 // effects against the copy.
 func (m *Memory) Snapshot() *Memory {
 	s := &Memory{pages: make(map[Addr]*page, len(m.pages)), dir: make([]*page, len(m.dir))}
-	//staggervet:allow determinism page-by-page copy into a map; the result is order-independent
 	for key, p := range m.pages {
 		cp := *p
 		s.pages[key] = &cp
@@ -135,7 +134,6 @@ func (m *Memory) Snapshot() *Memory {
 // and keeps its pages and directory, so storing to the same addresses
 // again allocates nothing.
 func (m *Memory) Zero() {
-	//staggervet:allow determinism every page is cleared; the result is order-independent
 	for _, p := range m.pages {
 		*p = page{}
 	}
@@ -145,7 +143,6 @@ func (m *Memory) Zero() {
 // in the pages dst already owns; only a page dst lacks is allocated.
 func (m *Memory) CopyInto(dst *Memory) {
 	dst.Zero()
-	//staggervet:allow determinism page-by-page copy into a map; the result is order-independent
 	for key, p := range m.pages {
 		dp := dst.pages[key]
 		if dp == nil {
@@ -159,11 +156,9 @@ func (m *Memory) CopyInto(dst *Memory) {
 // values, in ascending order. Untouched pages compare as all-zero.
 func (m *Memory) Diff(o *Memory, max int) []Addr {
 	ordered := make([]Addr, 0, len(m.pages)+len(o.pages))
-	//staggervet:allow determinism key collection; sorted before use
 	for k := range m.pages {
 		ordered = append(ordered, k)
 	}
-	//staggervet:allow determinism key collection; sorted before use
 	for k := range o.pages {
 		if m.pages[k] == nil {
 			ordered = append(ordered, k)

@@ -38,7 +38,7 @@
 // Wall-clock time is deliberately confined to this layer (and the
 // binaries above it): deadlines and drain grace are service
 // concerns. The simulation below remains purely virtual-time and
-// deterministic — staggervet enforces the boundary.
+// deterministic, which the replay and fingerprint tests check.
 package service
 
 import (

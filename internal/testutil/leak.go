@@ -19,8 +19,7 @@ func GoroutineBaseline() int { return runtime.NumGoroutine() }
 // to the baseline (plus slack for runtime background goroutines) within
 // a few seconds. Shutdown is asynchronous — workers unwind after
 // Drained() closes — so the assertion polls with a bounded number of
-// fixed sleeps rather than reading the wall clock, which staggervet
-// reserves for the service layer.
+// fixed sleeps.
 func WaitNoGoroutineLeaks(t testing.TB, baseline int) {
 	t.Helper()
 	const (

@@ -23,11 +23,11 @@ func dumpAll(mod *prog.Module) string {
 }
 
 // TestReplayBitIdentical is the replay regression for the engine-seeded
-// randomness rule the staggervet determinism analyzer enforces: running
-// any workload twice under the same (config, seed) must reproduce the
-// run bit-for-bit — statistics, runtime metrics, and the transaction
-// trace. A single wall-clock read or global-rand draw anywhere in the
-// simulated path would break this immediately.
+// randomness rule: running any workload twice under the same (config,
+// seed) must reproduce the run bit-for-bit — statistics, runtime
+// metrics, and the transaction trace. A single wall-clock read or
+// global-rand draw anywhere in the simulated path would break this
+// immediately.
 func TestReplayBitIdentical(t *testing.T) {
 	for _, name := range workloads.Names() {
 		rc := harness.RunConfig{
