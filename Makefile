@@ -18,14 +18,12 @@ help:
 # the perf ledger's smoke run with its own module's tests.
 ci: vet build test explore-smoke race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
 
-# vet layers three static gates: formatting, the standard go vet, and
-# the repo's own staggervet analyzers (errshadow, fsyncpath), run over
-# the whole tree. Any finding exits nonzero and fails the build.
-vet: ## gofmt + go vet + staggervet analyzers (any finding fails)
+# vet layers two static gates over the whole tree: formatting and the
+# standard go vet. Any finding exits nonzero and fails the build.
+vet: ## gofmt + go vet (any finding fails)
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/staggervet
 
 build: ## go build ./...
 	$(GO) build ./...

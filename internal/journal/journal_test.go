@@ -205,37 +205,44 @@ func TestJournalForeignFileQuarantinedWhole(t *testing.T) {
 }
 
 // A failed append wedges the journal until reopened: appending past a
-// possibly-torn tail would orphan every later record.
+// possibly-torn tail would orphan every later record. Either half of the
+// append may fail: the fsync (the bytes' fate is unknown), or the write
+// itself, whose error must not be overwritten by a later fsync that
+// succeeds.
 func TestJournalWedgesAfterFailedAppend(t *testing.T) {
-	fp, err := chaos.ParseFailpoints("sync:jobs.wal=error@2", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs := &vfs.FaultFS{Base: vfs.OS, FP: fp}
-	path := filepath.Join(t.TempDir(), "jobs.wal")
-	// sync hit 1 is the magic-header init; hit 2 is the first record.
-	j, _, err := Open(ffs, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = j.Append(Record{Type: RecAccepted, Job: "job-000001"})
-	if err == nil || errors.Is(err, ErrWedged) {
-		t.Fatalf("first failed append = %v, want the injected error", err)
-	}
-	if err := j.Append(Record{Type: RecAccepted, Job: "job-000002"}); !errors.Is(err, ErrWedged) {
-		t.Fatalf("append after failure = %v, want ErrWedged", err)
-	}
-	st := j.Stats()
-	if st.Appends != 0 || st.AppendErrors != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	j.Close()
-	// Reopen repairs: the torn record (fully written, possibly unsynced)
-	// either replays or is quarantined — both are consistent states.
-	j2, _ := reopen(t, path)
-	defer j2.Close()
-	if err := j2.Append(Record{Type: RecAccepted, Job: "job-000003"}); err != nil {
-		t.Fatalf("append after reopen = %v", err)
+	// Hit 1 of each op is the magic-header init; hit 2 is the first record.
+	for _, spec := range []string{"sync:jobs.wal=error@2", "write:jobs.wal=error@2"} {
+		t.Run(spec, func(t *testing.T) {
+			fp, err := chaos.ParseFailpoints(spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ffs := &vfs.FaultFS{Base: vfs.OS, FP: fp}
+			path := filepath.Join(t.TempDir(), "jobs.wal")
+			j, _, err := Open(ffs, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = j.Append(Record{Type: RecAccepted, Job: "job-000001"})
+			if !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("first failed append = %v, want the injected error", err)
+			}
+			if err := j.Append(Record{Type: RecAccepted, Job: "job-000002"}); !errors.Is(err, ErrWedged) {
+				t.Fatalf("append after failure = %v, want ErrWedged", err)
+			}
+			st := j.Stats()
+			if st.Appends != 0 || st.AppendErrors != 2 {
+				t.Fatalf("stats = %+v", st)
+			}
+			j.Close()
+			// Reopen repairs: a record that landed but was never synced
+			// either replays or is quarantined, and both are consistent.
+			j2, _ := reopen(t, path)
+			defer j2.Close()
+			if err := j2.Append(Record{Type: RecAccepted, Job: "job-000003"}); err != nil {
+				t.Fatalf("append after reopen = %v", err)
+			}
+		})
 	}
 }
 

@@ -217,28 +217,39 @@ func TestPutCrashLeavesLiveNameIntact(t *testing.T) {
 	}
 }
 
-// ENOSPC during Put must fail the write without corrupting anything;
-// the store keeps serving and a later Put (space freed) heals the key.
+// A full disk or a failed fsync during Put must fail the write without
+// corrupting anything; the store keeps serving and a later Put heals the
+// key. A Put that never fsyncs its temp file cannot report the failure.
 func TestPutENOSPCFailsCleanly(t *testing.T) {
-	fp, err := chaos.ParseFailpoints("write:objects=enospc@1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs := &vfs.FaultFS{Base: vfs.OS, FP: fp}
-	s, err := OpenFS(ffs, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("k", []byte("v")); !errors.Is(err, vfs.ErrNoSpace) {
-		t.Fatalf("full-disk Put = %v, want ErrNoSpace", err)
-	}
-	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("failed Put left something servable: %v", err)
-	}
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatalf("healing Put = %v", err)
-	}
-	if got, err := s.Get("k"); err != nil || string(got) != "v" {
-		t.Fatalf("healed Get = (%q, %v)", got, err)
+	for _, tc := range []struct {
+		spec string
+		want error
+	}{
+		{"write:objects=enospc@1", vfs.ErrNoSpace},
+		{"sync:objects=error@1", vfs.ErrInjected},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			fp, err := chaos.ParseFailpoints(tc.spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ffs := &vfs.FaultFS{Base: vfs.OS, FP: fp}
+			s, err := OpenFS(ffs, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put("k", []byte("v")); !errors.Is(err, tc.want) {
+				t.Fatalf("faulted Put = %v, want %v", err, tc.want)
+			}
+			if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("failed Put left something servable: %v", err)
+			}
+			if err := s.Put("k", []byte("v")); err != nil {
+				t.Fatalf("healing Put = %v", err)
+			}
+			if got, err := s.Get("k"); err != nil || string(got) != "v" {
+				t.Fatalf("healed Get = (%q, %v)", got, err)
+			}
+		})
 	}
 }

@@ -11,9 +11,7 @@
 #
 # The clean tree and each mutant get their own detached git worktree of
 # HEAD in a temporary directory. Builds share the caller's GOCACHE and run
-# with -trimpath, so a worktree rebuilds only what its patch touches
-# (GOROOT is exported because a -trimpath binary does not know it, and
-# staggervet's loader type-checks the standard library from source).
+# with -trimpath, so a worktree rebuilds only what its patch touches.
 #
 # Rot fails the run as loudly as a surviving mutant:
 #   - a patch that no longer applies;
@@ -65,8 +63,8 @@ cleanup() {
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-export GOCACHE GOROOT
-GOCACHE=$("$GO" env GOCACHE) && GOROOT=$("$GO" env GOROOT) || exit 2
+export GOCACHE
+GOCACHE=$("$GO" env GOCACHE) || exit 2
 export GOFLAGS="-trimpath${GOFLAGS:+ $GOFLAGS}"
 # Gates say `go`; this runs them with $GO.
 go() { command "$GO" "$@"; }
