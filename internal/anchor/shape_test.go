@@ -96,16 +96,26 @@ func checkUnified(t *testing.T, c *Compiled) (anchors, rows int) {
 // satisfy the same invariants under both.
 var shapeOptions = []Options{DefaultOptions(), {PCBits: 12, Naive: true}}
 
+// shapeName names an instrumentation mode for its subtest.
+func shapeName(opts Options) string {
+	if opts.Naive {
+		return "naive"
+	}
+	return "default"
+}
+
 // TestLoopPhiCursorAnchors: the loop-body sites alias the list cell
 // through the phi, so their pioneer sits in a dominating block and the
 // table mixes anchors and followers.
 func TestLoopPhiCursorAnchors(t *testing.T) {
 	for _, opts := range shapeOptions {
-		anchors, rows := checkUnified(t, Compile(loopPhiModule(), opts))
-		if anchors == 0 || anchors == rows {
-			t.Fatalf("naive=%v: loop-phi table should mix anchors and followers, got %d/%d anchors",
-				opts.Naive, anchors, rows)
-		}
+		t.Run(shapeName(opts), func(t *testing.T) {
+			anchors, rows := checkUnified(t, Compile(loopPhiModule(), opts))
+			if anchors == 0 || anchors == rows {
+				t.Fatalf("loop-phi table should mix anchors and followers, got %d/%d anchors",
+					anchors, rows)
+			}
+		})
 	}
 }
 
@@ -114,10 +124,12 @@ func TestLoopPhiCursorAnchors(t *testing.T) {
 // has a row and an anchor.
 func TestNestedCallCloning(t *testing.T) {
 	for _, opts := range shapeOptions {
-		c := Compile(nestedCallModule(), opts)
-		if _, rows := checkUnified(t, c); rows != c.Mod.NumSites() {
-			t.Fatalf("naive=%v: unified table has %d rows, want one per site (%d)",
-				opts.Naive, rows, c.Mod.NumSites())
-		}
+		t.Run(shapeName(opts), func(t *testing.T) {
+			c := Compile(nestedCallModule(), opts)
+			if _, rows := checkUnified(t, c); rows != c.Mod.NumSites() {
+				t.Fatalf("unified table has %d rows, want one per site (%d)",
+					rows, c.Mod.NumSites())
+			}
+		})
 	}
 }
