@@ -492,7 +492,8 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.running.Add(1)
 	defer s.running.Add(-1)
-	s.journalState(journal.RecRunning, j.id, "")
+	// No "running" record: replay folds one exactly like "accepted", so
+	// only the terminal transition below is worth an fsync.
 
 	timeout := s.cfg.JobTimeout
 	if t := j.spec.timeout(); t > 0 && t < timeout {

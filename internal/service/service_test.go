@@ -210,13 +210,9 @@ func TestRunJobEndToEndOverHTTP(t *testing.T) {
 		t.Fatalf("job ended %s (%s)", got.State, got.Error)
 	}
 
-	cell, err := http.Get(ts.URL + "/jobs/" + st.ID + "/cells/0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cell.Body.Close()
+	cellBody := getSized(t, ts.URL+"/jobs/"+st.ID+"/cells/0")
 	var cr CellResult
-	if err := json.NewDecoder(cell.Body).Decode(&cr); err != nil {
+	if err := json.Unmarshal(cellBody, &cr); err != nil {
 		t.Fatal(err)
 	}
 	if cr.Report == nil || cr.Report.Benchmark != "list-hi" || cr.Report.Commits == 0 {
@@ -226,18 +222,36 @@ func TestRunJobEndToEndOverHTTP(t *testing.T) {
 		t.Fatalf("key %q not schema-tagged", cr.Key)
 	}
 
-	res, err := http.Get(ts.URL + "/jobs/" + st.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
 	var cells []CellResult
-	if err := json.NewDecoder(res.Body).Decode(&cells); err != nil {
+	if err := json.Unmarshal(getSized(t, ts.URL+"/jobs/"+st.ID+"/result"), &cells); err != nil {
 		t.Fatal(err)
 	}
 	if len(cells) != 1 {
 		t.Fatalf("result has %d cells, want 1", len(cells))
 	}
+}
+
+// getSized fetches url and requires a 200 whose body arrived as one
+// sized response: Content-Length set to the body's length, no chunking.
+func getSized(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d: %s", url, resp.StatusCode, body)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("GET %s: Content-Length %d, Transfer-Encoding %v for a %d-byte body; want a sized, unchunked response",
+			url, resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	return body
 }
 
 func TestByteIdenticalAcrossClients(t *testing.T) {

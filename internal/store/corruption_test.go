@@ -47,6 +47,13 @@ func TestCorruptionTable(t *testing.T) {
 		{"truncated-body", "length", func(raw []byte) []byte {
 			return raw[:len(raw)-7]
 		}},
+		{"huge-declared-length", "length", func(raw []byte) []byte {
+			// A length no file holds: it must be checked against the bytes
+			// present, never allocated.
+			i := bytes.Index(raw, []byte("bytes "))
+			j := i + bytes.IndexByte(raw[i:], '\n')
+			return append(append(raw[:i:i], "bytes 900000000000000"...), raw[j:]...)
+		}},
 		{"trailing-garbage", "length", func(raw []byte) []byte {
 			return append(raw, []byte("extra bytes after the payload")...)
 		}},
