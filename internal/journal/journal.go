@@ -52,6 +52,8 @@ const maxRecord = 8 << 20
 // Record types: one submission fact and its state transitions.
 const (
 	RecAccepted = "accepted"
+	// RecRunning is no longer appended, but journals written by older
+	// daemons hold it; replay folds it like RecAccepted.
 	RecRunning  = "running"
 	RecDone     = "done"
 	RecFailed   = "failed"
