@@ -113,6 +113,25 @@ func htHash(key, numBucket uint64) uint64 {
 	return (key * 0x9E3779B97F4A7C15 >> 33) % numBucket
 }
 
+// SeedHashTable sets key→val directly in memory (setup, untimed). Unlike
+// Insert, it links a new key's node at the head of its chain; a present
+// key's value is overwritten and node goes unused.
+func SeedHashTable(m *htm.Machine, ht mem.Addr, key, val uint64, node mem.Addr) {
+	nb := m.Mem.Load(ht + w(htNumOff))
+	chain := mem.Addr(m.Mem.Load(ht + w(htBucketOff+int(htHash(key, nb)))))
+	first := m.Mem.Load(chain + w(chainHeadOff))
+	for cur := mem.Addr(first); cur != nilPtr; cur = mem.Addr(m.Mem.Load(cur + w(cnNextOff))) {
+		if m.Mem.Load(cur+w(cnKeyOff)) == key {
+			m.Mem.Store(cur+w(cnValOff), val)
+			return
+		}
+	}
+	m.Mem.Store(node+w(cnKeyOff), key)
+	m.Mem.Store(node+w(cnValOff), val)
+	m.Mem.Store(node+w(cnNextOff), first)
+	m.Mem.Store(chain+w(chainHeadOff), uint64(node))
+}
+
 // Lookup returns the value stored under key.
 func (h *HashTable) Lookup(tc Ctx, ht mem.Addr, key uint64) (uint64, bool) {
 	nb := tc.Load(h.sLkNum, ht+w(htNumOff))

@@ -62,23 +62,6 @@ func DeclareQueue(m *prog.Module) *Queue {
 // NewQueue allocates an empty queue header.
 func NewQueue(al *mem.Allocator) mem.Addr { return al.AllocLines(1) }
 
-// SeedQueue fills the queue directly in memory (setup, untimed).
-func SeedQueue(m *htm.Machine, q mem.Addr, vals []uint64) {
-	var prev mem.Addr
-	for _, v := range vals {
-		n := m.Alloc.AllocLines(1)
-		m.Mem.Store(n+w(qValOff), v)
-		m.Mem.Store(n+w(qNextOff), nilPtr)
-		if prev == 0 {
-			m.Mem.Store(q+w(qHeadOff), uint64(n))
-		} else {
-			m.Mem.Store(prev+w(qNextOff), uint64(n))
-		}
-		m.Mem.Store(q+w(qTailOff), uint64(n))
-		prev = n
-	}
-}
-
 // Pop removes and returns the head value; ok is false on empty.
 func (q *Queue) Pop(tc Ctx, qa mem.Addr) (val uint64, ok bool) {
 	node := mem.Addr(tc.Load(q.sPopHead, qa+w(qHeadOff)))

@@ -302,23 +302,6 @@ func RBKeys(m *htm.Machine, tree mem.Addr) []uint64 {
 	return out
 }
 
-// RBFind reads the value under key directly from memory (untimed).
-func RBFind(m *htm.Machine, tree mem.Addr, key uint64) (uint64, bool) {
-	cur := mem.Addr(m.Mem.Load(tree + w(rbRootOff)))
-	for cur != nilPtr {
-		k := m.Mem.Load(cur + w(rbKeyOff))
-		if k == key {
-			return m.Mem.Load(cur + w(rbValOff)), true
-		}
-		off := rbLeftOff
-		if key > k {
-			off = rbRightOff
-		}
-		cur = mem.Addr(m.Mem.Load(cur + w(off)))
-	}
-	return 0, false
-}
-
 // RBDepthOK verifies no red-red parent/child pairs exist and the tree is
 // a valid BST (untimed invariant check for property tests).
 func RBDepthOK(m *htm.Machine, tree mem.Addr) bool {

@@ -11,17 +11,39 @@
 // both the IR handles and the execution methods, which take a
 // backend.Ctx so each concurrency-control backend can layer its own
 // instrumentation (ALPoints, OCC read-set logging) over the accesses.
+//
+// The same methods also run untimed, through Direct, when a workload
+// seeds a structure before the run or reads it back to verify: this
+// package is the only code that knows a structure's memory layout.
 package simds
 
 import (
 	"repro/internal/backend"
+	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/prog"
 )
 
 // Ctx is the access context data structure operations run against: the
 // arena-wide backend.Ctx interface (stagger's *TxCtx and the OCC
 // context both implement it).
 type Ctx = backend.Ctx
+
+// Direct returns an untimed context over m's memory, for running a
+// structure's own operations at setup and verification. Load and Store
+// go straight to m.Mem: they cost no cycles and touch no cache,
+// directory or transactional state. Compute and Op do nothing. Core is
+// unavailable and panics, so operations that reach the core (such as
+// Grid.Snapshot) are not for Direct.
+func Direct(m *htm.Machine) Ctx { return direct{m.Mem} }
+
+type direct struct{ mem *mem.Memory }
+
+func (direct) Core() *htm.Core                            { panic("simds: Direct has no core") }
+func (direct) Op(any)                                     {}
+func (direct) Compute(int)                                {}
+func (d direct) Load(_ *prog.Site, a mem.Addr) uint64     { return d.mem.Load(a) }
+func (d direct) Store(_ *prog.Site, a mem.Addr, v uint64) { d.mem.Store(a, v) }
 
 // nilPtr is the simulated null pointer.
 const nilPtr = 0

@@ -182,7 +182,9 @@ func TestQueueFIFO(t *testing.T) {
 	ab := abFor(m, q.FnPop, "q")
 	mach, rt := sim(t, m, stagger.ModeHTM, 1)
 	qa := NewQueue(mach.Alloc)
-	SeedQueue(mach, qa, []uint64{1, 2, 3})
+	for _, v := range []uint64{1, 2, 3} {
+		q.Push(Direct(mach), qa, v, mach.Alloc.AllocLines(1))
+	}
 	mach.Run([]func(*htm.Core){func(c *htm.Core) {
 		th := rt.Thread(0)
 		var got []uint64
@@ -236,7 +238,9 @@ func TestQueueConcurrentConservation(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint64(i + 1)
 	}
-	SeedQueue(mach, src, vals)
+	for _, v := range vals {
+		q.Push(Direct(mach), src, v, mach.Alloc.AllocLines(1))
+	}
 	nodes := make([][]mem.Addr, threads)
 	for i := range nodes {
 		for j := 0; j < len(vals); j++ {

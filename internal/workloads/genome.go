@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/htm"
@@ -87,7 +89,7 @@ func buildGenome() *Workload {
 			return nil
 		},
 		RefModel: func(m *htm.Machine, seed int64) oracle.RefModel {
-			return &genModel{m: m, table: table, set: make(map[uint64]bool, genDistinct)}
+			return &genModel{m: m, ht: ht, table: table, set: make(map[uint64]bool, genDistinct)}
 		},
 	}
 }
@@ -104,6 +106,7 @@ type genOp struct {
 // genModel is the sequential dedup set.
 type genModel struct {
 	m     *htm.Machine
+	ht    *simds.HashTable
 	table mem.Addr
 	set   map[uint64]bool
 }
@@ -129,8 +132,9 @@ func (md *genModel) Finish() error {
 	if n := simds.HTCount(md.m, md.table); n != len(md.set) {
 		return fmt.Errorf("final table has %d segments, model has %d", n, len(md.set))
 	}
-	for s := range md.set {
-		if got := chainFind(md.m, md.table, s); got != s {
+	// Sorted, so a multi-segment divergence always names the same one.
+	for _, s := range slices.Sorted(maps.Keys(md.set)) {
+		if got, _ := md.ht.Lookup(simds.Direct(md.m), md.table, s); got != s {
 			return fmt.Errorf("final table[%d] = %d, model expects the key itself", s, got)
 		}
 	}

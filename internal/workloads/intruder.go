@@ -2,7 +2,8 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/htm"
@@ -74,16 +75,9 @@ func buildIntruder() *Workload {
 			packetQ = simds.NewQueue(m.Alloc)
 			resultQ = simds.NewQueue(m.Alloc)
 			fragMap = simds.NewHashTable(m, intrBuckets)
-			// Fragments interleaved across flows: flowID<<8 | fragIdx.
-			rng := threadRNG(seed, 888)
-			frags := make([]uint64, 0, intrFlows*intrFragsPer)
-			for f := 0; f < intrFragsPer; f++ {
-				for fl := 0; fl < intrFlows; fl++ {
-					frags = append(frags, uint64(fl)<<8|uint64(f))
-				}
+			for _, f := range intrPackets(seed) {
+				q.Push(simds.Direct(m), packetQ, f, m.Alloc.AllocLines(1))
 			}
-			rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
-			simds.SeedQueue(m, packetQ, frags)
 		},
 		Body: func(rt backend.Runtime, tid, threads, ops int, seed int64) func(*htm.Core) {
 			return func(c *htm.Core) {
@@ -138,7 +132,7 @@ func buildIntruder() *Workload {
 			}
 			// All flows fully assembled in the map.
 			for fl := 0; fl < intrFlows; fl++ {
-				cur := chainFind(m, fragMap, uint64(fl)+1)
+				cur, _ := ht.Lookup(simds.Direct(m), fragMap, uint64(fl)+1)
 				if cur != intrFragsPer {
 					return fmt.Errorf("flow %d assembled %d/%d fragments", fl, cur, intrFragsPer)
 				}
@@ -146,22 +140,27 @@ func buildIntruder() *Workload {
 			return nil
 		},
 		RefModel: func(m *htm.Machine, seed int64) oracle.RefModel {
-			// Rebuild the shuffled packet queue exactly as Setup did.
-			rng := threadRNG(seed, 888)
-			frags := make([]uint64, 0, intrFlows*intrFragsPer)
-			for f := 0; f < intrFragsPer; f++ {
-				for fl := 0; fl < intrFlows; fl++ {
-					frags = append(frags, uint64(fl)<<8|uint64(f))
-				}
-			}
-			rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
 			return &itModel{
-				m: m, fragMap: fragMap, resultQ: resultQ,
-				packets: frags,
+				m: m, ht: ht, fragMap: fragMap, resultQ: resultQ,
+				packets: intrPackets(seed), // the queue Setup seeded
 				counts:  make(map[uint64]uint64, intrFlows),
 			}
 		},
 	}
+}
+
+// intrPackets is the packet queue's seeded order: every flow's
+// fragments (flowID<<8 | fragIdx), shuffled.
+func intrPackets(seed int64) []uint64 {
+	frags := make([]uint64, 0, intrFlows*intrFragsPer)
+	for f := 0; f < intrFragsPer; f++ {
+		for fl := 0; fl < intrFlows; fl++ {
+			frags = append(frags, uint64(fl)<<8|uint64(f))
+		}
+	}
+	rng := threadRNG(seed, 888)
+	rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
+	return frags
 }
 
 // Tags for the three intruder atomic blocks.
@@ -185,6 +184,7 @@ type itDet struct { // detector: result-queue pop
 // queues all diverge from it.
 type itModel struct {
 	m                *htm.Machine
+	ht               *simds.HashTable
 	fragMap, resultQ mem.Addr
 	packets          []uint64
 	counts           map[uint64]uint64
@@ -240,30 +240,10 @@ func (md *itModel) Finish() error {
 	}
 	// Visit flows in sorted order so a multi-flow divergence always
 	// reports the same flow (map iteration would pick one at random).
-	flows := make([]uint64, 0, len(md.counts))
-	for flow := range md.counts {
-		flows = append(flows, flow)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
-	for _, flow := range flows {
-		if got, want := chainFind(md.m, md.fragMap, flow), md.counts[flow]; got != want {
-			return fmt.Errorf("final fragment count[%d] = %d, model has %d", flow, got, want)
+	for _, flow := range slices.Sorted(maps.Keys(md.counts)) {
+		if got, _ := md.ht.Lookup(simds.Direct(md.m), md.fragMap, flow); got != md.counts[flow] {
+			return fmt.Errorf("final fragment count[%d] = %d, model has %d", flow, got, md.counts[flow])
 		}
 	}
 	return nil
-}
-
-// chainFind reads a hash-table value directly from memory.
-func chainFind(m *htm.Machine, ht mem.Addr, key uint64) uint64 {
-	nb := m.Mem.Load(ht)
-	bi := seedHTHash(key, nb)
-	chain := mem.Addr(m.Mem.Load(ht + mem.Addr(8*(1+bi))))
-	cur := mem.Addr(m.Mem.Load(chain))
-	for cur != 0 {
-		if m.Mem.Load(cur) == key {
-			return m.Mem.Load(cur + 8)
-		}
-		cur = mem.Addr(m.Mem.Load(cur + 16))
-	}
-	return 0
 }

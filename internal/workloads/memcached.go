@@ -2,7 +2,8 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/htm"
@@ -68,8 +69,7 @@ func buildMemcached() *Workload {
 			rng := threadRNG(seed, 999)
 			for i := 0; i < mcInitKeys; i++ {
 				k := uint64(rng.Intn(mcKeySpace) + 1)
-				node := m.Alloc.AllocLines(1)
-				seedHTInsert(m, table, k, k*3, node)
+				simds.SeedHashTable(m, table, k, k*3, m.Alloc.AllocLines(1))
 			}
 		},
 		Body: func(rt backend.Runtime, tid, threads, ops int, seed int64) func(*htm.Core) {
@@ -136,7 +136,7 @@ func buildMemcached() *Workload {
 				k := uint64(rng.Intn(mcKeySpace) + 1)
 				kv[k] = k * 3
 			}
-			return &mcModel{m: m, table: table, stats: stats, kv: kv}
+			return &mcModel{m: m, ht: ht, table: table, stats: stats, kv: kv}
 		},
 	}
 }
@@ -155,6 +155,7 @@ type mcOp struct {
 // counters, stepped in commit order.
 type mcModel struct {
 	m            *htm.Machine
+	ht           *simds.HashTable
 	table, stats mem.Addr
 	kv           map[uint64]uint64
 
@@ -210,39 +211,10 @@ func (md *mcModel) Finish() error {
 	if n := simds.HTCount(md.m, md.table); n != len(md.kv) {
 		return fmt.Errorf("final table has %d keys, model has %d", n, len(md.kv))
 	}
-	keys := make([]uint64, 0, len(md.kv))
-	for k := range md.kv {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if got := chainFind(md.m, md.table, k); got != md.kv[k] {
+	for _, k := range slices.Sorted(maps.Keys(md.kv)) {
+		if got, _ := md.ht.Lookup(simds.Direct(md.m), md.table, k); got != md.kv[k] {
 			return fmt.Errorf("final table[%d] = %d, model has %d", k, got, md.kv[k])
 		}
 	}
 	return nil
-}
-
-// seedHTInsert populates the hash table directly in memory (setup only).
-func seedHTInsert(m *htm.Machine, ht mem.Addr, key, val uint64, node mem.Addr) {
-	nb := m.Mem.Load(ht)
-	bi := seedHTHash(key, nb)
-	chain := mem.Addr(m.Mem.Load(ht + mem.Addr(8*(1+bi))))
-	// Walk for duplicates.
-	cur := mem.Addr(m.Mem.Load(chain))
-	for cur != 0 {
-		if m.Mem.Load(cur) == key {
-			m.Mem.Store(cur+8, val)
-			return
-		}
-		cur = mem.Addr(m.Mem.Load(cur + 16))
-	}
-	m.Mem.Store(node, key)
-	m.Mem.Store(node+8, val)
-	m.Mem.Store(node+16, m.Mem.Load(chain))
-	m.Mem.Store(chain, uint64(node))
-}
-
-func seedHTHash(key, numBucket uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15 >> 33) % numBucket
 }

@@ -78,8 +78,7 @@ func buildTsp() *Workload {
 			// Seed tasks: key = bound<<16 | depth; bounds scattered.
 			for i := 0; i < tspSeeds; i++ {
 				bound := uint64(rng.Intn(1 << 12))
-				key := bound<<16 | 0
-				seedBPTInsert(m, pq, key)
+				bt.Insert(simds.Direct(m), pq, bound<<16|0, m.Alloc.AllocLines)
 			}
 			popped = make([]int, m.Config().Cores)
 		},
@@ -242,107 +241,4 @@ func (md *tspModel) Finish() error {
 		return fmt.Errorf("final best = %#x, sequential model says %#x", got, md.best)
 	}
 	return nil
-}
-
-// seedBPTInsert inserts into the B+ tree directly (setup only): since the
-// tree is empty except for seeds, inserting into the root leaf chain is
-// enough as long as tspSeeds splits are honored — so just reuse the
-// transactional insert under a throwaway machine-less context? Simpler:
-// store seeds through leaf splits performed offline.
-func seedBPTInsert(m *htm.Machine, tree mem.Addr, key uint64) {
-	// Direct-memory B+ insert mirroring simds.BPTree.Insert (setup only).
-	root := mem.Addr(m.Mem.Load(tree))
-	height := int(m.Mem.Load(tree + 8))
-	type frame struct {
-		node mem.Addr
-		idx  int
-	}
-	var path []frame
-	node := root
-	for lvl := height; lvl > 0; lvl-- {
-		n := int(m.Mem.Load(node))
-		i := 0
-		for i < n && key >= m.Mem.Load(node+mem.Addr(8*(1+i))) {
-			i++
-		}
-		path = append(path, frame{node, i})
-		node = mem.Addr(m.Mem.Load(node + mem.Addr(8*(8+i))))
-	}
-	n := int(m.Mem.Load(node))
-	keys := make([]uint64, 0, 8)
-	for i := 0; i < n; i++ {
-		keys = append(keys, m.Mem.Load(node+mem.Addr(8*(2+i))))
-	}
-	pos := 0
-	for pos < n && keys[pos] <= key {
-		pos++
-	}
-	keys = append(keys, 0)
-	copy(keys[pos+1:], keys[pos:])
-	keys[pos] = key
-	if len(keys) <= 6 {
-		for i, k := range keys {
-			m.Mem.Store(node+mem.Addr(8*(2+i)), k)
-		}
-		m.Mem.Store(node, uint64(len(keys)))
-		return
-	}
-	mid := 3
-	right := m.Alloc.AllocLines(1)
-	for i, k := range keys[:mid] {
-		m.Mem.Store(node+mem.Addr(8*(2+i)), k)
-	}
-	m.Mem.Store(node, uint64(mid))
-	for i, k := range keys[mid:] {
-		m.Mem.Store(right+mem.Addr(8*(2+i)), k)
-	}
-	m.Mem.Store(right, uint64(len(keys)-mid))
-	m.Mem.Store(right+8, m.Mem.Load(node+8))
-	m.Mem.Store(node+8, uint64(right))
-	// Propagate the separator up.
-	sep := keys[mid]
-	rightChild := right
-	for lvl := len(path) - 1; lvl >= 0; lvl-- {
-		p := path[lvl]
-		pn := int(m.Mem.Load(p.node))
-		pkeys := make([]uint64, pn, 8)
-		pkids := make([]uint64, pn+1, 9)
-		for i := 0; i < pn; i++ {
-			pkeys[i] = m.Mem.Load(p.node + mem.Addr(8*(1+i)))
-		}
-		for i := 0; i <= pn; i++ {
-			pkids[i] = m.Mem.Load(p.node + mem.Addr(8*(8+i)))
-		}
-		pkeys = append(pkeys, 0)
-		copy(pkeys[p.idx+1:], pkeys[p.idx:])
-		pkeys[p.idx] = sep
-		pkids = append(pkids, 0)
-		copy(pkids[p.idx+2:], pkids[p.idx+1:])
-		pkids[p.idx+1] = uint64(rightChild)
-		if len(pkeys) <= 6 {
-			writeIntDirect(m, p.node, pkeys, pkids)
-			return
-		}
-		midI := len(pkeys) / 2
-		sep = pkeys[midI]
-		r2 := m.Alloc.AllocLines(2)
-		writeIntDirect(m, p.node, pkeys[:midI], pkids[:midI+1])
-		writeIntDirect(m, r2, pkeys[midI+1:], pkids[midI+1:])
-		rightChild = r2
-	}
-	oldRoot := mem.Addr(m.Mem.Load(tree))
-	newRoot := m.Alloc.AllocLines(2)
-	writeIntDirect(m, newRoot, []uint64{sep}, []uint64{uint64(oldRoot), uint64(rightChild)})
-	m.Mem.Store(tree, uint64(newRoot))
-	m.Mem.Store(tree+8, uint64(height+1))
-}
-
-func writeIntDirect(m *htm.Machine, node mem.Addr, keys, kids []uint64) {
-	for i, k := range keys {
-		m.Mem.Store(node+mem.Addr(8*(1+i)), k)
-	}
-	for i, c := range kids {
-		m.Mem.Store(node+mem.Addr(8*(8+i)), c)
-	}
-	m.Mem.Store(node, uint64(len(keys)))
 }

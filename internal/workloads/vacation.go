@@ -133,7 +133,7 @@ func buildVacation() *Workload {
 			return nil
 		},
 		RefModel: func(m *htm.Machine, seed int64) oracle.RefModel {
-			md := &vacModel{m: m, rtables: tables, rcustomers: customers,
+			md := &vacModel{m: m, rb: rb, rtables: tables, rcustomers: customers,
 				customers: make(map[uint64]uint64, 512)}
 			for t := range md.tables {
 				md.tables[t] = make(map[uint64]uint64, vacRelations)
@@ -173,6 +173,7 @@ type vacQry struct {
 // reservation table plus the customer map.
 type vacModel struct {
 	m          *htm.Machine
+	rb         *simds.RBTree
 	rtables    [vacTables]mem.Addr
 	rcustomers mem.Addr
 	tables     [vacTables]map[uint64]uint64
@@ -217,18 +218,18 @@ func (md *vacModel) Step(tag any) error {
 
 func (md *vacModel) Finish() error {
 	for t := range md.tables {
-		if err := rbMatches(md.m, md.rtables[t], md.tables[t]); err != nil {
+		if err := rbMatches(md.m, md.rb, md.rtables[t], md.tables[t]); err != nil {
 			return fmt.Errorf("table %d: %w", t, err)
 		}
 	}
-	if err := rbMatches(md.m, md.rcustomers, md.customers); err != nil {
+	if err := rbMatches(md.m, md.rb, md.rcustomers, md.customers); err != nil {
 		return fmt.Errorf("customers: %w", err)
 	}
 	return nil
 }
 
 // rbMatches compares a real red-black tree against a model map.
-func rbMatches(m *htm.Machine, tree mem.Addr, want map[uint64]uint64) error {
+func rbMatches(m *htm.Machine, rb *simds.RBTree, tree mem.Addr, want map[uint64]uint64) error {
 	keys := simds.RBKeys(m, tree)
 	if len(keys) != len(want) {
 		return fmt.Errorf("final tree has %d keys, model has %d", len(keys), len(want))
@@ -238,7 +239,7 @@ func rbMatches(m *htm.Machine, tree mem.Addr, want map[uint64]uint64) error {
 		if !ok {
 			return fmt.Errorf("final tree holds key %d the model does not", k)
 		}
-		if gv, _ := simds.RBFind(m, tree, k); gv != wv {
+		if gv, _ := rb.Lookup(simds.Direct(m), tree, k); gv != wv {
 			return fmt.Errorf("final tree[%d] = %d, model has %d", k, gv, wv)
 		}
 	}

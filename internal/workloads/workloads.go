@@ -46,7 +46,7 @@ type Workload struct {
 	// registered (see DefaultOps).
 	TotalOps int
 
-	// Setup seeds the shared data (untimed, direct memory writes).
+	// Setup seeds the shared data untimed (simds.Direct or a simds seeder).
 	Setup func(m *htm.Machine, seed int64)
 	// Body returns the thread body for thread tid of threads, performing
 	// ops operations.
