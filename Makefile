@@ -41,16 +41,15 @@ test: ## go test ./... plus one pass of the htm hot-path kernels
 daemon-smoke: ## staggerd lifecycle: submit over HTTP, store hit, SIGTERM drain
 	GO=$(GO) sh scripts/daemon_smoke.sh
 
-# crash-smoke is the crash-recovery harness: the Go half SIGKILLs the
-# real daemon (and crashes it via deterministic disk failpoints) under
-# -race, the shell half drives the same scenarios the way a supervisor
-# would, including a staggerctl -reconnect waiter riding through a
-# restart. Both assert every accepted job reaches a terminal state with
-# byte-identical results and that damaged journal tails are quarantined.
-# Failure artifacts (journal, store, daemon logs) land in $CRASH_ARTIFACTS.
+# crash-smoke is the crash-recovery harness, cmd/staggerd/crash_test.go,
+# under -race: it SIGKILLs the real daemon (and crashes it via
+# deterministic disk failpoints), restarts it over the same store, and
+# asserts that every accepted job reaches a terminal state with
+# byte-identical results, that a staggerctl -reconnect waiter rides
+# through the restart, and that damaged journal tails are quarantined.
+# A failing scenario prints the daemon's log.
 crash-smoke: ## crash harness: SIGKILL + failpoint recovery, byte-identical results
 	$(GO) test -race ./cmd/staggerd -count=1
-	GO=$(GO) sh scripts/crash_smoke.sh
 
 # explore-smoke runs 25 PCT(d=3) schedules per workload through the
 # serializability oracle on two representative cells; any violation fails.

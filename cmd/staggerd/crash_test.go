@@ -1,12 +1,13 @@
 package main
 
-// The crash harness: these tests build the real staggerd binary, kill it
-// for real (SIGKILL, or a failpoint-triggered os.Exit(137)), restart it
-// over the same store directory, and assert the recovery contract end to
-// end: every accepted job reaches a terminal state with byte-identical
-// results, and damaged journal tails are quarantined, never trusted.
-// Failpoint schedules are deterministic (counted hits), so every
-// scenario is exactly reproducible.
+// The crash harness: these tests build the real staggerd and staggerctl
+// binaries, kill the daemon for real (SIGKILL, or a failpoint-triggered
+// os.Exit(137)), restart it over the same store directory, and assert
+// the recovery contract end to end: every accepted job reaches a
+// terminal state with byte-identical results, a polling client rides
+// through the restart, and damaged journal tails are quarantined, never
+// trusted. Failpoint schedules are deterministic (counted hits), so
+// every scenario is exactly reproducible.
 
 import (
 	"bytes"
@@ -22,7 +23,7 @@ import (
 	"time"
 )
 
-var daemonBin string
+var daemonBin, ctlBin string
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "staggerd-crash-*")
@@ -31,10 +32,13 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	daemonBin = filepath.Join(dir, "staggerd")
-	if out, err := exec.Command("go", "build", "-o", daemonBin, ".").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "building staggerd: %v\n%s", err, out)
-		os.RemoveAll(dir)
-		os.Exit(1)
+	ctlBin = filepath.Join(dir, "staggerctl")
+	for bin, pkg := range map[string]string{daemonBin: ".", ctlBin: "../staggerctl"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "building %s: %v\n%s", pkg, err, out)
+			os.RemoveAll(dir)
+			os.Exit(1)
+		}
 	}
 	code := m.Run()
 	os.RemoveAll(dir)
@@ -50,7 +54,8 @@ type daemon struct {
 }
 
 // startDaemon boots staggerd on a kernel-assigned port over store and
-// waits for it to publish its address.
+// waits for it to publish its address. An "-addr" in extra overrides the
+// port, since the last occurrence of a flag wins.
 func startDaemon(t *testing.T, store string, extra ...string) *daemon {
 	t.Helper()
 	scratch := t.TempDir()
@@ -226,7 +231,9 @@ const tinyJob = `{"cells":[{"bench":"list-hi","threads":2,"seed":9,"ops":300}]}`
 // over the same store, and the job completes under its original ID with
 // results byte-identical to an uninterrupted run — recomputing only the
 // cells the first life had not finished, because each finished cell was
-// made durable the moment it completed.
+// made durable the moment it completed. A staggerctl -reconnect waiter
+// started before the crash rides through the restart, which binds the
+// first daemon's port as a supervisor restarting it in place would.
 func TestKillMidSweepRecoversByteIdentical(t *testing.T) {
 	// Reference: the same sweep, never interrupted, in a separate store.
 	ref := startDaemon(t, t.TempDir())
@@ -244,6 +251,18 @@ func TestKillMidSweepRecoversByteIdentical(t *testing.T) {
 	if code != 202 {
 		t.Fatalf("submit: HTTP %d", code)
 	}
+	var waitOut, waitErr bytes.Buffer
+	waiter := exec.Command(ctlBin, "-addr", d1.addr, "-reconnect", "30s", "-timeout", "120s", "wait", id)
+	waiter.Stdout, waiter.Stderr = &waitOut, &waitErr
+	if err := waiter.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if waiter.ProcessState == nil {
+			waiter.Process.Kill()
+			waiter.Wait()
+		}
+	})
 	// The crash lands mid-sweep: at least one cell persisted, job running.
 	deadline := time.Now().Add(60 * time.Second)
 	for d1.storePuts() == 0 {
@@ -257,7 +276,7 @@ func TestKillMidSweepRecoversByteIdentical(t *testing.T) {
 	}
 	d1.kill()
 
-	d2 := startDaemon(t, store)
+	d2 := startDaemon(t, store, "-addr", d1.addr)
 	rec := d2.recoveryMetrics()
 	if rec["requeued_jobs"] != 1 {
 		t.Fatalf("recovery metrics after crash: %v, want requeued_jobs=1", rec)
@@ -265,14 +284,23 @@ func TestKillMidSweepRecoversByteIdentical(t *testing.T) {
 	if st := d2.jobState(id); st == "" {
 		t.Fatalf("job %s lost across the crash", id)
 	}
-	d2.waitDone(id)
+	if err := waiter.Wait(); err != nil {
+		t.Fatalf("reconnecting waiter did not ride through the restart: %v\n%s", err, waitErr.Bytes())
+	}
+	if !strings.Contains(waitOut.String(), `"state": "done"`) {
+		t.Fatalf("waiter's final status is not done: %s", waitOut.Bytes())
+	}
 	if got := d2.result(id); !bytes.Equal(got, want) {
 		t.Errorf("recovered result differs from the uninterrupted reference run (%d vs %d bytes)",
 			len(got), len(want))
 	}
-	if st := d2.job(id); st.FromStore == 0 || st.Computed >= st.Cells {
+	st := d2.job(id)
+	if st.FromStore == 0 || st.Computed >= st.Cells {
 		t.Errorf("recovered job: from_store %d, computed %d of %d cells; want the first life's finished cells read back, not recomputed",
 			st.FromStore, st.Computed, st.Cells)
+	}
+	if got := d2.recoveryMetrics()["resumed_cells"]; got != float64(st.FromStore) {
+		t.Errorf("recovery metric resumed_cells = %v, want the recovered job's from_store, %d", got, st.FromStore)
 	}
 	// Resubmitting the identical sweep is served wholly from the store.
 	code, id2 := d2.submit(crashSweep)
@@ -291,9 +319,11 @@ func TestKillMidSweepRecoversByteIdentical(t *testing.T) {
 // restarted daemon still runs the job to done. Accepted means durable.
 func TestFailpointCrashAfterAcceptRecovers(t *testing.T) {
 	store := t.TempDir()
-	// Journal sync hit 1 is the boot magic; hit 2 is the first submit's
-	// accepted record. The crash completes the fsync, then exits 137.
-	d1 := startDaemon(t, store, "-failpoints", "sync:jobs.wal=crash@2")
+	// Journal sync hit 1 is the boot magic and hit 2 the boot
+	// compaction's temp file (jobs.wal.compact-*); hit 3 is the first
+	// submit's accepted record. The crash completes the fsync, then
+	// exits 137.
+	d1 := startDaemon(t, store, "-failpoints", "sync:jobs.wal=crash@3")
 	resp, err := http.Post("http://"+d1.addr+"/jobs", "application/json", strings.NewReader(tinyJob))
 	if err == nil {
 		resp.Body.Close()
@@ -321,10 +351,11 @@ func TestFailpointCrashAfterAcceptRecovers(t *testing.T) {
 // counts it in /metrics, and keeps accepting work.
 func TestTornJournalTailQuarantinedOnBoot(t *testing.T) {
 	store := t.TempDir()
-	// Journal write hit 1 is the boot magic; hit 2 is the first submit's
-	// frame, torn in half. The submit must be refused — its record is
-	// not durable — and the journal wedges until restart.
-	d1 := startDaemon(t, store, "-failpoints", "write:jobs.wal=short@2")
+	// Journal write hit 1 is the boot magic and hit 2 the boot
+	// compaction's temp file; hit 3 is the first submit's frame, torn in
+	// half. The submit must be refused — its record is not durable — and
+	// the journal wedges until restart.
+	d1 := startDaemon(t, store, "-failpoints", "write:jobs.wal=short@3")
 	code, _ := d1.submit(tinyJob)
 	if code != 503 {
 		t.Fatalf("submit onto failing journal: HTTP %d, want 503", code)
@@ -369,7 +400,7 @@ func TestTornJournalTailQuarantinedOnBoot(t *testing.T) {
 // degradation contract: lost durability costs recompute, never bytes.
 func TestStoreENOSPCDegradesNotCorrupts(t *testing.T) {
 	store := t.TempDir()
-	d1 := startDaemon(t, store, "-failpoints", "write:objects=enospc%1")
+	d1 := startDaemon(t, store, "-failpoints", "write:objects=enospc@*")
 	code, id := d1.submit(tinyJob)
 	if code != 202 {
 		t.Fatalf("submit: HTTP %d", code)

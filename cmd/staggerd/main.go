@@ -47,7 +47,6 @@ func main() {
 		maxCells   = flag.Int("max-cells", 512, "largest allowed job expansion")
 		journalAt  = flag.String("journal", "", "write-ahead job journal path (empty = <store>/journal/jobs.wal when -store is set)")
 		failpoints = flag.String("failpoints", "", "disk failpoint spec, e.g. 'sync:jobs.wal=crash@2' (crash-harness use only)")
-		fpSeed     = flag.Int64("failpoint-seed", 1, "seed for probabilistic failpoints")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
@@ -62,11 +61,11 @@ func main() {
 	// genuinely dead daemon, not a simulated one.
 	var fsys vfs.FS
 	if *failpoints != "" {
-		fp, err := chaos.ParseFailpoints(*failpoints, *fpSeed)
+		fp, err := chaos.ParseFailpoints(*failpoints)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("failpoints armed: %s (seed %d)", *failpoints, *fpSeed)
+		log.Printf("failpoints armed: %s", *failpoints)
 		fsys = &vfs.FaultFS{Base: vfs.OS, FP: fp, OnCrash: func() {
 			log.Printf("failpoint crash: dying now")
 			os.Exit(137)

@@ -8,15 +8,14 @@ import (
 )
 
 // This file is the disk-fault sibling of the simulator's fault injector:
-// a seeded, deterministic failpoint registry for the durable layers
+// a deterministic failpoint registry for the durable layers
 // (internal/store, internal/journal) reached through the vfs.FaultFS
 // filesystem seam. Where the Injector above perturbs the simulated
 // machine, Failpoints perturb the host I/O the daemon depends on for
 // crash safety — short writes, failed fsyncs, a full disk, and the
-// process dying right after a write lands. Every decision is either a
-// counted one-shot ("the Nth matching operation") or a draw from a
-// per-failpoint splitmix64 stream, so a fault schedule is exactly
-// reproducible from its spec string and seed.
+// process dying right after a write lands. Every decision is a count
+// ("the Nth matching operation", or every one), so a fault schedule is
+// exactly reproducible from its spec string.
 
 // FPAction is what an armed failpoint does to the I/O operation that
 // tripped it.
@@ -75,9 +74,7 @@ type failpoint struct {
 	op     string // operation class: write, sync, create, rename, remove, truncate, open
 	sub    string // "" or a path substring filter
 	action FPAction
-	nth    uint64  // one-shot mode: fire on exactly the nth matching hit (1-based)
-	rate   float64 // seeded mode: per-hit probability (nth == 0)
-	stream uint64  // splitmix64 state for seeded mode
+	nth    uint64 // fire on exactly the nth matching hit (1-based); 0 = every hit
 	hits   uint64
 	fired  uint64
 }
@@ -87,11 +84,11 @@ func (p *failpoint) spec() string {
 	if p.sub != "" {
 		s += ":" + p.sub
 	}
-	s += "=" + p.action.String()
-	if p.nth > 0 {
-		return s + "@" + strconv.FormatUint(p.nth, 10)
+	s += "=" + p.action.String() + "@"
+	if p.nth == 0 {
+		return s + "*"
 	}
-	return s + "%" + strconv.FormatFloat(p.rate, 'g', -1, 64)
+	return s + strconv.FormatUint(p.nth, 10)
 }
 
 // Failpoints is a set of armed failpoints, safe for concurrent
@@ -104,24 +101,22 @@ type Failpoints struct {
 // ParseFailpoints parses a failpoint spec string:
 //
 //	spec     := clause (';' clause)*
-//	clause   := op [':' pathsub] '=' action ('@' n | '%' rate)
+//	clause   := op [':' pathsub] '=' action '@' (n | '*')
 //	op       := write | sync | create | rename | remove | truncate | open
 //	action   := error | enospc | short | crash
 //
 // '@n' fires on exactly the nth matching operation (1-based, counted
-// deterministically per failpoint); '%rate' fires each matching
-// operation with the given probability, drawn from a splitmix64 stream
-// derived from seed and the clause's position, so the whole schedule is
-// reproducible from (spec, seed). The optional pathsub filters by
-// substring of the operation's file path ("jobs.wal", "objects", ...).
-// An empty spec yields an empty (inert) set.
-func ParseFailpoints(spec string, seed int64) (*Failpoints, error) {
+// deterministically per failpoint); '@*' fires on every matching
+// operation. The optional pathsub filters by substring of the
+// operation's file path ("jobs.wal", "objects", ...). An empty spec
+// yields an empty (inert) set.
+func ParseFailpoints(spec string) (*Failpoints, error) {
 	f := &Failpoints{}
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return f, nil
 	}
-	for i, clause := range strings.Split(spec, ";") {
+	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
 			continue
@@ -137,29 +132,16 @@ func ParseFailpoints(spec string, seed int64) (*Failpoints, error) {
 			return nil, fmt.Errorf("failpoint %q: unknown op %q", clause, op)
 		}
 		p := &failpoint{op: op, sub: sub}
-		var actStr string
-		switch {
-		case strings.Contains(rhs, "@"):
-			var nStr string
-			actStr, nStr, _ = strings.Cut(rhs, "@")
+		actStr, nStr, ok := strings.Cut(rhs, "@")
+		if !ok {
+			return nil, fmt.Errorf("failpoint %q: need '@n' or '@*'", clause)
+		}
+		if nStr != "*" {
 			n, err := strconv.ParseUint(nStr, 10, 64)
 			if err != nil || n == 0 {
 				return nil, fmt.Errorf("failpoint %q: bad count %q", clause, nStr)
 			}
 			p.nth = n
-		case strings.Contains(rhs, "%"):
-			var rStr string
-			actStr, rStr, _ = strings.Cut(rhs, "%")
-			r, err := strconv.ParseFloat(rStr, 64)
-			if err != nil || r < 0 || r > 1 {
-				return nil, fmt.Errorf("failpoint %q: bad rate %q", clause, rStr)
-			}
-			p.rate = r
-			// A distinct, well-mixed stream per clause; the +1 keeps seed 0
-			// and clause 0 away from the splitmix fixed point at state 0.
-			p.stream = mix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(i) + 1)
-		default:
-			return nil, fmt.Errorf("failpoint %q: need '@n' or '%%rate'", clause)
 		}
 		act, err := parseFPAction(actStr)
 		if err != nil {
@@ -187,14 +169,7 @@ func (f *Failpoints) Eval(op, path string) FPAction {
 			continue
 		}
 		p.hits++
-		fire := false
-		if p.nth > 0 {
-			fire = p.hits == p.nth
-		} else if p.rate > 0 {
-			p.stream += 0x9e3779b97f4a7c15
-			fire = float64(mix64(p.stream)>>11)/float64(1<<53) < p.rate
-		}
-		if fire {
+		if p.nth == 0 || p.hits == p.nth {
 			p.fired++
 			if act == FPNone {
 				act = p.action

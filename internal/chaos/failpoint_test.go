@@ -11,11 +11,11 @@ func TestParseFailpointsGrammar(t *testing.T) {
 		"write=error@1",
 		"sync:jobs.wal=crash@2",
 		"write=short@1;sync=error@3",
-		"create:objects=enospc%0.25",
+		"create:objects=enospc@*",
 		"truncate=error@1; remove=enospc@2 ;open=short@1",
 	}
 	for _, spec := range good {
-		if _, err := ParseFailpoints(spec, 1); err != nil {
+		if _, err := ParseFailpoints(spec); err != nil {
 			t.Errorf("ParseFailpoints(%q) = %v, want nil", spec, err)
 		}
 	}
@@ -23,14 +23,14 @@ func TestParseFailpointsGrammar(t *testing.T) {
 		"write":            "missing '='",
 		"frobnicate=err@1": "unknown op",
 		"write=explode@1":  "unknown failpoint action",
-		"write=error":      "need '@n' or '%rate'",
+		"write=error":      "need '@n' or '@*'",
+		"write=error%1":    "need '@n' or '@*'",
 		"write=error@0":    "bad count",
 		"write=error@x":    "bad count",
-		"write=error%1.5":  "bad rate",
-		"write=error%-1":   "bad rate",
+		"write=error@**":   "bad count",
 	}
 	for spec, frag := range bad {
-		_, err := ParseFailpoints(spec, 1)
+		_, err := ParseFailpoints(spec)
 		if err == nil || !strings.Contains(err.Error(), frag) {
 			t.Errorf("ParseFailpoints(%q) = %v, want error containing %q", spec, err, frag)
 		}
@@ -38,7 +38,7 @@ func TestParseFailpointsGrammar(t *testing.T) {
 }
 
 func TestFailpointNthFiresExactlyOnce(t *testing.T) {
-	fp, err := ParseFailpoints("write:wal=error@3", 0)
+	fp, err := ParseFailpoints("write:wal=error@3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFailpointNthFiresExactlyOnce(t *testing.T) {
 }
 
 func TestFailpointFiltersOpAndPath(t *testing.T) {
-	fp, err := ParseFailpoints("sync:jobs.wal=crash@1", 0)
+	fp, err := ParseFailpoints("sync:jobs.wal=crash@1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFailpointFiltersOpAndPath(t *testing.T) {
 // '@n' position cannot shift when another clause is added — the property
 // that makes crash-harness specs stable.
 func TestFailpointHitCountingIsPerClause(t *testing.T) {
-	fp, err := ParseFailpoints("write=short@2;write=error@4", 0)
+	fp, err := ParseFailpoints("write=short@2;write=error@4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,40 +93,25 @@ func TestFailpointHitCountingIsPerClause(t *testing.T) {
 	}
 }
 
-func TestFailpointSeededRateDeterministic(t *testing.T) {
-	run := func(seed int64) []FPAction {
-		fp, err := ParseFailpoints("write=error%0.5", seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]FPAction, 64)
-		for i := range out {
-			out[i] = fp.Eval("write", "f")
-		}
-		return out
+func TestFailpointEveryHitFires(t *testing.T) {
+	fp, err := ParseFailpoints("write:objects=enospc@*")
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(7), run(7)
-	fired := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at hit %d", i)
-		}
-		if a[i] == FPError {
-			fired++
+	for i := 1; i <= 5; i++ {
+		if a := fp.Eval("write", "/d/objects/ab"); a != FPENOSPC {
+			t.Fatalf("hit %d: got %v, want FPENOSPC", i, a)
 		}
 	}
-	if fired == 0 || fired == len(a) {
-		t.Fatalf("rate 0.5 fired %d/%d times; stream looks degenerate", fired, len(a))
+	if a := fp.Eval("write", "/d/jobs.wal"); a != FPNone {
+		t.Fatalf("non-matching path fired: %v", a)
 	}
-	c := run(8)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
+	rep := fp.Report()
+	if len(rep) != 1 || rep[0].Hits != 5 || rep[0].Fired != 5 {
+		t.Fatalf("report = %+v, want 5 hits / 5 fired", rep)
 	}
-	if same == len(a) {
-		t.Fatal("different seeds produced an identical schedule")
+	if rep[0].Spec != "write:objects=enospc@*" {
+		t.Fatalf("spec round-trip = %q", rep[0].Spec)
 	}
 }
 
@@ -138,7 +123,7 @@ func TestFailpointsNilAndEmptyAreInert(t *testing.T) {
 	if nilFP.Enabled() || nilFP.Report() != nil {
 		t.Fatal("nil registry reports armed state")
 	}
-	empty, err := ParseFailpoints("  ", 0)
+	empty, err := ParseFailpoints("  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/vfs"
@@ -44,6 +45,10 @@ import (
 // the format version. A file with any other prefix is quarantined whole
 // and the journal starts fresh.
 const magic = "staggerwal 1\n"
+
+// compactInfix names Compact's temp file: <journal>.compact-<random>,
+// next to the journal, so Open can find and remove its own debris.
+const compactInfix = ".compact-"
 
 // maxRecord bounds one frame's payload; a length field beyond it is
 // treated as tail corruption, not an allocation request.
@@ -120,14 +125,26 @@ type Journal struct {
 	replayed, quarantined            uint64
 }
 
-// Open opens (creating if needed) the journal at path, replays its
-// valid prefix, quarantines and truncates any damaged tail, and leaves
-// the file open for appending. The returned Replay is never nil.
+// Open opens (creating if needed) the journal at path, removes the temp
+// file of a compaction that crashed, replays the journal's valid prefix,
+// quarantines and truncates any damaged tail, and leaves the file open
+// for appending. The returned Replay is never nil.
 func Open(fsys vfs.FS, path string) (*Journal, *Replay, error) {
 	j := &Journal{fs: fsys, path: path}
 	rep := &Replay{}
-	if err := fsys.MkdirAll(filepath.Dir(path)); err != nil {
+	dir := filepath.Dir(path)
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
+	}
+	// A crash inside Compact, before or after its rename, leaves a valid
+	// journal and possibly the temp file; the temp is never replayed, so
+	// deleting it is safe.
+	if ents, err := fsys.ReadDir(dir); err == nil {
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), filepath.Base(path)+compactInfix) {
+				fsys.Remove(filepath.Join(dir, e.Name()))
+			}
+		}
 	}
 	raw, err := fsys.ReadFile(path)
 	switch {
@@ -285,7 +302,7 @@ func (j *Journal) Compact(live []Record) error {
 		return errors.New("journal: closed")
 	}
 	dir := filepath.Dir(j.path)
-	tmp, err := j.fs.CreateTemp(dir, "wal-*.tmp")
+	tmp, err := j.fs.CreateTemp(dir, filepath.Base(j.path)+compactInfix+"*")
 	if err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}

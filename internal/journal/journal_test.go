@@ -213,7 +213,7 @@ func TestJournalWedgesAfterFailedAppend(t *testing.T) {
 	// Hit 1 of each op is the magic-header init; hit 2 is the first record.
 	for _, spec := range []string{"sync:jobs.wal=error@2", "write:jobs.wal=error@2"} {
 		t.Run(spec, func(t *testing.T) {
-			fp, err := chaos.ParseFailpoints(spec, 1)
+			fp, err := chaos.ParseFailpoints(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,18 +273,30 @@ func TestJournalCompact(t *testing.T) {
 	if rep.Records[1].Type != RecRunning || rep.Records[1].Seq != 2 {
 		t.Fatalf("post-compact append: %+v", rep.Records[1])
 	}
-	// No temp debris left behind.
-	ents, _ := os.ReadDir(filepath.Dir(path))
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("compact left %s behind", e.Name())
+	assertOnlyJournal(t, path)
+}
+
+// assertOnlyJournal fails unless the journal's directory holds the
+// journal file and nothing else: no compaction temp, no sidecar.
+func assertOnlyJournal(t *testing.T, path string) {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != filepath.Base(path) {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
 		}
+		t.Fatalf("journal directory holds %v, want only %s", names, filepath.Base(path))
 	}
 }
 
 // A crash during compaction (before the rename) leaves the old journal
 // intact; a crash after the rename leaves the new one. Either way the
-// next open sees a valid journal.
+// next open sees a valid journal, and removes the compaction's temp file
+// when the crash left one.
 func TestJournalCompactCrashSafety(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -297,7 +309,7 @@ func TestJournalCompactCrashSafety(t *testing.T) {
 		{"crash-at-rename", "rename:jobs.wal=crash@1", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fp, err := chaos.ParseFailpoints(tc.spec, 1)
+			fp, err := chaos.ParseFailpoints(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,6 +340,7 @@ func TestJournalCompactCrashSafety(t *testing.T) {
 			if rep.QuarantinedBytes != 0 {
 				t.Fatalf("compaction crash produced a damaged journal: %+v", rep)
 			}
+			assertOnlyJournal(t, path)
 		})
 	}
 }

@@ -173,7 +173,7 @@ func TestResumedSweepRecomputesOnlyMissingCells(t *testing.T) {
 	// filesystem is wedged, so nothing this life does afterwards (not even
 	// its shutdown) reaches the disk — what a SIGKILL there leaves behind.
 	dir := t.TempDir()
-	fp, err := chaos.ParseFailpoints("rename:objects=crash@2", 1)
+	fp, err := chaos.ParseFailpoints("rename:objects=crash@2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,14 +325,15 @@ func TestIdempotencyKeySurvivesCrash(t *testing.T) {
 // When the journal cannot make an accepted record durable, Submit must
 // refuse the job (503 over HTTP) rather than accept work it could lose.
 func TestSubmitRejectedWhenJournalFails(t *testing.T) {
-	fp, err := chaos.ParseFailpoints("sync:jobs.wal=error@2", 1)
+	fp, err := chaos.ParseFailpoints("sync:jobs.wal=error@3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	s := newT(t, Config{StoreDir: dir, FS: &vfs.FaultFS{Base: vfs.OS, FP: fp}})
-	// Sync hit 1 was the boot-time magic header; hit 2 is this submit's
-	// accepted record.
+	// Sync hit 1 was the boot-time magic header and hit 2 the boot
+	// compaction's temp file (jobs.wal.compact-*); hit 3 is this
+	// submit's accepted record.
 	_, err = s.Submit(tinySpec(61))
 	if !errors.Is(err, ErrJournal) {
 		t.Fatalf("submit with failing journal = %v, want ErrJournal", err)

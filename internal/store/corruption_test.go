@@ -193,7 +193,7 @@ func TestOpenSweepsOrphanedTempFiles(t *testing.T) {
 // A crash injected right after Put's temp-file write must never damage
 // the live name: the key reads back either complete or absent.
 func TestPutCrashLeavesLiveNameIntact(t *testing.T) {
-	fp, err := chaos.ParseFailpoints("write:objects=crash@2", 1)
+	fp, err := chaos.ParseFailpoints("write:objects=crash@2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestPutENOSPCFailsCleanly(t *testing.T) {
 		{"sync:objects=error@1", vfs.ErrInjected},
 	} {
 		t.Run(tc.spec, func(t *testing.T) {
-			fp, err := chaos.ParseFailpoints(tc.spec, 1)
+			fp, err := chaos.ParseFailpoints(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}

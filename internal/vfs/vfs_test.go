@@ -88,7 +88,7 @@ func TestOSRoundTrip(t *testing.T) {
 
 func mustFP(t *testing.T, spec string) *chaos.Failpoints {
 	t.Helper()
-	fp, err := chaos.ParseFailpoints(spec, 1)
+	fp, err := chaos.ParseFailpoints(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
