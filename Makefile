@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: help ci vet build test explore-smoke \
 	paper race-equivalence bench bench-smoke docs-verify docs \
-	daemon-smoke crash-smoke mutants
+	crash-smoke mutants
 
 # help lists every target with its one-line purpose (the `##` comment on
 # the target line). Run `make help` when lost.
@@ -13,10 +13,10 @@ help:
 # ci is the gate: static checks, full build, full test suite (which
 # includes the chaos smoke and the campaign on the paper's runtime), a
 # bounded schedule-exploration smoke (adversarial scheduler + oracle),
-# the race-mode parallel-sweep equivalence suite, the daemon lifecycle
-# smoke, the crash-recovery harness, the generated-docs drift check, and
+# the race-mode parallel-sweep equivalence suite, the daemon harness
+# (lifecycle and crash recovery), the generated-docs drift check, and
 # the perf ledger's smoke run with its own module's tests.
-ci: vet build test explore-smoke race-equivalence daemon-smoke crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
+ci: vet build test explore-smoke race-equivalence crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
 
 # vet layers two static gates over the whole tree: formatting and the
 # standard go vet. Any finding exits nonzero and fails the build.
@@ -34,21 +34,18 @@ test: ## go test ./... plus one pass of the htm hot-path kernels
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench BenchmarkHot -benchtime 1x ./internal/htm
 
-# daemon-smoke boots the real staggerd on a kernel-assigned port with a
-# throwaway store, drives one paper-table job through the HTTP lifecycle
-# with staggerctl, proves a resubmission is served byte-identically from
-# the durable store, then SIGTERM-drains and requires a clean exit.
-daemon-smoke: ## staggerd lifecycle: submit over HTTP, store hit, SIGTERM drain
-	GO=$(GO) sh scripts/daemon_smoke.sh
-
-# crash-smoke is the crash-recovery harness, cmd/staggerd/crash_test.go,
-# under -race: it SIGKILLs the real daemon (and crashes it via
-# deterministic disk failpoints), restarts it over the same store, and
-# asserts that every accepted job reaches a terminal state with
+# crash-smoke is the one daemon harness, cmd/staggerd's tests, under
+# -race. They boot the real staggerd and staggerctl binaries. The
+# lifecycle test drives one paper-table job through the staggerctl verbs
+# (health, submit, wait, result, metrics), proves a resubmission is
+# served byte-identically from the durable store, then SIGTERM-drains
+# and requires exit 0. The crash tests SIGKILL the daemon (and crash it
+# via deterministic disk failpoints), restart it over the same store,
+# and assert that every accepted job reaches a terminal state with
 # byte-identical results, that a staggerctl -reconnect waiter rides
 # through the restart, and that damaged journal tails are quarantined.
 # A failing scenario prints the daemon's log.
-crash-smoke: ## crash harness: SIGKILL + failpoint recovery, byte-identical results
+crash-smoke: ## daemon harness: staggerctl lifecycle, SIGTERM drain, SIGKILL + failpoint recovery
 	$(GO) test -race ./cmd/staggerd -count=1
 
 # explore-smoke runs 25 PCT(d=3) schedules per workload through the

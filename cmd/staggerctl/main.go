@@ -20,7 +20,8 @@
 //
 // The exit code is 0 on success, 1 on any HTTP or job-level failure
 // (wait exits 1 if the job ends failed or canceled), so shell scripts
-// and the daemon-smoke CI target can chain verbs with && safely.
+// can chain verbs with && safely; cmd/staggerd's tests drive the verbs
+// against the real daemon.
 //
 // Read-only verbs (status, wait, result, cell, trace, jobs, metrics,
 // health) retry connection-level failures — refused dials, connections

@@ -12,8 +12,8 @@
 //	staggerctl -addr 127.0.0.1:8423 submit '{"cells":[{"bench":"list-hi"}]}'
 //
 // With -addr ending in :0 the kernel picks a free port; -addr-file
-// publishes the bound address for scripts (the daemon-smoke target uses
-// this to avoid port races).
+// publishes the bound address for scripts and tests (the daemon harness
+// in this package's tests uses it to avoid port races).
 package main
 
 import (

@@ -15,7 +15,8 @@
 //	staggersim -bench list-hi -trace-out run-trace.json
 //	staggersim -sched replay:fail.trace -trace-out fail-timeline.json
 //
-// Fault injection (all deterministic in -seed):
+// Fault injection (all deterministic in -seed; without -watchdog a
+// -chaos run is bounded by harness.ChaosWatchdog, 200M cycles):
 //
 //	staggersim -bench list-hi -chaos 0.01 -watchdog 500000000
 //	staggersim -chaos-campaign -chaos-rates 0,0.002,0.01,0.05 -ops 240
@@ -24,7 +25,13 @@
 //
 //	staggersim -bench intruder -explore -explore-runs 100 -sched pct:3 -minimize
 //	staggersim -bench list-hi -sched random -sched-seed 7 -oracle -record fail.trace
-//	staggersim -sched replay:fail.trace -oracle
+//	staggersim -sched replay:fail.trace
+//
+// The cell flags (-bench through -oracle, -chaos and -watchdog) lower
+// through one harness.Cell, so -capacity with a backend other than
+// limited is an error, as it is at staggerd. A trace's header is the
+// cell it was recorded under: -sched replay:<file> reruns that cell and
+// its picks, and any cell flag given overrides its field.
 //
 // The defects these modes exist to catch live in mutants/, one patch
 // each; `make mutants` applies every patch to a throwaway worktree and
@@ -42,12 +49,9 @@ import (
 	"strings"
 
 	"repro/internal/backend"
-	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/htm"
 	"repro/internal/obs"
-	"repro/internal/sched"
-	"repro/internal/stagger"
 	"repro/internal/workloads"
 )
 
@@ -60,8 +64,7 @@ var flagGroups = []struct {
 }{
 	{"Run selection", []string{"bench", "mode", "backend", "capacity", "threads", "seed", "ops", "naive", "lazy", "speedup", "workers"}},
 	{"Observability", []string{"metrics", "trace", "trace-out", "cpuprofile"}},
-	{"Fault injection", []string{"chaos", "chaos-abort", "chaos-ntdelay", "chaos-lockdrop",
-		"chaos-jitter", "watchdog", "chaos-campaign", "chaos-rates"}},
+	{"Fault injection", []string{"chaos", "watchdog", "chaos-campaign", "chaos-rates"}},
 	{"Scheduling and exploration", []string{"sched", "sched-seed", "oracle", "record", "explore",
 		"explore-runs", "minimize", "explore-out"}},
 }
@@ -93,159 +96,135 @@ func groupedUsage(fs *flag.FlagSet) {
 // one FlagSet, so main (via flag.CommandLine) and the tests (via a
 // scratch FlagSet) share a single definition of the command's surface —
 // a new flag that is not also placed in flagGroups fails the test
-// instead of silently missing from -h.
+// instead of silently missing from -h. The flags that select the
+// simulation write straight into c, the one cell the command line
+// describes.
 type opts struct {
 	fs *flag.FlagSet
+	c  harness.Cell
 
-	bench, mode                                         *string
-	backendName                                         *string
-	capacity                                            *int
-	threads                                             *int
-	seed                                                *int64
-	ops                                                 *int
-	naive, lazy                                         *bool
-	trace                                               *int
-	metricsOut                                          *bool
-	traceOut                                            *string
-	speedup                                             *bool
-	chaosRate, chaosAbort, chaosNT, chaosDrop, chaosJit *float64
-	watchdog                                            *uint64
-	campaign                                            *bool
-	rates, schedSpec                                    *string
-	schedSeed                                           *int64
-	oracleOn                                            *bool
-	record                                              *string
-	explore                                             *bool
-	exploreRuns                                         *int
-	minimize                                            *bool
-	exploreOut                                          *string
-	workers                                             *int
-	cpuprofile                                          *string
+	trace       *int
+	metricsOut  *bool
+	traceOut    *string
+	speedup     *bool
+	campaign    *bool
+	rates       *string
+	record      *string
+	explore     *bool
+	exploreRuns *int
+	minimize    *bool
+	exploreOut  *string
+	workers     *int
+	cpuprofile  *string
 }
 
 func defineFlags(fs *flag.FlagSet) *opts {
-	o := &opts{
-		fs:          fs,
-		bench:       fs.String("bench", "", "benchmark name (empty: list them)"),
-		mode:        fs.String("mode", "staggered", "system: htm | addronly | sw | staggered"),
-		capacity:    fs.Int("capacity", 0, "speculative line capacity for -backend limited (0 = backend default)"),
-		threads:     fs.Int("threads", 16, "worker threads"),
-		seed:        fs.Int64("seed", 42, "workload seed"),
-		ops:         fs.Int("ops", 0, "total operations (0 = benchmark default)"),
-		naive:       fs.Bool("naive", false, "instrument every load/store (overhead study)"),
-		lazy:        fs.Bool("lazy", false, "lazy (commit-time) conflict detection"),
-		trace:       fs.Int("trace", 0, "print the first N transaction events (-1 = record all, print none)"),
-		metricsOut:  fs.Bool("metrics", false, "print the run's metrics report as stable-sorted JSON instead of the summary"),
-		traceOut:    fs.String("trace-out", "", "write a Chrome trace-event (Perfetto-loadable) timeline to this file; in -explore, a per-failure timeline next to each -explore-out trace"),
-		speedup:     fs.Bool("speedup", false, "also run 1-thread baseline and report speedup"),
-		chaosRate:   fs.Float64("chaos", 0, "inject every fault class at this rate (0 = off)"),
-		chaosAbort:  fs.Float64("chaos-abort", 0, "spurious-abort rate (overrides -chaos)"),
-		chaosNT:     fs.Float64("chaos-ntdelay", 0, "NT-store delay rate (overrides -chaos)"),
-		chaosDrop:   fs.Float64("chaos-lockdrop", 0, "lost-lock-release rate (overrides -chaos)"),
-		chaosJit:    fs.Float64("chaos-jitter", 0, "per-core stall-jitter rate (overrides -chaos)"),
-		watchdog:    fs.Uint64("watchdog", 0, "fail loudly past this many virtual cycles (0 = none)"),
-		campaign:    fs.Bool("chaos-campaign", false, "sweep fault rates across benchmarks and print degradation curves"),
-		rates:       fs.String("chaos-rates", "", "comma-separated fault rates for -chaos-campaign"),
-		schedSpec:   fs.String("sched", "", "adversarial scheduler: random | pct:<d> | replay:<file> (optionally @<window>)"),
-		schedSeed:   fs.Int64("sched-seed", 0, "scheduler seed (0 = workload seed)"),
-		oracleOn:    fs.Bool("oracle", false, "check every commit against the serializability oracle"),
-		record:      fs.String("record", "", "write the run's schedule trace to this file (needs -sched)"),
-		explore:     fs.Bool("explore", false, "run a schedule-exploration campaign (many seeds of -sched, oracle on)"),
-		exploreRuns: fs.Int("explore-runs", harness.DefaultExploreRuns, "schedules per benchmark for -explore"),
-		minimize:    fs.Bool("minimize", false, "delta-debug each failing schedule found by -explore"),
-		exploreOut:  fs.String("explore-out", "", "directory for failing-schedule trace files (empty: don't write)"),
-		workers: fs.Int("workers", runtime.NumCPU(),
-			"max concurrent simulation runs in campaigns (1 = sequential; output is identical either way)"),
-		cpuprofile: fs.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file (complete on a zero exit)"),
-	}
+	o := &opts{fs: fs}
+	c := &o.c
+	fs.StringVar(&c.Bench, "bench", "", "benchmark name (empty: list them)")
+	fs.StringVar(&c.Mode, "mode", "staggered", "system: htm | addronly | sw | staggered")
 	// -backend validates at parse time: a typo fails with the registry's
 	// name list before any simulation starts.
-	o.backendName = new(string)
-	fs.Func("backend", "concurrency-control backend: "+strings.Join(backend.Names(), " | ")+
-		" (empty: htm under -mode htm, else staggered)", func(s string) error {
-		if _, err := backend.Get(s); err != nil {
-			return err
-		}
-		*o.backendName = s
-		return nil
-	})
+	fs.Var((*backendFlag)(&c.Backend), "backend", "concurrency-control backend: "+strings.Join(backend.Names(), " | ")+
+		" (empty: htm under -mode htm, else staggered)")
+	fs.IntVar(&c.Capacity, "capacity", 0, "speculative line capacity for -backend limited (0 = backend default)")
+	fs.IntVar(&c.Threads, "threads", 16, "worker threads")
+	fs.Int64Var(&c.Seed, "seed", 42, "workload seed (also seeds -chaos)")
+	fs.IntVar(&c.Ops, "ops", 0, "total operations (0 = benchmark default)")
+	fs.BoolVar(&c.Naive, "naive", false, "instrument every load/store (overhead study)")
+	fs.BoolVar(&c.Lazy, "lazy", false, "lazy (commit-time) conflict detection")
+	fs.Float64Var(&c.ChaosRate, "chaos", 0, "inject every fault class at this rate (0 = off)")
+	fs.Uint64Var(&c.Watchdog, "watchdog", 0, "fail loudly past this many virtual cycles (0 = none; -chaos runs default to 200000000)")
+	fs.StringVar(&c.Sched, "sched", "", "adversarial scheduler: random | pct:<d> (optionally @<window>); replay:<file> reruns a recorded trace's cell and schedule, with the cell flags given overriding its fields")
+	fs.Int64Var(&c.SchedSeed, "sched-seed", 0, "scheduler seed (0 = workload seed)")
+	fs.BoolVar(&c.Oracle, "oracle", false, "check every commit against the serializability oracle")
+	o.trace = fs.Int("trace", 0, "print the first N transaction events (-1 = record all, print none)")
+	o.metricsOut = fs.Bool("metrics", false, "print the run's metrics report as stable-sorted JSON instead of the summary")
+	o.traceOut = fs.String("trace-out", "", "write a Chrome trace-event (Perfetto-loadable) timeline to this file; in -explore, a per-failure timeline next to each -explore-out trace")
+	o.speedup = fs.Bool("speedup", false, "also run 1-thread baseline and report speedup")
+	o.campaign = fs.Bool("chaos-campaign", false, "sweep fault rates across benchmarks and print degradation curves")
+	o.rates = fs.String("chaos-rates", "", "comma-separated fault rates for -chaos-campaign")
+	o.record = fs.String("record", "", "write the run's schedule trace to this file (needs -sched)")
+	o.explore = fs.Bool("explore", false, "run a schedule-exploration campaign (many seeds of -sched, oracle on)")
+	o.exploreRuns = fs.Int("explore-runs", harness.DefaultExploreRuns, "schedules per benchmark for -explore")
+	o.minimize = fs.Bool("minimize", false, "delta-debug each failing schedule found by -explore")
+	o.exploreOut = fs.String("explore-out", "", "directory for failing-schedule trace files (empty: don't write)")
+	o.workers = fs.Int("workers", runtime.NumCPU(),
+		"max concurrent simulation runs in campaigns (1 = sequential; output is identical either way)")
+	o.cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file (complete on a zero exit)")
 	return o
 }
 
+// backendFlag is -backend: a registered backend name.
+type backendFlag string
+
+func (b *backendFlag) String() string { return string(*b) }
+
+func (b *backendFlag) Set(s string) error {
+	_, err := backend.Get(s)
+	if err == nil {
+		*b = backendFlag(s)
+	}
+	return err
+}
+
 // cell lowers the parsed flags to the one experiment cell the command
-// line describes. Every sub-mode starts from it: the plain run and
-// -speedup execute it as is, -explore and -chaos-campaign vary its
-// schedule or fault rate. -bench may name several benchmarks for those;
-// the cell carries the flag verbatim and benches splits it.
+// line describes, through harness.Cell. Every sub-mode starts from it:
+// the plain run and -speedup execute it as is, -explore and
+// -chaos-campaign vary its schedule or fault rate. -bench may name
+// several benchmarks for those, so the cell is checked and lowered under
+// the first; Benchmark and TotalOps, the fields that depend on the
+// benchmark, keep the command line's spelling, and benches splits it.
 func (o *opts) cell() (harness.RunConfig, error) {
-	// Replaying a trace file reproduces its run: the header supplies the
-	// benchmark, system (mode, backend, capacity), thread count, and seeds
-	// unless flags override them.
-	if spec, err := sched.Parse(*o.schedSpec); *o.schedSpec != "" && err == nil && spec.Kind == "replay" {
-		if tr, err := sched.ReadTraceFile(spec.File); err == nil {
-			set := map[string]bool{}
-			o.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			if !set["bench"] {
-				*o.bench = tr.Bench
-			}
-			if !set["mode"] {
-				*o.mode = tr.Mode
-			}
-			if !set["backend"] {
-				*o.backendName = tr.Backend
-			}
-			if !set["capacity"] {
-				*o.capacity = tr.Capacity
-			}
-			if !set["threads"] {
-				*o.threads = tr.Threads
-			}
-			if !set["seed"] {
-				*o.seed = tr.WlSeed
-			}
-			if !set["ops"] {
-				*o.ops = tr.Ops
-			}
+	var picks []uint32
+	if file, ok := strings.CutPrefix(o.c.Sched, "replay:"); ok {
+		var err error
+		if picks, err = o.replay(file); err != nil {
+			return harness.RunConfig{}, err
 		}
 	}
-	m, err := stagger.ParseMode(*o.mode)
+	c := o.c
+	c.Bench = benches(o.c.Bench)[0]
+	_, rc, err := c.Normalize()
 	if err != nil {
 		return harness.RunConfig{}, err
 	}
-	rc := harness.RunConfig{
-		Benchmark: *o.bench,
-		Mode:      m,
-		Backend:   *o.backendName,
-		Capacity:  *o.capacity,
-		Threads:   *o.threads,
-		Seed:      *o.seed,
-		TotalOps:  *o.ops,
-		Naive:     *o.naive,
-		Lazy:      *o.lazy,
-		TraceN:    *o.trace,
-		Watchdog:  *o.watchdog,
-		Sched:     *o.schedSpec,
-		SchedSeed: *o.schedSeed,
-		Record:    *o.record != "",
-		Oracle:    *o.oracleOn,
-	}
-	ccfg := chaos.Scaled(*o.chaosRate, *o.seed)
-	if *o.chaosAbort > 0 {
-		ccfg.AbortRate = *o.chaosAbort
-	}
-	if *o.chaosNT > 0 {
-		ccfg.NTDelayRate = *o.chaosNT
-	}
-	if *o.chaosDrop > 0 {
-		ccfg.LockDropRate = *o.chaosDrop
-	}
-	if *o.chaosJit > 0 {
-		ccfg.JitterRate = *o.chaosJit
-	}
-	if ccfg.Enabled() {
-		rc.Chaos = &ccfg
-	}
+	rc.Benchmark, rc.TotalOps = o.c.Bench, o.c.Ops
+	rc.TraceN = *o.trace
+	rc.Record = *o.record != ""
+	rc.ReplayPicks = picks
 	return rc, nil
+}
+
+// replay makes the cell a trace file's and returns its picks: the run
+// it recorded, except for the cell flags given on the command line.
+// Every cell flag writes into o.c, so once o.c holds the trace's cell,
+// setting each given flag again to the value it parsed to writes that
+// value over the trace's (for the other flags this is a no-op). -sched
+// is the replay itself: the trace's spec is the one it replays under.
+func (o *opts) replay(file string) ([]uint32, error) {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	tc, picks, err := harness.DecodeTrace(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	var given []*flag.Flag
+	var vals []string
+	o.fs.Visit(func(f *flag.Flag) {
+		if f.Name != "sched" {
+			given, vals = append(given, f), append(vals, f.Value.String())
+		}
+	})
+	o.c = tc
+	for i, f := range given {
+		if err := f.Value.Set(vals[i]); err != nil {
+			return nil, err
+		}
+	}
+	return picks, nil
 }
 
 // benches splits a comma-separated -bench list; empty means all.
@@ -335,10 +314,9 @@ func runCell(rc harness.RunConfig, o *opts) {
 		printResult(res)
 	}
 	if *o.traceOut != "" {
-		meta := obs.TraceMetaOf(res.Config)
-		if cp := rc.Chaos; cp != nil {
-			meta.Extra = map[string]string{"chaos": fmt.Sprintf("abort=%g ntdelay=%g lockdrop=%g jitter=%g",
-				cp.AbortRate, cp.NTDelayRate, cp.LockDropRate, cp.JitterRate)}
+		meta, err := obs.TraceMetaOf(res.Config)
+		if err != nil {
+			die(1, err)
 		}
 		if err := writeTraceFile(*o.traceOut, meta, res.Trace); err != nil {
 			die(1, err)
@@ -357,7 +335,11 @@ func runCell(rc harness.RunConfig, o *opts) {
 		fmt.Printf("\ntrace (first %d events):\n%s", len(res.Trace), htm.FormatTrace(res.Trace))
 	}
 	if *o.record != "" {
-		if err := harness.SchedTrace(res.Config, res.SchedPicks).WriteFile(*o.record); err != nil {
+		tr, err := harness.SchedTrace(res.Config, res.SchedPicks)
+		if err == nil {
+			err = tr.WriteFile(*o.record)
+		}
+		if err != nil {
 			die(1, err)
 		}
 		fmt.Printf("recorded    %d scheduler decisions -> %s\n", len(res.SchedPicks), *o.record)
@@ -402,7 +384,11 @@ func runExplore(rc harness.RunConfig, runs int, minimize bool, outDir, traceOut 
 			fmt.Printf("): %v\n", f.Err)
 			if outDir != "" {
 				path := fmt.Sprintf("%s/%s-fail-%d.trace", outDir, bench, i)
-				if err := f.Trace(ec).WriteFile(path); err != nil {
+				tr, err := f.Trace(ec)
+				if err == nil {
+					err = tr.WriteFile(path)
+				}
+				if err != nil {
 					fmt.Fprintln(os.Stderr, "staggersim:", err)
 				} else {
 					fmt.Printf("    trace -> %s (replay with -sched replay:%s)\n", path, path)
@@ -427,13 +413,11 @@ func runExplore(rc harness.RunConfig, runs int, minimize bool, outDir, traceOut 
 // tracing and writes its Perfetto timeline. Replay uses the recorded
 // decision sequence (the minimized prefix when available), so the
 // timeline shows exactly the schedule the minimizer reduced the failure
-// to — tagged with the seeds needed to regenerate it from scratch.
+// to — tagged with the cell, seeds included, that regenerates it from
+// scratch.
 func exportFailureTimeline(ec harness.ExploreConfig, f *harness.ExploreFailure, path string) error {
 	rc := ec.RunConfig()
-	spec, err := sched.Parse(rc.Sched)
-	if err != nil {
-		return err
-	}
+	rc.SchedSeed = f.SchedSeed
 	picks := f.Picks
 	tag := "full"
 	if f.Minimized != nil {
@@ -447,13 +431,14 @@ func exportFailureTimeline(ec harness.ExploreConfig, f *harness.ExploreFailure, 
 	if err != nil {
 		return err
 	}
-	meta := obs.TraceMetaOf(res.Config)
-	meta.SchedSeed = f.SchedSeed
+	meta, err := obs.TraceMetaOf(res.Config)
+	if err != nil {
+		return err
+	}
 	meta.Extra = map[string]string{
 		"failure":        f.Err.Error(),
 		"replay":         tag,
 		"decision_count": fmt.Sprint(len(picks)),
-		"window":         fmt.Sprint(spec.Window),
 	}
 	return writeTraceFile(path, meta, res.Trace)
 }

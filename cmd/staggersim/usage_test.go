@@ -63,8 +63,8 @@ func TestBackendFlagValidatesAtParseTime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("-backend %s rejected: %v", name, err)
 		}
-		if *o.backendName != name {
-			t.Fatalf("-backend %s parsed as %q", name, *o.backendName)
+		if o.c.Backend != name {
+			t.Fatalf("-backend %s parsed as %q", name, o.c.Backend)
 		}
 	}
 }

@@ -169,23 +169,50 @@ func TestArenaCacheSeparation(t *testing.T) {
 
 // TestRunConfigFieldsKeyedOrUncacheable fails when a RunConfig field is
 // added without deciding what it means for memoization: every field must
-// be named in exactly one of keyed (part of the memo key) or uncacheable
-// (its non-zero value bypasses the memo). A field in neither would let
-// two different simulations share a result.
+// either be in uncacheable (its non-zero value bypasses the memo) or be
+// encoded by its Cell, so that setting it changes the memo key. A field
+// that is neither would let two different simulations share a result —
+// and would drop out of the store key and the replay-trace header too.
 func TestRunConfigFieldsKeyedOrUncacheable(t *testing.T) {
-	listed := map[string]int{}
-	for _, f := range append(append([]string{}, keyed...), uncacheable...) {
-		listed[f]++
+	skip := map[string]bool{}
+	for _, f := range uncacheable {
+		skip[f] = true
 	}
+	keyOf := func(rc RunConfig) string {
+		c, err := CellOf(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Key()
+	}
+	base := keyOf(RunConfig{})
 	typ := reflect.TypeOf(RunConfig{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if listed[name] != 1 {
-			t.Errorf("RunConfig.%s is named %d times across keyed and uncacheable, want exactly once", name, listed[name])
+		if skip[name] {
+			delete(skip, name)
+			continue
 		}
-		delete(listed, name)
+		var rc RunConfig
+		f := reflect.ValueOf(&rc).Elem().Field(i)
+		switch {
+		case f.Kind() == reflect.String:
+			f.SetString("x")
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.CanInt():
+			f.SetInt(3)
+		case f.CanUint():
+			f.SetUint(3)
+		default:
+			t.Errorf("RunConfig.%s (%s) is not in uncacheable and a Cell cannot spell it", name, f.Type())
+			continue
+		}
+		if keyOf(rc) == base {
+			t.Errorf("setting RunConfig.%s does not change its cell's key: add it to Cell, or to uncacheable", name)
+		}
 	}
-	for name := range listed {
-		t.Errorf("%q is listed but is not a RunConfig field", name)
+	for name := range skip {
+		t.Errorf("uncacheable lists %q, which is not a RunConfig field", name)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 )
 
@@ -17,11 +16,11 @@ import (
 // CacheSchema versions the meaning of a cached result: bump it whenever
 // the simulation's observable output for an unchanged RunConfig changes
 // (new machine defaults, changed cycle accounting, new Result fields) or
-// the canonical spelling of a cell does. It is part of every in-process
-// memo key and embedded in every durable store key (internal/service),
-// so entries written by an older schema are simply never found — they
-// age out as misses and are recomputed, never deserialized under the
-// wrong interpretation.
+// the canonical spelling of a cell does. It prefixes Cell.Key, which is
+// both the in-process memo key and the durable store key
+// (internal/service), so entries written by an older schema are simply
+// never found — they age out as misses and are recomputed, never
+// deserialized under the wrong interpretation.
 //
 // Schema history: 2 added the conflicting-pair histogram
 // (Result.ConfPairs and the report's conflicting_pairs section); 3
@@ -34,18 +33,13 @@ import (
 // locks.reclaimed counter with the runtime mechanisms behind them.
 const CacheSchema = 5
 
-// Every RunConfig field is named in exactly one of these lists
-// (TestRunConfigFieldsKeyedOrUncacheable): keyed fields are simulation
-// input and make up the memo key; a non-zero uncacheable field is a
-// machine/runtime override or a run-scoped side channel (trace capture,
-// fault injection, watchdogs, pick recording/replay), so the run
-// executes for real every time.
-var (
-	keyed = []string{"Benchmark", "Mode", "Backend", "Capacity", "Threads", "Seed",
-		"TotalOps", "Naive", "Lazy", "Sched", "SchedSeed", "Oracle"}
-	uncacheable = []string{"TraceN", "ExtTrace", "Machine", "Stagger", "Chaos", "Watchdog",
-		"WatchdogTrace", "Record", "ReplayPicks"}
-)
+// A non-zero uncacheable RunConfig field is a machine/runtime override
+// or a run-scoped side channel (trace capture, fault injection,
+// watchdogs, pick recording/replay), so the run executes for real every
+// time. Every other field is simulation input that its Cell encodes, and
+// the memo key is that Cell's Key (TestRunConfigFieldsKeyedOrUncacheable).
+var uncacheable = []string{"TraceN", "ExtTrace", "Machine", "Stagger", "Chaos", "Watchdog",
+	"WatchdogTrace", "Record", "ReplayPicks"}
 
 var (
 	cacheMu sync.Mutex
@@ -61,12 +55,8 @@ func cacheableKey(rc RunConfig) (string, bool) {
 			return "", false
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d", CacheSchema)
-	for _, f := range keyed {
-		fmt.Fprintf(&b, "|%#v", v.FieldByName(f).Interface())
-	}
-	return b.String(), true
+	c, err := CellOf(rc) // every override is uncacheable: never fails
+	return c.Key(), err == nil
 }
 
 func cached(key string) *Result {

@@ -19,9 +19,9 @@ import (
 // the robustness analogue of Figure 7.
 
 // ChaosWatchdog bounds, in cycles, a fault-injected cell that names no
-// watchdog of its own (here and in the service): an injected livelock
-// must fail loudly and deterministically inside the simulation, with its
-// last trace events, instead of eating wall-clock time.
+// watchdog of its own (normalize applies it to every run): an injected
+// livelock must fail loudly and deterministically inside the simulation,
+// with its last trace events, instead of eating wall-clock time.
 const ChaosWatchdog = 200_000_000
 
 // ChaosSweep configures one campaign.

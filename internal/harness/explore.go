@@ -32,8 +32,7 @@ type ExploreConfig struct {
 	// config, so fault x schedule sweeps are one campaign.
 	Chaos *chaos.Config
 
-	// Spec is the scheduler specification ("" = DefaultExploreSched);
-	// replay specs make no sense here and are rejected.
+	// Spec is the scheduler specification ("" = DefaultExploreSched).
 	Spec string
 	// Runs is the number of schedules to explore (0 = DefaultExploreRuns).
 	Runs int
@@ -65,8 +64,10 @@ type ExploreFailure struct {
 	Probes int
 }
 
-// Trace packages the failure as a writable trace for `-sched=replay:`.
-func (f *ExploreFailure) Trace(ec ExploreConfig) *sched.Trace {
+// Trace packages the failure as a writable trace for `-sched
+// replay:<file>`: its cell, the minimized picks when there are any, or
+// an error when the campaign's cell has no encoding (see SchedTrace).
+func (f *ExploreFailure) Trace(ec ExploreConfig) (*sched.Trace, error) {
 	rc := ec.RunConfig()
 	rc.SchedSeed = f.SchedSeed
 	picks := f.Picks
@@ -74,26 +75,6 @@ func (f *ExploreFailure) Trace(ec ExploreConfig) *sched.Trace {
 		picks = f.Minimized
 	}
 	return SchedTrace(rc, picks)
-}
-
-// SchedTrace packages a decision sequence recorded under rc with the cell
-// identity a replay needs: workload, system, threads, seeds and window.
-func SchedTrace(rc RunConfig, picks []uint32) *sched.Trace {
-	spec, _ := sched.Parse(rc.Sched)
-	return &sched.Trace{
-		Version:  sched.TraceVersion,
-		Spec:     rc.Sched,
-		Seed:     schedSeed(rc),
-		Bench:    rc.Benchmark,
-		Mode:     rc.Mode.String(),
-		Backend:  rc.Backend,
-		Capacity: rc.Capacity,
-		Threads:  rc.Threads,
-		WlSeed:   rc.Seed,
-		Ops:      rc.TotalOps,
-		Window:   spec.Window,
-		Picks:    picks,
-	}
 }
 
 // ExploreReport aggregates one campaign.
@@ -167,13 +148,6 @@ func Explore(ec ExploreConfig) (*ExploreReport, error) { return explore(ec, nil)
 // every schedule's whole Result in run order, before it is folded into
 // the report's counts.
 func explore(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport, error) {
-	spec, err := sched.Parse(exploreSpec(ec))
-	if err != nil {
-		return nil, err
-	}
-	if spec.Kind == "replay" {
-		return nil, fmt.Errorf("harness: explore needs a generative scheduler, not %q", ec.Spec)
-	}
 	if ec.Runs <= 0 {
 		ec.Runs = DefaultExploreRuns
 	}
@@ -208,7 +182,7 @@ func explore(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport
 		return runOne(ctx, rc, &cells[worker])
 	}
 	rep := &ExploreReport{Config: ec}
-	err = sweepWith(ctx, cfgs, workers, run, func(i int, o RunOutcome) error {
+	err := sweepWith(ctx, cfgs, workers, run, func(i int, o RunOutcome) error {
 		ss := cfgs[i].SchedSeed
 		if o.Err != nil {
 			return fmt.Errorf("harness: explore run %d (sched seed %d): %w", i, ss, o.Err)

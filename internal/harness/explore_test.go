@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/htm"
-	"repro/internal/sched"
 	"repro/internal/stagger"
 )
 
@@ -82,8 +81,10 @@ func TestReplayFidelity(t *testing.T) {
 	}
 }
 
-// TestReplayTraceFile: the trace file written for a run replays it via the
-// replay:<file> scheduler spec, the CLI's reproduction path.
+// TestReplayTraceFile: the trace file written for a run replays it: its
+// header decodes, through the one strict decoder, to the cell the run
+// was recorded under, and its picks replay that cell bit-identically —
+// the path staggersim's -sched replay:<file> takes.
 func TestReplayTraceFile(t *testing.T) {
 	rc := RunConfig{
 		Benchmark: "list-hi",
@@ -91,7 +92,8 @@ func TestReplayTraceFile(t *testing.T) {
 		Threads:   4,
 		Seed:      11,
 		TotalOps:  240,
-		Sched:     "pct:3",
+		Lazy:      true,
+		Sched:     "pct:3@2048",
 		SchedSeed: 99,
 		Record:    true,
 	}
@@ -99,33 +101,37 @@ func TestReplayTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("record run: %v", err)
 	}
-	tr := &sched.Trace{
-		Version: sched.TraceVersion,
-		Spec:    rc.Sched,
-		Seed:    rc.SchedSeed,
-		Bench:   rc.Benchmark,
-		Mode:    rc.Mode.String(),
-		Threads: rc.Threads,
-		WlSeed:  rc.Seed,
-		Window:  sched.DefaultWindow,
-		Picks:   rec.SchedPicks,
+	tr, err := SchedTrace(rec.Config, rec.SchedPicks)
+	if err != nil {
+		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "fail.trace")
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatalf("write trace: %v", err)
 	}
-
-	rp := rc
-	rp.Record = false
-	rp.Sched = "replay:" + path
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, picks, err := DecodeTrace(data)
+	if err != nil {
+		t.Fatalf("decode trace: %v", err)
+	}
+	_, rp, err := c.Normalize()
+	if err != nil {
+		t.Fatalf("trace cell %+v: %v", c, err)
+	}
+	rp.ReplayPicks = picks
 	rep, err := Run(rp)
 	if err != nil {
 		t.Fatalf("replay run: %v", err)
 	}
+	if !rp.Lazy || rp.Sched != rc.Sched || rp.SchedSeed != rc.SchedSeed {
+		t.Fatalf("trace cell lost the recorded run's settings: %+v", c)
+	}
 	if !reflect.DeepEqual(rec.Stats, rep.Stats) {
 		t.Fatalf("trace-file replay diverges from recording")
 	}
-	_ = os.Remove(path)
 }
 
 // TestExploreCleanCampaign: a seeded campaign over correct protocols must

@@ -20,3 +20,10 @@ func NewPreparedRunner() (run func(RunConfig) (*Result, error), memory func() *m
 // ExploreObserved is Explore with its tap: observe sees every schedule's
 // Result, in run order.
 var ExploreObserved = explore
+
+// Normalized is rc as its run path spells it (see normalize), for the
+// Cell round trip in package harness_test.
+func Normalized(rc RunConfig) (RunConfig, error) {
+	c, err := normalize(rc)
+	return c.rc, err
+}

@@ -92,7 +92,7 @@ type RunConfig struct {
 
 	// Sched selects an adversarial scheduler replacing the engine's
 	// deterministic minimum-time tie-break ("" = baseline; see sched.Parse
-	// for the grammar: "random", "pct:<d>", "replay:<file>", "...@<window>").
+	// for the grammar: "random", "pct:<d>", "...@<window>").
 	Sched string
 	// SchedSeed seeds the random and PCT schedulers (0 = use Seed). Each
 	// exploration run varies SchedSeed while Seed keeps the workload fixed.
@@ -205,21 +205,25 @@ func (r *Result) AnchorsPerTxn() float64 {
 // DefaultSeed is the workload seed a zero Seed means.
 const DefaultSeed = 42
 
-// cell is a normalized RunConfig together with the backend normalizing
-// it had to look up. It holds no workload: normalizing is what every
-// memo lookup and every admitted service cell does, and only a run needs
-// a built module.
+// cell is a normalized RunConfig together with the backend and the
+// scheduler spec normalizing it had to look up. It holds no workload:
+// normalizing is what every memo lookup and every admitted service cell
+// does, and only a run needs a built module.
 type cell struct {
-	rc RunConfig
-	bk backend.Info
+	rc    RunConfig
+	bk    backend.Info
+	sched sched.Spec // only the default window when rc.Sched is empty
 }
 
 // normalize resolves rc's defaults and alternative spellings to the one
 // canonical description of the simulation they select: seed 0 is
 // DefaultSeed, ops 0 is the workload's default, an empty Backend is
 // "htm" under ModeHTM and "staggered" otherwise, Mode is what the
-// backend actually runs, and Capacity survives only on "limited". The
-// run path, the memo key and the service's store key all start here.
+// backend actually runs, Capacity survives only on "limited", and a
+// fault-injected cell with no watchdog runs under ChaosWatchdog. A
+// scheduler spec that does not parse fails here, before anything
+// simulates. The run path, the memo key and the service's store key all
+// start here.
 func normalize(rc RunConfig) (cell, error) {
 	defaultOps, err := workloads.DefaultOps(rc.Benchmark)
 	if err != nil {
@@ -253,14 +257,16 @@ func normalize(rc RunConfig) (cell, error) {
 	if rc.Backend != "limited" {
 		rc.Capacity = 0
 	}
-	return cell{rc, bk}, nil
-}
-
-// Normalize returns the canonical spelling of rc (see normalize), or the
-// error running it would fail with before simulating anything.
-func Normalize(rc RunConfig) (RunConfig, error) {
-	c, err := normalize(rc)
-	return c.rc, err
+	if rc.Watchdog == 0 && rc.Chaos != nil && rc.Chaos.Enabled() {
+		rc.Watchdog = ChaosWatchdog
+	}
+	c := cell{rc: rc, bk: bk, sched: sched.Spec{Window: sched.DefaultWindow}}
+	if rc.Sched != "" {
+		if c.sched, err = sched.Parse(rc.Sched); err != nil {
+			return cell{}, err
+		}
+	}
+	return c, nil
 }
 
 // Run executes one experiment cell.
@@ -371,7 +377,7 @@ func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 	}
 
 	var recorder *sched.Recorder
-	scheduler, err := buildScheduler(rc, mcfg.Cores)
+	scheduler, err := c.scheduler(mcfg.Cores)
 	if err != nil {
 		return nil, err
 	}
@@ -505,28 +511,17 @@ func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 	return res, nil
 }
 
-// buildScheduler resolves the RunConfig's scheduling fields into an htm
-// scheduler (nil = the engine's deterministic baseline).
-func buildScheduler(rc RunConfig, cores int) (htm.Scheduler, error) {
-	window := uint64(sched.DefaultWindow)
-	var spec sched.Spec
-	haveSpec := false
-	if rc.Sched != "" {
-		var err error
-		spec, err = sched.Parse(rc.Sched)
-		if err != nil {
-			return nil, err
-		}
-		window = spec.Window
-		haveSpec = true
+// scheduler resolves the cell's scheduling fields into an htm scheduler
+// (nil = the engine's deterministic baseline). Replayed picks run under
+// the window of the spec that recorded them.
+func (c cell) scheduler(cores int) (htm.Scheduler, error) {
+	if c.rc.ReplayPicks != nil {
+		return sched.NewReplay(c.rc.ReplayPicks, c.sched.Window), nil
 	}
-	if rc.ReplayPicks != nil {
-		return sched.NewReplay(rc.ReplayPicks, window), nil
-	}
-	if !haveSpec {
+	if c.rc.Sched == "" {
 		return nil, nil
 	}
-	return spec.New(schedSeed(rc), cores)
+	return c.sched.New(schedSeed(c.rc), cores)
 }
 
 // schedSeed is rc's scheduler seed: SchedSeed, or Seed when that is zero.

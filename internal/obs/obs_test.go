@@ -7,6 +7,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -40,8 +42,12 @@ func exportRun(t *testing.T, rc harness.RunConfig) (metrics, trace []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	meta, err := TraceMetaOf(res.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, TraceMetaOf(res.Config), res.Trace); err != nil {
+	if err := WriteTrace(&buf, meta, res.Trace); err != nil {
 		t.Fatal(err)
 	}
 	return metrics, buf.Bytes()
@@ -74,8 +80,10 @@ func TestOutputsIdenticalAcrossWorkersAndRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			meta := TraceMeta{Benchmark: cfgs[i].Benchmark, Mode: cfgs[i].Mode.String(),
-				Threads: cfgs[i].Threads, Seed: cfgs[i].Seed}
+			meta, err := TraceMetaOf(o.Res.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := WriteTrace(&buf, meta, o.Res.Trace); err != nil {
 				t.Fatal(err)
 			}
@@ -141,9 +149,21 @@ func TestTraceSchema(t *testing.T) {
 	if len(f.TraceEvents) == 0 {
 		t.Fatal("no trace events exported")
 	}
-	for _, k := range []string{"benchmark", "mode", "backend", "threads", "seed"} {
-		if f.OtherData[k] == "" {
-			t.Errorf("otherData missing %q", k)
+	// Every cell field is a run tag under its cell name, zero values
+	// included: a timeline says it was not lazy, not just what it was.
+	want := map[string]string{"bench": "list-hi", "mode": "staggered", "backend": "staggered",
+		"threads": "8", "seed": "42", "ops": "800", "lazy": "false", "naive": "false",
+		"chaos_rate": "0", "chaos_seed": "0", "watchdog": "0", "sched": "", "oracle": "false"}
+	for k, v := range want {
+		if got, ok := f.OtherData[k]; !ok || got != v {
+			t.Errorf("otherData[%q] = %q (present %v), want %q", k, got, ok, v)
+		}
+	}
+	typ := reflect.TypeOf(harness.Cell{})
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if _, ok := f.OtherData[name]; !ok {
+			t.Errorf("otherData has no tag for cell field %s (%q)", typ.Field(i).Name, name)
 		}
 	}
 
@@ -240,7 +260,7 @@ func TestTraceTruncatedHoldsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, TraceMeta{Benchmark: rc.Benchmark, Mode: rc.Mode.String()}, res.Trace); err != nil {
+	if err := WriteTrace(&buf, TraceMeta{Cell: harness.Cell{Bench: rc.Benchmark}}, res.Trace); err != nil {
 		t.Fatal(err)
 	}
 	var f struct {

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
+	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/htm"
@@ -41,30 +43,20 @@ import (
 // so a timeline loaded days later identifies its seed and schedule.
 // Everything lands in the top-level otherData object.
 type TraceMeta struct {
-	Benchmark string
-	Mode      string
-	Backend   string
-	Capacity  int // the "limited" backend's line capacity; 0 elsewhere
-	Threads   int
-	Seed      int64
-	Sched     string
-	SchedSeed int64
-	// Extra carries campaign-specific tags (chaos profile, exploration
-	// run index, minimized-prefix length, ...). Keys are sorted by
-	// encoding/json on output.
+	Cell harness.Cell
+	// Extra carries campaign-specific tags (exploration run index,
+	// minimized-prefix length, ...). Keys are sorted by encoding/json on
+	// output.
 	Extra map[string]string
 }
 
 // TraceMetaOf tags a trace with the cell that produced it. Pass the
 // result's Config — the cell as normalized — so the backend is spelled
-// even when the caller left it to the mode.
-func TraceMetaOf(rc harness.RunConfig) TraceMeta {
-	return TraceMeta{
-		Benchmark: rc.Benchmark, Mode: rc.Mode.String(),
-		Backend: rc.Backend, Capacity: rc.Capacity,
-		Threads: rc.Threads, Seed: rc.Seed,
-		Sched: rc.Sched, SchedSeed: rc.SchedSeed,
-	}
+// even when the caller left it to the mode. A run with no cell encoding
+// (see harness.CellOf) is an error.
+func TraceMetaOf(rc harness.RunConfig) (TraceMeta, error) {
+	c, err := harness.CellOf(rc)
+	return TraceMeta{Cell: c}, err
 }
 
 // traceFile is the JSON Object Format top level.
@@ -100,7 +92,7 @@ func WriteTrace(w io.Writer, meta TraceMeta, events []htm.TraceEvent) error {
 	// "core 0..N-1" instead of bare tids.
 	out = append(out, traceEvent{
 		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]any{"name": fmt.Sprintf("%s/%s", meta.Benchmark, meta.Mode)},
+		Args: map[string]any{"name": fmt.Sprintf("%s/%s", meta.Cell.Bench, meta.Cell.Mode)},
 	})
 	cores := map[int]bool{}
 	for _, e := range events {
@@ -234,23 +226,14 @@ func WriteTrace(w io.Writer, meta TraceMeta, events []htm.TraceEvent) error {
 // address makes same-lock holds share a Perfetto track.
 func lockName(lock mem.Addr) string { return fmt.Sprintf("ablock %#x", uint64(lock)) }
 
-// otherData flattens run tags for the trace's otherData object.
+// otherData flattens run tags for the trace's otherData object: every
+// cell field under its JSON name, zero values included, then Extra.
 func otherData(meta TraceMeta) map[string]string {
-	od := map[string]string{
-		"benchmark": meta.Benchmark,
-		"mode":      meta.Mode,
-		"threads":   fmt.Sprint(meta.Threads),
-		"seed":      fmt.Sprint(meta.Seed),
-	}
-	if meta.Backend != "" {
-		od["backend"] = meta.Backend
-	}
-	if meta.Capacity != 0 {
-		od["capacity"] = fmt.Sprint(meta.Capacity)
-	}
-	if meta.Sched != "" {
-		od["sched"] = meta.Sched
-		od["sched_seed"] = fmt.Sprint(meta.SchedSeed)
+	od := map[string]string{}
+	v := reflect.ValueOf(meta.Cell)
+	for i := 0; i < v.NumField(); i++ {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		od[name] = fmt.Sprint(v.Field(i).Interface())
 	}
 	for k, v := range meta.Extra {
 		od[k] = v

@@ -25,6 +25,8 @@
 //   - Replay: consumes a recorded decision sequence verbatim, then falls
 //     back to the deterministic minimum-time rule. Truncated sequences
 //     (the minimizer's output) therefore still define complete schedules.
+//     It is not a Spec kind: a replay runs under the spec that recorded
+//     it (for its window), with the picks passed in memory.
 package sched
 
 import (
@@ -55,14 +57,12 @@ const PCTHorizon = 100_000
 //
 //	random            seeded uniform choice
 //	pct:<d>           PCT with depth d (d >= 1)
-//	replay:<file>     replay a recorded trace file
 //	<any>@<window>    override the candidate window in cycles (0 = unbounded)
 //
-// e.g. "pct:3", "random@8192", "replay:fail.trace".
+// e.g. "pct:3", "random@8192".
 type Spec struct {
-	Kind   string // "random", "pct", or "replay"
+	Kind   string // "random" or "pct"
 	Depth  int    // PCT depth (Kind == "pct")
-	File   string // trace path (Kind == "replay")
 	Window uint64
 }
 
@@ -86,14 +86,8 @@ func Parse(s string) (Spec, error) {
 			return Spec{}, fmt.Errorf("sched: bad pct depth in %q", s)
 		}
 		spec.Kind, spec.Depth = "pct", d
-	case strings.HasPrefix(s, "replay:"):
-		f := s[len("replay:"):]
-		if f == "" {
-			return Spec{}, fmt.Errorf("sched: empty replay file in %q", s)
-		}
-		spec.Kind, spec.File = "replay", f
 	default:
-		return Spec{}, fmt.Errorf("sched: unknown scheduler %q (want random, pct:<d>, or replay:<file>)", s)
+		return Spec{}, fmt.Errorf("sched: unknown scheduler %q (want random or pct:<d>)", s)
 	}
 	return spec, nil
 }
@@ -104,8 +98,6 @@ func (s Spec) String() string {
 	switch s.Kind {
 	case "pct":
 		fmt.Fprintf(&b, "pct:%d", s.Depth)
-	case "replay":
-		fmt.Fprintf(&b, "replay:%s", s.File)
 	default:
 		b.WriteString(s.Kind)
 	}
@@ -117,25 +109,13 @@ func (s Spec) String() string {
 
 // New instantiates the specified scheduler. seed drives the random and PCT
 // strategies; cores is the thread count (PCT needs it for its priority
-// range). Replay specs read their trace file here.
+// range).
 func (s Spec) New(seed int64, cores int) (htm.Scheduler, error) {
 	switch s.Kind {
 	case "random":
 		return NewRandom(seed, s.Window), nil
 	case "pct":
 		return NewPCT(seed, cores, s.Depth, s.Window), nil
-	case "replay":
-		t, err := ReadTraceFile(s.File)
-		if err != nil {
-			return nil, err
-		}
-		w := s.Window
-		if w == DefaultWindow && t.Window != 0 {
-			// Fidelity: unless the spec overrides it, replay under the
-			// window the schedule was recorded with.
-			w = t.Window
-		}
-		return NewReplay(t.Picks, w), nil
 	default:
 		return nil, fmt.Errorf("sched: unknown kind %q", s.Kind)
 	}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -17,10 +19,10 @@ func TestParseSpec(t *testing.T) {
 		{in: "pct:3", want: Spec{Kind: "pct", Depth: 3, Window: DefaultWindow}},
 		{in: "pct:1@0", want: Spec{Kind: "pct", Depth: 1, Window: 0}},
 		{in: "random@8192", want: Spec{Kind: "random", Window: 8192}},
-		{in: "replay:a/b.trace", want: Spec{Kind: "replay", File: "a/b.trace", Window: DefaultWindow}},
 		{in: "pct:0", err: true},
 		{in: "pct:x", err: true},
 		{in: "replay:", err: true},
+		{in: "replay:a/b.trace", err: true}, // replay is a CLI spelling, not a scheduler
 		{in: "fifo", err: true},
 		{in: "random@-1", err: true},
 	}
@@ -180,17 +182,9 @@ func TestRecorderResetStartsANewSchedule(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	tr := &Trace{
-		Version:  TraceVersion,
-		Spec:     "pct:3",
-		Seed:     99,
-		Bench:    "list",
-		Mode:     "staggered",
-		Backend:  "limited",
-		Capacity: 8,
-		Threads:  8,
-		WlSeed:   1,
-		Window:   DefaultWindow,
-		Picks:    []uint32{0, 1, 2, 3, 300, 0, 7, 1 << 20},
+		Version: TraceVersion,
+		Cell:    json.RawMessage(`{"bench":"list","mode":"staggered","backend":"limited","capacity":8,"threads":8,"seed":1,"sched":"pct:3","sched_seed":99}`),
+		Picks:   []uint32{0, 1, 2, 3, 300, 0, 7, 1 << 20},
 	}
 	back, err := Decode(tr.Encode())
 	if err != nil {
@@ -200,23 +194,22 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, tr)
 	}
 
-	// A header written before backends existed names no backend; it must
-	// still load, leaving the system to the mode.
-	old, err := Decode([]byte(`{"version":1,"spec":"pct:3","seed":99,"bench":"list","mode":"staggered","threads":8,"wl_seed":1,"window":64}` + "\nAAE=\n"))
-	if err != nil {
-		t.Fatalf("Decode of a pre-backend header: %v", err)
-	}
-	if old.Backend != "" || old.Capacity != 0 || old.Mode != "staggered" || len(old.Picks) != 2 {
-		t.Fatalf("pre-backend header decoded to %+v", old)
+	// A version-1 header spelled only part of its run (no lazy, naive or
+	// fault fields), so it cannot say what it replays: it is refused.
+	if old, err := Decode([]byte(`{"version":1,"spec":"pct:3","seed":99,"bench":"list","mode":"staggered","threads":8,"wl_seed":1,"window":64}` + "\nAAE=\n")); err == nil {
+		t.Fatalf("Decode accepted a version-1 header as %+v", old)
 	}
 
 	path := filepath.Join(t.TempDir(), "x.trace")
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	back, err = ReadTraceFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("ReadTraceFile: %v", err)
+		t.Fatal(err)
+	}
+	if back, err = Decode(data); err != nil {
+		t.Fatalf("Decode of the written file: %v", err)
 	}
 	if !reflect.DeepEqual(tr, back) {
 		t.Fatalf("file round trip mismatch")
@@ -224,7 +217,7 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 func TestTraceEmptyPicks(t *testing.T) {
-	tr := &Trace{Version: TraceVersion, Spec: "random", Bench: "queue", Threads: 2, Window: 1}
+	tr := &Trace{Version: TraceVersion, Cell: json.RawMessage(`{"bench":"queue","threads":2,"sched":"random@1"}`)}
 	back, err := Decode(tr.Encode())
 	if err != nil {
 		t.Fatalf("Decode: %v", err)

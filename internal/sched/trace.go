@@ -9,32 +9,26 @@ import (
 	"os"
 )
 
-// TraceVersion is the current trace format version.
-const TraceVersion = 1
+// TraceVersion is the current trace format version. Version 1 headers
+// spelled a subset of the run by hand (no lazy, naive, oracle or fault
+// fields), so they cannot say what they replay and are rejected.
+const TraceVersion = 2
 
-// Trace is a recorded schedule plus enough run metadata to reproduce the
-// run exactly on any machine: the workload identity and seed pin down
-// every per-core PRNG and data-structure layout, mode, backend and
-// capacity pin down the concurrency control, the window pins down the
-// candidate sets, and Picks pins down every scheduling decision. Traces
-// written before backends existed name none; their mode selects one.
+// Trace is a recorded schedule plus the experiment cell it was recorded
+// under, which is everything needed to rebuild the run on any machine:
+// the cell pins down the workload, the system, every seed and the
+// scheduler spec (whose window pins down the candidate sets), and Picks
+// pins down every scheduling decision. The cell is kept as raw JSON
+// because its type lives above this package (harness.Cell, whose
+// DecodeTrace is the one strict decoder).
 //
-// On disk a trace is two lines: a JSON header (everything but Picks) and
-// a base64(varint) encoding of the decision sequence. The header stays
-// human-greppable; the picks stay compact (a 100k-decision trace of a
-// 16-core run is ~130 KB).
+// On disk a trace is two lines: a JSON header, {"version":2,"cell":{…}},
+// and a base64(varint) encoding of the decision sequence. The header
+// stays human-greppable; the picks stay compact (a 100k-decision trace
+// of a 16-core run is ~130 KB).
 type Trace struct {
-	Version  int    `json:"version"`
-	Spec     string `json:"spec"` // scheduler spec that generated the run
-	Seed     int64  `json:"seed"` // scheduler seed (not the workload seed)
-	Bench    string `json:"bench"`
-	Mode     string `json:"mode"`
-	Backend  string `json:"backend,omitempty"`  // registry name ("" = selected by Mode)
-	Capacity int    `json:"capacity,omitempty"` // "limited" backend's line capacity (0 = its default)
-	Threads  int    `json:"threads"`
-	WlSeed   int64  `json:"wl_seed"`       // workload/machine seed
-	Ops      int    `json:"ops,omitempty"` // total operations (0 = workload default)
-	Window   uint64 `json:"window"`
+	Version int             `json:"version"`
+	Cell    json.RawMessage `json:"cell"`
 
 	Picks []uint32 `json:"-"`
 }
@@ -44,7 +38,7 @@ func (t *Trace) Encode() []byte {
 	var buf bytes.Buffer
 	hdr, err := json.Marshal(t)
 	if err != nil {
-		panic(err) // no unmarshalable fields by construction
+		panic(err) // the cell is JSON the caller marshalled
 	}
 	buf.Write(hdr)
 	buf.WriteByte('\n')
@@ -64,7 +58,7 @@ func Decode(data []byte) (*Trace, error) {
 	if len(lines) < 2 {
 		return nil, fmt.Errorf("sched: trace truncated (want header and picks lines)")
 	}
-	t := &Trace{}
+	t := &Trace{Picks: []uint32{}} // never nil: replays as is, even empty
 	if err := json.Unmarshal(lines[0], t); err != nil {
 		return nil, fmt.Errorf("sched: bad trace header: %v", err)
 	}
@@ -89,13 +83,4 @@ func Decode(data []byte) (*Trace, error) {
 // WriteFile writes the trace to path.
 func (t *Trace) WriteFile(path string) error {
 	return os.WriteFile(path, t.Encode(), 0o644)
-}
-
-// ReadTraceFile reads a trace from path.
-func ReadTraceFile(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/testutil"
 )
 
@@ -27,7 +28,7 @@ func TestDrainUnderChaosCompletesWithinGrace(t *testing.T) {
 	// simulated events/s a million list operations run for tens of
 	// seconds, so only cancellation can end it inside the grace window.
 	spec := JobSpec{Kind: KindChaos,
-		Cells:      []CellSpec{{Bench: "list-hi", Threads: 4, Seed: 5, Ops: 1_000_000}},
+		Cells:      []harness.Cell{{Bench: "list-hi", Threads: 4, Seed: 5, Ops: 1_000_000}},
 		ChaosRates: []float64{0.01},
 	}
 	j, err := s.Submit(spec)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // entryFile mirrors the store's content addressing so the test can reach
@@ -24,7 +26,7 @@ func entryFile(dir, key string) string {
 // served corrupt.
 func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 	dir := t.TempDir()
-	spec := JobSpec{Cells: []CellSpec{
+	spec := JobSpec{Cells: []harness.Cell{
 		{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200},
 		{Bench: "list-hi", Threads: 2, Seed: 2, Ops: 200},
 		{Bench: "list-hi", Threads: 2, Seed: 3, Ops: 200},
@@ -46,11 +48,11 @@ func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 
 	// The crash window: cell 0's entry was torn mid-write (a truncated
 	// file under the live name).
-	nc, _, err := spec.Cells[0].normalized()
+	nc, _, err := spec.Cells[0].Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := entryFile(dir, cellKey(nc))
+	torn := entryFile(dir, nc.Key())
 	raw, err := os.ReadFile(torn)
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "trace re-run: "+err.Error())
 		return
 	}
-	meta := obs.TraceMetaOf(res.Config)
+	meta, err := obs.TraceMetaOf(res.Config)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "trace re-run: "+err.Error())
+		return
+	}
 	meta.Extra = map[string]string{
 		"job":    j.ID(),
 		"cell":   strconv.Itoa(n),

@@ -9,10 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/stagger"
+	"repro/internal/sched"
 	"repro/internal/workloads"
 )
 
@@ -25,130 +24,16 @@ const (
 	KindExplore = "explore"
 )
 
-// CellSpec selects one simulation cell: the wire-level mirror of
-// harness.RunConfig restricted to the serializable surface. Every field
-// is deterministic simulation input, so a normalized CellSpec plus
-// harness.CacheSchema is a complete durable-store key.
-type CellSpec struct {
-	Bench     string  `json:"bench"`
-	Mode      string  `json:"mode,omitempty"`     // "" = "staggered" (see stagger.ParseMode)
-	Backend   string  `json:"backend,omitempty"`  // "" = "htm" under mode htm, else "staggered" (see backend.Names)
-	Capacity  int     `json:"capacity,omitempty"` // limited backend's line capacity; 0 = its default
-	Threads   int     `json:"threads,omitempty"`  // 0 = 4
-	Seed      int64   `json:"seed,omitempty"`     // 0 = harness.DefaultSeed
-	Ops       int     `json:"ops,omitempty"`      // 0 = the workload's default
-	Naive     bool    `json:"naive,omitempty"`
-	Lazy      bool    `json:"lazy,omitempty"`
-	Sched     string  `json:"sched,omitempty"`
-	SchedSeed int64   `json:"sched_seed,omitempty"`
-	Oracle    bool    `json:"oracle,omitempty"`
-	ChaosRate float64 `json:"chaos_rate,omitempty"`
-	ChaosSeed int64   `json:"chaos_seed,omitempty"` // 0 = Seed
-	Watchdog  uint64  `json:"watchdog,omitempty"`   // 0 = none (chaos cells: 200M)
-}
-
-// normalized validates the cell, applies the service defaults, and lets
-// harness.Normalize canonicalize what selects the simulation (mode,
-// backend, capacity, seed, ops), so that equivalent spellings of one cell
-// produce one store key. It also returns the RunConfig the cell lowers to.
-func (c CellSpec) normalized() (CellSpec, harness.RunConfig, error) {
-	fail := func(format string, args ...any) (CellSpec, harness.RunConfig, error) {
-		return c, harness.RunConfig{}, fmt.Errorf("cell: "+format, args...)
-	}
-	if c.Bench == "" {
-		return fail("bench is required")
-	}
-	if c.Mode == "" {
-		c.Mode = "staggered"
-	}
-	m, err := stagger.ParseMode(c.Mode)
-	if err != nil {
-		return fail("%w", err)
-	}
-	if c.Capacity < 0 {
-		return fail("capacity %d must be nonnegative", c.Capacity)
-	}
-	if c.Capacity != 0 && c.Backend != "limited" {
-		return fail("capacity is a knob of the limited backend, not %q", c.Backend)
-	}
-	if c.Threads == 0 {
-		c.Threads = 4
-	}
-	if c.Threads < 0 {
-		return fail("threads %d must be positive", c.Threads)
-	}
-	if c.ChaosRate < 0 || c.ChaosRate > 1 {
-		return fail("chaos_rate %g outside [0,1]", c.ChaosRate)
-	}
-	rc, err := harness.Normalize(harness.RunConfig{
-		Benchmark: c.Bench,
-		Mode:      m,
-		Backend:   c.Backend,
-		Capacity:  c.Capacity,
-		Threads:   c.Threads,
-		Seed:      c.Seed,
-		TotalOps:  c.Ops,
-		Naive:     c.Naive,
-		Lazy:      c.Lazy,
-		Sched:     c.Sched,
-		SchedSeed: c.SchedSeed,
-		Oracle:    c.Oracle,
-	})
-	if err != nil {
-		return fail("%w", err)
-	}
-	c.Mode, c.Backend, c.Capacity = modeToken(rc.Mode), rc.Backend, rc.Capacity
-	c.Seed, c.Ops = rc.Seed, rc.TotalOps
-	if c.ChaosRate > 0 {
-		if c.ChaosSeed == 0 {
-			c.ChaosSeed = c.Seed
-		}
-		if c.Watchdog == 0 {
-			c.Watchdog = harness.ChaosWatchdog
-		}
-		cc := chaos.Scaled(c.ChaosRate, c.ChaosSeed)
-		rc.Chaos = &cc
-	} else {
-		c.ChaosSeed = 0
-	}
-	rc.Watchdog = c.Watchdog
-	return c, rc, nil
-}
-
-// modeToken is the canonical wire spelling for each mode, the inverse of
-// stagger.ParseMode's preferred forms.
-func modeToken(m stagger.Mode) string {
-	switch m {
-	case stagger.ModeHTM:
-		return "htm"
-	case stagger.ModeAddrOnly:
-		return "addronly"
-	case stagger.ModeStaggeredSW:
-		return "sw"
-	default:
-		return "staggered"
-	}
-}
-
-// cellKey builds the durable-store key for a normalized cell. The
-// harness.CacheSchema prefix means a schema bump silently invalidates
-// every old entry: stale-format payloads are never found, they age out
-// as misses and are recomputed under the new schema.
-func cellKey(c CellSpec) string {
-	b, _ := json.Marshal(c) // CellSpec has fixed field order and no maps
-	return fmt.Sprintf("v%d|cell|%s", harness.CacheSchema, b)
-}
-
 // ExploreSpec is the wire form of a schedule-exploration campaign.
 type ExploreSpec struct {
-	Cell     CellSpec `json:"cell"`
-	Sched    string   `json:"sched,omitempty"` // "" = "pct:3"
-	Runs     int      `json:"runs,omitempty"`  // 0 = 100
-	Minimize bool     `json:"minimize,omitempty"`
+	Cell     harness.Cell `json:"cell"`
+	Sched    string       `json:"sched,omitempty"` // "" = "pct:3"
+	Runs     int          `json:"runs,omitempty"`  // 0 = 100
+	Minimize bool         `json:"minimize,omitempty"`
 }
 
 func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
-	cell, rc, err := e.Cell.normalized()
+	cell, rc, err := e.Cell.Normalize()
 	if err != nil {
 		return e, rc, err
 	}
@@ -156,12 +41,17 @@ func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
 	if e.Sched == "" {
 		e.Sched = harness.DefaultExploreSched
 	}
+	if _, err := sched.Parse(e.Sched); err != nil {
+		return e, rc, fmt.Errorf("explore: %w", err)
+	}
 	if e.Runs <= 0 {
 		e.Runs = harness.DefaultExploreRuns
 	}
 	return e, rc, nil
 }
 
+// exploreKey is the durable-store key of a normalized campaign: its
+// cell's key with the campaign's own fields.
 func exploreKey(e ExploreSpec) string {
 	b, _ := json.Marshal(e)
 	return fmt.Sprintf("v%d|explore|%s", harness.CacheSchema, b)
@@ -173,8 +63,8 @@ func exploreKey(e ExploreSpec) string {
 // campaign CLI); the chaos kind further crosses the base cells with
 // ChaosRates.
 type JobSpec struct {
-	Kind  string     `json:"kind,omitempty"`
-	Cells []CellSpec `json:"cells,omitempty"`
+	Kind  string         `json:"kind,omitempty"`
+	Cells []harness.Cell `json:"cells,omitempty"`
 
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	Modes      []string `json:"modes,omitempty"`    // empty = ["staggered"]
@@ -251,7 +141,7 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 		if len(rates) == 0 {
 			rates = []float64{0.01}
 		}
-		crossed := make([]CellSpec, 0, len(base)*len(rates))
+		crossed := make([]harness.Cell, 0, len(base)*len(rates))
 		for _, c := range base {
 			for _, r := range rates {
 				cc := c
@@ -273,18 +163,18 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 
 	p := &jobPlan{kind: kind, cells: make([]harness.RunConfig, len(base)), keys: make([]string, len(base))}
 	for i, c := range base {
-		nc, rc, err := c.normalized()
+		nc, rc, err := c.Normalize()
 		if err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
 		p.cells[i] = rc
-		p.keys[i] = cellKey(nc)
+		p.keys[i] = nc.Key()
 	}
 	return p, nil
 }
 
 // product expands the sweep axes into explicit cells.
-func (spec JobSpec) product() []CellSpec {
+func (spec JobSpec) product() []harness.Cell {
 	benches := spec.Benchmarks
 	if len(benches) == 0 {
 		benches = workloads.Names()
@@ -305,13 +195,13 @@ func (spec JobSpec) product() []CellSpec {
 	if len(seeds) == 0 {
 		seeds = []int64{harness.DefaultSeed}
 	}
-	var out []CellSpec
+	var out []harness.Cell
 	for _, b := range benches {
 		for _, m := range modes {
 			for _, bk := range backends {
 				for _, th := range threads {
 					for _, sd := range seeds {
-						out = append(out, CellSpec{Bench: b, Mode: m, Backend: bk, Threads: th, Seed: sd, Ops: spec.Ops})
+						out = append(out, harness.Cell{Bench: b, Mode: m, Backend: bk, Threads: th, Seed: sd, Ops: spec.Ops})
 					}
 				}
 			}

@@ -151,7 +151,7 @@ func TestBootReplaySkipsTerminalAndDuplicates(t *testing.T) {
 // as they are delivered, cell 2 never returns, and the disk dies the
 // instant cell 1's entry has landed.
 func TestResumedSweepRecomputesOnlyMissingCells(t *testing.T) {
-	sweep := JobSpec{Cells: []CellSpec{
+	sweep := JobSpec{Cells: []harness.Cell{
 		{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200},
 		{Bench: "list-hi", Threads: 2, Seed: 2, Ops: 200},
 		{Bench: "list-hi", Threads: 2, Seed: 3, Ops: 200},

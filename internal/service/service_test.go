@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +21,7 @@ import (
 
 // tinySpec is a cell cheap enough for unit tests (a few ms of simulation).
 func tinySpec(seed int64) JobSpec {
-	return JobSpec{Cells: []CellSpec{{Bench: "list-hi", Mode: "staggered", Threads: 2, Seed: seed, Ops: 200}}}
+	return JobSpec{Cells: []harness.Cell{{Bench: "list-hi", Mode: "staggered", Threads: 2, Seed: seed, Ops: 200}}}
 }
 
 func newT(t *testing.T, cfg Config) *Server {
@@ -69,17 +71,29 @@ func waitState(t *testing.T, j *Job, state string) {
 
 func TestSubmitValidation(t *testing.T) {
 	s := newT(t, Config{})
+	// A scheduler spec is checked at submit. replay:<file> is no
+	// scheduler: a remote client must not be able to name a file the
+	// daemon then reads, so it is refused even when the file exists.
+	trace := filepath.Join(t.TempDir(), "t.trace")
+	if err := os.WriteFile(trace, []byte("{}\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []JobSpec{
-		{Cells: []CellSpec{{}}},                                              // missing bench
-		{Cells: []CellSpec{{Bench: "nope"}}},                                 // unknown bench
-		{Cells: []CellSpec{{Bench: "list-hi", Mode: "warp"}}},                // unknown mode
-		{Cells: []CellSpec{{Bench: "list-hi", ChaosRate: 2}}},                // rate outside [0,1]
-		{Cells: []CellSpec{{Bench: "list-hi", Backend: "bogus"}}},            // unknown backend
-		{Cells: []CellSpec{{Bench: "list-hi", Capacity: -1}}},                // negative capacity
-		{Cells: []CellSpec{{Bench: "list-hi", Capacity: 8}}},                 // capacity without the limited backend
-		{Cells: []CellSpec{{Bench: "list-hi", Backend: "occ", Capacity: 8}}}, // capacity on a backend that has none
-		{Kind: KindExplore},                                                  // explore without spec
-		{Kind: KindRun, Cells: []CellSpec{{Bench: "list-hi"}, {Bench: "list-hi"}}},
+		{Cells: []harness.Cell{{Bench: "list-hi", Sched: "bogus"}}},                             // unparsable scheduler
+		{Cells: []harness.Cell{{Bench: "list-hi", Sched: "replay:" + trace}}},                   // a server-side file
+		{Explore: &ExploreSpec{Cell: harness.Cell{Bench: "list-hi"}, Sched: "bogus"}},           // unparsable campaign scheduler
+		{Explore: &ExploreSpec{Cell: harness.Cell{Bench: "list-hi"}, Sched: "replay:" + trace}}, // campaign over a file
+		{Cells: []harness.Cell{{}}},                                              // missing bench
+		{Cells: []harness.Cell{{Bench: "nope"}}},                                 // unknown bench
+		{Cells: []harness.Cell{{Bench: "list-hi", Mode: "warp"}}},                // unknown mode
+		{Cells: []harness.Cell{{Bench: "list-hi", ChaosRate: 2}}},                // rate outside [0,1]
+		{Cells: []harness.Cell{{Bench: "list-hi", Backend: "bogus"}}},            // unknown backend
+		{Cells: []harness.Cell{{Bench: "list-hi", Capacity: -1}}},                // negative capacity
+		{Cells: []harness.Cell{{Bench: "list-hi", Threads: -1}}},                 // negative threads
+		{Cells: []harness.Cell{{Bench: "list-hi", Capacity: 8}}},                 // capacity without the limited backend
+		{Cells: []harness.Cell{{Bench: "list-hi", Backend: "occ", Capacity: 8}}}, // capacity on a backend that has none
+		{Kind: KindExplore}, // explore without spec
+		{Kind: KindRun, Cells: []harness.Cell{{Bench: "list-hi"}, {Bench: "list-hi"}}},
 		{Kind: KindSweep, Seeds: make([]int64, 600)}, // exceeds MaxCells
 	} {
 		if _, err := s.Submit(bad); err == nil {
@@ -107,7 +121,7 @@ func TestSubmitValidation(t *testing.T) {
 
 // TestBackendSweepAxis submits one sweep over the Backends axis and
 // checks the expansion: one cell per backend, each with its own durable
-// key (the backend name is part of the normalized CellSpec), and every
+// key (the backend name is part of the normalized harness.Cell), and every
 // cell completes with a clean verdict.
 func TestBackendSweepAxis(t *testing.T) {
 	s := newT(t, Config{StoreDir: t.TempDir()})
@@ -169,11 +183,11 @@ func TestOneSimulationOneStoreKey(t *testing.T) {
 	if !bytes.Equal(cells[0], cells[1]) {
 		t.Fatal("one simulation under two spellings served different bytes")
 	}
-	for _, c := range []CellSpec{
+	for _, c := range []harness.Cell{
 		{Bench: "list-hi", Mode: "htm", Threads: 2, Ops: 200},
 		{Bench: "list-hi", Backend: "htm", Threads: 2, Ops: 200, Seed: harness.DefaultSeed},
 	} {
-		again, err := s.Submit(JobSpec{Cells: []CellSpec{c}})
+		again, err := s.Submit(JobSpec{Cells: []harness.Cell{c}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +416,7 @@ func TestOversizedSpecRefused(t *testing.T) {
 // only the failed cell, and fails with the identical error — the result
 // is a function of the spec, never of how often it was tried.
 func TestChaosWatchdogTripFailsJobDeterministically(t *testing.T) {
-	spec := JobSpec{Cells: []CellSpec{
+	spec := JobSpec{Cells: []harness.Cell{
 		{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200},
 		{Bench: "list-hi", Threads: 2, Seed: 2, Ops: 200, ChaosRate: 0.01, Watchdog: 10_000},
 		{Bench: "list-hi", Threads: 2, Seed: 3, Ops: 200},
@@ -522,7 +536,7 @@ func TestResultEndpointStates(t *testing.T) {
 func TestExploreJobRunsAndIsDurable(t *testing.T) {
 	s := newT(t, Config{StoreDir: t.TempDir()})
 	spec := JobSpec{Explore: &ExploreSpec{
-		Cell: CellSpec{Bench: "list-hi", Threads: 2, Ops: 120},
+		Cell: harness.Cell{Bench: "list-hi", Threads: 2, Ops: 120},
 		Runs: 3,
 	}}
 	j, err := s.Submit(spec)

@@ -66,9 +66,7 @@ func buildMemcached() *Workload {
 		Setup: func(m *htm.Machine, seed int64) {
 			table = simds.NewHashTable(m, mcBuckets)
 			stats = simds.NewStats(m.Alloc)
-			rng := threadRNG(seed, 999)
-			for i := 0; i < mcInitKeys; i++ {
-				k := uint64(rng.Intn(mcKeySpace) + 1)
+			for _, k := range mcSeedKeys(seed) {
 				simds.SeedHashTable(m, table, k, k*3, m.Alloc.AllocLines(1))
 			}
 		},
@@ -129,16 +127,24 @@ func buildMemcached() *Workload {
 			return nil
 		},
 		RefModel: func(m *htm.Machine, seed int64) oracle.RefModel {
-			// Re-derive the seeded contents exactly as Setup did.
 			kv := make(map[uint64]uint64, mcInitKeys)
-			rng := threadRNG(seed, 999)
-			for i := 0; i < mcInitKeys; i++ {
-				k := uint64(rng.Intn(mcKeySpace) + 1)
+			for _, k := range mcSeedKeys(seed) { // the contents Setup seeded
 				kv[k] = k * 3
 			}
 			return &mcModel{m: m, ht: ht, table: table, stats: stats, kv: kv}
 		},
 	}
+}
+
+// mcSeedKeys are the keys Setup seeds the table with (each maps to
+// k*3), in insertion order, repeats included.
+func mcSeedKeys(seed int64) []uint64 {
+	rng := threadRNG(seed, 999)
+	keys := make([]uint64, mcInitKeys)
+	for i := range keys {
+		keys[i] = uint64(rng.Intn(mcKeySpace) + 1)
+	}
+	return keys
 }
 
 // mcOp tags one committed cache request with its observed result. For a

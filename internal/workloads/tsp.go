@@ -74,10 +74,8 @@ func buildTsp() *Workload {
 			pq = simds.NewBPTree(m)
 			best = m.Alloc.AllocLines(1)
 			m.Mem.Store(best+mem.Addr(8*tspBestSlot), ^uint64(0))
-			rng := threadRNG(seed, 777)
-			// Seed tasks: key = bound<<16 | depth; bounds scattered.
-			for i := 0; i < tspSeeds; i++ {
-				bound := uint64(rng.Intn(1 << 12))
+			// Seed tasks: key = bound<<16 | depth.
+			for _, bound := range tspSeedBounds(seed) {
 				bt.Insert(simds.Direct(m), pq, bound<<16|0, m.Alloc.AllocLines)
 			}
 			popped = make([]int, m.Config().Cores)
@@ -154,16 +152,24 @@ func buildTsp() *Workload {
 		RefModel: func(m *htm.Machine, seed int64) oracle.RefModel {
 			md := &tspModel{m: m, pq: pq, bestAddr: best,
 				queue: make(map[uint64]int, tspSeeds), best: ^uint64(0)}
-			// Rebuild the seed tasks exactly as Setup did.
-			rng := threadRNG(seed, 777)
-			for i := 0; i < tspSeeds; i++ {
-				bound := uint64(rng.Intn(1 << 12))
+			for _, bound := range tspSeedBounds(seed) { // the tasks Setup seeded
 				md.queue[bound<<16]++
 				md.size++
 			}
 			return md
 		},
 	}
+}
+
+// tspSeedBounds are the seeded tasks' bounds, scattered, in the order
+// Setup inserts them.
+func tspSeedBounds(seed int64) []uint64 {
+	rng := threadRNG(seed, 777)
+	bounds := make([]uint64, tspSeeds)
+	for i := range bounds {
+		bounds[i] = uint64(rng.Intn(1 << 12))
+	}
+	return bounds
 }
 
 // Tags for the three tsp atomic blocks. The best-update tag carries the
