@@ -74,7 +74,6 @@ func main() {
 	srv, err := service.New(service.Config{
 		JobWorkers:  *jobWorkers,
 		QueueDepth:  *queueDepth,
-		RunWorkers:  *runWorkers,
 		JobTimeout:  *jobTimeout,
 		Grace:       *grace,
 		MaxCells:    *maxCells,

@@ -39,6 +39,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -367,9 +368,9 @@ func runExplore(rc harness.RunConfig, runs int, minimize bool, outDir, traceOut 
 	}
 	anyFail := false
 	for _, bench := range benches(rc.Benchmark) {
-		ec := harness.ExploreOf(rc)
-		ec.Benchmark, ec.Runs, ec.Minimize = bench, runs, minimize
-		rep, err := harness.Explore(ec)
+		cell := rc
+		cell.Benchmark = bench
+		rep, err := harness.ExploreCell(context.Background(), cell, runs, minimize)
 		if err != nil {
 			die(1, err)
 		}
@@ -384,7 +385,7 @@ func runExplore(rc harness.RunConfig, runs int, minimize bool, outDir, traceOut 
 			fmt.Printf("): %v\n", f.Err)
 			if outDir != "" {
 				path := fmt.Sprintf("%s/%s-fail-%d.trace", outDir, bench, i)
-				tr, err := f.Trace(ec)
+				tr, err := f.Trace(rep.Config)
 				if err == nil {
 					err = tr.WriteFile(path)
 				}
@@ -396,7 +397,7 @@ func runExplore(rc harness.RunConfig, runs int, minimize bool, outDir, traceOut 
 			}
 			if traceOut != "" {
 				path := fmt.Sprintf("%s-%s-fail-%d.json", strings.TrimSuffix(traceOut, ".json"), bench, i)
-				if err := exportFailureTimeline(ec, &f, path); err != nil {
+				if err := exportFailureTimeline(rep.Config, &f, path); err != nil {
 					fmt.Fprintln(os.Stderr, "staggersim:", err)
 				} else {
 					fmt.Printf("    timeline -> %s (load in Perfetto)\n", path)
@@ -414,9 +415,8 @@ func runExplore(rc harness.RunConfig, runs int, minimize bool, outDir, traceOut 
 // decision sequence (the minimized prefix when available), so the
 // timeline shows exactly the schedule the minimizer reduced the failure
 // to — tagged with the cell, seeds included, that regenerates it from
-// scratch.
-func exportFailureTimeline(ec harness.ExploreConfig, f *harness.ExploreFailure, path string) error {
-	rc := ec.RunConfig()
+// scratch. rc is the campaign's cell (ExploreReport.Config).
+func exportFailureTimeline(rc harness.RunConfig, f *harness.ExploreFailure, path string) error {
 	rc.SchedSeed = f.SchedSeed
 	picks := f.Picks
 	tag := "full"

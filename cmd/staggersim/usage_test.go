@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"io"
 	"strings"
@@ -69,13 +70,16 @@ func TestBackendFlagValidatesAtParseTime(t *testing.T) {
 	}
 }
 
-// TestSubModesStartFromTheCell: the system named on the command line
-// (-backend, -capacity) reaches the campaign's and the exploration's
-// cells, not just the plain run's — they all derive from opts.cell.
+// TestSubModesStartFromTheCell: the cell named on the command line
+// (-backend, -capacity, -mode, -lazy, -naive, -watchdog) reaches the
+// campaign's and the exploration's cells, not just the plain run's — they
+// all derive from opts.cell. The exploration's is the cell one schedule
+// of runExplore's campaign reports it ran (ExploreReport.Config).
 func TestSubModesStartFromTheCell(t *testing.T) {
 	fs := flag.NewFlagSet("staggersim", flag.ContinueOnError)
 	o := defineFlags(fs)
-	if err := fs.Parse([]string{"-backend", "limited", "-capacity", "8", "-mode", "sw", "-bench", "kmeans, tsp"}); err != nil {
+	if err := fs.Parse([]string{"-backend", "limited", "-capacity", "8", "-mode", "sw", "-lazy", "-naive",
+		"-watchdog", "1000000000", "-ops", "60", "-bench", "kmeans, tsp"}); err != nil {
 		t.Fatal(err)
 	}
 	base, err := o.cell()
@@ -89,11 +93,18 @@ func TestSubModesStartFromTheCell(t *testing.T) {
 	if got := strings.Join(cs.Benchmarks, "|"); got != "kmeans|tsp" || len(cs.Rates) != 2 {
 		t.Errorf("campaign sweeps benchmarks %q at rates %v", got, cs.Rates)
 	}
-	ec := harness.ExploreOf(base).RunConfig()
-	for name, rc := range map[string]harness.RunConfig{"-chaos-campaign": cs.Cell, "-explore": ec} {
-		if rc.Backend != "limited" || rc.Capacity != 8 || rc.Mode != stagger.ModeStaggeredSW {
-			t.Errorf("%s runs backend %q capacity %d mode %s, want the command line's limited/8/Staggered+SW",
-				name, rc.Backend, rc.Capacity, rc.Mode)
+	cell := base
+	cell.Benchmark = "kmeans"
+	rep, err := harness.ExploreCell(context.Background(), cell, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rc := range map[string]harness.RunConfig{"-chaos-campaign": cs.Cell, "-explore": rep.Config} {
+		if rc.Backend != "limited" || rc.Capacity != 8 || rc.Mode != stagger.ModeStaggeredSW ||
+			!rc.Lazy || !rc.Naive || rc.Watchdog != 1_000_000_000 {
+			t.Errorf("%s runs backend %q capacity %d mode %s lazy %v naive %v watchdog %d, "+
+				"want the command line's limited/8/Staggered+SW, lazy, naive, watchdog 1000000000",
+				name, rc.Backend, rc.Capacity, rc.Mode, rc.Lazy, rc.Naive, rc.Watchdog)
 		}
 	}
 }

@@ -201,27 +201,3 @@ func (g *Graph) Covers(s *prog.Site) bool {
 	_, ok := g.a.sites[s]
 	return ok
 }
-
-// Nodes returns the canonical nodes of all analyzed sites, deduplicated,
-// in deterministic order.
-func (g *Graph) Nodes() []*Node {
-	seen := make(map[*Node]bool)
-	var out []*Node
-	for _, n := range g.a.sites {
-		n = n.find()
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	sortNodes(out)
-	return out
-}
-
-func sortNodes(ns []*Node) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].id < ns[j-1].id; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}

@@ -4,49 +4,25 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/sched"
-	"repro/internal/stagger"
 )
 
-// ExploreConfig describes a schedule-exploration campaign: many runs of
-// one experiment cell under an adversarial scheduler, each with a fresh
-// scheduler seed, each recorded and checked by the serializability oracle.
+// ExploreConfig is the campaign the perf ledger (bench/) builds: a cell
+// spelled field by field, explored by Explore. Everything else explores
+// a whole RunConfig through ExploreCell.
 type ExploreConfig struct {
-	// Benchmark / Mode / Backend / Capacity / Threads / Seed / TotalOps
-	// select the cell, as in RunConfig. Seed fixes the workload; only the
-	// schedule varies.
+	// Benchmark / Backend / Threads / Seed / TotalOps select the cell, as
+	// in RunConfig. Seed fixes the workload; only the schedule varies.
 	Benchmark string
-	Mode      stagger.Mode
 	Backend   string
-	Capacity  int
 	Threads   int
 	Seed      int64
 	TotalOps  int
-	// Stagger optionally overrides the runtime configuration (nil = the
-	// paper's defaults for Mode), e.g. a tiny retry budget to provoke
-	// irrevocable fallbacks.
-	Stagger *stagger.Config
-	// Chaos composes fault injection with schedule exploration: every
-	// explored schedule also runs under the given deterministic fault
-	// config, so fault x schedule sweeps are one campaign.
-	Chaos *chaos.Config
 
 	// Spec is the scheduler specification ("" = DefaultExploreSched).
 	Spec string
 	// Runs is the number of schedules to explore (0 = DefaultExploreRuns).
 	Runs int
-
-	// Minimize shrinks each failing schedule to a short decision prefix by
-	// delta debugging (re-running the cell per probe, at most
-	// minimizeBudget times per failure).
-	Minimize bool
-
-	// Ctx, if non-nil, bounds the campaign: cancellation abandons in-flight
-	// runs at their next globally ordered events and aborts the campaign
-	// with an error wrapping ctx's error (the service layer's job deadlines
-	// and drain ride on this). Nil runs to completion, exactly as before.
-	Ctx context.Context
 }
 
 // ExploreFailure is one failing schedule, with enough to reproduce it.
@@ -65,10 +41,10 @@ type ExploreFailure struct {
 }
 
 // Trace packages the failure as a writable trace for `-sched
-// replay:<file>`: its cell, the minimized picks when there are any, or
-// an error when the campaign's cell has no encoding (see SchedTrace).
-func (f *ExploreFailure) Trace(ec ExploreConfig) (*sched.Trace, error) {
-	rc := ec.RunConfig()
+// replay:<file>`: the campaign's cell (ExploreReport.Config), the
+// minimized picks when there are any, or an error when that cell has no
+// encoding (see SchedTrace).
+func (f *ExploreFailure) Trace(rc RunConfig) (*sched.Trace, error) {
 	rc.SchedSeed = f.SchedSeed
 	picks := f.Picks
 	if f.Minimized != nil {
@@ -79,7 +55,10 @@ func (f *ExploreFailure) Trace(ec ExploreConfig) (*sched.Trace, error) {
 
 // ExploreReport aggregates one campaign.
 type ExploreReport struct {
-	Config   ExploreConfig
+	// Config is the cell every schedule ran: ExploreCell's rc with the
+	// campaign's defaults applied and the oracle on. A schedule is Config
+	// with its own SchedSeed.
+	Config   RunConfig
 	Runs     int
 	Commits  int // oracle-validated commits across all runs
 	Failures []ExploreFailure
@@ -91,86 +70,68 @@ const (
 	DefaultExploreRuns  = 100
 )
 
-func exploreSpec(ec ExploreConfig) string {
-	if ec.Spec == "" {
-		return DefaultExploreSched
-	}
-	return ec.Spec
+// Explore is ExploreCell over ec's cell, run to completion without
+// minimization.
+func Explore(ec ExploreConfig) (*ExploreReport, error) {
+	return ExploreCell(context.Background(), ec.cell(), ec.Runs, false)
 }
 
-// ExploreOf lifts a cell into a campaign over it, the inverse of
-// ExploreConfig.RunConfig: rc's cell fields and rc.Sched as the scheduler
-// specification; Runs, Minimize and Ctx are the caller's to set.
-func ExploreOf(rc RunConfig) ExploreConfig {
-	return ExploreConfig{
-		Benchmark: rc.Benchmark,
-		Mode:      rc.Mode,
-		Backend:   rc.Backend,
-		Capacity:  rc.Capacity,
-		Threads:   rc.Threads,
-		Seed:      rc.Seed,
-		TotalOps:  rc.TotalOps,
-		Stagger:   rc.Stagger,
-		Chaos:     rc.Chaos,
-		Spec:      rc.Sched,
-	}
+func (ec ExploreConfig) cell() RunConfig {
+	return RunConfig{Benchmark: ec.Benchmark, Backend: ec.Backend, Threads: ec.Threads,
+		Seed: ec.Seed, TotalOps: ec.TotalOps, Sched: ec.Spec}
 }
 
-// RunConfig is the cell every schedule of the campaign runs, oracle on.
-// Explore adds a scheduler seed and pick recording per run; replaying a
-// failure adds its picks.
-func (ec ExploreConfig) RunConfig() RunConfig {
-	return RunConfig{
-		Benchmark: ec.Benchmark,
-		Mode:      ec.Mode,
-		Backend:   ec.Backend,
-		Capacity:  ec.Capacity,
-		Threads:   ec.Threads,
-		Seed:      ec.Seed,
-		TotalOps:  ec.TotalOps,
-		Stagger:   ec.Stagger,
-		Chaos:     ec.Chaos,
-		Sched:     exploreSpec(ec),
-		Oracle:    true,
-		// Exploration keeps a deeper watchdog tail than the htm default:
-		// adversarial schedules are exactly the runs whose ends are worth
-		// reading.
-		WatchdogTrace: 256,
-	}
+// ExploreCell runs a schedule-exploration campaign over exactly rc: runs
+// schedules (0 = DefaultExploreRuns), each rc with its own scheduler
+// seed, its picks recorded and the serializability oracle on. rc.Sched
+// defaults to DefaultExploreSched and rc.WatchdogTrace to 256: a deeper
+// watchdog tail than the htm default, since adversarial schedules are
+// exactly the runs whose ends are worth reading. Minimize shrinks each
+// failing schedule to a short decision prefix by delta debugging
+// (re-running the cell per probe, at most minimizeBudget times per
+// failure).
+//
+// Infrastructure errors (unknown benchmark, watchdog timeout) abort the
+// campaign; serializability violations and workload verification
+// failures are collected as findings. Cancelling ctx abandons in-flight
+// runs at their next globally ordered events and aborts the campaign
+// with an error wrapping ctx's error.
+func ExploreCell(ctx context.Context, rc RunConfig, runs int, minimize bool) (*ExploreReport, error) {
+	return explore(ctx, rc, runs, minimize, nil)
 }
 
-// Explore runs a schedule-exploration campaign. Infrastructure errors
-// (unknown benchmark, watchdog timeout) abort the campaign; serializability
-// violations and workload verification failures are collected as findings.
-func Explore(ec ExploreConfig) (*ExploreReport, error) { return explore(ec, nil) }
-
-// explore is Explore with a tap for tests: observe, when non-nil, sees
-// every schedule's whole Result in run order, before it is folded into
-// the report's counts.
-func explore(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport, error) {
-	if ec.Runs <= 0 {
-		ec.Runs = DefaultExploreRuns
+// explore is ExploreCell with a tap for tests: observe, when non-nil,
+// sees every schedule's whole Result in run order, before it is folded
+// into the report's counts.
+func explore(ctx context.Context, rc RunConfig, runs int, minimize bool, observe func(i int, res *Result)) (*ExploreReport, error) {
+	if runs <= 0 {
+		runs = DefaultExploreRuns
 	}
-	if ec.Seed == 0 {
-		ec.Seed = DefaultSeed
+	if rc.Seed == 0 {
+		rc.Seed = DefaultSeed
 	}
+	if rc.Sched == "" {
+		rc.Sched = DefaultExploreSched
+	}
+	if rc.WatchdogTrace == 0 {
+		rc.WatchdogTrace = 256
+	}
+	// The schedules differ by seed alone: a replayed sequence would pin
+	// them all to one.
+	rc.Oracle, rc.ReplayPicks = true, nil
 
 	// Every explored schedule is an independent cell (distinct scheduler
 	// seed, same workload), so the campaign fans out across the package
 	// worker default. Results fold into the report strictly in run order —
 	// counts, failure list and minimization are indistinguishable from a
 	// sequential campaign.
-	cfgs := make([]RunConfig, ec.Runs)
+	cfgs := make([]RunConfig, runs)
 	for i := range cfgs {
 		// Distinct, nonzero scheduler seeds; the workload seed stays fixed
 		// so every run explores the same program.
-		cfgs[i] = ec.RunConfig()
-		cfgs[i].SchedSeed = ec.Seed + int64(i)*1_000_003 + 1
+		cfgs[i] = rc
+		cfgs[i].SchedSeed = rc.Seed + int64(i)*1_000_003 + 1
 		cfgs[i].Record = true
-	}
-	ctx := ec.Ctx
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	// The cells differ only in their scheduler seed, so each worker runs
 	// its share on one prepared cell; minimization, on the delivering
@@ -181,7 +142,7 @@ func explore(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport
 	run := func(ctx context.Context, worker int, rc RunConfig) RunOutcome {
 		return runOne(ctx, rc, &cells[worker])
 	}
-	rep := &ExploreReport{Config: ec}
+	rep := &ExploreReport{Config: rc}
 	err := sweepWith(ctx, cfgs, workers, run, func(i int, o RunOutcome) error {
 		ss := cfgs[i].SchedSeed
 		if o.Err != nil {
@@ -199,7 +160,7 @@ func explore(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport
 		}
 		if ferr != nil {
 			f := ExploreFailure{SchedSeed: ss, Err: ferr, Picks: res.SchedPicks}
-			if ec.Minimize {
+			if minimize {
 				// Minimization probes run here, on the delivering goroutine,
 				// so they serialize in run order like the sequential loop.
 				f.Minimized, f.Probes = minimizeFailure(&probes, cfgs[i], f.Picks)

@@ -140,15 +140,14 @@ func TestReplayTraceFile(t *testing.T) {
 func TestExploreCleanCampaign(t *testing.T) {
 	for _, mode := range []stagger.Mode{stagger.ModeHTM, stagger.ModeStaggeredHW} {
 		for _, bench := range []string{"list-hi", "kmeans", "tsp"} {
-			rep, err := Explore(ExploreConfig{
+			rep, err := ExploreCell(context.Background(), RunConfig{
 				Benchmark: bench,
 				Mode:      mode,
 				Threads:   4,
 				Seed:      17,
 				TotalOps:  160,
-				Spec:      "pct:3",
-				Runs:      4,
-			})
+				Sched:     "pct:3",
+			}, 4, false)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", bench, mode, err)
 			}
@@ -168,16 +167,15 @@ func TestExploreCleanCampaign(t *testing.T) {
 // violations on a correct protocol.
 func TestExploreComposesWithChaos(t *testing.T) {
 	ccfg := chaos.Scaled(0.01, 42)
-	rep, err := Explore(ExploreConfig{
+	rep, err := ExploreCell(context.Background(), RunConfig{
 		Benchmark: "list-hi",
 		Mode:      stagger.ModeStaggeredHW,
 		Threads:   4,
 		Seed:      19,
 		TotalOps:  160,
 		Chaos:     &ccfg,
-		Spec:      "pct:3",
-		Runs:      4,
-	})
+		Sched:     "pct:3",
+	}, 4, false)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -186,6 +184,60 @@ func TestExploreComposesWithChaos(t *testing.T) {
 	}
 	if rep.Commits == 0 {
 		t.Fatal("campaign validated no commits")
+	}
+}
+
+// TestExploreCellRunsTheWholeCell: a campaign explores exactly the cell
+// it is given. For each cell input, every schedule ExploreCell runs
+// carries it in its Result's Config, and equals a fresh Run of that
+// Config — statistics and picks — so the prepared cell each sweep worker
+// reuses also builds the lazy, naive and watchdog machines it is asked
+// for.
+func TestExploreCellRunsTheWholeCell(t *testing.T) {
+	ccfg := chaos.Scaled(0.01, 7)
+	for _, row := range []struct {
+		name    string
+		set     func(*RunConfig)
+		carries func(RunConfig) bool
+	}{
+		{"lazy", func(rc *RunConfig) { rc.Lazy = true }, func(rc RunConfig) bool { return rc.Lazy }},
+		{"naive", func(rc *RunConfig) { rc.Naive = true }, func(rc RunConfig) bool { return rc.Naive }},
+		{"watchdog", func(rc *RunConfig) { rc.Watchdog = 50_000_000 },
+			func(rc RunConfig) bool { return rc.Watchdog == 50_000_000 }},
+		{"limited capacity", func(rc *RunConfig) { rc.Backend, rc.Capacity = "limited", 8 },
+			func(rc RunConfig) bool { return rc.Backend == "limited" && rc.Capacity == 8 }},
+		{"chaos rate", func(rc *RunConfig) { rc.Chaos = &ccfg },
+			func(rc RunConfig) bool { return rc.Chaos != nil && *rc.Chaos == ccfg }},
+		{"backend occ", func(rc *RunConfig) { rc.Backend = "occ" }, func(rc RunConfig) bool { return rc.Backend == "occ" }},
+		{"mode htm", func(rc *RunConfig) { rc.Mode = stagger.ModeHTM }, func(rc RunConfig) bool { return rc.Mode == stagger.ModeHTM }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cell := RunConfig{Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW, Threads: 4, Seed: 42,
+				TotalOps: 160, Sched: "pct:3"}
+			row.set(&cell)
+			var results []*Result
+			rep, err := explore(context.Background(), cell, 4, false, func(_ int, res *Result) {
+				results = append(results, res)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != 4 || !row.carries(rep.Config) {
+				t.Fatalf("campaign ran %d schedules of %+v, want 4 of a cell with %s", len(results), rep.Config, row.name)
+			}
+			for i, res := range results {
+				if !row.carries(res.Config) {
+					t.Fatalf("schedule %d ran %+v, which lost %s", i, res.Config, row.name)
+				}
+				fresh, err := Run(res.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Stats, fresh.Stats) || !slices.Equal(res.SchedPicks, fresh.SchedPicks) {
+					t.Fatalf("schedule %d (sched seed %d) differs from a fresh Run of its Config", i, res.Config.SchedSeed)
+				}
+			}
+		})
 	}
 }
 
@@ -207,22 +259,20 @@ func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 	scfg := stagger.DefaultConfig(stagger.ModeHTM)
 	scfg.MaxRetries = 1
 	scfg.UnsafeEarlyGlobalRelease = true
-	ec := ExploreConfig{
+	cell := RunConfig{
 		Benchmark: "intruder",
 		Mode:      stagger.ModeHTM,
 		Threads:   4,
 		Seed:      23,
 		Stagger:   &scfg,
-		Spec:      "pct:3",
-		Runs:      12,
-		Minimize:  true,
+		Sched:     "pct:3",
 	}
 	var reports []string
 	for _, workers := range []int{1, 2} {
 		var rep *ExploreReport
 		withWorkers(t, workers, func() {
 			var err error
-			if rep, err = Explore(ec); err != nil {
+			if rep, err = ExploreCell(context.Background(), cell, 12, true); err != nil {
 				t.Fatalf("workers=%d: explore: %v", workers, err)
 			}
 		})
@@ -231,7 +281,7 @@ func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 				workers, len(rep.Failures), rep.Runs, rep.Commits)
 		}
 		fails := func(f ExploreFailure, picks []uint32) bool {
-			rc := ec.RunConfig()
+			rc := rep.Config
 			rc.SchedSeed = f.SchedSeed
 			rc.ReplayPicks = picks
 			res, err := Run(rc)
@@ -245,7 +295,7 @@ func TestExploreCatchesEarlyReleaseAndMinimizes(t *testing.T) {
 			// Picks must be the schedule its seed generates, decision for
 			// decision: the bytes are the failure's own, not a view of a
 			// buffer later schedules recorded over.
-			rc := ec.RunConfig()
+			rc := rep.Config
 			rc.SchedSeed, rc.Record = f.SchedSeed, true
 			if res, err := Run(rc); err != nil {
 				t.Fatalf("workers=%d: re-recording sched seed %d: %v", workers, f.SchedSeed, err)
@@ -479,15 +529,16 @@ func TestExploreScheduleAllocations(t *testing.T) {
 	var mallocs, bytes uint64
 	const first, last = 2, 9
 	for _, bench := range []string{"list-hi", "kmeans", "memcached"} {
-		ec := ExploreConfig{Benchmark: bench, Backend: "staggered", Threads: 4, Seed: 42, TotalOps: 160, Spec: "pct:3"}
+		cell := RunConfig{Benchmark: bench, Backend: "staggered", Threads: 4, Seed: 42, TotalOps: 160,
+			Sched: "pct:3", Oracle: true, WatchdogTrace: 256}
 		pc := new(prepared)
 		var before, after runtime.MemStats
 		for i := 1; i <= last; i++ {
 			if i == first {
 				runtime.ReadMemStats(&before)
 			}
-			rc := ec.RunConfig()
-			rc.SchedSeed, rc.Record = ec.Seed+int64(i), true
+			rc := cell
+			rc.SchedSeed, rc.Record = cell.Seed+int64(i), true
 			res, err := pc.run(context.Background(), rc)
 			if err != nil || res.OracleErr != nil || res.VerifyErr != nil {
 				t.Fatalf("%s schedule %d: %v / %v / %v", bench, i, err, res.OracleErr, res.VerifyErr)

@@ -19,7 +19,9 @@ func NewPreparedRunner() (run func(RunConfig) (*Result, error), memory func() *m
 
 // ExploreObserved is Explore with its tap: observe sees every schedule's
 // Result, in run order.
-var ExploreObserved = explore
+func ExploreObserved(ec ExploreConfig, observe func(i int, res *Result)) (*ExploreReport, error) {
+	return explore(context.Background(), ec.cell(), ec.Runs, false, observe)
+}
 
 // Normalized is rc as its run path spells it (see normalize), for the
 // Cell round trip in package harness_test.

@@ -157,11 +157,11 @@ func TestChaosSweepIdenticalAcrossWorkers(t *testing.T) {
 func TestExploreIdenticalAcrossWorkers(t *testing.T) {
 	campaign := func(workers int) (fp string) {
 		withWorkers(t, workers, func() {
-			ec := ExploreConfig{
+			cell := RunConfig{
 				Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW,
-				Threads: 4, TotalOps: 120, Runs: 8,
+				Threads: 4, TotalOps: 120,
 			}
-			rep, err := Explore(ec)
+			rep, err := ExploreCell(context.Background(), cell, 8, false)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

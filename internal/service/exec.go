@@ -51,7 +51,7 @@ type ExploreFinding struct {
 // execute runs a job as one serve-or-compute stream over its keys. It
 // serves every key the store already has and computes the rest — a cell
 // job's through the sweep primitive, an explore job's one key through
-// harness.Explore — and each payload is encoded and persisted the moment
+// harness.ExploreCell — and each payload is encoded and persisted the moment
 // its outcome is delivered, while later cells are still simulating. A
 // failed cell does not stop its siblings: they are computed, persisted
 // and kept, so a resubmission — or the next life of a killed daemon —
@@ -76,9 +76,19 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	// Shared with the job: filled in below by this goroutine only, read by
 	// others once the job is done.
 	j.setResults(payloads, fromStore)
+	// Equal keys are one simulation (backend htm runs every mode as
+	// plain HTM): each missing key is computed once, at its first index,
+	// and its payload fans out to the later ones, as the memo does.
 	var miss []int
+	dups := make(map[string][]int)
 	for i, b := range payloads {
-		if b == nil {
+		if b != nil {
+			continue
+		}
+		if later, seen := dups[keys[i]]; seen {
+			dups[keys[i]] = append(later, i)
+		} else {
+			dups[keys[i]] = nil
 			miss = append(miss, i)
 		}
 	}
@@ -97,10 +107,13 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		}
 		s.storePut(keys[i], b)
 		payloads[i] = b
+		for _, d := range dups[keys[i]] {
+			payloads[d] = b
+		}
 	}
 	if j.plan.kind == KindExplore {
 		for _, i := range miss {
-			b, err := explore(ctx, j.plan.explore, keys[i])
+			b, err := explore(ctx, j.plan, keys[i])
 			deliver(i, b, err)
 		}
 		return first
@@ -110,7 +123,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 		cfgs[k] = j.plan.cells[i]
 	}
 	// The stream's error is deliver's, and this deliver never stops it.
-	_ = s.cfg.sweep(ctx, cfgs, s.cfg.RunWorkers, func(k int, o harness.RunOutcome) error {
+	_ = s.cfg.sweep(ctx, cfgs, 0, func(k int, o harness.RunOutcome) error {
 		b, err := []byte(nil), o.Err
 		if err == nil {
 			b, err = encodeCell(keys[miss[k]], cfgs[k], o.Res)
@@ -122,15 +135,14 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 }
 
 // explore computes the payload of an explore job's one key.
-func explore(ctx context.Context, ec harness.ExploreConfig, key string) ([]byte, error) {
-	ec.Ctx = ctx
-	rep, err := harness.Explore(ec)
+func explore(ctx context.Context, p *jobPlan, key string) ([]byte, error) {
+	rep, err := harness.ExploreCell(ctx, p.cells[0], p.runs, p.minimize)
 	if err != nil {
 		return nil, err
 	}
 	er := ExploreResult{
 		Key:      key,
-		Sched:    rep.Config.Spec,
+		Sched:    rep.Config.Sched,
 		Runs:     rep.Runs,
 		Commits:  rep.Commits,
 		Failures: make([]ExploreFinding, 0, len(rep.Failures)),

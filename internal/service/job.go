@@ -50,11 +50,19 @@ func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
 	return e, rc, nil
 }
 
+// exploreVersion versions explore payloads apart from cell payloads.
+// Explore keys before it (plain "v5|explore|") name payloads of
+// campaigns that ran without their cell's lazy, naive and watchdog
+// settings, so those keys must never be found again. Cell payloads were
+// always computed from the whole cell, so CacheSchema, and with it
+// every cell key, stays where it is.
+const exploreVersion = 2
+
 // exploreKey is the durable-store key of a normalized campaign: its
 // cell's key with the campaign's own fields.
 func exploreKey(e ExploreSpec) string {
 	b, _ := json.Marshal(e)
-	return fmt.Sprintf("v%d|explore|%s", harness.CacheSchema, b)
+	return fmt.Sprintf("v%d|explore.v%d|%s", harness.CacheSchema, exploreVersion, b)
 }
 
 // JobSpec is one submitted unit of work. Cells can be listed explicitly
@@ -100,10 +108,13 @@ func (spec JobSpec) timeout() time.Duration {
 // need, computed once at admission so a malformed spec is a 400 at
 // submit, never a failed job.
 type jobPlan struct {
-	kind    string
-	cells   []harness.RunConfig
-	keys    []string
-	explore harness.ExploreConfig // kind == KindExplore only
+	kind  string
+	cells []harness.RunConfig
+	keys  []string
+	// An explore job's campaign: runs schedules of its one cell,
+	// cells[0], which carries the campaign's scheduler.
+	runs     int
+	minimize bool
 }
 
 func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
@@ -127,9 +138,9 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		ec := harness.ExploreOf(rc)
-		ec.Spec, ec.Runs, ec.Minimize = e.Sched, e.Runs, e.Minimize
-		return &jobPlan{kind: kind, keys: []string{exploreKey(e)}, explore: ec}, nil
+		rc.Sched = e.Sched
+		return &jobPlan{kind: kind, cells: []harness.RunConfig{rc}, keys: []string{exploreKey(e)},
+			runs: e.Runs, minimize: e.Minimize}, nil
 	}
 
 	base := spec.Cells
@@ -270,7 +281,7 @@ type JobStatus struct {
 	State     string `json:"state"`
 	Cells     int    `json:"cells"`
 	FromStore int    `json:"from_store"`
-	Computed  int    `json:"computed"` // cells actually simulated this run
+	Computed  int    `json:"computed"` // cells not served from the store (equal keys simulate once)
 	Recovered bool   `json:"recovered,omitempty"`
 	Idem      string `json:"idem,omitempty"`
 	Error     string `json:"error,omitempty"`

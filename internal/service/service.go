@@ -85,9 +85,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue (default 8); beyond it,
 	// Submit sheds load with ErrQueueFull.
 	QueueDepth int
-	// RunWorkers is the per-job sweep parallelism handed to the harness
-	// (default 0 = the harness package default).
-	RunWorkers int
 	// JobTimeout is the per-job wall-clock deadline (default 5m). A job's
 	// own timeout_ms can tighten it, never extend it.
 	JobTimeout time.Duration

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +194,51 @@ func TestOneSimulationOneStoreKey(t *testing.T) {
 		}
 		if st := waitJob(t, again); st.FromStore != 1 || !bytes.Equal(again.payloads()[0], cells[0]) {
 			t.Fatalf("%+v: from_store=%d, want the stored cell served byte for byte", c, st.FromStore)
+		}
+	}
+}
+
+// TestEqualKeysSimulateOnce: backends htm and occ both run modes htm and
+// staggered as one simulation, so this sweep's four cells plan to two
+// keys. Each key is simulated and stored once, and its payload is served
+// to both of its cells; computed still counts every cell the store did
+// not serve.
+func TestEqualKeysSimulateOnce(t *testing.T) {
+	var simulated atomic.Int64
+	s := newT(t, Config{StoreDir: t.TempDir(), sweep: func(ctx context.Context, cfgs []harness.RunConfig, workers int,
+		deliver func(int, harness.RunOutcome) error) error {
+		simulated.Add(int64(len(cfgs)))
+		return harness.Sweep(ctx, cfgs, workers, deliver)
+	}})
+	j, err := s.Submit(JobSpec{
+		Benchmarks: []string{"list-hi"},
+		Modes:      []string{"htm", "staggered"},
+		Backends:   []string{"htm", "occ"},
+		Ops:        100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := j.plan.keys
+	if len(keys) != 4 || len(map[string]bool{keys[0]: true, keys[1]: true, keys[2]: true, keys[3]: true}) != 2 {
+		t.Fatalf("sweep planned keys %q, want 4 cells under 2 distinct keys", keys)
+	}
+	st := waitJob(t, j)
+	if st.State != JobDone || st.FromStore != 0 || st.Computed != 4 {
+		t.Fatalf("job %+v, want done with 4 cells computed", st)
+	}
+	if n := simulated.Load(); n != 2 {
+		t.Fatalf("the job simulated %d cells, want one per distinct key (2)", n)
+	}
+	if puts := s.Store().Stats().Puts; puts != 2 {
+		t.Fatalf("store took %d puts, want one per distinct key (2)", puts)
+	}
+	payloads := j.payloads()
+	for i := range keys {
+		for k := range keys {
+			if keys[i] == keys[k] && (payloads[i] == nil || !bytes.Equal(payloads[i], payloads[k])) {
+				t.Fatalf("cells %d and %d share a key but were served different bytes", i, k)
+			}
 		}
 	}
 }
@@ -564,6 +610,33 @@ func TestExploreJobRunsAndIsDurable(t *testing.T) {
 	}
 	if !bytes.Equal(j.payloads()[0], j2.payloads()[0]) {
 		t.Fatal("explore payload differed across submissions")
+	}
+}
+
+// TestExploreJobRunsItsWholeCell: an explore job explores the cell it
+// names, watchdog included, so a watchdog far below the cell's makespan
+// fails the job on the watchdog trip. Its key carries the explore
+// payloads' own version: explore payloads stored under the earlier,
+// unversioned keys came from campaigns that dropped the cell's lazy,
+// naive and watchdog settings.
+func TestExploreJobRunsItsWholeCell(t *testing.T) {
+	s := newT(t, Config{StoreDir: t.TempDir()})
+	j, err := s.Submit(JobSpec{Explore: &ExploreSpec{
+		Cell: harness.Cell{Bench: "list-hi", Threads: 4, Ops: 160, Lazy: true, Watchdog: 1000},
+		Runs: 3,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("v%d|explore.v%d|", harness.CacheSchema, exploreVersion); !strings.HasPrefix(j.plan.keys[0], want) {
+		t.Fatalf("explore key %q, want the prefix %q", j.plan.keys[0], want)
+	}
+	st := waitJob(t, j)
+	if st.State != JobFailed || !strings.Contains(st.Error, "watchdog") {
+		t.Fatalf("explore job %+v, want failed on the cell's watchdog", st)
+	}
+	if puts := s.Store().Stats().Puts; puts != 0 {
+		t.Fatalf("store took %d puts for a failed campaign, want 0", puts)
 	}
 }
 

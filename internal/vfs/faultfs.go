@@ -52,46 +52,38 @@ func (f *FaultFS) crash() error {
 	return ErrCrashed
 }
 
-// eval maps one operation through the registry to an error (nil = let it
-// proceed), for the non-mutating ops (open, create): a crash here fires
-// before the operation, which reaches the same on-disk states as a crash
-// an instant earlier. FPShort is meaningful only for writes and degrades
-// to FPError elsewhere.
-func (f *FaultFS) eval(op, path string) error {
+// apply runs one operation through the registry, the one place an
+// action takes effect. land performs a mutating operation; a crash lands
+// it first — the post-op crash window, the interesting instant for
+// rename-based atomicity and fsync durability arguments — and then kills
+// the process or wedges the filesystem. A nil land is a non-mutating op
+// (open, create) the caller performs after a nil return: a crash fires
+// before it, which reaches the same on-disk states as a crash an instant
+// earlier. torn, a write's, lands half of it for FPShort; elsewhere
+// FPShort is a plain injected error.
+func (f *FaultFS) apply(op, path string, land func() error, torn func()) error {
 	if f.crashed.Load() {
 		return ErrCrashed
 	}
 	switch f.FP.Eval(op, path) {
 	case chaos.FPNone:
-		return nil
+		if land == nil {
+			return nil
+		}
+		return land()
 	case chaos.FPENOSPC:
 		return fmt.Errorf("%s %s: %w", op, path, ErrNoSpace)
 	case chaos.FPCrash:
+		if land != nil {
+			land() // the operation lands, then the process dies
+		}
 		return f.crash()
-	default:
-		return fmt.Errorf("%s %s: %w", op, path, ErrInjected)
+	case chaos.FPShort:
+		if torn != nil {
+			torn() // the torn half lands
+		}
 	}
-}
-
-// do wraps a mutating operation: a crash failpoint completes the
-// operation first — the post-op crash window, the interesting instant
-// for rename-based atomicity and fsync durability arguments — and then
-// kills the process or wedges the filesystem.
-func (f *FaultFS) do(op, path string, fn func() error) error {
-	if f.crashed.Load() {
-		return ErrCrashed
-	}
-	switch f.FP.Eval(op, path) {
-	case chaos.FPNone:
-		return fn()
-	case chaos.FPENOSPC:
-		return fmt.Errorf("%s %s: %w", op, path, ErrNoSpace)
-	case chaos.FPCrash:
-		fn() // the operation lands, then the process dies
-		return f.crash()
-	default:
-		return fmt.Errorf("%s %s: %w", op, path, ErrInjected)
-	}
+	return fmt.Errorf("%s %s: %w", op, path, ErrInjected)
 }
 
 func (f *FaultFS) MkdirAll(path string) error {
@@ -102,7 +94,7 @@ func (f *FaultFS) MkdirAll(path string) error {
 }
 
 func (f *FaultFS) Create(name string) (File, error) {
-	if err := f.eval("create", name); err != nil {
+	if err := f.apply("create", name, nil, nil); err != nil {
 		return nil, err
 	}
 	file, err := f.Base.Create(name)
@@ -113,7 +105,7 @@ func (f *FaultFS) Create(name string) (File, error) {
 }
 
 func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
-	if err := f.eval("create", dir); err != nil {
+	if err := f.apply("create", dir, nil, nil); err != nil {
 		return nil, err
 	}
 	file, err := f.Base.CreateTemp(dir, pattern)
@@ -124,7 +116,7 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 }
 
 func (f *FaultFS) Open(name string) (File, error) {
-	if err := f.eval("open", name); err != nil {
+	if err := f.apply("open", name, nil, nil); err != nil {
 		return nil, err
 	}
 	file, err := f.Base.Open(name)
@@ -135,7 +127,7 @@ func (f *FaultFS) Open(name string) (File, error) {
 }
 
 func (f *FaultFS) OpenAppend(name string) (File, error) {
-	if err := f.eval("open", name); err != nil {
+	if err := f.apply("open", name, nil, nil); err != nil {
 		return nil, err
 	}
 	file, err := f.Base.OpenAppend(name)
@@ -146,42 +138,27 @@ func (f *FaultFS) OpenAppend(name string) (File, error) {
 }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
-	if err := f.eval("open", name); err != nil {
+	if err := f.apply("open", name, nil, nil); err != nil {
 		return nil, err
 	}
 	return f.Base.ReadFile(name)
 }
 
 func (f *FaultFS) WriteFile(name string, data []byte) error {
-	if f.crashed.Load() {
-		return ErrCrashed
-	}
-	switch f.FP.Eval("write", name) {
-	case chaos.FPNone:
-		return f.Base.WriteFile(name, data)
-	case chaos.FPENOSPC:
-		return fmt.Errorf("write %s: %w", name, ErrNoSpace)
-	case chaos.FPShort:
-		f.Base.WriteFile(name, data[:len(data)/2]) // the torn half lands
-		return fmt.Errorf("write %s: %w", name, ErrInjected)
-	case chaos.FPCrash:
-		f.Base.WriteFile(name, data) // the write lands, then the process dies
-		return f.crash()
-	default:
-		return fmt.Errorf("write %s: %w", name, ErrInjected)
-	}
+	return f.apply("write", name, func() error { return f.Base.WriteFile(name, data) },
+		func() { f.Base.WriteFile(name, data[:len(data)/2]) })
 }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	return f.do("rename", newpath, func() error { return f.Base.Rename(oldpath, newpath) })
+	return f.apply("rename", newpath, func() error { return f.Base.Rename(oldpath, newpath) }, nil)
 }
 
 func (f *FaultFS) Remove(name string) error {
-	return f.do("remove", name, func() error { return f.Base.Remove(name) })
+	return f.apply("remove", name, func() error { return f.Base.Remove(name) }, nil)
 }
 
 func (f *FaultFS) Truncate(name string, size int64) error {
-	return f.do("truncate", name, func() error { return f.Base.Truncate(name, size) })
+	return f.apply("truncate", name, func() error { return f.Base.Truncate(name, size) }, nil)
 }
 
 func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
@@ -205,28 +182,16 @@ type faultFile struct {
 	fs *FaultFS
 }
 
-func (ff *faultFile) Write(p []byte) (int, error) {
-	if ff.fs.crashed.Load() {
-		return 0, ErrCrashed
-	}
-	switch ff.fs.FP.Eval("write", ff.Name()) {
-	case chaos.FPNone:
-		return ff.File.Write(p)
-	case chaos.FPENOSPC:
-		return 0, fmt.Errorf("write %s: %w", ff.Name(), ErrNoSpace)
-	case chaos.FPShort:
-		n, _ := ff.File.Write(p[:len(p)/2]) // the torn half lands
-		return n, fmt.Errorf("write %s: %w", ff.Name(), ErrInjected)
-	case chaos.FPCrash:
-		ff.File.Write(p) // the write lands, then the process dies
-		return len(p), ff.fs.crash()
-	default:
-		return 0, fmt.Errorf("write %s: %w", ff.Name(), ErrInjected)
-	}
+func (ff *faultFile) Write(p []byte) (n int, err error) {
+	err = ff.fs.apply("write", ff.Name(), func() (err error) {
+		n, err = ff.File.Write(p)
+		return err
+	}, func() { n, _ = ff.File.Write(p[:len(p)/2]) })
+	return n, err
 }
 
 func (ff *faultFile) Sync() error {
-	return ff.fs.do("sync", ff.Name(), ff.File.Sync)
+	return ff.fs.apply("sync", ff.Name(), ff.File.Sync, nil)
 }
 
 func (ff *faultFile) Close() error {
