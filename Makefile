@@ -19,11 +19,14 @@ help:
 ci: vet build test explore-smoke race-equivalence crash-smoke docs-verify bench-smoke ## full CI gate (all of the below)
 
 # vet layers two static gates over the whole tree: formatting and the
-# standard go vet. Any finding exits nonzero and fails the build.
-vet: ## gofmt + go vet (any finding fails)
+# standard go vet, run in the root module and again in the bench module,
+# which the root `go vet ./...` does not descend into but which imports
+# the durable layers. Any finding exits nonzero and fails the build.
+vet: ## gofmt + go vet over both modules (any finding fails)
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 build: ## go build ./...
 	$(GO) build ./...

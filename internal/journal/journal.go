@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"repro/internal/vfs"
@@ -46,39 +45,34 @@ import (
 // and the journal starts fresh.
 const magic = "staggerwal 1\n"
 
-// compactInfix names Compact's temp file: <journal>.compact-<random>,
-// next to the journal, so Open can find and remove its own debris.
-const compactInfix = ".compact-"
-
 // maxRecord bounds one frame's payload; a length field beyond it is
 // treated as tail corruption, not an allocation request.
 const maxRecord = 8 << 20
 
-// Record types: one submission fact and its state transitions.
+// Record types: one submission fact and the terminal transitions.
 const (
 	RecAccepted = "accepted"
-	// RecRunning is no longer appended, but journals written by older
-	// daemons hold it; replay folds it like RecAccepted.
-	RecRunning  = "running"
 	RecDone     = "done"
 	RecFailed   = "failed"
 	RecCanceled = "canceled"
 )
 
 // Terminal reports whether a record type ends a job's lifecycle. Jobs
-// whose latest record is non-terminal are re-enqueued on replay.
+// whose latest record is non-terminal are re-enqueued on replay; that
+// includes the "running" records older daemons appended, which fold
+// like RecAccepted.
 func Terminal(t string) bool {
 	return t == RecDone || t == RecFailed || t == RecCanceled
 }
 
-// Record is one journal entry. Accepted records carry the full job spec
-// (the daemon re-plans it on replay) and the client's idempotency key;
-// transition records carry just the job reference.
+// Record is one journal entry. Accepted records carry the full job spec,
+// which the daemon re-plans on replay and which holds the client's
+// idempotency key; transition records carry just the job reference.
+// Replay order is file order. Older daemons also wrote "seq" and "idem"
+// keys, which decoding ignores.
 type Record struct {
-	Seq   uint64          `json:"seq"`
 	Type  string          `json:"type"`
 	Job   string          `json:"job"`
-	Idem  string          `json:"idem,omitempty"`
 	Spec  json.RawMessage `json:"spec,omitempty"`
 	Error string          `json:"error,omitempty"`
 }
@@ -117,7 +111,6 @@ type Journal struct {
 
 	mu     sync.Mutex
 	f      vfs.File
-	seq    uint64
 	wedged bool
 	closed bool
 
@@ -126,7 +119,7 @@ type Journal struct {
 }
 
 // Open opens (creating if needed) the journal at path, removes the temp
-// file of a compaction that crashed, replays the journal's valid prefix,
+// file of a rewrite that crashed, replays the journal's valid prefix,
 // quarantines and truncates any damaged tail, and leaves the file open
 // for appending. The returned Replay is never nil.
 func Open(fsys vfs.FS, path string) (*Journal, *Replay, error) {
@@ -136,32 +129,33 @@ func Open(fsys vfs.FS, path string) (*Journal, *Replay, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	// A crash inside Compact, before or after its rename, leaves a valid
+	// A crash inside a rewrite, before or after its rename, leaves a valid
 	// journal and possibly the temp file; the temp is never replayed, so
 	// deleting it is safe.
-	if ents, err := fsys.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), filepath.Base(path)+compactInfix) {
-				fsys.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
+	vfs.RemoveTemps(fsys, dir, j.tempPattern())
 	raw, err := fsys.ReadFile(path)
-	switch {
-	case err == nil && len(raw) > 0:
-		if err := j.replay(raw, rep); err != nil {
-			return nil, nil, err
-		}
-	case err == nil: // empty file: initialize below
-	default:
+	if err != nil {
 		if _, statErr := fsys.Stat(path); statErr == nil {
 			return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
 		}
 		// Missing file: initialize below.
 	}
-	if len(rep.Records) == 0 && rep.QuarantinedBytes == 0 {
-		if err := j.initEmpty(); err != nil {
+	ours := bytes.HasPrefix(raw, []byte(magic))
+	switch {
+	case ours:
+		if err := j.replay(raw, rep); err != nil {
 			return nil, nil, err
+		}
+	case len(raw) > 0:
+		// Foreign or pre-magic file: quarantine it whole and start over.
+		if err := j.quarantineTail(raw, rep); err != nil {
+			return nil, nil, err
+		}
+	}
+	// A missing, empty or foreign file, and a bare header, get a fresh one.
+	if !ours || len(raw) == len(magic) {
+		if err := j.rewrite(nil); err != nil {
+			return nil, nil, fmt.Errorf("journal: init %s: %w", path, err)
 		}
 	}
 	f, err := fsys.OpenAppend(path)
@@ -174,16 +168,9 @@ func Open(fsys vfs.FS, path string) (*Journal, *Replay, error) {
 	return j, rep, nil
 }
 
-// replay parses raw, fills rep, and repairs the on-disk file so it ends
-// at its last valid frame.
+// replay parses raw, which starts with the magic header, fills rep, and
+// repairs the on-disk file so it ends at its last valid frame.
 func (j *Journal) replay(raw []byte, rep *Replay) error {
-	if !bytes.HasPrefix(raw, []byte(magic)) {
-		// Foreign or pre-magic file: quarantine it whole and start over.
-		if err := j.quarantineTail(raw, rep); err != nil {
-			return err
-		}
-		return j.initEmpty()
-	}
 	off := len(magic)
 	for off < len(raw) {
 		if len(raw)-off < 8 {
@@ -203,9 +190,6 @@ func (j *Journal) replay(raw []byte, rep *Replay) error {
 			break // valid frame, unintelligible payload: treat as damage
 		}
 		rep.Records = append(rep.Records, r)
-		if r.Seq > j.seq {
-			j.seq = r.Seq
-		}
 		off += 8 + int(n)
 	}
 	valid := off
@@ -237,27 +221,38 @@ func (j *Journal) quarantineTail(tail []byte, rep *Replay) error {
 	return nil
 }
 
-// initEmpty writes a fresh journal containing only the magic header.
-func (j *Journal) initEmpty() error {
-	f, err := j.fs.Create(j.path)
+// appendFrame appends r to buf as one CRC frame.
+func appendFrame(buf []byte, r Record) ([]byte, error) {
+	payload, err := json.Marshal(&r)
 	if err != nil {
-		return fmt.Errorf("journal: init %s: %w", j.path, err)
+		return buf, fmt.Errorf("journal: encode record: %w", err)
 	}
-	_, err = f.Write([]byte(magic))
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("journal: init %s: %w", j.path, err)
-	}
-	return f.Close()
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...), nil
 }
 
-// Append assigns the next sequence number to r, frames it, writes it,
-// and fsyncs. When Append returns nil the record is durable; when it
-// returns an error the record may be torn on disk and the journal
-// wedges (ErrWedged thereafter) until reopened.
+// tempPattern names the temp file of every journal rewrite (the init
+// and Compact): <journal>.compact-<random>, next to the journal, so Open
+// can find and remove its own debris.
+func (j *Journal) tempPattern() string { return filepath.Base(j.path) + ".compact-*" }
+
+// rewrite atomically replaces the journal file with the magic header
+// followed by recs.
+func (j *Journal) rewrite(recs []Record) error {
+	buf := []byte(magic)
+	for _, r := range recs {
+		var err error
+		if buf, err = appendFrame(buf, r); err != nil {
+			return err
+		}
+	}
+	return vfs.WriteAtomic(j.fs, j.path, j.tempPattern(), buf)
+}
+
+// Append frames r, writes it, and fsyncs. When Append returns nil the
+// record is durable; when it returns an error the record may be torn on
+// disk and the journal wedges (ErrWedged thereafter) until reopened.
 func (j *Journal) Append(r Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -268,16 +263,10 @@ func (j *Journal) Append(r Record) error {
 		j.appendErrs++
 		return ErrWedged
 	}
-	j.seq++
-	r.Seq = j.seq
-	payload, err := json.Marshal(&r)
+	frame, err := appendFrame(nil, r)
 	if err != nil {
-		return fmt.Errorf("journal: encode record: %w", err)
+		return err
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
 	_, err = j.f.Write(frame)
 	if err == nil {
 		err = j.f.Sync()
@@ -291,50 +280,18 @@ func (j *Journal) Append(r Record) error {
 	return nil
 }
 
-// Compact atomically rewrites the journal to exactly live (renumbered
-// from 1), dropping every other record — the boot- and drain-time
-// truncation of terminal entries. It also unwedges a journal whose
-// append handle died, since the rewrite starts from a fresh file.
+// Compact atomically rewrites the journal to exactly live, dropping
+// every other record — the boot-time truncation of terminal entries. It
+// also unwedges a journal whose append handle died, since the rewrite
+// starts from a fresh file.
 func (j *Journal) Compact(live []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return errors.New("journal: closed")
 	}
-	dir := filepath.Dir(j.path)
-	tmp, err := j.fs.CreateTemp(dir, filepath.Base(j.path)+compactInfix+"*")
-	if err != nil {
+	if err := j.rewrite(live); err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
-	}
-	defer j.fs.Remove(tmp.Name()) // no-op after a successful rename
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	for i, r := range live {
-		r.Seq = uint64(i + 1)
-		payload, err := json.Marshal(&r)
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: compact encode: %w", err)
-		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		buf.Write(hdr[:])
-		buf.Write(payload)
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: compact write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: compact sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: compact close: %w", err)
-	}
-	if err := j.fs.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("journal: compact rename: %w", err)
 	}
 	// Swap the append handle onto the fresh file.
 	if j.f != nil {
@@ -346,7 +303,6 @@ func (j *Journal) Compact(live []Record) error {
 		return fmt.Errorf("journal: compact reopen: %w", err)
 	}
 	j.f = f
-	j.seq = uint64(len(live))
 	j.wedged = false
 	j.compactions++
 	return nil
@@ -365,9 +321,6 @@ func (j *Journal) Close() error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Stats snapshots the journal's counters.
 func (j *Journal) Stats() Stats {

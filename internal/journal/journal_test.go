@@ -47,8 +47,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	spec := json.RawMessage(`{"kind":"run"}`)
 	mustAppend(t, j,
-		Record{Type: RecAccepted, Job: "job-000001", Idem: "k1", Spec: spec},
-		Record{Type: RecRunning, Job: "job-000001"},
+		Record{Type: RecAccepted, Job: "job-000001", Spec: spec},
+		Record{Type: "running", Job: "job-000001"},
 		Record{Type: RecDone, Job: "job-000001"},
 	)
 	j.Close()
@@ -59,32 +59,27 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want 3", len(rep2.Records))
 	}
 	got := rep2.Records
-	if got[0].Type != RecAccepted || got[0].Job != "job-000001" || got[0].Idem != "k1" ||
+	if got[0].Type != RecAccepted || got[0].Job != "job-000001" ||
 		string(got[0].Spec) != string(spec) {
 		t.Fatalf("accepted record mangled: %+v", got[0])
 	}
-	if got[1].Type != RecRunning || got[2].Type != RecDone {
+	if got[1].Type != "running" || got[2].Type != RecDone {
 		t.Fatalf("transition order mangled: %+v", got)
 	}
-	for i, r := range got {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("record %d has seq %d", i, r.Seq)
-		}
-	}
-	// Sequence numbering continues past the replayed tail.
+	// Appends continue past the replayed tail.
 	mustAppend(t, j2, Record{Type: RecAccepted, Job: "job-000002"})
 	_, rep3 := reopen(t, path) // second open only to inspect; j2 still holds the append handle
 	if n := len(rep3.Records); n != 4 {
 		t.Fatalf("after continued append: %d records, want 4", n)
 	}
-	if rep3.Records[3].Seq != 4 {
-		t.Fatalf("continued seq = %d, want 4", rep3.Records[3].Seq)
+	if rep3.Records[3].Job != "job-000002" {
+		t.Fatalf("continued append replayed as %+v", rep3.Records[3])
 	}
 }
 
 func TestTerminal(t *testing.T) {
 	for typ, want := range map[string]bool{
-		RecAccepted: false, RecRunning: false,
+		RecAccepted: false, "running": false,
 		RecDone: true, RecFailed: true, RecCanceled: true,
 	} {
 		if Terminal(typ) != want {
@@ -252,25 +247,25 @@ func TestJournalCompact(t *testing.T) {
 	spec := json.RawMessage(`{"kind":"sweep"}`)
 	mustAppend(t, j,
 		Record{Type: RecAccepted, Job: "job-000001", Spec: spec},
-		Record{Type: RecRunning, Job: "job-000001"},
+		Record{Type: "running", Job: "job-000001"},
 		Record{Type: RecDone, Job: "job-000001"},
-		Record{Type: RecAccepted, Job: "job-000002", Idem: "k", Spec: spec},
+		Record{Type: RecAccepted, Job: "job-000002", Spec: spec},
 	)
-	live := []Record{{Type: RecAccepted, Job: "job-000002", Idem: "k", Spec: spec}}
+	live := []Record{{Type: RecAccepted, Job: "job-000002", Spec: spec}}
 	if err := j.Compact(live); err != nil {
 		t.Fatal(err)
 	}
-	// The compacted journal still accepts appends with continued seqs.
-	mustAppend(t, j, Record{Type: RecRunning, Job: "job-000002"})
+	// The compacted journal still accepts appends.
+	mustAppend(t, j, Record{Type: "running", Job: "job-000002"})
 	j.Close()
 	_, rep := reopen(t, path)
 	if len(rep.Records) != 2 {
 		t.Fatalf("after compact: %d records, want 2: %+v", len(rep.Records), rep.Records)
 	}
-	if rep.Records[0].Job != "job-000002" || rep.Records[0].Seq != 1 || rep.Records[0].Idem != "k" {
+	if rep.Records[0].Job != "job-000002" || string(rep.Records[0].Spec) != string(spec) {
 		t.Fatalf("compacted record: %+v", rep.Records[0])
 	}
-	if rep.Records[1].Type != RecRunning || rep.Records[1].Seq != 2 {
+	if rep.Records[1].Type != "running" {
 		t.Fatalf("post-compact append: %+v", rep.Records[1])
 	}
 	assertOnlyJournal(t, path)
@@ -305,8 +300,9 @@ func TestJournalCompactCrashSafety(t *testing.T) {
 	}{
 		// sync hits on any path under the dir: hit 1 = magic init, hits
 		// 2-4 = the three appends, hit 5 = the compaction temp file.
+		// Renames onto the journal: hit 1 = magic init, hit 2 = compaction.
 		{"crash-before-rename", "sync=crash@5", 3},
-		{"crash-at-rename", "rename:jobs.wal=crash@1", 1},
+		{"crash-at-rename", "rename:jobs.wal=crash@2", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fp, err := chaos.ParseFailpoints(tc.spec)

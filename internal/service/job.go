@@ -221,11 +221,12 @@ func (spec JobSpec) product() []harness.Cell {
 	return out
 }
 
-// Job states. Past queued they are the journal's record types, so a
-// transition is journaled under the state's own name.
+// Job states. The terminal ones are the journal's terminal record types,
+// so a job's end is journaled under the state's own name; queued and
+// running are never journaled.
 const (
 	JobQueued   = "queued"
-	JobRunning  = journal.RecRunning
+	JobRunning  = "running"
 	JobDone     = journal.RecDone
 	JobFailed   = journal.RecFailed
 	JobCanceled = journal.RecCanceled
@@ -237,8 +238,7 @@ type Job struct {
 	id        string
 	spec      JobSpec
 	plan      *jobPlan
-	idem      string // idempotency key ("" = none)
-	recovered bool   // re-enqueued by journal replay after a restart
+	recovered bool // re-enqueued by journal replay after a restart
 
 	mu              sync.Mutex
 	state           string
@@ -261,7 +261,6 @@ func newJob(id string, spec JobSpec, plan *jobPlan) *Job {
 		id:      id,
 		spec:    spec,
 		plan:    plan,
-		idem:    spec.IdempotencyKey,
 		state:   JobQueued,
 		created: time.Now(),
 		done:    make(chan struct{}),
@@ -302,7 +301,7 @@ func (j *Job) Status() JobStatus {
 		Cells:     len(j.plan.keys),
 		FromStore: j.fromStore,
 		Recovered: j.recovered,
-		Idem:      j.idem,
+		Idem:      j.spec.IdempotencyKey,
 		Error:     j.err,
 		CreatedMS: j.created.UnixMilli(),
 	}

@@ -41,23 +41,28 @@ func (s *Server) journalState(typ string, id, errMsg string) {
 // jobFact is one job's folded journal history.
 type jobFact struct {
 	state string
-	idem  string
 	spec  json.RawMessage
 }
 
 // recover folds the replayed records into per-job facts, rebuilds and
 // re-enqueues every non-terminal job under its original ID, restores
-// the idempotency index and the ID counter, and compacts the journal
-// down to the accepted records of the jobs still alive. Terminal
-// entries are dropped: their results live in the store, where an
-// identical resubmission finds them. Duplicate records for one job
-// (possible when a crash interrupts compaction bookkeeping) fold into
-// one fact, so replay never double-enqueues.
+// the idempotency index (each key lives in its job's spec) and the ID
+// counter, and compacts the journal down to the accepted records of the
+// jobs still alive. This boot compaction is the only one. Terminal
+// entries are dropped, since their results live in the store, where an
+// identical resubmission finds them. One is kept: the newest job's last
+// record when it is terminal, because it carries the ID counter's
+// high-water mark, and a later life must never reissue an ID a client
+// may still hold. It folds as a terminal fact with no spec, so nothing
+// is requeued for it. Duplicate records for one job (possible when a
+// crash interrupts compaction bookkeeping) fold into one fact, so replay
+// never double-enqueues.
 //
 // Called from New before the worker pool starts; no locks needed.
 func (s *Server) recover(rep *journal.Replay) []*Job {
 	facts := map[string]*jobFact{}
 	var seen []string
+	var newest journal.Record // the last record of the highest-numbered job
 	for _, r := range rep.Records {
 		f := facts[r.Job]
 		if f == nil {
@@ -67,12 +72,12 @@ func (s *Server) recover(rep *journal.Replay) []*Job {
 		}
 		if r.Type == journal.RecAccepted {
 			f.spec = r.Spec
-			f.idem = r.Idem
 		}
 		f.state = r.Type
 		var n int
-		if _, err := fmt.Sscanf(r.Job, "job-%d", &n); err == nil && n > s.nextID {
+		if _, err := fmt.Sscanf(r.Job, "job-%d", &n); err == nil && n >= s.nextID {
 			s.nextID = n
+			newest = r
 		}
 	}
 
@@ -100,46 +105,24 @@ func (s *Server) recover(rep *journal.Replay) []*Job {
 		j.recovered = true
 		s.jobs[id] = j
 		s.order = append(s.order, id)
-		if j.idem != "" {
-			s.idem[j.idem] = id
+		if spec.IdempotencyKey != "" {
+			s.idem[spec.IdempotencyKey] = id
 		}
-		live = append(live, journal.Record{Type: journal.RecAccepted, Job: id, Idem: f.idem, Spec: f.spec})
+		live = append(live, journal.Record{Type: journal.RecAccepted, Job: id, Spec: f.spec})
 		requeued = append(requeued, j)
+	}
+	if journal.Terminal(newest.Type) {
+		live = append(live, newest)
 	}
 	if err := s.jnl.Compact(live); err != nil {
 		s.cfg.Logf("staggerd: recovery: compact: %v", err)
 	}
-	s.replayed.Store(uint64(len(rep.Records)))
 	s.requeued.Store(uint64(len(requeued)))
-	s.tailQuarantined.Store(uint64(rep.QuarantinedBytes))
 	if rep.QuarantinedBytes > 0 {
 		s.cfg.Logf("staggerd: recovery: quarantined %d damaged journal tail bytes to %s",
 			rep.QuarantinedBytes, rep.QuarantinePath)
 	}
 	return requeued
-}
-
-// liveRecords snapshots the accepted records of every non-terminal job,
-// for the drain-time compaction that truncates terminal entries.
-func (s *Server) liveRecords() []journal.Record {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	var live []journal.Record
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		alive := j.state == JobQueued || j.state == JobRunning
-		j.mu.Unlock()
-		if !alive {
-			continue
-		}
-		raw, err := json.Marshal(j.spec)
-		if err != nil {
-			continue
-		}
-		live = append(live, journal.Record{Type: journal.RecAccepted, Job: id, Idem: j.idem, Spec: raw})
-	}
-	return live
 }
 
 // RecoveryStats is the /metrics view of the journal-backed recovery

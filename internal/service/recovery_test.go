@@ -3,11 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +44,26 @@ func seedJournal(t *testing.T, dir string, recs ...journal.Record) string {
 	return path
 }
 
+// seedRawJournal writes each payload as one CRC frame after the magic
+// header, byte for byte as every daemon version has framed records, so
+// a test can pin records shaped as an older daemon wrote them.
+func seedRawJournal(t *testing.T, dir string, payloads ...string) {
+	t.Helper()
+	path := filepath.Join(dir, "journal", "jobs.wal")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("staggerwal 1\n")
+	for _, p := range payloads {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE([]byte(p)))
+		buf = append(buf, p...)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustJSON(t *testing.T, v any) json.RawMessage {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -60,7 +84,7 @@ func TestBootReplayReenqueuesUnfinishedJob(t *testing.T) {
 	// it must fold like accepted (non-terminal: re-enqueue).
 	seedJournal(t, dir,
 		journal.Record{Type: journal.RecAccepted, Job: "job-000003", Spec: mustJSON(t, spec)},
-		journal.Record{Type: journal.RecRunning, Job: "job-000003"},
+		journal.Record{Type: "running", Job: "job-000003"},
 	)
 
 	s := newT(t, Config{StoreDir: dir})
@@ -305,7 +329,7 @@ func TestIdempotencyKeySurvivesCrash(t *testing.T) {
 	spec := tinySpec(51)
 	spec.IdempotencyKey = "resumable-51"
 	seedJournal(t, dir,
-		journal.Record{Type: journal.RecAccepted, Job: "job-000006", Idem: "resumable-51", Spec: mustJSON(t, spec)},
+		journal.Record{Type: journal.RecAccepted, Job: "job-000006", Spec: mustJSON(t, spec)},
 	)
 	s := newT(t, Config{StoreDir: dir})
 	// The client never heard back and blindly resubmits: it must get the
@@ -319,6 +343,34 @@ func TestIdempotencyKeySurvivesCrash(t *testing.T) {
 	}
 	if st := waitJob(t, j); st.State != JobDone || st.Idem != "resumable-51" {
 		t.Fatalf("recovered idempotent job: %+v", st)
+	}
+}
+
+// A journal written by an older daemon still replays: its records carry
+// "seq" and "idem" keys, and its workers journaled "running". The job is
+// requeued, and its idempotency key, which the accepted spec has always
+// carried, dedupes a blind resubmit.
+func TestBootReplaysOlderJournalFormat(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec(53)
+	spec.IdempotencyKey = "older-53"
+	seedRawJournal(t, dir,
+		fmt.Sprintf(`{"seq":1,"type":"accepted","job":"job-000009","idem":"older-53","spec":%s}`, mustJSON(t, spec)),
+		`{"seq":2,"type":"running","job":"job-000009"}`,
+	)
+	s := newT(t, Config{StoreDir: dir})
+	if m := s.Metrics(); m.Recovery.ReplayedRecords != 2 || m.Recovery.RequeuedJobs != 1 {
+		t.Fatalf("recovery metrics = %+v, want 2 replayed / 1 requeued", m.Recovery)
+	}
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID() != "job-000009" {
+		t.Fatalf("resubmit created %s, want the recovered job-000009", j.ID())
+	}
+	if st := waitJob(t, j); st.State != JobDone || !st.Recovered || st.Idem != "older-53" {
+		t.Fatalf("recovered older-format job: %+v", st)
 	}
 }
 
@@ -355,8 +407,9 @@ func TestSubmitRejectedWhenJournalFails(t *testing.T) {
 	}
 }
 
-// Clean shutdown compacts the journal to just its header, so the next
-// boot replays nothing.
+// Clean shutdown leaves the journal as it is. The next boot replays it,
+// requeues nothing, and compacts it to its header plus one record: the
+// finished job's done record, the ID counter's high-water mark.
 func TestCleanShutdownCompactsJournal(t *testing.T) {
 	dir := t.TempDir()
 	s := newT(t, Config{StoreDir: dir})
@@ -369,17 +422,56 @@ func TestCleanShutdownCompactsJournal(t *testing.T) {
 
 	s2 := newT(t, Config{StoreDir: dir})
 	m := s2.Metrics()
-	if m.Recovery.ReplayedRecords != 0 || m.Recovery.RequeuedJobs != 0 {
-		t.Fatalf("boot after clean shutdown replayed %+v, want nothing", m.Recovery)
+	if m.Recovery.ReplayedRecords != 2 || m.Recovery.RequeuedJobs != 0 {
+		t.Fatalf("boot after clean shutdown: %+v, want 2 replayed (accepted, done), 0 requeued", m.Recovery)
 	}
 	if len(s2.Jobs()) != 0 {
 		t.Fatal("jobs resurrected after clean shutdown")
+	}
+	s2.Close()
+	jnl, rep, err := journal.Open(vfs.OS, filepath.Join(dir, "journal", "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	if len(rep.Records) != 1 || rep.QuarantinedBytes != 0 ||
+		rep.Records[0].Type != journal.RecDone || rep.Records[0].Job != j.ID() {
+		t.Fatalf("compacted journal replays %+v, want only %s's done record", rep, j.ID())
+	}
+}
+
+// Job IDs are never reissued across restarts, idle lives included: the
+// boot compaction keeps the newest job's terminal record, so a client
+// still holding an old ID gets 404, never another job's status and
+// result.
+func TestJobIDsNeverReissuedAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	var ids []string
+	for _, seed := range []int64{101, 0, 102, 103} { // 0: a life that submits nothing
+		s := newT(t, Config{StoreDir: dir})
+		for _, old := range ids {
+			if _, ok := s.Job(old); ok {
+				t.Fatalf("finished %s is back in the table after a restart", old)
+			}
+		}
+		if seed != 0 {
+			j, err := s.Submit(tinySpec(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJob(t, j)
+			ids = append(ids, j.ID())
+		}
+		s.Close()
+	}
+	if want := []string{"job-000001", "job-000002", "job-000003"}; !slices.Equal(ids, want) {
+		t.Fatalf("four lives handed out %v, want %v", ids, want)
 	}
 }
 
 // Journal traffic is visible in /metrics: one append per durable
 // lifecycle record — accepted and the terminal one, nothing for the
-// worker picking the job up — and compactions on drain.
+// worker picking the job up — and the boot compaction.
 func TestMetricsExposeJournalStats(t *testing.T) {
 	dir := t.TempDir()
 	s := newT(t, Config{StoreDir: dir})

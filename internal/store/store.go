@@ -11,7 +11,8 @@
 // Crash safety is the whole point of the design:
 //
 //   - writes go to a temp file in the same directory and are fsynced
-//     before an atomic rename, so a crash mid-Put leaves either the old
+//     before an atomic rename (vfs.WriteAtomic, the protocol the journal
+//     shares), so a crash mid-Put leaves either the old
 //     state or the new state, never a torn entry under the live name;
 //   - reads verify a magic header, the format version, the stored key
 //     (hash collisions or hand-misplaced files), the payload length,
@@ -104,16 +105,9 @@ func OpenFS(fsys vfs.FS, dir string) (*Store, error) {
 		}
 	}
 	s := &Store{root: dir, fs: fsys}
-	// A crash between CreateTemp and Rename leaves an orphaned put-*.tmp
-	// holding at most a torn copy of something re-Put will rewrite; the
-	// live names were never touched, so deleting the orphans is safe.
-	if ents, err := fsys.ReadDir(filepath.Join(dir, objectsDir)); err == nil {
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), "put-") && strings.HasSuffix(e.Name(), ".tmp") {
-				fsys.Remove(filepath.Join(dir, objectsDir, e.Name()))
-			}
-		}
-	}
+	// A crash inside Put can orphan its temp file; the live names were
+	// never touched, so deleting the orphans is safe.
+	vfs.RemoveTemps(fsys, filepath.Join(dir, objectsDir), putPattern)
 	return s, nil
 }
 
@@ -133,36 +127,21 @@ func (s *Store) entryPath(key string) string {
 	return filepath.Join(s.root, objectsDir, hex.EncodeToString(sum[:])+".entry")
 }
 
-// Put durably stores payload under key: write to a temp file in the
-// objects directory, fsync, then atomically rename over the live name.
-// Re-putting an existing key overwrites it whole (deterministic payloads
-// make this a byte-level no-op; it also self-heals a quarantined key).
+// putPattern names Put's temp files in the objects directory.
+const putPattern = "put-*.tmp"
+
+// Put durably stores payload under key through vfs.WriteAtomic: a temp
+// file in the objects directory, fsynced, then renamed over the live
+// name. Re-putting an existing key overwrites it whole (deterministic
+// payloads make this a byte-level no-op; it also self-heals a
+// quarantined key).
 func (s *Store) Put(key string, payload []byte) error {
-	dir := filepath.Join(s.root, objectsDir)
-	tmp, err := s.fs.CreateTemp(dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	defer s.fs.Remove(tmp.Name()) // no-op after a successful rename
 	sum := sha256.Sum256(payload)
-	w := bufio.NewWriter(tmp)
-	fmt.Fprintf(w, "%s %d\n", magic, FormatVersion)
-	fmt.Fprintf(w, "key %s\n", encodeKey(key))
-	fmt.Fprintf(w, "sha256 %s\n", hex.EncodeToString(sum[:]))
-	fmt.Fprintf(w, "bytes %d\n\n", len(payload))
-	w.Write(payload)
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	if err := s.fs.Rename(tmp.Name(), s.entryPath(key)); err != nil {
+	entry := fmt.Appendf(make([]byte, 0, 128+len(key)+len(payload)),
+		"%s %d\nkey %s\nsha256 %s\nbytes %d\n\n",
+		magic, FormatVersion, encodeKey(key), hex.EncodeToString(sum[:]), len(payload))
+	entry = append(entry, payload...)
+	if err := vfs.WriteAtomic(s.fs, s.entryPath(key), putPattern, entry); err != nil {
 		return fmt.Errorf("store: put %q: %w", key, err)
 	}
 	s.puts.Add(1)

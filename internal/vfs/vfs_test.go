@@ -212,3 +212,60 @@ func TestFaultFSFileWritesKeyedByName(t *testing.T) {
 	}
 	tgt.Close()
 }
+
+// WriteAtomic under every fault its four steps can meet: the target
+// holds exactly its old bytes or exactly the new ones, never a mix. A
+// fault that is not a crash returns an error and leaves no temp file;
+// a crash may leave one, which RemoveTemps sweeps at the restart. Only
+// a crash at the rename lands the new bytes: the rename completes, then
+// the process dies.
+func TestWriteAtomicFaultTable(t *testing.T) {
+	const pattern = "f.tmp-*"
+	old, data := []byte("the old bytes"), []byte("the new bytes, longer than the old")
+	for _, op := range []string{"create", "write", "sync", "rename"} {
+		for _, action := range []string{"error", "enospc", "short", "crash"} {
+			t.Run(op+"="+action, func(t *testing.T) {
+				dir := t.TempDir()
+				path := filepath.Join(dir, "f")
+				if err := os.WriteFile(path, old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				ffs := &FaultFS{Base: OS, FP: mustFP(t, op+"="+action+"@1")}
+				err := WriteAtomic(ffs, path, pattern, data)
+				switch action {
+				case "enospc":
+					if !errors.Is(err, ErrNoSpace) {
+						t.Fatalf("WriteAtomic = %v, want ErrNoSpace", err)
+					}
+				case "crash":
+					if !errors.Is(err, ErrCrashed) {
+						t.Fatalf("WriteAtomic = %v, want ErrCrashed", err)
+					}
+					RemoveTemps(OS, dir, pattern) // the restart's sweep
+				default:
+					if !errors.Is(err, ErrInjected) {
+						t.Fatalf("WriteAtomic = %v, want ErrInjected", err)
+					}
+				}
+				want := old
+				if op == "rename" && action == "crash" {
+					want = data
+				}
+				if got, _ := os.ReadFile(path); string(got) != string(want) {
+					t.Fatalf("target holds %q, want %q", got, want)
+				}
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ents) != 1 {
+					var names []string
+					for _, e := range ents {
+						names = append(names, e.Name())
+					}
+					t.Fatalf("directory holds %v, want only the target", names)
+				}
+			})
+		}
+	}
+}
