@@ -41,12 +41,13 @@ test: ## go test ./... plus one pass of the htm hot-path kernels
 # -race. They boot the real staggerd and staggerctl binaries. The
 # lifecycle test drives one paper-table job through the staggerctl verbs
 # (health, submit, wait, result, metrics), proves a resubmission is
-# served byte-identically from the durable store, then SIGTERM-drains
-# and requires exit 0. The crash tests SIGKILL the daemon (and crash it
-# via deterministic disk failpoints), restart it over the same store,
-# and assert that every accepted job reaches a terminal state with
-# byte-identical results, that a staggerctl -reconnect waiter rides
-# through the restart, and that damaged journal tails are quarantined.
+# served byte-identically (within one life, from the held index, without
+# a store read), then SIGTERM-drains and requires exit 0. The crash tests
+# SIGKILL the daemon (and crash it via deterministic disk failpoints),
+# restart it over the same store, and assert that every accepted job
+# reaches a terminal state with byte-identical results read back from
+# the store, that a staggerctl -reconnect waiter rides through the
+# restart, and that damaged journal tails are quarantined.
 # A failing scenario prints the daemon's log.
 crash-smoke: ## daemon harness: staggerctl lifecycle, SIGTERM drain, SIGKILL + failpoint recovery
 	$(GO) test -race ./cmd/staggerd -count=1

@@ -42,10 +42,15 @@ func TestStaggerctlLifecycleAndDrain(t *testing.T) {
 		t.Fatalf("metrics after one job do not count it done:\n%s", m)
 	}
 
-	// The resubmission is a store hit, and its result is the same bytes.
+	// The resubmission is served from the store — from the held index,
+	// since the first job holds the payload — and its result is the same
+	// bytes.
 	job2 := strings.TrimSpace(ctl("submit", spec))
 	if st := ctl("wait", job2); !strings.Contains(st, `"from_store": 1`) {
 		t.Fatalf("resubmitted job was not served from the store:\n%s", st)
+	}
+	if m := ctl("metrics"); !strings.Contains(m, `"held_hits": 1`) {
+		t.Fatalf("metrics after the resubmission do not count one held hit:\n%s", m)
 	}
 	if again := ctl("result", job2); again != first {
 		t.Fatalf("resubmitted result differs:\nfirst:\n%s\nagain:\n%s", first, again)

@@ -49,8 +49,9 @@ type ExploreFinding struct {
 }
 
 // execute runs a job as one serve-or-compute stream over its keys. It
-// serves every key the store already has and computes the rest — a cell
-// job's through the sweep primitive, an explore job's one key through
+// serves every key the store already has (from the held index when
+// another table job holds it) and computes the rest — a cell job's
+// through the sweep primitive, an explore job's one key through
 // harness.ExploreCell — and each payload is encoded and persisted the moment
 // its outcome is delivered, while later cells are still simulating. A
 // failed cell does not stop its siblings: they are computed, persisted
@@ -61,10 +62,20 @@ type ExploreFinding struct {
 func (s *Server) execute(ctx context.Context, j *Job) error {
 	keys := j.plan.keys
 	payloads := make([][]byte, len(keys))
+	// Equal keys are one simulation (backend htm runs every mode as
+	// plain HTM): each key is looked up, and if missing computed, once,
+	// at its first index, and its payload fans out to the later ones, as
+	// the memo does.
+	firsts := make(map[string]int, len(keys))
 	fromStore := 0
 	for i, key := range keys {
-		if b, ok := s.storeGet(key); ok {
-			payloads[i] = b
+		if f, seen := firsts[key]; seen {
+			payloads[i] = payloads[f]
+		} else {
+			firsts[key] = i
+			payloads[i] = s.storeGet(j, key)
+		}
+		if payloads[i] != nil {
 			fromStore++
 		}
 	}
@@ -76,20 +87,15 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 	// Shared with the job: filled in below by this goroutine only, read by
 	// others once the job is done.
 	j.setResults(payloads, fromStore)
-	// Equal keys are one simulation (backend htm runs every mode as
-	// plain HTM): each missing key is computed once, at its first index,
-	// and its payload fans out to the later ones, as the memo does.
 	var miss []int
-	dups := make(map[string][]int)
+	dups := make(map[string][]int) // a missing key's later indices
 	for i, b := range payloads {
-		if b != nil {
-			continue
-		}
-		if later, seen := dups[keys[i]]; seen {
-			dups[keys[i]] = append(later, i)
-		} else {
-			dups[keys[i]] = nil
+		switch {
+		case b != nil:
+		case firsts[keys[i]] == i:
 			miss = append(miss, i)
+		default:
+			dups[keys[i]] = append(dups[keys[i]], i)
 		}
 	}
 	var first error
@@ -105,7 +111,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			}
 			return
 		}
-		s.storePut(keys[i], b)
+		b = s.storePut(j, keys[i], b)
 		payloads[i] = b
 		for _, d := range dups[keys[i]] {
 			payloads[d] = b
@@ -184,12 +190,18 @@ func encodeCell(key string, rc harness.RunConfig, res *harness.Result) ([]byte, 
 	return append(b, '\n'), nil
 }
 
-// storeGet serves a key from the durable store if it verifies. A corrupt
-// entry has already been quarantined by the store; it surfaces here as a
-// plain miss (logged), so the caller transparently recomputes.
-func (s *Server) storeGet(key string) ([]byte, bool) {
+// storeGet serves a stored key to j, nil when the store cannot: from the
+// held index when a table job holds the key, else from the durable store
+// if the entry verifies, and j then holds what it read. A corrupt entry
+// has already been quarantined by the store; it surfaces here as a plain
+// miss (logged), so the caller transparently recomputes.
+func (s *Server) storeGet(j *Job, key string) []byte {
 	if s.store == nil {
-		return nil, false
+		return nil
+	}
+	if b := s.hold(j, key, nil); b != nil {
+		s.heldHits.Add(1)
+		return b
 	}
 	b, err := s.store.Get(key)
 	if err != nil {
@@ -199,19 +211,24 @@ func (s *Server) storeGet(key string) ([]byte, bool) {
 		} else if !errors.Is(err, store.ErrNotFound) {
 			s.cfg.Logf("staggerd: store get: %v", err)
 		}
-		return nil, false
+		return nil
 	}
-	return b, true
+	return s.hold(j, key, b)
 }
 
-// storePut persists a payload; a store write failure is logged and
-// tolerated (the result is still served from memory — durability
-// degrades, correctness does not).
-func (s *Server) storePut(key string, payload []byte) {
+// storePut persists a payload computed for j and returns the copy j
+// keeps. A payload the store took is held (as the held copy when another
+// job holds the key already). A store write failure is logged and
+// tolerated: j still serves its result from memory, but no other job is
+// served it, since the store does not hold it (durability degrades,
+// correctness does not).
+func (s *Server) storePut(j *Job, key string, payload []byte) []byte {
 	if s.store == nil {
-		return
+		return payload
 	}
 	if err := s.store.Put(key, payload); err != nil {
 		s.cfg.Logf("staggerd: store put: %v", err)
+		return payload
 	}
+	return s.hold(j, key, payload)
 }

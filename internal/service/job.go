@@ -245,6 +245,7 @@ type Job struct {
 	err             string
 	fromStore       int // cells served from the durable store
 	results         [][]byte
+	held            []string // keys j holds in the server's held index; guarded by the server's jobsMu
 	created         time.Time
 	started         time.Time
 	finished        time.Time

@@ -471,7 +471,9 @@ func TestJobIDsNeverReissuedAcrossRestarts(t *testing.T) {
 
 // Journal traffic is visible in /metrics: one append per durable
 // lifecycle record — accepted and the terminal one, nothing for the
-// worker picking the job up — and the boot compaction.
+// worker picking the job up — and the boot compaction. So are the two
+// ways a stored cell is served: a same-life resubmission is served from
+// the held index (held_hits) and reads nothing from disk (store hits).
 func TestMetricsExposeJournalStats(t *testing.T) {
 	dir := t.TempDir()
 	s := newT(t, Config{StoreDir: dir})
@@ -480,13 +482,26 @@ func TestMetricsExposeJournalStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, j)
+	before := s.Metrics()
+	again, err := s.Submit(tinySpec(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, again); st.State != JobDone || st.FromStore != st.Cells {
+		t.Fatalf("resubmission: %+v, want every cell from the store", st)
+	}
 	// Waiters are released before the done record is appended; Close
 	// returns once the worker that appends it has stopped.
 	s.Close()
-	if m := s.Metrics(); m.Journal == nil || m.Journal.Appends != 2 {
-		t.Fatalf("journal stats = %+v, want exactly 2 appends (accepted, done)", m.Journal)
+	m := s.Metrics()
+	if m.Journal == nil || m.Journal.Appends != 4 {
+		t.Fatalf("journal stats = %+v, want exactly 4 appends (accepted, done per job)", m.Journal)
+	}
+	if held, hits := m.HeldHits-before.HeldHits, m.Store.Hits-before.Store.Hits; held != 1 || hits != 0 {
+		t.Fatalf("resubmitting a 1-cell job moved held_hits by %d and store hits by %d, want 1 and 0", held, hits)
 	}
 	var wire struct {
+		HeldHits *uint64        `json:"held_hits"`
 		Recovery *RecoveryStats `json:"recovery"`
 		Journal  *journal.Stats `json:"journal"`
 	}
@@ -497,6 +512,43 @@ func TestMetricsExposeJournalStats(t *testing.T) {
 	}
 	if wire.Recovery == nil || wire.Journal == nil {
 		t.Fatalf("/metrics missing recovery/journal sections: %s", rec.Body.String())
+	}
+	if wire.HeldHits == nil || *wire.HeldHits != m.HeldHits {
+		t.Fatalf("/metrics held_hits missing or not %d: %s", m.HeldHits, rec.Body.String())
+	}
+}
+
+// A payload the store could not take is not held: every store write
+// fails, so a same-life resubmission finds nothing stored and recomputes
+// every cell, though the first job still served its result from memory.
+func TestUnstoredPayloadNotHeld(t *testing.T) {
+	fp, err := chaos.ParseFailpoints("write:objects=enospc@*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newT(t, Config{StoreDir: t.TempDir(), FS: &vfs.FaultFS{Base: vfs.OS, FP: fp}})
+	spec := JobSpec{Cells: []harness.Cell{
+		{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200},
+		{Bench: "list-hi", Threads: 2, Seed: 2, Ops: 200},
+	}}
+	var want [][]byte
+	for k := 0; k < 2; k++ {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitJob(t, j)
+		if st.State != JobDone || st.FromStore != 0 || st.Computed != 2 {
+			t.Fatalf("submit %d over a store that takes no writes: %+v, want done with both cells computed", k, st)
+		}
+		if want == nil {
+			want = j.payloads()
+		} else if got := j.payloads(); !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+			t.Fatal("the recomputed resubmission served different bytes")
+		}
+	}
+	if m := s.Metrics(); m.HeldHits != 0 || m.Store.Puts != 0 || m.Store.Hits != 0 {
+		t.Fatalf("metrics %+v (store %+v), want no held hits, puts or store hits", m, *m.Store)
 	}
 }
 

@@ -30,7 +30,12 @@
 //     never a wrong answer;
 //   - memory: the job table keeps the last retainTerminal finished jobs;
 //     older IDs answer 404 and their results stay in the store, where an
-//     identical resubmission finds them;
+//     identical resubmission finds them. The table's jobs share one copy
+//     of each stored payload through the held index: a payload joins it
+//     once it is durable in this life's store (read back, or written by
+//     a Put that succeeded), a job whose key is held is served that copy
+//     without a store read, and the key leaves when the last job holding
+//     it is evicted;
 //   - shutdown: SIGTERM flips readiness, stops admission, lets in-flight
 //     jobs finish within a grace period, then cancels them; the process
 //     exits cleanly either way.
@@ -162,6 +167,7 @@ type Server struct {
 	idem    map[string]string // idempotency key -> job id
 	retired []*Job            // terminal jobs still in the table, oldest first
 	nextID  int
+	held    map[string]heldPayload // key -> the payload copy the table's jobs share (see hold)
 
 	running  atomic.Int64
 	accepted atomic.Uint64
@@ -171,6 +177,7 @@ type Server struct {
 	failCnt  atomic.Uint64
 	cancCnt  atomic.Uint64
 	panicCnt atomic.Uint64
+	heldHits atomic.Uint64
 
 	requeued     atomic.Uint64 // jobs re-enqueued at boot
 	resumedCells atomic.Uint64 // recovered-job cells served from the store
@@ -213,6 +220,7 @@ func New(cfg Config) (*Server, error) {
 		start:      time.Now(),
 		jobs:       map[string]*Job{},
 		idem:       map[string]string{},
+		held:       map[string]heldPayload{},
 	}
 	var recovered []*Job
 	if jpath != "" {
@@ -420,6 +428,7 @@ type Metrics struct {
 	Failed       uint64         `json:"failed"`
 	Canceled     uint64         `json:"canceled"`
 	Panics       uint64         `json:"panics_contained"`
+	HeldHits     uint64         `json:"held_hits"` // cells served from the held index; Store.Hits counts disk reads
 	Queued       int            `json:"queued"`
 	Running      int            `json:"running"`
 	Draining     bool           `json:"draining"`
@@ -439,6 +448,7 @@ func (s *Server) Metrics() Metrics {
 		Failed:       s.failCnt.Load(),
 		Canceled:     s.cancCnt.Load(),
 		Panics:       s.panicCnt.Load(),
+		HeldHits:     s.heldHits.Load(),
 		Queued:       len(s.queue),
 		Running:      int(s.running.Load()),
 		Draining:     s.draining.Load(),
@@ -509,8 +519,10 @@ func (s *Server) runJob(j *Job) {
 }
 
 // retainTerminal bounds the job table: this many finished jobs stay
-// addressable by ID, older ones are dropped. Their payloads are in the
-// store, so an identical resubmission is served from there.
+// addressable by ID, older ones are dropped, and with them their holds
+// on the held index. Their payloads are in the store, so an identical
+// resubmission is served from the index while another table job holds
+// the key, and read from the store once none does.
 const retainTerminal = 256
 
 // retire moves j from state `from` to the terminal state `to`, releasing
@@ -551,5 +563,42 @@ func (s *Server) retire(j *Job, from, to, errMsg string) bool {
 	if key := old.spec.IdempotencyKey; s.idem[key] == old.id {
 		delete(s.idem, key)
 	}
+	for _, key := range old.held {
+		if h := s.held[key]; h.jobs > 1 {
+			h.jobs--
+			s.held[key] = h
+		} else {
+			delete(s.held, key)
+		}
+	}
 	return true
+}
+
+// heldPayload is one key of the held index: the one copy of a stored
+// payload that the table's jobs share, and how many of them hold it.
+type heldPayload struct {
+	b    []byte
+	jobs int
+}
+
+// hold makes j a holder of key and returns the copy j keeps: the held
+// one when another table job holds the key, else b, which becomes the
+// held copy. A nil b only looks, and returns nil when no job holds the
+// key. Callers hold a key once per job and only for bytes durable in
+// this life's store, so the index holds exactly the table's stored
+// payloads, each once.
+func (s *Server) hold(j *Job, key string, b []byte) []byte {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	h, ok := s.held[key]
+	if !ok {
+		if b == nil {
+			return nil
+		}
+		h.b = b
+	}
+	h.jobs++
+	s.held[key] = h
+	j.held = append(j.held, key)
+	return h.b
 }

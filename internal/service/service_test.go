@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -642,11 +644,15 @@ func TestExploreJobRunsItsWholeCell(t *testing.T) {
 
 // TestJobTableBounded: the table keeps the last retainTerminal finished
 // jobs and forgets older ones everywhere (jobs, order, idempotency
-// index). A forgotten ID answers 404, and resubmitting its spec — under
-// the same idempotency key or none — is a new job served wholly from the
-// store with the same bytes.
+// index, held index). A forgotten ID answers 404, and resubmitting its
+// spec — under the same idempotency key or none — is a new job served
+// wholly from the store with the same bytes. The held index holds
+// exactly the retained jobs' keys, each once per job holding it, and
+// those jobs share one copy of each payload. The warm jobs run four at a
+// time, so holds are taken and released concurrently.
 func TestJobTableBounded(t *testing.T) {
-	s := newT(t, Config{StoreDir: t.TempDir(), sweep: seam(func(context.Context, int, harness.RunConfig) harness.RunOutcome { return ok() })})
+	s := newT(t, Config{StoreDir: t.TempDir(), JobWorkers: 4, QueueDepth: retainTerminal + 8,
+		sweep: seam(func(context.Context, int, harness.RunConfig) harness.RunOutcome { return ok() })})
 	keyed := tinySpec(1)
 	keyed.IdempotencyKey = "first"
 	first, err := s.Submit(keyed)
@@ -657,20 +663,34 @@ func TestJobTableBounded(t *testing.T) {
 		t.Fatalf("cold job: %+v", st)
 	}
 	want := first.payloads()[0]
+	// A key only evicted jobs hold, so it must leave the held index.
+	if other, err := s.Submit(tinySpec(2)); err != nil {
+		t.Fatal(err)
+	} else if st := waitJob(t, other); st.State != JobDone || st.Computed != 1 {
+		t.Fatalf("cold job: %+v", st)
+	}
 
-	warm := func(spec JobSpec) *Job {
+	submit := func(spec JobSpec) *Job {
 		t.Helper()
 		j, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return j
+	}
+	check := func(j *Job) *Job {
+		t.Helper()
 		if st := waitJob(t, j); st.State != JobDone || st.FromStore != st.Cells || !bytes.Equal(j.payloads()[0], want) {
 			t.Fatalf("warm job %+v: want every cell from the store, byte for byte", st)
 		}
 		return j
 	}
+	var batch []*Job
 	for i := 0; i < retainTerminal+8; i++ {
-		warm(tinySpec(1))
+		batch = append(batch, submit(tinySpec(1)))
+	}
+	for _, j := range batch {
+		check(j)
 	}
 	// Waiters are released before the table is trimmed: wait for the worker.
 	for deadline := time.Now().Add(5 * time.Second); s.Metrics().Running > 0 && time.Now().Before(deadline); {
@@ -678,17 +698,38 @@ func TestJobTableBounded(t *testing.T) {
 	}
 	s.jobsMu.Lock()
 	jobs, order, idem, retired := len(s.jobs), len(s.order), len(s.idem), len(s.retired)
+	kept, held := slices.Clone(s.retired), maps.Clone(s.held)
 	s.jobsMu.Unlock()
+	holders := map[string]int{} // key -> retained jobs with it among their keys
+	for _, j := range kept {
+		keys := slices.Compact(slices.Sorted(slices.Values(j.plan.keys)))
+		for _, key := range keys {
+			holders[key]++
+		}
+	}
 	if jobs != retainTerminal || order != retainTerminal || retired != retainTerminal || idem != 0 {
 		t.Fatalf("table after %d jobs: %d jobs, %d ordered, %d retired, %d idempotency keys; want %d/%d/%d/0",
-			retainTerminal+9, jobs, order, retired, idem, retainTerminal, retainTerminal, retainTerminal)
+			retainTerminal+10, jobs, order, retired, idem, retainTerminal, retainTerminal, retainTerminal)
+	}
+	if len(held) != len(holders) {
+		t.Fatalf("held index has %d keys, the retained jobs %d", len(held), len(holders))
+	}
+	for key, n := range holders {
+		if held[key].jobs != n {
+			t.Fatalf("held index counts %d holders of %s, want the %d retained jobs holding it", held[key].jobs, key, n)
+		}
+	}
+	for _, j := range kept {
+		if p := j.payloads()[0]; &p[0] != &held[j.plan.keys[0]].b[0] {
+			t.Fatalf("%s keeps its own copy of a held payload, want the one held copy", j.ID())
+		}
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/"+first.ID()+"/result", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("evicted job's result = %d, want 404", rec.Code)
 	}
-	if again := warm(keyed); again.ID() == first.ID() {
+	if again := check(submit(keyed)); again.ID() == first.ID() {
 		t.Fatalf("resubmission under the evicted job's idempotency key returned %s again", first.ID())
 	}
 }
