@@ -47,7 +47,8 @@ test: ## go test ./... plus one pass of the htm hot-path kernels
 # restart it over the same store, and assert that every accepted job
 # reaches a terminal state with byte-identical results read back from
 # the store, that a staggerctl -reconnect waiter rides through the
-# restart, and that damaged journal tails are quarantined.
+# restart, and that a torn journal tail is truncated at boot with no copy
+# kept beside the journal.
 # A failing scenario prints the daemon's log.
 crash-smoke: ## daemon harness: staggerctl lifecycle, SIGTERM drain, SIGKILL + failpoint recovery
 	$(GO) test -race ./cmd/staggerd -count=1

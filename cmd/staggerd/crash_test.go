@@ -5,7 +5,7 @@ package main
 // os.Exit(137)), restart it over the same store directory, and assert
 // the recovery contract end to end: every accepted job reaches a
 // terminal state with byte-identical results, a polling client rides
-// through the restart, and damaged journal tails are quarantined, never
+// through the restart, and damaged journal tails are truncated, never
 // trusted. Failpoint schedules are deterministic (counted hits), so
 // every scenario is exactly reproducible.
 
@@ -203,16 +203,21 @@ func (d *daemon) result(id string) []byte {
 	return b
 }
 
-func (d *daemon) recoveryMetrics() map[string]float64 {
+func (d *daemon) recoveryMetrics() map[string]float64 { return d.metricsSection("recovery") }
+
+// metricsSection returns one numeric section of /metrics.
+func (d *daemon) metricsSection(name string) map[string]float64 {
 	d.t.Helper()
 	_, b := d.get("/metrics")
-	var m struct {
-		Recovery map[string]float64 `json:"recovery"`
-	}
+	var m map[string]json.RawMessage
+	var sec map[string]float64
 	if err := json.Unmarshal(b, &m); err != nil {
 		d.t.Fatalf("metrics: %v: %s", err, b)
 	}
-	return m.Recovery
+	if err := json.Unmarshal(m[name], &sec); err != nil {
+		d.t.Fatalf("metrics %s: %v: %s", name, err, b)
+	}
+	return sec
 }
 
 // The sweep used across crash scenarios: its last cell is much the
@@ -345,11 +350,11 @@ func TestFailpointCrashAfterAcceptRecovers(t *testing.T) {
 	}
 }
 
-// TestTornJournalTailQuarantinedOnBoot injects a short write into the
+// TestTornJournalTailTruncatedOnBoot injects a short write into the
 // journal append (half the accepted frame lands), kills the daemon, and
-// asserts the restart quarantines the torn tail into a sidecar file,
+// asserts the restart truncates the torn tail, keeps no copy of it,
 // counts it in /metrics, and keeps accepting work.
-func TestTornJournalTailQuarantinedOnBoot(t *testing.T) {
+func TestTornJournalTailTruncatedOnBoot(t *testing.T) {
 	store := t.TempDir()
 	// Journal write hit 1 is the boot magic and hit 2 the boot
 	// compaction's temp file; hit 3 is the first submit's frame, torn in
@@ -367,22 +372,16 @@ func TestTornJournalTailQuarantinedOnBoot(t *testing.T) {
 	d1.kill()
 
 	d2 := startDaemon(t, store)
-	rec := d2.recoveryMetrics()
-	if rec["quarantined_tail_bytes"] == 0 || rec["requeued_jobs"] != 0 {
-		t.Fatalf("recovery metrics = %v, want quarantined tail bytes and no requeues", rec)
+	rec, jnl := d2.recoveryMetrics(), d2.metricsSection("journal")
+	if jnl["truncated_tail_bytes"] == 0 || rec["requeued_jobs"] != 0 {
+		t.Fatalf("metrics = recovery %v, journal %v; want truncated tail bytes and no requeues", rec, jnl)
 	}
 	ents, err := os.ReadDir(filepath.Join(store, "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sidecar bool
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".quarantine.") {
-			sidecar = true
-		}
-	}
-	if !sidecar {
-		t.Fatalf("no quarantine sidecar in %s/journal: %v", store, ents)
+	if len(ents) != 1 || ents[0].Name() != "jobs.wal" {
+		t.Fatalf("%s/journal holds %v, want only jobs.wal", store, ents)
 	}
 	// The repaired journal accepts and completes work.
 	code, id := d2.submit(tinyJob)

@@ -150,8 +150,11 @@ func modeToken(m stagger.Mode) string {
 // under the new schema.
 func (c Cell) Key() string {
 	b, _ := json.Marshal(c) // fixed field order, no maps
-	return fmt.Sprintf("v%d|cell|%s", CacheSchema, b)
+	return CellKeyPrefix + string(b)
 }
+
+// CellKeyPrefix starts every key Key builds.
+var CellKeyPrefix = fmt.Sprintf("v%d|cell|", CacheSchema)
 
 // SchedTrace packages a decision sequence recorded under rc as a trace
 // whose header is rc's cell, everything a replay needs. A cell with no

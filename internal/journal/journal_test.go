@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -42,7 +43,7 @@ func reopen(t *testing.T, path string) (*Journal, *Replay) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	j, rep, path := openTmp(t)
-	if len(rep.Records) != 0 || rep.QuarantinedBytes != 0 {
+	if len(rep.Records) != 0 || rep.TruncatedBytes != 0 {
 		t.Fatalf("fresh journal replayed %+v", rep)
 	}
 	spec := json.RawMessage(`{"kind":"run"}`)
@@ -88,10 +89,10 @@ func TestTerminal(t *testing.T) {
 	}
 }
 
-// A torn tail — any suffix of a valid journal — must replay the intact
-// prefix, quarantine the damaged bytes, and truncate the file so the
-// next append lands on a frame boundary.
-func TestJournalTornTailQuarantinedAndTruncated(t *testing.T) {
+// A torn tail — any suffix of a valid journal — must replay every
+// record before it, count the damaged bytes, and truncate the file so
+// the next append lands on a frame boundary, leaving nothing beside it.
+func TestJournalTornTailTruncated(t *testing.T) {
 	j, _, path := openTmp(t)
 	mustAppend(t, j,
 		Record{Type: RecAccepted, Job: "job-000001"},
@@ -102,18 +103,29 @@ func TestJournalTornTailQuarantinedAndTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chop the file mid-way through the second record's frame.
+	// ends[i] is the offset just past frame i.
+	var ends []int
+	for off := len(magic); off < len(whole); {
+		off += 8 + int(binary.LittleEndian.Uint32(whole[off:]))
+		ends = append(ends, off)
+	}
+	// Chop the file at every few bytes past the header.
 	for cut := len(magic) + 1; cut < len(whole)-1; cut += 7 {
-		if cut <= len(magic) {
-			continue
-		}
 		dir := t.TempDir()
 		p := filepath.Join(dir, "jobs.wal")
 		if err := os.WriteFile(p, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		j2, rep := reopen(t, p)
-		// Every replayed record must be one of the two we wrote, in order.
+		// Every whole frame before the cut replays, in order.
+		intact, valid := 0, len(magic)
+		for intact < len(ends) && ends[intact] <= cut {
+			valid = ends[intact]
+			intact++
+		}
+		if len(rep.Records) != intact {
+			t.Fatalf("cut %d: replayed %d records, want %d", cut, len(rep.Records), intact)
+		}
 		for i, r := range rep.Records {
 			want := []string{"job-000001", "job-000002"}[i]
 			if r.Job != want {
@@ -121,19 +133,14 @@ func TestJournalTornTailQuarantinedAndTruncated(t *testing.T) {
 			}
 		}
 		onDisk, _ := os.ReadFile(p)
-		wantQuarantined := cut - len(onDisk)
-		if rep.QuarantinedBytes != wantQuarantined {
-			t.Fatalf("cut %d: quarantined %d bytes, want %d", cut, rep.QuarantinedBytes, wantQuarantined)
+		if len(onDisk) != valid || rep.TruncatedBytes != cut-valid {
+			t.Fatalf("cut %d: %d bytes left, %d truncated; want %d left, %d truncated",
+				cut, len(onDisk), rep.TruncatedBytes, valid, cut-valid)
 		}
-		if wantQuarantined > 0 {
-			q, err := os.ReadFile(rep.QuarantinePath)
-			if err != nil {
-				t.Fatalf("cut %d: quarantine sidecar: %v", cut, err)
-			}
-			if string(q) != string(whole[cut-wantQuarantined:cut]) {
-				t.Fatalf("cut %d: sidecar bytes differ from the damaged tail", cut)
-			}
+		if st := j2.Stats(); st.TruncatedBytes != uint64(cut-valid) {
+			t.Fatalf("cut %d: stats %+v, want %d truncated tail bytes", cut, st, cut-valid)
 		}
+		assertOnlyJournal(t, p)
 		// The repaired journal must accept appends and replay cleanly.
 		mustAppend(t, j2, Record{Type: RecAccepted, Job: "job-000003"})
 		j2.Close()
@@ -170,32 +177,62 @@ func TestJournalCRCCorruptionStopsReplay(t *testing.T) {
 	if len(rep.Records) != 1 || rep.Records[0].Job != "job-000001" {
 		t.Fatalf("replay past a bad CRC: %+v", rep.Records)
 	}
-	if rep.QuarantinedBytes == 0 {
-		t.Fatal("corrupt frames not quarantined")
+	if rep.TruncatedBytes == 0 {
+		t.Fatal("corrupt frames not truncated")
 	}
 }
 
-// A file that is not a journal at all is quarantined whole and replaced.
-func TestJournalForeignFileQuarantinedWhole(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.wal")
-	if err := os.WriteFile(path, []byte("this is not a journal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, rep, err := Open(vfs.OS, path)
+// A non-empty file that does not start with the journal header is
+// refused, and left byte for byte as it was: a damaged header may hide
+// records the daemon acknowledged, so it is not replaced.
+func TestJournalForeignFileRefused(t *testing.T) {
+	frame, err := appendFrame(nil, Record{Type: RecAccepted, Job: "job-000001"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	if len(rep.Records) != 0 || rep.QuarantinedBytes != len("this is not a journal") {
-		t.Fatalf("foreign file: %+v", rep)
+	for name, raw := range map[string][]byte{
+		"foreign":        []byte("this is not a journal"),
+		"damaged-header": append([]byte("staggerwaL 1\n"), frame...),
+		"newer-version":  append([]byte("staggerwal 2\n"), frame...),
+		"wrong-eol":      []byte("staggerwal 1x"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.wal")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Open(vfs.OS, path); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Open = %v, want an error naming %s", err, path)
+			}
+			if got, _ := os.ReadFile(path); string(got) != string(raw) {
+				t.Fatalf("refused file changed: %q, want %q", got, raw)
+			}
+			assertOnlyJournal(t, path)
+		})
 	}
-	if _, err := os.Stat(rep.QuarantinePath); err != nil {
-		t.Fatalf("sidecar missing: %v", err)
-	}
-	raw, _ := os.ReadFile(path)
-	if string(raw) != magic {
-		t.Fatalf("journal not re-initialized: %q", raw)
+}
+
+// An empty file, or a strict prefix of the header (an init that crashed
+// mid-header under daemons that wrote it in place), holds no record, so
+// Open starts a fresh journal there.
+func TestJournalEmptyOrTornHeaderInitializes(t *testing.T) {
+	for n := 0; n < len(magic); n++ {
+		path := filepath.Join(t.TempDir(), "jobs.wal")
+		if err := os.WriteFile(path, []byte(magic[:n]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rep, err := Open(vfs.OS, path)
+		if err != nil {
+			t.Fatalf("%d header bytes: %v", n, err)
+		}
+		if len(rep.Records) != 0 || rep.TruncatedBytes != 0 {
+			t.Fatalf("%d header bytes: replay %+v", n, rep)
+		}
+		mustAppend(t, j, Record{Type: RecAccepted, Job: "job-000001"})
+		j.Close()
+		if _, rep := reopen(t, path); len(rep.Records) != 1 {
+			t.Fatalf("%d header bytes: reinitialized journal replays %+v", n, rep)
+		}
 	}
 }
 
@@ -231,7 +268,7 @@ func TestJournalWedgesAfterFailedAppend(t *testing.T) {
 			}
 			j.Close()
 			// Reopen repairs: a record that landed but was never synced
-			// either replays or is quarantined, and both are consistent.
+			// either replays or is truncated, and both are consistent.
 			j2, _ := reopen(t, path)
 			defer j2.Close()
 			if err := j2.Append(Record{Type: RecAccepted, Job: "job-000003"}); err != nil {
@@ -272,7 +309,7 @@ func TestJournalCompact(t *testing.T) {
 }
 
 // assertOnlyJournal fails unless the journal's directory holds the
-// journal file and nothing else: no compaction temp, no sidecar.
+// journal file and nothing else: no compaction temp, no copy of damage.
 func assertOnlyJournal(t *testing.T, path string) {
 	t.Helper()
 	ents, err := os.ReadDir(filepath.Dir(path))
@@ -333,7 +370,7 @@ func TestJournalCompactCrashSafety(t *testing.T) {
 				t.Fatalf("reopened journal has %d records, want %d: %+v",
 					len(rep.Records), tc.want, rep.Records)
 			}
-			if rep.QuarantinedBytes != 0 {
+			if rep.TruncatedBytes != 0 {
 				t.Fatalf("compaction crash produced a damaged journal: %+v", rep)
 			}
 			assertOnlyJournal(t, path)
@@ -353,7 +390,7 @@ func TestJournalOversizedLengthIsDamage(t *testing.T) {
 	}
 	j2, rep := reopen(t, path)
 	defer j2.Close()
-	if len(rep.Records) != 1 || rep.QuarantinedBytes != 8 {
+	if len(rep.Records) != 1 || rep.TruncatedBytes != 8 {
 		t.Fatalf("oversized frame: %+v", rep)
 	}
 }
@@ -369,7 +406,7 @@ func TestJournalStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := j.Stats()
-	if st.Appends != 2 || st.Compactions != 1 || st.AppendErrors != 0 {
+	if st.Appends != 2 || st.AppendErrors != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

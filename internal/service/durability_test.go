@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/store"
 )
 
 // entryFile mirrors the store's content addressing so the test can reach
@@ -22,7 +25,7 @@ func entryFile(dir, key string) string {
 // case: a daemon computes a job and "crashes" (first server goes away);
 // a second daemon over the same store directory must serve the same job
 // from disk, byte-identically — and an entry half-written during the
-// crash window must be quarantined and transparently recomputed, never
+// crash window must be removed and transparently recomputed, never
 // served corrupt.
 func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 	dir := t.TempDir()
@@ -70,18 +73,23 @@ func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("second life: %+v", st)
 	}
-	// Two intact cells come from disk; the torn one is quarantined and
+	// Two intact cells come from disk; the torn one is removed and
 	// recomputed.
 	if st.FromStore != 2 {
 		t.Fatalf("FromStore = %d, want 2 (torn entry must not be served)", st.FromStore)
 	}
-	if stats := s2.Store().Stats(); stats.Quarantined != 1 {
-		t.Fatalf("store stats %+v, want exactly one quarantined entry", stats)
+	if stats := s2.store.Stats(); stats.Corrupt != 1 {
+		t.Fatalf("store stats %+v, want exactly one corrupt entry", stats)
 	}
 	for i, p := range j2.payloads() {
 		if !bytes.Equal(before[i], p) {
 			t.Fatalf("cell %d bytes differ across restart:\n%s\nvs\n%s", i, before[i], p)
 		}
+	}
+	// Nothing was set aside: the store root holds the objects and the
+	// journal, and the torn entry's bytes are gone.
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 || ents[0].Name() != "journal" || ents[1].Name() != "objects" {
+		t.Fatalf("store root holds %v, want only journal/ and objects/", ents)
 	}
 	// The recompute healed the torn key: a third submission is all hits.
 	j3, err := s2.Submit(spec)
@@ -90,5 +98,50 @@ func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 	}
 	if st := waitJob(t, j3); st.State != JobDone || st.FromStore != 3 {
 		t.Fatalf("healed resubmission: %+v", st)
+	}
+}
+
+// Boot GC keeps exactly the key forms this binary issues — cell keys and
+// explore keys under the current explore version — and evicts the rest:
+// older schemas, and explore payloads under the key form exploreVersion 2
+// retired, which no lookup can reach again.
+func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
+	dir := t.TempDir()
+	cell, _, err := harness.Cell{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := ExploreSpec{Cell: cell, Runs: 3}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	explore := exploreKey(e)
+	keep := []string{cell.Key(), explore}
+	evict := []string{
+		strings.Replace(explore, "|explore.v2|", "|explore|", 1),
+		strings.Replace(cell.Key(), "v5|", "v4|", 1),
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range append(append([]string(nil), keep...), evict...) {
+		if err := st.Put(k, []byte("payload of "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newT(t, Config{StoreDir: dir})
+	if m := s.Metrics(); m.Store.GCRemoved != uint64(len(evict)) {
+		t.Fatalf("boot GC removed %d entries, want %d", m.Store.GCRemoved, len(evict))
+	}
+	for _, k := range keep {
+		if got, err := s.store.Get(k); err != nil || string(got) != "payload of "+k {
+			t.Fatalf("issued key %q lost at boot: (%q, %v)", k, got, err)
+		}
+	}
+	for _, k := range evict {
+		if _, err := s.store.Get(k); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("unissued key %q survived boot GC: %v", k, err)
+		}
 	}
 }

@@ -193,7 +193,7 @@ func encodeCell(key string, rc harness.RunConfig, res *harness.Result) ([]byte, 
 // storeGet serves a stored key to j, nil when the store cannot: from the
 // held index when a table job holds the key, else from the durable store
 // if the entry verifies, and j then holds what it read. A corrupt entry
-// has already been quarantined by the store; it surfaces here as a plain
+// has already been removed by the store; it surfaces here as a plain
 // miss (logged), so the caller transparently recomputes.
 func (s *Server) storeGet(j *Job, key string) []byte {
 	if s.store == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +63,17 @@ const exploreVersion = 2
 // cell's key with the campaign's own fields.
 func exploreKey(e ExploreSpec) string {
 	b, _ := json.Marshal(e)
-	return fmt.Sprintf("v%d|explore.v%d|%s", harness.CacheSchema, exploreVersion, b)
+	return exploreKeyPrefix + string(b)
+}
+
+// exploreKeyPrefix starts every key exploreKey builds.
+var exploreKeyPrefix = fmt.Sprintf("v%d|explore.v%d|", harness.CacheSchema, exploreVersion)
+
+// issuedKey reports whether a store key has a form this binary builds: a
+// cell key or an explore key, each under its current version. Boot GC
+// evicts every other entry, since no lookup can reach it again.
+func issuedKey(key string) bool {
+	return strings.HasPrefix(key, harness.CellKeyPrefix) || strings.HasPrefix(key, exploreKeyPrefix)
 }
 
 // JobSpec is one submitted unit of work. Cells can be listed explicitly
@@ -95,13 +106,6 @@ type JobSpec struct {
 	// TimeoutMS optionally tightens (never extends) the server's per-job
 	// wall-clock deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-func (spec JobSpec) timeout() time.Duration {
-	if spec.TimeoutMS <= 0 {
-		return 0
-	}
-	return time.Duration(spec.TimeoutMS) * time.Millisecond
 }
 
 // jobPlan is a validated, fully expanded JobSpec: everything the workers
@@ -286,9 +290,8 @@ type JobStatus struct {
 	Idem      string `json:"idem,omitempty"`
 	Error     string `json:"error,omitempty"`
 	CreatedMS int64  `json:"created_ms,omitempty"`
-	WaitMS    int64  `json:"wait_ms,omitempty"`    // queued -> started
-	RunMS     int64  `json:"run_ms,omitempty"`     // started -> finished
-	Timeout   int64  `json:"timeout_ms,omitempty"` // effective deadline
+	WaitMS    int64  `json:"wait_ms,omitempty"` // queued -> started
+	RunMS     int64  `json:"run_ms,omitempty"`  // started -> finished
 }
 
 // Status snapshots the job.

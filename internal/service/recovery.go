@@ -16,8 +16,8 @@ import (
 // once Submit returns a job (so the accepted record is fsync'd), that
 // job reaches a terminal state with byte-identical results even if the
 // process is SIGKILLed at any instant in between. The proof sketch:
-// the accepted record survives the crash (WAL + CRC framing + tail
-// quarantine), boot replays it and re-enqueues the job under its
+// the accepted record survives the crash (WAL + CRC framing + torn-tail
+// truncation), boot replays it and re-enqueues the job under its
 // original ID, and because every cell is a pure function of (config,
 // seed), re-execution serves already-durable cells from the store and
 // recomputes only the missing ones — the same bytes either way. All
@@ -26,14 +26,13 @@ import (
 
 // journalState appends a state-transition record. Transition appends
 // are best-effort: losing one can only cause a finished job to re-run
-// after a crash, which is safe, so failures are logged and counted
-// rather than surfaced.
+// after a crash, which is safe, so failures are logged (the journal
+// counts them) rather than surfaced.
 func (s *Server) journalState(typ string, id, errMsg string) {
 	if s.jnl == nil {
 		return
 	}
 	if err := s.jnl.Append(journal.Record{Type: typ, Job: id, Error: errMsg}); err != nil {
-		s.journalErrs.Add(1)
 		s.cfg.Logf("staggerd: journal %s %s: %v", typ, id, err)
 	}
 }
@@ -118,21 +117,19 @@ func (s *Server) recover(rep *journal.Replay) []*Job {
 		s.cfg.Logf("staggerd: recovery: compact: %v", err)
 	}
 	s.requeued.Store(uint64(len(requeued)))
-	if rep.QuarantinedBytes > 0 {
-		s.cfg.Logf("staggerd: recovery: quarantined %d damaged journal tail bytes to %s",
-			rep.QuarantinedBytes, rep.QuarantinePath)
+	if rep.TruncatedBytes > 0 {
+		s.cfg.Logf("staggerd: recovery: truncated %d damaged journal tail bytes", rep.TruncatedBytes)
 	}
 	return requeued
 }
 
-// RecoveryStats is the /metrics view of the journal-backed recovery
-// machinery, present whenever the server runs with a journal.
+// RecoveryStats is the /metrics view of what boot recovery did with the
+// journal's replay, present whenever the server runs with a journal; the
+// journal's own counters (replayed records, truncated tail bytes, append
+// errors) are its "journal" section.
 type RecoveryStats struct {
-	ReplayedRecords      uint64 `json:"replayed_records"`
-	RequeuedJobs         uint64 `json:"requeued_jobs"`
-	QuarantinedTailBytes uint64 `json:"quarantined_tail_bytes"`
-	ResumedCells         uint64 `json:"resumed_cells"`
-	JournalErrors        uint64 `json:"journal_errors"`
+	RequeuedJobs uint64 `json:"requeued_jobs"`
+	ResumedCells uint64 `json:"resumed_cells"`
 }
 
 // defaultFS resolves the configured filesystem seam.

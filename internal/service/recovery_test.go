@@ -12,7 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,8 +100,8 @@ func TestBootReplayReenqueuesUnfinishedJob(t *testing.T) {
 		t.Fatal("status does not mark the job recovered")
 	}
 	m := s.Metrics()
-	if m.Recovery == nil || m.Recovery.ReplayedRecords != 2 || m.Recovery.RequeuedJobs != 1 {
-		t.Fatalf("recovery metrics = %+v, want 2 replayed / 1 requeued", m.Recovery)
+	if m.Recovery == nil || m.Journal.Replayed != 2 || m.Recovery.RequeuedJobs != 1 {
+		t.Fatalf("recovery metrics = %+v %+v, want 2 replayed / 1 requeued", m.Journal, m.Recovery)
 	}
 	// The restored ID counter must not reissue the recovered ID.
 	j2, err := s.Submit(tinySpec(12))
@@ -255,8 +255,9 @@ func TestResumedSweepRecomputesOnlyMissingCells(t *testing.T) {
 	}
 }
 
-// A torn journal tail (the crash hit mid-append) is quarantined at boot;
-// the intact prefix still recovers and the journal keeps working.
+// A torn journal tail (the crash hit mid-append) is truncated at boot,
+// with no copy kept beside the journal; the intact prefix still recovers
+// and the journal keeps working.
 func TestBootQuarantinesTornJournalTail(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec(31)
@@ -279,21 +280,14 @@ func TestBootQuarantinesTornJournalTail(t *testing.T) {
 	}
 	waitJob(t, j)
 	m := s.Metrics()
-	if m.Recovery.QuarantinedTailBytes != 6 {
-		t.Fatalf("QuarantinedTailBytes = %d, want 6", m.Recovery.QuarantinedTailBytes)
+	if m.Journal.TruncatedBytes != 6 {
+		t.Fatalf("TruncatedBytes = %d, want 6", m.Journal.TruncatedBytes)
 	}
 	if _, err := s.Submit(tinySpec(32)); err != nil {
 		t.Fatalf("submit after tail repair: %v", err)
 	}
-	ents, _ := os.ReadDir(filepath.Dir(path))
-	var sidecars int
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".quarantine.") {
-			sidecars++
-		}
-	}
-	if sidecars != 1 {
-		t.Fatalf("%d quarantine sidecars, want 1", sidecars)
+	if ents, _ := os.ReadDir(filepath.Dir(path)); len(ents) != 1 || ents[0].Name() != filepath.Base(path) {
+		t.Fatalf("journal directory holds %v, want only %s", ents, filepath.Base(path))
 	}
 }
 
@@ -359,8 +353,8 @@ func TestBootReplaysOlderJournalFormat(t *testing.T) {
 		`{"seq":2,"type":"running","job":"job-000009"}`,
 	)
 	s := newT(t, Config{StoreDir: dir})
-	if m := s.Metrics(); m.Recovery.ReplayedRecords != 2 || m.Recovery.RequeuedJobs != 1 {
-		t.Fatalf("recovery metrics = %+v, want 2 replayed / 1 requeued", m.Recovery)
+	if m := s.Metrics(); m.Journal.Replayed != 2 || m.Recovery.RequeuedJobs != 1 {
+		t.Fatalf("recovery metrics = %+v %+v, want 2 replayed / 1 requeued", m.Journal, m.Recovery)
 	}
 	j, err := s.Submit(spec)
 	if err != nil {
@@ -402,7 +396,7 @@ func TestSubmitRejectedWhenJournalFails(t *testing.T) {
 		t.Fatalf("HTTP submit = %d (Retry-After %q), want 503 with Retry-After",
 			rec.Code, rec.Header().Get("Retry-After"))
 	}
-	if m := s.Metrics(); m.Recovery.JournalErrors == 0 || m.Accepted != 0 {
+	if m := s.Metrics(); m.Journal.AppendErrors == 0 || m.Accepted != 0 {
 		t.Fatalf("metrics after journal failure: %+v", m)
 	}
 }
@@ -422,8 +416,8 @@ func TestCleanShutdownCompactsJournal(t *testing.T) {
 
 	s2 := newT(t, Config{StoreDir: dir})
 	m := s2.Metrics()
-	if m.Recovery.ReplayedRecords != 2 || m.Recovery.RequeuedJobs != 0 {
-		t.Fatalf("boot after clean shutdown: %+v, want 2 replayed (accepted, done), 0 requeued", m.Recovery)
+	if m.Journal.Replayed != 2 || m.Recovery.RequeuedJobs != 0 {
+		t.Fatalf("boot after clean shutdown: %+v %+v, want 2 replayed (accepted, done), 0 requeued", m.Journal, m.Recovery)
 	}
 	if len(s2.Jobs()) != 0 {
 		t.Fatal("jobs resurrected after clean shutdown")
@@ -434,7 +428,7 @@ func TestCleanShutdownCompactsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	if len(rep.Records) != 1 || rep.QuarantinedBytes != 0 ||
+	if len(rep.Records) != 1 || rep.TruncatedBytes != 0 ||
 		rep.Records[0].Type != journal.RecDone || rep.Records[0].Job != j.ID() {
 		t.Fatalf("compacted journal replays %+v, want only %s's done record", rep, j.ID())
 	}
@@ -501,9 +495,9 @@ func TestMetricsExposeJournalStats(t *testing.T) {
 		t.Fatalf("resubmitting a 1-cell job moved held_hits by %d and store hits by %d, want 1 and 0", held, hits)
 	}
 	var wire struct {
-		HeldHits *uint64        `json:"held_hits"`
-		Recovery *RecoveryStats `json:"recovery"`
-		Journal  *journal.Stats `json:"journal"`
+		HeldHits *uint64           `json:"held_hits"`
+		Recovery map[string]uint64 `json:"recovery"`
+		Journal  map[string]uint64 `json:"journal"`
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -515,6 +509,16 @@ func TestMetricsExposeJournalStats(t *testing.T) {
 	}
 	if wire.HeldHits == nil || *wire.HeldHits != m.HeldHits {
 		t.Fatalf("/metrics held_hits missing or not %d: %s", m.HeldHits, rec.Body.String())
+	}
+	// Each journal counter is reported once, in the journal's own section.
+	for k := range wire.Recovery {
+		if _, dup := wire.Journal[k]; dup {
+			t.Fatalf("/metrics reports %q under both recovery and journal: %s", k, rec.Body.String())
+		}
+	}
+	if _, ok := wire.Journal["truncated_tail_bytes"]; !ok || len(wire.Recovery) != 2 {
+		t.Fatalf("/metrics recovery %v, journal %v; want requeued_jobs and resumed_cells beside the journal's truncated_tail_bytes",
+			wire.Recovery, wire.Journal)
 	}
 }
 
@@ -564,4 +568,68 @@ func TestMemoryOnlyServerHasNoJournal(t *testing.T) {
 	if m := s.Metrics(); m.Recovery != nil || m.Journal != nil {
 		t.Fatalf("memory-only metrics grew durability sections: %+v", m)
 	}
+}
+
+// syncCountFS counts fsyncs on every file opened for writing.
+type syncCountFS struct {
+	vfs.FS
+	syncs atomic.Int64
+}
+
+type syncCountFile struct {
+	vfs.File
+	syncs *atomic.Int64
+}
+
+func (f syncCountFile) Sync() error { f.syncs.Add(1); return f.File.Sync() }
+
+func (c *syncCountFS) wrap(f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return syncCountFile{f, &c.syncs}, nil
+}
+
+func (c *syncCountFS) Create(name string) (vfs.File, error) { return c.wrap(c.FS.Create(name)) }
+func (c *syncCountFS) CreateTemp(dir, pattern string) (vfs.File, error) {
+	return c.wrap(c.FS.CreateTemp(dir, pattern))
+}
+func (c *syncCountFS) OpenAppend(name string) (vfs.File, error) { return c.wrap(c.FS.OpenAppend(name)) }
+
+// A journaled server sheds a full queue before it journals: the refused
+// submission appends no record, costs no fsync and takes no job ID, so
+// the next admitted job gets the ID after the last one handed out.
+func TestAdmissionShedsBeforeJournal(t *testing.T) {
+	release := make(chan struct{})
+	fsys := &syncCountFS{FS: vfs.OS}
+	s := newT(t, Config{StoreDir: t.TempDir(), FS: fsys, JobWorkers: 1, QueueDepth: 1,
+		Grace: 100 * time.Millisecond, sweep: blockingSeam(release)})
+	j0, err := s.Submit(tinySpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j0, JobRunning)
+	j1, err := s.Submit(tinySpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends, syncs := s.Metrics().Journal.Appends, fsys.syncs.Load()
+	if _, err := s.Submit(tinySpec(3)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full queue Submit = %v, want ErrQueueFull", err)
+	}
+	if m := s.Metrics(); m.Journal.Appends != appends || fsys.syncs.Load() != syncs || m.ShedFull != 1 {
+		t.Fatalf("shed submission: %d appends and %d fsyncs (shed %d), want none and 1 shed",
+			m.Journal.Appends-appends, fsys.syncs.Load()-syncs, m.ShedFull)
+	}
+	close(release)
+	waitJob(t, j0)
+	waitJob(t, j1)
+	j3, err := s.Submit(tinySpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j3.ID() != "job-000003" {
+		t.Fatalf("first job admitted after the shed is %s, want job-000003", j3.ID())
+	}
+	waitJob(t, j3)
 }

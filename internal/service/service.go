@@ -13,8 +13,9 @@
 // DESIGN.md:
 //
 //   - overload: admission is a bounded queue; a full queue sheds the
-//     request with 429 + Retry-After instead of letting latency and
-//     memory grow without bound, and a draining server answers 503;
+//     request with 429 + Retry-After, before it is journaled or given an
+//     ID, instead of letting latency and memory grow without bound, and
+//     a draining server answers 503;
 //   - workload panics: contained per cell by harness.Sweep and logged
 //     once with their stack, so a poisoned cell fails its job alone
 //     while its siblings are still persisted and the daemon keeps
@@ -26,7 +27,7 @@
 //   - crashes: each cell is durable as soon as it completes
 //     (write-temp-fsync-rename), so a daemon killed mid-sweep re-serves
 //     the finished cells byte-identically and recomputes only the rest,
-//     and a half-written entry is quarantined, costing one recompute and
+//     and a half-written entry is removed, costing one recompute and
 //     never a wrong answer;
 //   - memory: the job table keeps the last retainTerminal finished jobs;
 //     older IDs answer 404 and their results stay in the store, where an
@@ -54,7 +55,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,7 +181,6 @@ type Server struct {
 
 	requeued     atomic.Uint64 // jobs re-enqueued at boot
 	resumedCells atomic.Uint64 // recovered-job cells served from the store
-	journalErrs  atomic.Uint64
 }
 
 // New builds a Server, recovers any journaled jobs from a previous
@@ -199,11 +198,12 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		prefix := fmt.Sprintf("v%d|", harness.CacheSchema)
-		if removed, err := st.GC(func(key string) bool { return strings.HasPrefix(key, prefix) }); err != nil {
+		removed, err := st.GC(issuedKey)
+		if err != nil {
 			cfg.Logf("staggerd: store gc: %v", err)
-		} else if removed > 0 {
-			cfg.Logf("staggerd: store gc evicted %d old-schema entries", removed)
+		}
+		if removed > 0 {
+			cfg.Logf("staggerd: store gc evicted %d entries under keys this binary no longer issues", removed)
 		}
 	}
 	jpath := cfg.JournalPath
@@ -247,13 +247,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Store exposes the durable store (nil if the server is memory-only).
-func (s *Server) Store() *store.Store { return s.store }
-
 // Submit validates, expands, journals, and enqueues a job. It never
-// blocks: a full queue returns ErrQueueFull and a draining server
-// ErrDraining, so the HTTP layer can map overload to 429/503 with
-// Retry-After instead of holding connections open. An idempotency key
+// blocks: a full queue returns ErrQueueFull, before anything is journaled
+// or an ID is issued, and a draining server ErrDraining, so the HTTP
+// layer can map overload to 429/503 with Retry-After instead of holding
+// connections open. An idempotency key
 // that matches an existing job returns that job instead of admitting a
 // duplicate — the safety net that lets clients blindly resubmit across
 // daemon restarts. When the server runs with a journal, Submit returns
@@ -284,6 +282,12 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 			return prior, nil
 		}
 	}
+	// Only Submit sends on the queue, under admitMu, so the room seen here
+	// is still there at the send below.
+	if len(s.queue) == cap(s.queue) {
+		s.shedFull.Add(1)
+		return nil, ErrQueueFull
+	}
 	s.jobsMu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("job-%06d", s.nextID)
@@ -298,21 +302,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 			return nil, fmt.Errorf("service: encode spec: %w", err)
 		}
 		if err := s.jnl.Append(journal.Record{Type: journal.RecAccepted, Job: id, Spec: raw}); err != nil {
-			s.journalErrs.Add(1)
 			s.cfg.Logf("staggerd: %s refused, journal append failed: %v", id, err)
 			return nil, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-	select {
-	case s.queue <- j:
-	default:
-		s.shedFull.Add(1)
-		// Neutralize the accepted record so a crash does not resurrect a
-		// job the client was told to retry. Best-effort: if even this
-		// append fails, replay re-runs shed work — wasteful, never wrong.
-		s.journalState(journal.RecCanceled, id, "shed: admission queue full")
-		return nil, ErrQueueFull
-	}
+	s.queue <- j
 	s.jobsMu.Lock()
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -461,11 +455,8 @@ func (s *Server) Metrics() Metrics {
 	if s.jnl != nil {
 		js := s.jnl.Stats()
 		m.Recovery = &RecoveryStats{
-			ReplayedRecords:      js.Replayed,
-			RequeuedJobs:         s.requeued.Load(),
-			QuarantinedTailBytes: js.QuarantinedBytes,
-			ResumedCells:         s.resumedCells.Load(),
-			JournalErrors:        s.journalErrs.Load(),
+			RequeuedJobs: s.requeued.Load(),
+			ResumedCells: s.resumedCells.Load(),
 		}
 		m.Journal = &js
 	}
@@ -492,7 +483,7 @@ func (s *Server) runJob(j *Job) {
 	// only the terminal transition below is worth an fsync.
 
 	timeout := s.cfg.JobTimeout
-	if t := j.spec.timeout(); t > 0 && t < timeout {
+	if t := time.Duration(j.spec.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
 		timeout = t
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)

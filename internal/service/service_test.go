@@ -232,7 +232,7 @@ func TestEqualKeysSimulateOnce(t *testing.T) {
 	if n := simulated.Load(); n != 2 {
 		t.Fatalf("the job simulated %d cells, want one per distinct key (2)", n)
 	}
-	if puts := s.Store().Stats().Puts; puts != 2 {
+	if puts := s.store.Stats().Puts; puts != 2 {
 		t.Fatalf("store took %d puts, want one per distinct key (2)", puts)
 	}
 	payloads := j.payloads()
@@ -482,14 +482,14 @@ func TestChaosWatchdogTripFailsJobDeterministically(t *testing.T) {
 	if first.State != JobFailed || !strings.HasPrefix(first.Error, "cell 1: ") || !strings.Contains(first.Error, "watchdog") {
 		t.Fatalf("job %+v, want failed on cell 1's watchdog", first)
 	}
-	if st := s.Store().Stats(); st.Puts != 2 {
+	if st := s.store.Stats(); st.Puts != 2 {
 		t.Fatalf("store took %d puts, want the failed cell's 2 siblings", st.Puts)
 	}
 	again := run()
 	if again.State != JobFailed || again.FromStore != 2 || again.Error != first.Error {
 		t.Fatalf("resubmission %+v, want 2 cells from the store and the same failure %q", again, first.Error)
 	}
-	if st := s.Store().Stats(); st.Puts != 2 || st.Misses != 4 {
+	if st := s.store.Stats(); st.Puts != 2 || st.Misses != 4 {
 		t.Fatalf("store stats %+v after resubmission, want 2 puts and 3+1 misses (only the failed cell recomputed)", st)
 	}
 	if m := s.Metrics(); m.Failed != 2 {
@@ -637,7 +637,7 @@ func TestExploreJobRunsItsWholeCell(t *testing.T) {
 	if st.State != JobFailed || !strings.Contains(st.Error, "watchdog") {
 		t.Fatalf("explore job %+v, want failed on the cell's watchdog", st)
 	}
-	if puts := s.Store().Stats().Puts; puts != 0 {
+	if puts := s.store.Stats().Puts; puts != 0 {
 		t.Fatalf("store took %d puts for a failed campaign, want 0", puts)
 	}
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // TestCorruptionTable drives every header- and payload-level damage
-// class through one Get and asserts the uniform contract: the entry is
-// quarantined under its reason suffix, the Get is a recomputable miss,
+// class through one Get and asserts the uniform contract: the Get is a
+// recomputable miss naming the reason, the entry is removed and counted,
 // and a re-Put fully heals the key. This is the disk-side mirror of the
 // journal's torn-tail discipline — nothing on disk is ever trusted past
 // its checksums.
@@ -82,13 +82,8 @@ func TestCorruptionTable(t *testing.T) {
 			if !errors.As(err, &ce) || ce.Reason != tc.reason {
 				t.Fatalf("corrupt Get = %v, want CorruptError{%s}", err, tc.reason)
 			}
-			q, qerr := s.QuarantinedFiles()
-			if qerr != nil || len(q) != 1 || !strings.HasSuffix(q[0], "."+tc.reason) {
-				t.Fatalf("quarantine = %v (%v), want one .%s file", q, qerr, tc.reason)
-			}
-			// The damaged bytes are preserved for forensics, not destroyed.
-			if _, err := os.Stat(filepath.Join(s.Root(), quarantineDir, q[0])); err != nil {
-				t.Fatal(err)
+			if n := len(objectFiles(t, s)); n != 0 {
+				t.Fatalf("%d object files after the corrupt Get, want 0", n)
 			}
 			// Recompute-and-heal: the caller re-Puts, the key serves again.
 			if err := s.Put(key, payload); err != nil {
@@ -98,8 +93,11 @@ func TestCorruptionTable(t *testing.T) {
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("healed Get = (%q, %v)", got, err)
 			}
-			if st := s.Stats(); st.Quarantined != 1 || st.Entries != 1 {
-				t.Fatalf("stats %+v, want Quarantined=1 Entries=1", st)
+			if st := s.Stats(); st.Corrupt != 1 {
+				t.Fatalf("stats %+v, want Corrupt=1", st)
+			}
+			if n := len(objectFiles(t, s)); n != 1 {
+				t.Fatalf("%d object files after the heal, want 1", n)
 			}
 		})
 	}
@@ -134,29 +132,35 @@ func TestGCEvictsOldSchemaEntries(t *testing.T) {
 			t.Fatalf("kept key %q damaged: (%q, %v)", k, got, err)
 		}
 	}
-	st := s.Stats()
-	if st.GCRemoved != uint64(len(evict)) || st.Entries != len(keep) {
-		t.Fatalf("stats %+v, want GCRemoved=%d Entries=%d", st, len(evict), len(keep))
+	if st := s.Stats(); st.GCRemoved != uint64(len(evict)) {
+		t.Fatalf("stats %+v, want GCRemoved=%d", st, len(evict))
+	}
+	if n := len(objectFiles(t, s)); n != len(keep) {
+		t.Fatalf("%d object files, want %d", n, len(keep))
 	}
 }
 
-// An entry whose header does not even parse is quarantined by GC rather
-// than silently skipped or trusted.
-func TestGCQuarantinesUnparseableEntries(t *testing.T) {
+// An entry whose header does not even parse is removed by GC, counted
+// and reported with its reason, rather than silently skipped or trusted.
+func TestGCRemovesUnparseableEntries(t *testing.T) {
 	s := openT(t)
 	if err := s.Put("good", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(s.Root(), objectsDir, strings.Repeat("ab", 32)+".entry")
+	bad := filepath.Join(s.root, objectsDir, strings.Repeat("ab", 32)+".entry")
 	if err := os.WriteFile(bad, []byte("junk, not a header\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	removed, err := s.GC(func(string) bool { return true })
-	if err != nil || removed != 0 {
-		t.Fatalf("GC = (%d, %v), want (0, nil)", removed, err)
+	var ce *CorruptError
+	if removed != 0 || !errors.As(err, &ce) || ce.Reason != "magic" || ce.Key != filepath.Base(bad) {
+		t.Fatalf("GC = (%d, %v), want (0, CorruptError{%s, magic})", removed, err, filepath.Base(bad))
 	}
-	if q, _ := s.QuarantinedFiles(); len(q) != 1 || !strings.HasSuffix(q[0], ".magic") {
-		t.Fatalf("quarantine = %v, want the junk entry", q)
+	if _, err := os.Stat(bad); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("junk entry still on disk (%v)", err)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.GCRemoved != 0 {
+		t.Fatalf("stats %+v, want Corrupt=1 GCRemoved=0", st)
 	}
 	if got, err := s.Get("good"); err != nil || string(got) != "x" {
 		t.Fatalf("good key damaged by GC: (%q, %v)", got, err)
@@ -219,8 +223,8 @@ func TestPutCrashLeavesLiveNameIntact(t *testing.T) {
 	if err != nil || string(got) != "the original payload" {
 		t.Fatalf("after crash: (%q, %v), want the original payload", got, err)
 	}
-	if st := s2.Stats(); st.Entries != 1 {
-		t.Fatalf("stats %+v, want exactly the live entry (temp swept)", st)
+	if n := len(objectFiles(t, s2)); n != 1 {
+		t.Fatalf("%d object files, want exactly the live entry (temp swept)", n)
 	}
 }
 

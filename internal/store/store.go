@@ -17,11 +17,10 @@
 //   - reads verify a magic header, the format version, the stored key
 //     (hash collisions or hand-misplaced files), the payload length,
 //     and a SHA-256 checksum before returning a byte;
-//   - an entry failing any of those checks is quarantined — moved aside
-//     into quarantine/ with a reason suffix, preserved for forensics —
-//     and reported as a miss, so the caller transparently recomputes
-//     and rewrites it. Corruption costs one recompute, never a wrong
-//     answer and never an unservable key.
+//   - an entry failing any of those checks is removed, counted, and
+//     reported as a miss naming its reason, so the caller transparently
+//     recomputes and rewrites it. Corruption costs one recompute, never
+//     a wrong answer and never an unservable key.
 package store
 
 import (
@@ -36,14 +35,13 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/vfs"
 )
 
 // FormatVersion is the on-disk entry container version. Entries written
-// under any other version are quarantined on read (reason "version") and
+// under any other version are removed on read (reason "version") and
 // recomputed; they are never decoded under the wrong layout.
 const FormatVersion = 1
 
@@ -52,29 +50,28 @@ const magic = "staggerstore"
 
 // ErrNotFound is returned by Get when the key has no usable entry —
 // including when an entry existed but failed verification and was
-// quarantined (the *CorruptError is wrapped alongside it).
+// removed (the *CorruptError is wrapped alongside it).
 var ErrNotFound = errors.New("store: not found")
 
 // CorruptError describes an entry that failed verification and was
-// moved to quarantine.
+// removed. Key is the requested key, or for GC, which has no key in hand,
+// the entry's file name.
 type CorruptError struct {
 	Key    string
-	Path   string // quarantine location (empty if the move itself failed)
 	Reason string // "magic", "version", "key", "length", "checksum", "header"
 }
 
 func (e *CorruptError) Error() string {
-	return fmt.Sprintf("store: entry for %q corrupt (%s), quarantined to %s", e.Key, e.Reason, e.Path)
+	return fmt.Sprintf("store: entry %q corrupt (%s), removed", e.Key, e.Reason)
 }
 
 // Stats counts store traffic since Open.
 type Stats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Puts        uint64 `json:"puts"`
-	Quarantined uint64 `json:"quarantined"`
-	GCRemoved   uint64 `json:"gc_removed"` // old-schema entries evicted by GC
-	Entries     int    `json:"entries"`    // on disk right now
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Puts      uint64 `json:"puts"`
+	Corrupt   uint64 `json:"corrupt"`    // entries that failed verification, removed
+	GCRemoved uint64 `json:"gc_removed"` // entries evicted by GC's keep predicate
 }
 
 // Store is a durable key→payload map under one root directory. All
@@ -86,9 +83,7 @@ type Store struct {
 	root string
 	fs   vfs.FS
 
-	mu sync.Mutex // serializes multi-step filesystem transitions (quarantine moves)
-
-	hits, misses, puts, quarantined, gcRemoved atomic.Uint64
+	hits, misses, puts, corrupt, gcRemoved atomic.Uint64
 }
 
 // Open creates (if needed) and opens a store rooted at dir on the real
@@ -99,10 +94,8 @@ func Open(dir string) (*Store, error) { return OpenFS(vfs.OS, dir) }
 // disk-fault harness injects through. It also sweeps crash debris:
 // temp files a previous life created but never renamed into place.
 func OpenFS(fsys vfs.FS, dir string) (*Store, error) {
-	for _, sub := range []string{objectsDir, quarantineDir} {
-		if err := fsys.MkdirAll(filepath.Join(dir, sub)); err != nil {
-			return nil, fmt.Errorf("store: open %s: %w", dir, err)
-		}
+	if err := fsys.MkdirAll(filepath.Join(dir, objectsDir)); err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	s := &Store{root: dir, fs: fsys}
 	// A crash inside Put can orphan its temp file; the live names were
@@ -111,13 +104,7 @@ func OpenFS(fsys vfs.FS, dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
-const (
-	objectsDir    = "objects"
-	quarantineDir = "quarantine"
-)
+const objectsDir = "objects"
 
 // entryPath maps a key to its object file: content-addressed by the
 // SHA-256 of the key string, so arbitrary key text never meets the
@@ -133,8 +120,8 @@ const putPattern = "put-*.tmp"
 // Put durably stores payload under key through vfs.WriteAtomic: a temp
 // file in the objects directory, fsynced, then renamed over the live
 // name. Re-putting an existing key overwrites it whole (deterministic
-// payloads make this a byte-level no-op; it also self-heals a
-// quarantined key).
+// payloads make this a byte-level no-op; it also heals a key whose
+// corrupt entry was removed).
 func (s *Store) Put(key string, payload []byte) error {
 	sum := sha256.Sum256(payload)
 	entry := fmt.Appendf(make([]byte, 0, 128+len(key)+len(payload)),
@@ -149,7 +136,7 @@ func (s *Store) Put(key string, payload []byte) error {
 }
 
 // Get returns the payload stored under key. A missing entry returns
-// ErrNotFound; an entry that fails verification is quarantined and the
+// ErrNotFound; an entry that fails verification is removed and the
 // error wraps both ErrNotFound and the *CorruptError, so callers can
 // treat every non-nil error as "recompute" while still logging why.
 func (s *Store) Get(key string) ([]byte, error) {
@@ -164,11 +151,9 @@ func (s *Store) Get(key string) ([]byte, error) {
 	}
 	payload, reason := verifyEntry(raw, key)
 	if reason != "" {
-		ce := &CorruptError{Key: key, Reason: reason}
-		ce.Path = s.quarantine(path, reason)
-		s.quarantined.Add(1)
+		s.drop(path)
 		s.misses.Add(1)
-		return nil, fmt.Errorf("%w: %w", ErrNotFound, ce)
+		return nil, fmt.Errorf("%w: %w", ErrNotFound, &CorruptError{Key: key, Reason: reason})
 	}
 	s.hits.Add(1)
 	return payload, nil
@@ -236,7 +221,7 @@ func parseHeader(b []byte) (h entryHeader, rest []byte, reason string) {
 // verifyEntry verifies one whole entry as read from disk. It returns the
 // payload, a sub-slice of raw, or a non-empty corruption reason. The
 // declared length is only ever compared with the bytes actually present,
-// never allocated, so a damaged length field costs a quarantine, not the
+// never allocated, so a damaged length field costs a recompute, not the
 // process.
 func verifyEntry(raw []byte, key string) ([]byte, string) {
 	h, payload, reason := parseHeader(raw)
@@ -275,40 +260,28 @@ func readHeaderLines(f io.Reader) []byte {
 	return b
 }
 
-// quarantine moves a bad entry aside, returning its new path ("" if even
-// that failed, in which case the entry is removed so it cannot wedge the
-// key forever).
-func (s *Store) quarantine(path, reason string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base := filepath.Base(path) + "." + reason
-	dst := filepath.Join(s.root, quarantineDir, base)
-	for i := 1; ; i++ {
-		if _, err := s.fs.Stat(dst); errors.Is(err, fs.ErrNotExist) {
-			break
-		}
-		dst = filepath.Join(s.root, quarantineDir, fmt.Sprintf("%s.%d", base, i))
-	}
-	if err := s.fs.Rename(path, dst); err != nil {
-		s.fs.Remove(path)
-		return ""
-	}
-	return dst
+// drop removes an entry that failed verification. Nothing reads a
+// damaged entry again, so it is not kept; a concurrent Put that already
+// replaced it only costs that key one more recompute.
+func (s *Store) drop(path string) {
+	s.fs.Remove(path)
+	s.corrupt.Add(1)
 }
 
 // GC walks every entry and removes those whose header key fails keep —
 // the eviction path for entries written under an old CacheSchema, which
 // age out as misses (the schema is baked into the key) but would
 // otherwise occupy disk forever. Entries whose header cannot even be
-// parsed are quarantined. GC races safely with concurrent traffic: it
-// only ever removes a live name, which a concurrent Put simply
-// recreates whole.
+// parsed are removed too, and the returned error joins a *CorruptError
+// for each. GC races safely with concurrent traffic: it only ever
+// removes a live name, which a concurrent Put simply recreates whole.
 func (s *Store) GC(keep func(key string) bool) (removed int, err error) {
 	dir := filepath.Join(s.root, objectsDir)
 	ents, err := s.fs.ReadDir(dir)
 	if err != nil {
 		return 0, fmt.Errorf("store: gc: %w", err)
 	}
+	var corrupt []error
 	for _, e := range ents {
 		if !strings.HasSuffix(e.Name(), ".entry") {
 			continue
@@ -316,13 +289,13 @@ func (s *Store) GC(keep func(key string) bool) (removed int, err error) {
 		path := filepath.Join(dir, e.Name())
 		f, err := s.fs.Open(path)
 		if err != nil {
-			continue // raced with quarantine or a concurrent GC
+			continue // raced with a Get that dropped it, or a concurrent GC
 		}
 		h, _, reason := parseHeader(readHeaderLines(f))
 		f.Close()
 		if reason != "" {
-			s.quarantine(path, reason)
-			s.quarantined.Add(1)
+			s.drop(path)
+			corrupt = append(corrupt, &CorruptError{Key: e.Name(), Reason: reason})
 			continue
 		}
 		if !keep(h.key) {
@@ -332,39 +305,18 @@ func (s *Store) GC(keep func(key string) bool) (removed int, err error) {
 			}
 		}
 	}
-	return removed, nil
+	return removed, errors.Join(corrupt...)
 }
 
-// Stats snapshots traffic counters and the current entry count.
+// Stats snapshots the traffic counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		Puts:        s.puts.Load(),
-		Quarantined: s.quarantined.Load(),
-		GCRemoved:   s.gcRemoved.Load(),
+	return Stats{
+		Hits:      s.hits.Load(),
+		Misses:    s.misses.Load(),
+		Puts:      s.puts.Load(),
+		Corrupt:   s.corrupt.Load(),
+		GCRemoved: s.gcRemoved.Load(),
 	}
-	if ents, err := s.fs.ReadDir(filepath.Join(s.root, objectsDir)); err == nil {
-		for _, e := range ents {
-			if strings.HasSuffix(e.Name(), ".entry") {
-				st.Entries++
-			}
-		}
-	}
-	return st
-}
-
-// QuarantinedFiles lists the quarantine directory (forensics, tests).
-func (s *Store) QuarantinedFiles() ([]string, error) {
-	ents, err := s.fs.ReadDir(filepath.Join(s.root, quarantineDir))
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	return names, nil
 }
 
 // encodeKey makes a key string newline-safe for the text header.

@@ -37,8 +37,45 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %q != %q", got, payload)
 	}
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Entries != 1 {
-		t.Fatalf("stats %+v, want 1 hit / 1 miss / 1 put / 1 entry", st)
+	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
+		t.Fatalf("stats %+v, want 1 hit / 1 miss / 1 put", st)
+	}
+	if n := len(objectFiles(t, s)); n != 1 {
+		t.Fatalf("%d object files, want 1", n)
+	}
+}
+
+// objectFiles lists the objects directory, the only place the store
+// keeps anything, and fails unless the store root holds nothing else.
+func objectFiles(t *testing.T, s *Store) []string {
+	t.Helper()
+	root, err := os.ReadDir(s.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(root) != 1 || root[0].Name() != objectsDir {
+		var names []string
+		for _, e := range root {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("store root holds %v, want only %s/", names, objectsDir)
+	}
+	ents, err := os.ReadDir(filepath.Join(s.root, objectsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// assertDropped fails unless key's entry file is gone.
+func assertDropped(t *testing.T, s *Store, key string) {
+	t.Helper()
+	if _, err := os.Stat(s.entryPath(key)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("corrupt entry for %q still on disk (%v)", key, err)
 	}
 }
 
@@ -79,10 +116,9 @@ func corruptEntry(t *testing.T, s *Store, key string, edit func([]byte) []byte) 
 	}
 }
 
-// The satellite's acceptance case: a hand-corrupted payload must be
-// detected by checksum, quarantined, and reported as a recomputable
-// miss — and a re-Put must fully heal the key.
-func TestHandCorruptedEntryQuarantinedAndHealed(t *testing.T) {
+// A hand-corrupted payload must be detected by checksum, removed, and
+// reported as a recomputable miss — and a re-Put must fully heal the key.
+func TestHandCorruptedEntryRemovedAndHealed(t *testing.T) {
 	s := openT(t)
 	key, payload := "cell-key", []byte("the true result bytes")
 	if err := s.Put(key, payload); err != nil {
@@ -99,10 +135,7 @@ func TestHandCorruptedEntryQuarantinedAndHealed(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Reason != "checksum" {
 		t.Fatalf("corrupt Get = %v, want CorruptError{checksum}", err)
 	}
-	q, err2 := s.QuarantinedFiles()
-	if err2 != nil || len(q) != 1 || !strings.HasSuffix(q[0], ".checksum") {
-		t.Fatalf("quarantine = %v (%v), want one .checksum file", q, err2)
-	}
+	assertDropped(t, s, key)
 	// The caller's contract: recompute and re-Put; the key works again.
 	if err := s.Put(key, payload); err != nil {
 		t.Fatal(err)
@@ -110,13 +143,13 @@ func TestHandCorruptedEntryQuarantinedAndHealed(t *testing.T) {
 	if got, err := s.Get(key); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("healed Get = (%q, %v)", got, err)
 	}
-	if st := s.Stats(); st.Quarantined != 1 {
-		t.Fatalf("stats %+v, want Quarantined=1", st)
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("stats %+v, want Corrupt=1", st)
 	}
 }
 
-// The satellite's second acceptance case: an entry written under a
-// different format version must be quarantined, never decoded.
+// An entry written under a different format version must be removed,
+// never decoded.
 func TestWrongVersionEntryQuarantined(t *testing.T) {
 	s := openT(t)
 	key, payload := "versioned-key", []byte("payload")
@@ -133,14 +166,12 @@ func TestWrongVersionEntryQuarantined(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Reason != "version" {
 		t.Fatalf("wrong-version Get = %v, want CorruptError{version}", err)
 	}
-	if q, _ := s.QuarantinedFiles(); len(q) != 1 || !strings.HasSuffix(q[0], ".version") {
-		t.Fatalf("quarantine = %v, want one .version file", q)
-	}
+	assertDropped(t, s, key)
 }
 
 // TestHalfWrittenEntryQuarantined models the crash window: a truncated
 // entry under the live name (torn write on a filesystem without atomic
-// rename, say) must be quarantined as a length failure.
+// rename, say) must be removed as a length failure.
 func TestHalfWrittenEntryQuarantined(t *testing.T) {
 	s := openT(t)
 	key, payload := "torn-key", []byte("a payload long enough to truncate meaningfully")
@@ -156,7 +187,7 @@ func TestHalfWrittenEntryQuarantined(t *testing.T) {
 }
 
 // TestForeignFileQuarantined: garbage dropped at an entry path (wrong
-// magic) is quarantined rather than parsed.
+// magic) is removed rather than parsed.
 func TestForeignFileQuarantined(t *testing.T) {
 	s := openT(t)
 	key := "foreign"
@@ -189,7 +220,8 @@ func TestKeyMismatchQuarantined(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Reason != "key" {
 		t.Fatalf("mismatched Get = %v, want CorruptError{key}", err)
 	}
-	// key-a is untouched by key-b's quarantine.
+	assertDropped(t, s, "key-b")
+	// key-a is untouched by key-b's removal.
 	if got, err := s.Get("key-a"); err != nil || string(got) != "payload-a" {
 		t.Fatalf("sibling key damaged: (%q, %v)", got, err)
 	}
@@ -217,16 +249,13 @@ func TestNoTempLeakage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ents, err := os.ReadDir(filepath.Join(s.Root(), objectsDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if !strings.HasSuffix(e.Name(), ".entry") {
-			t.Fatalf("foreign file in objects dir: %s", e.Name())
+	names := objectFiles(t, s)
+	for _, n := range names {
+		if !strings.HasSuffix(n, ".entry") {
+			t.Fatalf("foreign file in objects dir: %s", n)
 		}
 	}
-	if len(ents) != 10 {
-		t.Fatalf("%d files, want 10", len(ents))
+	if len(names) != 10 {
+		t.Fatalf("%d files, want 10", len(names))
 	}
 }
