@@ -1,5 +1,7 @@
 // Command paper regenerates every table and figure of the paper's
-// evaluation (Section 6) on the simulated machine.
+// evaluation (Section 6) on the simulated machine. Its sections are
+// harness.PaperSections; EXPERIMENTS.md holds each one's text at the
+// default seed (`staggerreport -write`).
 //
 // Usage:
 //
@@ -7,6 +9,8 @@
 //	paper -table 3         # one table (1, 2, 3, 4)
 //	paper -figure 7        # one figure (7, 8)
 //	paper -claims          # headline claim summary
+//	paper -lazy            # the lazy-TM extension (not in the default run)
+//	paper -scaling list-hi # thread-scaling curve for one benchmark
 //	paper -seed 7          # change the experiment seed
 //	paper -workers 1       # strictly sequential runs (same output bytes)
 //	paper -cpuprofile p    # also write a pprof CPU profile of the run to p
@@ -27,7 +31,6 @@ func main() {
 	claims := flag.Bool("claims", false, "print headline claim summary")
 	lazy := flag.Bool("lazy", false, "run the lazy-TM extension experiment")
 	scaling := flag.String("scaling", "", "thread-scaling curve for one benchmark")
-	csvDir := flag.String("csv", "", "write all experiments as CSV files into this directory")
 	seed := flag.Int64("seed", 42, "experiment seed")
 	workers := flag.Int("workers", runtime.NumCPU(),
 		"max concurrent simulation runs (1 = sequential; output is identical either way)")
@@ -35,7 +38,6 @@ func main() {
 	flag.Parse()
 	harness.SetWorkers(*workers)
 
-	all := *table == 0 && *figure == 0 && !*claims && !*lazy && *scaling == "" && *csvDir == ""
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "paper:", err)
 		os.Stderr.Write(harness.PanicStack(err))
@@ -51,57 +53,18 @@ func main() {
 		}
 	}()
 
-	if all || *table == 1 {
-		rows, err := harness.Table1(*seed)
-		if err != nil {
-			fail(err)
+	pick := harness.DefaultRun
+	if *table != 0 || *figure != 0 || *claims || *lazy || *scaling != "" {
+		asked := map[string]bool{
+			fmt.Sprintf("table%d", *table):   true,
+			fmt.Sprintf("figure%d", *figure): true,
+			"claims":                         *claims,
+			"lazy":                           *lazy,
 		}
-		fmt.Println(harness.FormatTable1(rows))
+		pick = func(s harness.Section) bool { return asked[s.Name] }
 	}
-	if all || *table == 2 {
-		fmt.Println(harness.Table2())
-	}
-	if all || *table == 3 {
-		rows, err := harness.Table3(*seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatTable3(rows))
-	}
-	if all || *table == 4 {
-		rows, err := harness.Table4(*seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatTable4(rows))
-	}
-	if all || *figure == 7 {
-		rows, err := harness.Figure7(*seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatFigure7(rows))
-	}
-	if all || *figure == 8 {
-		rows, err := harness.Figure8(*seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatFigure8(rows))
-	}
-	if all || *claims {
-		cs, err := harness.Claims(*seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatClaims(cs))
-	}
-	if *lazy {
-		rows, err := harness.FigureLazy(*seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(harness.FormatFigureLazy(rows))
+	if err := harness.WritePaper(os.Stdout, *seed, pick); err != nil {
+		fail(err)
 	}
 	if *scaling != "" {
 		rows, err := harness.Scaling(*scaling, *seed)
@@ -109,11 +72,5 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(harness.FormatScaling(*scaling, rows))
-	}
-	if *csvDir != "" {
-		if err := harness.WriteCSV(*csvDir, *seed); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote experiment CSVs to %s\n", *csvDir)
 	}
 }

@@ -12,8 +12,9 @@ import (
 // behind EXPERIMENTS.md Table 1 (baseline HTM at 16 threads, default
 // operation counts, seed 42 — harness owns the list, so the attribution
 // matches the table it annotates): a per-workload cycle-breakdown table
-// and the top-N conflicting anchors per workload.
-func generateAppendix(topN int) ([]byte, error) {
+// and the top conflicting anchors per workload.
+func generateAppendix() ([]byte, error) {
+	const topN = 3
 	runs, err := harness.Table1Runs(harness.DefaultSeed)
 	if err != nil {
 		return nil, err
@@ -26,7 +27,7 @@ func generateAppendix(topN int) ([]byte, error) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "\nEvery number in this appendix regenerates deterministically from the\n")
 	fmt.Fprintf(&b, "Table 1 cells (baseline HTM, 16 threads, seed 42) via\n")
-	fmt.Fprintf(&b, "`go run ./cmd/staggerreport -appendix`; `make docs-verify` fails CI when\n")
+	fmt.Fprintf(&b, "`go run ./cmd/staggerreport -write`; `make docs-verify` fails CI when\n")
 	fmt.Fprintf(&b, "this text and the simulator disagree. The same data for any single run\n")
 	fmt.Fprintf(&b, "is available as JSON from `staggersim -metrics`.\n\n")
 

@@ -46,7 +46,7 @@ func generateBackendArena() ([]byte, error) {
 	fmt.Fprintf(&b, "\nEvery registered backend, every workload: 4 threads, default\n")
 	fmt.Fprintf(&b, "operation counts, seed 42, serializability oracle on (a cell only\n")
 	fmt.Fprintf(&b, "renders if its history serializes and the workload invariants hold).\n")
-	fmt.Fprintf(&b, "Regenerate with `go run ./cmd/staggerreport -backends`; `make\n")
+	fmt.Fprintf(&b, "Regenerate with `go run ./cmd/staggerreport -write`; `make\n")
 	fmt.Fprintf(&b, "docs-verify` fails CI when this text and the simulator disagree.\n")
 	fmt.Fprintf(&b, "Throughput is commits per million simulated cycles — comparable\n")
 	fmt.Fprintf(&b, "across backends because every backend runs the same workload IR on\n")

@@ -7,20 +7,19 @@
 //	staggersim -bench list-hi -metrics > run.json
 //	staggerreport run.json
 //
-// Regenerate the generated documentation sections — the abort-attribution
-// appendix and the cross-backend arena table in EXPERIMENTS.md (both
-// simulated) and the repository map in README.md (from package doc
-// comments):
+// Regenerate every generated documentation section: in EXPERIMENTS.md,
+// each of cmd/paper's sections (harness.PaperSections, at the default
+// seed) as the exact text cmd/paper prints, the cross-backend arena
+// table and the abort-attribution appendix (all simulated); in
+// README.md, the repository map (from package doc comments):
 //
-//	staggerreport -appendix -write     # update EXPERIMENTS.md in place
-//	staggerreport -backends -write     # update the backend-arena table
-//	staggerreport -repomap -write      # update README.md in place
-//	staggerreport -appendix -backends -repomap -check   # CI: fail if out of date
+//	staggerreport -write   # rewrite every section in place
+//	staggerreport -check   # CI: fail if any section is out of date
 //
 // Generated sections live between HTML comment markers
 // (`<!-- BEGIN GENERATED: <name> -->` / `<!-- END GENERATED: <name> -->`);
 // everything outside the markers is hand-written and never touched.
-// Both generators are deterministic (fixed seed, stable sort orders), so
+// Every generator is deterministic (fixed seed, stable sort orders), so
 // `-check` is a meaningful CI gate: a diff means source and docs drifted.
 package main
 
@@ -35,22 +34,25 @@ import (
 	"repro/internal/obs"
 )
 
+// generated is one generated documentation section: the file and marker
+// name it lives under, and the generator of its body.
+type generated struct {
+	path, name string
+	body       func() ([]byte, error)
+}
+
 func main() {
-	appendix := flag.Bool("appendix", false, "regenerate the EXPERIMENTS.md abort-attribution appendix")
-	backends := flag.Bool("backends", false, "regenerate the EXPERIMENTS.md cross-backend arena table")
-	repomap := flag.Bool("repomap", false, "regenerate the README.md repository map from package docs")
-	check := flag.Bool("check", false, "verify generated sections are up to date (exit 1 on drift) instead of printing")
-	write := flag.Bool("write", false, "rewrite the target file's generated section in place")
-	experiments := flag.String("experiments", "EXPERIMENTS.md", "path to EXPERIMENTS.md for -appendix")
-	readme := flag.String("readme", "README.md", "path to README.md for -repomap")
-	topN := flag.Int("top", 3, "conflicting anchors per workload in the appendix")
-	workers := flag.Int("workers", runtime.NumCPU(), "max concurrent simulation runs for -appendix")
+	check := flag.Bool("check", false, "verify every generated section is up to date (exit 1 on drift)")
+	write := flag.Bool("write", false, "rewrite every generated section in place")
+	experiments := flag.String("experiments", "EXPERIMENTS.md", "path to EXPERIMENTS.md")
+	readme := flag.String("readme", "README.md", "path to README.md")
+	workers := flag.Int("workers", runtime.NumCPU(), "max concurrent simulation runs")
 	flag.Parse()
 	harness.SetWorkers(*workers)
 
-	if !*appendix && !*backends && !*repomap {
+	if !*check && !*write {
 		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: staggerreport <metrics.json> | -appendix|-backends|-repomap [-check|-write]")
+			fmt.Fprintln(os.Stderr, "usage: staggerreport <metrics.json> | -check | -write")
 			os.Exit(2)
 		}
 		if err := renderMetrics(flag.Arg(0)); err != nil {
@@ -60,27 +62,31 @@ func main() {
 		return
 	}
 
+	var sections []generated
+	for _, s := range harness.PaperSections {
+		sections = append(sections, generated{*experiments, "paper-" + s.Name, func() ([]byte, error) {
+			text, err := s.Render(harness.DefaultSeed)
+			return []byte("```text\n" + text + "```\n"), err
+		}})
+	}
+	sections = append(sections,
+		generated{*experiments, "backend-arena", generateBackendArena},
+		generated{*experiments, "abort-appendix", generateAppendix},
+		generated{*readme, "repo-map", func() ([]byte, error) { return generateRepoMap(".") }},
+	)
 	failed := false
-	if *appendix {
-		body, err := generateAppendix(*topN)
+	for _, g := range sections {
+		body, err := g.body()
 		if err == nil {
-			err = applySection(*experiments, "abort-appendix", body, *check, *write)
+			err = applySection(g.path, g.name, body, *write)
 		}
-		failed = reportOutcome("appendix", *experiments, err) || failed
-	}
-	if *backends {
-		body, err := generateBackendArena()
-		if err == nil {
-			err = applySection(*experiments, "backend-arena", body, *check, *write)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "staggerreport: %s: %v\n", g.name, err)
+			os.Stderr.Write(harness.PanicStack(err))
+			failed = true
+			continue
 		}
-		failed = reportOutcome("backends", *experiments, err) || failed
-	}
-	if *repomap {
-		body, err := generateRepoMap(".")
-		if err == nil {
-			err = applySection(*readme, "repo-map", body, *check, *write)
-		}
-		failed = reportOutcome("repo map", *readme, err) || failed
+		fmt.Printf("%-19s %s OK\n", g.name, g.path)
 	}
 	if failed {
 		os.Exit(1)
@@ -96,39 +102,18 @@ func renderMetrics(path string) error {
 	return obs.WriteMarkdown(os.Stdout, rep)
 }
 
-// reportOutcome prints one generator's result, returning true on failure.
-func reportOutcome(what, path string, err error) bool {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "staggerreport: %s: %v\n", what, err)
-		os.Stderr.Write(harness.PanicStack(err))
-		return true
-	}
-	fmt.Printf("%-9s %s OK\n", what, path)
-	return false
-}
-
-// applySection routes a generated body to the requested action: verify
-// (check), rewrite (write), or print to stdout (neither).
-func applySection(path, name string, body []byte, check, write bool) error {
-	switch {
-	case check:
-		current, err := extractSection(path, name)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(current, body) {
-			return fmt.Errorf("generated section %q in %s is out of date (run staggerreport -%s -write)",
-				name, path, map[string]string{
-					"abort-appendix": "appendix",
-					"backend-arena":  "backends",
-					"repo-map":       "repomap",
-				}[name])
-		}
-		return nil
-	case write:
+// applySection rewrites a file's generated section (write; it wins over
+// -check), or verifies that it already holds body.
+func applySection(path, name string, body []byte, write bool) error {
+	if write {
 		return replaceSection(path, name, body)
-	default:
-		_, err := os.Stdout.Write(body)
+	}
+	current, err := extractSection(path, name)
+	if err != nil {
 		return err
 	}
+	if !bytes.Equal(current, body) {
+		return fmt.Errorf("generated section %q in %s is out of date (run staggerreport -write)", name, path)
+	}
+	return nil
 }

@@ -120,7 +120,7 @@ func TestRepoMapMatchesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, committed) {
-		t.Fatalf("README repo-map is stale; run `go run ./cmd/staggerreport -repomap -write`\n--- generated ---\n%s\n--- committed ---\n%s",
+		t.Fatalf("README repo-map is stale; run `go run ./cmd/staggerreport -write`\n--- generated ---\n%s\n--- committed ---\n%s",
 			body, committed)
 	}
 	// Every package row must carry a real synopsis, not a placeholder.

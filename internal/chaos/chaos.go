@@ -22,13 +22,9 @@ import (
 // Config selects fault classes and rates. The zero value injects nothing.
 type Config struct {
 	// AbortRate is the probability, per transactional memory event, of a
-	// spurious abort (interrupts, capacity aliasing, and other
-	// best-effort-HTM noise).
+	// spurious abort (htm.AbortSpurious: interrupts, capacity aliasing,
+	// and other best-effort-HTM noise).
 	AbortRate float64
-	// AbortCode is the architectural abort reason injected (zero value:
-	// htm.AbortSpurious). Setting it to htm.AbortConflict stresses the
-	// locking policy with causeless conflict reports.
-	AbortCode htm.AbortReason
 	// NTDelayRate is the probability, per nontransactional store or CAS,
 	// of a transient delay of NTDelayCycles.
 	NTDelayRate   float64
@@ -80,22 +76,17 @@ func (c Counts) Total() uint64 { return c.Aborts + c.NTDelays + c.LockDrops + c.
 // discipline serializes all calls, and each core draws from its own
 // stream, so no locking is needed.
 type Injector struct {
-	cfg       Config
-	abortCode htm.AbortReason
-	streams   []uint64 // per-core splitmix64 states
-	counts    []Counts // per-core, summed by Counts()
+	cfg     Config
+	streams []uint64 // per-core splitmix64 states
+	counts  []Counts // per-core, summed by Counts()
 }
 
 // NewInjector builds an injector for a machine with the given core count.
 func NewInjector(cfg Config, cores int) *Injector {
 	in := &Injector{
-		cfg:       cfg,
-		abortCode: cfg.AbortCode,
-		streams:   make([]uint64, cores),
-		counts:    make([]Counts, cores),
-	}
-	if in.abortCode == htm.AbortNone {
-		in.abortCode = htm.AbortSpurious
+		cfg:     cfg,
+		streams: make([]uint64, cores),
+		counts:  make([]Counts, cores),
 	}
 	for i := range in.streams {
 		// Distinct, well-mixed stream per core; the +1 keeps seed 0 and
@@ -131,7 +122,7 @@ func (in *Injector) SpuriousAbort(core int, now uint64) (htm.AbortReason, bool) 
 		return htm.AbortNone, false
 	}
 	in.counts[core].Aborts++
-	return in.abortCode, true
+	return htm.AbortSpurious, true
 }
 
 // NTDelay implements htm.FaultInjector.

@@ -69,7 +69,7 @@ func TestDeterministicStreams(t *testing.T) {
 }
 
 // TestRateExtremes: rate 0 never fires (and does not advance counts);
-// rate 1 always fires.
+// rate 1 always fires, and an injected abort is always a spurious one.
 func TestRateExtremes(t *testing.T) {
 	never := NewInjector(Config{Seed: 3}, 1)
 	always := NewInjector(Config{
@@ -83,8 +83,8 @@ func TestRateExtremes(t *testing.T) {
 		if never.NTDelay(0, 0) != 0 || never.StallJitter(0, 0) != 0 || never.DropLockRelease(0) {
 			t.Fatal("rate-0 injector fired")
 		}
-		if _, ok := always.SpuriousAbort(0, 0); !ok {
-			t.Fatal("rate-1 injector skipped an abort")
+		if r, ok := always.SpuriousAbort(0, 0); !ok || r != htm.AbortSpurious {
+			t.Fatalf("rate-1 injector delivered (%v, %v), want a spurious abort", r, ok)
 		}
 		if always.NTDelay(0, 0) != 10 || always.StallJitter(0, 0) != 5 || !always.DropLockRelease(0) {
 			t.Fatal("rate-1 injector skipped")
@@ -96,19 +96,6 @@ func TestRateExtremes(t *testing.T) {
 	want := Counts{Aborts: 100, NTDelays: 100, LockDrops: 100, Jitters: 100}
 	if got := always.Counts(); got != want {
 		t.Fatalf("rate-1 counts = %+v, want %+v", got, want)
-	}
-}
-
-// TestAbortCodeDefault: the zero AbortCode maps to AbortSpurious; an
-// explicit code is passed through.
-func TestAbortCodeDefault(t *testing.T) {
-	in := NewInjector(Config{AbortRate: 1}, 1)
-	if r, ok := in.SpuriousAbort(0, 0); !ok || r != htm.AbortSpurious {
-		t.Fatalf("default abort code = %v (fired=%v), want spurious", r, ok)
-	}
-	in = NewInjector(Config{AbortRate: 1, AbortCode: htm.AbortConflict}, 1)
-	if r, _ := in.SpuriousAbort(0, 0); r != htm.AbortConflict {
-		t.Fatalf("abort code = %v, want conflict", r)
 	}
 }
 

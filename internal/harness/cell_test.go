@@ -94,11 +94,6 @@ func TestCellOfRefusesOverrides(t *testing.T) {
 		"Machine":   func(rc *harness.RunConfig) { rc.Machine = &mcfg },
 		"Stagger":   func(rc *harness.RunConfig) { rc.Stagger = &scfg },
 		"fault mix": func(rc *harness.RunConfig) { rc.Chaos = &mixed },
-		"abort code": func(rc *harness.RunConfig) {
-			cc := chaos.Scaled(0.01, 42)
-			cc.AbortCode = htm.AbortConflict
-			rc.Chaos = &cc
-		},
 	} {
 		rc := base
 		set(&rc)

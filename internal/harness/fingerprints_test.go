@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -66,33 +67,11 @@ func exploreFingerprint(t *testing.T, name string, ec harness.ExploreConfig) str
 // the way cmd/paper prints it.
 func paperBytes(t *testing.T, seed int64) []byte {
 	t.Helper()
-	var b strings.Builder
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	var b bytes.Buffer
+	if err := harness.WritePaper(&b, seed, harness.DefaultRun); err != nil {
+		t.Fatal(err)
 	}
-	t1, err := harness.Table1(seed)
-	must(err)
-	fmt.Fprintln(&b, harness.FormatTable1(t1))
-	fmt.Fprintln(&b, harness.Table2())
-	t3, err := harness.Table3(seed)
-	must(err)
-	fmt.Fprintln(&b, harness.FormatTable3(t3))
-	t4, err := harness.Table4(seed)
-	must(err)
-	fmt.Fprintln(&b, harness.FormatTable4(t4))
-	f7, err := harness.Figure7(seed)
-	must(err)
-	fmt.Fprintln(&b, harness.FormatFigure7(f7))
-	f8, err := harness.Figure8(seed)
-	must(err)
-	fmt.Fprintln(&b, harness.FormatFigure8(f8))
-	cs, err := harness.Claims(seed)
-	must(err)
-	fmt.Fprintln(&b, harness.FormatClaims(cs))
-	return []byte(b.String())
+	return b.Bytes()
 }
 
 // corpusVariants is the configuration axis of the corpus rows: baseline

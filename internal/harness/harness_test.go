@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -209,56 +207,5 @@ func TestPaperExperiments(t *testing.T) {
 	}
 	if cs.MeanAbortReduction < 0.25 {
 		t.Errorf("mean abort reduction %.0f%% (paper: 64%%)", cs.MeanAbortReduction*100)
-	}
-}
-
-func TestFormatters(t *testing.T) {
-	if testing.Short() {
-		t.Skip("uses full sweeps")
-	}
-	const seed = 42
-	t1, _ := Table1(seed)
-	if s := FormatTable1(t1); !strings.Contains(s, "list-hi") {
-		t.Error("FormatTable1 lost rows")
-	}
-	t3, _ := Table3(seed)
-	if s := FormatTable3(t3); !strings.Contains(s, "Accuracy") {
-		t.Error("FormatTable3 header missing")
-	}
-	t4, _ := Table4(seed)
-	if s := FormatTable4(t4); !strings.Contains(s, "memcached") {
-		t.Error("FormatTable4 lost rows")
-	}
-	f7, _ := Figure7(seed)
-	if s := FormatFigure7(f7); !strings.Contains(s, "Staggered") {
-		t.Error("FormatFigure7 header missing")
-	}
-	f8, _ := Figure8(seed)
-	if s := FormatFigure8(f8); !strings.Contains(s, "(a) HTM") {
-		t.Error("FormatFigure8 header missing")
-	}
-	cs, _ := Claims(seed)
-	if s := FormatClaims(cs); !strings.Contains(s, "harmonic-mean") {
-		t.Error("FormatClaims content missing")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep")
-	}
-	dir := t.TempDir()
-	if err := WriteCSV(dir, 42); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"table1.csv", "table3.csv", "table4.csv",
-		"figure7.csv", "figure8.csv", "lazy.csv"} {
-		b, err := os.ReadFile(filepath.Join(dir, f))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if len(strings.Split(strings.TrimSpace(string(b)), "\n")) < 3 {
-			t.Errorf("%s: too few rows", f)
-		}
 	}
 }

@@ -280,6 +280,14 @@ func (j *Journal) Compact(live []Record) error {
 	return nil
 }
 
+// Wedged reports whether a failed append has wedged the journal, so
+// every Append fails with ErrWedged until it is reopened.
+func (j *Journal) Wedged() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.wedged
+}
+
 // Close closes the append handle; further Appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

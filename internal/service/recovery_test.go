@@ -12,6 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -258,7 +260,7 @@ func TestResumedSweepRecomputesOnlyMissingCells(t *testing.T) {
 // A torn journal tail (the crash hit mid-append) is truncated at boot,
 // with no copy kept beside the journal; the intact prefix still recovers
 // and the journal keeps working.
-func TestBootQuarantinesTornJournalTail(t *testing.T) {
+func TestBootTruncatesTornJournalTail(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec(31)
 	path := seedJournal(t, dir,
@@ -376,7 +378,16 @@ func TestSubmitRejectedWhenJournalFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	s := newT(t, Config{StoreDir: dir, FS: &vfs.FaultFS{Base: vfs.OS, FP: fp}})
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	s := newT(t, Config{StoreDir: dir, FS: &vfs.FaultFS{Base: vfs.OS, FP: fp}, Logf: logf})
 	// Sync hit 1 was the boot-time magic header and hit 2 the boot
 	// compaction's temp file (jobs.wal.compact-*); hit 3 is this
 	// submit's accepted record.
@@ -398,6 +409,27 @@ func TestSubmitRejectedWhenJournalFails(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Journal.AppendErrors == 0 || m.Accepted != 0 {
 		t.Fatalf("metrics after journal failure: %+v", m)
+	}
+	// A wedged journal refuses a submission before planning it: a spec
+	// that does not plan gets ErrJournal, not its plan error.
+	unplannable := JobSpec{Cells: []harness.Cell{{Bench: "no-such-bench", Threads: 2}}}
+	if _, err := s.Submit(unplannable); !errors.Is(err, ErrJournal) {
+		t.Fatalf("unplannable submit on wedged journal = %v, want ErrJournal", err)
+	}
+	// A refused submission takes no job ID, so no refusal names one.
+	logMu.Lock()
+	defer logMu.Unlock()
+	refusals := 0
+	for _, line := range logs {
+		if strings.Contains(line, "refused") {
+			refusals++
+			if strings.Contains(line, "job-") {
+				t.Errorf("refusal log line names a job ID: %q", line)
+			}
+		}
+	}
+	if refusals == 0 {
+		t.Fatalf("no refusal logged for the failed append; log: %q", logs)
 	}
 }
 

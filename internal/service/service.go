@@ -152,6 +152,7 @@ type Server struct {
 
 	queue   chan *Job
 	admitMu sync.Mutex // serializes Submit against BeginDrain's queue close
+	nextID  int        // the last job ID issued; boot sets it, then only Submit, under admitMu
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -163,10 +164,9 @@ type Server struct {
 
 	jobsMu  sync.Mutex
 	jobs    map[string]*Job
-	order   []string          // submission order, for listing
-	idem    map[string]string // idempotency key -> job id
-	retired []*Job            // terminal jobs still in the table, oldest first
-	nextID  int
+	order   []string               // submission order, for listing
+	idem    map[string]string      // idempotency key -> job id
+	retired []*Job                 // terminal jobs still in the table, oldest first
 	held    map[string]heldPayload // key -> the payload copy the table's jobs share (see hold)
 
 	running  atomic.Int64
@@ -256,8 +256,13 @@ func New(cfg Config) (*Server, error) {
 // duplicate — the safety net that lets clients blindly resubmit across
 // daemon restarts. When the server runs with a journal, Submit returns
 // only after the accepted record is fsync'd: from that moment the job
-// survives any crash.
+// survives any crash. A journal wedged by a failed append refuses every
+// submission (ErrJournal) before it is planned, and a refused submission
+// takes no job ID.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
+	if s.jnl != nil && s.jnl.Wedged() {
+		return nil, fmt.Errorf("%w: %v", ErrJournal, journal.ErrWedged)
+	}
 	plan, err := spec.plan(s.cfg.MaxCells)
 	if err != nil {
 		return nil, err
@@ -288,10 +293,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.shedFull.Add(1)
 		return nil, ErrQueueFull
 	}
-	s.jobsMu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("job-%06d", s.nextID)
-	s.jobsMu.Unlock()
+	id := fmt.Sprintf("job-%06d", s.nextID+1)
 	j := newJob(id, spec, plan)
 	// Durable admission: the accepted record must be on disk before the
 	// job becomes visible. A journal that cannot take the record means
@@ -302,10 +304,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 			return nil, fmt.Errorf("service: encode spec: %w", err)
 		}
 		if err := s.jnl.Append(journal.Record{Type: journal.RecAccepted, Job: id, Spec: raw}); err != nil {
-			s.cfg.Logf("staggerd: %s refused, journal append failed: %v", id, err)
+			s.cfg.Logf("staggerd: submission refused, journal append failed: %v", err)
 			return nil, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
+	s.nextID++
 	s.queue <- j
 	s.jobsMu.Lock()
 	s.jobs[id] = j

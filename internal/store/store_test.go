@@ -150,7 +150,7 @@ func TestHandCorruptedEntryRemovedAndHealed(t *testing.T) {
 
 // An entry written under a different format version must be removed,
 // never decoded.
-func TestWrongVersionEntryQuarantined(t *testing.T) {
+func TestWrongVersionEntryRemoved(t *testing.T) {
 	s := openT(t)
 	key, payload := "versioned-key", []byte("payload")
 	if err := s.Put(key, payload); err != nil {
@@ -169,10 +169,10 @@ func TestWrongVersionEntryQuarantined(t *testing.T) {
 	assertDropped(t, s, key)
 }
 
-// TestHalfWrittenEntryQuarantined models the crash window: a truncated
+// TestHalfWrittenEntryRemoved models the crash window: a truncated
 // entry under the live name (torn write on a filesystem without atomic
 // rename, say) must be removed as a length failure.
-func TestHalfWrittenEntryQuarantined(t *testing.T) {
+func TestHalfWrittenEntryRemoved(t *testing.T) {
 	s := openT(t)
 	key, payload := "torn-key", []byte("a payload long enough to truncate meaningfully")
 	if err := s.Put(key, payload); err != nil {
@@ -184,11 +184,12 @@ func TestHalfWrittenEntryQuarantined(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Reason != "length" {
 		t.Fatalf("truncated Get = %v, want CorruptError{length}", err)
 	}
+	assertDropped(t, s, key)
 }
 
-// TestForeignFileQuarantined: garbage dropped at an entry path (wrong
+// TestForeignFileRemoved: garbage dropped at an entry path (wrong
 // magic) is removed rather than parsed.
-func TestForeignFileQuarantined(t *testing.T) {
+func TestForeignFileRemoved(t *testing.T) {
 	s := openT(t)
 	key := "foreign"
 	if err := os.WriteFile(s.entryPath(key), []byte("not an entry at all\n"), 0o644); err != nil {
@@ -199,11 +200,12 @@ func TestForeignFileQuarantined(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Reason != "magic" {
 		t.Fatalf("foreign Get = %v, want CorruptError{magic}", err)
 	}
+	assertDropped(t, s, key)
 }
 
-// TestKeyMismatchQuarantined: an entry copied under the wrong name (its
+// TestKeyMismatchRemoved: an entry copied under the wrong name (its
 // header key disagrees with the requested key) must not be served.
-func TestKeyMismatchQuarantined(t *testing.T) {
+func TestKeyMismatchRemoved(t *testing.T) {
 	s := openT(t)
 	if err := s.Put("key-a", []byte("payload-a")); err != nil {
 		t.Fatal(err)
