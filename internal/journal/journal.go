@@ -36,6 +36,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vfs"
 )
@@ -110,8 +111,10 @@ type Journal struct {
 
 	mu     sync.Mutex
 	f      vfs.File
-	wedged bool
 	closed bool
+	// wedged is written under mu but read without it by Wedged, which
+	// must not wait behind another caller's fsync.
+	wedged atomic.Bool
 
 	appends, appendErrs, replayed, truncated uint64
 }
@@ -232,7 +235,7 @@ func (j *Journal) Append(r Record) error {
 	if j.closed {
 		return errors.New("journal: closed")
 	}
-	if j.wedged {
+	if j.wedged.Load() {
 		j.appendErrs++
 		return ErrWedged
 	}
@@ -245,7 +248,7 @@ func (j *Journal) Append(r Record) error {
 		err = j.f.Sync()
 	}
 	if err != nil {
-		j.wedged = true
+		j.wedged.Store(true)
 		j.appendErrs++
 		return fmt.Errorf("journal: append: %w", err)
 	}
@@ -272,21 +275,17 @@ func (j *Journal) Compact(live []Record) error {
 	}
 	f, err := j.fs.OpenAppend(j.path)
 	if err != nil {
-		j.wedged = true
+		j.wedged.Store(true)
 		return fmt.Errorf("journal: compact reopen: %w", err)
 	}
 	j.f = f
-	j.wedged = false
+	j.wedged.Store(false)
 	return nil
 }
 
 // Wedged reports whether a failed append has wedged the journal, so
 // every Append fails with ErrWedged until it is reopened.
-func (j *Journal) Wedged() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.wedged
-}
+func (j *Journal) Wedged() bool { return j.wedged.Load() }
 
 // Close closes the append handle; further Appends fail.
 func (j *Journal) Close() error {
