@@ -74,8 +74,16 @@ explore-smoke: ## 25 adversarial schedules per cell through the oracle, same byt
 # resumed sweeps), the journal, store and fault-injection filesystem, and
 # cmd/staggerd's daemon harness are concurrent. No package list and no
 # -run pattern: a package or test added later is covered without an edit.
-# internal/harness alone takes 14 min under -race on 2 vCPUs (54 s
+# internal/harness alone takes 14-17 min under -race on 2 vCPUs (54 s
 # without), past go test's default 10-minute deadline, hence -timeout.
+# One `go test -race -count=1 -json ./internal/harness` (996 s in the
+# package, 52 top-level tests, wall time first to last event): the five
+# slowest are TestChaosCampaignOnPaperRuntime 415.5 s (42%),
+# TestPreparedCellMatchesFreshRun 196.8 s (20%), TestFingerprints 145.1 s
+# (15%), TestPaperExperiments 44.8 s and
+# TestExploreCatchesEarlyReleaseAndMinimizes 35.8 s; the rest take 158 s
+# together. TestFingerprints' four lazy t16 rows are 14.6 s of its
+# subtests' 289.3 s (5%), at most 1.5% of the package's 996 s.
 race: ## every package's tests under -race, once, uncached
 	$(GO) test -race -count=1 -timeout 30m ./...
 

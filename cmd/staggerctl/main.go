@@ -5,7 +5,7 @@
 //	staggerctl -addr HOST:PORT submit SPEC-JSON|@file|-   # -> job id
 //	staggerctl -addr HOST:PORT status JOB
 //	staggerctl -addr HOST:PORT wait JOB                   # poll until terminal
-//	staggerctl -addr HOST:PORT result JOB
+//	staggerctl -addr HOST:PORT result JOB                 # JSON array, one compact cell per line
 //	staggerctl -addr HOST:PORT cell JOB N                 # one cell, exact stored bytes
 //	staggerctl -addr HOST:PORT trace JOB N                # Perfetto timeline JSON
 //	staggerctl -addr HOST:PORT cancel JOB
@@ -17,6 +17,12 @@
 //
 //	staggerctl -addr :8080 submit '{"cells":[{"bench":"kmeans","backend":"occ","oracle":true}]}'
 //	staggerctl -addr :8080 submit '{"benchmarks":["intruder"],"backends":["htm","occ","limited"]}'
+//
+// Cell payloads are compact JSON, written as the daemon stores them (a
+// cell has no trailing newline); pipe them through jq to indent:
+//
+//	staggerctl -addr :8080 result job-000001 | jq .
+//	staggerctl -addr :8080 cell job-000001 0 | jq .
 //
 // The exit code is 0 on success, 1 on any HTTP or job-level failure
 // (wait exits 1 if the job ends failed or canceled), so shell scripts

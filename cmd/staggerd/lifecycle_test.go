@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"strings"
@@ -35,8 +36,13 @@ func TestStaggerctlLifecycleAndDrain(t *testing.T) {
 	job := strings.TrimSpace(ctl("submit", spec))
 	ctl("wait", job)
 	first := ctl("result", job)
-	if !strings.Contains(first, `"benchmark": "list-hi"`) {
-		t.Fatalf("result of %s does not report its benchmark:\n%s", job, first)
+	var cells []struct {
+		Report struct {
+			Benchmark string `json:"benchmark"`
+		} `json:"report"`
+	}
+	if err := json.Unmarshal([]byte(first), &cells); err != nil || len(cells) == 0 || cells[0].Report.Benchmark != "list-hi" {
+		t.Fatalf("result of %s does not report its benchmark (%v):\n%s", job, err, first)
 	}
 	if m := ctl("metrics"); !strings.Contains(m, `"done": 1`) {
 		t.Fatalf("metrics after one job do not count it done:\n%s", m)

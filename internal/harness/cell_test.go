@@ -23,25 +23,25 @@ func TestCellKeyGolden(t *testing.T) {
 		key  string
 	}{
 		{harness.Cell{Bench: "list-hi"},
-			`v5|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":3200}`},
+			`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":3200}`},
 		{harness.Cell{Bench: "list-hi", Mode: "sw"},
-			`v5|cell|{"bench":"list-hi","mode":"sw","backend":"staggered","threads":4,"seed":42,"ops":3200}`},
+			`v6|cell|{"bench":"list-hi","mode":"sw","backend":"staggered","threads":4,"seed":42,"ops":3200}`},
 		{harness.Cell{Bench: "list-hi", Backend: "limited", Capacity: 8},
-			`v5|cell|{"bench":"list-hi","mode":"staggered","backend":"limited","capacity":8,"threads":4,"seed":42,"ops":3200}`},
+			`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"limited","capacity":8,"threads":4,"seed":42,"ops":3200}`},
 		{harness.Cell{Bench: "kmeans", Backend: "occ", Oracle: true, Lazy: true, Naive: true},
-			`v5|cell|{"bench":"kmeans","mode":"htm","backend":"occ","threads":4,"seed":42,"ops":2048,"naive":true,"lazy":true,"oracle":true}`},
+			`v6|cell|{"bench":"kmeans","mode":"htm","backend":"occ","threads":4,"seed":42,"ops":2048,"naive":true,"lazy":true,"oracle":true}`},
 		{harness.Cell{Bench: "list-hi", Sched: "pct:3", SchedSeed: 7},
-			`v5|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":3200,"sched":"pct:3","sched_seed":7}`},
+			`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":3200,"sched":"pct:3","sched_seed":7}`},
 		{harness.Cell{Bench: "vacation", Threads: 8, Sched: "random@8192"},
-			`v5|cell|{"bench":"vacation","mode":"staggered","backend":"staggered","threads":8,"seed":42,"ops":2400,"sched":"random@8192"}`},
+			`v6|cell|{"bench":"vacation","mode":"staggered","backend":"staggered","threads":8,"seed":42,"ops":2400,"sched":"random@8192"}`},
 		{harness.Cell{Bench: "list-hi", ChaosRate: 0.01},
-			`v5|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":3200,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`},
+			`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":3200,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`},
 		{harness.Cell{Bench: "tsp", ChaosRate: 0.05, ChaosSeed: 9, Watchdog: 500000000},
-			`v5|cell|{"bench":"tsp","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":992,"chaos_rate":0.05,"chaos_seed":9,"watchdog":500000000}`},
+			`v6|cell|{"bench":"tsp","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":992,"chaos_rate":0.05,"chaos_seed":9,"watchdog":500000000}`},
 		{harness.Cell{Bench: "intruder", Mode: "htm", Threads: 16, Seed: 7, Ops: 300},
-			`v5|cell|{"bench":"intruder","mode":"htm","backend":"htm","threads":16,"seed":7,"ops":300}`},
+			`v6|cell|{"bench":"intruder","mode":"htm","backend":"htm","threads":16,"seed":7,"ops":300}`},
 		{harness.Cell{Bench: "memcached", Mode: "addronly", Threads: 2},
-			`v5|cell|{"bench":"memcached","mode":"addronly","backend":"staggered","threads":2,"seed":42,"ops":3200}`},
+			`v6|cell|{"bench":"memcached","mode":"addronly","backend":"staggered","threads":2,"seed":42,"ops":3200}`},
 	} {
 		nc, _, err := tc.cell.Normalize()
 		if err != nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,11 +105,17 @@ func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 
 // Boot GC keeps exactly the key forms this binary issues — cell keys and
 // explore keys under the current explore version — and evicts the rest:
-// older schemas, and explore payloads under the key form exploreVersion 2
-// retired, which no lookup can reach again.
+// the previous schema's, and explore payloads under the key form
+// exploreVersion 2 retired, which no lookup can reach again. A cell the
+// previous schema stored is then recomputed, not served, and its new
+// payload is compact JSON.
 func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 	dir := t.TempDir()
 	cell, _, err := harness.Cell{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, _, err := harness.Cell{Bench: "list-hi", Threads: 2, Seed: 2, Ops: 200}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +125,14 @@ func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 	}
 	explore := exploreKey(e)
 	keep := []string{cell.Key(), explore}
+	prev := fmt.Sprintf("v%d|", harness.CacheSchema-1)
+	staleKey := prev + strings.TrimPrefix(stale.Key(), fmt.Sprintf("v%d|", harness.CacheSchema))
+	if !strings.HasPrefix(staleKey, prev+"cell|") {
+		t.Fatalf("stale key %q is not a previous-schema cell key", staleKey)
+	}
 	evict := []string{
 		strings.Replace(explore, "|explore.v2|", "|explore|", 1),
-		strings.Replace(cell.Key(), "v5|", "v4|", 1),
+		staleKey,
 	}
 	st, err := store.Open(dir)
 	if err != nil {
@@ -143,5 +156,20 @@ func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 		if _, err := s.store.Get(k); !errors.Is(err, store.ErrNotFound) {
 			t.Fatalf("unissued key %q survived boot GC: %v", k, err)
 		}
+	}
+	j, err := s.Submit(JobSpec{Cells: []harness.Cell{stale}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != JobDone || st.FromStore != 0 {
+		t.Fatalf("resubmitted previous-schema cell: %+v, want done with from_store 0", st)
+	}
+	got := j.payloads()[0]
+	var cr CellResult
+	if err := json.Unmarshal(got, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.Marshal(&cr); !bytes.Equal(got, want) {
+		t.Fatalf("recomputed payload is not compact JSON:\n%s", got)
 	}
 }

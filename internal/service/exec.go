@@ -13,10 +13,11 @@ import (
 )
 
 // CellResult is the durable per-cell payload: the deterministic metrics
-// report plus the cell's own store key, encoded once and stored as-is,
-// so serving a cell is always a byte copy of what was (or would be)
-// written to disk. The JSON is deterministic by construction — fixed
-// struct field order, and obs.Report is map-free and stable-sorted.
+// report plus the cell's own store key, encoded once as compact JSON (no
+// indentation, no trailing newline) and stored as-is, so serving a cell
+// is always a byte copy of what was (or would be) written to disk. The
+// JSON is deterministic by construction — fixed struct field order, and
+// obs.Report is map-free and stable-sorted.
 type CellResult struct {
 	Key string `json:"key"`
 	// ChaosSeed is the fault-schedule seed a chaos cell ran under (zero
@@ -162,11 +163,11 @@ func explore(ctx context.Context, p *jobPlan, key string) ([]byte, error) {
 			Probes:    f.Probes,
 		})
 	}
-	b, err := json.MarshalIndent(&er, "", "  ")
+	b, err := json.Marshal(&er)
 	if err != nil {
 		return nil, fmt.Errorf("encode explore result: %w", err)
 	}
-	return append(b, '\n'), nil
+	return b, nil
 }
 
 // encodeCell renders the durable payload for one freshly computed cell.
@@ -183,11 +184,11 @@ func encodeCell(key string, rc harness.RunConfig, res *harness.Result) ([]byte, 
 	if res.OracleErr != nil {
 		cr.OracleErr = res.OracleErr.Error()
 	}
-	b, err := json.MarshalIndent(&cr, "", "  ")
+	b, err := json.Marshal(&cr)
 	if err != nil {
 		return nil, fmt.Errorf("encode cell result: %w", err)
 	}
-	return append(b, '\n'), nil
+	return b, nil
 }
 
 // storeGet serves a stored key to j, nil when the store cannot: from the

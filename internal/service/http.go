@@ -146,11 +146,12 @@ func (s *Server) jobForRead(w http.ResponseWriter, id string) (*Job, bool) {
 	return nil, false
 }
 
-// handleResult serves every cell payload of a done job as a JSON array.
-// The payloads are written verbatim — the exact bytes the durable store
-// holds — so the response is byte-identical across daemons and restarts.
-// The body is never assembled: its length is summed for the header, and
-// the payloads stream out through a pooled buffer in a few large writes.
+// handleResult serves every cell payload of a done job as a JSON array,
+// one cell per line. The payloads are compact JSON without a trailing
+// newline, written verbatim — the exact bytes the durable store holds —
+// so the response is byte-identical across daemons and restarts. The
+// body is never assembled: its length is summed for the header, and the
+// payloads stream out through a pooled buffer in a few large writes.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobForRead(w, r.PathValue("id"))
 	if !ok {
@@ -159,7 +160,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	payloads := j.payloads()
 	size := len("[\n\n]\n") + len(",\n")*max(len(payloads)-1, 0)
 	for _, p := range payloads {
-		size += len(trimTrailingNewline(p))
+		size += len(p)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(size))
@@ -170,7 +171,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			bw.WriteString(",\n")
 		}
-		bw.Write(trimTrailingNewline(p))
+		bw.Write(p)
 	}
 	bw.WriteString("\n]\n")
 	bw.Flush()
@@ -248,13 +249,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if err := obs.WriteTrace(w, meta, res.Trace); err != nil {
 		s.cfg.Logf("staggerd: trace write: %v", err)
 	}
-}
-
-func trimTrailingNewline(b []byte) []byte {
-	for len(b) > 0 && b[len(b)-1] == '\n' {
-		b = b[:len(b)-1]
-	}
-	return b
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -55,8 +55,8 @@ func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
 // Explore keys before it (plain "v5|explore|") name payloads of
 // campaigns that ran without their cell's lazy, naive and watchdog
 // settings, so those keys must never be found again. Cell payloads were
-// always computed from the whole cell, so CacheSchema, and with it
-// every cell key, stays where it is.
+// always computed from the whole cell, so retiring them took no
+// CacheSchema bump.
 const exploreVersion = 2
 
 // exploreKey is the durable-store key of a normalized campaign: its

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -282,6 +284,34 @@ func TestRunJobEndToEndOverHTTP(t *testing.T) {
 	}
 	if !strings.HasPrefix(cr.Key, fmt.Sprintf("v%d|cell|", harness.CacheSchema)) {
 		t.Fatalf("key %q not schema-tagged", cr.Key)
+	}
+	// The store holds the payload as compact JSON — json.Marshal's bytes,
+	// no indentation, no trailing newline — and the cell endpoint serves
+	// exactly those bytes.
+	stored, err := s.store.Get(cr.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := json.Marshal(&cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, compact) || bytes.Contains(stored, []byte("\n")) {
+		t.Fatalf("stored payload is not compact JSON:\n%q\nwant:\n%q", stored, compact)
+	}
+	if !bytes.Equal(cellBody, stored) {
+		t.Fatalf("GET cells/0 served %q, the store holds %q", cellBody, stored)
+	}
+	_, rc, err := tinySpec(7).Cells[0].Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := harness.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := obs.Snapshot(res); !reflect.DeepEqual(cr.Report, want) {
+		t.Fatalf("served report %+v differs from a direct run's %+v", cr.Report, want)
 	}
 
 	var cells []CellResult
