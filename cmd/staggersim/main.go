@@ -139,7 +139,7 @@ func defineFlags(fs *flag.FlagSet) *opts {
 	fs.StringVar(&c.Sched, "sched", "", "adversarial scheduler: random | pct:<d> (optionally @<window>); replay:<file> reruns a recorded trace's cell and schedule, with the cell flags given overriding its fields")
 	fs.Int64Var(&c.SchedSeed, "sched-seed", 0, "scheduler seed (0 = workload seed)")
 	fs.BoolVar(&c.Oracle, "oracle", false, "check every commit against the serializability oracle")
-	o.trace = fs.Int("trace", 0, "print the first N transaction events (-1 = record all, print none)")
+	o.trace = fs.Int("trace", 0, "print the first N trace events: transaction begin/commit/abort, advisory-lock acquire/release, irrevocable sections (-1 = record all, print none)")
 	o.metricsOut = fs.Bool("metrics", false, "print the run's metrics report as stable-sorted JSON instead of the summary")
 	o.traceOut = fs.String("trace-out", "", "write a Chrome trace-event (Perfetto-loadable) timeline to this file; in -explore, a per-failure timeline next to each -explore-out trace")
 	o.speedup = fs.Bool("speedup", false, "also run 1-thread baseline and report speedup")
@@ -299,7 +299,6 @@ func runCell(rc harness.RunConfig, o *opts) {
 		if rc.TraceN == 0 {
 			rc.TraceN = -1 // whole run
 		}
-		rc.ExtTrace = true
 	}
 	res, err := harness.Run(rc)
 	if err != nil {
@@ -426,7 +425,6 @@ func exportFailureTimeline(rc harness.RunConfig, f *harness.ExploreFailure, path
 	}
 	rc.ReplayPicks = picks
 	rc.TraceN = -1
-	rc.ExtTrace = true
 	res, err := harness.Run(rc)
 	if err != nil {
 		return err

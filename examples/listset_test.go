@@ -65,16 +65,16 @@ func runListset(mode stagger.Mode) (htm.Stats, stagger.Metrics) {
 				key := uint64(rng.Intn(2*nodes))*2 + 2
 				switch r := rng.Intn(100); {
 				case r < 60:
-					th.Atomic(c, abLookup, func(tc simds.Ctx) {
+					th.Atomic(abLookup, func(tc simds.Ctx) {
 						list.Lookup(tc, la, key)
 					})
 				case r < 80:
 					node := c.Machine().Alloc.AllocObject(2)
-					th.Atomic(c, abInsert, func(tc simds.Ctx) {
+					th.Atomic(abInsert, func(tc simds.Ctx) {
 						list.Insert(tc, la, key, node)
 					})
 				default:
-					th.Atomic(c, abDelete, func(tc simds.Ctx) {
+					th.Atomic(abDelete, func(tc simds.Ctx) {
 						list.Delete(tc, la, key)
 					})
 				}

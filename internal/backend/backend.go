@@ -5,9 +5,11 @@
 // software OCC) are compared under identical workloads, serializability
 // oracle, and metrics.
 //
-// A backend supplies per-thread execution contexts whose Atomic method
-// runs an atomic-block body with whatever concurrency control the
-// backend implements. The contract every backend must uphold:
+// A backend supplies one Thread per core, bound to it at creation. Its
+// Atomic method runs an atomic-block body under the backend's concurrency
+// control, and the body receives the Thread itself as its Ctx, reused for
+// every instance, so an instance allocates nothing. The contract every
+// backend must uphold:
 //
 //   - Atomicity. Each Atomic call executes its body as one atomic
 //     operation: the body's Load/Store effects become visible to other
@@ -40,7 +42,8 @@ package backend
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/anchor"
@@ -58,8 +61,10 @@ type Ctx interface {
 	// channels (e.g. labyrinth's privatizing grid snapshot).
 	Core() *htm.Core
 	// Op attaches an opaque operation descriptor to the current
-	// atomic-block instance for the serializability oracle. A cheap
-	// no-op when no oracle is installed.
+	// atomic-block instance for the serializability oracle. Without an
+	// oracle the call does nothing, but a tag that is not already a
+	// pointer is boxed into an interface before the call, so each tagged
+	// op still heap-allocates its tag.
 	Op(tag any)
 	// Compute models n µ-ops of non-memory work inside the block.
 	Compute(uops int)
@@ -69,21 +74,21 @@ type Ctx interface {
 	Store(s *prog.Site, a mem.Addr, v uint64)
 }
 
-// Thread is a backend's per-thread execution context. Each workload
+// Thread is a backend's execution context for one core. Each workload
 // thread body obtains its own Thread and must not share it.
 type Thread interface {
-	// Atomic executes body as one instance of atomic block ab on core
-	// c, under the backend's concurrency control. The body may be
-	// re-executed; see the package contract.
-	Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(Ctx))
+	// Atomic executes body as one instance of atomic block ab on the
+	// thread's core, under the backend's concurrency control. The body
+	// may be re-executed; see the package contract.
+	Atomic(ab *prog.AtomicBlock, body func(Ctx))
 }
 
 // Runtime is one backend instance bound to one machine: a factory for
 // per-thread contexts. Implementations may expose richer concrete APIs;
 // the harness reaches those through capability type assertions.
 type Runtime interface {
-	// Thread returns the context for core tid, creating it on first
-	// use.
+	// Thread returns the context bound to core tid, creating it on
+	// first use.
 	Thread(tid int) Thread
 }
 
@@ -155,14 +160,7 @@ func Get(name string) (Info, error) {
 }
 
 // Names returns the registered backend names in sorted order.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return slices.Sorted(maps.Keys(registry)) }
 
 // Summaries returns "name — summary" lines in sorted name order, for
 // CLI usage text.

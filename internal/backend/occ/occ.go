@@ -105,138 +105,132 @@ func New(m *htm.Machine, opts backend.Options) *Runtime {
 	return rt
 }
 
-// Thread returns the per-thread context for core tid, creating it on
-// first use.
+// Thread returns the context bound to core tid, creating it on first
+// use.
 func (rt *Runtime) Thread(tid int) backend.Thread {
 	if rt.threads[tid] == nil {
-		rt.threads[tid] = &Thread{rt: rt, tid: tid}
+		rt.threads[tid] = &Thread{rt: rt, c: rt.m.Core(tid)}
 	}
 	return rt.threads[tid]
 }
 
-// Thread is the per-thread OCC state: one reusable access context and
-// a deterministic backoff PRNG seeded from the machine seed and thread
-// ID (the simulated-state randomness the arena contract requires).
+// Thread is the per-thread OCC state and the backend.Ctx its bodies
+// receive: the software read set (word → value first observed) and
+// write buffer (word → pending value) of the running attempt, cleared at
+// every attempt's begin, and a deterministic backoff PRNG seeded from
+// the machine seed and core ID (the simulated-state randomness the
+// arena contract requires).
 type Thread struct {
-	rt  *Runtime
-	tid int
-	ctx Ctx
-	rng *rand.Rand
+	rt *Runtime
+	c  *htm.Core
+
+	reads, writes mem.WordSet
+	rng           *rand.Rand
 }
 
 func (th *Thread) rand() *rand.Rand {
 	if th.rng == nil {
-		th.rng = rand.New(rand.NewSource(th.rt.m.Config().Seed*48271 + int64(th.tid)*69621 + 11))
+		th.rng = rand.New(rand.NewSource(th.rt.m.Config().Seed*48271 + int64(th.c.ID())*69621 + 11))
 	}
 	return th.rng
 }
 
-// Atomic executes body as one OCC transaction on core c: optimistic
-// attempts with commit-time validation, then the locked fallback.
-func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ctx)) {
-	if c.ID() != th.tid {
-		panic("occ: thread used on wrong core")
-	}
-	tc := &th.ctx
-	tc.rt, tc.c = th.rt, c
+// Atomic executes body as one OCC transaction on the thread's core:
+// optimistic attempts with commit-time validation, then the locked
+// fallback.
+func (th *Thread) Atomic(ab *prog.AtomicBlock, body func(backend.Ctx)) {
+	c := th.c
 	c.SetABTag(ab.ID)
 	defer c.SetABTag(0)
 	for attempt := 0; attempt < th.rt.retry.MaxRetries; attempt++ {
-		tc.beginAttempt()
+		th.beginAttempt()
 		c.SWTxBegin()
-		body(tc)
-		th.acquireCommitLock(c)
-		if tc.validate(c) {
-			tc.publish(c, false)
-			th.releaseCommitLock(c)
+		body(th)
+		th.acquireCommitLock()
+		if th.validate() {
+			th.publish(false)
+			th.releaseCommitLock()
 			c.SWTxCommit(false)
 			return
 		}
-		th.releaseCommitLock(c)
+		th.releaseCommitLock()
 		c.SWTxAbort(htm.AbortConflict)
 		c.Backoff(th.rt.retry, attempt, th.rand())
 	}
 	// Locked fallback: run the body while holding the commit lock, so
 	// no concurrent commit can invalidate it — publication without
 	// validation, guaranteed progress, counted as irrevocable.
-	th.acquireCommitLock(c)
-	tc.beginAttempt()
+	th.acquireCommitLock()
+	th.beginAttempt()
 	c.SWTxBegin()
-	body(tc)
-	tc.publish(c, true)
-	th.releaseCommitLock(c)
+	body(th)
+	th.publish(true)
+	th.releaseCommitLock()
 	c.SWTxCommit(true)
 }
 
 // acquireCommitLock spins on the commit lock with nontransactional
 // CASes; lock waiting lands in the WaitLock stall category, outside
 // the attempt's useful/wasted split.
-func (th *Thread) acquireCommitLock(c *htm.Core) {
-	for !c.NTCas(th.rt.lockAddr, 0, uint64(c.ID())+1) {
-		c.SpinWait(lockSpin, htm.WaitLock)
+func (th *Thread) acquireCommitLock() {
+	for !th.c.NTCas(th.rt.lockAddr, 0, uint64(th.c.ID())+1) {
+		th.c.SpinWait(lockSpin, htm.WaitLock)
 	}
 }
 
-func (th *Thread) releaseCommitLock(c *htm.Core) {
-	c.NTStore(th.rt.lockAddr, 0)
-}
-
-// Ctx is the OCC access context: the software read set (word → value
-// first observed) and write buffer (word → pending value) of one
-// atomic-block instance. It implements backend.Ctx.
-type Ctx struct {
-	rt *Runtime
-	c  *htm.Core
-
-	reads, writes mem.WordSet
+func (th *Thread) releaseCommitLock() {
+	th.c.NTStore(th.rt.lockAddr, 0)
 }
 
 // beginAttempt clears the read and write sets for a fresh attempt.
-func (t *Ctx) beginAttempt() {
-	t.reads.Reset()
-	t.writes.Reset()
+func (th *Thread) beginAttempt() {
+	th.reads.Reset()
+	th.writes.Reset()
 }
 
 // Core returns the simulated core, for nontransactional side channels.
-func (t *Ctx) Core() *htm.Core { return t.c }
+func (th *Thread) Core() *htm.Core { return th.c }
 
 // Op attaches the operation descriptor reported to the oracle at this
-// instance's serialization point.
-func (t *Ctx) Op(tag any) { t.c.SetOpTag(tag) }
+// instance's serialization point. Without an oracle the call does
+// nothing, but a tag that is not pointer-shaped is boxed into the
+// interface before the call, so each tagged op still heap-allocates its
+// tag.
+func (th *Thread) Op(tag any) { th.c.SetOpTag(tag) }
 
 // Compute models n µ-ops of non-memory work inside the block.
-func (t *Ctx) Compute(uops int) { t.c.Compute(uops) }
+func (th *Thread) Compute(uops int) { th.c.Compute(uops) }
 
 // Load performs the OCC load of site s at address a: own pending write
 // if buffered, otherwise committed memory, logging the first read of
 // each word. Repeated reads of a tracked word return the logged value,
 // so one attempt never observes two versions of the same word.
-func (t *Ctx) Load(s *prog.Site, a mem.Addr) uint64 {
-	t.c.Compute(1) // read-set bookkeeping
+func (th *Thread) Load(s *prog.Site, a mem.Addr) uint64 {
+	th.c.Compute(1) // read-set bookkeeping
 	word := mem.WordOf(a)
-	if v, ok := t.writes.Get(word); ok {
+	if v, ok := th.writes.Get(word); ok {
 		return v
 	}
-	if v, ok := t.reads.Get(word); ok {
+	if v, ok := th.reads.Get(word); ok {
 		return v
 	}
-	v := t.c.NTLoad(a)
-	t.reads.Put(word, v)
+	v := th.c.NTLoad(a)
+	th.reads.Put(word, v)
 	return v
 }
 
 // Store buffers the OCC store of site s in the write set.
-func (t *Ctx) Store(s *prog.Site, a mem.Addr, v uint64) {
-	t.c.Compute(1) // write-buffer bookkeeping
-	t.writes.Put(mem.WordOf(a), v)
+func (th *Thread) Store(s *prog.Site, a mem.Addr, v uint64) {
+	th.c.Compute(1) // write-buffer bookkeeping
+	th.writes.Put(mem.WordOf(a), v)
 }
 
 // validate re-reads every read-set word under the commit lock and
 // compares values: equality proves the whole read set is simultaneously
 // valid now, making this the attempt's serialization point.
-func (t *Ctx) validate(c *htm.Core) bool {
-	for _, r := range t.reads.Words() {
-		if c.NTLoad(r.Addr) != r.Val {
+func (th *Thread) validate() bool {
+	for _, r := range th.reads.Words() {
+		if th.c.NTLoad(r.Addr) != r.Val {
 			return false
 		}
 	}
@@ -246,7 +240,7 @@ func (t *Ctx) validate(c *htm.Core) bool {
 // publish reports the serialization point to the observer (shadow state
 // still pre-publication, matching what validation checked) and then
 // publishes the write set as one atomic batch.
-func (t *Ctx) publish(c *htm.Core, irrevocable bool) {
-	c.ReportAtomic(irrevocable, t.reads.Words(), t.writes.Words())
-	c.NTStoreBatch(t.writes.Words())
+func (th *Thread) publish(irrevocable bool) {
+	th.c.ReportAtomic(irrevocable, th.reads.Words(), th.writes.Words())
+	th.c.NTStoreBatch(th.writes.Words())
 }

@@ -62,7 +62,7 @@ func TestValidationFailureReexecutesAndCountsAbort(t *testing.T) {
 	runs := 0
 	mach.Run([]func(*htm.Core){
 		func(c *htm.Core) {
-			rt.Thread(0).Atomic(c, ab, func(tc backend.Ctx) {
+			rt.Thread(0).Atomic(ab, func(tc backend.Ctx) {
 				runs++
 				v := tc.Load(ld, x)
 				tc.Compute(5000) // the window the rival's store lands in
@@ -99,7 +99,7 @@ func TestAttemptReadsItsOwnLogAndBuffer(t *testing.T) {
 	runs := 0
 	mach.Run([]func(*htm.Core){
 		func(c *htm.Core) {
-			rt.Thread(0).Atomic(c, ab, func(tc backend.Ctx) {
+			rt.Thread(0).Atomic(ab, func(tc backend.Ctx) {
 				runs++
 				first := tc.Load(ld, x)
 				tc.Compute(5000) // the rival's store to x lands here on the first run
@@ -107,7 +107,7 @@ func TestAttemptReadsItsOwnLogAndBuffer(t *testing.T) {
 					t.Errorf("run %d: x read as %d, then as %d, inside one attempt", runs, first, again)
 				}
 				tc.Store(st, y, first+1)
-				ctx, loads := tc.(*Ctx), c.Stats().NTLoads
+				ctx, loads := tc.(*Thread), c.Stats().NTLoads
 				if got := tc.Load(ld, y); got != first+1 {
 					t.Errorf("run %d: read %d back from y after buffering %d", runs, got, first+1)
 				}
@@ -138,7 +138,7 @@ func TestWriteSetVisibleAllOrNothing(t *testing.T) {
 	bodies := []func(*htm.Core){func(c *htm.Core) {
 		th := rt.Thread(0)
 		for g := uint64(1); g <= gens; g++ {
-			th.Atomic(c, ab, func(tc backend.Ctx) {
+			th.Atomic(ab, func(tc backend.Ctx) {
 				for _, a := range w {
 					tc.Store(st, a, g)
 					tc.Compute(20)
@@ -154,7 +154,7 @@ func TestWriteSetVisibleAllOrNothing(t *testing.T) {
 			th := rt.Thread(c.ID())
 			for k := 0; k < reads; k++ {
 				var got [8]uint64
-				th.Atomic(c, ab, func(tc backend.Ctx) {
+				th.Atomic(ab, func(tc backend.Ctx) {
 					for i, a := range w {
 						got[i] = tc.Load(ld, a)
 						tc.Compute(30) // stretch the snapshot across the writer's commits
@@ -199,7 +199,7 @@ func TestFallbackAfterMaxRetriesCommits(t *testing.T) {
 	runs := 0
 	mach.Run([]func(*htm.Core){
 		func(c *htm.Core) {
-			rt.Thread(0).Atomic(c, ab, func(tc backend.Ctx) {
+			rt.Thread(0).Atomic(ab, func(tc backend.Ctx) {
 				runs++
 				v := tc.Load(ld, x)
 				tc.Compute(12000) // 3000 cycles at 4 µ-ops a cycle
@@ -209,7 +209,7 @@ func TestFallbackAfterMaxRetriesCommits(t *testing.T) {
 		func(c *htm.Core) {
 			th := rt.Thread(1)
 			for k := 0; k < rivals; k++ {
-				th.Atomic(c, ab, func(tc backend.Ctx) {
+				th.Atomic(ab, func(tc backend.Ctx) {
 					tc.Store(st, x, tc.Load(ld, x)+1)
 				})
 			}

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/anchor"
 	"repro/internal/backend"
 	"repro/internal/htm"
+	"repro/internal/prog"
 	"repro/internal/stagger"
 	"repro/internal/workloads"
 )
@@ -121,6 +123,51 @@ func TestArenaEngineEquivalence(t *testing.T) {
 	}
 	if a, b := run("limited", nil), run("limited", nil); !reflect.DeepEqual(a, b) {
 		t.Fatalf("limited: two runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestArenaAtomicAllocatesNothing holds every registered backend to the
+// arena contract's reuse rule: a thread's context serves all its
+// instances, so a tag-free atomic-block body costs no heap allocation
+// per instance in steady state. Comparing two run lengths cancels the
+// fixed cost of the machine, the runtime and the thread.
+func TestArenaAtomicAllocatesNothing(t *testing.T) {
+	mod := prog.NewModule("counter")
+	f := mod.NewFunc("incr", "p")
+	ld := f.Entry().Load(f.Param(0), "val")
+	st := f.Entry().Store(f.Param(0), "val")
+	ab := mod.Atomic("incr", f)
+	mod.MustFinalize()
+	comp := anchor.Compile(mod, anchor.DefaultOptions())
+	for _, name := range backend.Names() {
+		bk, _ := backend.Get(name)
+		run := func(instances int) func() {
+			return func() {
+				mcfg := htm.DefaultConfig()
+				mcfg.Cores = 1
+				if bk.PrepareMachine != nil {
+					bk.PrepareMachine(&mcfg, backend.Options{})
+				}
+				mach := htm.New(mcfg)
+				a := mach.Alloc.AllocLines(1)
+				body := func(tc backend.Ctx) { tc.Store(st, a, tc.Load(ld, a)+1) }
+				brt, err := bk.New(mach, comp, backend.Options{StaggerConfig: stagger.DefaultConfig(stagger.ModeHTM)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mach.Run([]func(*htm.Core){func(c *htm.Core) {
+					th := brt.Thread(c.ID())
+					for i := 0; i < instances; i++ {
+						th.Atomic(ab, body)
+					}
+				}})
+			}
+		}
+		short, long := testing.AllocsPerRun(5, run(1000)), testing.AllocsPerRun(5, run(3000))
+		if long != short {
+			t.Errorf("%s: %.2f allocations per instance (1000 instances %.0f, 3000 instances %.0f), want 0",
+				name, (long-short)/2000, short, long)
+		}
 	}
 }
 

@@ -35,13 +35,13 @@ import (
 // stores payloads as compact JSON.
 const CacheSchema = 6
 
-// A non-zero uncacheable RunConfig field is a machine/runtime override
+// A non-zero uncacheable RunConfig field is a runtime override
 // or a run-scoped side channel (trace capture, fault injection,
 // watchdogs, pick recording/replay), so the run executes for real every
 // time. Every other field is simulation input that its Cell encodes, and
 // the memo key is that Cell's Key (TestRunConfigFieldsKeyedOrUncacheable).
-var uncacheable = []string{"TraceN", "ExtTrace", "Machine", "Stagger", "Chaos", "Watchdog",
-	"WatchdogTrace", "Record", "ReplayPicks"}
+var uncacheable = []string{"TraceN", "Stagger", "Chaos", "Watchdog", "WatchdogTrace",
+	"Record", "ReplayPicks"}
 
 var (
 	cacheMu sync.Mutex

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/htm"
 	"repro/internal/stagger"
 )
 
@@ -109,12 +108,12 @@ func TestSweepIsolatesPanics(t *testing.T) {
 	good := RunConfig{Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW,
 		Threads: 2, Seed: 13, TotalOps: 60}
 	bad := good
-	// A machine override with a misaligned heap base fails htm.Config
-	// validation, which panics inside the run — the exact poisoned-config
-	// shape the service layer must survive.
-	mc := htm.DefaultConfig()
-	mc.HeapBase = 3
-	bad.Machine = &mc
+	// A runtime override with a lock table that is not a power of two
+	// fails stagger.Config validation, which panics inside the run — the
+	// exact poisoned-config shape the service layer must survive.
+	sc := stagger.DefaultConfig(stagger.ModeStaggeredHW)
+	sc.NumLocks = 3
+	bad.Stagger = &sc
 
 	for _, workers := range []int{1, 2} {
 		out := RunAll(context.Background(), []RunConfig{good, bad, good}, workers)

@@ -94,14 +94,11 @@ func (c Cell) Normalize() (Cell, RunConfig, error) {
 // CellOf encodes rc as a Cell, the inverse of Normalize's lowering. The
 // side channels (trace capture, the watchdog's trace ring, pick
 // recording and replay) are not simulation input and are dropped. A
-// Machine or Stagger override, or a fault mix other than chaos.Scaled,
-// has no spelling, and is an error rather than a Cell that names some
-// other simulation.
+// Stagger override, or a fault mix other than chaos.Scaled, has no
+// spelling, and is an error rather than a Cell that names some other
+// simulation.
 func CellOf(rc RunConfig) (Cell, error) {
-	switch {
-	case rc.Machine != nil:
-		return Cell{}, fmt.Errorf("harness: a Machine override has no cell encoding")
-	case rc.Stagger != nil:
+	if rc.Stagger != nil {
 		return Cell{}, fmt.Errorf("harness: a Stagger override has no cell encoding")
 	}
 	c := Cell{

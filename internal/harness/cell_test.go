@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
-	"repro/internal/htm"
 	"repro/internal/stagger"
 	"repro/internal/workloads"
 )
@@ -65,7 +64,7 @@ func TestCellOfRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.TraceN, want.ExtTrace = 0, false
+			want.TraceN = 0
 			c, err := harness.CellOf(rc)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", wl, corpusVariants[v].name, err)
@@ -86,12 +85,10 @@ func TestCellOfRoundTrip(t *testing.T) {
 // different simulation.
 func TestCellOfRefusesOverrides(t *testing.T) {
 	base := harness.RunConfig{Benchmark: "list-hi", Threads: 4, Sched: "random"}
-	mcfg := htm.DefaultConfig()
 	scfg := stagger.DefaultConfig(stagger.ModeStaggeredHW)
 	mixed := chaos.Scaled(0.01, 42)
 	mixed.AbortRate = 0.05 // no longer one rate for every class
 	for name, set := range map[string]func(*harness.RunConfig){
-		"Machine":   func(rc *harness.RunConfig) { rc.Machine = &mcfg },
 		"Stagger":   func(rc *harness.RunConfig) { rc.Stagger = &scfg },
 		"fault mix": func(rc *harness.RunConfig) { rc.Chaos = &mixed },
 	} {

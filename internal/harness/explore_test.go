@@ -433,7 +433,7 @@ func TestOracleCleanAcrossWorkloadsAndModes(t *testing.T) {
 func TestWatchdogTripPoisonsPreparedCell(t *testing.T) {
 	rc := RunConfig{
 		Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW, Threads: 4, Seed: 42, TotalOps: 160,
-		Sched: "pct:3", SchedSeed: 7, Oracle: true, TraceN: -1, ExtTrace: true, WatchdogTrace: 256,
+		Sched: "pct:3", SchedSeed: 7, Oracle: true, TraceN: -1, WatchdogTrace: 256,
 	}
 	mustRun := func(rc RunConfig) *Result {
 		t.Helper()

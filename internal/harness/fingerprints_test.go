@@ -133,7 +133,7 @@ func corpusOps(bench string) int {
 // oracle installed.
 func corpusCell(bench string, seed int64, threads, ops, variant int) harness.RunConfig {
 	rc := harness.RunConfig{Benchmark: bench, Threads: threads, Seed: seed, TotalOps: ops,
-		TraceN: -1, ExtTrace: true, Oracle: true}
+		TraceN: -1, Oracle: true}
 	corpusVariants[variant].apply(&rc)
 	return rc
 }

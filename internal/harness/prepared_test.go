@@ -52,7 +52,7 @@ func TestPreparedCellMatchesFreshRun(t *testing.T) {
 		for _, bk := range backend.Names() {
 			base := harness.RunConfig{
 				Benchmark: bench, Backend: bk, Threads: 4, Seed: 42, TotalOps: 120,
-				Oracle: true, TraceN: -1, ExtTrace: true,
+				Oracle: true, TraceN: -1,
 			}
 			if bk == "limited" {
 				base.Capacity = 8

@@ -65,16 +65,11 @@ type RunConfig struct {
 	// conflict detection — the lazy-TM extension the paper's conclusion
 	// proposes.
 	Lazy bool
-	// TraceN records the first N transaction events (begin/commit/abort)
-	// for diagnostics; 0 disables tracing, negative records the whole run.
+	// TraceN records the first N transaction events for diagnostics and
+	// timeline export (internal/obs): begin/commit/abort plus the extended
+	// events (advisory-lock acquire/release, irrevocable section
+	// boundaries). 0 disables tracing, negative records the whole run.
 	TraceN int
-	// ExtTrace additionally records extended observability events
-	// (advisory-lock acquire/release, irrevocable section boundaries) for
-	// timeline export (internal/obs). Requires TraceN != 0.
-	ExtTrace bool
-	// Machine optionally overrides the simulated machine configuration;
-	// nil uses the paper's Table 2 machine.
-	Machine *htm.Config
 	// Stagger optionally overrides the runtime configuration; nil uses
 	// the paper's parameters for the selected mode.
 	Stagger *stagger.Config
@@ -83,7 +78,7 @@ type RunConfig struct {
 	Chaos *chaos.Config
 	// Watchdog bounds each core's virtual clock; a run exceeding it fails
 	// loudly with the last trace events instead of hanging (0 = no
-	// bound). Overrides Machine.WatchdogCycles when nonzero.
+	// bound).
 	Watchdog uint64
 	// WatchdogTrace sizes the watchdog's last-events ring (0 = the htm
 	// default). Exploration campaigns raise it so a timed-out adversarial
@@ -331,9 +326,6 @@ func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 	w := p.w
 
 	mcfg := htm.DefaultConfig()
-	if rc.Machine != nil {
-		mcfg = *rc.Machine
-	}
 	if rc.Threads > mcfg.Cores {
 		return nil, fmt.Errorf("harness: %d threads exceed %d cores", rc.Threads, mcfg.Cores)
 	}
@@ -369,11 +361,7 @@ func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 		if limit < 0 {
 			limit = 0 // unlimited
 		}
-		if rc.ExtTrace {
-			mach.EnableTraceExt(limit)
-		} else {
-			mach.EnableTrace(limit)
-		}
+		mach.EnableTraceExt(limit)
 	}
 
 	var recorder *sched.Recorder

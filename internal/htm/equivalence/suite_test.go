@@ -128,7 +128,7 @@ func TestEngineEquivalenceSuite(t *testing.T) {
 			for _, v := range variants {
 				names = append(names, fmt.Sprintf("%s/seed%d/%s", bench, seed, v.name))
 				rc := harness.RunConfig{Benchmark: bench, Threads: 4, Seed: seed, TotalOps: ops(bench),
-					TraceN: -1, ExtTrace: true, Oracle: true}
+					TraceN: -1, Oracle: true}
 				v.apply(&rc)
 				rc.Record = rc.Sched != ""
 				cfgs = append(cfgs, rc)

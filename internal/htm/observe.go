@@ -45,8 +45,10 @@ func (m *Machine) SetObserver(o TxObserver) {
 // SetOpTag attaches an opaque operation descriptor to the core's current
 // atomic section; it is handed to the observer's OnCommit and then
 // cleared. Workload bodies use it to tell the serializability oracle
-// which logical operation each commit performed. Setting a tag with no
-// observer installed is a cheap no-op.
+// which logical operation each commit performed. With no observer
+// installed the call does nothing, but a caller passing a value that is
+// not pointer-shaped has already boxed it into the interface, one heap
+// allocation per tag.
 func (c *Core) SetOpTag(tag any) {
 	if c.m.observer != nil {
 		c.opTag = tag

@@ -27,7 +27,6 @@ func obsConfig(seed int64) harness.RunConfig {
 		Seed:      seed,
 		TotalOps:  800,
 		TraceN:    -1,
-		ExtTrace:  true,
 	}
 }
 
@@ -243,7 +242,7 @@ func TestTraceSchema(t *testing.T) {
 		t.Errorf("tx slices unbalanced: %d B vs %d E", txB, txE)
 	}
 	if lockB == 0 {
-		t.Error("no advisory-lock holding intervals exported (ExtTrace run should have them)")
+		t.Error("no advisory-lock holding intervals exported (a traced run records them)")
 	}
 	if lockB != lockE {
 		t.Errorf("lock intervals unbalanced: %d b vs %d e", lockB, lockE)

@@ -39,7 +39,7 @@ import (
 
 // RefModel is a sequential reference model of one workload. Step applies
 // one committed operation tag (the workload-defined value passed to
-// TxCtx.Op) and returns an error if the operation's observed behaviour is
+// backend.Ctx.Op) and returns an error if the operation's observed behaviour is
 // inconsistent with the model's sequential execution of the commit order.
 type RefModel interface {
 	Step(tag any) error

@@ -229,7 +229,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := j.plan.cells[n]
 	rc.TraceN = -1
-	rc.ExtTrace = true
 	res, err := harness.RunCtx(r.Context(), rc)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "trace re-run: "+err.Error())

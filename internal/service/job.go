@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,23 +26,30 @@ const (
 	KindExplore = "explore"
 )
 
-// ExploreSpec is the wire form of a schedule-exploration campaign.
+// ExploreSpec is the wire form of a schedule-exploration campaign. Its
+// scheduler is Sched or, when that is empty, the cell's own sched; a
+// spec that names two different schedulers is refused.
 type ExploreSpec struct {
 	Cell     harness.Cell `json:"cell"`
-	Sched    string       `json:"sched,omitempty"` // "" = "pct:3"
+	Sched    string       `json:"sched,omitempty"` // "" = the cell's sched, else "pct:3"
 	Runs     int          `json:"runs,omitempty"`  // 0 = 100
 	Minimize bool         `json:"minimize,omitempty"`
 }
 
+// normalized validates e and spells it one way: the scheduler lives in
+// Sched and the cell's sched is cleared, so both spellings of a
+// campaign share one key.
 func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
 	cell, rc, err := e.Cell.Normalize()
 	if err != nil {
 		return e, rc, err
 	}
-	e.Cell = cell
-	if e.Sched == "" {
-		e.Sched = harness.DefaultExploreSched
+	if e.Sched != "" && cell.Sched != "" && e.Sched != cell.Sched {
+		return e, rc, fmt.Errorf("explore: sched %q differs from the cell's sched %q", e.Sched, cell.Sched)
 	}
+	e.Sched = cmp.Or(e.Sched, cell.Sched, harness.DefaultExploreSched)
+	cell.Sched = ""
+	e.Cell = cell
 	if _, err := sched.Parse(e.Sched); err != nil {
 		return e, rc, fmt.Errorf("explore: %w", err)
 	}

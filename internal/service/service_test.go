@@ -645,6 +645,43 @@ func TestExploreJobRunsAndIsDurable(t *testing.T) {
 	}
 }
 
+// TestExploreJobTakesItsCellsSched: an explore spec whose campaign names
+// no scheduler explores under its cell's sched, pct:3 only when neither
+// names one, and a spec naming two different schedulers is a 400 at
+// submit. Both spellings of one campaign share one key.
+func TestExploreJobTakesItsCellsSched(t *testing.T) {
+	s := newT(t, Config{})
+	plan := func(cellSched, sched string) (*jobPlan, error) {
+		return JobSpec{Explore: &ExploreSpec{
+			Cell:  harness.Cell{Bench: "list-hi", Threads: 2, Ops: 120, Sched: cellSched},
+			Sched: sched,
+		}}.plan(s.cfg.MaxCells)
+	}
+	for _, tc := range []struct{ cellSched, sched, want string }{
+		{"random", "", "random"},
+		{"", "random", "random"},
+		{"random", "random", "random"},
+		{"", "", harness.DefaultExploreSched},
+	} {
+		p, err := plan(tc.cellSched, tc.sched)
+		if err != nil {
+			t.Fatalf("cell sched %q, explore sched %q: %v", tc.cellSched, tc.sched, err)
+		}
+		if got := p.cells[0].Sched; got != tc.want {
+			t.Errorf("cell sched %q, explore sched %q: campaign runs %q, want %q", tc.cellSched, tc.sched, got, tc.want)
+		}
+		if want, _ := plan("", tc.want); p.keys[0] != want.keys[0] {
+			t.Errorf("cell sched %q, explore sched %q: key %s, want %s", tc.cellSched, tc.sched, p.keys[0], want.keys[0])
+		}
+	}
+	body := `{"explore":{"cell":{"bench":"list-hi","sched":"random"},"sched":"pct:3"}}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("POST %s = %d %s, want 400", body, rec.Code, rec.Body)
+	}
+}
+
 // TestExploreJobRunsItsWholeCell: an explore job explores the cell it
 // names, watchdog included, so a watchdog far below the cell's makespan
 // fails the job on the watchdog trip. Its key carries the explore

@@ -31,7 +31,7 @@ func TestBPTreeLargeRandomProperty(t *testing.T) {
 				for i := 0; i < 3000; i++ {
 					if rng.Intn(5) < 3 || len(model) == 0 {
 						k := uint64(rng.Intn(1 << 20))
-						th.Atomic(c, ab, func(tc Ctx) {
+						th.Atomic(ab, func(tc Ctx) {
 							bt.Insert(tc, tree, k, alloc)
 						})
 						pos := sort.Search(len(model), func(j int) bool { return model[j] > k })
@@ -41,7 +41,7 @@ func TestBPTreeLargeRandomProperty(t *testing.T) {
 					} else {
 						want := model[0]
 						model = model[1:]
-						th.Atomic(c, ab, func(tc Ctx) {
+						th.Atomic(ab, func(tc Ctx) {
 							got, ok := bt.PopMin(tc, tree)
 							if !ok || got != want {
 								t.Fatalf("op %d: pop = %d,%v; want %d", i, got, ok, want)
@@ -74,14 +74,14 @@ func TestRBTreeLargeRandomProperty(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				node := mach.Alloc.AllocLines(1)
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					rb.Insert(tc, tree, k, k, node)
 				})
 				if _, ok := model[k]; !ok {
 					model[k] = k
 				}
 			case 1:
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					_, existed := model[k]
 					if rb.Update(tc, tree, k, 1) != existed {
 						t.Fatalf("update(%d) vs model", k)
@@ -91,7 +91,7 @@ func TestRBTreeLargeRandomProperty(t *testing.T) {
 					model[k]++
 				}
 			default:
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					got, ok := rb.Lookup(tc, tree, k)
 					want, wok := model[k]
 					if ok != wok || got != want {
@@ -157,12 +157,12 @@ func TestHashTableManyKeysProperty(t *testing.T) {
 			v := uint64(rng.Intn(1 << 30))
 			if rng.Intn(3) > 0 {
 				node := mach.Alloc.AllocLines(1)
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					h.Insert(tc, ht, k, v, node)
 				})
 				model[k] = v
 			} else {
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					got, ok := h.Lookup(tc, ht, k)
 					want, wok := model[k]
 					if ok != wok || (ok && got != want) {
@@ -201,11 +201,11 @@ func TestListConcurrentMixedWorkloadLinearizable(t *testing.T) {
 			for k := 0; k < perThread; k++ {
 				key := uint64(100 + tid*100 + k)
 				node := mach.Alloc.AllocObject(2)
-				th.Atomic(c, abI, func(tc Ctx) {
+				th.Atomic(abI, func(tc Ctx) {
 					l.Insert(tc, list, key, node)
 				})
 				if k%3 == 0 {
-					th.Atomic(c, abD, func(tc Ctx) {
+					th.Atomic(abD, func(tc Ctx) {
 						l.Delete(tc, list, key)
 					})
 				}
@@ -261,14 +261,14 @@ func TestQueuePushPopPairsConcurrent(t *testing.T) {
 			for k := 0; k < 25; k++ {
 				node := mach.Alloc.AllocLines(1)
 				v := uint64(tid*1000 + k)
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					q.Push(tc, qa, v, node)
 				})
 				// The body may re-execute on abort, so record the popped
 				// value only after the transaction has committed.
 				var got uint64
 				var ok bool
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					got, ok = q.Pop(tc, qa)
 				})
 				if ok {

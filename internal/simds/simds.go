@@ -25,8 +25,8 @@ import (
 )
 
 // Ctx is the access context data structure operations run against: the
-// arena-wide backend.Ctx interface (stagger's *TxCtx and the OCC
-// context both implement it).
+// arena-wide backend.Ctx interface (each backend's *Thread implements
+// it).
 type Ctx = backend.Ctx
 
 // Direct returns an untimed context over m's memory, for running a

@@ -35,7 +35,7 @@ func single(t testing.TB, m *prog.Module, ab *prog.AtomicBlock,
 	env := setup(mach)
 	mach.Run([]func(*htm.Core){func(c *htm.Core) {
 		th := rt.Thread(0)
-		th.Atomic(c, ab, func(tc Ctx) {
+		th.Atomic(ab, func(tc Ctx) {
 			body(tc, mach, env)
 		})
 	}})
@@ -97,7 +97,7 @@ func TestListInsertDeleteModel(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			k := uint64(rng.Intn(40))*2 + 2
 			op := rng.Intn(3)
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				switch op {
 				case 0:
 					node := mach.Alloc.AllocLines(1)
@@ -156,7 +156,7 @@ func TestListConcurrentInserts(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				key := uint64(1 + tid*20 + j)
 				node := nodes[tid][j]
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					l.Insert(tc, list, key, node)
 				})
 			}
@@ -189,7 +189,7 @@ func TestQueueFIFO(t *testing.T) {
 		th := rt.Thread(0)
 		var got []uint64
 		for i := 0; i < 3; i++ {
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				v, ok := q.Pop(tc, qa)
 				if !ok {
 					t.Error("unexpected empty")
@@ -197,7 +197,7 @@ func TestQueueFIFO(t *testing.T) {
 				got = append(got, v)
 			})
 		}
-		th.Atomic(c, ab, func(tc Ctx) {
+		th.Atomic(ab, func(tc Ctx) {
 			if _, ok := q.Pop(tc, qa); ok {
 				t.Error("pop from empty succeeded")
 			}
@@ -211,14 +211,14 @@ func TestQueueFIFO(t *testing.T) {
 		for i := 10; i < 13; i++ {
 			node := mach.Alloc.AllocLines(1)
 			v := uint64(i)
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				q.Push(tc, qa, v, node)
 			})
 		}
 		if n := QueueLen(mach, qa); n != 3 {
 			t.Errorf("len = %d, want 3", n)
 		}
-		th.Atomic(c, ab, func(tc Ctx) {
+		th.Atomic(ab, func(tc Ctx) {
 			if v, ok := q.Pop(tc, qa); !ok || v != 10 {
 				t.Errorf("pop = %d,%v; want 10", v, ok)
 			}
@@ -254,7 +254,7 @@ func TestQueueConcurrentConservation(t *testing.T) {
 			th := rt.Thread(c.ID())
 			for j := 0; ; j++ {
 				done := false
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					v, ok := q.Pop(tc, src)
 					if !ok {
 						done = true
@@ -309,7 +309,7 @@ func TestHashTableModel(t *testing.T) {
 			v := uint64(rng.Intn(1000))
 			if rng.Intn(2) == 0 {
 				node := mach.Alloc.AllocLines(1)
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					_, existed := model[k]
 					if h.Insert(tc, ht, k, v, node) != !existed {
 						t.Errorf("insert(%d) vs model", k)
@@ -317,7 +317,7 @@ func TestHashTableModel(t *testing.T) {
 				})
 				model[k] = v
 			} else {
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					got, ok := h.Lookup(tc, ht, k)
 					want, wok := model[k]
 					if ok != wok || (ok && got != want) {
@@ -364,7 +364,7 @@ func TestBPTreeSortsRandomKeys(t *testing.T) {
 		th := rt.Thread(0)
 		for _, k := range keys {
 			key := k
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				bt.Insert(tc, tree, key, alloc)
 			})
 		}
@@ -375,7 +375,7 @@ func TestBPTreeSortsRandomKeys(t *testing.T) {
 		for {
 			var v uint64
 			var ok bool
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				v, ok = bt.PopMin(tc, tree)
 			})
 			if !ok {
@@ -410,13 +410,13 @@ func TestBPTreeInterleavedHeapModel(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			if rng.Intn(3) != 0 || model.Len() == 0 {
 				k := uint64(rng.Intn(1000))
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					bt.Insert(tc, tree, k, alloc)
 				})
 				heap.Push(model, k)
 			} else {
 				want := heap.Pop(model).(uint64)
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					got, ok := bt.PopMin(tc, tree)
 					if !ok || got != want {
 						t.Errorf("op %d: pop = %d,%v; want %d", i, got, ok, want)
@@ -447,13 +447,13 @@ func TestBPTreeConcurrentPQ(t *testing.T) {
 			al := func(lines int) mem.Addr { return mach.Alloc.AllocLines(lines) }
 			for j := 0; j < 15; j++ {
 				k := uint64(tid*100 + j)
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					bt.Insert(tc, tree, k, al)
 				})
 			}
 			for {
 				var ok bool
-				th.Atomic(c, ab, func(tc Ctx) {
+				th.Atomic(ab, func(tc Ctx) {
 					_, ok = bt.PopMin(tc, tree)
 				})
 				if !ok {
@@ -488,7 +488,7 @@ func TestRBTreeInsertLookup(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			k := uint64(rng.Intn(200) + 1)
 			node := mach.Alloc.AllocLines(1)
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				_, existed := model[k]
 				if rb.Insert(tc, tree, k, k*10, node) != !existed {
 					t.Errorf("insert(%d) vs model", k)
@@ -500,7 +500,7 @@ func TestRBTreeInsertLookup(t *testing.T) {
 		}
 		for k, v := range model {
 			key, want := k, v
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				got, ok := rb.Lookup(tc, tree, key)
 				if !ok || got != want {
 					t.Errorf("lookup(%d) = %d,%v; want %d", key, got, ok, want)
@@ -529,7 +529,7 @@ func TestRBTreeUpdate(t *testing.T) {
 	SeedRBTree(mach, tree, []uint64{1, 2, 3, 4, 5}, func(k uint64) uint64 { return 100 })
 	mach.Run([]func(*htm.Core){func(c *htm.Core) {
 		th := rt.Thread(0)
-		th.Atomic(c, ab, func(tc Ctx) {
+		th.Atomic(ab, func(tc Ctx) {
 			if !rb.Update(tc, tree, 3, 5) {
 				t.Error("update of existing key failed")
 			}
@@ -572,7 +572,7 @@ func TestCentersAccumulate(t *testing.T) {
 		th := rt.Thread(0)
 		for i := 0; i < 10; i++ {
 			k := i % 4
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				cs.Update(tc, base, k, []uint64{1, 2, 3})
 			})
 		}
@@ -604,12 +604,12 @@ func TestGridClaimAndConflictCheck(t *testing.T) {
 		th := rt.Thread(0)
 		path1 := []mem.Addr{g.CellAddr(cells, 0, 0, 0), g.CellAddr(cells, 1, 0, 0)}
 		path2 := []mem.Addr{g.CellAddr(cells, 1, 0, 0), g.CellAddr(cells, 2, 0, 0)}
-		th.Atomic(c, ab, func(tc Ctx) {
+		th.Atomic(ab, func(tc Ctx) {
 			if !g.ClaimPath(tc, base, path1, 7, 50) {
 				t.Error("claim of free path failed")
 			}
 		})
-		th.Atomic(c, ab, func(tc Ctx) {
+		th.Atomic(ab, func(tc Ctx) {
 			if g.ClaimPath(tc, base, path2, 8, 50) {
 				t.Error("claim over occupied cell succeeded")
 			}
@@ -634,7 +634,7 @@ func TestGridSnapshot(t *testing.T) {
 	buf := make([]uint64, 16)
 	mach.Run([]func(*htm.Core){func(c *htm.Core) {
 		th := rt.Thread(0)
-		th.Atomic(c, ab, func(tc Ctx) {
+		th.Atomic(ab, func(tc Ctx) {
 			g.Snapshot(tc, cells, buf)
 		})
 	}})
@@ -654,7 +654,7 @@ func TestStatsBump(t *testing.T) {
 	mach.Run([]func(*htm.Core){func(c *htm.Core) {
 		th := rt.Thread(0)
 		for i := 0; i < 5; i++ {
-			th.Atomic(c, ab, func(tc Ctx) {
+			th.Atomic(ab, func(tc Ctx) {
 				sb.Bump(tc, stats, 2, 3)
 			})
 		}

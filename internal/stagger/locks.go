@@ -27,63 +27,63 @@ func (rt *Runtime) lockFor(a mem.Addr) mem.Addr {
 // addr is held by this transaction. Waiting advances only virtual time;
 // the spin uses nontransactional loads so the eventual release by the
 // owner cannot abort us.
-func (t *TxCtx) acquireLockFor(addr mem.Addr) {
-	rt := t.th.rt
+func (th *Thread) acquireLockFor(addr mem.Addr) {
+	rt := th.rt
 	// Lock-acquire ordering is a pure scheduling decision point: under an
 	// adversarial scheduler the engine may hand the token to a competing
 	// core right here, exploring acquisition races the fixed
 	// minimum-virtual-time order can never produce.
-	t.c.SchedPoint()
+	th.c.SchedPoint()
 	lock := rt.lockFor(addr)
-	deadline := t.c.Now() + rt.cfg.LockTimeout
+	deadline := th.c.Now() + rt.cfg.LockTimeout
 	announced := false
 	for {
-		if t.c.NTLoad(lock) == 0 && t.c.NTCas(lock, 0, uint64(t.th.tid)+1) {
-			t.lock, t.lockAt = lock, t.c.Now()
+		if th.c.NTLoad(lock) == 0 && th.c.NTCas(lock, 0, uint64(th.c.ID())+1) {
+			th.lock, th.lockAt = lock, th.c.Now()
 			rt.Metrics.LocksAcquired++
-			rt.abMetrics(t.abc.ab).Locks++
-			t.c.Annotate(htm.TraceLockAcquire, lock)
+			th.abc.m.Locks++
+			th.c.Annotate(htm.TraceLockAcquire, lock)
 			return
 		}
 		if !announced {
 			// Tell the holder someone waited, so its commit knows the
 			// lock was contended.
-			t.c.NTStore(lock+mem.WordSize, 1)
+			th.c.NTStore(lock+mem.WordSize, 1)
 			announced = true
 		}
-		if t.c.Now() >= deadline {
+		if th.c.Now() >= deadline {
 			rt.Metrics.LockTimeouts++
 			return // proceed without the lock (purely advisory)
 		}
-		t.c.SpinWait(rt.cfg.LockSpin, htm.WaitLock)
+		th.c.SpinWait(rt.cfg.LockSpin, htm.WaitLock)
 	}
 }
 
 // lockContended reports whether any thread waited on the held lock.
-func (t *TxCtx) lockContended() bool {
-	return t.lock != 0 && t.c.NTLoad(t.lock+mem.WordSize) != 0
+func (th *Thread) lockContended() bool {
+	return th.lock != 0 && th.c.NTLoad(th.lock+mem.WordSize) != 0
 }
 
 // releaseLock frees the held advisory lock, if any, clearing the
 // contention flag for the next holding period. Under an installed
 // LockFaults hook the release may be lost ("the holder died"), leaving
 // the stale word for every waiter to time out against.
-func (t *TxCtx) releaseLock() {
-	if t.lock == 0 {
+func (th *Thread) releaseLock() {
+	if th.lock == 0 {
 		return
 	}
-	rt := t.th.rt
+	rt := th.rt
 	// Release ordering is a decision point too: who runs between a
 	// release and the next acquisition decides which waiter wins.
-	t.c.SchedPoint()
-	rt.Metrics.LockHoldCycles += t.c.Now() - t.lockAt
+	th.c.SchedPoint()
+	rt.Metrics.LockHoldCycles += th.c.Now() - th.lockAt
 	// The annotation marks the end of this core's holding period even
 	// when the release itself is dropped by a fault — the exporter needs
 	// every hold interval closed.
-	t.c.Annotate(htm.TraceLockRelease, t.lock)
-	if rt.cfg.LockFaults == nil || !rt.cfg.LockFaults.DropLockRelease(t.th.tid) {
-		t.c.NTStore(t.lock+mem.WordSize, 0)
-		t.c.NTStore(t.lock, 0)
+	th.c.Annotate(htm.TraceLockRelease, th.lock)
+	if rt.cfg.LockFaults == nil || !rt.cfg.LockFaults.DropLockRelease(th.c.ID()) {
+		th.c.NTStore(th.lock+mem.WordSize, 0)
+		th.c.NTStore(th.lock, 0)
 	}
-	t.lock = 0
+	th.lock = 0
 }

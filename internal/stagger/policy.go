@@ -18,7 +18,8 @@ import (
 //	          after PromThr further failures, locking promotion walks up
 //	          the anchor's parent chain (list node → whole table, etc.)
 //	!p      → training mode: keep gathering statistics
-func (rt *Runtime) activate(tc *TxCtx, abc *ABContext, info htm.AbortInfo, attempt int) {
+func (th *Thread) activate(info htm.AbortInfo, attempt int) {
+	rt, abc := th.rt, th.abc
 	if info.Reason != htm.AbortConflict {
 		return
 	}
@@ -48,7 +49,7 @@ func (rt *Runtime) activate(tc *TxCtx, abc *ABContext, info htm.AbortInfo, attem
 	// transaction instance is one data point for decision (1), or the
 	// windowed rate would spike on every burst. Deep chains feed the
 	// wasted-work signal behind coarse-grain locking.
-	abm := rt.abMetrics(abc.ab)
+	abm := abc.m
 	if attempt == 0 {
 		abc.confAbortsW++
 		abm.ConfAborts++
@@ -80,7 +81,7 @@ func (rt *Runtime) activate(tc *TxCtx, abc *ABContext, info htm.AbortInfo, attem
 			en = abc.u.SearchByPC(info.ConfPC)
 		}
 	case ModeStaggeredSW:
-		if site := tc.th.swLookup(tc.c, info.ConfAddr); site != 0 {
+		if site := th.swLookup(info.ConfAddr); site != 0 {
 			en = abc.u.EntryForSite(site)
 		} else {
 			rt.Metrics.SWMisses++

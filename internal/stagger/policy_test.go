@@ -25,7 +25,7 @@ func chainProgram(t testing.TB) (*prog.Module, *prog.AtomicBlock, *prog.Site, *p
 
 // policyEnv builds a 1-core runtime plus a pre-gated ABContext so policy
 // decisions can be driven directly.
-func policyEnv(t testing.TB, m *prog.Module, ab *prog.AtomicBlock, cfg Config) (*Runtime, *ABContext, *TxCtx) {
+func policyEnv(t testing.TB, m *prog.Module, ab *prog.AtomicBlock, cfg Config) (*ABContext, *Thread) {
 	t.Helper()
 	mcfg := htm.DefaultConfig()
 	mcfg.Cores = 1
@@ -36,8 +36,8 @@ func policyEnv(t testing.TB, m *prog.Module, ab *prog.AtomicBlock, cfg Config) (
 	abc := th.ctx(ab)
 	abc.confAbortsW = 64 // pass decision (1)
 	abc.deepW = 64       // pass the coarse-mode bar
-	tc := &TxCtx{th: th, c: mach.Core(0), abc: abc}
-	return rt, abc, tc
+	th.abc = abc
+	return abc, th
 }
 
 func conflictAt(s *prog.Site, addr mem.Addr) htm.AbortInfo {
@@ -56,33 +56,33 @@ func TestPolicyTransitionTable(t *testing.T) {
 	m, ab, sHead, sCell := chainProgram(t)
 
 	t.Run("precise_on_recurrent_pc_and_addr", func(t *testing.T) {
-		rt, abc, tc := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
+		abc, th := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
 		for i := 0; i < 5; i++ {
-			rt.activate(tc, abc, conflictAt(sCell, 0x40000), 0)
+			th.activate(conflictAt(sCell, 0x40000), 0)
 		}
-		if abc.ActiveAnchor() != sCell.ID || abc.BlockAddr() != 0x40000 {
-			t.Fatalf("anchor=%d addr=%#x, want precise on cell", abc.ActiveAnchor(), abc.BlockAddr())
+		if abc.activeAnchor != sCell.ID || abc.blockAddr != 0x40000 {
+			t.Fatalf("anchor=%d addr=%#x, want precise on cell", abc.activeAnchor, abc.blockAddr)
 		}
 	})
 
 	t.Run("coarse_on_recurrent_pc_varying_addr", func(t *testing.T) {
-		rt, abc, tc := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
+		abc, th := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
 		for i := 0; i < 5; i++ {
-			rt.activate(tc, abc, conflictAt(sCell, mem.Addr(0x40000+i*128)), 0)
+			th.activate(conflictAt(sCell, mem.Addr(0x40000+i*128)), 0)
 		}
-		if abc.ActiveAnchor() != sCell.ID || abc.BlockAddr() != 0 {
-			t.Fatalf("anchor=%d addr=%#x, want coarse on cell", abc.ActiveAnchor(), abc.BlockAddr())
+		if abc.activeAnchor != sCell.ID || abc.blockAddr != 0 {
+			t.Fatalf("anchor=%d addr=%#x, want coarse on cell", abc.activeAnchor, abc.blockAddr)
 		}
 	})
 
 	t.Run("promotion_on_deep_retry", func(t *testing.T) {
 		cfg := DefaultConfig(ModeStaggeredHW)
-		rt, abc, tc := policyEnv(t, m, ab, cfg)
+		abc, th := policyEnv(t, m, ab, cfg)
 		for i := 0; i < 5; i++ {
-			rt.activate(tc, abc, conflictAt(sCell, mem.Addr(0x40000+i*128)), cfg.PromThr)
+			th.activate(conflictAt(sCell, mem.Addr(0x40000+i*128)), cfg.PromThr)
 		}
-		if abc.ActiveAnchor() != sHead.ID {
-			t.Fatalf("anchor=%d, want promoted parent %d", abc.ActiveAnchor(), sHead.ID)
+		if abc.activeAnchor != sHead.ID {
+			t.Fatalf("anchor=%d, want promoted parent %d", abc.activeAnchor, sHead.ID)
 		}
 	})
 
@@ -99,21 +99,21 @@ func TestPolicyTransitionTable(t *testing.T) {
 		}
 		ab4 := m4.Atomic("op", f)
 		m4.MustFinalize()
-		rt, abc, tc := policyEnv(t, m4, ab4, DefaultConfig(ModeStaggeredHW))
+		abc, th := policyEnv(t, m4, ab4, DefaultConfig(ModeStaggeredHW))
 		for i := 0; i < 8; i++ {
-			rt.activate(tc, abc, conflictAt(sites[i%4], mem.Addr(0x40000+i*128)), 0)
+			th.activate(conflictAt(sites[i%4], mem.Addr(0x40000+i*128)), 0)
 		}
-		if abc.ActiveAnchor() != 0 {
-			t.Fatalf("anchor=%d armed without a recurring pattern", abc.ActiveAnchor())
+		if abc.activeAnchor != 0 {
+			t.Fatalf("anchor=%d armed without a recurring pattern", abc.activeAnchor)
 		}
 	})
 
 	t.Run("non_conflict_aborts_ignored", func(t *testing.T) {
-		rt, abc, tc := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
+		abc, th := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
 		for i := 0; i < 8; i++ {
-			rt.activate(tc, abc, htm.AbortInfo{Reason: htm.AbortOverflow}, 0)
+			th.activate(htm.AbortInfo{Reason: htm.AbortOverflow}, 0)
 		}
-		if abc.ActiveAnchor() != 0 || len(abc.history) != 0 {
+		if abc.activeAnchor != 0 || len(abc.history) != 0 {
 			t.Fatal("overflow aborts fed the conflict policy")
 		}
 	})
@@ -128,12 +128,12 @@ func TestPolicyPioneerResolution(t *testing.T) {
 	sSecond := f.Entry().Load(f.Param(0), "b") // non-anchor, pioneer sFirst
 	ab := m.Atomic("op", f)
 	m.MustFinalize()
-	rt, abc, tc := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
+	abc, th := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
 	for i := 0; i < 5; i++ {
-		rt.activate(tc, abc, conflictAt(sSecond, 0x40000), 0)
+		th.activate(conflictAt(sSecond, 0x40000), 0)
 	}
-	if abc.ActiveAnchor() != sFirst.ID {
-		t.Fatalf("anchor=%d, want pioneer %d", abc.ActiveAnchor(), sFirst.ID)
+	if abc.activeAnchor != sFirst.ID {
+		t.Fatalf("anchor=%d, want pioneer %d", abc.activeAnchor, sFirst.ID)
 	}
 }
 
@@ -141,15 +141,15 @@ func TestPolicyPioneerResolution(t *testing.T) {
 // policy must stay in training no matter how recurrent the pattern looks.
 func TestDecisionOneGateBlocksQuietBlocks(t *testing.T) {
 	m, ab, _, sCell := chainProgram(t)
-	rt, abc, tc := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
+	abc, th := policyEnv(t, m, ab, DefaultConfig(ModeStaggeredHW))
 	abc.confAbortsW = 0
 	abc.deepW = 0
 	abc.commitsW = 60 // lots of quiet commits
 	for i := 0; i < 8; i++ {
-		rt.activate(tc, abc, conflictAt(sCell, 0x40000), 0)
+		th.activate(conflictAt(sCell, 0x40000), 0)
 		abc.confAbortsW = 0 // keep the window quiet
 	}
-	if abc.ActiveAnchor() != 0 {
+	if abc.activeAnchor != 0 {
 		t.Fatal("policy armed below the contention gate")
 	}
 }
@@ -171,11 +171,11 @@ func TestRateDisarmOnCommit(t *testing.T) {
 	abc.commitsW = 50
 	addr := mach.Alloc.AllocLines(1)
 	mach.Run([]func(*htm.Core){func(c *htm.Core) {
-		th.Atomic(c, ab, func(tc backend.Ctx) {
+		th.Atomic(ab, func(tc backend.Ctx) {
 			tc.Load(sCell, addr)
 		})
 	}})
-	if abc.ActiveAnchor() != 0 {
+	if abc.activeAnchor != 0 {
 		t.Fatal("quiet context did not disarm at commit")
 	}
 }
@@ -264,11 +264,11 @@ func TestOneLockPerTransaction(t *testing.T) {
 	addrs := []mem.Addr{mach.Alloc.AllocLines(1), mach.Alloc.AllocLines(1),
 		mach.Alloc.AllocLines(1), mach.Alloc.AllocLines(1)}
 	mach.Run([]func(*htm.Core){func(c *htm.Core) {
-		th.Atomic(c, ab, func(tc backend.Ctx) {
+		th.Atomic(ab, func(tc backend.Ctx) {
 			for _, a := range addrs {
 				tc.Load(sA, a)
 			}
-			if held, want := tc.(*TxCtx).lock, rt.lockFor(addrs[0]); held != want {
+			if held, want := tc.(*Thread).lock, rt.lockFor(addrs[0]); held != want {
 				t.Errorf("holding lock %#x inside tx, want the first address's %#x", held, want)
 			}
 		})

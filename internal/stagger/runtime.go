@@ -2,6 +2,7 @@ package stagger
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/anchor"
 	"repro/internal/backend"
@@ -17,6 +18,8 @@ type Runtime struct {
 	cfg  Config
 	m    *htm.Machine
 	comp *anchor.Compiled
+	// retry is cfg's retry loop, lowered once (Config.RetryLoop).
+	retry htm.AtomicOpts
 
 	// locksBase is the advisory lock table: NumLocks lock records, one
 	// cache line each (word 0: owner+1 or 0; word 1: contended flag).
@@ -84,16 +87,6 @@ type ABMetrics struct {
 // PerAB returns per-atomic-block aggregates keyed by block ID.
 func (rt *Runtime) PerAB() map[int]*ABMetrics { return rt.perAB }
 
-// abMetrics returns (creating) the aggregate for an atomic block.
-func (rt *Runtime) abMetrics(ab *prog.AtomicBlock) *ABMetrics {
-	m, ok := rt.perAB[ab.ID]
-	if !ok {
-		m = &ABMetrics{Name: ab.Name}
-		rt.perAB[ab.ID] = m
-	}
-	return m
-}
-
 // Metrics counts runtime-level events for the experiment harness.
 type Metrics struct {
 	// ALPVisits counts dynamic executions of instrumented ALPoints
@@ -140,6 +133,7 @@ func New(m *htm.Machine, comp *anchor.Compiled, cfg Config) *Runtime {
 	}
 	rt := &Runtime{
 		cfg: cfg, m: m, comp: comp,
+		retry:     cfg.RetryLoop(),
 		confAddrs: make(map[mem.Addr]int),
 		confPCs:   make(map[uint32]int),
 		confPairs: make(map[ConflictPair]int),
@@ -157,12 +151,6 @@ func New(m *htm.Machine, comp *anchor.Compiled, cfg Config) *Runtime {
 	return rt
 }
 
-// Config returns the runtime configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// Compiled returns the compiler output backing this runtime (may be nil).
-func (rt *Runtime) Compiled() *anchor.Compiled { return rt.comp }
-
 // Backend adapts the runtime to the backend.Runtime interface without
 // giving up the concrete Thread API internal callers rely on. The
 // harness recovers the concrete runtime (for stagger-specific metrics)
@@ -176,15 +164,22 @@ func (b backendRuntime) Thread(tid int) backend.Thread { return b.rt.Thread(tid)
 // Unwrap exposes the concrete runtime behind the adapter.
 func (b backendRuntime) Unwrap() *Runtime { return b.rt }
 
-// Thread returns the runtime context for core tid, creating it on first
-// use. Each thread body must use only its own Thread.
+// Thread returns the runtime context bound to core tid, creating it on
+// first use. Each thread body must use only its own Thread.
 func (rt *Runtime) Thread(tid int) *Thread {
 	if rt.threads[tid] == nil {
-		rt.threads[tid] = &Thread{
-			rt:   rt,
-			tid:  tid,
-			ctxs: make(map[int]*ABContext),
+		th := &Thread{rt: rt, c: rt.m.Core(tid)}
+		if rt.cfg.Mode.Instrumented() {
+			th.isALP = rt.comp.IsALP
 		}
+		th.hooks = htm.TxHooks{
+			OnBegin:       th.onBegin,
+			OnAbort:       th.onAbort,
+			OnCommit:      th.onCommit,
+			OnIrrevocable: th.onIrrevocable,
+		}
+		th.run = func(*htm.Core) { th.body(th) }
+		rt.threads[tid] = th
 	}
 	return rt.threads[tid]
 }
@@ -192,34 +187,16 @@ func (rt *Runtime) Thread(tid int) *Thread {
 // ConflictAddrs returns a copy of the conflicting-line-address histogram
 // (conflict aborts per line), the data behind Table 1's LA column and the
 // per-line abort attribution in the observability report.
-func (rt *Runtime) ConflictAddrs() map[mem.Addr]int {
-	out := make(map[mem.Addr]int, len(rt.confAddrs))
-	for a, n := range rt.confAddrs {
-		out[a] = n
-	}
-	return out
-}
+func (rt *Runtime) ConflictAddrs() map[mem.Addr]int { return maps.Clone(rt.confAddrs) }
 
 // ConflictPCs returns a copy of the conflicting-anchor histogram (conflict
 // aborts per true initial-access anchor site), the data behind Table 1's
 // LP column and the per-PC abort attribution in the observability report.
-func (rt *Runtime) ConflictPCs() map[uint32]int {
-	out := make(map[uint32]int, len(rt.confPCs))
-	for s, n := range rt.confPCs {
-		out[s] = n
-	}
-	return out
-}
+func (rt *Runtime) ConflictPCs() map[uint32]int { return maps.Clone(rt.confPCs) }
 
 // ConflictPairs returns a copy of the conflicting-pair histogram: fully
 // attributed (victim block/site, killer block/site) conflict aborts.
-func (rt *Runtime) ConflictPairs() map[ConflictPair]int {
-	out := make(map[ConflictPair]int, len(rt.confPairs))
-	for p, n := range rt.confPairs {
-		out[p] = n
-	}
-	return out
-}
+func (rt *Runtime) ConflictPairs() map[ConflictPair]int { return maps.Clone(rt.confPairs) }
 
 // Locality summarizes conflict-pattern locality over the whole run: la
 // (lp) is true when the most frequent conflicting address (anchor)
@@ -240,19 +217,14 @@ func majority[K comparable](hist map[K]int) bool {
 	return total > 0 && max*2 > total
 }
 
-// Thread is the per-thread runtime state.
-type Thread struct {
-	rt   *Runtime
-	tid  int
-	ctxs map[int]*ABContext
-}
-
 // ABContext is the per-thread, per-atomic-block structure of Figure 4:
 // the currently active anchor, the probable conflicting address, the
 // abort history, and the anchor table.
 type ABContext struct {
 	ab *prog.AtomicBlock
 	u  *anchor.Unified
+	// m is the block's runtime-wide aggregate (Runtime.PerAB).
+	m *ABMetrics
 
 	// activeAnchor is the site ID of the armed ALP (0 = none).
 	activeAnchor uint32
@@ -309,9 +281,16 @@ type abortRecord struct {
 
 // ctx returns (creating on demand) the ABContext for an atomic block.
 func (th *Thread) ctx(ab *prog.AtomicBlock) *ABContext {
-	c, ok := th.ctxs[ab.ID]
-	if !ok {
-		c = &ABContext{ab: ab}
+	if ab.ID >= len(th.ctxs) {
+		th.ctxs = append(th.ctxs, make([]*ABContext, ab.ID+1-len(th.ctxs))...)
+	}
+	c := th.ctxs[ab.ID]
+	if c == nil {
+		c = &ABContext{ab: ab, m: th.rt.perAB[ab.ID]}
+		if c.m == nil {
+			c.m = &ABMetrics{Name: ab.Name}
+			th.rt.perAB[ab.ID] = c.m
+		}
 		if th.rt.comp != nil {
 			c.u = th.rt.comp.Unified[ab]
 			if c.u == nil {
@@ -323,108 +302,94 @@ func (th *Thread) ctx(ab *prog.AtomicBlock) *ABContext {
 	return c
 }
 
-// ActiveAnchor exposes the armed anchor for tests and diagnostics.
-func (c *ABContext) ActiveAnchor() uint32 { return c.activeAnchor }
-
-// BlockAddr exposes the expected conflict address (0 = coarse).
-func (c *ABContext) BlockAddr() mem.Addr { return c.blockAddr }
-
-// Atomic executes body as one instance of atomic block ab on core c,
-// applying the runtime's mode: baseline retry loop, AddrOnly's fixed
-// head-of-block lock, or full staggered transactions with ALPs armed by
-// the locking policy. The body receives this runtime's *TxCtx through
-// the backend.Ctx interface (the arena contract all backends share).
-func (th *Thread) Atomic(c *htm.Core, ab *prog.AtomicBlock, body func(backend.Ctx)) {
-	if c.ID() != th.tid {
-		panic("stagger: thread used on wrong core")
-	}
-	abc := th.ctx(ab)
-	tc := &TxCtx{th: th, c: c, abc: abc}
-	if th.rt.cfg.Mode.Instrumented() {
-		tc.isALP = th.rt.comp.IsALP
-	}
-	hooks := htm.TxHooks{
-		OnBegin: func(attempt int) {
-			// Restore the armed anchor for this instance (the paper
-			// clears activeAnchor inside the transaction after locking
-			// and restores it at the next begin).
-			tc.armedAnchor = abc.activeAnchor
-			if th.rt.cfg.Mode == ModeAddrOnly && abc.blockAddr != 0 {
-				// AddrOnly: one fixed ALP at the start of the block,
-				// precise mode only.
-				tc.acquireLockFor(abc.blockAddr)
-				tc.armedAnchor = 0
-			}
-		},
-		OnAbort: func(info htm.AbortInfo, attempt int) {
-			th.rt.abMetrics(ab).Aborts[info.Reason]++
-			tc.releaseLock()
-			th.rt.activate(tc, abc, info, attempt)
-		},
-		OnCommit: func(irrevocable bool) {
-			th.rt.abMetrics(ab).Commits++
-			abc.noteCommit(th.rt.cfg.RateWindow)
-			contended := tc.lockContended()
-			if contended {
-				th.rt.Metrics.ContendedCommits++
-			}
-			noContention := tc.lock != 0 && !contended
-			tc.releaseLock()
-			if noContention {
-				// Shift an empty record into the history to decay stale
-				// conflict patterns and avoid over-locking (Section 5.2):
-				// once the pattern has decayed below threshold, the ALP
-				// deactivates and full concurrency resumes.
-				abc.appendHistory(th.rt.cfg.HistLen, abortRecord{})
-				if (abc.activeAnchor != 0 || abc.blockAddr != 0) &&
-					abc.countAnchor(abc.activeAnchor) <= th.rt.cfg.PCThr &&
-					abc.countAddr(abc.blockAddr) <= th.rt.cfg.AddrThr {
-					abc.activeAnchor = 0
-					abc.blockAddr = 0
-				}
-			}
-			// Rate-based re-check of decision (1): if conflict aborts are
-			// no longer frequent — typically BECAUSE the advisory lock is
-			// working — disarm and probe whether full concurrency is safe
-			// again. Re-arming is cheap if contention returns.
-			if (abc.activeAnchor != 0 || abc.blockAddr != 0) &&
-				!abc.contended() && !abc.contendedHeavily() {
-				abc.activeAnchor = 0
-				abc.blockAddr = 0
-			}
-		},
-		OnIrrevocable: func() {
-			// Irrevocable mode is already globally serialized; drop any
-			// advisory lock state for this instance.
-			tc.armedAnchor = 0
-			if th.rt.cfg.UnsafeEarlyGlobalRelease {
-				c.NTStore(c.Machine().GlobalLock, 0)
-			}
-		},
-	}
+// Atomic executes body as one instance of atomic block ab on the
+// thread's core, applying the runtime's mode: baseline retry loop,
+// AddrOnly's fixed head-of-block lock, or full staggered transactions
+// with ALPs armed by the locking policy. The body receives the Thread
+// itself as its backend.Ctx (the arena contract all backends share).
+func (th *Thread) Atomic(ab *prog.AtomicBlock, body func(backend.Ctx)) {
+	c := th.c
+	th.abc, th.body = th.ctx(ab), body
 	// Snapshot the core's cycle counters around the instance: the deltas
 	// are this atomic block's share of the machine-wide breakdown (pure
 	// accounting on already-maintained counters — no simulated events, so
 	// the schedule and all virtual times are unchanged).
 	st := c.Stats()
-	useful0, wasted0 := st.UsefulTxCycles, st.WastedTxCycles
-	lock0 := st.WaitCycles[htm.WaitLock]
-	back0 := st.WaitCycles[htm.WaitBackoff]
-	glob0 := st.WaitCycles[htm.WaitGlobal]
-	nt0 := st.NTTxCycles
+	before := *st
 	// Tag the core with this block for the duration of the instance, so
 	// conflicts it inflicts on others are attributed to the right block
 	// (pure bookkeeping; no simulated events).
 	c.SetABTag(ab.ID)
-	c.Atomic(th.rt.cfg.RetryLoop(), hooks, func(core *htm.Core) {
-		body(tc)
-	})
+	c.Atomic(th.rt.retry, th.hooks, th.run)
 	c.SetABTag(0)
-	abm := th.rt.abMetrics(ab)
-	abm.UsefulCycles += st.UsefulTxCycles - useful0
-	abm.WastedCycles += st.WastedTxCycles - wasted0
-	abm.LockWaitCycles += st.WaitCycles[htm.WaitLock] - lock0
-	abm.BackoffCycles += st.WaitCycles[htm.WaitBackoff] - back0
-	abm.GlobalWaitCycles += st.WaitCycles[htm.WaitGlobal] - glob0
-	abm.NTTxCycles += st.NTTxCycles - nt0
+	abm := th.abc.m
+	abm.UsefulCycles += st.UsefulTxCycles - before.UsefulTxCycles
+	abm.WastedCycles += st.WastedTxCycles - before.WastedTxCycles
+	abm.LockWaitCycles += st.WaitCycles[htm.WaitLock] - before.WaitCycles[htm.WaitLock]
+	abm.BackoffCycles += st.WaitCycles[htm.WaitBackoff] - before.WaitCycles[htm.WaitBackoff]
+	abm.GlobalWaitCycles += st.WaitCycles[htm.WaitGlobal] - before.WaitCycles[htm.WaitGlobal]
+	abm.NTTxCycles += st.NTTxCycles - before.NTTxCycles
+}
+
+func (th *Thread) onBegin(attempt int) {
+	// Restore the armed anchor for this instance (the paper clears
+	// activeAnchor inside the transaction after locking and restores it
+	// at the next begin).
+	abc := th.abc
+	th.armedAnchor = abc.activeAnchor
+	if th.rt.cfg.Mode == ModeAddrOnly && abc.blockAddr != 0 {
+		// AddrOnly: one fixed ALP at the start of the block, precise
+		// mode only.
+		th.acquireLockFor(abc.blockAddr)
+		th.armedAnchor = 0
+	}
+}
+
+func (th *Thread) onAbort(info htm.AbortInfo, attempt int) {
+	th.abc.m.Aborts[info.Reason]++
+	th.releaseLock()
+	th.activate(info, attempt)
+}
+
+func (th *Thread) onCommit(irrevocable bool) {
+	rt, abc := th.rt, th.abc
+	abc.m.Commits++
+	abc.noteCommit(rt.cfg.RateWindow)
+	contended := th.lockContended()
+	if contended {
+		rt.Metrics.ContendedCommits++
+	}
+	noContention := th.lock != 0 && !contended
+	th.releaseLock()
+	if noContention {
+		// Shift an empty record into the history to decay stale
+		// conflict patterns and avoid over-locking (Section 5.2): once
+		// the pattern has decayed below threshold, the ALP deactivates
+		// and full concurrency resumes.
+		abc.appendHistory(rt.cfg.HistLen, abortRecord{})
+		if (abc.activeAnchor != 0 || abc.blockAddr != 0) &&
+			abc.countAnchor(abc.activeAnchor) <= rt.cfg.PCThr &&
+			abc.countAddr(abc.blockAddr) <= rt.cfg.AddrThr {
+			abc.activeAnchor = 0
+			abc.blockAddr = 0
+		}
+	}
+	// Rate-based re-check of decision (1): if conflict aborts are no
+	// longer frequent — typically BECAUSE the advisory lock is working —
+	// disarm and probe whether full concurrency is safe again. Re-arming
+	// is cheap if contention returns.
+	if (abc.activeAnchor != 0 || abc.blockAddr != 0) &&
+		!abc.contended() && !abc.contendedHeavily() {
+		abc.activeAnchor = 0
+		abc.blockAddr = 0
+	}
+}
+
+func (th *Thread) onIrrevocable() {
+	// Irrevocable mode is already globally serialized; drop any advisory
+	// lock state for this instance.
+	th.armedAnchor = 0
+	if th.rt.cfg.UnsafeEarlyGlobalRelease {
+		th.c.NTStore(th.c.Machine().GlobalLock, 0)
+	}
 }

@@ -61,7 +61,7 @@ func runCounter(t *testing.T, mode Mode, threads, incs int) (*htm.Machine, *Runt
 		bodies[i] = func(c *htm.Core) {
 			th := rt.Thread(c.ID())
 			for k := 0; k < incs; k++ {
-				th.Atomic(c, ab, func(tc backend.Ctx) {
+				th.Atomic(ab, func(tc backend.Ctx) {
 					v := tc.Load(sLoad, addr)
 					tc.Compute(300)
 					tc.Store(sStore, addr, v+1)
@@ -169,7 +169,7 @@ func TestCoarseModeOnVaryingAddresses(t *testing.T) {
 			th := rt.Thread(c.ID())
 			for k := 0; k < 60; k++ {
 				a := slots[(k+tid)%len(slots)]
-				th.Atomic(c, ab, func(tc backend.Ctx) {
+				th.Atomic(ab, func(tc backend.Ctx) {
 					v := tc.Load(sLoad, a)
 					tc.Compute(300)
 					tc.Store(sStore, a, v+1)
@@ -215,7 +215,7 @@ func TestAdvisoryLockDoesNotAbortHolder(t *testing.T) {
 		bodies[i] = func(c *htm.Core) {
 			th := rt.Thread(c.ID())
 			for k := 0; k < 20; k++ {
-				th.Atomic(c, ab, func(tc backend.Ctx) {
+				th.Atomic(ab, func(tc backend.Ctx) {
 					v := tc.Load(sLoad, addr)
 					tc.Compute(2000)
 					tc.Store(sStore, addr, v+1)
@@ -266,7 +266,7 @@ func runArmedCounter(t *testing.T, cfg Config, incs, uops int) (*htm.Machine, *R
 		bodies[i] = func(c *htm.Core) {
 			th := rt.Thread(c.ID())
 			for k := 0; k < incs; k++ {
-				th.Atomic(c, ab, func(tc backend.Ctx) {
+				th.Atomic(ab, func(tc backend.Ctx) {
 					v := tc.Load(sLoad, addr)
 					tc.Compute(uops)
 					tc.Store(sStore, addr, v+1)
@@ -344,7 +344,7 @@ func TestLivelockEscape(t *testing.T) {
 		bodies[i] = func(c *htm.Core) {
 			th := rt.Thread(c.ID())
 			for k := 0; k < incs; k++ {
-				th.Atomic(c, ab, func(tc backend.Ctx) {
+				th.Atomic(ab, func(tc backend.Ctx) {
 					v := tc.Load(sLoad, addr)
 					tc.Store(sStore, addr, v+1)
 				})
@@ -393,10 +393,10 @@ func TestTrainingModeFirst(t *testing.T) {
 		HasPC:    true,
 		TrueSite: sLoad.ID,
 	}
-	tc := &TxCtx{th: th, c: mach.Core(0), abc: abc}
+	th.abc = abc
 	abc.confAbortsW = 8 // contention gate: frequent conflicts observed
-	rt.activate(tc, abc, info, 0)
-	if abc.ActiveAnchor() != 0 {
+	th.activate(info, 0)
+	if abc.activeAnchor != 0 {
 		t.Fatal("policy armed an ALP on the first abort (no history yet)")
 	}
 	if rt.Metrics.ActTraining != 1 {
@@ -404,11 +404,11 @@ func TestTrainingModeFirst(t *testing.T) {
 	}
 	// After enough recurrences, precise mode kicks in.
 	for i := 0; i < 4; i++ {
-		rt.activate(tc, abc, info, 0)
+		th.activate(info, 0)
 	}
-	if abc.ActiveAnchor() != sLoad.ID || abc.BlockAddr() != mem.Addr(0x10000) {
+	if abc.activeAnchor != sLoad.ID || abc.blockAddr != mem.Addr(0x10000) {
 		t.Fatalf("expected precise mode on anchor %d, got anchor=%d addr=%#x",
-			sLoad.ID, abc.ActiveAnchor(), abc.BlockAddr())
+			sLoad.ID, abc.activeAnchor, abc.blockAddr)
 	}
 }
 
@@ -433,7 +433,7 @@ func TestLockingPromotion(t *testing.T) {
 	rt := New(mach, comp, cfg)
 	th := rt.Thread(0)
 	abc := th.ctx(ab)
-	tc := &TxCtx{th: th, c: mach.Core(0), abc: abc}
+	th.abc = abc
 
 	// Conflicts always resolve to anchor sNode but addresses vary, and
 	// retry chains run deep (the wasted-work signal coarse mode needs).
@@ -447,13 +447,13 @@ func TestLockingPromotion(t *testing.T) {
 			HasPC:    true,
 			TrueSite: sNode.ID,
 		}
-		rt.activate(tc, abc, info, cfg.PromThr) // at the promotion threshold
+		th.activate(info, cfg.PromThr) // at the promotion threshold
 	}
-	if abc.ActiveAnchor() != sHead.ID {
+	if abc.activeAnchor != sHead.ID {
 		t.Fatalf("expected promotion to parent anchor %d, got %d (coarse=%d promote=%d)",
-			sHead.ID, abc.ActiveAnchor(), rt.Metrics.ActCoarse, rt.Metrics.ActPromote)
+			sHead.ID, abc.activeAnchor, rt.Metrics.ActCoarse, rt.Metrics.ActPromote)
 	}
-	if abc.BlockAddr() != 0 {
+	if abc.blockAddr != 0 {
 		t.Fatal("promoted ALP must be coarse (wild-card address)")
 	}
 	if rt.Metrics.ActPromote == 0 {
@@ -485,6 +485,36 @@ func TestAddrOnlyArmsAtBlockStart(t *testing.T) {
 	}
 	if rt.Metrics.ALPVisits != 0 {
 		t.Fatal("AddrOnly must not execute per-site ALPs")
+	}
+}
+
+// TestThreadBindsEachInstanceToItsBlock: one Thread serves every
+// instance its core runs, so each instance must be bound to its own
+// block's context and metrics, whatever block ran before it on the
+// thread and in whatever order the blocks first appear.
+func TestThreadBindsEachInstanceToItsBlock(t *testing.T) {
+	m := prog.NewModule("two")
+	f := m.NewFunc("op", "p")
+	ld := f.Entry().Load(f.Param(0), "v")
+	st := f.Entry().Store(f.Param(0), "v")
+	abA, abB := m.Atomic("a", f), m.Atomic("b", f)
+	m.MustFinalize()
+	mach, rt := newSim(t, ModeStaggeredHW, 1, m)
+	addr := mach.Alloc.AllocLines(1)
+	body := func(tc backend.Ctx) { tc.Store(st, addr, tc.Load(ld, addr)+1) }
+	mach.Run([]func(*htm.Core){func(c *htm.Core) {
+		th := rt.Thread(c.ID())
+		for _, ab := range []*prog.AtomicBlock{abB, abA, abA, abB, abA} {
+			th.Atomic(ab, body)
+		}
+	}})
+	for ab, want := range map[*prog.AtomicBlock]uint64{abA: 3, abB: 2} {
+		if got := rt.PerAB()[ab.ID]; got == nil || got.Name != ab.Name || got.Commits != want {
+			t.Errorf("block %s: metrics %+v, want %d commits", ab.Name, got, want)
+		}
+		if abc := rt.Thread(0).ctxs[ab.ID]; abc == nil || abc.ab != ab {
+			t.Errorf("block %s: thread context %+v", ab.Name, abc)
+		}
 	}
 }
 

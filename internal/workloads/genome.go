@@ -76,7 +76,7 @@ func buildGenome() *Workload {
 						nodes[j] = al.AllocLines(1)
 					}
 					inserted = make([]bool, genChunk)
-					th.Atomic(c, ab, body)
+					th.Atomic(ab, body)
 					c.Compute(1200) // segment extraction outside the tx
 				}
 			}

@@ -113,15 +113,15 @@ func buildIntruder() *Workload {
 					tc.Op(itDet{frag: f2, ok: ok2})
 				}
 				for {
-					th.Atomic(c, abPop, popBody)
+					th.Atomic(abPop, popBody)
 					if !ok {
 						break
 					}
 					flow = frag >> 8
 					mapNode = al.AllocLines(1)
 					resNode = al.AllocLines(1)
-					th.Atomic(c, abDec, decBody)
-					th.Atomic(c, abDet, detBody)
+					th.Atomic(abDec, decBody)
+					th.Atomic(abDet, detBody)
 					c.Compute(50)
 				}
 			}

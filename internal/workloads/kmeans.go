@@ -73,7 +73,7 @@ func buildKmeans() *Workload {
 					// The point slice is reused across iterations; the tag
 					// must carry its own copy.
 					tagged = append([]uint64(nil), point...)
-					th.Atomic(c, ab, body)
+					th.Atomic(ab, body)
 				}
 			}
 		},

@@ -88,7 +88,7 @@ func buildLabyrinth() *Workload {
 					// from concurrent routing, not from a full maze.
 					if held != nil {
 						prev = held
-						th.Atomic(c, abRel, relBody)
+						th.Atomic(abRel, relBody)
 						held = nil
 					}
 					// Wires run edge to edge, so concurrent paths cross in
@@ -97,7 +97,7 @@ func buildLabyrinth() *Workload {
 					z = rng.Intn(labZ)
 					ok = false
 					for attempt := 0; attempt < 6 && !ok; attempt++ {
-						th.Atomic(c, ab, routeBody)
+						th.Atomic(ab, routeBody)
 						if !ok {
 							c.Compute(300)
 						}

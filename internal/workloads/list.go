@@ -85,17 +85,17 @@ func buildList(name string, lookupPct, insertPct int) *Workload {
 					r := rng.Intn(100)
 					switch {
 					case r < lookupPct:
-						th.Atomic(c, abLookup, lookupBody)
+						th.Atomic(abLookup, lookupBody)
 					case r < lookupPct+insertPct:
 						node = pool.AllocObject(2)
-						th.Atomic(c, abInsert, insertBody)
+						th.Atomic(abInsert, insertBody)
 					default:
-						th.Atomic(c, abDelete, deleteBody)
+						th.Atomic(abDelete, deleteBody)
 					}
 					c.Compute(10) // non-transactional think time
 					if i%64 == 63 {
 						// Occasional longer read-only scan (4th atomic block).
-						th.Atomic(c, abSize, scanBody)
+						th.Atomic(abSize, scanBody)
 					}
 				}
 			}

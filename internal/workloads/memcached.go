@@ -101,10 +101,10 @@ func buildMemcached() *Workload {
 				for i := 0; i < ops; i++ {
 					k = uint64(rng.Intn(mcKeySpace) + 1)
 					if rng.Intn(100) < 90 {
-						th.Atomic(c, abGet, getBody)
+						th.Atomic(abGet, getBody)
 					} else {
 						node = c.Machine().Alloc.AllocLines(1)
-						th.Atomic(c, abSet, setBody)
+						th.Atomic(abSet, setBody)
 					}
 					c.Compute(500)
 				}

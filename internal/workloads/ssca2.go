@@ -71,7 +71,7 @@ func buildSSCA2() *Workload {
 					// the transaction (%TM stays low).
 					c.Compute(1500)
 					na = nodeAddr(u)
-					th.Atomic(c, ab, body)
+					th.Atomic(ab, body)
 				}
 			}
 		},

@@ -106,7 +106,7 @@ func buildTsp() *Workload {
 					tc.Op(tspBest{bound: bound, cur: cur})
 				}
 				for {
-					th.Atomic(c, abPop, popBody)
+					th.Atomic(abPop, popBody)
 					if !ok {
 						// The queue may be momentarily empty while other
 						// threads still expand; retry a few times.
@@ -126,11 +126,11 @@ func buildTsp() *Workload {
 						for ch := 0; ch < 2; ch++ {
 							delta := uint64(rng.Intn(64) + 1)
 							child = (bound+delta)<<16 | (depth + 1)
-							th.Atomic(c, abPush, pushBody)
+							th.Atomic(abPush, pushBody)
 						}
 					} else {
 						// Leaf: maybe improve the global best tour.
-						th.Atomic(c, abBest, bestBody)
+						th.Atomic(abBest, bestBody)
 					}
 				}
 			}

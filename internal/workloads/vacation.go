@@ -103,16 +103,16 @@ func buildVacation() *Workload {
 						tb = tables[ti]
 						k1 = uint64(rng.Intn(vacRelations))*2 + 2
 						k2 = uint64(rng.Intn(vacRelations))*2 + 2
-						th.Atomic(c, abReserve, reserveBody)
+						th.Atomic(abReserve, reserveBody)
 					case r < 90: // register a customer
 						node = al.AllocLines(1)
 						key = uint64(1000 + rng.Intn(100000))
-						th.Atomic(c, abCustomer, customerBody)
+						th.Atomic(abCustomer, customerBody)
 					default: // price queries
 						ti = rng.Intn(vacTables)
 						tb = tables[ti]
 						k = uint64(rng.Intn(vacRelations))*2 + 2
-						th.Atomic(c, abQuery, queryBody)
+						th.Atomic(abQuery, queryBody)
 					}
 					c.Compute(150)
 				}

@@ -13,8 +13,9 @@ package workloads
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/backend"
@@ -59,8 +60,9 @@ type Workload struct {
 	// only). It is called after Setup, with the same machine and seed, so
 	// closures may capture post-setup addresses; the returned model is
 	// stepped once per committed operation tag, in commit order. Bodies
-	// declare their tags with TxCtx.Op; when no oracle is installed the
-	// tags cost one nil check each.
+	// declare their tags with backend.Ctx.Op. Without an oracle Op does
+	// nothing, but each tag that is not pointer-shaped is still boxed
+	// into an interface, one heap allocation per tagged op.
 	RefModel func(m *htm.Machine, seed int64) oracle.RefModel
 }
 
@@ -125,22 +127,9 @@ func Builds() uint64 { return builds.Load() }
 func Names() []string {
 	order := []string{"genome", "intruder", "kmeans", "labyrinth", "ssca2",
 		"vacation", "list-lo", "list-hi", "tsp", "memcached"}
-	var out []string
-	seen := map[string]bool{}
-	for _, n := range order {
-		if _, ok := registry[n]; ok {
-			out = append(out, n)
-			seen[n] = true
-		}
-	}
-	var rest []string
-	for n := range registry {
-		if !seen[n] {
-			rest = append(rest, n)
-		}
-	}
-	sort.Strings(rest)
-	return append(out, rest...)
+	rest := slices.DeleteFunc(slices.Sorted(maps.Keys(registry)),
+		func(n string) bool { return slices.Contains(order, n) })
+	return append(order, rest...)
 }
 
 // Split gives thread tid its share of total operations.
