@@ -45,7 +45,6 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "per-job wall-clock deadline")
 		grace      = flag.Duration("grace", 10*time.Second, "drain grace before in-flight jobs are cancelled")
 		maxCells   = flag.Int("max-cells", 512, "largest allowed job expansion")
-		journalAt  = flag.String("journal", "", "write-ahead job journal path (empty = <store>/journal/jobs.wal when -store is set)")
 		failpoints = flag.String("failpoints", "", "disk failpoint spec, e.g. 'sync:jobs.wal=crash@2' (crash-harness use only)")
 	)
 	flag.Parse()
@@ -72,15 +71,14 @@ func main() {
 		}}
 	}
 	srv, err := service.New(service.Config{
-		JobWorkers:  *jobWorkers,
-		QueueDepth:  *queueDepth,
-		JobTimeout:  *jobTimeout,
-		Grace:       *grace,
-		MaxCells:    *maxCells,
-		StoreDir:    *storeDir,
-		JournalPath: *journalAt,
-		FS:          fsys,
-		Logf:        log.Printf,
+		JobWorkers: *jobWorkers,
+		QueueDepth: *queueDepth,
+		JobTimeout: *jobTimeout,
+		Grace:      *grace,
+		MaxCells:   *maxCells,
+		StoreDir:   *storeDir,
+		FS:         fsys,
+		Logf:       log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -171,6 +171,34 @@ func TestArenaAtomicAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestKmeansTagAllocatesOnlyItsBox: the kmeans body tags every operation
+// with the point it folds in, and the tag is read at the instance's
+// serialization point, so it carries the body's own slice rather than a
+// copy. What an operation allocates in steady state is the boxed tag
+// alone, with the oracle on or off, on every HTM-machine backend and on
+// occ.
+func TestKmeansTagAllocatesOnlyItsBox(t *testing.T) {
+	for _, name := range []string{"htm", "staggered", "occ"} {
+		for _, oracle := range []bool{false, true} {
+			run := func(ops int) func() {
+				return func() {
+					res, err := Run(RunConfig{Benchmark: "kmeans", Backend: name, Threads: 1, TotalOps: ops, Oracle: oracle})
+					if err != nil || res.VerifyErr != nil || res.OracleErr != nil {
+						t.Fatalf("%s: %v %v %v", name, err, res.VerifyErr, res.OracleErr)
+					}
+				}
+			}
+			// The tolerance absorbs the odd allocation of a growing
+			// histogram map, which does not scale with the run.
+			short, long := testing.AllocsPerRun(3, run(1000)), testing.AllocsPerRun(3, run(3000))
+			if per := (long - short) / 2000; per > 1.1 {
+				t.Errorf("%s (oracle %v): %.2f allocations per operation, want the boxed tag's 1",
+					name, oracle, per)
+			}
+		}
+	}
+}
+
 // TestArenaCacheSeparation pins one simulation to one memo entry and
 // distinct simulations to distinct ones: every spelling of the plain-HTM
 // cell shares an entry, while cells that differ in backend (or, on the
@@ -251,6 +279,8 @@ func TestRunConfigFieldsKeyedOrUncacheable(t *testing.T) {
 			f.SetInt(3)
 		case f.CanUint():
 			f.SetUint(3)
+		case f.CanFloat():
+			f.SetFloat(0.5)
 		default:
 			t.Errorf("RunConfig.%s (%s) is not in uncacheable and a Cell cannot spell it", name, f.Type())
 			continue

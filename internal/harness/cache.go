@@ -35,13 +35,14 @@ import (
 // stores payloads as compact JSON.
 const CacheSchema = 6
 
-// A non-zero uncacheable RunConfig field is a runtime override
-// or a run-scoped side channel (trace capture, fault injection,
-// watchdogs, pick recording/replay), so the run executes for real every
-// time. Every other field is simulation input that its Cell encodes, and
-// the memo key is that Cell's Key (TestRunConfigFieldsKeyedOrUncacheable).
-var uncacheable = []string{"TraceN", "Stagger", "Chaos", "Watchdog", "WatchdogTrace",
-	"Record", "ReplayPicks"}
+// A non-zero uncacheable RunConfig field is a runtime override (Stagger)
+// or a run-scoped side channel (trace capture, the watchdog's trace
+// ring, pick recording/replay), so the run executes for real every time.
+// Every other field, fault rate, fault seed and watchdog included, is
+// simulation input that its Cell encodes, and the memo key is that
+// Cell's Key, the store's key for the same cell
+// (TestRunConfigFieldsKeyedOrUncacheable).
+var uncacheable = []string{"TraceN", "Stagger", "WatchdogTrace", "Record", "ReplayPicks"}
 
 var (
 	cacheMu sync.Mutex

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/sched"
 	"repro/internal/stagger"
 )
@@ -31,7 +30,7 @@ type Cell struct {
 	Sched     string  `json:"sched,omitempty"` // see sched.Parse
 	SchedSeed int64   `json:"sched_seed,omitempty"`
 	Oracle    bool    `json:"oracle,omitempty"`
-	ChaosRate float64 `json:"chaos_rate,omitempty"` // every fault class at this rate (chaos.Scaled)
+	ChaosRate float64 `json:"chaos_rate,omitempty"` // every fault class at this rate (chaos.NewInjector)
 	ChaosSeed int64   `json:"chaos_seed,omitempty"` // 0 = Seed
 	Watchdog  uint64  `json:"watchdog,omitempty"`   // 0 = none (chaos cells: ChaosWatchdog)
 }
@@ -73,30 +72,23 @@ func (c Cell) Normalize() (Cell, RunConfig, error) {
 		Sched:     c.Sched,
 		SchedSeed: c.SchedSeed,
 		Oracle:    c.Oracle,
+		ChaosRate: c.ChaosRate,
+		ChaosSeed: c.ChaosSeed,
 		Watchdog:  c.Watchdog,
-	}
-	if c.ChaosRate > 0 {
-		seed := c.ChaosSeed
-		if seed == 0 {
-			seed = cmp.Or(c.Seed, DefaultSeed)
-		}
-		cc := chaos.Scaled(c.ChaosRate, seed)
-		rc.Chaos = &cc
 	}
 	n, err := normalize(rc)
 	if err != nil {
 		return fail("%w", err)
 	}
-	nc, err := CellOf(n.rc) // no override, and a Scaled fault mix: never fails
+	nc, err := CellOf(n.rc) // no Stagger override: never fails
 	return nc, n.rc, err
 }
 
 // CellOf encodes rc as a Cell, the inverse of Normalize's lowering. The
 // side channels (trace capture, the watchdog's trace ring, pick
 // recording and replay) are not simulation input and are dropped. A
-// Stagger override, or a fault mix other than chaos.Scaled, has no
-// spelling, and is an error rather than a Cell that names some other
-// simulation.
+// Stagger override has no spelling, and is an error rather than a Cell
+// that names some other simulation.
 func CellOf(rc RunConfig) (Cell, error) {
 	if rc.Stagger != nil {
 		return Cell{}, fmt.Errorf("harness: a Stagger override has no cell encoding")
@@ -114,13 +106,9 @@ func CellOf(rc RunConfig) (Cell, error) {
 		Sched:     rc.Sched,
 		SchedSeed: rc.SchedSeed,
 		Oracle:    rc.Oracle,
+		ChaosRate: rc.ChaosRate,
+		ChaosSeed: rc.ChaosSeed,
 		Watchdog:  rc.Watchdog,
-	}
-	if cc := rc.Chaos; cc != nil && cc.Enabled() {
-		if *cc != chaos.Scaled(cc.AbortRate, cc.Seed) {
-			return Cell{}, fmt.Errorf("harness: fault mix %+v is not chaos.Scaled and has no cell encoding", *cc)
-		}
-		c.ChaosRate, c.ChaosSeed = cc.AbortRate, cc.Seed
 	}
 	return c, nil
 }

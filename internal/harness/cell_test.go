@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/stagger"
 	"repro/internal/workloads"
@@ -84,34 +83,19 @@ func TestCellOfRoundTrip(t *testing.T) {
 // cell, and so no trace header either — rather than one that replays a
 // different simulation.
 func TestCellOfRefusesOverrides(t *testing.T) {
-	base := harness.RunConfig{Benchmark: "list-hi", Threads: 4, Sched: "random"}
+	rc := harness.RunConfig{Benchmark: "list-hi", Threads: 4, Sched: "random"}
 	scfg := stagger.DefaultConfig(stagger.ModeStaggeredHW)
-	mixed := chaos.Scaled(0.01, 42)
-	mixed.AbortRate = 0.05 // no longer one rate for every class
-	for name, set := range map[string]func(*harness.RunConfig){
-		"Stagger":   func(rc *harness.RunConfig) { rc.Stagger = &scfg },
-		"fault mix": func(rc *harness.RunConfig) { rc.Chaos = &mixed },
-	} {
-		rc := base
-		set(&rc)
-		if c, err := harness.CellOf(rc); err == nil {
-			t.Errorf("%s: CellOf encoded %+v", name, c)
-		}
-		if tr, err := harness.SchedTrace(rc, []uint32{1, 0}); err == nil || tr != nil {
-			t.Errorf("%s: SchedTrace wrote a header for a cell with no encoding: %s", name, tr.Encode())
-		}
+	rc.Stagger = &scfg
+	if c, err := harness.CellOf(rc); err == nil {
+		t.Errorf("CellOf encoded a Stagger override as %+v", c)
 	}
-	// A Scaled fault mix is a cell; a disabled one is no fault at all.
-	scaled := chaos.Scaled(0.01, 9)
-	rc := base
-	rc.Chaos = &scaled
-	if c, err := harness.CellOf(rc); err != nil || c.ChaosRate != 0.01 || c.ChaosSeed != 9 {
-		t.Errorf("CellOf(Scaled(0.01, 9)) = %+v, %v", c, err)
+	if tr, err := harness.SchedTrace(rc, []uint32{1, 0}); err == nil || tr != nil {
+		t.Errorf("SchedTrace wrote a header for a cell with no encoding: %s", tr.Encode())
 	}
-	off := chaos.Config{Seed: 9}
-	rc.Chaos = &off
-	if c, err := harness.CellOf(rc); err != nil || c.ChaosRate != 0 || c.ChaosSeed != 0 {
-		t.Errorf("CellOf(fault-free config) = %+v, %v", c, err)
+	// A fault seed without a rate is no fault at all.
+	c, _, err := harness.Cell{Bench: "list-hi", ChaosSeed: 9}.Normalize()
+	if err != nil || c.ChaosRate != 0 || c.ChaosSeed != 0 {
+		t.Errorf("a fault-free cell with a fault seed normalized to %+v, %v", c, err)
 	}
 }
 

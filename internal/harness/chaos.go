@@ -33,9 +33,9 @@ type ChaosSweep struct {
 	// denominator. Empty means {0, 0.002, 0.01, 0.05}.
 	Rates []float64
 	// Cell is the cell every (benchmark, rate) point runs; the sweep sets
-	// its Benchmark and Chaos per point. Zero fields take the campaign's
-	// defaults: PaperThreads, DefaultSeed (which also seeds the fault
-	// schedule) and ChaosWatchdog.
+	// its Benchmark and ChaosRate per point. Zero fields take the
+	// campaign's defaults: PaperThreads, DefaultSeed (which also seeds the
+	// fault schedule when ChaosSeed is 0) and ChaosWatchdog.
 	Cell RunConfig
 }
 
@@ -104,11 +104,7 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 	for _, b := range cs.Benchmarks {
 		for _, rate := range cs.Rates {
 			rc := cs.Cell
-			rc.Benchmark, rc.Chaos = b, nil
-			if rate > 0 {
-				ccfg := chaos.Scaled(rate, rc.Seed)
-				rc.Chaos = &ccfg
-			}
+			rc.Benchmark, rc.ChaosRate = b, rate
 			cfgs = append(cfgs, rc)
 			metas = append(metas, cellMeta{b, rate})
 		}

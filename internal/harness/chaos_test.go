@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,14 +27,16 @@ func smallOps(name string) int {
 	}
 }
 
-func chaosRC(bench string, threads int, c *chaos.Config) RunConfig {
+// chaosRC is a small staggered cell injecting every fault class at rate,
+// with its faults seeded by the workload seed 42.
+func chaosRC(bench string, threads int, rate float64) RunConfig {
 	return RunConfig{
 		Benchmark: bench,
 		Mode:      stagger.ModeStaggeredHW,
 		Threads:   threads,
 		Seed:      42,
 		TotalOps:  smallOps(bench),
-		Chaos:     c,
+		ChaosRate: rate,
 		Watchdog:  500_000_000,
 	}
 }
@@ -41,8 +44,7 @@ func chaosRC(bench string, threads int, c *chaos.Config) RunConfig {
 // TestChaosSmoke is the CI smoke: a representative chaos cell must finish
 // under the watchdog, inject faults, and pass verification.
 func TestChaosSmoke(t *testing.T) {
-	ccfg := chaos.Scaled(0.01, 42)
-	res, err := Run(chaosRC("list-hi", 8, &ccfg))
+	res, err := Run(chaosRC("list-hi", 8, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +60,11 @@ func TestChaosSmoke(t *testing.T) {
 }
 
 // TestChaosDeterminism is the reproducibility property: identical
-// (seed, chaos config) must give bit-identical stats, fault counts, and
-// transaction traces.
+// (seed, fault rate, fault seed) must give bit-identical stats, fault
+// counts, and transaction traces.
 func TestChaosDeterminism(t *testing.T) {
 	for _, bench := range []string{"list-hi", "kmeans"} {
-		ccfg := chaos.Scaled(0.02, 7)
-		rc := chaosRC(bench, 8, &ccfg)
+		rc := chaosRC(bench, 8, 0.02)
 		rc.Seed = 7
 		rc.TraceN = 4096
 		a, err := Run(rc)
@@ -94,8 +95,9 @@ func TestChaosDeterminism(t *testing.T) {
 // change the fault schedule (guards against a stuck stream).
 func TestChaosSeedChangesSchedule(t *testing.T) {
 	mk := func(seed int64) chaos.Counts {
-		ccfg := chaos.Scaled(0.02, seed)
-		res, err := Run(chaosRC("list-hi", 8, &ccfg))
+		rc := chaosRC("list-hi", 8, 0.02)
+		rc.ChaosSeed = seed
+		res, err := Run(rc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,29 +108,57 @@ func TestChaosSeedChangesSchedule(t *testing.T) {
 	}
 }
 
-// TestChaosAllWorkloadsVerify: each fault class alone must leave every
-// workload's invariants intact at 16 threads — slower is acceptable,
-// wrong is not.
+// TestChaosAllWorkloadsVerify: the fault mix leaves every workload's
+// invariants intact at 16 threads — slower is acceptable, wrong is not —
+// and each fault class it delivers lands in the simulator's own
+// accounting exactly once. The four class subtests of one workload read
+// one memoized run.
 func TestChaosAllWorkloadsVerify(t *testing.T) {
-	classes := map[string]chaos.Config{
-		"abort":    {AbortRate: 0.02, Seed: 42},
-		"ntdelay":  {NTDelayRate: 0.05, NTDelayCycles: 300, Seed: 42},
-		"lockdrop": {LockDropRate: 0.2, Seed: 42},
-		"jitter":   {JitterRate: 0.02, JitterCycles: 60, Seed: 42},
+	ClearCache()
+	defer ClearCache()
+	faultWait := func(res *Result) error {
+		f := res.Faults
+		if got, want := res.Stats.WaitCycles[htm.WaitFault], f.Jitters*chaos.JitterCycles+f.NTDelays*chaos.NTDelayCycles; got != want {
+			return fmt.Errorf("fault wait = %d cycles, want %d for %+v", got, want, f)
+		}
+		return nil
 	}
-	for cls, ccfg := range classes {
-		for _, bench := range workloads.Names() {
-			ccfg := ccfg
-			t.Run(cls+"/"+bench, func(t *testing.T) {
-				res, err := Run(chaosRC(bench, 16, &ccfg))
+	classes := []struct {
+		name  string
+		check func(*Result) error
+	}{
+		{"abort", func(res *Result) error {
+			if got := res.Stats.Aborts[htm.AbortSpurious]; got == 0 || got != res.Faults.Aborts {
+				return fmt.Errorf("%d spurious aborts for %d injected", got, res.Faults.Aborts)
+			}
+			return nil
+		}},
+		{"jitter", func(res *Result) error {
+			if res.Faults.Jitters == 0 {
+				return errors.New("no stall jitter injected")
+			}
+			return faultWait(res)
+		}},
+		{"lockdrop", func(res *Result) error {
+			if res.Faults.LockDrops > res.Metrics.LocksAcquired {
+				return fmt.Errorf("%d lost releases of %d acquired locks", res.Faults.LockDrops, res.Metrics.LocksAcquired)
+			}
+			return nil
+		}},
+		{"ntdelay", faultWait},
+	}
+	for _, bench := range workloads.Names() {
+		for _, cls := range classes {
+			t.Run(cls.name+"/"+bench, func(t *testing.T) {
+				res, err := RunCached(chaosRC(bench, 16, 0.02)) // a failed Verify is an error
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.VerifyErr != nil {
-					t.Fatalf("verify: %v (faults %+v)", res.VerifyErr, res.Faults)
-				}
 				if res.Stats.Commits == 0 {
 					t.Fatal("no transactions committed")
+				}
+				if err := cls.check(res); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}
@@ -136,8 +166,8 @@ func TestChaosAllWorkloadsVerify(t *testing.T) {
 }
 
 // TestChaosZeroImpact: with chaos off, the hook plumbing (nil injector, a
-// generous watchdog, a zero-rate config) must leave the baseline run
-// bit-identical — the acceptance bar for zero-cost instrumentation.
+// generous watchdog, a fault seed with no rate) must leave the baseline
+// run bit-identical — the acceptance bar for zero-cost instrumentation.
 func TestChaosZeroImpact(t *testing.T) {
 	base := RunConfig{
 		Benchmark: "list-hi", Mode: stagger.ModeStaggeredHW,
@@ -151,7 +181,7 @@ func TestChaosZeroImpact(t *testing.T) {
 	withWD := base
 	withWD.Watchdog = 1 << 40
 	zeroRate := base
-	zeroRate.Chaos = &chaos.Config{} // Enabled() == false: no injector
+	zeroRate.ChaosSeed = 9 // no rate: no injector
 	for name, rc := range map[string]RunConfig{"watchdog": withWD, "zero-rate": zeroRate} {
 		got, err := Run(rc)
 		if err != nil {
@@ -277,37 +307,37 @@ func TestResultsRejectsInvariantFailure(t *testing.T) {
 	}
 }
 
-// TestRunCachedBypassesChaos: chaos and watchdog runs must never be
-// served from (or poison) the memoization cache.
-func TestRunCachedBypassesChaos(t *testing.T) {
+// TestRunCachedMemoizesChaos: a chaos cell is simulation input like any
+// other, so it is memoized under its cell's key, and a different fault
+// seed or watchdog is a different cell.
+func TestRunCachedMemoizesChaos(t *testing.T) {
 	ClearCache()
 	defer ClearCache()
-	ccfg := chaos.Scaled(0.01, 42)
 	rc := RunConfig{
 		Benchmark: "kmeans", Mode: stagger.ModeHTM,
-		Threads: 2, Seed: 9, TotalOps: 100, Chaos: &ccfg,
+		Threads: 2, Seed: 9, TotalOps: 100, ChaosRate: 0.01,
 	}
-	a, err := RunCached(rc)
-	if err != nil {
-		t.Fatal(err)
+	run := func(set func(*RunConfig)) *Result {
+		t.Helper()
+		c := rc
+		set(&c)
+		res, err := RunCached(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	b, err := RunCached(rc)
-	if err != nil {
-		t.Fatal(err)
+	a := run(func(*RunConfig) {})
+	if run(func(*RunConfig) {}) != a {
+		t.Fatal("a repeated chaos cell was not served from the memo")
 	}
-	if a == b {
-		t.Fatal("chaos run was memoized")
+	if run(func(c *RunConfig) { c.ChaosSeed = c.Seed }) != a {
+		t.Fatal("the default fault seed, spelled out, keyed apart")
 	}
-	wd := RunConfig{Benchmark: "kmeans", Mode: stagger.ModeHTM, Threads: 2, Seed: 9, TotalOps: 100, Watchdog: 1 << 40}
-	c, err := RunCached(wd)
-	if err != nil {
-		t.Fatal(err)
+	if run(func(c *RunConfig) { c.ChaosSeed = 10 }) == a {
+		t.Fatal("a different fault seed shared the memo entry")
 	}
-	d, err := RunCached(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == d {
-		t.Fatal("watchdog run was memoized")
+	if run(func(c *RunConfig) { c.Watchdog = 1 << 40 }) == a {
+		t.Fatal("a different watchdog shared the memo entry")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/htm"
 	"repro/internal/stagger"
 )
@@ -166,14 +165,14 @@ func TestExploreCleanCampaign(t *testing.T) {
 // adversarial schedules with fault injection must still find zero
 // violations on a correct protocol.
 func TestExploreComposesWithChaos(t *testing.T) {
-	ccfg := chaos.Scaled(0.01, 42)
 	rep, err := ExploreCell(context.Background(), RunConfig{
 		Benchmark: "list-hi",
 		Mode:      stagger.ModeStaggeredHW,
 		Threads:   4,
 		Seed:      19,
 		TotalOps:  160,
-		Chaos:     &ccfg,
+		ChaosRate: 0.01,
+		ChaosSeed: 42,
 		Sched:     "pct:3",
 	}, 4, false)
 	if err != nil {
@@ -194,7 +193,6 @@ func TestExploreComposesWithChaos(t *testing.T) {
 // reuses also builds the lazy, naive and watchdog machines it is asked
 // for.
 func TestExploreCellRunsTheWholeCell(t *testing.T) {
-	ccfg := chaos.Scaled(0.01, 7)
 	for _, row := range []struct {
 		name    string
 		set     func(*RunConfig)
@@ -206,8 +204,8 @@ func TestExploreCellRunsTheWholeCell(t *testing.T) {
 			func(rc RunConfig) bool { return rc.Watchdog == 50_000_000 }},
 		{"limited capacity", func(rc *RunConfig) { rc.Backend, rc.Capacity = "limited", 8 },
 			func(rc RunConfig) bool { return rc.Backend == "limited" && rc.Capacity == 8 }},
-		{"chaos rate", func(rc *RunConfig) { rc.Chaos = &ccfg },
-			func(rc RunConfig) bool { return rc.Chaos != nil && *rc.Chaos == ccfg }},
+		{"chaos rate", func(rc *RunConfig) { rc.ChaosRate, rc.ChaosSeed = 0.01, 7 },
+			func(rc RunConfig) bool { return rc.ChaosRate == 0.01 && rc.ChaosSeed == 7 }},
 		{"backend occ", func(rc *RunConfig) { rc.Backend = "occ" }, func(rc RunConfig) bool { return rc.Backend == "occ" }},
 		{"mode htm", func(rc *RunConfig) { rc.Mode = stagger.ModeHTM }, func(rc RunConfig) bool { return rc.Mode == stagger.ModeHTM }},
 	} {

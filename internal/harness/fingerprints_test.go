@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/htm"
 	"repro/internal/mem"
@@ -91,14 +90,12 @@ var corpusVariants = []struct {
 	// The chaos campaign's highest default rate under its watchdog.
 	{"chaos-0.05", func(rc *harness.RunConfig) {
 		rc.Mode = stagger.ModeStaggeredHW
-		ccfg := chaos.Scaled(0.05, rc.Seed)
-		rc.Chaos = &ccfg
+		rc.ChaosRate = 0.05
 		rc.Watchdog = harness.ChaosWatchdog
 	}},
 	{"chaos", func(rc *harness.RunConfig) {
 		rc.Mode = stagger.ModeStaggeredHW
-		ccfg := chaos.Scaled(0.01, rc.Seed)
-		rc.Chaos = &ccfg
+		rc.ChaosRate = 0.01
 		rc.Watchdog = 500_000_000
 	}},
 	{"pct", func(rc *harness.RunConfig) {

@@ -276,8 +276,15 @@ func TestCacheableKeyBypasses(t *testing.T) {
 	memoKey(t, base) // a plain config must be cacheable
 	withWatchdog := base
 	withWatchdog.Watchdog = 1 << 20
-	if _, ok := cacheableKey(withWatchdog); ok {
-		t.Fatal("watchdog config must bypass the cache")
+	// A watchdog is cell input (it decides whether the run fails), so it
+	// is keyed, not bypassed.
+	if memoKey(t, withWatchdog) == memoKey(t, base) {
+		t.Fatal("a watchdog config must key apart from the plain cell")
+	}
+	withTrace := base
+	withTrace.TraceN = 8
+	if _, ok := cacheableKey(withTrace); ok {
+		t.Fatal("a trace-capturing config must bypass the cache")
 	}
 	// Seed 0 canonicalizes to Run's default, so the two configs are the
 	// same cell and must share a key.

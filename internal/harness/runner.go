@@ -18,6 +18,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -73,9 +74,12 @@ type RunConfig struct {
 	// Stagger optionally overrides the runtime configuration; nil uses
 	// the paper's parameters for the selected mode.
 	Stagger *stagger.Config
-	// Chaos enables deterministic fault injection (nil or all-zero rates:
-	// fault-free, bit-identical to the baseline simulator).
-	Chaos *chaos.Config
+	// ChaosRate injects every fault class (chaos.NewInjector) at this
+	// per-event probability; 0 is fault-free, bit-identical to the
+	// baseline simulator.
+	ChaosRate float64
+	// ChaosSeed seeds the fault schedule (0 = use Seed).
+	ChaosSeed int64
 	// Watchdog bounds each core's virtual clock; a run exceeding it fails
 	// loudly with the last trace events instead of hanging (0 = no
 	// bound).
@@ -214,11 +218,12 @@ type cell struct {
 // canonical description of the simulation they select: seed 0 is
 // DefaultSeed, ops 0 is the workload's default, an empty Backend is
 // "htm" under ModeHTM and "staggered" otherwise, Mode is what the
-// backend actually runs, Capacity survives only on "limited", and a
-// fault-injected cell with no watchdog runs under ChaosWatchdog. A
-// scheduler spec that does not parse fails here, before anything
-// simulates. The run path, the memo key and the service's store key all
-// start here.
+// backend actually runs, Capacity survives only on "limited", a
+// fault-free cell has rate and fault seed 0, and a fault-injected cell
+// seeds its faults with Seed and runs under ChaosWatchdog unless it
+// names its own. A scheduler spec that does not parse fails here,
+// before anything simulates. The run path, the memo key and the
+// service's store key all start here.
 func normalize(rc RunConfig) (cell, error) {
 	defaultOps, err := workloads.DefaultOps(rc.Benchmark)
 	if err != nil {
@@ -252,8 +257,11 @@ func normalize(rc RunConfig) (cell, error) {
 	if rc.Backend != "limited" {
 		rc.Capacity = 0
 	}
-	if rc.Watchdog == 0 && rc.Chaos != nil && rc.Chaos.Enabled() {
-		rc.Watchdog = ChaosWatchdog
+	if rc.ChaosRate <= 0 {
+		rc.ChaosRate, rc.ChaosSeed = 0, 0
+	} else {
+		rc.ChaosSeed = cmp.Or(rc.ChaosSeed, rc.Seed)
+		rc.Watchdog = cmp.Or(rc.Watchdog, ChaosWatchdog)
 	}
 	c := cell{rc: rc, bk: bk, sched: sched.Spec{Window: sched.DefaultWindow}}
 	if rc.Sched != "" {
@@ -388,10 +396,9 @@ func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 		scfg.Mode = rc.Mode
 	}
 	var inj *chaos.Injector
-	if rc.Chaos != nil && rc.Chaos.Enabled() {
-		inj = chaos.NewInjector(*rc.Chaos, mcfg.Cores)
+	if rc.ChaosRate > 0 {
+		inj = chaos.NewInjector(rc.ChaosRate, rc.ChaosSeed, mcfg.Cores)
 		mach.SetFaultInjector(inj)
-		scfg.LockFaults = inj
 	}
 	// The concrete stagger runtime, when the backend has one, is recovered
 	// for the stagger-specific result fields below.
@@ -478,7 +485,7 @@ func (c cell) run(ctx context.Context, p *prepared) (*Result, error) {
 	}
 	res.Trace = mach.Trace()
 	if inj != nil {
-		res.Faults = inj.Counts()
+		res.Faults = inj.Counts
 	}
 	if recorder != nil {
 		// The recorder's buffer is the next schedule's too.

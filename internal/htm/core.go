@@ -163,7 +163,7 @@ func (c *Core) deliverPending() {
 // abort, so every fault occupies a definite slot in the global
 // virtual-time order and the schedule replays exactly.
 func (c *Core) chaosEvent() {
-	if j := c.m.chaos.StallJitter(c.id, c.clock); j != 0 {
+	if j := c.m.chaos.StallJitter(c.id); j != 0 {
 		c.stats.WaitCycles[WaitFault] += j
 		if c.inAttempt {
 			c.attemptWait += j
@@ -178,7 +178,7 @@ func (c *Core) chaosEvent() {
 		c.deliverPending()
 	}
 	if c.inTx {
-		if reason, ok := c.m.chaos.SpuriousAbort(c.id, c.clock); ok {
+		if reason, ok := c.m.chaos.SpuriousAbort(c.id); ok {
 			c.abortSelf(AbortInfo{Reason: reason, ByCore: -1})
 		}
 	}
@@ -559,7 +559,7 @@ func (c *Core) ntFaultDelay() {
 	if c.m.chaos == nil {
 		return
 	}
-	if d := c.m.chaos.NTDelay(c.id, c.clock); d != 0 {
+	if d := c.m.chaos.NTDelay(c.id); d != 0 {
 		c.stats.WaitCycles[WaitFault] += d
 		if c.inAttempt {
 			c.attemptWait += d

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/htm"
 	"repro/internal/obs"
@@ -39,14 +38,12 @@ var variants = []struct {
 	}},
 	{"chaos-0.05", func(rc *harness.RunConfig) {
 		rc.Mode = stagger.ModeStaggeredHW
-		ccfg := chaos.Scaled(0.05, rc.Seed)
-		rc.Chaos = &ccfg
+		rc.ChaosRate = 0.05
 		rc.Watchdog = harness.ChaosWatchdog
 	}},
 	{"chaos", func(rc *harness.RunConfig) {
 		rc.Mode = stagger.ModeStaggeredHW
-		ccfg := chaos.Scaled(0.01, rc.Seed)
-		rc.Chaos = &ccfg
+		rc.ChaosRate = 0.01
 		rc.Watchdog = 500_000_000
 	}},
 	{"pct", func(rc *harness.RunConfig) {

@@ -16,20 +16,19 @@ import (
 // exactly one core queries the injector at a time, and the query order is
 // a pure function of the simulated execution. An injector that answers
 // deterministically — e.g. from per-core seeded streams — therefore
-// yields a fault schedule that is exactly reproducible from
-// (seed, config).
+// yields a fault schedule that is exactly reproducible from its seed.
 type FaultInjector interface {
 	// SpuriousAbort is consulted at each transactional memory event; when
 	// it fires, the active transaction aborts with the returned
 	// architectural reason (modeling interrupts, capacity aliasing, and
 	// other best-effort-HTM sources of non-conflict aborts).
-	SpuriousAbort(core int, now uint64) (AbortReason, bool)
+	SpuriousAbort(core int) (AbortReason, bool)
 	// NTDelay returns extra stall cycles for a nontransactional store or
 	// CAS (a transient slow path in the store buffer / memory system).
-	NTDelay(core int, now uint64) uint64
+	NTDelay(core int) uint64
 	// StallJitter returns extra stall cycles charged at a memory event
 	// (per-core scheduling noise).
-	StallJitter(core int, now uint64) uint64
+	StallJitter(core int) uint64
 }
 
 // SetFaultInjector installs a fault injector. Call before Run; a nil
@@ -40,6 +39,11 @@ func (m *Machine) SetFaultInjector(fi FaultInjector) {
 	}
 	m.chaos = fi
 }
+
+// FaultInjector returns the installed fault injector (nil = none), so a
+// runtime built on the machine can find the injector's other hooks
+// (stagger's lost lock releases) without a second installation.
+func (m *Machine) FaultInjector() FaultInjector { return m.chaos }
 
 // watchdogTraceN is how many trailing transaction events a machine with a
 // watchdog retains for the failure report.

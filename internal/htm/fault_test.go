@@ -19,7 +19,7 @@ type fakeInjector struct {
 	events     int
 }
 
-func (f *fakeInjector) SpuriousAbort(core int, now uint64) (AbortReason, bool) {
+func (f *fakeInjector) SpuriousAbort(core int) (AbortReason, bool) {
 	f.events++
 	if f.abortEvery > 0 && f.events%f.abortEvery == 0 {
 		r := f.reason
@@ -31,8 +31,8 @@ func (f *fakeInjector) SpuriousAbort(core int, now uint64) (AbortReason, bool) {
 	return AbortNone, false
 }
 
-func (f *fakeInjector) NTDelay(core int, now uint64) uint64     { return f.delay }
-func (f *fakeInjector) StallJitter(core int, now uint64) uint64 { return f.jitter }
+func (f *fakeInjector) NTDelay(core int) uint64     { return f.delay }
+func (f *fakeInjector) StallJitter(core int) uint64 { return f.jitter }
 
 // TestSpuriousAbortDeliveredAndRetried: an injected abort must unwind the
 // attempt like a real conflict, count under AbortSpurious, and leave the

@@ -105,10 +105,10 @@ func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 
 // Boot GC keeps exactly the key forms this binary issues — cell keys and
 // explore keys under the current explore version — and evicts the rest:
-// the previous schema's, and explore payloads under the key form
-// exploreVersion 2 retired, which no lookup can reach again. A cell the
-// previous schema stored is then recomputed, not served, and its new
-// payload is compact JSON.
+// the previous schema's, and explore payloads under the previous explore
+// version, among them one whose cell carries a sched, which no
+// normalized campaign spells. A cell the previous schema stored is then
+// recomputed, not served, and its new payload is compact JSON.
 func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 	dir := t.TempDir()
 	cell, _, err := harness.Cell{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200}.Normalize()
@@ -130,8 +130,15 @@ func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 	if !strings.HasPrefix(staleKey, prev+"cell|") {
 		t.Fatalf("stale key %q is not a previous-schema cell key", staleKey)
 	}
+	// The explore.v2 key of a campaign whose cell carries its sched: no
+	// normalized spec spells it, so it must go even though v2 was once
+	// issued.
+	cur := fmt.Sprintf("|explore.v%d|", exploreVersion)
+	withSched := e
+	withSched.Cell.Sched = e.Sched
 	evict := []string{
-		strings.Replace(explore, "|explore.v2|", "|explore|", 1),
+		strings.Replace(explore, cur, fmt.Sprintf("|explore.v%d|", exploreVersion-1), 1),
+		strings.Replace(exploreKey(withSched), cur, "|explore.v2|", 1),
 		staleKey,
 	}
 	st, err := store.Open(dir)

@@ -173,8 +173,8 @@ func explore(ctx context.Context, p *jobPlan, key string) ([]byte, error) {
 // encodeCell renders the durable payload for one freshly computed cell.
 func encodeCell(key string, rc harness.RunConfig, res *harness.Result) ([]byte, error) {
 	cr := CellResult{Key: key, Report: obs.Snapshot(res)}
-	if rc.Chaos != nil {
-		cr.ChaosSeed = rc.Chaos.Seed
+	if rc.ChaosRate > 0 {
+		cr.ChaosSeed = rc.ChaosSeed
 		f := res.Faults
 		cr.Faults = &f
 	}

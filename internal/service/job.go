@@ -60,12 +60,16 @@ func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
 }
 
 // exploreVersion versions explore payloads apart from cell payloads.
-// Explore keys before it (plain "v5|explore|") name payloads of
+// Explore keys before version 2 (plain "v5|explore|") name payloads of
 // campaigns that ran without their cell's lazy, naive and watchdog
-// settings, so those keys must never be found again. Cell payloads were
-// always computed from the whole cell, so retiring them took no
-// CacheSchema bump.
-const exploreVersion = 2
+// settings, so those keys must never be found again. Version 3 retires
+// the explore.v2 keys whose cell carries a sched: a normalized campaign
+// keeps its scheduler in Sched and never in its cell, so no lookup
+// reaches them, and bumping the version lets boot GC evict them (the
+// v2 keys without one go too, and are recomputed once). Cell payloads
+// were always computed from the whole cell, so retiring explore keys
+// takes no CacheSchema bump.
+const exploreVersion = 3
 
 // exploreKey is the durable-store key of a normalized campaign: its
 // cell's key with the campaign's own fields.

@@ -588,7 +588,7 @@ func TestUnstoredPayloadNotHeld(t *testing.T) {
 	}
 }
 
-// Memory-only servers (no StoreDir, no JournalPath) run without a
+// Memory-only servers (no StoreDir) run without a
 // journal: no recovery section, submits never touch a disk.
 func TestMemoryOnlyServerHasNoJournal(t *testing.T) {
 	s := newT(t, Config{})

@@ -98,15 +98,12 @@ type Config struct {
 	Grace time.Duration
 	// MaxCells bounds one job's expansion (default 512).
 	MaxCells int
-	// StoreDir roots the durable result store; "" keeps results in
-	// memory only (they die with the process).
+	// StoreDir roots the durable result store and the write-ahead job
+	// journal, <StoreDir>/journal/jobs.wal, so a durable server is
+	// crash-safe. "" keeps results in memory only and runs without a
+	// journal: accepted jobs die with the process, as their results
+	// would anyway.
 	StoreDir string
-	// JournalPath roots the write-ahead job journal; "" derives
-	// <StoreDir>/journal/jobs.wal when StoreDir is set, so a durable
-	// server is crash-safe by default (memory-only servers run without
-	// a journal: accepted jobs die with the process, as their results
-	// would anyway).
-	JournalPath string
 	// FS is the filesystem under the store and journal — the seam the
 	// deterministic disk-fault harness injects through. Nil means the
 	// real filesystem.
@@ -206,10 +203,6 @@ func New(cfg Config) (*Server, error) {
 			cfg.Logf("staggerd: store gc evicted %d entries under keys this binary no longer issues", removed)
 		}
 	}
-	jpath := cfg.JournalPath
-	if jpath == "" && cfg.StoreDir != "" {
-		jpath = filepath.Join(cfg.StoreDir, "journal", "jobs.wal")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -223,8 +216,8 @@ func New(cfg Config) (*Server, error) {
 		held:       map[string]heldPayload{},
 	}
 	var recovered []*Job
-	if jpath != "" {
-		jnl, rep, err := journal.Open(fsys, jpath)
+	if cfg.StoreDir != "" {
+		jnl, rep, err := journal.Open(fsys, filepath.Join(cfg.StoreDir, "journal", "jobs.wal"))
 		if err != nil {
 			cancel()
 			return nil, err

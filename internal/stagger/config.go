@@ -106,10 +106,6 @@ type Config struct {
 	MaxRetries  int
 	BackoffBase uint64
 
-	// LockFaults optionally injects advisory-lock faults (lost releases);
-	// the chaos package's Injector implements it. Nil injects nothing.
-	LockFaults LockFaults
-
 	// UnsafeEarlyGlobalRelease, test-only, makes the irrevocable fallback
 	// release the global lock as soon as it holds it, before the body
 	// runs. It breaks atomicity on purpose so an exploration campaign has a
@@ -133,7 +129,9 @@ func (c Config) RetryLoop() htm.AtomicOpts {
 
 // LockFaults is the advisory-lock fault hook: DropLockRelease reports
 // whether the release of one held lock should be lost, simulating a
-// holder that died without releasing.
+// holder that died without releasing. New takes it from the machine's
+// fault injector (htm.Machine.FaultInjector) when that implements it, as
+// the chaos package's Injector does, so an injector is installed once.
 type LockFaults interface {
 	DropLockRelease(core int) bool
 }

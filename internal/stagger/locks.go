@@ -65,9 +65,10 @@ func (th *Thread) lockContended() bool {
 }
 
 // releaseLock frees the held advisory lock, if any, clearing the
-// contention flag for the next holding period. Under an installed
-// LockFaults hook the release may be lost ("the holder died"), leaving
-// the stale word for every waiter to time out against.
+// contention flag for the next holding period. When the machine's fault
+// injector is also a LockFaults hook, the release may be lost ("the
+// holder died"), leaving the stale word for every waiter to time out
+// against.
 func (th *Thread) releaseLock() {
 	if th.lock == 0 {
 		return
@@ -81,7 +82,7 @@ func (th *Thread) releaseLock() {
 	// when the release itself is dropped by a fault — the exporter needs
 	// every hold interval closed.
 	th.c.Annotate(htm.TraceLockRelease, th.lock)
-	if rt.cfg.LockFaults == nil || !rt.cfg.LockFaults.DropLockRelease(th.c.ID()) {
+	if rt.lockFaults == nil || !rt.lockFaults.DropLockRelease(th.c.ID()) {
 		th.c.NTStore(th.lock+mem.WordSize, 0)
 		th.c.NTStore(th.lock, 0)
 	}

@@ -20,6 +20,9 @@ type Runtime struct {
 	comp *anchor.Compiled
 	// retry is cfg's retry loop, lowered once (Config.RetryLoop).
 	retry htm.AtomicOpts
+	// lockFaults is the machine's fault injector when it also loses
+	// advisory-lock releases (nil = every release lands).
+	lockFaults LockFaults
 
 	// locksBase is the advisory lock table: NumLocks lock records, one
 	// cache line each (word 0: owner+1 or 0; word 1: contended flag).
@@ -139,6 +142,7 @@ func New(m *htm.Machine, comp *anchor.Compiled, cfg Config) *Runtime {
 		confPairs: make(map[ConflictPair]int),
 		perAB:     make(map[int]*ABMetrics),
 	}
+	rt.lockFaults, _ = m.FaultInjector().(LockFaults)
 	rt.locksBase = m.Alloc.AllocLines(cfg.NumLocks)
 	cores := m.Config().Cores
 	rt.threads = make([]*Thread, cores)

@@ -247,13 +247,15 @@ func TestAdvisoryLockDoesNotAbortHolder(t *testing.T) {
 // runArmedCounter runs the two-thread counter under cfg with both
 // threads' ALPs pre-armed in precise mode on the counter's line, so
 // every transaction goes for the same advisory lock from its first
-// attempt. uops is the compute between the load and the store.
-func runArmedCounter(t *testing.T, cfg Config, incs, uops int) (*htm.Machine, *Runtime, mem.Addr) {
+// attempt. uops is the compute between the load and the store; faults,
+// when non-nil, is installed on the machine before the runtime is built.
+func runArmedCounter(t *testing.T, cfg Config, faults htm.FaultInjector, incs, uops int) (*htm.Machine, *Runtime, mem.Addr) {
 	t.Helper()
 	m, ab, sLoad, sStore := counterProgram(t)
 	cfgM := htm.DefaultConfig()
 	cfgM.Cores = 2
 	mach := htm.New(cfgM)
+	mach.SetFaultInjector(faults)
 	rt := New(mach, anchor.Compile(m, anchor.DefaultOptions()), cfg)
 	addr := mach.Alloc.AllocLines(1)
 	for tid := 0; tid < 2; tid++ {
@@ -286,15 +288,20 @@ func runArmedCounter(t *testing.T, cfg Config, incs, uops int) (*htm.Machine, *R
 func TestLockTimeout(t *testing.T) {
 	cfg := DefaultConfig(ModeStaggeredHW)
 	cfg.LockTimeout = 100 // tiny
-	_, rt, _ := runArmedCounter(t, cfg, 10, 5000)
+	_, rt, _ := runArmedCounter(t, cfg, nil, 10, 5000)
 	if rt.Metrics.LockTimeouts == 0 {
 		t.Fatal("expected lock timeouts with a 100-cycle deadline")
 	}
 }
 
 // dropFirst loses exactly one lock release (the first by core 0),
-// simulating a holder that died while holding an advisory lock.
+// simulating a holder that died while holding an advisory lock. It
+// injects no machine-level fault.
 type dropFirst struct{ dropped bool }
+
+func (*dropFirst) SpuriousAbort(int) (htm.AbortReason, bool) { return htm.AbortNone, false }
+func (*dropFirst) NTDelay(int) uint64                        { return 0 }
+func (*dropFirst) StallJitter(int) uint64                    { return 0 }
 
 func (d *dropFirst) DropLockRelease(core int) bool {
 	if !d.dropped && core == 0 {
@@ -312,8 +319,7 @@ func (d *dropFirst) DropLockRelease(core int) bool {
 func TestLostReleaseCostsTimeouts(t *testing.T) {
 	cfg := DefaultConfig(ModeStaggeredHW)
 	cfg.LockTimeout = 3000
-	cfg.LockFaults = &dropFirst{}
-	mach, rt, addr := runArmedCounter(t, cfg, 25, 200)
+	mach, rt, addr := runArmedCounter(t, cfg, &dropFirst{}, 25, 200)
 	if rt.Metrics.LockTimeouts == 0 {
 		t.Fatal("nobody timed out behind the dead holder")
 	}
@@ -323,16 +329,16 @@ func TestLostReleaseCostsTimeouts(t *testing.T) {
 }
 
 // TestLivelockEscape: the runtime's escape from livelock is the
-// irrevocable fallback. Under total speculative poisoning (every
-// transactional event spuriously aborts) each instance burns exactly its
-// retry budget, commits under the global lock, and the run still
-// completes every operation.
+// irrevocable fallback. Under total speculative poisoning (every fault
+// class at rate 1, so every transactional event spuriously aborts) each
+// instance burns exactly its retry budget, commits under the global
+// lock, and the run still completes every operation.
 func TestLivelockEscape(t *testing.T) {
 	m, ab, sLoad, sStore := counterProgram(t)
 	cfgM := htm.DefaultConfig()
 	cfgM.Cores = 2
 	mach := htm.New(cfgM)
-	mach.SetFaultInjector(chaos.NewInjector(chaos.Config{AbortRate: 1, Seed: 1}, cfgM.Cores))
+	mach.SetFaultInjector(chaos.NewInjector(1, 1, cfgM.Cores))
 	comp := anchor.Compile(m, anchor.DefaultOptions())
 	cfg := DefaultConfig(ModeStaggeredHW)
 	cfg.MaxRetries = 3

@@ -55,10 +55,9 @@ func buildKmeans() *Workload {
 				// closure argument, so an in-loop literal would cost one
 				// allocation per operation (same pattern in every workload).
 				var k int
-				var tagged []uint64
 				body := func(tc simds.Ctx) {
 					cs.Update(tc, base, k, point)
-					tc.Op(kmOp{k: k, point: tagged})
+					tc.Op(kmOp{k: k, point: point})
 				}
 				for i := 0; i < ops; i++ {
 					for d := range point {
@@ -70,9 +69,6 @@ func buildKmeans() *Workload {
 					// Real cluster sizes are skewed; popular clusters are
 					// where the paper's kmeans contention comes from.
 					k = skewedCluster(rng.Intn(100))
-					// The point slice is reused across iterations; the tag
-					// must carry its own copy.
-					tagged = append([]uint64(nil), point...)
 					th.Atomic(ab, body)
 				}
 			}
@@ -93,7 +89,10 @@ func buildKmeans() *Workload {
 	}
 }
 
-// kmOp tags one committed accumulator update (point is a private copy).
+// kmOp tags one committed accumulator update. point is the body's own
+// slice, rewritten by the next operation: every backend hands the tag to
+// the oracle at the instance's serialization point, inside Atomic, so it
+// is read before that happens.
 type kmOp struct {
 	k     int
 	point []uint64
