@@ -40,9 +40,10 @@ test: ## go test ./... plus one pass of the htm hot-path kernels
 # crash-smoke is the one daemon harness, cmd/staggerd's tests, under
 # -race: the slice of `race` to run by hand after a daemon change. They boot the real staggerd and staggerctl binaries. The
 # lifecycle test drives one paper-table job through the staggerctl verbs
-# (health, submit, wait, result, metrics), proves a resubmission is
-# served byte-identically (within one life, from the held index, without
-# a store read), then SIGTERM-drains and requires exit 0. The crash tests
+# (health, submit, wait, result, metrics), proves two resubmissions are
+# served byte-identically (within one life, the first from the store,
+# which it then holds, the second from the held index, without a store
+# read), then SIGTERM-drains and requires exit 0. The crash tests
 # SIGKILL the daemon (and crash it via deterministic disk failpoints),
 # restart it over the same store, and assert that every accepted job
 # reaches a terminal state with byte-identical results read back from

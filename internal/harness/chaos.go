@@ -151,21 +151,23 @@ func RunChaosSweep(cs ChaosSweep) ([]ChaosCell, error) {
 	return cells, firstErr
 }
 
-// FormatChaos renders the campaign as per-benchmark degradation curves.
+// FormatChaos renders the campaign as per-benchmark degradation curves,
+// beside each cell's lost advisory-lock releases (drops) and the lock
+// waits they cost (tmo).
 func FormatChaos(cells []ChaosCell) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Chaos campaign: graceful degradation under injected faults\n")
-	fmt.Fprintf(&b, "%-10s %7s %6s %9s %8s %8s %6s %6s  %s\n",
+	fmt.Fprintf(&b, "%-10s %7s %6s %9s %8s %8s %6s %6s %6s  %s\n",
 		"Benchmark", "rate", "ok", "makespan", "commits", "aborts",
-		"spur", "tmo", "degradation")
+		"spur", "drops", "tmo", "degradation")
 	for _, c := range cells {
 		ok := "Y"
 		if c.VerifyErr != nil {
 			ok = "FAIL"
 		}
-		fmt.Fprintf(&b, "%-10s %7.3g %6s %9d %8d %8d %6d %6d  %s\n",
+		fmt.Fprintf(&b, "%-10s %7.3g %6s %9d %8d %8d %6d %6d %6d  %s\n",
 			c.Bench, c.Rate, ok, c.Makespan, c.Commits, c.Aborts,
-			c.Spurious, c.LockTimeouts, degradeBar(c.Degradation))
+			c.Spurious, c.Faults.LockDrops, c.LockTimeouts, degradeBar(c.Degradation))
 	}
 	return b.String()
 }

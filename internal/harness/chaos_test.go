@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,7 +43,8 @@ func chaosRC(bench string, threads int, rate float64) RunConfig {
 }
 
 // TestChaosSmoke is the CI smoke: a representative chaos cell must finish
-// under the watchdog, inject faults, and pass verification.
+// under the watchdog, inject faults, and pass verification. Its campaign
+// table shows each cell's lost releases in a drops column.
 func TestChaosSmoke(t *testing.T) {
 	res, err := Run(chaosRC("list-hi", 8, 0.01))
 	if err != nil {
@@ -56,6 +58,30 @@ func TestChaosSmoke(t *testing.T) {
 	}
 	if res.Stats.Aborts[htm.AbortSpurious] == 0 {
 		t.Fatal("no spurious aborts observed at rate 0.01")
+	}
+
+	cells, err := RunChaosSweep(ChaosSweep{
+		Benchmarks: []string{"list-hi"},
+		Rates:      []float64{0, 0.01, 0.05},
+		Cell:       chaosRC("list-hi", 8, 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(FormatChaos(cells), "\n"), "\n")
+	col := slices.Index(strings.Fields(lines[1]), "drops")
+	if col < 0 || len(lines) != 2+len(cells) {
+		t.Fatalf("campaign table has no drops column or not one row per cell:\n%s", strings.Join(lines, "\n"))
+	}
+	var drops uint64
+	for i, c := range cells {
+		if got, want := strings.Fields(lines[2+i])[col], fmt.Sprint(c.Faults.LockDrops); got != want {
+			t.Fatalf("%s@%g: drops column reads %s, the cell dropped %s releases", c.Bench, c.Rate, got, want)
+		}
+		drops += c.Faults.LockDrops
+	}
+	if drops == 0 {
+		t.Fatal("the campaign dropped no releases, so its drops column shows nothing")
 	}
 }
 

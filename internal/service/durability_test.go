@@ -12,8 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/harness"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // entryFile mirrors the store's content addressing so the test can reach
@@ -45,10 +47,8 @@ func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 	if st := waitJob(t, j1); st.State != JobDone || st.FromStore != 0 {
 		t.Fatalf("first life: %+v", st)
 	}
-	before := make([][]byte, len(j1.payloads()))
-	for i, p := range j1.payloads() {
-		before[i] = append([]byte(nil), p...)
-	}
+	// Read back from the store: the test's own copies.
+	before := results(t, s1, j1)
 	s1.Close() // first life ends; only the disk store survives
 
 	// The crash window: cell 0's entry was torn mid-write (a truncated
@@ -83,7 +83,7 @@ func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 	if stats := s2.store.Stats(); stats.Corrupt != 1 {
 		t.Fatalf("store stats %+v, want exactly one corrupt entry", stats)
 	}
-	for i, p := range j2.payloads() {
+	for i, p := range results(t, s2, j2) {
 		if !bytes.Equal(before[i], p) {
 			t.Fatalf("cell %d bytes differ across restart:\n%s\nvs\n%s", i, before[i], p)
 		}
@@ -171,12 +171,83 @@ func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 	if st := waitJob(t, j); st.State != JobDone || st.FromStore != 0 {
 		t.Fatalf("resubmitted previous-schema cell: %+v, want done with from_store 0", st)
 	}
-	got := j.payloads()[0]
+	got := results(t, s, j)[0]
 	var cr CellResult
 	if err := json.Unmarshal(got, &cr); err != nil {
 		t.Fatal(err)
 	}
 	if want, _ := json.Marshal(&cr); !bytes.Equal(got, want) {
 		t.Fatalf("recomputed payload is not compact JSON:\n%s", got)
+	}
+}
+
+// TestDoneJobRecomputesLostEntry: a done job's computed payloads live in
+// the store alone, so an entry lost after the job finished (corrupted on
+// disk and removed, or failing its read) is recomputed when the result
+// is fetched: /result serves the same bytes, result_recomputes counts
+// the re-run, and the entry is back in the store.
+func TestDoneJobRecomputesLostEntry(t *testing.T) {
+	ref := newT(t, Config{})
+	rj, err := ref.Submit(tinySpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, rj)
+	want := results(t, ref, rj)
+
+	for _, tc := range []struct{ name, failpoint string }{
+		{"corrupt", ""},
+		// The first objects read is the job's own store lookup; the
+		// second is the fetch's.
+		{"read-error", "open:objects=error@2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{StoreDir: dir}
+			var fp *chaos.Failpoints
+			if tc.failpoint != "" {
+				var err error
+				if fp, err = chaos.ParseFailpoints(tc.failpoint); err != nil {
+					t.Fatal(err)
+				}
+				cfg.FS = &vfs.FaultFS{Base: vfs.OS, FP: fp}
+			}
+			s := newT(t, cfg)
+			j, err := s.Submit(tinySpec(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitJob(t, j); st.State != JobDone || st.Computed != 1 {
+				t.Fatalf("cold job: %+v", st)
+			}
+			key := j.plan.keys[0]
+			if fp == nil {
+				path := entryFile(dir, key)
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[len(raw)-2] ^= 0xff // a payload byte: the checksum fails
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := resultBody(t, s, j); !bytes.Equal(got, resultOf(want)) {
+				t.Fatalf("/result after the entry was lost:\n%s\nwant:\n%s", got, resultOf(want))
+			}
+			if fp != nil {
+				if rep := fp.Report(); rep[0].Fired != 1 {
+					t.Fatalf("failpoint %+v, want it fired once, at the fetch", rep[0])
+				}
+			} else if c := s.store.Stats().Corrupt; c != 1 {
+				t.Fatalf("store counted %d corrupt entries, want 1", c)
+			}
+			if m := s.Metrics(); m.Recomputes != 1 {
+				t.Fatalf("result_recomputes %d, want 1", m.Recomputes)
+			}
+			if back, err := s.store.Get(key); err != nil || !bytes.Equal(back, want[0]) {
+				t.Fatalf("the recomputed entry is not back in the store: (%d bytes, %v)", len(back), err)
+			}
+		})
 	}
 }

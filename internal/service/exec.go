@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
@@ -54,10 +55,11 @@ type ExploreFinding struct {
 // another table job holds it) and computes the rest — a cell job's
 // through the sweep primitive, an explore job's one key through
 // harness.ExploreCell — and each payload is encoded and persisted the moment
-// its outcome is delivered, while later cells are still simulating. A
-// failed cell does not stop its siblings: they are computed, persisted
-// and kept, so a resubmission — or the next life of a killed daemon —
-// recomputes only what is actually missing. The error returned is the
+// its outcome is delivered, while later cells are still simulating; the
+// job keeps only the bytes the store did not take (storePut). A failed
+// cell does not stop its siblings: they are computed and persisted, so
+// a resubmission — or the next life of a killed daemon — recomputes
+// only what is actually missing. The error returned is the
 // first by input index. Every payload is a function of its key's cell
 // alone, so a failure (a chaos watchdog trip included) repeats exactly.
 func (s *Server) execute(ctx context.Context, j *Job) error {
@@ -112,7 +114,7 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			}
 			return
 		}
-		b = s.storePut(j, keys[i], b)
+		b = s.storePut(keys[i], b)
 		payloads[i] = b
 		for _, d := range dups[keys[i]] {
 			payloads[d] = b
@@ -193,9 +195,8 @@ func encodeCell(key string, rc harness.RunConfig, res *harness.Result) ([]byte, 
 
 // storeGet serves a stored key to j, nil when the store cannot: from the
 // held index when a table job holds the key, else from the durable store
-// if the entry verifies, and j then holds what it read. A corrupt entry
-// has already been removed by the store; it surfaces here as a plain
-// miss (logged), so the caller transparently recomputes.
+// if the entry verifies, and j then holds what it read, so a key joins
+// the index on its second request (the first computed and stored it).
 func (s *Server) storeGet(j *Job, key string) []byte {
 	if s.store == nil {
 		return nil
@@ -204,6 +205,16 @@ func (s *Server) storeGet(j *Job, key string) []byte {
 		s.heldHits.Add(1)
 		return b
 	}
+	if b := s.storeRead(key); b != nil {
+		return s.hold(j, key, b)
+	}
+	return nil
+}
+
+// storeRead reads key's entry, nil when the store cannot serve it. A
+// corrupt entry has already been removed by the store; it surfaces here
+// as a plain miss (logged), so the caller transparently recomputes.
+func (s *Server) storeRead(key string) []byte {
 	b, err := s.store.Get(key)
 	if err != nil {
 		var ce *store.CorruptError
@@ -214,16 +225,17 @@ func (s *Server) storeGet(j *Job, key string) []byte {
 		}
 		return nil
 	}
-	return s.hold(j, key, b)
+	return b
 }
 
 // storePut persists a payload computed for j and returns the copy j
-// keeps. A payload the store took is held (as the held copy when another
-// job holds the key already). A store write failure is logged and
-// tolerated: j still serves its result from memory, but no other job is
-// served it, since the store does not hold it (durability degrades,
-// correctness does not).
-func (s *Server) storePut(j *Job, key string, payload []byte) []byte {
+// keeps: nil once the store took it, since the store then holds every
+// byte and a fetch reads them back (see payloads). A store write failure
+// is logged and tolerated: j keeps its bytes and serves them from
+// memory, but no other job is served them, since the store does not
+// hold them (durability degrades, correctness does not). A server
+// without a store keeps every payload with its job.
+func (s *Server) storePut(key string, payload []byte) []byte {
 	if s.store == nil {
 		return payload
 	}
@@ -231,5 +243,83 @@ func (s *Server) storePut(j *Job, key string, payload []byte) []byte {
 		s.cfg.Logf("staggerd: store put: %v", err)
 		return payload
 	}
-	return s.hold(j, key, payload)
+	return nil
+}
+
+// payloads returns the payloads of cells [lo, hi) of a done job j, the
+// one way its results are read. A cell whose bytes j kept (a copy it
+// held, or one the store could not take) is served them; every other
+// cell is resolved from the held copy when a table job holds its key,
+// else read from the store. A fetch reads and never holds, and reads
+// each distinct key once. An entry lost since j stored it (corrupt and
+// removed, or unreadable) is recomputed from its cell and put back, so
+// a done job always serves its bytes.
+func (s *Server) payloads(ctx context.Context, j *Job, lo, hi int) ([][]byte, error) {
+	j.mu.Lock()
+	done, kept := j.state == JobDone, j.results
+	j.mu.Unlock()
+	if !done {
+		return nil, fmt.Errorf("service: %s is not done", j.id)
+	}
+	out := slices.Clone(kept[lo:hi])
+	read := map[string][]byte{}
+	for k, b := range out {
+		if b != nil {
+			continue
+		}
+		key := j.plan.keys[lo+k]
+		if b = read[key]; b == nil {
+			var err error
+			if b, err = s.fetch(ctx, j, lo+k); err != nil {
+				return nil, err
+			}
+			read[key] = b
+		}
+		out[k] = b
+	}
+	return out, nil
+}
+
+// fetch returns the stored payload of cell i of a done job: the held
+// copy, else the store's entry, else the cell recomputed and re-put, a
+// re-run counted as result_recomputes. Every payload is a function of
+// its key's cell alone, so the re-run's bytes are the ones first stored.
+func (s *Server) fetch(ctx context.Context, j *Job, i int) ([]byte, error) {
+	key := j.plan.keys[i]
+	s.jobsMu.Lock()
+	b := s.held[key].b
+	s.jobsMu.Unlock()
+	if b != nil {
+		return b, nil
+	}
+	if b = s.storeRead(key); b != nil {
+		return b, nil
+	}
+	b, err := s.recompute(ctx, j, i)
+	if err != nil {
+		return nil, fmt.Errorf("cell %d: stored entry lost, recompute: %w", i, err)
+	}
+	s.recomputes.Add(1)
+	if err := s.store.Put(key, b); err != nil {
+		s.cfg.Logf("staggerd: store put: %v", err)
+	}
+	return b, nil
+}
+
+// recompute re-runs cell i of j as execute first ran it.
+func (s *Server) recompute(ctx context.Context, j *Job, i int) ([]byte, error) {
+	key := j.plan.keys[i]
+	if j.plan.kind == KindExplore {
+		return explore(ctx, j.plan, key)
+	}
+	var b []byte
+	err := s.cfg.sweep(ctx, j.plan.cells[i:i+1], 1, func(_ int, o harness.RunOutcome) error {
+		if o.Err != nil {
+			return o.Err
+		}
+		var err error
+		b, err = encodeCell(key, j.plan.cells[i], o.Res)
+		return err
+	})
+	return b, err
 }

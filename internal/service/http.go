@@ -157,7 +157,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	payloads := j.payloads()
+	payloads, err := s.payloads(r.Context(), j, 0, len(j.plan.keys))
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	size := len("[\n\n]\n") + len(",\n")*max(len(payloads)-1, 0)
 	for _, p := range payloads {
 		size += len(p)
@@ -189,15 +193,20 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	payloads := j.payloads()
+	cells := len(j.plan.keys)
 	n, err := strconv.Atoi(r.PathValue("n"))
-	if err != nil || n < 0 || n >= len(payloads) {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("cell index outside [0,%d)", len(payloads)))
+	if err != nil || n < 0 || n >= cells {
+		writeErr(w, http.StatusNotFound, fmt.Sprintf("cell index outside [0,%d)", cells))
+		return
+	}
+	p, err := s.payloads(r.Context(), j, n, n+1)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(payloads[n])))
-	w.Write(payloads[n])
+	w.Header().Set("Content-Length", strconv.Itoa(len(p[0])))
+	w.Write(p[0])
 }
 
 // handleTrace serves a Perfetto (Chrome trace-event) timeline for one

@@ -259,8 +259,8 @@ type Job struct {
 	mu              sync.Mutex
 	state           string
 	err             string
-	fromStore       int // cells served from the durable store
-	results         [][]byte
+	fromStore       int      // cells served from the durable store
+	results         [][]byte // the bytes j keeps per cell, nil where the store took them (see Server.payloads)
 	held            []string // keys j holds in the server's held index; guarded by the server's jobsMu
 	created         time.Time
 	started         time.Time
@@ -363,15 +363,4 @@ func (j *Job) setResults(payloads [][]byte, fromStore int) {
 	j.results = payloads
 	j.fromStore = fromStore
 	j.mu.Unlock()
-}
-
-// payloads returns the per-cell result payloads of a done job (nil
-// otherwise). The byte slices are the exact bytes stored durably.
-func (j *Job) payloads() [][]byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != JobDone {
-		return nil
-	}
-	return j.results
 }

@@ -192,7 +192,7 @@ func TestResumedSweepRecomputesOnlyMissingCells(t *testing.T) {
 	if st := waitJob(t, rj); st.State != JobDone {
 		t.Fatalf("reference run: %+v", st)
 	}
-	want := rj.payloads()
+	want := results(t, ref, rj)
 
 	// First life: real simulations for cells 0-1, then cell 2 hangs. The
 	// second store rename is the crash point: the entry lands, then the
@@ -243,7 +243,7 @@ func TestResumedSweepRecomputesOnlyMissingCells(t *testing.T) {
 	if st.FromStore != 2 || st.Computed != 1 {
 		t.Fatalf("resume accounting: FromStore=%d Computed=%d, want 2/1", st.FromStore, st.Computed)
 	}
-	got := j2.payloads()
+	got := results(t, s2, j2)
 	if len(got) != len(want) {
 		t.Fatalf("payload count %d != %d", len(got), len(want))
 	}
@@ -498,8 +498,9 @@ func TestJobIDsNeverReissuedAcrossRestarts(t *testing.T) {
 // Journal traffic is visible in /metrics: one append per durable
 // lifecycle record — accepted and the terminal one, nothing for the
 // worker picking the job up — and the boot compaction. So are the two
-// ways a stored cell is served: a same-life resubmission is served from
-// the held index (held_hits) and reads nothing from disk (store hits).
+// ways a stored cell is served: the first same-life resubmission reads
+// it from disk (store hits) and holds it, and the second is served from
+// the held index (held_hits) and reads nothing from disk.
 func TestMetricsExposeJournalStats(t *testing.T) {
 	dir := t.TempDir()
 	s := newT(t, Config{StoreDir: dir})
@@ -508,23 +509,31 @@ func TestMetricsExposeJournalStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, j)
-	before := s.Metrics()
-	again, err := s.Submit(tinySpec(81))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitJob(t, again); st.State != JobDone || st.FromStore != st.Cells {
-		t.Fatalf("resubmission: %+v, want every cell from the store", st)
+	served := make([]Metrics, 0, 3) // before each resubmission, and after the last
+	for k := 0; k < 2; k++ {
+		served = append(served, s.Metrics())
+		again, err := s.Submit(tinySpec(81))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, again); st.State != JobDone || st.FromStore != st.Cells {
+			t.Fatalf("resubmission %d: %+v, want every cell from the store", k, st)
+		}
 	}
 	// Waiters are released before the done record is appended; Close
 	// returns once the worker that appends it has stopped.
 	s.Close()
 	m := s.Metrics()
-	if m.Journal == nil || m.Journal.Appends != 4 {
-		t.Fatalf("journal stats = %+v, want exactly 4 appends (accepted, done per job)", m.Journal)
+	served = append(served, m)
+	if m.Journal == nil || m.Journal.Appends != 6 {
+		t.Fatalf("journal stats = %+v, want exactly 6 appends (accepted, done per job)", m.Journal)
 	}
-	if held, hits := m.HeldHits-before.HeldHits, m.Store.Hits-before.Store.Hits; held != 1 || hits != 0 {
-		t.Fatalf("resubmitting a 1-cell job moved held_hits by %d and store hits by %d, want 1 and 0", held, hits)
+	for k, want := range [][2]uint64{{0, 1}, {1, 0}} {
+		held, hits := served[k+1].HeldHits-served[k].HeldHits, served[k+1].Store.Hits-served[k].Store.Hits
+		if held != want[0] || hits != want[1] {
+			t.Fatalf("resubmission %d of a 1-cell job moved held_hits by %d and store hits by %d, want %d and %d",
+				k, held, hits, want[0], want[1])
+		}
 	}
 	var wire struct {
 		HeldHits *uint64           `json:"held_hits"`
@@ -556,7 +565,8 @@ func TestMetricsExposeJournalStats(t *testing.T) {
 
 // A payload the store could not take is not held: every store write
 // fails, so a same-life resubmission finds nothing stored and recomputes
-// every cell, though the first job still served its result from memory.
+// every cell, though each job still serves its own bytes from memory,
+// with no fetch-time recompute.
 func TestUnstoredPayloadNotHeld(t *testing.T) {
 	fp, err := chaos.ParseFailpoints("write:objects=enospc@*")
 	if err != nil {
@@ -578,13 +588,16 @@ func TestUnstoredPayloadNotHeld(t *testing.T) {
 			t.Fatalf("submit %d over a store that takes no writes: %+v, want done with both cells computed", k, st)
 		}
 		if want == nil {
-			want = j.payloads()
-		} else if got := j.payloads(); !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+			want = results(t, s, j)
+		} else if got := results(t, s, j); !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
 			t.Fatal("the recomputed resubmission served different bytes")
 		}
+		if got := resultBody(t, s, j); j.results[0] == nil || j.results[1] == nil || !bytes.Equal(got, resultOf(j.results)) {
+			t.Fatalf("submit %d: /result does not serve the bytes the job kept:\n%s", k, got)
+		}
 	}
-	if m := s.Metrics(); m.HeldHits != 0 || m.Store.Puts != 0 || m.Store.Hits != 0 {
-		t.Fatalf("metrics %+v (store %+v), want no held hits, puts or store hits", m, *m.Store)
+	if m := s.Metrics(); m.HeldHits != 0 || m.Store.Puts != 0 || m.Store.Hits != 0 || m.Recomputes != 0 {
+		t.Fatalf("metrics %+v (store %+v), want no held hits, puts, store hits or result recomputes", m, *m.Store)
 	}
 }
 

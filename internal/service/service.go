@@ -31,12 +31,14 @@
 //     never a wrong answer;
 //   - memory: the job table keeps the last retainTerminal finished jobs;
 //     older IDs answer 404 and their results stay in the store, where an
-//     identical resubmission finds them. The table's jobs share one copy
-//     of each stored payload through the held index: a payload joins it
-//     once it is durable in this life's store (read back, or written by
-//     a Put that succeeded), a job whose key is held is served that copy
-//     without a store read, and the key leaves when the last job holding
-//     it is evicted;
+//     identical resubmission finds them. A payload the store took stays
+//     on disk: the job that computed it keeps no copy, and a fetch of its
+//     result reads the entry back without keeping it (recomputing a lost
+//     one). The table's jobs share one copy of each payload a second job
+//     asked for through the held index: a key joins it when a job reads
+//     it back from this life's store, a later job whose key is held is
+//     served that copy without a store read, and the key leaves when the
+//     last job holding it is evicted;
 //   - shutdown: SIGTERM flips readiness, stops admission, lets in-flight
 //     jobs finish within a grace period, then cancels them; the process
 //     exits cleanly either way.
@@ -175,6 +177,10 @@ type Server struct {
 	cancCnt  atomic.Uint64
 	panicCnt atomic.Uint64
 	heldHits atomic.Uint64
+
+	heldKeys   atomic.Int64 // len(held), kept by hold and retire
+	heldBytes  atomic.Int64 // the held copies' bytes, kept by hold and retire
+	recomputes atomic.Uint64
 
 	requeued     atomic.Uint64 // jobs re-enqueued at boot
 	resumedCells atomic.Uint64 // recovered-job cells served from the store
@@ -418,7 +424,10 @@ type Metrics struct {
 	Failed       uint64         `json:"failed"`
 	Canceled     uint64         `json:"canceled"`
 	Panics       uint64         `json:"panics_contained"`
-	HeldHits     uint64         `json:"held_hits"` // cells served from the held index; Store.Hits counts disk reads
+	HeldHits     uint64         `json:"held_hits"`         // cells served from the held index; Store.Hits counts disk reads
+	HeldKeys     int64          `json:"held_keys"`         // keys in the held index
+	HeldBytes    int64          `json:"held_bytes"`        // bytes of the held copies
+	Recomputes   uint64         `json:"result_recomputes"` // lost entries a result fetch recomputed
 	Queued       int            `json:"queued"`
 	Running      int            `json:"running"`
 	Draining     bool           `json:"draining"`
@@ -439,6 +448,9 @@ func (s *Server) Metrics() Metrics {
 		Canceled:     s.cancCnt.Load(),
 		Panics:       s.panicCnt.Load(),
 		HeldHits:     s.heldHits.Load(),
+		HeldKeys:     s.heldKeys.Load(),
+		HeldBytes:    s.heldBytes.Load(),
+		Recomputes:   s.recomputes.Load(),
 		Queued:       len(s.queue),
 		Running:      int(s.running.Load()),
 		Draining:     s.draining.Load(),
@@ -509,7 +521,7 @@ func (s *Server) runJob(j *Job) {
 // addressable by ID, older ones are dropped, and with them their holds
 // on the held index. Their payloads are in the store, so an identical
 // resubmission is served from the index while another table job holds
-// the key, and read from the store once none does.
+// the key, and read from the store (and held again) once none does.
 const retainTerminal = 256
 
 // retire moves j from state `from` to the terminal state `to`, releasing
@@ -556,6 +568,8 @@ func (s *Server) retire(j *Job, from, to, errMsg string) bool {
 			s.held[key] = h
 		} else {
 			delete(s.held, key)
+			s.heldKeys.Add(-1)
+			s.heldBytes.Add(-int64(len(h.b)))
 		}
 	}
 	return true
@@ -571,9 +585,9 @@ type heldPayload struct {
 // hold makes j a holder of key and returns the copy j keeps: the held
 // one when another table job holds the key, else b, which becomes the
 // held copy. A nil b only looks, and returns nil when no job holds the
-// key. Callers hold a key once per job and only for bytes durable in
-// this life's store, so the index holds exactly the table's stored
-// payloads, each once.
+// key. Callers hold a key once per job and only for bytes read back
+// from this life's store, so the index holds exactly the stored
+// payloads a second job asked for, each once.
 func (s *Server) hold(j *Job, key string, b []byte) []byte {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
@@ -583,6 +597,8 @@ func (s *Server) hold(j *Job, key string, b []byte) []byte {
 			return nil
 		}
 		h.b = b
+		s.heldKeys.Add(1)
+		s.heldBytes.Add(int64(len(b)))
 	}
 	h.jobs++
 	s.held[key] = h

@@ -62,6 +62,16 @@ func waitJob(t *testing.T, j *Job) JobStatus {
 	return j.Status()
 }
 
+// results is Server.payloads over every cell of a done job.
+func results(t *testing.T, s *Server, j *Job) [][]byte {
+	t.Helper()
+	p, err := s.payloads(context.Background(), j, 0, len(j.plan.keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // waitState polls until the job reaches the given state.
 func waitState(t *testing.T, j *Job, state string) {
 	t.Helper()
@@ -150,7 +160,7 @@ func TestBackendSweepAxis(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
 	}
-	for i, raw := range j.payloads() {
+	for i, raw := range results(t, s, j) {
 		var cr CellResult
 		if err := json.Unmarshal(raw, &cr); err != nil {
 			t.Fatalf("cell %d payload: %v", i, err)
@@ -184,7 +194,7 @@ func TestOneSimulationOneStoreKey(t *testing.T) {
 	if st := waitJob(t, j); st.State != JobDone {
 		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
 	}
-	cells := j.payloads()
+	cells := results(t, s, j)
 	if !bytes.Equal(cells[0], cells[1]) {
 		t.Fatal("one simulation under two spellings served different bytes")
 	}
@@ -196,7 +206,7 @@ func TestOneSimulationOneStoreKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := waitJob(t, again); st.FromStore != 1 || !bytes.Equal(again.payloads()[0], cells[0]) {
+		if st := waitJob(t, again); st.FromStore != 1 || !bytes.Equal(results(t, s, again)[0], cells[0]) {
 			t.Fatalf("%+v: from_store=%d, want the stored cell served byte for byte", c, st.FromStore)
 		}
 	}
@@ -237,7 +247,7 @@ func TestEqualKeysSimulateOnce(t *testing.T) {
 	if puts := s.store.Stats().Puts; puts != 2 {
 		t.Fatalf("store took %d puts, want one per distinct key (2)", puts)
 	}
-	payloads := j.payloads()
+	payloads := results(t, s, j)
 	for i := range keys {
 		for k := range keys {
 			if keys[i] == keys[k] && (payloads[i] == nil || !bytes.Equal(payloads[i], payloads[k])) {
@@ -346,6 +356,24 @@ func getSized(t *testing.T, url string) []byte {
 	return body
 }
 
+// resultBody is GET /jobs/{id}/result through s's handler, which must
+// answer 200.
+func resultBody(t *testing.T, s *Server, j *Job) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/"+j.ID()+"/result", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /jobs/%s/result: HTTP %d: %s", j.ID(), rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// resultOf frames payloads the way /result does.
+func resultOf(payloads [][]byte) []byte {
+	b := append([]byte("[\n"), bytes.Join(payloads, []byte(",\n"))...)
+	return append(b, "\n]\n"...)
+}
+
 func TestByteIdenticalAcrossClients(t *testing.T) {
 	s := newT(t, Config{StoreDir: t.TempDir()})
 	j1, err := s.Submit(tinySpec(9))
@@ -362,7 +390,7 @@ func TestByteIdenticalAcrossClients(t *testing.T) {
 	if st := waitJob(t, j2); st.State != JobDone || st.FromStore != 1 {
 		t.Fatalf("second job should be served from the store: %+v", st)
 	}
-	if !bytes.Equal(j1.payloads()[0], j2.payloads()[0]) {
+	if !bytes.Equal(results(t, s, j1)[0], results(t, s, j2)[0]) {
 		t.Fatal("two clients saw different bytes for one cell")
 	}
 }
@@ -626,7 +654,7 @@ func TestExploreJobRunsAndIsDurable(t *testing.T) {
 		t.Fatalf("explore job: %+v", st)
 	}
 	var er ExploreResult
-	if err := json.Unmarshal(j.payloads()[0], &er); err != nil {
+	if err := json.Unmarshal(results(t, s, j)[0], &er); err != nil {
 		t.Fatal(err)
 	}
 	if er.Runs != 3 || er.Commits == 0 {
@@ -640,7 +668,7 @@ func TestExploreJobRunsAndIsDurable(t *testing.T) {
 	if st := waitJob(t, j2); st.FromStore != 1 {
 		t.Fatalf("explore rerun not served from store: %+v", st)
 	}
-	if !bytes.Equal(j.payloads()[0], j2.payloads()[0]) {
+	if !bytes.Equal(results(t, s, j)[0], results(t, s, j2)[0]) {
 		t.Fatal("explore payload differed across submissions")
 	}
 }
@@ -713,9 +741,10 @@ func TestExploreJobRunsItsWholeCell(t *testing.T) {
 // jobs and forgets older ones everywhere (jobs, order, idempotency
 // index, held index). A forgotten ID answers 404, and resubmitting its
 // spec — under the same idempotency key or none — is a new job served
-// wholly from the store with the same bytes. The held index holds
-// exactly the retained jobs' keys, each once per job holding it, and
-// those jobs share one copy of each payload. The warm jobs run four at a
+// wholly from the store with the same bytes. A cold job holds nothing;
+// the held index holds exactly the retained warm jobs' keys, each once
+// per job holding it, those jobs share one copy of each payload, and
+// held_keys and held_bytes count the index. The warm jobs run four at a
 // time, so holds are taken and released concurrently.
 func TestJobTableBounded(t *testing.T) {
 	s := newT(t, Config{StoreDir: t.TempDir(), JobWorkers: 4, QueueDepth: retainTerminal + 8,
@@ -729,12 +758,14 @@ func TestJobTableBounded(t *testing.T) {
 	if st := waitJob(t, first); st.State != JobDone || st.Computed != 1 {
 		t.Fatalf("cold job: %+v", st)
 	}
-	want := first.payloads()[0]
-	// A key only evicted jobs hold, so it must leave the held index.
+	want := results(t, s, first)[0]
 	if other, err := s.Submit(tinySpec(2)); err != nil {
 		t.Fatal(err)
 	} else if st := waitJob(t, other); st.State != JobDone || st.Computed != 1 {
 		t.Fatalf("cold job: %+v", st)
+	}
+	if m := s.Metrics(); m.HeldKeys != 0 || m.HeldBytes != 0 {
+		t.Fatalf("two cold jobs hold %d keys, %d bytes; want none", m.HeldKeys, m.HeldBytes)
 	}
 
 	submit := func(spec JobSpec) *Job {
@@ -747,7 +778,7 @@ func TestJobTableBounded(t *testing.T) {
 	}
 	check := func(j *Job) *Job {
 		t.Helper()
-		if st := waitJob(t, j); st.State != JobDone || st.FromStore != st.Cells || !bytes.Equal(j.payloads()[0], want) {
+		if st := waitJob(t, j); st.State != JobDone || st.FromStore != st.Cells || !bytes.Equal(results(t, s, j)[0], want) {
 			t.Fatalf("warm job %+v: want every cell from the store, byte for byte", st)
 		}
 		return j
@@ -781,13 +812,19 @@ func TestJobTableBounded(t *testing.T) {
 	if len(held) != len(holders) {
 		t.Fatalf("held index has %d keys, the retained jobs %d", len(held), len(holders))
 	}
+	heldBytes := 0
 	for key, n := range holders {
 		if held[key].jobs != n {
 			t.Fatalf("held index counts %d holders of %s, want the %d retained jobs holding it", held[key].jobs, key, n)
 		}
+		heldBytes += len(held[key].b)
+	}
+	if m := s.Metrics(); m.HeldKeys != int64(len(held)) || m.HeldBytes != int64(heldBytes) {
+		t.Fatalf("metrics held_keys %d, held_bytes %d; the index holds %d keys, %d bytes",
+			m.HeldKeys, m.HeldBytes, len(held), heldBytes)
 	}
 	for _, j := range kept {
-		if p := j.payloads()[0]; &p[0] != &held[j.plan.keys[0]].b[0] {
+		if p := results(t, s, j)[0]; &p[0] != &held[j.plan.keys[0]].b[0] {
 			t.Fatalf("%s keeps its own copy of a held payload, want the one held copy", j.ID())
 		}
 	}
@@ -798,5 +835,52 @@ func TestJobTableBounded(t *testing.T) {
 	}
 	if again := check(submit(keyed)); again.ID() == first.ID() {
 		t.Fatalf("resubmission under the evicted job's idempotency key returned %s again", first.ID())
+	}
+}
+
+// TestColdJobsHoldNoPayloads: a job that computes its cells keeps none of
+// the payloads the store took, so distinct cold jobs on a durable server
+// leave the held index empty, and each job's /result is the store's
+// entries byte for byte, read back without being held.
+func TestColdJobsHoldNoPayloads(t *testing.T) {
+	s := newT(t, Config{StoreDir: t.TempDir()})
+	var jobs []*Job
+	for seed := int64(1); seed <= 3; seed++ {
+		j, err := s.Submit(JobSpec{Cells: []harness.Cell{
+			{Bench: "list-hi", Threads: 2, Seed: seed, Ops: 200},
+			{Bench: "list-lo", Threads: 2, Seed: seed, Ops: 200},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, j); st.State != JobDone || st.Computed != st.Cells {
+			t.Fatalf("cold job: %+v, want done with every cell computed", st)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		for i, b := range j.results {
+			if b != nil {
+				t.Fatalf("%s keeps %d bytes of cell %d, which the store took", j.ID(), len(b), i)
+			}
+		}
+		stored := make([][]byte, len(j.plan.keys))
+		for i, key := range j.plan.keys {
+			b, err := s.store.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored[i] = b
+		}
+		if got := resultBody(t, s, j); !bytes.Equal(got, resultOf(stored)) {
+			t.Fatalf("%s: /result is not the store's entries:\n%s", j.ID(), got)
+		}
+	}
+	s.jobsMu.Lock()
+	held := len(s.held)
+	s.jobsMu.Unlock()
+	if m := s.Metrics(); held != 0 || m.HeldKeys != 0 || m.HeldBytes != 0 || m.Recomputes != 0 {
+		t.Fatalf("after %d cold jobs and their fetches: %d held keys, metrics held_keys %d, held_bytes %d, result_recomputes %d; want all 0",
+			len(jobs), held, m.HeldKeys, m.HeldBytes, m.Recomputes)
 	}
 }
