@@ -1,10 +1,10 @@
 // Command staggerd is the simulation daemon: the HTTP+JSON service of
 // internal/service behind a listener, signals, and flags. It accepts
-// run/sweep/chaos/explore jobs, executes them on a bounded worker pool,
-// persists every cell result in a crash-safe store, and drains
-// gracefully on SIGTERM/SIGINT: readiness flips immediately, in-flight
-// jobs get -grace to finish, then they are cancelled and the process
-// exits cleanly.
+// jobs of cells (spelled run, sweep or chaos), executes them on a
+// bounded worker pool, persists every cell result in a crash-safe
+// store, and drains gracefully on SIGTERM/SIGINT: readiness flips
+// immediately, in-flight jobs get -grace to finish, then they are
+// cancelled and the process exits cleanly.
 //
 // Typical use:
 //

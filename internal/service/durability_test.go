@@ -103,12 +103,12 @@ func TestCrashRestartServesIdenticalBytes(t *testing.T) {
 	}
 }
 
-// Boot GC keeps exactly the key forms this binary issues — cell keys and
-// explore keys under the current explore version — and evicts the rest:
-// the previous schema's, and explore payloads under the previous explore
-// version, among them one whose cell carries a sched, which no
-// normalized campaign spells. A cell the previous schema stored is then
-// recomputed, not served, and its new payload is compact JSON.
+// Boot GC keeps exactly the key form this binary issues — cell keys
+// under the current schema — and evicts the rest: the previous schema's,
+// and the explore payloads older daemons stored under every explore
+// version, since this one serves no explore jobs. A cell the previous
+// schema stored is then recomputed, not served, and its new payload is
+// compact JSON.
 func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 	dir := t.TempDir()
 	cell, _, err := harness.Cell{Bench: "list-hi", Threads: 2, Seed: 1, Ops: 200}.Normalize()
@@ -119,26 +119,22 @@ func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := ExploreSpec{Cell: cell, Runs: 3}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	explore := exploreKey(e)
-	keep := []string{cell.Key(), explore}
+	keep := []string{cell.Key()}
 	prev := fmt.Sprintf("v%d|", harness.CacheSchema-1)
 	staleKey := prev + strings.TrimPrefix(stale.Key(), fmt.Sprintf("v%d|", harness.CacheSchema))
 	if !strings.HasPrefix(staleKey, prev+"cell|") {
 		t.Fatalf("stale key %q is not a previous-schema cell key", staleKey)
 	}
-	// The explore.v2 key of a campaign whose cell carries its sched: no
-	// normalized spec spells it, so it must go even though v2 was once
-	// issued.
-	cur := fmt.Sprintf("|explore.v%d|", exploreVersion)
-	withSched := e
-	withSched.Cell.Sched = e.Sched
+	// Explore keys as the last explore versions spelled them: v3, and v2
+	// with and without a sched in the campaign's cell.
+	cellJSON := strings.TrimPrefix(cell.Key(), harness.CellKeyPrefix)
+	explore := func(version int, cell string) string {
+		return fmt.Sprintf(`v%d|explore.v%d|{"cell":%s,"sched":"pct:3","runs":3}`, harness.CacheSchema, version, cell)
+	}
 	evict := []string{
-		strings.Replace(explore, cur, fmt.Sprintf("|explore.v%d|", exploreVersion-1), 1),
-		strings.Replace(exploreKey(withSched), cur, "|explore.v2|", 1),
+		explore(3, cellJSON),
+		explore(2, cellJSON),
+		explore(2, strings.Replace(cellJSON, `"ops":200`, `"ops":200,"sched":"pct:3"`, 1)),
 		staleKey,
 	}
 	st, err := store.Open(dir)

@@ -30,32 +30,11 @@ type CellResult struct {
 	OracleErr string        `json:"oracle_err,omitempty"`
 }
 
-// ExploreResult is the durable payload of an explore job. Failures carry
-// the generative (spec, sched_seed) handle rather than full pick
-// sequences — that pair reproduces the schedule exactly.
-type ExploreResult struct {
-	Key      string           `json:"key"`
-	Sched    string           `json:"sched"`
-	Runs     int              `json:"runs"`
-	Commits  int              `json:"commits"`
-	Failures []ExploreFinding `json:"failures"`
-}
-
-// ExploreFinding is one failing schedule of an explore job.
-type ExploreFinding struct {
-	SchedSeed int64    `json:"sched_seed"`
-	Err       string   `json:"err"`
-	Picks     int      `json:"picks"`
-	Minimized []uint32 `json:"minimized,omitempty"`
-	Probes    int      `json:"probes,omitempty"`
-}
-
 // execute runs a job as one serve-or-compute stream over its keys. It
 // serves every key the store already has (from the held index when
-// another table job holds it) and computes the rest — a cell job's
-// through the sweep primitive, an explore job's one key through
-// harness.ExploreCell — and each payload is encoded and persisted the moment
-// its outcome is delivered, while later cells are still simulating; the
+// another table job holds it) and computes the rest through the sweep
+// primitive, and each payload is encoded and persisted the moment its
+// outcome is delivered, while later cells are still simulating; the
 // job keeps only the bytes the store did not take (storePut). A failed
 // cell does not stop its siblings: they are computed and persisted, so
 // a resubmission — or the next life of a killed daemon — recomputes
@@ -101,8 +80,18 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			dups[keys[i]] = append(dups[keys[i]], i)
 		}
 	}
+	cfgs := make([]harness.RunConfig, len(miss))
+	for k, i := range miss {
+		cfgs[k] = j.plan.cells[i]
+	}
 	var first error
-	deliver := func(i int, b []byte, err error) {
+	// The stream's error is this deliver's, and it never stops the stream.
+	_ = s.cfg.sweep(ctx, cfgs, 0, func(k int, o harness.RunOutcome) error {
+		i := miss[k]
+		b, err := []byte(nil), o.Err
+		if err == nil {
+			b, err = encodeCell(keys[i], cfgs[k], o.Res)
+		}
 		var pe *harness.PanicError
 		if errors.As(err, &pe) {
 			s.panicCnt.Add(1)
@@ -112,64 +101,16 @@ func (s *Server) execute(ctx context.Context, j *Job) error {
 			if first == nil {
 				first = fmt.Errorf("cell %d: %w", i, err)
 			}
-			return
+			return nil
 		}
 		b = s.storePut(keys[i], b)
 		payloads[i] = b
 		for _, d := range dups[keys[i]] {
 			payloads[d] = b
 		}
-	}
-	if j.plan.kind == KindExplore {
-		for _, i := range miss {
-			b, err := explore(ctx, j.plan, keys[i])
-			deliver(i, b, err)
-		}
-		return first
-	}
-	cfgs := make([]harness.RunConfig, len(miss))
-	for k, i := range miss {
-		cfgs[k] = j.plan.cells[i]
-	}
-	// The stream's error is deliver's, and this deliver never stops it.
-	_ = s.cfg.sweep(ctx, cfgs, 0, func(k int, o harness.RunOutcome) error {
-		b, err := []byte(nil), o.Err
-		if err == nil {
-			b, err = encodeCell(keys[miss[k]], cfgs[k], o.Res)
-		}
-		deliver(miss[k], b, err)
 		return nil
 	})
 	return first
-}
-
-// explore computes the payload of an explore job's one key.
-func explore(ctx context.Context, p *jobPlan, key string) ([]byte, error) {
-	rep, err := harness.ExploreCell(ctx, p.cells[0], p.runs, p.minimize)
-	if err != nil {
-		return nil, err
-	}
-	er := ExploreResult{
-		Key:      key,
-		Sched:    rep.Config.Sched,
-		Runs:     rep.Runs,
-		Commits:  rep.Commits,
-		Failures: make([]ExploreFinding, 0, len(rep.Failures)),
-	}
-	for _, f := range rep.Failures {
-		er.Failures = append(er.Failures, ExploreFinding{
-			SchedSeed: f.SchedSeed,
-			Err:       f.Err.Error(),
-			Picks:     len(f.Picks),
-			Minimized: f.Minimized,
-			Probes:    f.Probes,
-		})
-	}
-	b, err := json.Marshal(&er)
-	if err != nil {
-		return nil, fmt.Errorf("encode explore result: %w", err)
-	}
-	return b, nil
 }
 
 // encodeCell renders the durable payload for one freshly computed cell.
@@ -309,9 +250,6 @@ func (s *Server) fetch(ctx context.Context, j *Job, i int) ([]byte, error) {
 // recompute re-runs cell i of j as execute first ran it.
 func (s *Server) recompute(ctx context.Context, j *Job, i int) ([]byte, error) {
 	key := j.plan.keys[i]
-	if j.plan.kind == KindExplore {
-		return explore(ctx, j.plan, key)
-	}
 	var b []byte
 	err := s.cfg.sweep(ctx, j.plan.cells[i:i+1], 1, func(_ int, o harness.RunOutcome) error {
 		if o.Err != nil {

@@ -220,10 +220,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if j.plan.kind == KindExplore {
-		writeErr(w, http.StatusBadRequest, "explore jobs have no cell trace; rerun the failure via its sched_seed")
-		return
-	}
 	n := 0
 	if v := r.URL.Query().Get("cell"); v != "" {
 		var err error

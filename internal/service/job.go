@@ -1,7 +1,6 @@
 package service
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,100 +12,54 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/sched"
 	"repro/internal/workloads"
 )
 
-// Job kinds. An empty kind is inferred: explore when the Explore field is
-// set, run for a single explicit cell, sweep otherwise.
+// Job kinds. A kind is only a spelling of the cells a spec plans: chaos
+// crosses them with [0.01] when ChaosRates is empty, and run requires
+// exactly one; an empty kind and sweep add nothing. Schedule
+// exploration is staggersim -explore's, not a job kind.
 const (
-	KindRun     = "run"
-	KindSweep   = "sweep"
-	KindChaos   = "chaos"
-	KindExplore = "explore"
+	KindRun   = "run"
+	KindSweep = "sweep"
+	KindChaos = "chaos"
 )
 
-// ExploreSpec is the wire form of a schedule-exploration campaign. Its
-// scheduler is Sched or, when that is empty, the cell's own sched; a
-// spec that names two different schedulers is refused.
-type ExploreSpec struct {
-	Cell     harness.Cell `json:"cell"`
-	Sched    string       `json:"sched,omitempty"` // "" = the cell's sched, else "pct:3"
-	Runs     int          `json:"runs,omitempty"`  // 0 = 100
-	Minimize bool         `json:"minimize,omitempty"`
-}
-
-// normalized validates e and spells it one way: the scheduler lives in
-// Sched and the cell's sched is cleared, so both spellings of a
-// campaign share one key.
-func (e ExploreSpec) normalized() (ExploreSpec, harness.RunConfig, error) {
-	cell, rc, err := e.Cell.Normalize()
-	if err != nil {
-		return e, rc, err
-	}
-	if e.Sched != "" && cell.Sched != "" && e.Sched != cell.Sched {
-		return e, rc, fmt.Errorf("explore: sched %q differs from the cell's sched %q", e.Sched, cell.Sched)
-	}
-	e.Sched = cmp.Or(e.Sched, cell.Sched, harness.DefaultExploreSched)
-	cell.Sched = ""
-	e.Cell = cell
-	if _, err := sched.Parse(e.Sched); err != nil {
-		return e, rc, fmt.Errorf("explore: %w", err)
-	}
-	if e.Runs <= 0 {
-		e.Runs = harness.DefaultExploreRuns
-	}
-	return e, rc, nil
-}
-
-// exploreVersion versions explore payloads apart from cell payloads.
-// Explore keys before version 2 (plain "v5|explore|") name payloads of
-// campaigns that ran without their cell's lazy, naive and watchdog
-// settings, so those keys must never be found again. Version 3 retires
-// the explore.v2 keys whose cell carries a sched: a normalized campaign
-// keeps its scheduler in Sched and never in its cell, so no lookup
-// reaches them, and bumping the version lets boot GC evict them (the
-// v2 keys without one go too, and are recomputed once). Cell payloads
-// were always computed from the whole cell, so retiring explore keys
-// takes no CacheSchema bump.
-const exploreVersion = 3
-
-// exploreKey is the durable-store key of a normalized campaign: its
-// cell's key with the campaign's own fields.
-func exploreKey(e ExploreSpec) string {
-	b, _ := json.Marshal(e)
-	return exploreKeyPrefix + string(b)
-}
-
-// exploreKeyPrefix starts every key exploreKey builds.
-var exploreKeyPrefix = fmt.Sprintf("v%d|explore.v%d|", harness.CacheSchema, exploreVersion)
-
-// issuedKey reports whether a store key has a form this binary builds: a
-// cell key or an explore key, each under its current version. Boot GC
-// evicts every other entry, since no lookup can reach it again.
+// issuedKey reports whether a store key has a form this binary builds, a
+// cell key under the current schema. Boot GC evicts every other entry
+// (the explore payloads of older daemons among them), since no lookup
+// can reach it again.
 func issuedKey(key string) bool {
-	return strings.HasPrefix(key, harness.CellKeyPrefix) || strings.HasPrefix(key, exploreKeyPrefix)
+	return strings.HasPrefix(key, harness.CellKeyPrefix)
 }
 
-// JobSpec is one submitted unit of work. Cells can be listed explicitly
-// or expanded as the cross product of Benchmarks x Modes x Threads x
-// Seeds (empty Benchmarks sweeps every workload, matching the chaos
-// campaign CLI); the chaos kind further crosses the base cells with
-// ChaosRates.
+// JobSpec is one submitted unit of work: a list of cells. They are the
+// explicit Cells, or else the cross product Benchmarks x Modes x Backends
+// x Threads x Seeds in that order, each with Ops; either base is then
+// crossed with ChaosRates as the innermost axis. An empty axis leaves
+// its field zero, which harness.Cell.Normalize defaults, except that
+// empty Benchmarks sweeps every workload, matching the chaos campaign
+// CLI.
 type JobSpec struct {
-	Kind  string         `json:"kind,omitempty"`
+	Kind  string         `json:"kind,omitempty"` // "", "run", "sweep" or "chaos"
 	Cells []harness.Cell `json:"cells,omitempty"`
 
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	Modes      []string `json:"modes,omitempty"`    // empty = ["staggered"]
-	Backends   []string `json:"backends,omitempty"` // empty = [""] (selected by each mode)
-	Threads    []int    `json:"threads,omitempty"`  // empty = [4]
-	Seeds      []int64  `json:"seeds,omitempty"`    // empty = [harness.DefaultSeed]
+	Benchmarks []string `json:"benchmarks,omitempty"` // empty = every workload
+	Modes      []string `json:"modes,omitempty"`      // empty = the cell default, staggered
+	Backends   []string `json:"backends,omitempty"`   // empty = selected by each mode
+	Threads    []int    `json:"threads,omitempty"`    // empty = the cell default, 4
+	Seeds      []int64  `json:"seeds,omitempty"`      // empty = harness.DefaultSeed
 	Ops        int      `json:"ops,omitempty"`
 
-	ChaosRates []float64 `json:"chaos_rates,omitempty"` // chaos kind; empty = [0.01]
+	// ChaosRates, when set, replaces each base cell's chaos_rate, one
+	// cell per rate; empty keeps the cells' own rates (chaos kind: [0.01]).
+	ChaosRates []float64 `json:"chaos_rates,omitempty"`
 
-	Explore *ExploreSpec `json:"explore,omitempty"`
+	// Explore is the campaign field of the explore jobs older daemons
+	// served. It is kept only to be refused, so that a journaled explore
+	// job is dropped at boot instead of decoding to an empty spec, which
+	// would sweep every workload; staggersim -explore explores.
+	Explore json.RawMessage `json:"explore,omitempty"`
 
 	// IdempotencyKey, when set, makes resubmission safe across daemon
 	// restarts: a submit whose key matches a live job returns that job
@@ -127,53 +80,35 @@ type jobPlan struct {
 	kind  string
 	cells []harness.RunConfig
 	keys  []string
-	// An explore job's campaign: runs schedules of its one cell,
-	// cells[0], which carries the campaign's scheduler.
-	runs     int
-	minimize bool
 }
 
+// plan expands spec into its cells and keys. The plan's kind is the
+// job's status label: the spelled kind, or for an empty one run when
+// one explicit cell is all it plans and sweep otherwise.
 func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
-	kind := spec.Kind
-	if kind == "" {
-		switch {
-		case spec.Explore != nil:
-			kind = KindExplore
-		case len(spec.Cells) == 1 && len(spec.Benchmarks) == 0:
-			kind = KindRun
-		default:
-			kind = KindSweep
-		}
+	if spec.Explore != nil {
+		return nil, errors.New("explore jobs are not served; explore with staggersim -explore")
 	}
-
-	if kind == KindExplore {
-		if spec.Explore == nil {
-			return nil, errors.New("explore job needs an explore spec")
+	kind, rates := spec.Kind, spec.ChaosRates
+	switch kind {
+	case "", KindRun, KindSweep:
+	case KindChaos:
+		if len(rates) == 0 {
+			rates = []float64{0.01}
 		}
-		e, rc, err := spec.Explore.normalized()
-		if err != nil {
-			return nil, err
-		}
-		rc.Sched = e.Sched
-		return &jobPlan{kind: kind, cells: []harness.RunConfig{rc}, keys: []string{exploreKey(e)},
-			runs: e.Runs, minimize: e.Minimize}, nil
+	default:
+		return nil, fmt.Errorf("unknown job kind %q: want run, sweep or chaos", kind)
 	}
-
 	base := spec.Cells
 	if len(base) == 0 {
 		base = spec.product()
 	}
-	if kind == KindChaos {
-		rates := spec.ChaosRates
-		if len(rates) == 0 {
-			rates = []float64{0.01}
-		}
+	if len(rates) > 0 {
 		crossed := make([]harness.Cell, 0, len(base)*len(rates))
 		for _, c := range base {
 			for _, r := range rates {
-				cc := c
-				cc.ChaosRate = r
-				crossed = append(crossed, cc)
+				c.ChaosRate = r
+				crossed = append(crossed, c)
 			}
 		}
 		base = crossed
@@ -186,6 +121,12 @@ func (spec JobSpec) plan(maxCells int) (*jobPlan, error) {
 	}
 	if len(base) > maxCells {
 		return nil, fmt.Errorf("job expands to %d cells, limit %d", len(base), maxCells)
+	}
+	if kind == "" {
+		kind = KindSweep
+		if len(spec.Cells) == 1 && len(base) == 1 {
+			kind = KindRun
+		}
 	}
 
 	p := &jobPlan{kind: kind, cells: make([]harness.RunConfig, len(base)), keys: make([]string, len(base))}
@@ -206,22 +147,7 @@ func (spec JobSpec) product() []harness.Cell {
 	if len(benches) == 0 {
 		benches = workloads.Names()
 	}
-	modes := spec.Modes
-	if len(modes) == 0 {
-		modes = []string{"staggered"}
-	}
-	backends := spec.Backends
-	if len(backends) == 0 {
-		backends = []string{""}
-	}
-	threads := spec.Threads
-	if len(threads) == 0 {
-		threads = []int{4}
-	}
-	seeds := spec.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{harness.DefaultSeed}
-	}
+	modes, backends, threads, seeds := axis(spec.Modes), axis(spec.Backends), axis(spec.Threads), axis(spec.Seeds)
 	var out []harness.Cell
 	for _, b := range benches {
 		for _, m := range modes {
@@ -235,6 +161,14 @@ func (spec JobSpec) product() []harness.Cell {
 		}
 	}
 	return out
+}
+
+// axis is a sweep axis's values: the zero value alone when it lists none.
+func axis[T any](v []T) []T {
+	if len(v) == 0 {
+		return make([]T, 1)
+	}
+	return v
 }
 
 // Job states. The terminal ones are the journal's terminal record types,

@@ -136,6 +136,65 @@ func TestBootReplayAcceptsPreUpgradeSpec(t *testing.T) {
 	}
 }
 
+// An unfinished job journaled under each spelling of a kind replays to
+// the kind and keys it was accepted with.
+func TestBootReplaysEverySpelling(t *testing.T) {
+	dir := t.TempDir()
+	var recs []journal.Record
+	for i, sp := range spellings {
+		recs = append(recs, journal.Record{Type: journal.RecAccepted, Job: fmt.Sprintf("job-%06d", i+1), Spec: json.RawMessage(sp.body)})
+	}
+	seedJournal(t, dir, recs...)
+	s := newT(t, Config{StoreDir: dir,
+		sweep: seam(func(context.Context, int, harness.RunConfig) harness.RunOutcome { return ok() })})
+	for i, sp := range spellings {
+		j, ok := s.Job(fmt.Sprintf("job-%06d", i+1))
+		if !ok {
+			t.Fatalf("%s: journaled job dropped at boot", sp.name)
+		}
+		if j.plan.kind != sp.kind || !slices.Equal(j.plan.keys, sp.keys) {
+			t.Errorf("%s: replayed as kind %s keys %q, want kind %s keys %q", sp.name, j.plan.kind, j.plan.keys, sp.kind, sp.keys)
+		}
+	}
+}
+
+// An unfinished explore job from a daemon that served them, spelled by
+// its kind or by its campaign field alone, is dropped at boot through
+// the "no longer plans" log. Replay decodes leniently, so without the
+// refused field the second spelling would decode to an empty spec and
+// sweep every workload.
+func TestBootReplayDropsExploreJobs(t *testing.T) {
+	dir := t.TempDir()
+	seedJournal(t, dir,
+		journal.Record{Type: journal.RecAccepted, Job: "job-000001", Spec: json.RawMessage(
+			`{"kind":"explore","explore":{"cell":{"bench":"list-hi","threads":2,"ops":120},"runs":3}}`)},
+		journal.Record{Type: journal.RecAccepted, Job: "job-000002", Spec: json.RawMessage(
+			`{"explore":{"cell":{"bench":"list-hi","threads":2,"ops":120},"sched":"pct:3","runs":3}}`)},
+	)
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	s := newT(t, Config{StoreDir: dir, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d explore jobs rebuilt at boot, want 0: %+v", n, s.Jobs())
+	}
+	if m := s.Metrics(); m.Recovery.RequeuedJobs != 0 {
+		t.Fatalf("recovery metrics = %+v, want 0 requeued", m.Recovery)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, id := range []string{"job-000001", "job-000002"} {
+		if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, id+" no longer plans") }) {
+			t.Errorf("%s dropped without its log line; logs:\n%s", id, strings.Join(logs, "\n"))
+		}
+	}
+}
+
 // Jobs the journal shows terminal must NOT come back, and replay must
 // fold duplicate records (a crash mid-compaction can leave them) into
 // one job, never two.

@@ -1,13 +1,14 @@
 // Package service is the crash-safe simulation service behind cmd/staggerd:
 // an HTTP+JSON control plane over the deterministic harness. It accepts
-// run/sweep/chaos/explore jobs, executes them on a bounded worker pool,
-// and serves every result from a durable content-addressed store
-// (internal/store), so identical (config, seed) cells are byte-identical
-// across clients and restarts. A job's cells run on harness.Sweep, the
-// one sweep primitive: each outcome is encoded and stored the moment the
-// stream delivers it, whatever its siblings do. That store is the
-// daemon's only result cache (the sweep memoizes nothing): a server
-// without a StoreDir recomputes resubmissions.
+// jobs, each a list of cells (run, sweep and chaos are spellings of one
+// planner; schedule exploration is staggersim -explore's), executes them
+// on a bounded worker pool, and serves every result from a durable
+// content-addressed store (internal/store), so identical (config, seed)
+// cells are byte-identical across clients and restarts. A job's cells
+// run on harness.Sweep, the one sweep primitive: each outcome is encoded
+// and stored the moment the stream delivers it, whatever its siblings
+// do. That store is the daemon's only result cache (the sweep memoizes
+// nothing): a server without a StoreDir recomputes resubmissions.
 //
 // The robustness contract, in order of the failure-mode table in
 // DESIGN.md:

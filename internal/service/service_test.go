@@ -94,10 +94,8 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []JobSpec{
-		{Cells: []harness.Cell{{Bench: "list-hi", Sched: "bogus"}}},                             // unparsable scheduler
-		{Cells: []harness.Cell{{Bench: "list-hi", Sched: "replay:" + trace}}},                   // a server-side file
-		{Explore: &ExploreSpec{Cell: harness.Cell{Bench: "list-hi"}, Sched: "bogus"}},           // unparsable campaign scheduler
-		{Explore: &ExploreSpec{Cell: harness.Cell{Bench: "list-hi"}, Sched: "replay:" + trace}}, // campaign over a file
+		{Cells: []harness.Cell{{Bench: "list-hi", Sched: "bogus"}}},              // unparsable scheduler
+		{Cells: []harness.Cell{{Bench: "list-hi", Sched: "replay:" + trace}}},    // a server-side file
 		{Cells: []harness.Cell{{}}},                                              // missing bench
 		{Cells: []harness.Cell{{Bench: "nope"}}},                                 // unknown bench
 		{Cells: []harness.Cell{{Bench: "list-hi", Mode: "warp"}}},                // unknown mode
@@ -107,7 +105,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Cells: []harness.Cell{{Bench: "list-hi", Threads: -1}}},                 // negative threads
 		{Cells: []harness.Cell{{Bench: "list-hi", Capacity: 8}}},                 // capacity without the limited backend
 		{Cells: []harness.Cell{{Bench: "list-hi", Backend: "occ", Capacity: 8}}}, // capacity on a backend that has none
-		{Kind: KindExplore}, // explore without spec
+		{Kind: "bogus", Cells: []harness.Cell{{Bench: "list-hi"}}},               // unknown kind
+		{Kind: "explore", Cells: []harness.Cell{{Bench: "list-hi"}}},             // explore jobs are gone
+		{Explore: json.RawMessage(`{"cell":{"bench":"list-hi"}}`)},               // so is their campaign field
 		{Kind: KindRun, Cells: []harness.Cell{{Bench: "list-hi"}, {Bench: "list-hi"}}},
 		{Kind: KindSweep, Seeds: make([]int64, 600)}, // exceeds MaxCells
 	} {
@@ -116,12 +116,16 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 	// The wire form is closed: a field this binary does not know is a 400
-	// at submit, never a silently different simulation. `hardened` is the
-	// cell switch daemons before CacheSchema 5 accepted.
+	// at submit, never a silently different simulation, and so are a kind
+	// it does not plan and the explore campaigns older daemons served.
+	// `hardened` is the cell switch daemons before CacheSchema 5 accepted.
 	for _, body := range []string{
 		`{"cells":[{"bench":"list-hi","hardened":true}]}`,
 		`{"kind":"chaos","cells":[{"bench":"list-hi","chaos_rate":0.01,"hardened":true}]}`,
 		`{"cells":[{"bench":"list-hi"}],"priority":9}`,
+		`{"kind":"bogus","cells":[{"bench":"list-hi"}]}`,
+		`{"kind":"explore","explore":{"cell":{"bench":"list-hi"},"runs":3}}`,
+		`{"explore":{"cell":{"bench":"list-hi"},"runs":3}}`,
 	} {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
@@ -131,6 +135,93 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if n := len(s.Jobs()); n != 0 {
 		t.Fatalf("%d jobs admitted from rejected specs", n)
+	}
+}
+
+// spellings holds one spec per way of spelling a job, each with the
+// kind and keys, in order, that the planner with four job kinds gave it
+// (explore aside). A kind is only a spelling: these bytes must not move.
+var spellings = []struct {
+	name, body, kind string
+	keys             []string
+}{
+	{"inferred single cell", `{"cells":[{"bench":"list-hi","threads":2,"ops":200}]}`, KindRun, []string{
+		`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":200}`,
+	}},
+	{"run", `{"kind":"run","cells":[{"bench":"kmeans","mode":"htm","seed":7}]}`, KindRun, []string{
+		`v6|cell|{"bench":"kmeans","mode":"htm","backend":"htm","threads":4,"seed":7,"ops":2048}`,
+	}},
+	{"sweep", `{"kind":"sweep","benchmarks":["list-hi","kmeans"],"threads":[2,4],"ops":200}`, KindSweep, []string{
+		`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":200}`,
+		`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":200}`,
+		`v6|cell|{"bench":"kmeans","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":200}`,
+		`v6|cell|{"bench":"kmeans","mode":"staggered","backend":"staggered","threads":4,"seed":42,"ops":200}`,
+	}},
+	{"sweep inferred from axes", `{"benchmarks":["tsp"],"modes":["htm","sw"],"backends":["","occ"],"seeds":[3]}`, KindSweep, []string{
+		`v6|cell|{"bench":"tsp","mode":"htm","backend":"htm","threads":4,"seed":3,"ops":992}`,
+		`v6|cell|{"bench":"tsp","mode":"htm","backend":"occ","threads":4,"seed":3,"ops":992}`,
+		`v6|cell|{"bench":"tsp","mode":"sw","backend":"staggered","threads":4,"seed":3,"ops":992}`,
+		`v6|cell|{"bench":"tsp","mode":"htm","backend":"occ","threads":4,"seed":3,"ops":992}`,
+	}},
+	{"chaos with rates", `{"kind":"chaos","benchmarks":["list-hi"],"threads":[16],"chaos_rates":[0,0.05]}`, KindChaos, []string{
+		`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":16,"seed":42,"ops":3200}`,
+		`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":16,"seed":42,"ops":3200,"chaos_rate":0.05,"chaos_seed":42,"watchdog":200000000}`,
+	}},
+	{"chaos without rates", `{"kind":"chaos","threads":[2]}`, KindChaos, []string{
+		`v6|cell|{"bench":"genome","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":512,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"intruder","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":256,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"kmeans","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":2048,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"labyrinth","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":96,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"ssca2","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":4096,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"vacation","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":2400,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"list-lo","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":3200,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":3200,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"tsp","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":992,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+		`v6|cell|{"bench":"memcached","mode":"staggered","backend":"staggered","threads":2,"seed":42,"ops":3200,"chaos_rate":0.01,"chaos_seed":42,"watchdog":200000000}`,
+	}},
+	{"chaos over cells", `{"kind":"chaos","cells":[{"bench":"list-hi","seed":9},{"bench":"vacation","mode":"htm","chaos_seed":3}],"chaos_rates":[0.01,0.02]}`, KindChaos, []string{
+		`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":9,"ops":3200,"chaos_rate":0.01,"chaos_seed":9,"watchdog":200000000}`,
+		`v6|cell|{"bench":"list-hi","mode":"staggered","backend":"staggered","threads":4,"seed":9,"ops":3200,"chaos_rate":0.02,"chaos_seed":9,"watchdog":200000000}`,
+		`v6|cell|{"bench":"vacation","mode":"htm","backend":"htm","threads":4,"seed":42,"ops":2400,"chaos_rate":0.01,"chaos_seed":3,"watchdog":200000000}`,
+		`v6|cell|{"bench":"vacation","mode":"htm","backend":"htm","threads":4,"seed":42,"ops":2400,"chaos_rate":0.02,"chaos_seed":3,"watchdog":200000000}`,
+	}},
+}
+
+// TestKindsAreSpellings: every spelling a client could submit plans the
+// kind and the keys it always planned, in the same order, through the
+// wire decoder. A sweep that lists chaos_rates crosses them like the
+// chaos kind does.
+func TestKindsAreSpellings(t *testing.T) {
+	s := newT(t, Config{QueueDepth: len(spellings),
+		sweep: seam(func(context.Context, int, harness.RunConfig) harness.RunOutcome { return ok() })})
+	for _, sp := range spellings {
+		t.Run(sp.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(sp.body)))
+			if rec.Code != http.StatusAccepted {
+				t.Fatalf("POST %s = %d %s", sp.body, rec.Code, rec.Body)
+			}
+			var st JobStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			j, _ := s.Job(st.ID)
+			if st.Kind != sp.kind || !slices.Equal(j.plan.keys, sp.keys) {
+				t.Fatalf("%s planned kind %s keys\n%s\nwant kind %s keys\n%s", sp.body,
+					st.Kind, strings.Join(j.plan.keys, "\n"), sp.kind, strings.Join(sp.keys, "\n"))
+			}
+		})
+	}
+	chaos, err := JobSpec{Kind: KindChaos, Benchmarks: []string{"list-hi"}, ChaosRates: []float64{0, 0.05}}.plan(s.cfg.MaxCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := JobSpec{Benchmarks: []string{"list-hi"}, ChaosRates: []float64{0, 0.05}}.plan(s.cfg.MaxCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sweep.keys, chaos.keys) {
+		t.Fatalf("sweep with chaos_rates planned %q, want the chaos kind's %q", sweep.keys, chaos.keys)
 	}
 }
 
@@ -636,104 +727,6 @@ func TestResultEndpointStates(t *testing.T) {
 	}
 	if code := get("/jobs/" + j.ID() + "/result"); code != http.StatusAccepted {
 		t.Fatalf("pending result = %d, want 202", code)
-	}
-}
-
-func TestExploreJobRunsAndIsDurable(t *testing.T) {
-	s := newT(t, Config{StoreDir: t.TempDir()})
-	spec := JobSpec{Explore: &ExploreSpec{
-		Cell: harness.Cell{Bench: "list-hi", Threads: 2, Ops: 120},
-		Runs: 3,
-	}}
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, j)
-	if st.State != JobDone || st.Kind != KindExplore {
-		t.Fatalf("explore job: %+v", st)
-	}
-	var er ExploreResult
-	if err := json.Unmarshal(results(t, s, j)[0], &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Runs != 3 || er.Commits == 0 {
-		t.Fatalf("explore result %+v, want 3 runs with commits", er)
-	}
-	// Resubmission is served from the store, byte-identically.
-	j2, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitJob(t, j2); st.FromStore != 1 {
-		t.Fatalf("explore rerun not served from store: %+v", st)
-	}
-	if !bytes.Equal(results(t, s, j)[0], results(t, s, j2)[0]) {
-		t.Fatal("explore payload differed across submissions")
-	}
-}
-
-// TestExploreJobTakesItsCellsSched: an explore spec whose campaign names
-// no scheduler explores under its cell's sched, pct:3 only when neither
-// names one, and a spec naming two different schedulers is a 400 at
-// submit. Both spellings of one campaign share one key.
-func TestExploreJobTakesItsCellsSched(t *testing.T) {
-	s := newT(t, Config{})
-	plan := func(cellSched, sched string) (*jobPlan, error) {
-		return JobSpec{Explore: &ExploreSpec{
-			Cell:  harness.Cell{Bench: "list-hi", Threads: 2, Ops: 120, Sched: cellSched},
-			Sched: sched,
-		}}.plan(s.cfg.MaxCells)
-	}
-	for _, tc := range []struct{ cellSched, sched, want string }{
-		{"random", "", "random"},
-		{"", "random", "random"},
-		{"random", "random", "random"},
-		{"", "", harness.DefaultExploreSched},
-	} {
-		p, err := plan(tc.cellSched, tc.sched)
-		if err != nil {
-			t.Fatalf("cell sched %q, explore sched %q: %v", tc.cellSched, tc.sched, err)
-		}
-		if got := p.cells[0].Sched; got != tc.want {
-			t.Errorf("cell sched %q, explore sched %q: campaign runs %q, want %q", tc.cellSched, tc.sched, got, tc.want)
-		}
-		if want, _ := plan("", tc.want); p.keys[0] != want.keys[0] {
-			t.Errorf("cell sched %q, explore sched %q: key %s, want %s", tc.cellSched, tc.sched, p.keys[0], want.keys[0])
-		}
-	}
-	body := `{"explore":{"cell":{"bench":"list-hi","sched":"random"},"sched":"pct:3"}}`
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("POST %s = %d %s, want 400", body, rec.Code, rec.Body)
-	}
-}
-
-// TestExploreJobRunsItsWholeCell: an explore job explores the cell it
-// names, watchdog included, so a watchdog far below the cell's makespan
-// fails the job on the watchdog trip. Its key carries the explore
-// payloads' own version: explore payloads stored under the earlier,
-// unversioned keys came from campaigns that dropped the cell's lazy,
-// naive and watchdog settings.
-func TestExploreJobRunsItsWholeCell(t *testing.T) {
-	s := newT(t, Config{StoreDir: t.TempDir()})
-	j, err := s.Submit(JobSpec{Explore: &ExploreSpec{
-		Cell: harness.Cell{Bench: "list-hi", Threads: 4, Ops: 160, Lazy: true, Watchdog: 1000},
-		Runs: 3,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf("v%d|explore.v%d|", harness.CacheSchema, exploreVersion); !strings.HasPrefix(j.plan.keys[0], want) {
-		t.Fatalf("explore key %q, want the prefix %q", j.plan.keys[0], want)
-	}
-	st := waitJob(t, j)
-	if st.State != JobFailed || !strings.Contains(st.Error, "watchdog") {
-		t.Fatalf("explore job %+v, want failed on the cell's watchdog", st)
-	}
-	if puts := s.store.Stats().Puts; puts != 0 {
-		t.Fatalf("store took %d puts for a failed campaign, want 0", puts)
 	}
 }
 
