@@ -50,12 +50,13 @@ type jobFact struct {
 // jobs still alive. This boot compaction is the only one. Terminal
 // entries are dropped, since their results live in the store, where an
 // identical resubmission finds them. One is kept: the newest job's last
-// record when it is terminal, because it carries the ID counter's
-// high-water mark, and a later life must never reissue an ID a client
-// may still hold. It folds as a terminal fact with no spec, so nothing
-// is requeued for it. Duplicate records for one job (possible when a
-// crash interrupts compaction bookkeeping) fold into one fact, so replay
-// never double-enqueues.
+// record when it is terminal (a failed record when replay drops that
+// job), because it carries the ID counter's high-water mark, and a
+// later life must never reissue an ID a client may still hold. It
+// folds as a terminal fact with no spec, so nothing is requeued for it.
+// Duplicate records for one job (possible when a crash interrupts
+// compaction bookkeeping) fold into one fact, so replay never
+// double-enqueues.
 //
 // Called from New before the worker pool starts; no locks needed.
 func (s *Server) recover(rep *journal.Replay) []*Job {
@@ -80,6 +81,14 @@ func (s *Server) recover(rep *journal.Replay) []*Job {
 		}
 	}
 
+	// drop ends a job replay cannot rebuild. A dropped newest job becomes
+	// the terminal high-water record, so its ID is never reissued.
+	drop := func(id, why string, err error) {
+		s.cfg.Logf("staggerd: recovery: %s %s, dropping: %v", id, why, err)
+		if id == newest.Job {
+			newest = journal.Record{Type: journal.RecFailed, Job: id, Error: err.Error()}
+		}
+	}
 	var requeued []*Job
 	var live []journal.Record
 	for _, id := range seen {
@@ -89,15 +98,16 @@ func (s *Server) recover(rep *journal.Replay) []*Job {
 		}
 		var spec JobSpec
 		if err := json.Unmarshal(f.spec, &spec); err != nil {
-			s.cfg.Logf("staggerd: recovery: %s has an unreadable spec, dropping: %v", id, err)
+			drop(id, "has an unreadable spec", err)
 			continue
 		}
 		plan, err := spec.plan(s.cfg.MaxCells)
 		if err != nil {
 			// The spec no longer validates under this binary (workload or
-			// limit drift across an upgrade). Nobody holds a handle to it
-			// after a restart, so dropping it with a loud log is terminal.
-			s.cfg.Logf("staggerd: recovery: %s no longer plans, dropping: %v", id, err)
+			// limit drift across an upgrade, or an explore job). Nobody
+			// holds a handle to it after a restart, so dropping it with a
+			// loud log is terminal.
+			drop(id, "no longer plans", err)
 			continue
 		}
 		j := newJob(id, spec, plan)

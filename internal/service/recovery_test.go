@@ -162,7 +162,9 @@ func TestBootReplaysEverySpelling(t *testing.T) {
 // its kind or by its campaign field alone, is dropped at boot through
 // the "no longer plans" log. Replay decodes leniently, so without the
 // refused field the second spelling would decode to an empty spec and
-// sweep every workload.
+// sweep every workload. The dropped jobs' IDs stay issued: boot
+// compaction keeps the newest one as the high-water mark, so a fresh
+// job two lives later still numbers past them.
 func TestBootReplayDropsExploreJobs(t *testing.T) {
 	dir := t.TempDir()
 	seedJournal(t, dir,
@@ -187,11 +189,19 @@ func TestBootReplayDropsExploreJobs(t *testing.T) {
 		t.Fatalf("recovery metrics = %+v, want 0 requeued", m.Recovery)
 	}
 	logMu.Lock()
-	defer logMu.Unlock()
 	for _, id := range []string{"job-000001", "job-000002"} {
 		if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, id+" no longer plans") }) {
 			t.Errorf("%s dropped without its log line; logs:\n%s", id, strings.Join(logs, "\n"))
 		}
+	}
+	logMu.Unlock()
+	s.Close()
+	j, err := newT(t, Config{StoreDir: dir}).Submit(tinySpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID() != "job-000003" {
+		t.Fatalf("fresh job after the drops took %s, want job-000003", j.ID())
 	}
 }
 

@@ -139,8 +139,9 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // spellings holds one spec per way of spelling a job, each with the
-// kind and keys, in order, that the planner with four job kinds gave it
-// (explore aside). A kind is only a spelling: these bytes must not move.
+// kind and the keys, in order, it has always planned. A kind is only a
+// spelling, and stored results are found by these keys: they must not
+// move.
 var spellings = []struct {
 	name, body, kind string
 	keys             []string
