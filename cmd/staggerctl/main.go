@@ -86,7 +86,7 @@ func main() {
 		}
 		err = c.getJSON("/jobs/"+args[0]+"/trace?cell="+args[1], os.Stdout)
 	case "cancel":
-		err = c.do("DELETE", "/jobs/"+one(args, "job id"), nil, io.Discard)
+		err = c.do("DELETE", "/jobs/"+one(args, "job id"), http.StatusAccepted, nil, io.Discard)
 	case "jobs":
 		err = c.getJSON("/jobs", os.Stdout)
 	case "metrics":
@@ -94,7 +94,7 @@ func main() {
 	case "health":
 		err = c.getJSON("/healthz", os.Stdout)
 	case "drain":
-		err = c.do("POST", "/drain", nil, os.Stdout)
+		err = c.do("POST", "/drain", http.StatusAccepted, nil, os.Stdout)
 	default:
 		fail("unknown verb " + verb)
 	}
@@ -121,9 +121,11 @@ type client struct {
 	reconnect time.Duration
 }
 
-// do performs one request and copies the body to out; non-2xx answers
-// become errors carrying the server's JSON error message.
-func (c client) do(method, path string, body io.Reader, out io.Writer) error {
+// do performs one request and copies the body to out when the answer
+// has the want status, the one each verb's endpoint gives on success;
+// any other answer becomes an error carrying the server's JSON error
+// message, and nothing is written to out.
+func (c client) do(method, path string, want int, body io.Reader, out io.Writer) error {
 	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
 		return err
@@ -133,7 +135,7 @@ func (c client) do(method, path string, body io.Reader, out io.Writer) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+	if resp.StatusCode != want {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(b)))
 	}
@@ -159,7 +161,9 @@ func retryable(err error) bool {
 }
 
 // getJSON is the read path: side-effect-free GETs, so retrying across a
-// daemon restart is always safe. Connection failures back off
+// daemon restart is always safe. Only a 200 succeeds: a result, cell or
+// trace of a job still pending answers 202 with an error object, which
+// must not pass for the payload. Connection failures back off
 // exponentially (100ms doubling to a 2s cap) until the -reconnect
 // budget runs out; nothing has been written to out when one happens, so
 // a retry never duplicates output.
@@ -168,7 +172,7 @@ func (c client) getJSON(path string, out io.Writer) error {
 	delay := 100 * time.Millisecond
 	deadline := time.Now().Add(c.reconnect)
 	for {
-		err := c.do("GET", path, nil, out)
+		err := c.do("GET", path, http.StatusOK, nil, out)
 		if err == nil || !retryable(err) || !time.Now().Before(deadline) {
 			return err
 		}
@@ -198,7 +202,7 @@ func (c client) submit(args []string) error {
 		return err
 	}
 	var buf strings.Builder
-	if err := c.do("POST", "/jobs", strings.NewReader(string(spec)), &buf); err != nil {
+	if err := c.do("POST", "/jobs", http.StatusAccepted, strings.NewReader(string(spec)), &buf); err != nil {
 		return err
 	}
 	var st struct {

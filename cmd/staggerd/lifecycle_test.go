@@ -2,13 +2,39 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
+
+// TestDaemonRequiresStore: every daemon is durable, so staggerd without
+// -store refuses to start: it exits non-zero naming the flag, before it
+// listens or publishes an address.
+func TestDaemonRequiresStore(t *testing.T) {
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	// A daemon that wrongly starts serves until the deadline kills it.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, daemonBin, "-addr", "127.0.0.1:0", "-addr-file", addrFile)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); err == nil || code <= 0 || ctx.Err() != nil {
+		t.Fatalf("staggerd without -store: %v (exit %d), want a prompt non-zero exit\n%s", err, code, stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), "-store") {
+		t.Fatalf("staggerd without -store does not name the flag:\n%s", stderr.Bytes())
+	}
+	if _, err := os.Stat(addrFile); !os.IsNotExist(err) {
+		t.Fatalf("staggerd without -store wrote its -addr-file (%v)", err)
+	}
+}
 
 // TestStaggerctlLifecycleAndDrain drives the real daemon the way an
 // operator does, through the staggerctl verbs health, submit, wait,

@@ -1,10 +1,10 @@
 // Command staggerd is the simulation daemon: the HTTP+JSON service of
 // internal/service behind a listener, signals, and flags. It accepts
 // jobs of cells (spelled run, sweep or chaos), executes them on a
-// bounded worker pool, persists every cell result in a crash-safe
-// store, and drains gracefully on SIGTERM/SIGINT: readiness flips
-// immediately, in-flight jobs get -grace to finish, then they are
-// cancelled and the process exits cleanly.
+// bounded worker pool, persists every cell result in the crash-safe
+// store under -store (required), and drains gracefully on SIGTERM/SIGINT:
+// readiness flips immediately, in-flight jobs get -grace to finish,
+// then they are cancelled and the process exits cleanly.
 //
 // Typical use:
 //
@@ -38,7 +38,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8423", "listen address (port 0 = kernel-assigned)")
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
-		storeDir   = flag.String("store", "", "durable result store directory (empty = memory-only)")
+		storeDir   = flag.String("store", "", "durable result store and job journal directory (required)")
 		queueDepth = flag.Int("queue", 8, "admission queue depth (full queue sheds with 429)")
 		jobWorkers = flag.Int("jobs", 2, "concurrently executing jobs")
 		runWorkers = flag.Int("run-workers", 0, "per-job sweep parallelism (0 = all cores)")
@@ -50,6 +50,9 @@ func main() {
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	log.SetPrefix("staggerd: ")
+	if *storeDir == "" {
+		log.Fatal("-store is required: every result is kept in a durable store")
+	}
 
 	if *runWorkers > 0 {
 		harness.SetWorkers(*runWorkers)
@@ -93,9 +96,6 @@ func main() {
 		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
 			log.Fatal(err)
 		}
-	}
-	if *storeDir == "" {
-		log.Printf("no -store: results are memory-only and die with the process")
 	}
 	log.Printf("listening on %s", bound)
 

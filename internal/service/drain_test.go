@@ -19,7 +19,7 @@ import (
 func TestDrainUnderChaosCompletesWithinGrace(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
 	const grace = 500 * time.Millisecond
-	s, err := New(Config{JobWorkers: 2, Grace: grace, Logf: t.Logf})
+	s, err := New(Config{StoreDir: t.TempDir(), JobWorkers: 2, Grace: grace, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDrainUnderChaosCompletesWithinGrace(t *testing.T) {
 // TestDrainIdleServerIsImmediate: draining with nothing in flight closes
 // the pool without waiting for the grace period.
 func TestDrainIdleServerIsImmediate(t *testing.T) {
-	s, err := New(Config{Grace: 30 * time.Second, Logf: t.Logf})
+	s, err := New(Config{StoreDir: t.TempDir(), Grace: 30 * time.Second, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestBootGCKeepsOnlyIssuedKeys(t *testing.T) {
 // is fetched: /result serves the same bytes, result_recomputes counts
 // the re-run, and the entry is back in the store.
 func TestDoneJobRecomputesLostEntry(t *testing.T) {
-	ref := newT(t, Config{})
+	ref := newT(t, Config{StoreDir: t.TempDir()})
 	rj, err := ref.Submit(tinySpec(5))
 	if err != nil {
 		t.Fatal(err)

@@ -139,9 +139,6 @@ func encodeCell(key string, rc harness.RunConfig, res *harness.Result) ([]byte, 
 // if the entry verifies, and j then holds what it read, so a key joins
 // the index on its second request (the first computed and stored it).
 func (s *Server) storeGet(j *Job, key string) []byte {
-	if s.store == nil {
-		return nil
-	}
 	if b := s.hold(j, key, nil); b != nil {
 		s.heldHits.Add(1)
 		return b
@@ -174,12 +171,8 @@ func (s *Server) storeRead(key string) []byte {
 // byte and a fetch reads them back (see payloads). A store write failure
 // is logged and tolerated: j keeps its bytes and serves them from
 // memory, but no other job is served them, since the store does not
-// hold them (durability degrades, correctness does not). A server
-// without a store keeps every payload with its job.
+// hold them (durability degrades, correctness does not).
 func (s *Server) storePut(key string, payload []byte) []byte {
-	if s.store == nil {
-		return payload
-	}
 	if err := s.store.Put(key, payload); err != nil {
 		s.cfg.Logf("staggerd: store put: %v", err)
 		return payload

@@ -29,9 +29,6 @@ import (
 // after a crash, which is safe, so failures are logged (the journal
 // counts them) rather than surfaced.
 func (s *Server) journalState(typ string, id, errMsg string) {
-	if s.jnl == nil {
-		return
-	}
 	if err := s.jnl.Append(journal.Record{Type: typ, Job: id, Error: errMsg}); err != nil {
 		s.cfg.Logf("staggerd: journal %s %s: %v", typ, id, err)
 	}
@@ -134,9 +131,8 @@ func (s *Server) recover(rep *journal.Replay) []*Job {
 }
 
 // RecoveryStats is the /metrics view of what boot recovery did with the
-// journal's replay, present whenever the server runs with a journal; the
-// journal's own counters (replayed records, truncated tail bytes, append
-// errors) are its "journal" section.
+// journal's replay; the journal's own counters (replayed records,
+// truncated tail bytes, append errors) are its "journal" section.
 type RecoveryStats struct {
 	RequeuedJobs uint64 `json:"requeued_jobs"`
 	ResumedCells uint64 `json:"resumed_cells"`

@@ -670,17 +670,12 @@ func TestUnstoredPayloadNotHeld(t *testing.T) {
 	}
 }
 
-// Memory-only servers (no StoreDir) run without a
-// journal: no recovery section, submits never touch a disk.
-func TestMemoryOnlyServerHasNoJournal(t *testing.T) {
-	s := newT(t, Config{})
-	j, err := s.Submit(tinySpec(91))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, j)
-	if m := s.Metrics(); m.Recovery != nil || m.Journal != nil {
-		t.Fatalf("memory-only metrics grew durability sections: %+v", m)
+// Every server is durable: a Config without a StoreDir is refused, so
+// no server runs without a store and a journal.
+func TestNewRefusesNoStore(t *testing.T) {
+	if s, err := New(Config{}); err == nil {
+		s.Close()
+		t.Fatal("New(Config{}) built a server with no store")
 	}
 }
 
